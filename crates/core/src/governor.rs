@@ -6,9 +6,9 @@
 //! * [`CancelToken`] — a shareable cancellation handle combining a wall
 //!   clock deadline, a manual kill switch (`KILL <id>`), and a
 //!   memory-budget trip. The query path polls it at bounded-stride
-//!   checkpoints — morsel boundaries in `core::exec` and
-//!   [`CHECKPOINT_STRIDE`]-row chunks inside the serial scan/refine
-//!   loops — so cancellation latency is bounded by one stride of work,
+//!   checkpoints — stage boundaries in `core::query` and
+//!   [`CHECKPOINT_STRIDE`]-row chunks inside every `core::exec` morsel
+//!   loop — so cancellation latency is bounded by one stride of work,
 //!   never by the whole query.
 //! * [`MemBudget`] — byte accounting charged at the query's
 //!   materialisation sites (candidate runs, selection rows, grid-refine

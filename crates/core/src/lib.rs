@@ -22,10 +22,10 @@
 //! * **thematic filters and aggregates** over any attribute column, which
 //!   is what makes scenario 2's "average elevation near a fast transit
 //!   road" a one-liner;
-//! * a **morsel-driven parallel executor** ([`exec`]) — the candidate list
-//!   is split into balanced row-range morsels executed on scoped worker
-//!   threads and merged in row order, so parallel results are identical to
-//!   the serial path ([`Parallelism`] selects the worker count).
+//! * one **morsel-driven executor** ([`exec`]) — the candidate list is
+//!   split into balanced row-range morsels, run inline by one worker or on
+//!   scoped threads by several, and merged in row order, so results are
+//!   identical at every worker count ([`Parallelism`] selects it).
 //!
 //! Every query returns an [`query::Explain`] timing/cardinality breakdown,
 //! mirroring the demo's per-operator plan view.

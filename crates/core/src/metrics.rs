@@ -52,7 +52,7 @@ pub enum Stage {
     PersistSave,
     /// Bulk bytes → table ingestion: `open_dir` and the tile loader.
     PersistLoad,
-    /// One morsel of the parallel executor (recorded per worker).
+    /// One morsel of the executor's filter step.
     Morsel,
     /// Query-lifecycle governance: admission-queue waits (`seconds`) and
     /// shed/timeout/kill/budget decisions (the dedicated counters).
@@ -291,7 +291,7 @@ pub struct MetricsRegistry {
     pub imprint_cache_misses: Counter,
     /// Probes degraded to exact scans because an imprint failed to build.
     pub degraded_probes: Counter,
-    /// Morsels executed by the parallel executor.
+    /// Morsels executed by the filter step.
     pub morsels: Counter,
     /// Files the bulk loader ingested.
     pub files_loaded: Counter,

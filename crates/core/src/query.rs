@@ -20,11 +20,12 @@ use lidardb_geom::{
     classify_rect_dwithin, classify_rect_polygon, contains_point, dwithin_point, Envelope,
     Geometry, Point, RectClass,
 };
+use lidardb_storage::for_each_variant;
 use lidardb_storage::scan::{self, CmpOp};
 
 use crate::error::CoreError;
 use crate::exec::{self, MorselTiming, Parallelism};
-use crate::governor::{CancelToken, GovernCtx, QueryRegistry, CHECKPOINT_STRIDE};
+use crate::governor::{CancelToken, GovernCtx, QueryRegistry};
 use crate::metrics::{MetricsRegistry, QueryProfile, Stage, StageSample};
 use crate::pointcloud::PointCloud;
 use crate::trace::{self, SpanKind};
@@ -170,10 +171,11 @@ pub struct Explain {
     pub t_bbox: f64,
     /// Wall-clock of the refinement step, in seconds.
     pub t_refine: f64,
-    /// Worker threads the filter/refine steps ran on (1 = serial path).
+    /// Workers the filter/refine steps ran on (1 = one morsel, run inline
+    /// on the calling thread).
     pub workers: usize,
-    /// Per-morsel breakdown of the parallel filter step (empty on the
-    /// serial path).
+    /// Per-morsel breakdown of the filter step (empty only when there were
+    /// no candidates).
     pub morsel_times: Vec<MorselTiming>,
     /// Tiles in the tiled cloud the query planned over (0 = flat table).
     pub tiles_total: usize,
@@ -321,9 +323,9 @@ impl PointCloud {
     /// [`select_query`](Self::select_query) with an explicit worker-count
     /// policy, overriding the cloud's [`Parallelism`] knob for this call.
     ///
-    /// The parallel executor returns rows identical to the serial path:
-    /// morsels partition the candidates in row order and merge in morsel
-    /// order (see [`crate::exec`]).
+    /// Rows are identical at every worker count: morsels partition the
+    /// candidates in row order and merge in morsel order (see
+    /// [`crate::exec`]).
     pub fn select_query_with(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -401,7 +403,6 @@ impl PointCloud {
         // Inert guards cost one relaxed load and two TLS reads — the scan
         // kernels below never see a tracing branch.
         let mut root = trace::root_span_if(self.tracing(), SpanKind::Query);
-        let query_start = root.is_recording().then(Instant::now);
         let trace_id = root.trace_id();
         let mut stages: Vec<StageSample> = Vec::new();
         let mut explain = Explain::default();
@@ -415,53 +416,31 @@ impl PointCloud {
             &mut stages,
             &mut explain,
         );
-        match result {
-            Ok(rows) => {
-                root.set_rows(explain.after_imprints as u64, explain.result_rows as u64);
-                drop(root);
-                let profile = QueryProfile {
-                    explain,
-                    stages,
-                    trace_id,
-                };
-                if let (Some(tid), Some(start)) = (trace_id, query_start) {
-                    trace::SlowQueryLog::global().record(trace::SlowQuery {
-                        trace_id: tid,
-                        seconds: start.elapsed().as_secs_f64(),
-                        queue_wait_seconds: ctx.queue_wait().as_secs_f64(),
-                        result_rows: rows.len(),
-                        profile: profile.clone(),
-                        spans: trace::Tracer::global().snapshot().for_trace(tid).spans,
-                    });
-                }
-                Ok(Selection { rows, profile })
-            }
-            Err(e) => {
-                // Cancelled queries still leave a trace: the root span gets
-                // the cancelled flag and the query enters the slow log — a
-                // query someone had to kill is exactly what the log exists
-                // to surface.
-                if matches!(e, CoreError::Cancelled { .. }) {
-                    root.add_flags(trace::FLAG_CANCELLED);
-                }
-                drop(root);
-                if let (Some(tid), Some(start)) = (trace_id, query_start) {
-                    trace::SlowQueryLog::global().record(trace::SlowQuery {
-                        trace_id: tid,
-                        seconds: start.elapsed().as_secs_f64(),
-                        queue_wait_seconds: ctx.queue_wait().as_secs_f64(),
-                        result_rows: ctx.partial_rows(),
-                        profile: QueryProfile {
-                            explain,
-                            stages,
-                            trace_id,
-                        },
-                        spans: trace::Tracer::global().snapshot().for_trace(tid).spans,
-                    });
-                }
-                Err(e)
-            }
+        // Failed queries still leave a trace: a cancelled one flags its root
+        // span, and every traced query enters the slow log — a query someone
+        // had to kill is exactly what the log exists to surface.
+        match &result {
+            Ok(_) => root.set_rows(explain.after_imprints as u64, explain.result_rows as u64),
+            Err(CoreError::Cancelled { .. }) => root.add_flags(trace::FLAG_CANCELLED),
+            Err(_) => {}
         }
+        drop(root);
+        let profile = QueryProfile {
+            explain,
+            stages,
+            trace_id,
+        };
+        if let Some(tid) = trace_id {
+            trace::SlowQueryLog::global().record(trace::SlowQuery {
+                trace_id: tid,
+                seconds: ctx.token().elapsed().as_secs_f64(),
+                queue_wait_seconds: ctx.queue_wait().as_secs_f64(),
+                result_rows: result.as_ref().map_or_else(|_| ctx.partial_rows(), Vec::len),
+                profile: profile.clone(),
+                spans: trace::Tracer::global().snapshot().for_trace(tid).spans,
+            });
+        }
+        result.map(|rows| Selection { rows, profile })
     }
 
     /// The two-step pipeline proper: probes, exact scans, refinement.
@@ -484,9 +463,9 @@ impl PointCloud {
         // The query's first checkpoint, before any work: an already-expired
         // deadline or pre-killed token cancels here with zero partial rows.
         // This is also the deterministic site the `Cancel`/`Stall` fault
-        // rules target (site `"query"`) — it runs identically on the
-        // serial and parallel paths, which is what lets the differential
-        // suite demand byte-identical `Cancelled` errors from both.
+        // rules target (site `"query"`) — it runs before any morsel is
+        // split off, which is what lets the differential suite demand
+        // byte-identical `Cancelled` errors at every worker count.
         ctx.checkpoint("query")?;
         // Snapshot isolation: the visibility watermark is captured ONCE,
         // before any probe. Batches a concurrent ingester applies (and
@@ -567,7 +546,7 @@ impl PointCloud {
         };
         // The snapshot clamp: imprints refreshed mid-ingest can propose
         // rows past the watermark; they are cut before any exact scan, so
-        // serial and parallel runs see the identical candidate set.
+        // every worker count sees the identical candidate set.
         cand.clamp(visible);
         explain.after_imprints = cand.num_rows();
         explain.sure_rows = cand.num_sure_rows();
@@ -608,12 +587,6 @@ impl PointCloud {
         // imprint builds cancels here instead of starting the scans.
         ctx.checkpoint("imprint_probe")?;
 
-        // Parallel execution pays off only when there are at least two
-        // morsels' worth of candidates; below that the serial path runs.
-        let workers = parallelism.workers();
-        let use_parallel = workers > 1 && cand.num_rows() >= 2 * exec::MORSEL_MIN_ROWS;
-        explain.workers = if use_parallel { workers } else { 1 };
-
         // ---- Step 1b: exact checks over candidate runs. --------------------
         let mut bbox_span = trace::span(SpanKind::Stage(Stage::BboxScan));
         let scan_rows_before = if bbox_span.is_recording() {
@@ -627,88 +600,18 @@ impl PointCloud {
         } else {
             (&[][..], &[][..])
         };
-        let mut rows: Vec<usize> = if use_parallel {
-            let job = exec::FilterJob {
-                pc: self,
-                env: env.as_ref(),
-                x_probed,
-                attrs,
-                xs,
-                ys,
-                trace_ctx: bbox_span.ctx(),
-                govern: ctx,
-            };
-            let (rows, timings) = exec::parallel_filter(&job, &cand, workers)?;
-            explain.morsel_times = timings;
-            rows
-        } else {
-            let mut rows: Vec<usize> = Vec::new();
-            // `since` carries across runs: candidate lists are often many
-            // short runs, and a per-run counter would never reach the
-            // stride, leaving cancellation latency unbounded.
-            let mut since = 0usize;
-            for r in cand.ranges() {
-                let mut s = r.start;
-                while s < r.end {
-                    let e = r.end.min(s + (CHECKPOINT_STRIDE - since));
-                    if r.all_qualify {
-                        rows.extend(s..e);
-                    } else if let Some(env) = &env {
-                        scan::range_scan_ranges(xs, &[(s, e)], env.min_x, env.max_x, &mut rows);
-                    } else {
-                        rows.extend(s..e);
-                    }
-                    since += e - s;
-                    s = e;
-                    if since >= CHECKPOINT_STRIDE {
-                        since = 0;
-                        ctx.checkpoint("bbox_scan")?;
-                    }
-                }
-            }
-            // Tally scan-kernel work in a separate pass over the (already
-            // resident) run list: even accumulator locals inside the scan
-            // loop above measurably perturb its codegen, and per-call
-            // atomics cost ~10% (see `storage::scan::note_scans`).
-            let (mut scan_calls, mut scan_rows) = (0u64, 0u64);
-            if env.is_some() {
-                for r in cand.ranges() {
-                    if !r.all_qualify {
-                        scan_calls += 1;
-                        scan_rows += (r.end - r.start) as u64;
-                    }
-                }
-            }
-            // Runs are ordered, so `rows` is sorted. Refine the remaining
-            // predicates exactly; rows from sure runs satisfy everything and
-            // simply pass through.
-            if let Some(env) = &env {
-                if !x_probed {
-                    // Degraded x probe: "sure" runs carry no x guarantee, so
-                    // every candidate gets the exact x check (like y below).
-                    scan_calls += 1;
-                    scan_rows += rows.len() as u64;
-                    scan::refine_range(xs, &mut rows, env.min_x, env.max_x);
-                    ctx.checkpoint("bbox_scan")?;
-                }
-                scan_calls += 1;
-                scan_rows += rows.len() as u64;
-                scan::refine_range(ys, &mut rows, env.min_y, env.max_y);
-                ctx.checkpoint("bbox_scan")?;
-            }
-            for a in attrs {
-                scan_calls += 1;
-                scan_rows += rows.len() as u64;
-                self.refine_attr_range(&mut rows, &a.column, a.lo, a.hi)?;
-                ctx.checkpoint("bbox_scan")?;
-            }
-            scan::note_scans(scan_calls, scan_rows);
-            // The selection vector is the query's dominant allocation:
-            // charge it against the budget before refinement grows costs.
-            ctx.charge((rows.len() * std::mem::size_of::<usize>()) as u64)?;
-            ctx.add_rows(rows.len());
-            rows
+        let workers = parallelism.workers();
+        let job = exec::FilterJob {
+            pc: self,
+            env: env.as_ref(),
+            x_probed,
+            attrs,
+            xs,
+            ys,
+            trace_ctx: bbox_span.ctx(),
+            govern: ctx,
         };
+        let mut rows = exec::filter(&job, &cand, workers, explain)?;
         explain.after_bbox = rows.len();
         explain.t_bbox = t0.elapsed().as_secs_f64();
         stages.push(StageSample {
@@ -736,36 +639,12 @@ impl PointCloud {
         let t0 = Instant::now();
         if let (Some(pred), Some(env)) = (pred, &env) {
             let pure_bbox = pred.is_pure_bbox().is_some();
-            let refine_parallel = use_parallel && rows.len() >= 2 * exec::MORSEL_MIN_ROWS;
             match strategy {
                 RefineStrategy::BboxOnly => {}
                 _ if pure_bbox => {} // bbox check was already exact
                 RefineStrategy::Exhaustive => {
                     explain.exact_tests = rows.len();
-                    if refine_parallel {
-                        exec::parallel_exhaustive(pred, xs, ys, &mut rows, workers, ctx)?;
-                    } else {
-                        // Chunked retain: exact point-in-polygon tests are the
-                        // slowest per-row work in the engine, so checkpoint at
-                        // stride boundaries here too.
-                        let mut kept = 0usize;
-                        let mut cursor = 0usize;
-                        while cursor < rows.len() {
-                            let end = rows.len().min(cursor + CHECKPOINT_STRIDE);
-                            for i in cursor..end {
-                                let r = rows[i];
-                                if pred.matches(&Point::new(xs[r], ys[r])) {
-                                    rows[kept] = r;
-                                    kept += 1;
-                                }
-                            }
-                            cursor = end;
-                            if cursor < rows.len() {
-                                ctx.checkpoint("grid_refine")?;
-                            }
-                        }
-                        rows.truncate(kept);
-                    }
+                    exec::refine_exhaustive(pred, xs, ys, &mut rows, workers, ctx)?;
                 }
                 RefineStrategy::Grid { .. } | RefineStrategy::AdaptiveGrid => {
                     let cells = match strategy {
@@ -775,21 +654,7 @@ impl PointCloud {
                         RefineStrategy::Grid { cells } => cells.clamp(1, MAX_GRID),
                         _ => ((rows.len() as f64 / 128.0).sqrt() as usize).clamp(8, MAX_GRID),
                     };
-                    if refine_parallel {
-                        exec::parallel_grid_refine(
-                            pred,
-                            env,
-                            cells,
-                            xs,
-                            ys,
-                            &mut rows,
-                            explain,
-                            workers,
-                            ctx,
-                        )?;
-                    } else {
-                        self.grid_refine(pred, env, cells, xs, ys, &mut rows, explain, ctx)?;
-                    }
+                    exec::refine_grid(pred, env, cells, xs, ys, &mut rows, explain, workers, ctx)?;
                 }
             }
         }
@@ -831,110 +696,6 @@ impl PointCloud {
         }
     }
 
-    /// Exact inclusive range check on any numeric column. The bounds live
-    /// on the `f64` query domain; integer columns are compared in their
-    /// native domain with inward-rounded bounds, so predicates stay exact
-    /// above 2^53 (see `lidardb_storage::scan::refine_range_f64`).
-    pub(crate) fn refine_attr_range(
-        &self,
-        rows: &mut Vec<usize>,
-        column: &str,
-        lo: f64,
-        hi: f64,
-    ) -> Result<(), CoreError> {
-        let col = self.column(column)?;
-        macro_rules! go {
-            ($t:ty) => {{
-                let data = col.as_slice::<$t>()?;
-                scan::refine_range_f64(data, rows, lo, hi);
-            }};
-        }
-        match col.ptype() {
-            lidardb_storage::PhysicalType::I8 => go!(i8),
-            lidardb_storage::PhysicalType::I16 => go!(i16),
-            lidardb_storage::PhysicalType::I32 => go!(i32),
-            lidardb_storage::PhysicalType::I64 => go!(i64),
-            lidardb_storage::PhysicalType::U8 => go!(u8),
-            lidardb_storage::PhysicalType::U16 => go!(u16),
-            lidardb_storage::PhysicalType::U32 => go!(u32),
-            lidardb_storage::PhysicalType::U64 => go!(u64),
-            lidardb_storage::PhysicalType::F32 => go!(f32),
-            lidardb_storage::PhysicalType::F64 => go!(f64),
-        }
-        Ok(())
-    }
-
-    /// Regular-grid refinement over the candidate rows.
-    #[allow(clippy::too_many_arguments)]
-    fn grid_refine(
-        &self,
-        pred: &SpatialPredicate,
-        env: &Envelope,
-        cells: usize,
-        xs: &[f64],
-        ys: &[f64],
-        rows: &mut Vec<usize>,
-        explain: &mut Explain,
-        ctx: &GovernCtx,
-    ) -> Result<(), CoreError> {
-        let w = env.width().max(f64::MIN_POSITIVE);
-        let h = env.height().max(f64::MIN_POSITIVE);
-        // The refinement working set: cells² bucket heads (8 B each) plus
-        // per-row bucket nodes (~16 B) and the keep bitmap (1 B). Charging
-        // up front converts a would-be OOM into a budget cancellation.
-        ctx.charge((cells * cells * 8 + rows.len() * 17) as u64)?;
-        // Bin candidate points to cells.
-        let mut buckets: HashMapLite = HashMapLite::new(cells * cells);
-        let mut since = 0usize;
-        for (k, &row) in rows.iter().enumerate() {
-            buckets.push(grid_cell(env, w, h, cells, xs[row], ys[row]), k);
-            since += 1;
-            if since >= CHECKPOINT_STRIDE {
-                since = 0;
-                ctx.checkpoint("grid_refine")?;
-            }
-        }
-        // Classify each non-empty cell once, then dispatch its points.
-        let mut keep = vec![false; rows.len()];
-        let mut since = 0usize;
-        for (cell, members) in buckets.iter_non_empty() {
-            let cell_env = grid_cell_env(env, w, h, cells, cell);
-            match pred.classify_cell(&cell_env) {
-                RectClass::Inside => {
-                    explain.cells_inside += 1;
-                    for k in members {
-                        keep[k] = true;
-                    }
-                }
-                RectClass::Outside => {
-                    explain.cells_outside += 1;
-                }
-                RectClass::Boundary => {
-                    explain.cells_boundary += 1;
-                    for k in members {
-                        let row = rows[k];
-                        explain.exact_tests += 1;
-                        keep[k] = pred.matches(&Point::new(xs[row], ys[row]));
-                        since += 1;
-                    }
-                    if since >= CHECKPOINT_STRIDE {
-                        since = 0;
-                        ctx.checkpoint("grid_refine")?;
-                    }
-                }
-            }
-        }
-        let mut w_idx = 0;
-        for k in 0..rows.len() {
-            if keep[k] {
-                rows[w_idx] = rows[k];
-                w_idx += 1;
-            }
-        }
-        rows.truncate(w_idx);
-        Ok(())
-    }
-
     /// Thematic refinement: keep rows whose `column` satisfies `op rhs`
     /// (e.g. `classification = 6`). Works on any numeric column; 64-bit
     /// integer columns are compared exactly in their native domain rather
@@ -947,24 +708,7 @@ impl PointCloud {
         rhs: f64,
     ) -> Result<(), CoreError> {
         let col = self.column(column)?;
-        macro_rules! go {
-            ($t:ty) => {{
-                let data = col.as_slice::<$t>()?;
-                scan::refine_cmp_f64(data, rows, op, rhs);
-            }};
-        }
-        match col.ptype() {
-            lidardb_storage::PhysicalType::I8 => go!(i8),
-            lidardb_storage::PhysicalType::I16 => go!(i16),
-            lidardb_storage::PhysicalType::I32 => go!(i32),
-            lidardb_storage::PhysicalType::I64 => go!(i64),
-            lidardb_storage::PhysicalType::U8 => go!(u8),
-            lidardb_storage::PhysicalType::U16 => go!(u16),
-            lidardb_storage::PhysicalType::U32 => go!(u32),
-            lidardb_storage::PhysicalType::U64 => go!(u64),
-            lidardb_storage::PhysicalType::F32 => go!(f32),
-            lidardb_storage::PhysicalType::F64 => go!(f64),
-        }
+        for_each_variant!(col, v => scan::refine_cmp_f64(v, rows, op, rhs));
         Ok(())
     }
 
@@ -1010,28 +754,9 @@ impl PointCloud {
         let mut agg_span = trace::root_span_if(self.tracing(), SpanKind::Stage(Stage::Aggregate));
         agg_span.set_rows(rows.len() as u64, 1);
         let t0 = Instant::now();
-        macro_rules! go {
-            ($t:ty) => {{
-                let data = col.as_slice::<$t>()?;
-                if workers > 1 && rows.len() >= 2 * exec::MORSEL_MIN_ROWS {
-                    exec::parallel_aggregate(data, rows, workers, &GovernCtx::ungoverned())?
-                } else {
-                    scan::aggregate_rows(data, rows)
-                }
-            }};
-        }
-        let state = match col.ptype() {
-            lidardb_storage::PhysicalType::I8 => go!(i8),
-            lidardb_storage::PhysicalType::I16 => go!(i16),
-            lidardb_storage::PhysicalType::I32 => go!(i32),
-            lidardb_storage::PhysicalType::I64 => go!(i64),
-            lidardb_storage::PhysicalType::U8 => go!(u8),
-            lidardb_storage::PhysicalType::U16 => go!(u16),
-            lidardb_storage::PhysicalType::U32 => go!(u32),
-            lidardb_storage::PhysicalType::U64 => go!(u64),
-            lidardb_storage::PhysicalType::F32 => go!(f32),
-            lidardb_storage::PhysicalType::F64 => go!(f64),
-        };
+        let state = for_each_variant!(col, v => {
+            exec::aggregate(v, rows, workers, &GovernCtx::ungoverned())?
+        });
         MetricsRegistry::global().record_stage(Stage::Aggregate, rows.len(), t0.elapsed());
         Ok(Some(match agg {
             Aggregate::Count => unreachable!("handled above"),
@@ -1058,8 +783,7 @@ pub enum Aggregate {
     Max,
 }
 
-/// Cell id of a point on the refinement grid laid over `env` (shared by the
-/// serial and parallel grid paths, so both bin identically).
+/// Cell id of a point on the refinement grid laid over `env`.
 #[inline]
 pub(crate) fn grid_cell(env: &Envelope, w: f64, h: f64, cells: usize, x: f64, y: f64) -> usize {
     let cx = (((x - env.min_x) / w) * cells as f64) as usize;
@@ -1076,51 +800,6 @@ pub(crate) fn grid_cell_env(env: &Envelope, w: f64, h: f64, cells: usize, cell: 
         min_y: env.min_y + h * cy as f64 / cells as f64,
         max_x: env.min_x + w * (cx + 1) as f64 / cells as f64,
         max_y: env.min_y + h * (cy + 1) as f64 / cells as f64,
-    }
-}
-
-/// Sentinel for "no node" in [`HashMapLite`] bucket chains. A `usize`
-/// sentinel (not `-1` in an `i32`) keeps node indexes exact past 2^31
-/// candidate rows.
-const NO_NODE: usize = usize::MAX;
-
-/// A dense "hash map" from cell id to member list, tuned for the grid
-/// (cell ids are small and dense, so it is really a paged Vec).
-struct HashMapLite {
-    heads: Vec<usize>,
-    // Linked list over member indexes: (value, next), `NO_NODE` terminated.
-    nodes: Vec<(usize, usize)>,
-    non_empty: Vec<usize>,
-}
-
-impl HashMapLite {
-    fn new(cells: usize) -> Self {
-        HashMapLite {
-            heads: vec![NO_NODE; cells],
-            nodes: Vec::new(),
-            non_empty: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, cell: usize, member: usize) {
-        if self.heads[cell] == NO_NODE {
-            self.non_empty.push(cell);
-        }
-        self.nodes.push((member, self.heads[cell]));
-        self.heads[cell] = self.nodes.len() - 1;
-    }
-
-    fn iter_non_empty(&self) -> impl Iterator<Item = (usize, Vec<usize>)> + '_ {
-        self.non_empty.iter().map(move |&cell| {
-            let mut members = Vec::new();
-            let mut cur = self.heads[cell];
-            while cur != NO_NODE {
-                let (v, next) = self.nodes[cur];
-                members.push(v);
-                cur = next;
-            }
-            (cell, members)
-        })
     }
 }
 
@@ -1568,29 +1247,6 @@ mod tests {
             .unwrap();
         assert!(rows.is_empty(), "u64::MAX as f64 is 2^64, matching nothing");
     }
-
-    /// Regression: `HashMapLite` stored bucket heads and chain links as
-    /// `i32`, truncating node indexes past 2^31 candidates. Indexes are
-    /// now `usize` with a `usize::MAX` sentinel; this pins the chain and
-    /// sentinel logic the widening relies on.
-    #[test]
-    fn hashmaplite_bucket_links_are_usize_wide() {
-        let mut m = HashMapLite::new(4);
-        assert_eq!(m.heads, vec![NO_NODE; 4], "empty heads hold the sentinel");
-        // Interleave pushes so chains cross and member 0 (a valid node
-        // index) is distinguishable from the sentinel.
-        for k in 0..100usize {
-            m.push(k % 3, k);
-        }
-        let got: Vec<(usize, Vec<usize>)> = m.iter_non_empty().collect();
-        assert_eq!(got.len(), 3, "cell 3 stays empty");
-        for (cell, members) in got {
-            // Chains yield members in reverse push order.
-            let expect: Vec<usize> = (0..100).filter(|k| k % 3 == cell).rev().collect();
-            assert_eq!(members, expect, "cell {cell}");
-        }
-        assert_eq!(m.nodes.len(), 100);
-    }
 }
 
 #[cfg(test)]
@@ -1790,8 +1446,9 @@ mod review_regressions {
 
     #[test]
     fn cancel_fault_at_query_site_is_identical_serial_and_parallel() {
-        // The "query" checkpoint runs before the serial/parallel fork, so a
-        // Cancel fault there must yield byte-identical errors from both.
+        // The "query" checkpoint runs before any morsel is split off, so a
+        // Cancel fault there must yield byte-identical errors at any
+        // worker count.
         let mut errs = Vec::new();
         for par in [Parallelism::Serial, Parallelism::Threads(4)] {
             let mut pc = grid_cloud();

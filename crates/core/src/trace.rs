@@ -641,7 +641,9 @@ impl TraceSink {
 pub struct SlowQuery {
     /// The query's trace id.
     pub trace_id: u64,
-    /// Total wall-clock seconds (the ranking key).
+    /// Wall-clock seconds since the statement's `CancelToken` was created
+    /// (the ranking key) — the same clock its deadline runs on, so the
+    /// admission wait below is always part of it.
     pub seconds: f64,
     /// Seconds spent waiting in the admission queue before execution
     /// started — part of `seconds`, recorded separately so a slow entry

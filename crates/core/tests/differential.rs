@@ -1,8 +1,11 @@
-//! Differential tests: the morsel-parallel executor must produce results
-//! **identical** to the serial path — same `Selection.rows`, same Explain
-//! cardinalities (candidates, bbox survivors, cell classes, exact tests) —
-//! for every predicate shape, refinement strategy, and worker count,
-//! including queries degraded by injected imprint-build faults.
+//! Differential tests: the morsel engine must return exactly the rows a
+//! brute-force reference finds (every visible row through the exact
+//! predicate, no imprints, grid or scan kernels) when it runs one inline
+//! worker, and results **identical** to that at every worker count — same
+//! `Selection.rows`, same Explain cardinalities (candidates, bbox
+//! survivors, cell classes, exact tests) — for every predicate shape,
+//! refinement strategy, and worker count, including queries degraded by
+//! injected imprint-build faults.
 //!
 //! Worker counts default to `[2, 4, 8]`; set `LIDARDB_WORKERS=<n>` to pin
 //! a single count (CI runs the suite at 2 and at 8 on top of the default).
@@ -33,7 +36,7 @@ fn unit(state: &mut u64) -> f64 {
 
 /// `n` pseudo-random points over `[0, 1000)²` with a dense band around
 /// `y ∈ [400, 420)` (sorted-ish x inside the band produces all-qualify
-/// imprint runs, exercising the sure-row skip in both executors).
+/// imprint runs, exercising the sure-row skip).
 fn build_cloud(n: usize, seed: u64) -> PointCloud {
     let mut pc = PointCloud::new();
     pc.append_records(&workload(n, seed)).unwrap();
@@ -71,7 +74,7 @@ fn workload(n: usize, seed: u64) -> Vec<PointRecord> {
 }
 
 /// The shared 120k-point cloud (large enough that realistic predicates
-/// exceed the `2 * MORSEL_MIN_ROWS` threshold and actually go parallel).
+/// exceed the `2 * MORSEL_MIN_ROWS` threshold and split into morsels).
 fn shared_cloud() -> &'static Arc<PointCloud> {
     static CLOUD: OnceLock<Arc<PointCloud>> = OnceLock::new();
     CLOUD.get_or_init(|| Arc::new(build_cloud(120_000, 0xC0FFEE)))
@@ -127,8 +130,57 @@ fn road() -> SpatialPredicate {
 
 // ------------------------------------------------------------- the oracle
 
-/// Run the query serially and at every worker count; assert rows AND all
-/// Explain cardinalities are identical. Returns the serial rows.
+/// The brute-force reference: every visible row through the exact spatial
+/// predicate and the inclusive attribute ranges, values read one at a time
+/// through `Column::get` — no imprints, no grid, no scan kernels.
+/// `BboxOnly` stops after the filter step, so its reference is the bbox.
+fn brute_force(
+    pc: &PointCloud,
+    pred: Option<&SpatialPredicate>,
+    attrs: &[AttrRange],
+    strategy: RefineStrategy,
+) -> Vec<usize> {
+    let value = |column: &str, row: usize| pc.column(column).unwrap().get(row).unwrap().as_f64();
+    let bbox = pred.and_then(|p| p.filter_envelope());
+    (0..pc.visible_rows())
+        .filter(|&row| {
+            let spatial = pred.is_none_or(|p| {
+                let pt = Point::new(value("x", row), value("y", row));
+                if strategy == RefineStrategy::BboxOnly {
+                    bbox.is_some_and(|env| env.contains(&pt))
+                } else {
+                    p.matches(&pt)
+                }
+            });
+            spatial
+                && attrs.iter().all(|a| {
+                    let v = value(&a.column, row);
+                    a.lo <= v && v <= a.hi
+                })
+        })
+        .collect()
+}
+
+/// `assert_eq!` on row vectors that reports the first difference instead of
+/// printing two hundred-thousand-element lists.
+fn assert_same_rows(engine: &[usize], reference: &[usize]) {
+    let longest = engine.len().max(reference.len());
+    if let Some(i) = (0..longest).find(|&i| engine.get(i) != reference.get(i)) {
+        panic!(
+            "one-worker rows differ from the brute-force reference at position {i}: \
+             engine {:?} vs reference {:?} ({} vs {} rows)",
+            engine.get(i),
+            reference.get(i),
+            engine.len(),
+            reference.len()
+        );
+    }
+}
+
+/// Run the query on one inline worker and at every worker count; assert the
+/// one-worker rows equal the brute-force reference and that rows AND all
+/// Explain cardinalities are identical across worker counts. Returns the
+/// one-worker rows.
 fn assert_differential(
     pc: &PointCloud,
     pred: Option<&SpatialPredicate>,
@@ -138,7 +190,10 @@ fn assert_differential(
     let serial = pc
         .select_query_with(pred, attrs, strategy, Parallelism::Serial)
         .unwrap();
-    assert_eq!(serial.explain.workers, 1, "serial path reports one worker");
+    assert_same_rows(&serial.rows, &brute_force(pc, pred, attrs, strategy));
+    assert_morsels_partition_candidates(&serial.explain);
+    assert_eq!(serial.explain.workers, 1, "one worker runs one inline morsel");
+    assert!(serial.explain.morsel_times.len() <= 1);
     for &w in &worker_counts() {
         let par = pc
             .select_query_with(pred, attrs, strategy, Parallelism::Threads(w))
@@ -164,16 +219,28 @@ fn assert_differential(
             par.profile.counters(),
             "QueryProfile counters differ at {w} workers"
         );
+        assert_morsels_partition_candidates(b);
         if b.after_imprints >= 2 * MORSEL_MIN_ROWS {
-            assert_eq!(b.workers, w, "parallel path engaged");
-            assert!(!b.morsel_times.is_empty(), "morsel timings recorded");
-            let morsel_rows: usize = b.morsel_times.iter().map(|m| m.rows_in).sum();
-            assert_eq!(morsel_rows, b.after_imprints, "morsels partition candidates");
+            assert_eq!(b.workers, w, "candidates split across the workers");
+            assert!(b.morsel_times.len() > 1, "more than one morsel");
         } else {
-            assert_eq!(b.workers, 1, "small candidate sets stay serial");
+            assert_eq!(b.workers, 1, "small candidate sets stay one inline morsel");
         }
     }
     serial.rows
+}
+
+/// The filter step's morsels cover the candidates exactly once and their
+/// survivors are the bbox survivors; a single morsel reports one worker.
+fn assert_morsels_partition_candidates(e: &lidardb_core::Explain) {
+    let rows_in: usize = e.morsel_times.iter().map(|m| m.rows_in).sum();
+    let rows_out: usize = e.morsel_times.iter().map(|m| m.rows_out).sum();
+    assert_eq!(rows_in, e.after_imprints, "morsels partition candidates");
+    assert_eq!(rows_out, e.after_bbox, "morsel survivors sum to bbox count");
+    assert!(e.morsel_times.iter().all(|m| m.rows_in > 0), "no empty morsels");
+    if e.morsel_times.len() <= 1 {
+        assert_eq!(e.workers, 1, "one morsel runs on one worker");
+    }
 }
 
 // ---------------------------------------------------- deterministic suite
@@ -345,12 +412,13 @@ fn differential_small_cloud_stays_serial() {
 #[test]
 fn differential_with_injected_imprint_faults() {
     // A failed imprint build degrades the probe (no pruning, exact scan
-    // enforces the predicate); both executors must degrade identically.
+    // enforces the predicate); every worker count must degrade identically,
+    // and to exactly the brute-force rows.
     for target in [Some("x"), None] {
         let mut pc = build_cloud(40_000, 99);
         let fi = Arc::new(FaultInjector::new());
         // Fire on every build attempt (failed builds are not cached, so
-        // both the serial and every parallel run re-hit the injector).
+        // every run re-hits the injector).
         fi.inject_n(FaultStage::ImprintBuild, target, FaultKind::IoError, 0, u32::MAX);
         pc.set_fault_injector(Arc::clone(&fi));
         let serial = pc
@@ -362,6 +430,15 @@ fn differential_with_injected_imprint_faults() {
             )
             .unwrap();
         assert!(serial.explain.degraded_probes > 0, "fault fired");
+        assert_same_rows(
+            &serial.rows,
+            &brute_force(
+                &pc,
+                Some(&diamond(500.0, 500.0, 400.0)),
+                &[AttrRange::new("classification", 1.0, 9.0)],
+                RefineStrategy::default(),
+            ),
+        );
         for &w in &worker_counts() {
             let par = pc
                 .select_query_with(
@@ -386,13 +463,18 @@ fn differential_with_injected_imprint_faults() {
 #[test]
 fn differential_aggregates() {
     let pc = shared_cloud();
+    // The right edge stays off the dense band's x values (multiples of 1/24):
+    // the engine keeps a point exactly on a rectangle's edge (inclusive
+    // ranges), but `lidardb_geom`'s ring test, which the reference goes
+    // through, measures the distance to a vertical edge in floating point
+    // and misses it.
     let rows = assert_differential(
         pc,
-        Some(&rect(50.0, 50.0, 950.0, 950.0)),
+        Some(&rect(50.0, 50.0, 949.99, 950.0)),
         &[],
         RefineStrategy::default(),
     );
-    assert!(rows.len() >= 2 * MORSEL_MIN_ROWS, "parallel aggregate engages");
+    assert!(rows.len() >= 2 * MORSEL_MIN_ROWS, "aggregate splits into morsels");
     for column in ["z", "intensity", "classification", "gps_time"] {
         for agg in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max] {
             let serial = pc
@@ -425,9 +507,9 @@ fn differential_aggregates() {
 
 #[test]
 fn differential_span_trees_serial_vs_parallel() {
-    // Traced serial and parallel runs must produce span trees with the
-    // same stage set and identical per-stage row counts; only the
-    // parallel run adds per-morsel worker spans.
+    // Traced one-worker and four-worker runs must produce span trees with
+    // the same stage set and identical per-stage row counts; they differ
+    // only in how many morsel spans sit under the bbox scan.
     let pc = shared_cloud();
     let pred = diamond(500.0, 500.0, 350.0);
     // Warm the lazy imprints so neither traced run records a build span.
@@ -470,24 +552,32 @@ fn differential_span_trees_serial_vs_parallel() {
         assert!(serial_tree.iter().any(|(n, _)| *n == want), "missing {want}");
     }
 
-    // Morsel spans: absent serially, partition the candidates in parallel.
-    let morsels: Vec<_> = sink
-        .for_trace(par_tid)
+    // Morsel spans partition the candidates at any worker count: exactly
+    // one, on the calling thread, for the inline worker.
+    let morsel_spans = |tid: u64| -> Vec<_> {
+        sink.for_trace(tid)
+            .spans
+            .into_iter()
+            .filter(|s| s.kind.name() == "morsel")
+            .collect()
+    };
+    let inline = morsel_spans(serial_tid);
+    assert_eq!(inline.len(), 1, "one worker runs one morsel");
+    let root = sink
+        .for_trace(serial_tid)
         .spans
         .into_iter()
-        .filter(|s| s.kind.name() == "morsel")
-        .collect();
-    assert!(
-        !sink.for_trace(serial_tid).spans.iter().any(|s| s.kind.name() == "morsel"),
-        "serial run must not record morsel spans"
-    );
-    if par.explain.after_imprints >= 2 * MORSEL_MIN_ROWS {
-        assert!(!morsels.is_empty(), "parallel run records morsel spans");
+        .find(|s| s.kind.name() == "query")
+        .expect("root span");
+    assert_eq!(inline[0].thread, root.thread, "the inline morsel runs on the query's thread");
+    for (sel, morsels) in [(&serial, inline), (&par, morsel_spans(par_tid))] {
+        assert_eq!(morsels.len(), sel.explain.morsel_times.len());
         let rows_in: u64 = morsels.iter().map(|m| m.rows_in).sum();
         let rows_out: u64 = morsels.iter().map(|m| m.rows_out).sum();
-        assert_eq!(rows_in, par.explain.after_imprints as u64, "morsels partition candidates");
-        assert_eq!(rows_out, par.explain.after_bbox as u64, "morsel survivors sum to bbox count");
+        assert_eq!(rows_in, sel.explain.after_imprints as u64, "morsels partition candidates");
+        assert_eq!(rows_out, sel.explain.after_bbox as u64, "morsel survivors sum to bbox count");
     }
+    assert!(par.explain.morsel_times.len() > 1, "the 120k cloud splits at four workers");
 }
 
 // ------------------------------------------- governance / cancellation
@@ -520,8 +610,8 @@ fn governed_run(
 #[test]
 fn differential_cancel_fault_is_identical_serial_and_parallel() {
     // The Cancel fault targets the "query" checkpoint, which runs before
-    // the serial/parallel fork — both executors must return byte-identical
-    // Cancelled errors.
+    // any morsel is split off — every worker count must return
+    // byte-identical Cancelled errors.
     let rules = [(FaultStage::QueryCheckpoint, Some("query"), FaultKind::Cancel)];
     let serial = governed_run(Parallelism::Serial, None, &rules).unwrap_err();
     assert!(serial.contains("cancelled") && serial.contains("killed"), "{serial}");
@@ -534,7 +624,7 @@ fn differential_cancel_fault_is_identical_serial_and_parallel() {
 #[test]
 fn differential_stall_fault_trips_deadline_identically() {
     // Stall sleeps at the checkpoint; the expired deadline then trips at
-    // that same checkpoint with zero partial rows on both paths.
+    // that same checkpoint with zero partial rows at every worker count.
     let rules = [(
         FaultStage::QueryCheckpoint,
         Some("query"),
@@ -553,8 +643,8 @@ fn differential_stall_fault_trips_deadline_identically() {
 #[test]
 fn differential_stall_without_deadline_leaves_results_identical() {
     // A Stall fault alone (no deadline to trip) slows the query down but
-    // must not change its result: serial and parallel stay byte-identical
-    // with each other and with the ungoverned baseline.
+    // must not change its result: every worker count stays byte-identical
+    // with the others and with the ungoverned baseline.
     let baseline = governed_run(Parallelism::Serial, None, &[]).unwrap();
     for site in ["query", "bbox_scan"] {
         let rules = [(

@@ -35,20 +35,23 @@ pub enum Column {
     F64(Vec<f64>),
 }
 
-/// Dispatch `$body` with `$v` bound to the inner `Vec<T>` of every variant.
+/// Dispatch `$body` with `$v` bound to the inner `Vec<T>` of every variant
+/// of a [`Column`] — the one typed dispatch behind the monomorphised
+/// kernels, here and in the query engine.
+#[macro_export]
 macro_rules! for_each_variant {
     ($self:expr, $v:ident => $body:expr) => {
         match $self {
-            Column::I8($v) => $body,
-            Column::I16($v) => $body,
-            Column::I32($v) => $body,
-            Column::I64($v) => $body,
-            Column::U8($v) => $body,
-            Column::U16($v) => $body,
-            Column::U32($v) => $body,
-            Column::U64($v) => $body,
-            Column::F32($v) => $body,
-            Column::F64($v) => $body,
+            $crate::Column::I8($v) => $body,
+            $crate::Column::I16($v) => $body,
+            $crate::Column::I32($v) => $body,
+            $crate::Column::I64($v) => $body,
+            $crate::Column::U8($v) => $body,
+            $crate::Column::U16($v) => $body,
+            $crate::Column::U32($v) => $body,
+            $crate::Column::U64($v) => $body,
+            $crate::Column::F32($v) => $body,
+            $crate::Column::F64($v) => $body,
         }
     };
 }

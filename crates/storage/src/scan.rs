@@ -14,17 +14,16 @@ use crate::types::{Native, Value};
 
 /// Process-wide scan-kernel counters, pulled into `core::metrics` snapshots.
 ///
-/// The kernels themselves stay free of atomics: the serial filter path issues
-/// one `range_scan_ranges` call *per candidate run* (hundreds of thousands per
+/// The kernels themselves stay free of atomics: the filter step issues one
+/// `range_scan_ranges` call *per candidate run* (hundreds of thousands per
 /// 12M-point bbox query), and even a relaxed `fetch_add` per call measured
 /// ~10% overhead on that loop. The engine therefore accumulates calls/rows in
-/// locals and flushes one [`note_scans`] batch per query stage (serial path)
-/// or per morsel (parallel path).
+/// locals and flushes one [`note_scans`] batch per morsel.
 static SCAN_CALLS: AtomicU64 = AtomicU64::new(0);
 static ROWS_EXAMINED: AtomicU64 = AtomicU64::new(0);
 
 /// Record a batch of kernel work: `calls` invocations that examined `rows`
-/// rows in total. Two relaxed adds, called once per stage/morsel.
+/// rows in total. Two relaxed adds, called once per morsel.
 pub fn note_scans(calls: u64, rows: u64) {
     SCAN_CALLS.fetch_add(calls, MemOrdering::Relaxed);
     ROWS_EXAMINED.fetch_add(rows, MemOrdering::Relaxed);
@@ -94,50 +93,6 @@ pub fn range_scan_ranges<T: Native>(
     out.len() - before
 }
 
-/// Interruptible variant of [`range_scan_ranges`] for cooperative
-/// cancellation: rows are scanned in chunks of at most `stride`, and
-/// between chunks `check` is invoked with the total rows examined so far.
-/// Returning an error aborts the scan (rows already pushed to `out` are
-/// left in place — the caller owns partial-result cleanup).
-///
-/// The per-chunk inner loop is the same tight kernel as the plain
-/// variant: the checkpoint cost is one callback per `stride` rows, never
-/// per row, preserving the batched-counter discipline of [`note_scans`].
-pub fn range_scan_ranges_ck<T: Native, E>(
-    data: &[T],
-    ranges: &[(usize, usize)],
-    lo: T,
-    hi: T,
-    out: &mut Vec<usize>,
-    stride: usize,
-    check: &mut dyn FnMut(u64) -> Result<(), E>,
-) -> Result<usize, E> {
-    let stride = stride.max(1);
-    let before = out.len();
-    let mut since = 0usize;
-    let mut examined = 0u64;
-    for &(start, end) in ranges {
-        let end = end.min(data.len());
-        let mut pos = start.min(end);
-        while pos < end {
-            let chunk_end = end.min(pos + (stride - since));
-            for (off, v) in data[pos..chunk_end].iter().enumerate() {
-                if *v >= lo && *v <= hi {
-                    out.push(pos + off);
-                }
-            }
-            examined += (chunk_end - pos) as u64;
-            since += chunk_end - pos;
-            pos = chunk_end;
-            if since >= stride {
-                since = 0;
-                check(examined)?;
-            }
-        }
-    }
-    Ok(out.len() - before)
-}
-
 /// Refine an existing selection with an inclusive range predicate.
 ///
 /// Keeps only the rows of `sel` whose value satisfies `lo <= v <= hi`,
@@ -147,16 +102,6 @@ pub fn refine_range<T: Native>(data: &[T], sel: &mut Vec<usize>, lo: T, hi: T) -
         let v = data[i];
         v >= lo && v <= hi
     });
-    sel.len()
-}
-
-/// Refine an existing selection with an arbitrary predicate.
-pub fn refine_by<T: Native>(
-    data: &[T],
-    sel: &mut Vec<usize>,
-    mut pred: impl FnMut(T) -> bool,
-) -> usize {
-    sel.retain(|&i| pred(data[i]));
     sel.len()
 }
 
@@ -193,12 +138,6 @@ impl CmpOp {
             CmpOp::Ge => v >= rhs,
         }
     }
-}
-
-/// Refine a selection with `v <op> rhs`.
-pub fn refine_cmp<T: Native>(data: &[T], sel: &mut Vec<usize>, op: CmpOp, rhs: T) -> usize {
-    sel.retain(|&i| op.eval(data[i], rhs));
-    sel.len()
 }
 
 /// `2^63` as `f64` (exactly representable).
@@ -422,18 +361,6 @@ impl AggState {
     }
 }
 
-/// Aggregate the selected rows of a typed slice into an [`AggState`].
-///
-/// This is the typed-slice kernel behind `PointCloud::aggregate`: one tight
-/// pass, no per-row boxing. Rows must be in bounds (the caller validates).
-pub fn aggregate_rows<T: Native>(data: &[T], rows: &[usize]) -> AggState {
-    let mut st = AggState::default();
-    for &r in rows {
-        st.push(data[r].to_f64());
-    }
-    st
-}
-
 /// Count (without materialising) the rows in `ranges` satisfying the range
 /// predicate — the kernel behind `SELECT COUNT(*)` with pushed-down filters.
 pub fn count_range_ranges<T: Native>(data: &[T], ranges: &[(usize, usize)], lo: T, hi: T) -> usize {
@@ -449,45 +376,19 @@ pub fn count_range_ranges<T: Native>(data: &[T], ranges: &[(usize, usize)], lo: 
     n
 }
 
-/// Interruptible variant of [`count_range_ranges`] (see
-/// [`range_scan_ranges_ck`] for the chunking contract).
-pub fn count_range_ranges_ck<T: Native, E>(
-    data: &[T],
-    ranges: &[(usize, usize)],
-    lo: T,
-    hi: T,
-    stride: usize,
-    check: &mut dyn FnMut(u64) -> Result<(), E>,
-) -> Result<usize, E> {
-    let stride = stride.max(1);
-    let mut n = 0;
-    let mut since = 0usize;
-    let mut examined = 0u64;
-    for &(start, end) in ranges {
-        let end = end.min(data.len());
-        let mut pos = start.min(end);
-        while pos < end {
-            let chunk_end = end.min(pos + (stride - since));
-            for v in &data[pos..chunk_end] {
-                if *v >= lo && *v <= hi {
-                    n += 1;
-                }
-            }
-            examined += (chunk_end - pos) as u64;
-            since += chunk_end - pos;
-            pos = chunk_end;
-            if since >= stride {
-                since = 0;
-                check(examined)?;
-            }
-        }
-    }
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One in-order pass over the selected rows, as the engine's aggregate
+    /// morsels do it.
+    fn aggregate_rows<T: Native>(data: &[T], rows: &[usize]) -> AggState {
+        let mut st = AggState::default();
+        for &r in rows {
+            st.push(data[r].to_f64());
+        }
+        st
+    }
 
     #[test]
     fn full_range_scan() {
@@ -503,51 +404,6 @@ mod tests {
         let mut sel = Vec::new();
         range_scan_ranges(&data, &[(10, 20), (90, 200)], 15, 95, &mut sel);
         assert_eq!(sel, (15..20).chain(90..96).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn interruptible_scan_matches_plain_and_checkpoints_at_stride() {
-        let data: Vec<i64> = (0..10_000).map(|i| i * 13 % 997).collect();
-        let ranges = [(100usize, 4_000usize), (4_500, 9_990)];
-        let mut plain = Vec::new();
-        range_scan_ranges(&data, &ranges, 50, 600, &mut plain);
-        let mut calls = 0u64;
-        let mut out = Vec::new();
-        let n = range_scan_ranges_ck(&data, &ranges, 50, 600, &mut out, 1000, &mut |ex| {
-            calls += 1;
-            assert_eq!(ex % 1000, 0, "checkpoints land on stride multiples");
-            Ok::<(), ()>(())
-        })
-        .unwrap();
-        assert_eq!(out, plain, "interruptible kernel is result-identical");
-        assert_eq!(n, plain.len());
-        // 9290 rows examined => 9 full strides.
-        assert_eq!(calls, 9);
-        let counted =
-            count_range_ranges_ck(&data, &ranges, 50, 600, 1000, &mut |_| Ok::<(), ()>(()))
-                .unwrap();
-        assert_eq!(counted, plain.len());
-    }
-
-    #[test]
-    fn interruptible_scan_aborts_within_one_stride() {
-        let data: Vec<i32> = (0..100_000).collect();
-        let ranges = [(0usize, 100_000usize)];
-        let mut out = Vec::new();
-        let mut seen = 0u64;
-        let err = range_scan_ranges_ck(&data, &ranges, 0, i32::MAX, &mut out, 4096, &mut |ex| {
-            seen = ex;
-            if ex >= 8192 { Err("cancelled") } else { Ok(()) }
-        })
-        .unwrap_err();
-        assert_eq!(err, "cancelled");
-        assert_eq!(seen, 8192, "stopped at the second checkpoint");
-        assert_eq!(out.len(), 8192, "partial rows bounded by the stride");
-        let err = count_range_ranges_ck(&data, &ranges, 0, i32::MAX, 4096, &mut |_| {
-            Err::<(), _>("cancelled")
-        })
-        .unwrap_err();
-        assert_eq!(err, "cancelled");
     }
 
     #[test]
@@ -576,17 +432,6 @@ mod tests {
         assert!(CmpOp::Ge.eval(4, 4));
         assert!(!CmpOp::Eq.eval(f64::NAN, f64::NAN));
         assert!(CmpOp::Ne.eval(f64::NAN, f64::NAN));
-    }
-
-    #[test]
-    fn refine_cmp_and_by() {
-        let data = [2u8, 6, 2, 9];
-        let mut sel = vec![0, 1, 2, 3];
-        refine_cmp(&data, &mut sel, CmpOp::Eq, 2);
-        assert_eq!(sel, vec![0, 2]);
-        let mut sel = vec![0, 1, 2, 3];
-        refine_by(&data, &mut sel, |v| v % 3 == 0);
-        assert_eq!(sel, vec![1, 3]);
     }
 
     #[test]

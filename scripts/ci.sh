@@ -10,10 +10,10 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> serial/parallel differential suite (default, 2 and 8 workers; incl. Cancel/Stall faults)"
-cargo test -q -p lidardb-core --test differential -- --test-threads=1
-LIDARDB_WORKERS=2 cargo test -q -p lidardb-core --test differential -- --test-threads=1
-LIDARDB_WORKERS=8 cargo test -q -p lidardb-core --test differential -- --test-threads=1
+echo "==> differential suite: brute-force reference vs 1 worker vs N workers (default, 2 and 8; incl. Cancel/Stall faults)"
+cargo test -q -p lidardb-core --test differential
+LIDARDB_WORKERS=2 cargo test -q -p lidardb-core --test differential
+LIDARDB_WORKERS=8 cargo test -q -p lidardb-core --test differential
 
 echo "==> governance suite (admission, cancellation, slow-log storm) debug + release"
 cargo test -q -p lidardb-core --test governance -- --test-threads=1

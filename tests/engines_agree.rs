@@ -13,35 +13,60 @@ fn key(x: f64, y: f64) -> (i64, i64) {
     ((x * 100.0).round() as i64, (y * 100.0).round() as i64)
 }
 
+/// A scratch directory of this test's own (pid + counter + test name, so
+/// tests running side by side never share one), removed on drop.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(test: &str, what: &str) -> Self {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "lidardb_agree_{}_{n}_{test}_{what}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 struct Setup {
     pc: PointCloud,
     filestore_plain: FileStore,
     filestore_indexed: FileStore,
     blockstore: BlockStore,
     env: Envelope,
+    /// The file stores read their tiles at query time.
+    _scratch: [ScratchDir; 2],
 }
 
-fn setup() -> Setup {
+fn setup(test: &str) -> Setup {
     let scene = Scene::generate(SceneConfig {
         seed: 99,
         origin: (50_000.0, 60_000.0),
         extent_m: 500.0,
     });
-    let dir_a = std::env::temp_dir().join("lidardb_agree_plain");
-    let dir_b = std::env::temp_dir().join("lidardb_agree_indexed");
-    for d in [&dir_a, &dir_b] {
-        let _ = std::fs::remove_dir_all(d);
-    }
-    let paths = write_scene_tiles(&scene, &dir_a, 3, 0.6, Compression::None).unwrap();
-    write_scene_tiles(&scene, &dir_b, 3, 0.6, Compression::LazLite).unwrap();
+    let scratch = [
+        ScratchDir::new(test, "plain"),
+        ScratchDir::new(test, "indexed"),
+    ];
+    let (dir_a, dir_b) = (&scratch[0].0, &scratch[1].0);
+    let paths = write_scene_tiles(&scene, dir_a, 3, 0.6, Compression::None).unwrap();
+    write_scene_tiles(&scene, dir_b, 3, 0.6, Compression::LazLite).unwrap();
 
     let mut pc = PointCloud::new();
     Loader::new(LoadMethod::Binary)
         .load_files(&mut pc, &paths)
         .unwrap();
 
-    let filestore_plain = FileStore::open(&dir_a).unwrap();
-    let mut filestore_indexed = FileStore::open(&dir_b).unwrap();
+    let filestore_plain = FileStore::open(dir_a).unwrap();
+    let mut filestore_indexed = FileStore::open(dir_b).unwrap();
     filestore_indexed.sort_files(Curve::Hilbert).unwrap();
     filestore_indexed.build_indexes().unwrap();
 
@@ -57,6 +82,7 @@ fn setup() -> Setup {
         filestore_indexed,
         blockstore,
         env: *scene.envelope(),
+        _scratch: scratch,
     }
 }
 
@@ -68,7 +94,7 @@ fn sorted_keys(pts: impl IntoIterator<Item = (f64, f64)>) -> Vec<(i64, i64)> {
 
 #[test]
 fn all_engines_agree_on_windows() {
-    let s = setup();
+    let s = setup("windows");
     let windows = [
         (0.1, 0.1, 0.3, 0.25),
         (0.0, 0.0, 1.0, 1.0),   // everything
@@ -113,7 +139,7 @@ fn all_engines_agree_on_windows() {
 
 #[test]
 fn all_engines_agree_on_polygon() {
-    let s = setup();
+    let s = setup("polygon");
     let cx = s.env.center().x;
     let cy = s.env.center().y;
     let tri = Polygon::from_exterior(vec![
@@ -140,7 +166,7 @@ fn all_engines_agree_on_polygon() {
 
 #[test]
 fn index_structures_report_work_reduction() {
-    let s = setup();
+    let s = setup("work_reduction");
     let w = Envelope::new(
         s.env.min_x + 50.0,
         s.env.min_y + 50.0,
