@@ -14,7 +14,7 @@
 //!   hot path is lock-free and `O(1)`: recording a stage is a handful of
 //!   relaxed `fetch_add`s. [`MetricsRegistry::snapshot_json`] renders a
 //!   stable JSON document (fixed key order, no floats beyond fixed-point
-//!   seconds) that the bench harness writes next to `BENCH_query.json`.
+//!   seconds) with the same counters as `sys.metrics` and `/metrics`.
 //! * [`Stage`] — the stage taxonomy every layer records against:
 //!   `imprint_probe`, `bbox_scan`, `grid_refine`, `aggregate`,
 //!   `imprint_build`, `persist_save`, `persist_load`, `morsel`.

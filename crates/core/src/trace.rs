@@ -31,7 +31,7 @@
 //! constant-folds to a no-op.
 //!
 //! Tracing turns on three ways, any of which activates a query root:
-//! * process-wide: [`set_enabled`] (the harness does this for E9);
+//! * process-wide: [`set_enabled`] (`benchmark/` does this for `--trace 1`);
 //! * per [`PointCloud`](crate::PointCloud): `pc.set_tracing(true)`;
 //! * per thread/session: [`force_thread`] — the SQL layer holds this
 //!   guard while executing a statement after `SET TRACE = ON`.
@@ -44,8 +44,8 @@
 //! ## Consumers
 //!
 //! * [`TraceSink::to_chrome_json`] — Chrome trace-event JSON (an array of
-//!   `ph:"X"` duration events), loadable in `ui.perfetto.dev`; harness E9
-//!   writes it as `BENCH_trace.json`.
+//!   `ph:"X"` duration events), loadable in `ui.perfetto.dev`; a
+//!   `benchmark … --trace 1` run writes one per workload.
 //! * [`SlowQueryLog`] — a bounded ring of the K worst queries by wall
 //!   time, each with its [`QueryProfile`] and span tree; surfaced via
 //!   `PointCloud::slow_queries()` and SQL `SHOW SLOW QUERIES`.

@@ -7,8 +7,12 @@
 //! second batch lands **unflushed** — applied to the columns, indexed by
 //! the refreshed imprints, but invisible. Each test pins one query path:
 //! full scan, bbox-only, exhaustive refine, the parallel two-pass grid
-//! refine, attribute-only probes, and aggregates.
+//! refine, attribute-only probes, and aggregates. The last test races a
+//! governed reader against a live writer under each durability policy and
+//! reopens the table cold.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::RwLock;
 use std::time::Duration;
 
 use lidardb_core::{
@@ -20,16 +24,27 @@ use lidardb_las::PointRecord;
 const VISIBLE: usize = 30_000;
 const GHOST: usize = 30_000;
 
-fn tdir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "lidardb_watermark_{name}_{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    // The ingest WAL lives beside the directory (`<dir>.wal`); recycled
-    // pids must not replay a previous run's log into a fresh cloud.
-    let _ = std::fs::remove_file(dir.with_extension("wal"));
-    dir
+/// A scratch directory of one test's own (pid + counter, so tests running
+/// side by side never share one), removed on drop. Ingest directories go
+/// *inside* it, because their WAL lives beside them (`<dir>.wal`).
+struct Scratch(std::path::PathBuf);
+
+impl Scratch {
+    fn new() -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("lidardb_watermark_{}_{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Deterministic records, all inside [0,100)². `tag` goes to gps_time so
@@ -58,10 +73,10 @@ fn records(n: usize, seed: u64, tag: f64) -> Vec<PointRecord> {
 /// Batch A committed and visible, imprints warmed over it, batch B
 /// applied but unflushed: `num_points = 60k`, `visible_rows = 30k`, and
 /// the cached x/y/classification/gps_time imprints cover all 60k rows.
-fn cloud_with_ghost_rows(name: &str) -> PointCloud {
-    let dir = tdir(name);
+fn cloud_with_ghost_rows() -> (Scratch, PointCloud) {
+    let scratch = Scratch::new();
     let mut pc = PointCloud::open_ingest(
-        &dir,
+        scratch.0.join("ingest"),
         Durability::GroupCommit {
             max_batches: usize::MAX,
             max_delay: Duration::from_secs(3600),
@@ -79,7 +94,7 @@ fn cloud_with_ghost_rows(name: &str) -> PointCloud {
     assert!(!pc.ingest_records(&records(GHOST, 2, 1.0)).unwrap());
     assert_eq!(pc.num_points(), VISIBLE + GHOST, "ghost batch applied");
     assert_eq!(pc.visible_rows(), VISIBLE, "ghost batch invisible");
-    pc
+    (scratch, pc)
 }
 
 fn wide_rect() -> SpatialPredicate {
@@ -119,7 +134,7 @@ fn assert_clamped(rows: &[usize], path: &str, workers: usize) {
 
 #[test]
 fn full_scan_sees_only_the_snapshot() {
-    let pc = cloud_with_ghost_rows("full_scan");
+    let (_scratch, pc) = cloud_with_ghost_rows();
     for w in WORKER_COUNTS {
         let sel = pc
             .select_query_with(None, &[], RefineStrategy::default(), Parallelism::Threads(w))
@@ -131,7 +146,7 @@ fn full_scan_sees_only_the_snapshot() {
 
 #[test]
 fn bbox_only_scan_never_reads_past_the_watermark() {
-    let pc = cloud_with_ghost_rows("bbox_only");
+    let (_scratch, pc) = cloud_with_ghost_rows();
     for w in WORKER_COUNTS {
         let sel = pc
             .select_query_with(
@@ -148,7 +163,7 @@ fn bbox_only_scan_never_reads_past_the_watermark() {
 
 #[test]
 fn exhaustive_refine_never_reads_past_the_watermark() {
-    let pc = cloud_with_ghost_rows("exhaustive");
+    let (_scratch, pc) = cloud_with_ghost_rows();
     let mut expected = None;
     for w in WORKER_COUNTS {
         let sel = pc
@@ -174,7 +189,7 @@ fn exhaustive_refine_never_reads_past_the_watermark() {
 
 #[test]
 fn parallel_two_pass_grid_refine_never_reads_past_the_watermark() {
-    let pc = cloud_with_ghost_rows("grid");
+    let (_scratch, pc) = cloud_with_ghost_rows();
     let mut expected = None;
     for w in WORKER_COUNTS {
         let sel = pc
@@ -200,7 +215,7 @@ fn parallel_two_pass_grid_refine_never_reads_past_the_watermark() {
 
 #[test]
 fn attr_only_probe_never_reads_past_the_watermark() {
-    let pc = cloud_with_ghost_rows("attrs");
+    let (_scratch, pc) = cloud_with_ghost_rows();
     for w in WORKER_COUNTS {
         let sel = pc
             .select_query_with(
@@ -221,7 +236,7 @@ fn attr_only_probe_never_reads_past_the_watermark() {
 
 #[test]
 fn aggregates_cover_only_visible_rows() {
-    let pc = cloud_with_ghost_rows("aggregates");
+    let (_scratch, pc) = cloud_with_ghost_rows();
     for w in WORKER_COUNTS {
         let sel = pc
             .select_query_with(
@@ -244,5 +259,90 @@ fn aggregates_cover_only_visible_rows() {
             .unwrap()
             .unwrap();
         assert_eq!(cnt, VISIBLE as f64);
+    }
+}
+
+/// A governed reader races a writer streaming batches through the WAL.
+/// The workload's x IS the row index, so under the read lock the expected
+/// hit count of `x < cut` is exactly `min(visible, cut)`: an extra,
+/// missing or not-yet-visible row is a snapshot violation. Afterwards a
+/// cold reopen must replay every acknowledged row.
+#[test]
+fn racing_reader_sees_exact_snapshots_and_reopen_recovers_every_acked_row() {
+    const TOTAL: usize = 30_000;
+    const BATCH: usize = 2_000;
+    const CUT: usize = TOTAL / 2;
+    let policies = [
+        Durability::None,
+        Durability::GroupCommit {
+            max_batches: 16,
+            max_delay: Duration::from_millis(20),
+        },
+        Durability::Always,
+    ];
+    for durability in policies {
+        let scratch = Scratch::new();
+        let dir = scratch.0.join("ingest");
+        let lock = RwLock::new(PointCloud::open_ingest(&dir, durability).unwrap());
+        let done = AtomicBool::new(false);
+        let queries = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut queries = 0usize;
+                // At least one query after the last batch, so the final
+                // state is always checked.
+                let mut last = false;
+                while !last {
+                    last = done.load(Ordering::Acquire);
+                    let pc = lock.read().unwrap();
+                    let visible = pc.visible_rows();
+                    let sel = pc
+                        .select_query_governed(
+                            None,
+                            &[lidardb_core::AttrRange::new("x", 0.0, CUT as f64 - 0.5)],
+                            RefineStrategy::default(),
+                            Parallelism::Auto,
+                            Some(Duration::from_secs(10)),
+                            None,
+                        )
+                        .unwrap();
+                    assert_eq!(
+                        sel.rows.len(),
+                        visible.min(CUT),
+                        "{durability:?}: wrong hit count at watermark {visible}"
+                    );
+                    assert!(
+                        sel.rows.iter().all(|&r| r < visible),
+                        "{durability:?}: a row past the watermark {visible} was returned"
+                    );
+                    drop(pc);
+                    queries += 1;
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                queries
+            });
+            for base in (0..TOTAL).step_by(BATCH) {
+                let recs: Vec<PointRecord> = (base..base + BATCH)
+                    .map(|row| PointRecord {
+                        x: row as f64,
+                        y: (row % 1000) as f64,
+                        z: (row % 97) as f64,
+                        ..Default::default()
+                    })
+                    .collect();
+                lock.write().unwrap().ingest_records(&recs).unwrap();
+            }
+            // The tail group commit is acknowledged before "shutdown".
+            lock.write().unwrap().flush_wal().unwrap();
+            done.store(true, Ordering::Release);
+            reader.join().expect("reader thread")
+        });
+        assert!(queries > 0);
+        let pc = lock.into_inner().unwrap();
+        assert_eq!(pc.visible_rows(), TOTAL, "{durability:?}: all batches acknowledged");
+        drop(pc);
+
+        let recovered = PointCloud::open_ingest(&dir, durability).unwrap();
+        let report = recovered.recovery_report().expect("recovery report");
+        assert_eq!(report.total_rows, TOTAL, "{durability:?}: cold reopen lost acked rows");
     }
 }

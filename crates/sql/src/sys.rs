@@ -380,7 +380,7 @@ mod tests {
         let t = sys_recorder();
         t.validate().unwrap();
         assert!(t.num_rows() >= recorder::series_names().len());
-        assert!(t.num_rows() % recorder::series_names().len() == 0);
+        assert!(t.num_rows().is_multiple_of(recorder::series_names().len()));
         assert!((0..t.num_rows()).any(|row| {
             t.value("series", row).unwrap() == crate::value::SqlValue::Str("queries".into())
         }));
