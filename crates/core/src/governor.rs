@@ -262,16 +262,10 @@ impl GovernCtx {
         }
     }
 
-    /// Attach the admission queue wait this query paid before starting
-    /// (from [`AdmissionPermit::queue_wait`]), so the slow-query log and
-    /// `sys.queries` can separate "slow because queued" from "slow
+    /// Admission queue wait paid before this query started (set by
+    /// [`govern`] from [`AdmissionPermit::queue_wait`]), so the slow-query
+    /// log and `sys.queries` can separate "slow because queued" from "slow
     /// because scanning".
-    pub fn with_queue_wait(mut self, wait: Duration) -> Self {
-        self.queue_wait = wait;
-        self
-    }
-
-    /// Admission queue wait paid before this query started.
     pub fn queue_wait(&self) -> Duration {
         self.queue_wait
     }
@@ -547,9 +541,8 @@ struct QueryEntry {
     token: CancelToken,
     detail: String,
     queue_wait: Duration,
-    /// Shared partial-row counter from the query's [`GovernCtx`], when
-    /// registered via [`QueryRegistry::register_ctx`].
-    partial: Option<Arc<AtomicUsize>>,
+    /// Shared partial-row counter of the query's [`GovernCtx`].
+    partial: Arc<AtomicUsize>,
 }
 
 /// One row of `SHOW QUERIES` / `sys.queries`.
@@ -567,8 +560,7 @@ pub struct QueryInfo {
     pub queue_wait: Duration,
     /// Bytes charged against the query's memory budget so far.
     pub mem_used: u64,
-    /// Rows materialised so far (0 when the query registered without a
-    /// governance context).
+    /// Rows materialised so far.
     pub rows_so_far: usize,
 }
 
@@ -610,38 +602,19 @@ impl QueryRegistry {
         GLOBAL.get_or_init(QueryRegistry::default)
     }
 
-    /// Register an in-flight query; the returned ticket deregisters on
-    /// drop and carries the fresh [`QueryId`].
-    pub fn register(&'static self, detail: impl Into<String>, token: &CancelToken) -> QueryTicket {
-        self.insert(detail.into(), token.clone(), Duration::ZERO, None)
-    }
-
-    /// Register with the query's full governance context so `sys.queries`
-    /// can report queue wait and live row progress alongside the id.
-    pub fn register_ctx(&'static self, detail: impl Into<String>, ctx: &GovernCtx) -> QueryTicket {
-        self.insert(
-            detail.into(),
-            ctx.token().clone(),
-            ctx.queue_wait(),
-            Some(Arc::clone(&ctx.partial)),
-        )
-    }
-
-    fn insert(
-        &'static self,
-        detail: String,
-        token: CancelToken,
-        queue_wait: Duration,
-        partial: Option<Arc<AtomicUsize>>,
-    ) -> QueryTicket {
+    /// Register an in-flight query under its governance context (token,
+    /// queue wait, live row progress — what `sys.queries` reports); the
+    /// returned ticket deregisters on drop and carries the fresh
+    /// [`QueryId`].
+    pub fn register(&'static self, detail: impl Into<String>, ctx: &GovernCtx) -> QueryTicket {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let mut entries = self.entries.lock().unwrap();
         entries.push(QueryEntry {
             id,
-            token,
-            detail,
-            queue_wait,
-            partial,
+            token: ctx.token.clone(),
+            detail: detail.into(),
+            queue_wait: ctx.queue_wait,
+            partial: Arc::clone(&ctx.partial),
         });
         MetricsRegistry::global()
             .inflight_queries
@@ -674,13 +647,50 @@ impl QueryRegistry {
                 cancelled: e.token.is_cancelled(),
                 queue_wait: e.queue_wait,
                 mem_used: e.token.budget().used(),
-                rows_so_far: e
-                    .partial
-                    .as_ref()
-                    .map_or(0, |p| p.load(Ordering::Relaxed)),
+                rows_so_far: e.partial.load(Ordering::Relaxed),
             })
             .collect()
     }
+}
+
+/// One governed statement: its [`GovernCtx`] plus the RAII registry
+/// ticket and admission permit, released (in that order) on drop. Hold it
+/// for as long as the statement occupies the engine — a session layer
+/// keeps it across result delivery, not just the scan.
+pub struct Governed<'a> {
+    /// The statement's governance context.
+    pub ctx: GovernCtx,
+    _ticket: QueryTicket,
+    _permit: AdmissionPermit<'a>,
+}
+
+/// The governance prologue every governed statement runs, in this order:
+/// the token is created *before* admission, so the deadline clock starts
+/// at enqueue and time spent in the FIFO queue counts against it;
+/// admission happens before any other work, so a shed query costs one
+/// mutex round-trip, never a scan; the token is checked again after the
+/// wait (which may have consumed the whole deadline); then the context
+/// (fault injector, queue wait) is built and registered for `SHOW
+/// QUERIES` / `KILL`.
+pub fn govern<'a>(
+    admission: &'a AdmissionController,
+    fault: Option<Arc<FaultInjector>>,
+    detail: impl Into<String>,
+    deadline: Option<Duration>,
+    budget: Option<u64>,
+) -> Result<Governed<'a>, CoreError> {
+    let token = CancelToken::with(deadline, budget);
+    let queue_deadline = deadline.map(|d| d.saturating_sub(token.elapsed()));
+    let permit = admission.admit(queue_deadline)?;
+    token.check(0)?;
+    let mut ctx = GovernCtx::new(token, fault);
+    ctx.queue_wait = permit.queue_wait();
+    let ticket = QueryRegistry::global().register(detail, &ctx);
+    Ok(Governed {
+        ctx,
+        _ticket: ticket,
+        _permit: permit,
+    })
 }
 
 // ---------------------------------------------------- SessionRegistry
@@ -998,11 +1008,11 @@ mod tests {
     #[test]
     fn registry_ctx_carries_wait_and_progress() {
         let reg = QueryRegistry::global();
-        let ctx = GovernCtx::new(CancelToken::with(None, Some(1 << 20)), None)
-            .with_queue_wait(Duration::from_millis(250));
+        let mut ctx = GovernCtx::new(CancelToken::with(None, Some(1 << 20)), None);
+        ctx.queue_wait = Duration::from_millis(250);
         ctx.add_rows(17);
         ctx.charge(4096).unwrap();
-        let ticket = reg.register_ctx("sys test", &ctx);
+        let ticket = reg.register("sys test", &ctx);
         let id = ticket.id();
         let me = reg
             .list()
@@ -1020,7 +1030,7 @@ mod tests {
     fn registry_kill_and_list() {
         let reg = QueryRegistry::global();
         let token = CancelToken::new();
-        let ticket = reg.register("SELECT test", &token);
+        let ticket = reg.register("SELECT test", &GovernCtx::new(token.clone(), None));
         let id = ticket.id();
         let listed = reg.list();
         let me = listed.iter().find(|q| q.id == id).expect("registered");

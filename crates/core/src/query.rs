@@ -25,7 +25,7 @@ use lidardb_storage::scan::{self, CmpOp};
 
 use crate::error::CoreError;
 use crate::exec::{self, MorselTiming, Parallelism};
-use crate::governor::{CancelToken, GovernCtx, QueryRegistry};
+use crate::governor::{self, GovernCtx};
 use crate::metrics::{MetricsRegistry, QueryProfile, Stage, StageSample};
 use crate::pointcloud::PointCloud;
 use crate::trace::{self, SpanKind};
@@ -290,6 +290,56 @@ impl AttrRange {
     }
 }
 
+/// What makes one statement one query to every observer, shared by the
+/// flat and the tiled engine: tick `queries`, open the root span, run
+/// `stages` (which fills the stage samples and the `Explain` as far as it
+/// gets), and — when traced — enter the slow-query log once.
+pub(crate) fn run_query(
+    tracing: bool,
+    ctx: &GovernCtx,
+    stages: impl FnOnce(
+        &mut trace::SpanGuard,
+        &mut Vec<StageSample>,
+        &mut Explain,
+    ) -> Result<Vec<usize>, CoreError>,
+) -> Result<Selection, CoreError> {
+    MetricsRegistry::global().queries.inc();
+    // Root span: records when tracing is active (process flag, thread
+    // guard, enclosing span) or the caller's per-cloud toggle is on.
+    // Inert guards cost one relaxed load and two TLS reads — the scan
+    // kernels never see a tracing branch.
+    let mut root = trace::root_span_if(tracing, SpanKind::Query);
+    let trace_id = root.trace_id();
+    let mut profile = QueryProfile {
+        trace_id,
+        ..Default::default()
+    };
+    let result = stages(&mut root, &mut profile.stages, &mut profile.explain);
+    // Failed queries still leave a trace: a cancelled one flags its root
+    // span, and every traced query enters the slow log — a query someone
+    // had to kill is exactly what the log exists to surface.
+    match &result {
+        Ok(_) => root.set_rows(
+            profile.explain.after_imprints as u64,
+            profile.explain.result_rows as u64,
+        ),
+        Err(CoreError::Cancelled { .. }) => root.add_flags(trace::FLAG_CANCELLED),
+        Err(_) => {}
+    }
+    drop(root);
+    if let Some(tid) = trace_id {
+        trace::SlowQueryLog::global().record(trace::SlowQuery {
+            trace_id: tid,
+            seconds: ctx.token().elapsed().as_secs_f64(),
+            queue_wait_seconds: ctx.queue_wait().as_secs_f64(),
+            result_rows: result.as_ref().map_or_else(|_| ctx.partial_rows(), Vec::len),
+            profile: profile.clone(),
+            spans: trace::Tracer::global().snapshot().for_trace(tid).spans,
+        });
+    }
+    result.map(|rows| Selection { rows, profile })
+}
+
 impl PointCloud {
     /// Two-step spatial selection with the default grid refinement.
     pub fn select(&self, pred: &SpatialPredicate) -> Result<Selection, CoreError> {
@@ -346,8 +396,8 @@ impl PointCloud {
     /// [`select_query_with`](Self::select_query_with) with explicit
     /// deadline / memory-budget overrides (`None` = ungoverned). This is
     /// where a session layer's `SET STATEMENT_TIMEOUT` / `SET MEM_BUDGET`
-    /// land; the query still passes admission and the query registry.
-    #[allow(clippy::too_many_arguments)]
+    /// land; the query still passes admission and the query registry
+    /// (the shared [`governor::govern`] prologue).
     pub fn select_query_governed(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -357,37 +407,26 @@ impl PointCloud {
         deadline: Option<Duration>,
         budget: Option<u64>,
     ) -> Result<Selection, CoreError> {
-        // ---- Governance: token, admission, registry. -----------------------
-        // The token is created *before* admission so the statement-timeout
-        // clock starts at enqueue: time spent waiting in the FIFO queue
-        // counts against the deadline, and a governed client can never
-        // observe queue-wait + a full deadline of execution. Admission then
-        // happens before any other work: a shed query costs one mutex
-        // round-trip, never a scan. The permit is RAII — every path out of
-        // this function releases the in-flight slot.
-        let token = CancelToken::with(deadline, budget);
-        let queue_deadline = deadline.map(|d| d.saturating_sub(token.elapsed()));
-        let permit = self.admission().admit(queue_deadline)?;
-        // The wait may have consumed (nearly) the whole deadline; trip now
-        // rather than starting a scan that dies at its first checkpoint.
-        token.check(0)?;
-        let ctx = GovernCtx::new(token.clone(), self.fault_injector())
-            .with_queue_wait(permit.queue_wait());
         let detail = match pred {
             Some(SpatialPredicate::Within(_)) => "select within",
             Some(SpatialPredicate::DWithin(..)) => "select dwithin",
             None => "select",
         };
-        let _ticket = QueryRegistry::global()
-            .register_ctx(format!("{detail} ({} attr filters)", attrs.len()), &ctx);
-        self.select_query_ctx(pred, attrs, strategy, parallelism, &ctx)
+        let g = governor::govern(
+            self.admission(),
+            self.fault_injector(),
+            format!("{detail} ({} attr filters)", attrs.len()),
+            deadline,
+            budget,
+        )?;
+        self.select_query_ctx(pred, attrs, strategy, parallelism, &g.ctx)
     }
 
     /// [`select_query_with`](Self::select_query_with) under an explicit
     /// governance context, bypassing admission and the query registry —
     /// the seam for deterministic cancellation tests (differential suite,
     /// fault injection) and for callers that manage their own
-    /// [`CancelToken`] lifecycle.
+    /// [`crate::CancelToken`] lifecycle.
     pub fn select_query_ctx(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -396,51 +435,9 @@ impl PointCloud {
         parallelism: Parallelism,
         ctx: &GovernCtx,
     ) -> Result<Selection, CoreError> {
-        let metrics = MetricsRegistry::global();
-        metrics.queries.inc();
-        // Root span: records when tracing is active (process flag, thread
-        // guard, enclosing span) or this cloud's per-instance toggle is on.
-        // Inert guards cost one relaxed load and two TLS reads — the scan
-        // kernels below never see a tracing branch.
-        let mut root = trace::root_span_if(self.tracing(), SpanKind::Query);
-        let trace_id = root.trace_id();
-        let mut stages: Vec<StageSample> = Vec::new();
-        let mut explain = Explain::default();
-        let result = self.query_stages(
-            pred,
-            attrs,
-            strategy,
-            parallelism,
-            ctx,
-            &mut root,
-            &mut stages,
-            &mut explain,
-        );
-        // Failed queries still leave a trace: a cancelled one flags its root
-        // span, and every traced query enters the slow log — a query someone
-        // had to kill is exactly what the log exists to surface.
-        match &result {
-            Ok(_) => root.set_rows(explain.after_imprints as u64, explain.result_rows as u64),
-            Err(CoreError::Cancelled { .. }) => root.add_flags(trace::FLAG_CANCELLED),
-            Err(_) => {}
-        }
-        drop(root);
-        let profile = QueryProfile {
-            explain,
-            stages,
-            trace_id,
-        };
-        if let Some(tid) = trace_id {
-            trace::SlowQueryLog::global().record(trace::SlowQuery {
-                trace_id: tid,
-                seconds: ctx.token().elapsed().as_secs_f64(),
-                queue_wait_seconds: ctx.queue_wait().as_secs_f64(),
-                result_rows: result.as_ref().map_or_else(|_| ctx.partial_rows(), Vec::len),
-                profile: profile.clone(),
-                spans: trace::Tracer::global().snapshot().for_trace(tid).spans,
-            });
-        }
-        result.map(|rows| Selection { rows, profile })
+        run_query(self.tracing(), ctx, |root, stages, explain| {
+            self.query_stages(pred, attrs, strategy, parallelism, ctx, root, stages, explain)
+        })
     }
 
     /// The two-step pipeline proper: probes, exact scans, refinement.
@@ -448,7 +445,7 @@ impl PointCloud {
     /// as execution got (on cancellation they describe the completed
     /// prefix).
     #[allow(clippy::too_many_arguments)]
-    fn query_stages(
+    pub(crate) fn query_stages(
         &self,
         pred: Option<&SpatialPredicate>,
         attrs: &[AttrRange],
@@ -1427,9 +1424,9 @@ mod review_regressions {
     fn kill_query_via_registry_trips_registered_token() {
         let pc = grid_cloud();
         let token = CancelToken::new();
-        let ticket = crate::governor::QueryRegistry::global().register("test select", &token);
-        assert!(pc.kill_query(ticket.id()), "id names a live query");
         let ctx = GovernCtx::new(token, None);
+        let ticket = crate::governor::QueryRegistry::global().register("test select", &ctx);
+        assert!(pc.kill_query(ticket.id()), "id names a live query");
         let err = pc
             .select_query_ctx(
                 Some(&rect(0.0, 0.0, 9.0, 9.0)),

@@ -36,11 +36,13 @@ use parking_lot::Mutex;
 
 use crate::error::CoreError;
 use crate::exec::Parallelism;
-use crate::governor::{CancelToken, GovernCtx, QueryRegistry};
+use crate::governor::{self, AdmissionController, GovernCtx};
 use crate::metrics::MetricsRegistry;
 use crate::persist::{self, TiledManifest};
 use crate::pointcloud::PointCloud;
-use crate::query::{Aggregate, AttrRange, Explain, RefineStrategy, Selection, SpatialPredicate};
+use crate::query::{
+    run_query, Aggregate, AttrRange, Explain, RefineStrategy, Selection, SpatialPredicate,
+};
 
 /// How a table is cut into tiles at seal time.
 #[derive(Debug, Clone, PartialEq)]
@@ -499,9 +501,12 @@ impl TiledCloud {
         self.select_query_ctx(pred, attrs, strategy, parallelism, &GovernCtx::ungoverned())
     }
 
-    /// Governed tiled query: one deadline/budget token covers zone-map
-    /// pruning, every tile load (bytes charged as they fault in) and every
-    /// per-tile sub-query; the query is visible in the global registry.
+    /// Governed tiled query, through the same [`governor::govern`]
+    /// prologue as the flat table: it takes an admission permit (from the
+    /// process-wide controller), and one deadline/budget token covers
+    /// zone-map pruning, every tile load (bytes charged as they fault in)
+    /// and every per-tile probe; the query is visible in the global
+    /// registry.
     pub fn select_query_governed(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -511,19 +516,23 @@ impl TiledCloud {
         deadline: Option<Duration>,
         budget: Option<u64>,
     ) -> Result<Selection, CoreError> {
-        let token = CancelToken::with(deadline, budget);
-        let ctx = GovernCtx::new(token.clone(), None);
-        let _ticket = QueryRegistry::global().register(
+        let g = governor::govern(
+            AdmissionController::global(),
+            None,
             format!("tiled select ({} attr filters)", attrs.len()),
-            &token,
-        );
-        self.select_query_ctx(pred, attrs, strategy, parallelism, &ctx)
+            deadline,
+            budget,
+        )?;
+        self.select_query_ctx(pred, attrs, strategy, parallelism, &g.ctx)
     }
 
     /// The tiled query pipeline under an explicit governance context:
-    /// zone-map prune → per-tile imprint probe/scan → row-offset merge.
-    /// Tiles are visited in row order, so the merged rows are ascending
-    /// and identical for any worker count (morsels never straddle a tile).
+    /// zone-map prune → per-tile imprint probe/scan → row-offset merge,
+    /// all inside ONE [`run_query`] — one `queries` tick, one root span
+    /// with every tile's load and stage spans under it, one slow-log
+    /// entry. Tiles are visited in row order, so the merged rows are
+    /// ascending and identical for any worker count (morsels never
+    /// straddle a tile).
     pub fn select_query_ctx(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -532,42 +541,73 @@ impl TiledCloud {
         parallelism: Parallelism,
         ctx: &GovernCtx,
     ) -> Result<Selection, CoreError> {
-        let metrics = MetricsRegistry::global();
-        let mut preds: Vec<(&str, f64, f64)> = Vec::new();
-        let env = pred.and_then(|p| p.filter_envelope());
-        if let Some(env) = &env {
-            preds.push(("x", env.min_x, env.max_x));
-            preds.push(("y", env.min_y, env.max_y));
-        }
-        for a in attrs {
-            preds.push((a.column.as_str(), a.lo, a.hi));
-        }
-        let survivors = self.tiles.prune(&preds);
-        let loads0 = self.loads.load(Ordering::Relaxed);
-        let evictions0 = self.evictions.load(Ordering::Relaxed);
-        let mut sel = Selection::default();
-        for &t in &survivors {
-            ctx.checkpoint("tile")?;
-            let pc = self.load_tile(t, ctx)?;
-            let sub = pc.select_query_ctx(pred, attrs, strategy, parallelism, ctx)?;
-            let base = self.tiles.tiles[t].row_start;
-            sel.rows.extend(sub.rows.iter().map(|&r| r + base));
-            merge_explain(&mut sel.profile.explain, &sub.profile.explain);
-            sel.profile.stages.extend(sub.profile.stages.iter().copied());
-        }
-        let e = &mut sel.profile.explain;
-        e.result_rows = sel.rows.len();
-        e.tiles_total = self.tiles.len();
-        e.tiles_pruned = self.tiles.len() - survivors.len();
-        e.tiles_probed = survivors.len();
-        // Cache-delta attribution is exact for single-threaded use and
-        // approximate when queries run concurrently (the counters are
-        // shared); the process-wide metrics stay exact either way.
-        e.tiles_loaded = (self.loads.load(Ordering::Relaxed) - loads0) as usize;
-        e.tiles_evicted = (self.evictions.load(Ordering::Relaxed) - evictions0) as usize;
-        metrics.tiles_pruned.add(e.tiles_pruned as u64);
-        metrics.tiles_probed.add(e.tiles_probed as u64);
-        Ok(sel)
+        run_query(false, ctx, |root, stages, explain| {
+            let mut preds: Vec<(&str, f64, f64)> = Vec::new();
+            if let Some(env) = pred.and_then(|p| p.filter_envelope()) {
+                preds.push(("x", env.min_x, env.max_x));
+                preds.push(("y", env.min_y, env.max_y));
+            }
+            for a in attrs {
+                preds.push((a.column.as_str(), a.lo, a.hi));
+            }
+            let survivors = self.tiles.prune(&preds);
+            let loads0 = self.loads.load(Ordering::Relaxed);
+            let evictions0 = self.evictions.load(Ordering::Relaxed);
+            let mut rows = Vec::new();
+            for &t in &survivors {
+                ctx.checkpoint("tile")?;
+                let pc = self.load_tile(t, ctx)?;
+                let mut sub = Explain::default();
+                let local =
+                    pc.query_stages(pred, attrs, strategy, parallelism, ctx, root, stages, &mut sub)?;
+                let base = self.tiles.tiles[t].row_start;
+                rows.extend(local.iter().map(|&r| r + base));
+                merge_explain(explain, &sub);
+            }
+            explain.result_rows = rows.len();
+            explain.tiles_total = self.tiles.len();
+            explain.tiles_pruned = self.tiles.len() - survivors.len();
+            explain.tiles_probed = survivors.len();
+            // Cache-delta attribution is exact for single-threaded use and
+            // approximate when queries run concurrently (the counters are
+            // shared); the process-wide metrics stay exact either way.
+            explain.tiles_loaded = (self.loads.load(Ordering::Relaxed) - loads0) as usize;
+            explain.tiles_evicted = (self.evictions.load(Ordering::Relaxed) - evictions0) as usize;
+            let metrics = MetricsRegistry::global();
+            metrics.tiles_pruned.add(explain.tiles_pruned as u64);
+            metrics.tiles_probed.add(explain.tiles_probed as u64);
+            Ok(rows)
+        })
+    }
+
+    /// Split ascending global row ids into per-tile runs `(segment, first
+    /// global row of the tile, ids in that tile)`, loading each tile only
+    /// when the iterator reaches it. The yielded `Arc` pins the segment
+    /// resident for as long as the caller holds it, even across LRU
+    /// evictions — a consumer that drops each run before taking the next
+    /// keeps one tile pinned at a time. An id past the last row ends the
+    /// iteration with an error.
+    pub fn runs<'r>(
+        &'r self,
+        mut rows: &'r [usize],
+    ) -> impl Iterator<Item = Result<(Arc<PointCloud>, usize, &'r [usize]), CoreError>> + 'r {
+        std::iter::from_fn(move || {
+            let first = *rows.first()?;
+            let Some(t) = self.tiles.tile_for_row(first) else {
+                rows = &[];
+                return Some(Err(CoreError::InvalidQuery(format!(
+                    "row {first} out of range ({} rows)",
+                    self.rows
+                ))));
+            };
+            let tile = &self.tiles.tiles[t];
+            let (head, tail) = rows.split_at(rows.partition_point(|&r| r < tile.row_end));
+            rows = tail;
+            Some(
+                self.load_tile(t, &GovernCtx::ungoverned())
+                    .map(|pc| (pc, tile.row_start, head)),
+            )
+        })
     }
 
     /// Aggregate a selection's rows (global ids) over one column with the
@@ -610,29 +650,14 @@ impl TiledCloud {
             sorted_buf = s;
             &sorted_buf
         };
-        if *rows.last().expect("non-empty") >= self.rows {
-            return Err(CoreError::InvalidQuery(format!(
-                "aggregate: row {} out of range ({} rows)",
-                rows.last().expect("non-empty"),
-                self.rows
-            )));
-        }
-        let ctx = GovernCtx::ungoverned();
         let sub_agg = match agg {
             Aggregate::Avg => Aggregate::Sum,
             a => a,
         };
         let mut acc: Option<f64> = None;
-        let mut i = 0usize;
-        while i < rows.len() {
-            let t = self
-                .tiles
-                .tile_for_row(rows[i])
-                .expect("row bound checked above");
-            let tile = &self.tiles.tiles[t];
-            let j = i + rows[i..].partition_point(|&r| r < tile.row_end);
-            let local: Vec<usize> = rows[i..j].iter().map(|&r| r - tile.row_start).collect();
-            let pc = self.load_tile(t, &ctx)?;
+        for run in self.runs(rows) {
+            let (pc, base, ids) = run?;
+            let local: Vec<usize> = ids.iter().map(|&r| r - base).collect();
             if let Some(v) = pc.aggregate_with(&local, column, sub_agg, parallelism)? {
                 acc = Some(match (acc, agg) {
                     (None, _) => v,
@@ -642,26 +667,11 @@ impl TiledCloud {
                     (Some(a), Aggregate::Count) => a, // handled above
                 });
             }
-            i = j;
         }
         Ok(match agg {
             Aggregate::Avg => acc.map(|s| s / rows.len() as f64),
             _ => acc,
         })
-    }
-
-    /// Load tile `tile` (by id) and return its backing [`PointCloud`].
-    /// The returned `Arc` pins the segment resident for as long as the
-    /// caller holds it, even across LRU evictions — projection layers use
-    /// this to read column values after the scan picked the rows.
-    pub fn tile_cloud(&self, tile: usize) -> Result<Arc<PointCloud>, CoreError> {
-        if tile >= self.tiles.len() {
-            return Err(CoreError::InvalidQuery(format!(
-                "tile {tile} out of range ({} tiles)",
-                self.tiles.len()
-            )));
-        }
-        self.load_tile(tile, &GovernCtx::ungoverned())
     }
 
     /// Materialise one point by global row id (`None` past the end).

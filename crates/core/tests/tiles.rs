@@ -338,3 +338,58 @@ fn governed_tiled_query_charges_tile_bytes_to_the_budget() {
     let plain = tc.select(&window).unwrap();
     assert_eq!(governed.rows, plain.rows);
 }
+
+/// One tiled statement is one query to every observer: one trace id, one
+/// slow-log entry, one `Query` root with every tile's load and stage spans
+/// under it — while the profile still carries the per-tile stage samples.
+#[test]
+fn one_tiled_statement_is_one_traced_query() {
+    use lidardb_core::{SlowQueryLog, SpanKind, Stage};
+    let dir = tdir("onequery");
+    let mut pc = cloud(30_000);
+    pc.save_tiled(&dir, &opts(4096)).unwrap();
+    let tc = TiledCloud::open(&dir).unwrap();
+    let traced = lidardb_core::trace::force_thread();
+    let sel = tc.select(&rect(100.0, 100.0, 900.0, 900.0)).unwrap();
+    drop(traced);
+    let tiles = sel.explain.tiles_probed;
+    assert!(tiles >= 3, "window must survive pruning on several tiles, got {tiles}");
+    assert_eq!(sel.explain.tiles_loaded, tiles, "cold cache: every probed tile loads");
+    let id = sel.trace_id.expect("a traced tiled query carries its trace id");
+
+    // No other test in this binary traces, so the log holds this query only.
+    let log = SlowQueryLog::global().worst();
+    assert_eq!(log.len(), 1, "one statement, one slow-log entry");
+    let entry = &log[0];
+    assert_eq!(entry.trace_id, id);
+    assert_eq!(entry.result_rows, sel.rows.len());
+    assert_eq!(entry.profile.explain, sel.explain);
+
+    let count = |kind: SpanKind| entry.spans.iter().filter(|s| s.kind == kind).count();
+    assert_eq!(count(SpanKind::Query), 1, "one root");
+    let root = entry.spans.iter().find(|s| s.kind == SpanKind::Query).unwrap();
+    assert_eq!(root.parent_id, 0);
+    assert_eq!(root.rows_out, sel.rows.len() as u64);
+    for stage in [Stage::PersistLoad, Stage::ImprintProbe, Stage::BboxScan] {
+        let spans: Vec<_> = entry
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Stage(stage))
+            .collect();
+        assert_eq!(spans.len(), tiles, "one {} span per tile", stage.name());
+        assert!(
+            spans.iter().all(|s| s.trace_id == id && s.parent_id == root.span_id),
+            "{} spans hang under the root",
+            stage.name()
+        );
+    }
+
+    // The profile still sums per-tile samples.
+    let samples = |stage: Stage| sel.stages.iter().filter(move |s| s.stage == stage);
+    assert_eq!(samples(Stage::ImprintProbe).count(), tiles);
+    assert_eq!(samples(Stage::BboxScan).count(), tiles);
+    assert_eq!(
+        samples(Stage::BboxScan).map(|s| s.rows).sum::<usize>(),
+        sel.explain.after_bbox
+    );
+}

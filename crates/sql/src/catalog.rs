@@ -4,7 +4,11 @@ use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use lidardb_core::{Parallelism, PointCloud, TiledCloud};
+use lidardb_core::governor::{self, Governed};
+use lidardb_core::{
+    AdmissionController, AttrRange, CoreError, GovernCtx, Parallelism, PointCloud, Selection,
+    SpatialPredicate, TiledCloud,
+};
 use lidardb_geom::Geometry;
 
 use crate::error::SqlError;
@@ -119,27 +123,123 @@ pub enum Table {
     Vector(Arc<VectorTable>),
     /// A sealed, tiled point-cloud table: SFC-clustered immutable
     /// segments that load lazily and are pruned by per-tile zone maps.
-    /// Read-only through SQL.
+    /// Answers every SELECT the flat table answers (scans, streamed
+    /// scans, spatial joins) through the same path; only `INSERT` is
+    /// refused — sealed tiles are immutable.
     Tiled(Arc<TiledCloud>),
 }
 
-/// A read view of a point-cloud table — either a plain shared cloud or
-/// the read-locked side of a streaming one. Derefs to [`PointCloud`] so
-/// scan code is agnostic to which it got.
+/// The one read view SQL has of a point table. What sits under the table
+/// — a plain shared cloud, the read-locked side of a streaming one (held
+/// for the duration of the scan, queried at its committed snapshot), or a
+/// sealed set of lazily loaded tiles — is a storage detail: the executor
+/// sees global ascending row ids and the segments they resolve to.
 pub enum PcRead<'a> {
     /// A plain immutable cloud.
     Plain(&'a PointCloud),
     /// A streaming cloud, read-locked for the duration of the scan.
     Stream(RwLockReadGuard<'a, PointCloud>),
+    /// A sealed tiled cloud.
+    Tiled(&'a TiledCloud),
 }
 
-impl Deref for PcRead<'_> {
+/// One storage segment of a point table: the whole flat cloud, or one
+/// tile, pinned resident for as long as the value lives.
+pub enum Segment<'r> {
+    /// A flat or streaming table is a single segment.
+    Whole(&'r PointCloud),
+    /// A loaded tile of a tiled table.
+    Tile(Arc<PointCloud>),
+}
+
+impl Deref for Segment<'_> {
     type Target = PointCloud;
 
     fn deref(&self) -> &PointCloud {
         match self {
-            PcRead::Plain(pc) => pc,
-            PcRead::Stream(guard) => guard,
+            Segment::Whole(pc) => pc,
+            Segment::Tile(pc) => pc,
+        }
+    }
+}
+
+/// A maximal slice of a scan's ascending row ids living in one segment:
+/// `(segment, global id of its first row, the ids)`.
+pub type Run<'r> = (Segment<'r>, usize, &'r [usize]);
+
+impl PcRead<'_> {
+    /// The flat cloud behind a plain or streaming view; `Err` carries the
+    /// tiled cloud.
+    fn flat(&self) -> Result<&PointCloud, &TiledCloud> {
+        match self {
+            PcRead::Plain(pc) => Ok(pc),
+            PcRead::Stream(guard) => Ok(guard),
+            PcRead::Tiled(tc) => Err(tc),
+        }
+    }
+
+    /// Rows a scan may see: the committed snapshot of a streaming table
+    /// (rows past the watermark are applied but unacknowledged), every row
+    /// otherwise.
+    pub fn visible_rows(&self) -> usize {
+        match self.flat() {
+            Ok(pc) => pc.visible_rows(),
+            Err(tc) => tc.num_points(),
+        }
+    }
+
+    /// Run the governance prologue ([`governor::govern`]) for a statement
+    /// of `session` on this table: the table's admission controller and
+    /// fault injector (a tiled table has the process-wide controller and
+    /// none), the session's `SET STATEMENT_TIMEOUT` / `SET MEM_BUDGET` or
+    /// else the table's own defaults.
+    pub fn govern(&self, session: &Catalog, detail: String) -> Result<Governed<'_>, CoreError> {
+        let pc = self.flat().ok();
+        governor::govern(
+            match pc {
+                Some(pc) => pc.admission(),
+                None => AdmissionController::global(),
+            },
+            pc.and_then(PointCloud::fault_injector),
+            detail,
+            session
+                .statement_timeout()
+                .or_else(|| pc.and_then(PointCloud::default_deadline)),
+            session
+                .mem_budget()
+                .or_else(|| pc.and_then(PointCloud::mem_budget)),
+        )
+    }
+
+    /// The two-step selection under the statement's governance context:
+    /// global row ids, ascending, identical at every worker count.
+    pub fn select(
+        &self,
+        pred: Option<&SpatialPredicate>,
+        attrs: &[AttrRange],
+        parallelism: Parallelism,
+        ctx: &GovernCtx,
+    ) -> Result<Selection, CoreError> {
+        match self.flat() {
+            Ok(pc) => pc.select_query_ctx(pred, attrs, Default::default(), parallelism, ctx),
+            Err(tc) => tc.select_query_ctx(pred, attrs, Default::default(), parallelism, ctx),
+        }
+    }
+
+    /// Resolve ascending global row ids to the segments holding them: one
+    /// run covering everything for a flat or streaming table; one pinned
+    /// tile per run — loaded when the iterator reaches it, released when
+    /// the run is dropped — for a tiled one.
+    pub fn runs<'r>(
+        &'r self,
+        rows: &'r [usize],
+    ) -> Box<dyn Iterator<Item = Result<Run<'r>, CoreError>> + 'r> {
+        match self.flat() {
+            Ok(pc) => Box::new(std::iter::once(Ok((Segment::Whole(pc), 0, rows)))),
+            Err(tc) => Box::new(
+                tc.runs(rows)
+                    .map(|run| run.map(|(pc, base, rows)| (Segment::Tile(pc), base, rows))),
+            ),
         }
     }
 }
@@ -262,31 +362,21 @@ impl Catalog {
         self.tables.insert(name.into(), Table::Stream(pc));
     }
 
-    /// Register a sealed tiled point cloud under `name`. Scans plan
-    /// through the same two-step pushdown as flat tables, with zone-map
-    /// tile pruning in front; the table is read-only.
+    /// Register a sealed tiled point cloud under `name`. Statements run
+    /// through the same path as on flat tables, with zone-map tile pruning
+    /// in front; the table is read-only.
     pub fn register_tiled(&mut self, name: impl Into<String>, tc: Arc<TiledCloud>) {
         self.tables.insert(name.into(), Table::Tiled(tc));
     }
 
-    /// The tiled point-cloud table `name`, if it is one.
-    pub fn tiled(&self, name: &str) -> Result<Option<&Arc<TiledCloud>>, SqlError> {
-        match self.table(name)? {
-            Table::Tiled(tc) => Ok(Some(tc)),
-            _ => Ok(None),
-        }
-    }
-
-    /// A read view of the point-cloud table `name` (plain or streaming).
+    /// The read view of the point-cloud table `name`, whatever its storage.
     pub fn read_points(&self, name: &str) -> Result<PcRead<'_>, SqlError> {
         match self.table(name)? {
             Table::Points(pc) => Ok(PcRead::Plain(pc)),
             Table::Stream(pc) => Ok(PcRead::Stream(
                 pc.read().unwrap_or_else(std::sync::PoisonError::into_inner),
             )),
-            Table::Tiled(_) => Err(SqlError::Plan(format!(
-                "{name} is a tiled table; its scan path does not expose a flat read view"
-            ))),
+            Table::Tiled(tc) => Ok(PcRead::Tiled(tc)),
             Table::Vector(_) => Err(SqlError::Plan(format!("{name} is not a point cloud"))),
         }
     }

@@ -40,6 +40,13 @@ impl fmt::Display for SqlError {
 
 impl std::error::Error for SqlError {}
 
+/// Engine errors surface as execution errors.
+impl From<lidardb_core::CoreError> for SqlError {
+    fn from(e: lidardb_core::CoreError) -> Self {
+        SqlError::Exec(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

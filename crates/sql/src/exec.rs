@@ -3,11 +3,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lidardb_core::{PointCloud, SpatialPredicate};
+use lidardb_core::{GovernCtx, PointCloud, SpatialPredicate};
 use lidardb_storage::Value;
 
 use crate::ast::{BinOp, Expr, SelectItem, SelectStmt, Statement};
-use crate::catalog::{Catalog, Table, VectorTable};
+use crate::catalog::{Catalog, PcRead, Run, Table, VectorTable};
 use crate::error::SqlError;
 use crate::functions;
 use crate::plan::{plan_select, JoinPred, Plan};
@@ -23,6 +23,16 @@ pub struct TraceEntry {
     pub rows: usize,
     /// Wall-clock seconds.
     pub seconds: f64,
+}
+
+impl TraceEntry {
+    fn new(operator: impl Into<String>, rows: usize, seconds: f64) -> Self {
+        TraceEntry {
+            operator: operator.into(),
+            rows,
+            seconds,
+        }
+    }
 }
 
 /// An executed query result.
@@ -133,10 +143,7 @@ impl Ctx for PcCtx<'_> {
                 return Err(SqlError::Exec(format!("unknown table alias {t}")));
             }
         }
-        let col = self
-            .pc
-            .column(name)
-            .map_err(|e| SqlError::Exec(e.to_string()))?;
+        let col = self.pc.column(name)?;
         Ok(from_storage(col.get(self.row).ok_or_else(|| {
             SqlError::Exec(format!("row {} out of range", self.row))
         })?))
@@ -358,6 +365,27 @@ fn truthy(v: &SqlValue) -> bool {
     *v == SqlValue::Bool(true)
 }
 
+/// The residual filter: whether the row satisfies every term.
+fn passes(terms: &[Expr], ctx: &dyn Ctx) -> Result<bool, SqlError> {
+    for term in terms {
+        if !truthy(&eval(term, ctx)?) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// The row contexts of one run: global row id `r` is row `r - base` of
+/// the run's segment.
+fn run_ctxs<'a>(run: &'a Run<'_>, alias: &'a str) -> impl Iterator<Item = PcCtx<'a>> {
+    let (pc, base, rows) = run;
+    rows.iter().map(move |&r| PcCtx {
+        pc,
+        alias,
+        row: r - base,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
@@ -544,11 +572,11 @@ fn exec_insert(catalog: &Catalog, ins: &crate::ast::InsertStmt) -> Result<Result
     Ok(ResultSet {
         columns,
         rows: vec![row],
-        trace: vec![TraceEntry {
-            operator: format!("insert {}", ins.table),
-            rows: recs.len(),
-            seconds: t0.elapsed().as_secs_f64(),
-        }],
+        trace: vec![TraceEntry::new(
+            format!("insert {}", ins.table),
+            recs.len(),
+            t0.elapsed().as_secs_f64(),
+        )],
     })
 }
 
@@ -564,7 +592,7 @@ fn show_recovery(catalog: &Catalog) -> ResultSet {
     }
     let mut rows = Vec::new();
     for name in catalog.stream_names() {
-        let Ok(pc) = catalog.read_points(name) else {
+        let Ok(PcRead::Stream(pc)) = catalog.read_points(name) else {
             continue;
         };
         if let Some(rep) = pc.recovery_report() {
@@ -689,79 +717,40 @@ pub fn execute(catalog: &Catalog, stmt: &Statement) -> Result<ResultSet, SqlErro
 
     // Materialise input rows.
     let result = match &plan {
-        Plan::PcScan(scan) if catalog.tiled(&scan.table.name)?.is_some() => {
-            let tc = match catalog.tiled(&scan.table.name)? {
-                Some(tc) => Arc::clone(tc),
-                None => {
-                    return Err(SqlError::Exec(format!(
-                        "table '{}' is no longer tiled",
-                        scan.table.name
-                    )))
-                }
+        Plan::PcScan(scan) => {
+            let pc = catalog.read_points(&scan.table.name)?;
+            // The permit and registry ticket cover the scan; residuals and
+            // the projection below run after they are released.
+            let rows = {
+                let g = pc.govern(catalog, format!("select {}", scan.table.name))?;
+                scan_rows(&pc, scan, catalog, &g.ctx, &mut trace)?
             };
-            let rows = tiled_scan_rows(&tc, scan, catalog, &mut trace)?;
-            // Group the global row ids by tile and pin each touched tile's
-            // segment resident (the Arc keeps it alive past LRU eviction)
-            // so projection and residual evaluation can read column values.
-            let tiles = tc.tiles();
-            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-            for r in rows {
-                let t = tiles.tile_for_row(r).ok_or_else(|| {
-                    SqlError::Exec(format!("scan produced out-of-range row id {r}"))
-                })?;
-                match groups.last_mut() {
-                    Some((last, v)) if *last == t => v.push(r),
-                    _ => groups.push((t, vec![r])),
-                }
-            }
-            let pinned: Vec<Arc<PointCloud>> = groups
-                .iter()
-                .map(|(t, _)| tc.tile_cloud(*t))
-                .collect::<Result<_, _>>()
-                .map_err(|e| SqlError::Exec(e.to_string()))?;
+            // Materialised execution evaluates rows lazily (aggregates,
+            // ORDER BY), so every segment the rows touch stays pinned until
+            // the projection is done.
+            let runs: Vec<Run> = pc.runs(&rows).collect::<Result<_, _>>()?;
             let t0 = Instant::now();
             let mut envs = Vec::new();
-            for ((t, rows), pc) in groups.iter().zip(&pinned) {
-                let base = tiles.tiles[*t].row_start;
-                'rows: for &r in rows {
-                    let ctx = PcCtx {
-                        pc,
-                        alias: &scan.table.alias,
-                        row: r - base,
-                    };
-                    for term in &scan.residual {
-                        if !truthy(&eval(term, &ctx)?) {
-                            continue 'rows;
-                        }
+            for run in &runs {
+                let ctxs = run_ctxs(run, &scan.table.alias);
+                if scan.residual.is_empty() {
+                    // Every row survives: one exactly sized append.
+                    envs.extend(ctxs.map(RowEnv::Pc));
+                    continue;
+                }
+                for ctx in ctxs {
+                    if passes(&scan.residual, &ctx)? {
+                        envs.push(RowEnv::Pc(ctx));
                     }
-                    envs.push(RowEnv::Pc(ctx));
                 }
             }
             if !scan.residual.is_empty() {
-                trace.push(TraceEntry {
-                    operator: "thematic filter".to_string(),
-                    rows: envs.len(),
-                    seconds: t0.elapsed().as_secs_f64(),
-                });
+                trace.push(TraceEntry::new(
+                    "thematic filter",
+                    envs.len(),
+                    t0.elapsed().as_secs_f64(),
+                ));
             }
-            project(catalog, sel, &plan, envs, trace)
-        }
-        Plan::PcScan(scan) => {
-            // Read view: a streaming table is read-locked for the scan and
-            // queried at its committed snapshot (`visible_rows`).
-            let pc = catalog.read_points(&scan.table.name)?;
-            let pc: &PointCloud = &pc;
-            let rows = pc_scan_rows(pc, scan, catalog, &mut trace)?;
-            let envs: Vec<RowEnv> = rows
-                .into_iter()
-                .map(|row| {
-                    RowEnv::Pc(PcCtx {
-                        pc,
-                        alias: &scan.table.alias,
-                        row,
-                    })
-                })
-                .collect();
             project(catalog, sel, &plan, envs, trace)
         }
         Plan::VecScan(scan) => {
@@ -771,24 +760,21 @@ pub fn execute(catalog: &Catalog, stmt: &Statement) -> Result<ResultSet, SqlErro
             let vt = Arc::clone(vt);
             let t0 = Instant::now();
             let mut envs = Vec::new();
-            'rows: for row in 0..vt.num_rows() {
+            for row in 0..vt.num_rows() {
                 let ctx = VecCtx {
                     vt: &vt,
                     alias: &scan.table.alias,
                     row,
                 };
-                for term in &scan.residual {
-                    if !truthy(&eval(term, &ctx)?) {
-                        continue 'rows;
-                    }
+                if passes(&scan.residual, &ctx)? {
+                    envs.push(RowEnv::Vec(ctx));
                 }
-                envs.push(RowEnv::Vec(ctx));
             }
-            trace.push(TraceEntry {
-                operator: format!("vector scan {}", scan.table.alias),
-                rows: envs.len(),
-                seconds: t0.elapsed().as_secs_f64(),
-            });
+            trace.push(TraceEntry::new(
+                format!("vector scan {}", scan.table.alias),
+                envs.len(),
+                t0.elapsed().as_secs_f64(),
+            ));
             project(catalog, sel, &plan, envs, trace)
         }
         Plan::SpatialJoin {
@@ -797,49 +783,38 @@ pub fn execute(catalog: &Catalog, stmt: &Statement) -> Result<ResultSet, SqlErro
             join,
             pair_residual,
         } => {
-            if catalog.tiled(&pc_scan.table.name)?.is_some() {
-                return Err(SqlError::Exec(format!(
-                    "spatial joins over tiled table {} are not supported; \
-                     open the directory eagerly (flat) to join it",
-                    pc_scan.table.name
-                )));
-            }
             let pc = catalog.read_points(&pc_scan.table.name)?;
-            let pc: &PointCloud = &pc;
             let Table::Vector(vt) = catalog.table(&vec_scan.table.name)? else {
                 unreachable!("bound as vector");
             };
             let vt = Arc::clone(vt);
+            let feature = |row| VecCtx {
+                vt: &vt,
+                alias: &vec_scan.table.alias,
+                row,
+            };
 
             // Feature-side filter.
             let t0 = Instant::now();
             let mut features = Vec::new();
-            'feat: for row in 0..vt.num_rows() {
-                let ctx = VecCtx {
-                    vt: &vt,
-                    alias: &vec_scan.table.alias,
-                    row,
-                };
-                for term in &vec_scan.residual {
-                    if !truthy(&eval(term, &ctx)?) {
-                        continue 'feat;
-                    }
+            for row in 0..vt.num_rows() {
+                if passes(&vec_scan.residual, &feature(row))? {
+                    features.push(row);
                 }
-                features.push(row);
             }
-            trace.push(TraceEntry {
-                operator: format!("feature filter {}", vec_scan.table.alias),
-                rows: features.len(),
-                seconds: t0.elapsed().as_secs_f64(),
-            });
+            trace.push(TraceEntry::new(
+                format!("feature filter {}", vec_scan.table.alias),
+                features.len(),
+                t0.elapsed().as_secs_f64(),
+            ));
 
-            // One two-step probe per feature.
+            // One governed two-step probe per feature.
             let t0 = Instant::now();
             let geom_col = match join {
                 JoinPred::DWithin { geom_col, .. } => geom_col,
                 JoinPred::ContainsPoint { geom_col } => geom_col,
             };
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
+            let mut probes: Vec<(usize, Vec<usize>)> = Vec::new();
             for &frow in &features {
                 let g = match vt.value(geom_col, frow)? {
                     SqlValue::Geom(g) => g,
@@ -854,43 +829,43 @@ pub fn execute(catalog: &Catalog, stmt: &Statement) -> Result<ResultSet, SqlErro
                     JoinPred::DWithin { dist, .. } => SpatialPredicate::DWithin(g, *dist),
                     JoinPred::ContainsPoint { .. } => SpatialPredicate::Within(g),
                 };
-                let sel_rows = governed_select(pc, catalog, Some(&pred), &pc_scan.attr_ranges)?;
-                pairs.extend(sel_rows.rows.into_iter().map(|prow| (prow, frow)));
+                let g = pc.govern(catalog, format!("join probe {}", pc_scan.table.name))?;
+                let sel =
+                    pc.select(Some(&pred), &pc_scan.attr_ranges, catalog.parallelism(), &g.ctx)?;
+                probes.push((frow, sel.rows));
             }
-            trace.push(TraceEntry {
-                operator: format!("spatial join ({} probes)", features.len()),
-                rows: pairs.len(),
-                seconds: t0.elapsed().as_secs_f64(),
-            });
+            trace.push(TraceEntry::new(
+                format!("spatial join ({} probes)", features.len()),
+                probes.iter().map(|(_, rows)| rows.len()).sum(),
+                t0.elapsed().as_secs_f64(),
+            ));
 
-            // Point-side + pair residuals.
+            // Point-side + pair residuals, over the segments the matched
+            // rows live in (pinned until the projection is done).
             let t0 = Instant::now();
+            let mut runs: Vec<(usize, Run)> = Vec::new();
+            for (frow, rows) in &probes {
+                for run in pc.runs(rows) {
+                    runs.push((*frow, run?));
+                }
+            }
             let mut envs = Vec::new();
-            'pairs: for (prow, frow) in pairs {
-                let ctx = PairCtx {
-                    pc: PcCtx {
+            for (frow, run) in &runs {
+                for pc in run_ctxs(run, &pc_scan.table.alias) {
+                    let ctx = PairCtx {
                         pc,
-                        alias: &pc_scan.table.alias,
-                        row: prow,
-                    },
-                    vec: VecCtx {
-                        vt: &vt,
-                        alias: &vec_scan.table.alias,
-                        row: frow,
-                    },
-                };
-                for term in pc_scan.residual.iter().chain(pair_residual) {
-                    if !truthy(&eval(term, &ctx)?) {
-                        continue 'pairs;
+                        vec: feature(*frow),
+                    };
+                    if passes(&pc_scan.residual, &ctx)? && passes(pair_residual, &ctx)? {
+                        envs.push(RowEnv::Pair(ctx));
                     }
                 }
-                envs.push(RowEnv::Pair(ctx));
             }
-            trace.push(TraceEntry {
-                operator: "pair filter".to_string(),
-                rows: envs.len(),
-                seconds: t0.elapsed().as_secs_f64(),
-            });
+            trace.push(TraceEntry::new(
+                "pair filter",
+                envs.len(),
+                t0.elapsed().as_secs_f64(),
+            ));
             project(catalog, sel, &plan, envs, trace)
         }
     }?;
@@ -909,7 +884,7 @@ pub fn execute(catalog: &Catalog, stmt: &Statement) -> Result<ResultSet, SqlErro
 /// Build the `EXPLAIN ANALYZE` output: the planned operator tree followed
 /// by the actual per-operator rows and wall-clock of the execution (the
 /// same numbers the query's `QueryProfile`/`Explain` carries — the trace
-/// entries are derived from it in [`pc_scan_rows`]).
+/// entries are derived from it in [`scan_rows`]).
 fn analyze_result(plan: &Plan, executed: ResultSet, total_seconds: f64) -> ResultSet {
     let mut lines: Vec<String> = plan.describe().lines().map(str::to_string).collect();
     lines.push(String::new());
@@ -934,177 +909,58 @@ fn analyze_result(plan: &Plan, executed: ResultSet, total_seconds: f64) -> Resul
     }
 }
 
-/// Run a point-cloud selection under the session's governance settings
-/// (`SET STATEMENT_TIMEOUT` / `SET MEM_BUDGET`), falling back to the
-/// cloud's own defaults when the session leaves them unset.
-fn governed_select(
-    pc: &PointCloud,
-    catalog: &Catalog,
-    pred: Option<&SpatialPredicate>,
-    attrs: &[lidardb_core::AttrRange],
-) -> Result<lidardb_core::Selection, SqlError> {
-    pc.select_query_governed(
-        pred,
-        attrs,
-        Default::default(),
-        catalog.parallelism(),
-        catalog.statement_timeout().or_else(|| pc.default_deadline()),
-        catalog.mem_budget().or_else(|| pc.mem_budget()),
-    )
-    .map_err(|e| SqlError::Exec(e.to_string()))
-}
-
-/// Run a tiled point-cloud scan (pushdown only — the caller applies the
-/// residual per tile) and return global row ids. The trace gains a
-/// `tile prune` operator showing the zone-map skip/probe/load/evict
+/// The select step every point-table path shares: global row ids of the
+/// pushed-down predicates through the two-step engine under `ctx`, or
+/// every visible row when nothing was pushed down. Appends the operator
+/// trace derived from the query's `Explain`; on a tiled table it leads
+/// with a `tile prune` line showing the zone-map skip/probe/load/evict
 /// counts, so `EXPLAIN ANALYZE` makes tile pruning visible.
-fn tiled_scan_rows(
-    tc: &lidardb_core::TiledCloud,
+fn scan_rows(
+    pc: &PcRead,
     scan: &crate::plan::PcScan,
     catalog: &Catalog,
+    ctx: &GovernCtx,
     trace: &mut Vec<TraceEntry>,
 ) -> Result<Vec<usize>, SqlError> {
     if scan.spatial.is_none() && scan.attr_ranges.is_empty() {
         let t0 = Instant::now();
-        let rows: Vec<usize> = (0..tc.num_points()).collect();
-        trace.push(TraceEntry {
-            operator: format!("full scan ({} tiles)", tc.num_tiles()),
-            rows: rows.len(),
-            seconds: t0.elapsed().as_secs_f64(),
-        });
+        let rows: Vec<usize> = (0..pc.visible_rows()).collect();
+        trace.push(TraceEntry::new(
+            "full scan",
+            rows.len(),
+            t0.elapsed().as_secs_f64(),
+        ));
         return Ok(rows);
     }
-    let sel = tc
-        .select_query_governed(
-            scan.spatial.as_ref(),
-            &scan.attr_ranges,
-            Default::default(),
-            catalog.parallelism(),
-            catalog.statement_timeout(),
-            catalog.mem_budget(),
-        )
-        .map_err(|e| SqlError::Exec(e.to_string()))?;
+    let sel = pc.select(
+        scan.spatial.as_ref(),
+        &scan.attr_ranges,
+        catalog.parallelism(),
+        ctx,
+    )?;
     let e = &sel.explain;
-    trace.push(TraceEntry {
-        operator: format!(
+    if e.tiles_total > 0 {
+        let op = format!(
             "tile prune (zone maps: {} pruned, {} probed of {}; {} loaded, {} evicted)",
             e.tiles_pruned, e.tiles_probed, e.tiles_total, e.tiles_loaded, e.tiles_evicted
-        ),
-        rows: e.tiles_probed,
-        seconds: 0.0,
-    });
+        );
+        trace.push(TraceEntry::new(op, e.tiles_probed, 0.0));
+    }
     if e.t_imprint_build > 0.0 {
-        trace.push(TraceEntry {
-            operator: "imprint build (lazy)".to_string(),
-            rows: 0,
-            seconds: e.t_imprint_build,
-        });
+        trace.push(TraceEntry::new("imprint build (lazy)", 0, e.t_imprint_build));
     }
-    trace.push(TraceEntry {
-        operator: if e.attr_probes > 0 {
-            format!("imprint filter (+{} attribute probes)", e.attr_probes)
-        } else {
-            "imprint filter".to_string()
-        },
-        rows: e.after_imprints,
-        seconds: e.t_imprints,
-    });
-    trace.push(TraceEntry {
-        operator: "exact bbox scan".to_string(),
-        rows: e.after_bbox,
-        seconds: e.t_bbox,
-    });
-    trace.push(TraceEntry {
-        operator: format!(
-            "grid refinement (cells {}/{}/{})",
-            e.cells_inside, e.cells_outside, e.cells_boundary
-        ),
-        rows: e.result_rows,
-        seconds: e.t_refine,
-    });
-    Ok(sel.rows)
-}
-
-/// Run the point-cloud scan (pushdown + residual) and return row ids.
-fn pc_scan_rows(
-    pc: &PointCloud,
-    scan: &crate::plan::PcScan,
-    catalog: &Catalog,
-    trace: &mut Vec<TraceEntry>,
-) -> Result<Vec<usize>, SqlError> {
-    let rows = if scan.spatial.is_some() || !scan.attr_ranges.is_empty() {
-        {
-            let sel = governed_select(pc, catalog, scan.spatial.as_ref(), &scan.attr_ranges)?;
-            let e = &sel.explain;
-            if e.t_imprint_build > 0.0 {
-                trace.push(TraceEntry {
-                    operator: "imprint build (lazy)".to_string(),
-                    rows: 0,
-                    seconds: e.t_imprint_build,
-                });
-            }
-            trace.push(TraceEntry {
-                operator: if e.attr_probes > 0 {
-                    format!("imprint filter (+{} attribute probes)", e.attr_probes)
-                } else {
-                    "imprint filter".to_string()
-                },
-                rows: e.after_imprints,
-                seconds: e.t_imprints,
-            });
-            trace.push(TraceEntry {
-                operator: "exact bbox scan".to_string(),
-                rows: e.after_bbox,
-                seconds: e.t_bbox,
-            });
-            trace.push(TraceEntry {
-                operator: format!(
-                    "grid refinement (cells {}/{}/{})",
-                    e.cells_inside, e.cells_outside, e.cells_boundary
-                ),
-                rows: e.result_rows,
-                seconds: e.t_refine,
-            });
-            sel.rows
-        }
-    } else {
-        {
-            let t0 = Instant::now();
-            // Scan only the committed snapshot — on a streaming table rows
-            // past the visibility watermark are applied but unacknowledged.
-            let rows: Vec<usize> = (0..pc.visible_rows()).collect();
-            trace.push(TraceEntry {
-                operator: "full scan".to_string(),
-                rows: rows.len(),
-                seconds: t0.elapsed().as_secs_f64(),
-            });
-            rows
-        }
+    let op = match e.attr_probes {
+        0 => "imprint filter".to_string(),
+        n => format!("imprint filter (+{n} attribute probes)"),
     };
-    if scan.residual.is_empty() {
-        return Ok(rows);
-    }
-    let t0 = Instant::now();
-    let mut out = Vec::new();
-    'rows: for row in rows {
-        let ctx = PcCtx {
-            pc,
-            alias: &scan.table.alias,
-            row,
-        };
-        for term in &scan.residual {
-            if !truthy(&eval(term, &ctx)?) {
-                continue 'rows;
-            }
-        }
-        out.push(row);
-    }
-    trace.push(TraceEntry {
-        operator: "thematic filter".to_string(),
-        rows: out.len(),
-        seconds: t0.elapsed().as_secs_f64(),
-    });
-    Ok(out)
+    trace.push(TraceEntry::new(op, e.after_imprints, e.t_imprints));
+    trace.push(TraceEntry::new("exact bbox scan", e.after_bbox, e.t_bbox));
+    let op = format!(
+        "grid refinement (cells {}/{}/{})",
+        e.cells_inside, e.cells_outside, e.cells_boundary
+    );
+    trace.push(TraceEntry::new(op, e.result_rows, e.t_refine));
+    Ok(sel.rows)
 }
 
 /// Expand the projection list against the plan's tables.
@@ -1308,15 +1164,11 @@ fn project(
             seen.insert(key)
         });
     }
-    trace.push(TraceEntry {
-        operator: if needs_agg {
-            "aggregate + project".to_string()
-        } else {
-            "project".to_string()
-        },
-        rows: rows.len(),
-        seconds: t0.elapsed().as_secs_f64(),
-    });
+    trace.push(TraceEntry::new(
+        if needs_agg { "aggregate + project" } else { "project" },
+        rows.len(),
+        t0.elapsed().as_secs_f64(),
+    ));
 
     // ORDER BY: resolve each key against the output columns.
     if !sel.order_by.is_empty() {
@@ -1338,11 +1190,7 @@ fn project(
             }
             std::cmp::Ordering::Equal
         });
-        trace.push(TraceEntry {
-            operator: "sort".to_string(),
-            rows: rows.len(),
-            seconds: t0.elapsed().as_secs_f64(),
-        });
+        trace.push(TraceEntry::new("sort", rows.len(), t0.elapsed().as_secs_f64()));
     }
     if let Some(limit) = sel.limit {
         rows.truncate(limit as usize);
@@ -1398,15 +1246,17 @@ pub struct StreamSummary {
 /// Execute a parsed statement, delivering rows to `sink` in batches of at
 /// most `batch_rows` instead of materialising a [`ResultSet`].
 ///
-/// A flat point-cloud scan without aggregation / ordering / `DISTINCT`
-/// streams natively: the two-step engine produces row *ids*, and residual
-/// filtering + projection run batch-by-batch, so the projected result set
-/// never exists in memory on this side. The admission permit and registry
-/// ticket are held for the whole statement — scan *and* delivery — so a
-/// slow consumer occupies an in-flight slot exactly like a slow scan, and
-/// `KILL <id>` / statement timeouts fire between batches.
+/// A point-table scan — flat, streaming or tiled — without aggregation /
+/// ordering / `DISTINCT` streams natively: the two-step engine produces
+/// row *ids*, and resolving them to segments, residual filtering and
+/// projection run batch-by-batch, so the projected result set never
+/// exists in memory on this side and a tiled table keeps one tile pinned
+/// at a time. The admission permit and registry ticket are held for the
+/// whole statement — scan *and* delivery — so a slow consumer occupies an
+/// in-flight slot exactly like a slow scan, and `KILL <id>` / statement
+/// timeouts fire between batches.
 ///
-/// Everything else (aggregates, ORDER BY, joins, tiled scans, SET/SHOW/
+/// Everything else (aggregates, ORDER BY, joins, vector tables, SET/SHOW/
 /// INSERT) falls back to [`execute`] and re-chunks the materialised
 /// result, so the sink sees one uniform shape.
 pub fn execute_streamed(
@@ -1436,9 +1286,8 @@ pub fn execute_streamed(
         .trace_enabled()
         .then(lidardb_core::trace::force_thread);
     let plan = plan_select(catalog, sel)?;
-    let scan = match &plan {
-        Plan::PcScan(scan) if catalog.tiled(&scan.table.name)?.is_none() => scan,
-        _ => return stream_materialised(catalog, stmt, batch_rows, sink),
+    let Plan::PcScan(scan) = &plan else {
+        return stream_materialised(catalog, stmt, batch_rows, sink);
     };
     let items = output_items(catalog, sel, &plan)?;
     if items.iter().any(|(_, e)| e.has_aggregate()) {
@@ -1446,80 +1295,45 @@ pub fn execute_streamed(
     }
     let columns: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
 
-    let pc = catalog.read_points(&scan.table.name)?;
-    let pc: &PointCloud = &pc;
-
-    // Statement-lifetime governance: token first (the deadline clock runs
-    // from enqueue, as in `select_query_governed`), then the admission
-    // permit, held until this function returns — across the scan AND the
+    // Statement-lifetime governance: the permit and the registry ticket
+    // are held until this function returns — across the scan AND the
     // backpressured delivery. A server streaming to a slow client holds
     // its in-flight slot the whole time, which is exactly the point.
-    let deadline = catalog
-        .statement_timeout()
-        .or_else(|| pc.default_deadline());
-    let budget = catalog.mem_budget().or_else(|| pc.mem_budget());
-    let token = lidardb_core::CancelToken::with(deadline, budget);
-    let queue_deadline = deadline.map(|d| d.saturating_sub(token.elapsed()));
-    let permit = pc
-        .admission()
-        .admit(queue_deadline)
-        .map_err(|e| SqlError::Exec(e.to_string()))?;
-    token.check(0).map_err(|e| SqlError::Exec(e.to_string()))?;
-    let ctx = lidardb_core::GovernCtx::new(token.clone(), pc.fault_injector())
-        .with_queue_wait(permit.queue_wait());
-    let _ticket = lidardb_core::QueryRegistry::global()
-        .register_ctx(format!("stream select {}", scan.table.name), &ctx);
+    let pc = catalog.read_points(&scan.table.name)?;
+    let g = pc.govern(catalog, format!("stream select {}", scan.table.name))?;
+    let token = g.ctx.token();
 
-    // Row ids via the two-step engine (pushdown only); residuals and the
-    // projection are evaluated per batch below.
-    let row_ids: Vec<usize> = if scan.spatial.is_some() || !scan.attr_ranges.is_empty() {
-        pc.select_query_ctx(
-            scan.spatial.as_ref(),
-            &scan.attr_ranges,
-            Default::default(),
-            catalog.parallelism(),
-            &ctx,
-        )
-        .map_err(|e| SqlError::Exec(e.to_string()))?
-        .rows
-    } else {
-        (0..pc.visible_rows()).collect()
-    };
+    // Row ids via the two-step engine (pushdown only); segments are
+    // resolved, residuals applied and rows projected per batch below.
+    let row_ids = scan_rows(&pc, scan, catalog, &g.ctx, &mut Vec::new())?;
 
-    sink.start(&columns, &token)?;
+    sink.start(&columns, token)?;
     let limit = sel.limit.map(|l| l as usize).unwrap_or(usize::MAX);
     let mut emitted = 0usize;
     let mut batches = 0usize;
     let mut batch: Vec<Vec<SqlValue>> = Vec::new();
-    'rows: for row in row_ids {
-        if emitted >= limit {
-            break;
-        }
-        let rctx = PcCtx {
-            pc,
-            alias: &scan.table.alias,
-            row,
-        };
-        for term in &scan.residual {
-            if !truthy(&eval(term, &rctx)?) {
-                continue 'rows;
+    'runs: for run in pc.runs(&row_ids) {
+        let run = run?;
+        for rctx in run_ctxs(&run, &scan.table.alias) {
+            if emitted >= limit {
+                break 'runs;
             }
-        }
-        let env = RowEnv::Pc(rctx);
-        let mut out = Vec::with_capacity(items.len());
-        for (_, e) in &items {
-            out.push(eval(e, &env)?);
-        }
-        batch.push(out);
-        emitted += 1;
-        if batch.len() >= batch_rows {
-            sink.batch(std::mem::take(&mut batch))?;
-            batches += 1;
-            // Deadline / KILL / disconnect-trip land between batches, so a
-            // cancelled stream stops within one batch of the signal.
-            token
-                .check(emitted)
-                .map_err(|e| SqlError::Exec(e.to_string()))?;
+            if !passes(&scan.residual, &rctx)? {
+                continue;
+            }
+            let mut out = Vec::with_capacity(items.len());
+            for (_, e) in &items {
+                out.push(eval(e, &rctx)?);
+            }
+            batch.push(out);
+            emitted += 1;
+            if batch.len() >= batch_rows {
+                sink.batch(std::mem::take(&mut batch))?;
+                batches += 1;
+                // Deadline / KILL / disconnect-trip land between batches, so
+                // a cancelled stream stops within one batch of the signal.
+                token.check(emitted)?;
+            }
         }
     }
     if !batch.is_empty() {
@@ -1556,9 +1370,7 @@ fn stream_materialised(
         }
         sink.batch(chunk)?;
         batches += 1;
-        token
-            .check(batches * batch_rows)
-            .map_err(|e| SqlError::Exec(e.to_string()))?;
+        token.check(batches * batch_rows)?;
     }
     Ok(StreamSummary { rows, batches })
 }

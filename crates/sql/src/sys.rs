@@ -26,7 +26,7 @@ use lidardb_core::{
 };
 
 use crate::ast::SelectStmt;
-use crate::catalog::{Catalog, Table, VColumn, VectorTable};
+use crate::catalog::{Catalog, PcRead, Table, VColumn, VectorTable};
 use crate::error::SqlError;
 
 /// The six virtual tables, in catalog order.
@@ -244,7 +244,7 @@ fn sys_wal(catalog: &Catalog) -> VectorTable {
     let mut backlog_rows = Vec::new();
     let mut degraded = Vec::new();
     for name in catalog.stream_names() {
-        let Ok(pc) = catalog.read_points(name) else {
+        let Ok(PcRead::Stream(pc)) = catalog.read_points(name) else {
             continue;
         };
         let durable = pc.durable_rows().unwrap_or(0);

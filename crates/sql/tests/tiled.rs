@@ -3,9 +3,9 @@
 
 use std::sync::Arc;
 
-use lidardb_core::{PointCloud, TileOptions, TiledCloud};
+use lidardb_core::{CancelToken, PointCloud, QueryRegistry, TileOptions, TiledCloud};
 use lidardb_las::PointRecord;
-use lidardb_sql::{query, Catalog, SqlValue};
+use lidardb_sql::{query, query_streamed, Catalog, RowSink, SqlError, SqlValue};
 
 /// 100x100 integer grid; classification 6 for x > 50, else 2; z = x/10.
 fn grid_cloud() -> PointCloud {
@@ -50,6 +50,18 @@ fn setup(name: &str) -> (Catalog, Arc<TiledCloud>) {
     let mut c = Catalog::new();
     c.register_pointcloud("points", Arc::new(grid_cloud()));
     c.register_tiled("tiles", Arc::clone(&tc));
+    c.register_vector(
+        "roads",
+        lidardb_sql::VectorTable::new()
+            .with_column("id", lidardb_sql::catalog::VColumn::Int(vec![1, 2]))
+            .with_column(
+                "geom",
+                lidardb_sql::catalog::VColumn::Geom(vec![
+                    lidardb_geom::Geometry::Point(lidardb_geom::Point::new(50.0, 50.0)),
+                    lidardb_geom::Geometry::Point(lidardb_geom::Point::new(12.0, 80.0)),
+                ]),
+            ),
+    );
     (c, tc)
 }
 
@@ -86,6 +98,14 @@ fn tiled_answers_match_flat_answers() {
         (
             "SELECT COUNT(*) FROM points",
             "SELECT COUNT(*) FROM tiles",
+        ),
+        // Spatial join with a point-side residual: the probes cross tile
+        // boundaries and the matched rows resolve to their tiles.
+        (
+            "SELECT SUM(p.x * 1000 + p.y + r.id / 10) FROM points p, roads r WHERE \
+             ST_DWithin(ST_Point(p.x, p.y), r.geom, 5) AND p.classification = 2",
+            "SELECT SUM(p.x * 1000 + p.y + r.id / 10) FROM tiles p, roads r WHERE \
+             ST_DWithin(ST_Point(p.x, p.y), r.geom, 5) AND p.classification = 2",
         ),
     ] {
         let flat = one_value(&c, flat_sql);
@@ -145,35 +165,94 @@ fn explain_analyze_shows_tile_pruning() {
 }
 
 #[test]
-fn tiled_tables_reject_writes_and_joins() {
-    let (mut c, _tc) = setup("reject");
+fn insert_into_a_sealed_tiled_table_is_rejected_read_only() {
+    let (c, _tc) = setup("reject");
     let err = query(&c, "INSERT INTO tiles (x, y, z) VALUES (1, 2, 3)")
         .unwrap_err()
         .to_string();
     assert!(err.contains("read-only"), "unexpected INSERT error: {err}");
+}
 
-    c.register_vector(
-        "roads",
-        lidardb_sql::VectorTable::new()
-            .with_column("id", lidardb_sql::catalog::VColumn::Int(vec![1]))
-            .with_column(
-                "geom",
-                lidardb_sql::catalog::VColumn::Geom(vec![lidardb_geom::Geometry::Point(
-                    lidardb_geom::Point::new(50.0, 50.0),
-                )]),
-            ),
+/// Collects a streamed statement; on its first batch it also records
+/// whether the statement was still in the query registry.
+#[derive(Default)]
+struct Collect {
+    rows: Vec<Vec<SqlValue>>,
+    registered_at_first_batch: Option<bool>,
+}
+
+impl RowSink for Collect {
+    fn start(&mut self, _: &[String], _: &CancelToken) -> Result<(), SqlError> {
+        Ok(())
+    }
+
+    fn batch(&mut self, rows: Vec<Vec<SqlValue>>) -> Result<(), SqlError> {
+        self.registered_at_first_batch.get_or_insert_with(|| {
+            QueryRegistry::global()
+                .list()
+                .iter()
+                .any(|q| q.detail == "stream select tiles")
+        });
+        self.rows.extend(rows);
+        Ok(())
+    }
+}
+
+#[test]
+fn tiled_scans_stream_natively_in_bounded_batches() {
+    let (mut c, tc) = setup("stream");
+    // The same directory opened eagerly: a flat table in the sealed order.
+    c.register_pointcloud("sealed", Arc::new(PointCloud::open_dir(tc.dir()).unwrap()));
+    // Small enough that the statement's tiles cannot all stay cached.
+    tc.set_resident_budget(1);
+    let filter = "WHERE ST_Contains(ST_MakeEnvelope(5, 5, 60, 40), ST_Point(x, y)) \
+                  AND classification = 2";
+    let flat = query(&c, &format!("SELECT x, y, z FROM sealed {filter}")).unwrap();
+    assert!(flat.rows.len() > 1000, "window spans several tiles");
+
+    let mut sink = Collect::default();
+    let sum = query_streamed(&c, &format!("SELECT x, y, z FROM tiles {filter}"), 64, &mut sink)
+        .unwrap();
+    assert_eq!(sink.rows, flat.rows, "streamed rows, in order");
+    assert_eq!(sum.rows, flat.rows.len());
+    assert_eq!(sum.batches, flat.rows.len().div_ceil(64));
+    assert_eq!(
+        sink.registered_at_first_batch,
+        Some(true),
+        "the registry ticket is held across delivery"
     );
-    let err = query(
-        &c,
-        "SELECT COUNT(*) FROM tiles p, roads r WHERE \
-         ST_DWithin(ST_Point(p.x, p.y), r.geom, 5)",
-    )
-    .unwrap_err()
-    .to_string();
     assert!(
-        err.contains("not supported"),
-        "unexpected join error: {err}"
+        !QueryRegistry::global()
+            .list()
+            .iter()
+            .any(|q| q.detail == "stream select tiles"),
+        "and released when the statement ends"
     );
+
+    // LIMIT stops early: two full batches and a partial one, and the tile
+    // loop never reaches the tiles past the limit.
+    let loads = tc.tile_loads();
+    let mut sink = Collect::default();
+    let sum = query_streamed(
+        &c,
+        &format!("SELECT x, y, z FROM tiles {filter} LIMIT 150"),
+        64,
+        &mut sink,
+    )
+    .unwrap();
+    assert_eq!((sum.rows, sum.batches), (150, 3));
+    assert_eq!(sink.rows[..], flat.rows[..150]);
+    let limited = tc.tile_loads() - loads;
+    let loads = tc.tile_loads();
+    query_streamed(
+        &c,
+        &format!("SELECT x, y, z FROM tiles {filter}"),
+        64,
+        &mut Collect::default(),
+    )
+    .unwrap();
+    let full = tc.tile_loads() - loads;
+    assert!(limited < full, "LIMIT loaded {limited} tiles, the full stream {full}");
 }
 
 #[test]

@@ -18,13 +18,11 @@
 //!   point-cloud storage),
 //! * [`zonemap`] — classic per-block min/max light indexes, used as the
 //!   "state of the art that fails on unclustered data" comparator in the
-//!   robustness experiment (E7),
-//! * [`bitmap`] — a dense bitset used for candidate cacheline sets.
+//!   robustness experiment (E7).
 //!
 //! The crate is deliberately free of any spatial knowledge; geometry lives in
 //! `lidardb-geom` and the imprints index in `lidardb-imprints`.
 
-pub mod bitmap;
 pub mod column;
 pub mod compress;
 pub mod error;
@@ -34,7 +32,6 @@ pub mod table;
 pub mod types;
 pub mod zonemap;
 
-pub use bitmap::Bitmap;
 pub use column::Column;
 pub use error::StorageError;
 pub use segment::{TileMeta, TileSet, ZoneEntry};

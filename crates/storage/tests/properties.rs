@@ -3,7 +3,7 @@
 use lidardb_storage::compress::{forpack::ForPacked, rle::Rle};
 use lidardb_storage::scan;
 use lidardb_storage::zonemap::ZoneMap;
-use lidardb_storage::{Bitmap, Column, PhysicalType};
+use lidardb_storage::{Column, PhysicalType};
 use proptest::prelude::*;
 
 proptest! {
@@ -89,26 +89,6 @@ proptest! {
         let mut sel2 = Vec::new();
         scan::range_scan_ranges(&data, &ranges, lo, hi, &mut sel2);
         prop_assert_eq!(sel2.len(), scan::count_range_ranges(&data, &ranges, lo, hi));
-    }
-
-    #[test]
-    fn bitmap_runs_agree_with_iter_ones(
-        bits in prop::collection::vec(any::<bool>(), 0..500)
-    ) {
-        let mut bm = Bitmap::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                bm.set(i);
-            }
-        }
-        let from_runs: Vec<usize> = bm
-            .runs()
-            .into_iter()
-            .flat_map(|(s, e)| s..e)
-            .collect();
-        let from_iter: Vec<usize> = bm.iter_ones().collect();
-        prop_assert_eq!(from_runs, from_iter);
-        prop_assert_eq!(bm.count_ones(), bits.iter().filter(|&&b| b).count());
     }
 
     #[test]

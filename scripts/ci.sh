@@ -9,6 +9,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> SQL layer, whole crate: unit, end_to_end, tiled, hostile_inputs, parser properties"
+cargo test -q -p lidardb-sql
+
 echo "==> differential suite: brute-force reference vs 1 worker vs N workers (default, 2 and 8; incl. Cancel/Stall faults)"
 cargo test -q -p lidardb-core --test differential
 LIDARDB_WORKERS=2 cargo test -q -p lidardb-core --test differential
@@ -36,14 +39,10 @@ cargo test -q -p lidardb-storage huge_declared_counts_are_rejected_without_alloc
 cargo test -q -p lidardb-las absurd_point_count_rejected_without_overflow
 cargo test -q -p lidardb-core forged_manifest_row_count_rejected_without_overflow
 cargo test -q -p lidardb-core to_table_renders_every_explain_field
-cargo test -q -p lidardb-sql explain_analyze
 cargo test -q -p lidardb-core --test differential differential_span_trees_serial_vs_parallel
-cargo test -q -p lidardb-sql set_trace_session_records_spans_and_shows_slow_queries
 
-echo "==> governance regression tests (typed cancellation, SQL session knobs)"
+echo "==> governance regression tests (typed cancellation)"
 cargo test -q -p lidardb-core --lib review_regressions
-cargo test -q -p lidardb-sql session_governance_statements
-cargo test -q -p lidardb-sql cancelled_queries_render_in_show_slow_queries
 
 echo "==> WAL crash-recovery torture suite (fault-injected, debug + release)"
 cargo test -q -p lidardb-core --test recovery_torture -- --test-threads=1
@@ -52,21 +51,15 @@ cargo test -q --release -p lidardb-core --test recovery_torture -- --test-thread
 echo "==> WAL property tests (arbitrary tail truncation, single-bit corruption)"
 cargo test -q -p lidardb-core --test wal_properties -- --test-threads=1
 
-echo "==> streaming-ingest regression tests (mid-ingest snapshot, SQL INSERT/SHOW RECOVERY)"
+echo "==> streaming-ingest regression test (mid-ingest snapshot)"
 cargo test -q -p lidardb-core --test differential differential_mid_ingest_snapshot
-cargo test -q -p lidardb-sql insert_is_wal_logged_and_queryable
-cargo test -q -p lidardb-sql group_commit_inserts_stay_invisible_until_flushed
-cargo test -q -p lidardb-sql show_recovery_reports_the_stream_state
 
-echo "==> tiled out-of-core suite (zone-map prune, LRU residency, flat-v2 fallback)"
-cargo test -q -p lidardb-core --test tiles -- --test-threads=1
-cargo test -q -p lidardb-sql --test tiled
+echo "==> tiled out-of-core suite (zone-map prune, LRU residency, flat-v2 fallback, admission)"
+cargo test -q -p lidardb-core --test tiles
+cargo test -q -p lidardb-core --test tiled_admission
 
 echo "==> snapshot-watermark regression suite (ghost rows invisible on every query path)"
 cargo test -q -p lidardb-core --test snapshot_watermark -- --test-threads=1
-
-echo "==> hostile-input panic sweep (parser/executor fuzz regressions)"
-cargo test -q -p lidardb-sql --test hostile_inputs
 
 echo "==> wire-protocol suites (frame proptests, loopback integration, disconnect durability)"
 cargo test -q -p lidardb-server --lib
@@ -77,9 +70,6 @@ cargo test -q -p lidardb-server --test disconnect_durability -- --test-threads=1
 echo "==> introspection plane: flight recorder (seqlock ring, delta decode) debug + release"
 cargo test -q -p lidardb-core recorder -- --test-threads=1
 cargo test -q --release -p lidardb-core recorder -- --test-threads=1
-
-echo "==> introspection plane: sys.* virtual tables (unit + end-to-end SELECTs)"
-cargo test -q -p lidardb-sql sys
 
 echo "==> introspection plane: Prometheus exposition (validator, proptests, scrape, healthz)"
 cargo test -q -p lidardb-server --test exposition -- --test-threads=1
