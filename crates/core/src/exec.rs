@@ -5,7 +5,11 @@
 //! *morsels* ([`lidardb_imprints::CandidateList::split_rows`]); workers pull
 //! morsels off a shared counter and run the exact bbox scan, attribute
 //! refines, and grid-refinement point tests independently; the per-morsel
-//! selection vectors are then concatenated in morsel order. One worker, or
+//! selection vectors are then concatenated in morsel order. The bbox scan
+//! is one mask kernel ([`lidardb_storage::scan::bbox_scan`]): each block
+//! of 64 candidate rows becomes one `u64` of x-and-y compares and row ids
+//! come only from its set bits; a run the imprints proved fully qualifying
+//! skips the compare of every column whose probe took part. One worker, or
 //! an input too small to split ([`MORSEL_MIN_ROWS`]), is one morsel run on
 //! the calling thread: [`Parallelism::Serial`] is this engine with one
 //! inline worker, not a second implementation.
@@ -187,6 +191,8 @@ pub(crate) struct FilterJob<'a> {
     /// Whether the x imprint participated in the candidate intersection
     /// (sure runs may skip the exact x check only if it did).
     pub x_probed: bool,
+    /// The same for the y imprint.
+    pub y_probed: bool,
     pub attrs: &'a [AttrRange],
     pub xs: &'a [f64],
     pub ys: &'a [f64],
@@ -219,6 +225,11 @@ pub(crate) fn filter(
         ));
         let t0 = Instant::now();
         let mut rows: Vec<usize> = Vec::new();
+        // Kernel work is tallied per run, outside the kernel (accumulators
+        // inside it perturb its codegen; per-call atomics cost ~10% and
+        // would contend across workers), and flushed once per morsel via
+        // `scan::note_scans`.
+        let (mut scan_calls, mut scan_rows) = (0u64, 0u64);
         // Cancellation checkpoints every CHECKPOINT_STRIDE candidate rows.
         // `since` carries across runs (candidate lists are often many short
         // runs that would never reach the stride one by one), and runs
@@ -229,16 +240,23 @@ pub(crate) fn filter(
         // order.
         let mut since = 0usize;
         for r in m.ranges() {
+            // A sure run skips the compare of every column whose imprint
+            // took part; a degraded column is always compared.
+            let (x, y) = match job.env {
+                Some(env) => (
+                    (!r.all_qualify || !job.x_probed).then_some((env.min_x, env.max_x)),
+                    (!r.all_qualify || !job.y_probed).then_some((env.min_y, env.max_y)),
+                ),
+                None => (None, None),
+            };
+            if x.is_some() || y.is_some() {
+                scan_calls += 1;
+                scan_rows += r.len() as u64;
+            }
             let mut s = r.start;
             while s < r.end {
                 let e = r.end.min(s + (CHECKPOINT_STRIDE - since));
-                if r.all_qualify {
-                    rows.extend(s..e);
-                } else if let Some(env) = job.env {
-                    scan::range_scan_ranges(job.xs, &[(s, e)], env.min_x, env.max_x, &mut rows);
-                } else {
-                    rows.extend(s..e);
-                }
+                scan::bbox_scan(job.xs, job.ys, s..e, x, y, &mut rows);
                 since += e - s;
                 s = e;
                 if since >= CHECKPOINT_STRIDE {
@@ -250,34 +268,8 @@ pub(crate) fn filter(
                 }
             }
         }
-        // Kernel work is tallied outside the scan loop (accumulators inside
-        // it perturb its codegen; per-call atomics cost ~10% and would
-        // contend across workers) and flushed once per morsel via
-        // `scan::note_scans`.
-        let (mut scan_calls, mut scan_rows) = (0u64, 0u64);
-        if job.env.is_some() {
-            for r in m.ranges() {
-                if !r.all_qualify {
-                    scan_calls += 1;
-                    scan_rows += (r.end - r.start) as u64;
-                }
-            }
-        }
-        // Runs are ordered, so `rows` is sorted. Refine the remaining
-        // predicates exactly; rows from sure runs satisfy everything and
-        // simply pass through.
-        if let Some(env) = job.env {
-            if !job.x_probed {
-                // Degraded x probe: "sure" runs carry no x guarantee, so
-                // every candidate gets the exact x check (like y below).
-                scan_calls += 1;
-                scan_rows += rows.len() as u64;
-                scan::refine_range(job.xs, &mut rows, env.min_x, env.max_x);
-            }
-            scan_calls += 1;
-            scan_rows += rows.len() as u64;
-            scan::refine_range(job.ys, &mut rows, env.min_y, env.max_y);
-        }
+        // Runs are ordered, so `rows` is sorted. Refine the attribute
+        // predicates exactly.
         for a in job.attrs {
             scan_calls += 1;
             scan_rows += rows.len() as u64;

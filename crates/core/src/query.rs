@@ -1,9 +1,10 @@
 //! The two-step spatial query engine (§3.3 of the paper).
 //!
 //! **Step 1 — filter.** The bbox of the query geometry is probed against
-//! the X- and Y-column imprints; the two candidate lists are intersected;
-//! candidate runs whose imprints prove every value qualifies skip the
-//! exact check entirely, the rest get a tight range re-scan.
+//! the X- and Y-column imprints, cheapest first, each later probe
+//! restricted to the candidates of the ones before; candidate runs whose
+//! imprints prove every value qualifies skip the exact check entirely, the
+//! rest go through the 64-rows-per-mask bbox kernel.
 //!
 //! **Step 2 — refine.** For a non-rectangular geometry, a regular grid is
 //! laid over the bbox, surviving points are binned to cells, every
@@ -14,6 +15,7 @@
 //! Every query produces an [`Explain`] — cardinalities and wall-clock per
 //! operator, the breakdown the demo shows its audience.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lidardb_geom::{
@@ -478,7 +480,7 @@ impl PointCloud {
             None => None,
         };
 
-        // ---- Step 1a: imprint probes, intersected. -------------------------
+        // ---- Step 1a: imprint probes, cheapest first. ----------------------
         // A probe whose imprint fails to build (corrupt input, injected
         // fault) degrades gracefully: that predicate contributes no
         // pruning and is enforced by the exact scans below instead.
@@ -489,47 +491,44 @@ impl PointCloud {
             0
         };
         let t0 = Instant::now();
-        let mut cand: Option<lidardb_imprints::CandidateList> = None;
-        let mut probe = |cl: lidardb_imprints::CandidateList| {
-            cand = Some(match cand.take() {
-                Some(c) => c.intersect(&cl),
-                None => cl,
-            });
-        };
+        let mut probes = Vec::with_capacity(2 + attrs.len());
         let mut degraded = 0usize;
         let mut build_secs = 0.0f64;
-        // `x_probed` matters for correctness: runs the candidate list
-        // marks fully-qualifying skip the exact x scan, which is only
-        // sound while the x imprint participated in the intersection.
-        let mut x_probed = false;
+        let mut index = |name: &str, lo: f64, hi: f64| -> Result<bool, CoreError> {
+            let (imp, b) = self.probe_index(name)?;
+            build_secs += b;
+            let found = imp.is_some();
+            match imp {
+                Some(imp) => probes.push((imp.estimate_f64(lo, hi), imp, lo, hi)),
+                None => degraded += 1,
+            }
+            Ok(found)
+        };
+        // `x_probed`/`y_probed` matter for correctness: runs the candidate
+        // list marks fully-qualifying skip a column's exact check, which is
+        // only sound while that column's imprint took part.
+        let (mut x_probed, mut y_probed) = (false, false);
         if let Some(env) = &env {
-            let (cl, b) = self.imprint_probe("x", env.min_x, env.max_x)?;
-            build_secs += b;
-            match cl {
-                Some(cl) => {
-                    probe(cl);
-                    x_probed = true;
-                }
-                None => degraded += 1,
-            }
-            let (cl, b) = self.imprint_probe("y", env.min_y, env.max_y)?;
-            build_secs += b;
-            match cl {
-                Some(cl) => probe(cl),
-                None => degraded += 1,
-            }
+            x_probed = index("x", env.min_x, env.max_x)?;
+            y_probed = index("y", env.min_y, env.max_y)?;
         }
         for a in attrs {
             if a.lo > a.hi {
                 return Ok(Vec::new());
             }
-            let (cl, b) = self.imprint_probe(&a.column, a.lo, a.hi)?;
-            build_secs += b;
-            match cl {
-                Some(cl) => probe(cl),
-                None => degraded += 1,
-            }
+            index(&a.column, a.lo, a.hi)?;
             explain.attr_probes += 1;
+        }
+        // Each later probe decodes only the imprint groups the running
+        // candidate list reaches, so the most selective goes first; the
+        // intersection does not depend on the order.
+        probes.sort_by_key(|p| p.0);
+        let mut cand: Option<lidardb_imprints::CandidateList> = None;
+        for (_, imp, lo, hi) in &probes {
+            cand = Some(match &cand {
+                Some(c) => imp.probe_within(*lo, *hi, c),
+                None => imp.probe_f64(*lo, *hi),
+            });
         }
         explain.degraded_probes = degraded;
         let mut cand = match cand {
@@ -602,6 +601,7 @@ impl PointCloud {
             pc: self,
             env: env.as_ref(),
             x_probed,
+            y_probed,
             attrs,
             xs,
             ys,
@@ -675,22 +675,20 @@ impl PointCloud {
         Ok(rows)
     }
 
-    /// Probe a column's imprint, degrading to `None` (no pruning — the
-    /// caller falls back to exact scans) when the imprint cannot be
+    /// A column's imprint for probing, degrading to `None` (no pruning —
+    /// the caller falls back to exact scans) when the imprint cannot be
     /// built. A nonexistent column is still a hard error. The second
     /// element is the wall-clock spent lazily building the index (zero on
     /// cache hits or failed builds).
-    fn imprint_probe(
+    fn probe_index(
         &self,
         name: &str,
-        lo: f64,
-        hi: f64,
-    ) -> Result<(Option<lidardb_imprints::CandidateList>, f64), CoreError> {
+    ) -> Result<(Option<Arc<lidardb_imprints::ColumnImprints>>, f64), CoreError> {
         self.column(name)?;
-        match self.imprints_for_timed(name) {
-            Ok((imp, build)) => Ok((Some(imp.probe_f64(lo, hi)), build)),
-            Err(_) => Ok((None, 0.0)),
-        }
+        Ok(match self.imprints_for_timed(name) {
+            Ok((imp, build)) => (Some(imp), build),
+            Err(_) => (None, 0.0),
+        })
     }
 
     /// Thematic refinement: keep rows whose `column` satisfies `op rhs`

@@ -463,14 +463,9 @@ fn differential_with_injected_imprint_faults() {
 #[test]
 fn differential_aggregates() {
     let pc = shared_cloud();
-    // The right edge stays off the dense band's x values (multiples of 1/24):
-    // the engine keeps a point exactly on a rectangle's edge (inclusive
-    // ranges), but `lidardb_geom`'s ring test, which the reference goes
-    // through, measures the distance to a vertical edge in floating point
-    // and misses it.
     let rows = assert_differential(
         pc,
-        Some(&rect(50.0, 50.0, 949.99, 950.0)),
+        Some(&rect(50.0, 50.0, 950.0, 950.0)),
         &[],
         RefineStrategy::default(),
     );

@@ -71,7 +71,8 @@ impl Ring {
         Envelope::of_points(&self.vertices).expect("ring has >= 3 vertices")
     }
 
-    /// Ray-casting point-in-ring test; boundary points count as inside.
+    /// Ray-casting point-in-ring test; boundary points (see
+    /// [`Self::on_boundary`]) count as inside.
     pub fn contains_point(&self, p: &Point) -> bool {
         let n = self.vertices.len();
         let mut inside = false;
@@ -79,8 +80,7 @@ impl Ring {
         for i in 0..n {
             let a = &self.vertices[i];
             let b = &self.vertices[j];
-            // Boundary check: point on edge [a, b]?
-            if Segment::new(*a, *b).distance_point(p) == 0.0 {
+            if Segment::new(*a, *b).contains_point(p) {
                 return true;
             }
             if (a.y > p.y) != (b.y > p.y) {
@@ -94,11 +94,11 @@ impl Ring {
         inside
     }
 
-    /// Minimum distance from the ring boundary to a point.
-    pub fn boundary_distance(&self, p: &Point) -> f64 {
-        self.edges()
-            .map(|e| e.distance_point(p))
-            .fold(f64::INFINITY, f64::min)
+    /// Whether `p` lies on an edge, by the one exact on-segment rule
+    /// ([`Segment::contains_point`]) — the rule that keeps a point on an
+    /// axis-parallel edge, as the rectangle fast path does.
+    pub fn on_boundary(&self, p: &Point) -> bool {
+        self.edges().any(|e| e.contains_point(p))
     }
 }
 
@@ -156,7 +156,7 @@ impl Polygon {
         }
         for hole in &self.holes {
             // On the hole boundary still counts as inside the polygon.
-            if hole.contains_point(p) && hole.boundary_distance(p) > 0.0 {
+            if hole.contains_point(p) && !hole.on_boundary(p) {
                 return false;
             }
         }
@@ -331,6 +331,42 @@ mod tests {
         let r = Polygon::rectangle(&env);
         assert_eq!(r.area(), env.area());
         assert!(r.contains_point(&Point::new(2.0, 3.0)));
+    }
+
+    /// Regression: a point exactly on an axis-parallel edge lies on the
+    /// boundary. The distance rule this replaced computed e.g. 9e-14, not
+    /// 0, for (950, 50.1) and the edge (950, 950)–(950, 50); the ray cast
+    /// then put the point outside while the rectangle fast path kept it.
+    /// The same held for hole edges, whose boundary belongs to the polygon.
+    #[test]
+    fn points_on_axis_parallel_edges_are_on_the_boundary() {
+        let env = Envelope::new(50.0, 50.0, 950.0, 950.0).unwrap();
+        let rect = Polygon::rectangle(&env);
+        let frame = Polygon::new(
+            Ring::new(
+                Envelope::new(0.0, 0.0, 1000.0, 1000.0)
+                    .unwrap()
+                    .corners()
+                    .to_vec(),
+            )
+            .unwrap(),
+            vec![rect.exterior().clone()],
+        );
+        for k in 0..2000 {
+            let t = 50.1 + k as f64 * 0.45;
+            for p in [
+                Point::new(950.0, t),
+                Point::new(50.0, t),
+                Point::new(t, 50.0),
+                Point::new(t, 950.0),
+            ] {
+                assert!(rect.exterior().on_boundary(&p), "{p:?}");
+                assert!(rect.contains_point(&p), "{p:?} on a rectangle edge");
+                assert!(frame.contains_point(&p), "{p:?} on a hole edge");
+            }
+            assert!(!rect.contains_point(&Point::new(950.0f64.next_up(), t)));
+            assert!(!frame.contains_point(&Point::new(949.0, t.clamp(51.0, 949.0))));
+        }
     }
 
     #[test]

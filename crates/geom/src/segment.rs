@@ -49,6 +49,13 @@ impl Segment {
             && p.y <= self.a.y.max(self.b.y)
     }
 
+    /// Whether the closed segment contains `p`: orientation exactly zero
+    /// and `p` inside the segment's bbox. Exact on axis-parallel segments,
+    /// where `orient` multiplies by an exact zero.
+    pub fn contains_point(&self, p: &Point) -> bool {
+        orient(&self.a, &self.b, p) == 0.0 && self.contains_collinear(p)
+    }
+
     /// Whether two closed segments share at least one point.
     pub fn intersects(&self, other: &Segment) -> bool {
         let d1 = orient(&other.a, &other.b, &self.a);

@@ -100,12 +100,6 @@ impl CandidateList {
             .is_ok()
     }
 
-    /// Drop the qualify flags, yielding plain `(start, end)` ranges for the
-    /// scan kernels.
-    pub fn as_plain_ranges(&self) -> Vec<(usize, usize)> {
-        self.ranges.iter().map(|r| (r.start, r.end)).collect()
-    }
-
     /// Partition the list into morsels of at most `max_rows` candidate rows
     /// each, preserving row order and `all_qualify` flags.
     ///
@@ -372,6 +366,10 @@ mod tests {
         }
     }
 
+    fn bounds(c: &CandidateList) -> Vec<(usize, usize)> {
+        c.ranges().iter().map(|r| (r.start, r.end)).collect()
+    }
+
     #[test]
     fn clamp_cuts_ranges_at_the_watermark() {
         let mut c = CandidateList::empty();
@@ -380,7 +378,7 @@ mod tests {
         c.push(40, 50, true);
         let mut mid = c.clone();
         mid.clamp(25);
-        assert_eq!(mid.as_plain_ranges(), vec![(0, 10), (20, 25)]);
+        assert_eq!(bounds(&mid), vec![(0, 10), (20, 25)]);
         assert_eq!(mid.num_sure_rows(), 10, "flags survive the clamp");
         let mut all = c.clone();
         all.clamp(100);
@@ -390,17 +388,9 @@ mod tests {
         assert!(none.is_empty());
         let mut edge = c.clone();
         edge.clamp(40);
-        assert_eq!(edge.as_plain_ranges(), vec![(0, 10), (20, 30)]);
+        assert_eq!(bounds(&edge), vec![(0, 10), (20, 30)]);
         let mut empty = CandidateList::empty();
         empty.clamp(10);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn plain_ranges() {
-        let mut c = CandidateList::empty();
-        c.push(1, 3, true);
-        c.push(7, 9, false);
-        assert_eq!(c.as_plain_ranges(), vec![(1, 3), (7, 9)]);
     }
 }

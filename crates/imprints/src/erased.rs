@@ -14,13 +14,14 @@ use crate::candidates::CandidateList;
 use crate::imprint::Imprints;
 use crate::stats::ImprintStats;
 
-/// Process-wide count of [`ColumnImprints::probe_f64`] calls. The imprints
-/// crate sits below the engine's metrics registry in the dependency graph,
-/// so the counter lives here and the registry pulls it into its snapshot.
+/// Process-wide count of [`ColumnImprints::probe_f64`] and
+/// [`ColumnImprints::probe_within`] calls. The imprints crate sits below
+/// the engine's metrics registry in the dependency graph, so the counter
+/// lives here and the registry pulls it into its snapshot.
 static PROBES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide total of candidate rows produced by those probes (the
-/// pre-intersection selectivity of the index).
+/// Process-wide total of candidate rows produced by those probes (a
+/// restricted probe counts the rows of its intersection).
 static PROBE_ROWS: AtomicU64 = AtomicU64::new(0);
 
 /// Total probes answered by erased imprint indexes since process start
@@ -29,8 +30,8 @@ pub fn probe_count() -> u64 {
     PROBES.load(Ordering::Relaxed)
 }
 
-/// Total candidate rows produced by [`ColumnImprints::probe_f64`] calls
-/// since process start (or the last [`reset_probe_count`]).
+/// Total candidate rows produced by erased probes since process start (or
+/// the last [`reset_probe_count`]).
 pub fn probe_rows() -> u64 {
     PROBE_ROWS.load(Ordering::Relaxed)
 }
@@ -83,6 +84,13 @@ macro_rules! dispatch {
     };
 }
 
+/// Tally one answered probe and the candidate rows it returned.
+fn counted(cand: CandidateList) -> CandidateList {
+    PROBES.fetch_add(1, Ordering::Relaxed);
+    PROBE_ROWS.fetch_add(cand.num_rows() as u64, Ordering::Relaxed);
+    cand
+}
+
 /// Translate an `f64` range onto `T`'s domain with inward rounding.
 /// Returns `None` when the translated range is empty.
 fn native_range<T: Native>(lo: f64, hi: f64) -> Option<(T, T)> {
@@ -122,29 +130,26 @@ impl ColumnImprints {
     /// Probe with an inclusive `f64` range, rounding inward on integer
     /// columns.
     pub fn probe_f64(&self, lo: f64, hi: f64) -> CandidateList {
-        PROBES.fetch_add(1, Ordering::Relaxed);
-        macro_rules! probe {
-            ($imp:expr) => {
-                match native_range(lo, hi) {
-                    Some((l, h)) => $imp.probe(l, h),
-                    None => CandidateList::empty(),
-                }
-            };
-        }
-        let cand = match self {
-            ColumnImprints::I8(i) => probe!(i),
-            ColumnImprints::I16(i) => probe!(i),
-            ColumnImprints::I32(i) => probe!(i),
-            ColumnImprints::I64(i) => probe!(i),
-            ColumnImprints::U8(i) => probe!(i),
-            ColumnImprints::U16(i) => probe!(i),
-            ColumnImprints::U32(i) => probe!(i),
-            ColumnImprints::U64(i) => probe!(i),
-            ColumnImprints::F32(i) => probe!(i),
-            ColumnImprints::F64(i) => probe!(i),
-        };
-        PROBE_ROWS.fetch_add(cand.num_rows() as u64, Ordering::Relaxed);
-        cand
+        counted(dispatch!(self, i => match native_range(lo, hi) {
+            Some((l, h)) => i.probe(l, h),
+            None => CandidateList::empty(),
+        }))
+    }
+
+    /// [`Self::probe_f64`] restricted to the rows of `within`
+    /// ([`Imprints::probe_within`]): the intersection, decoding only the
+    /// groups `within` reaches.
+    pub fn probe_within(&self, lo: f64, hi: f64, within: &CandidateList) -> CandidateList {
+        counted(dispatch!(self, i => match native_range(lo, hi) {
+            Some((l, h)) => i.probe_within(l, h, within),
+            None => CandidateList::empty(),
+        }))
+    }
+
+    /// Candidate rows the summary level alone reports for an `f64` range
+    /// ([`Imprints::estimate`]).
+    pub fn estimate_f64(&self, lo: f64, hi: f64) -> usize {
+        dispatch!(self, i => native_range(lo, hi).map_or(0, |(l, h)| i.estimate(l, h)))
     }
 
     /// Extend the index with the rows of `column` beyond the already

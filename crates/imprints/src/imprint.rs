@@ -7,11 +7,20 @@
 //! entries where `repeat = 1` means "the next `count` cachelines all share
 //! the single following vector" and `repeat = 0` means "`count` individual
 //! vectors follow".
+//!
+//! A *summary level* sits beside the dictionary: one entry per group of
+//! [`GROUP`] consecutive dictionary entries, holding the OR of the group's
+//! vectors and the line and vector index where the group starts. A probe
+//! decodes only the groups whose OR meets its mask — and, when restricted
+//! to an earlier probe's candidates, only the groups whose rows those
+//! candidates reach — so its cost follows the viewport, not the table.
+
+use std::ops::Range;
 
 use lidardb_storage::Native;
 
 use crate::bins::BinMap;
-use crate::candidates::CandidateList;
+use crate::candidates::{CandidateList, CandidateRange};
 
 /// A packed cacheline-dictionary entry: 31-bit counter + 1 repeat bit, the
 /// 4-byte layout of the original implementation.
@@ -19,6 +28,25 @@ use crate::candidates::CandidateList;
 pub(crate) struct DictEntry(u32);
 
 const COUNT_MAX: u32 = (1 << 31) - 1;
+
+/// Dictionary entries per summary group.
+const GROUP: usize = 64;
+
+/// Most vectors one non-repeat dictionary entry holds. It bounds a summary
+/// group at `GROUP * LITERAL_MAX` vectors, so re-OR-ing a group that a
+/// split moved a vector out of stays cheap however long a stretch of
+/// distinct vectors runs — even when small appends re-split the same
+/// trailing line over and over.
+const LITERAL_MAX: u32 = 64;
+
+/// One summary entry: the OR of the vectors of [`GROUP`] consecutive
+/// dictionary entries, and the line and vector index where they start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Group {
+    or: u64,
+    line: usize,
+    vi: usize,
+}
 
 impl DictEntry {
     #[inline]
@@ -42,6 +70,8 @@ pub struct Imprints<T> {
     bins: BinMap<T>,
     dict: Vec<DictEntry>,
     vectors: Vec<u64>,
+    /// Group `g` covers `dict[g * GROUP..(g + 1) * GROUP]`.
+    summary: Vec<Group>,
     values_per_line: usize,
     len: usize,
 }
@@ -59,23 +89,25 @@ impl<T: Native> Imprints<T> {
             bins,
             dict: Vec::new(),
             vectors: Vec::new(),
+            summary: Vec::new(),
             values_per_line,
             len: 0,
         };
-        for line in data.chunks(values_per_line) {
+        for (line, values) in data.chunks(values_per_line).enumerate() {
             let mut d = 0u64;
-            for &v in line {
+            for &v in values {
                 d |= imp.bins.bit_of(v);
             }
-            imp.push_line(d);
+            imp.push_line(line, d);
         }
         imp.len = data.len();
         imp
     }
 
-    /// Feed one line vector through the cacheline-dictionary state machine
-    /// (shared by [`Self::build_with_bins`] and [`Self::append`]).
-    fn push_line(&mut self, d: u64) {
+    /// Feed the vector `d` of line number `line` through the
+    /// cacheline-dictionary state machine and keep the summary level in
+    /// step (shared by [`Self::build_with_bins`] and [`Self::append`]).
+    fn push_line(&mut self, line: usize, d: u64) {
         match (self.vectors.last().copied(), self.dict.last_mut()) {
             (Some(prev), Some(last)) if prev == d && last.count() < COUNT_MAX => {
                 if last.repeat() {
@@ -92,36 +124,76 @@ impl<T: Native> Imprints<T> {
             _ => {
                 self.vectors.push(d);
                 match self.dict.last_mut() {
-                    Some(last) if !last.repeat() && last.count() < COUNT_MAX => {
+                    Some(last) if !last.repeat() && last.count() < LITERAL_MAX => {
                         *last = DictEntry::new(last.count() + 1, false);
                     }
                     _ => self.dict.push(DictEntry::new(1, false)),
                 }
             }
         }
+        if self.dict.len() > self.summary.len() * GROUP {
+            // The new last entry opens a group.
+            let first = self.dict[self.dict.len() - 1];
+            let vi = self.vectors.len() - 1;
+            if first.repeat() {
+                // Only a split pushes a repeat entry: it moved its vector
+                // (and the previous line) out of the group before, whose
+                // OR is recomputed without it.
+                let prev = self.summary.last_mut().expect("a split follows an entry");
+                prev.or = self.vectors[prev.vi..vi].iter().fold(0, |acc, &v| acc | v);
+            }
+            self.summary.push(Group {
+                or: 0,
+                line: line + 1 - first.count() as usize,
+                vi,
+            });
+        }
+        self.summary.last_mut().expect("a line was pushed").or |= d;
     }
 
     /// Remove the trailing line from the dictionary/vector tail and return
     /// its vector, so [`Self::append`] can extend a partial last cacheline.
+    /// The exact inverse of [`Self::push_line`] for the dictionary and the
+    /// vectors. The trailing group's OR may keep the bits of a popped
+    /// vector until the next push ORs in a superset of it — which
+    /// [`Self::append`] always does, so appending yields the summary a full
+    /// rebuild would.
     fn pop_last_line(&mut self) -> u64 {
-        let last = self.dict.last_mut().expect("pop_last_line on empty index");
-        if last.repeat() {
+        let n = self.dict.len();
+        let last = *self.dict.last().expect("pop_last_line on empty index");
+        let d = if last.repeat() {
             // A repeat run stores a single vector for all its lines; the
-            // vector stays because the shortened run still uses it.
-            let d = *self.vectors.last().expect("repeat entry has a vector");
+            // vector stays because the shortened run (or the non-repeat
+            // run it was split from) still uses it.
             if last.count() > 2 {
-                *last = DictEntry::new(last.count() - 1, true);
+                self.dict[n - 1] = DictEntry::new(last.count() - 1, true);
+            } else if n >= 2 && !self.dict[n - 2].repeat() && self.dict[n - 2].count() < LITERAL_MAX
+            {
+                // Only a split leaves a repeat run after a non-full
+                // non-repeat run: undo it.
+                self.dict[n - 2] = DictEntry::new(self.dict[n - 2].count() + 1, false);
+                self.dict.pop();
             } else {
-                *last = DictEntry::new(1, false);
+                self.dict[n - 1] = DictEntry::new(1, false);
             }
-            d
-        } else if last.count() > 1 {
-            *last = DictEntry::new(last.count() - 1, false);
-            self.vectors.pop().expect("non-repeat entry has vectors")
+            *self.vectors.last().expect("repeat entry has a vector")
         } else {
-            self.dict.pop();
+            if last.count() > 1 {
+                self.dict[n - 1] = DictEntry::new(last.count() - 1, false);
+            } else {
+                self.dict.pop();
+            }
             self.vectors.pop().expect("non-repeat entry has vectors")
+        };
+        if self.dict.len() <= (self.summary.len() - 1) * GROUP {
+            self.summary.pop();
         }
+        if last.repeat() {
+            // The vector stays stored; undoing a split may have moved it
+            // back into the group before.
+            self.summary.last_mut().expect("its entry remains").or |= d;
+        }
+        d
     }
 
     /// Extend the index with `added` values appended after the indexed
@@ -141,6 +213,7 @@ impl<T: Native> Imprints<T> {
         }
         let vpl = self.values_per_line;
         let fill = self.len % vpl;
+        let mut line = self.len / vpl;
         let mut rest = added;
         if fill != 0 {
             // New values falling into the trailing partial cacheline OR
@@ -151,15 +224,17 @@ impl<T: Native> Imprints<T> {
             for &v in &added[..take] {
                 d |= self.bins.bit_of(v);
             }
-            self.push_line(d);
+            self.push_line(line, d);
+            line += 1;
             rest = &added[take..];
         }
-        for line in rest.chunks(vpl) {
+        for values in rest.chunks(vpl) {
             let mut d = 0u64;
-            for &v in line {
+            for &v in values {
                 d |= self.bins.bit_of(v);
             }
-            self.push_line(d);
+            self.push_line(line, d);
+            line += 1;
         }
         self.len += added.len();
     }
@@ -199,59 +274,144 @@ impl<T: Native> Imprints<T> {
         self.dict.len()
     }
 
-    /// Index size in bytes: vectors + packed dictionary + borders.
+    /// Index size in bytes: vectors + packed dictionary + summary level +
+    /// borders.
     pub fn byte_size(&self) -> usize {
-        self.vectors.len() * 8 + self.dict.len() * 4 + self.bins.borders().len() * T::PHYS.size()
+        self.vectors.len() * 8
+            + self.dict.len() * 4
+            + self.summary.len() * std::mem::size_of::<Group>()
+            + self.bins.borders().len() * T::PHYS.size()
     }
 
     /// Probe the index with the inclusive range `[lo, hi]`.
     ///
     /// Returns maximal candidate row runs; see [`CandidateList`].
     pub fn probe(&self, lo: T, hi: T) -> CandidateList {
-        if lo.total_cmp(&hi).is_gt() {
-            return CandidateList::empty();
+        match self.masks(lo, hi) {
+            Some((mask, inner)) => self.probe_masks(mask, inner),
+            None => CandidateList::empty(),
         }
-        let (mask, inner) = self.bins.range_masks(lo, hi);
-        self.probe_masks(mask, inner)
     }
 
     /// Probe with precomputed `(mask, innermask)` bit masks.
     pub fn probe_masks(&self, mask: u64, inner: u64) -> CandidateList {
+        let all = CandidateRange {
+            start: 0,
+            end: self.len,
+            all_qualify: true,
+        };
+        self.walk(mask, inner, &[all])
+    }
+
+    /// Probe `[lo, hi]` restricted to the rows of `within`: exactly
+    /// `self.probe(lo, hi).intersect(within)`, flags ANDed, but groups whose
+    /// rows `within` does not reach are never decoded.
+    pub fn probe_within(&self, lo: T, hi: T, within: &CandidateList) -> CandidateList {
+        match self.masks(lo, hi) {
+            Some((mask, inner)) => self.walk(mask, inner, within.ranges()),
+            None => CandidateList::empty(),
+        }
+    }
+
+    /// Candidate rows a walk of the summary level alone reports for
+    /// `[lo, hi]`: an upper bound on [`Self::probe`]'s row count at the
+    /// cost of one OR test per group, to order probes cheapest first.
+    pub fn estimate(&self, lo: T, hi: T) -> usize {
+        let Some((mask, _)) = self.masks(lo, hi) else {
+            return 0;
+        };
+        (0..self.summary.len())
+            .filter(|&g| self.summary[g].or & mask != 0)
+            .map(|g| self.group_rows(g).len())
+            .sum()
+    }
+
+    /// The `(mask, innermask)` of `[lo, hi]`; `None` for an inverted range.
+    fn masks(&self, lo: T, hi: T) -> Option<(u64, u64)> {
+        lo.total_cmp(&hi)
+            .is_le()
+            .then(|| self.bins.range_masks(lo, hi))
+    }
+
+    /// Rows covered by summary group `g`.
+    fn group_rows(&self, g: usize) -> Range<usize> {
+        let vpl = self.values_per_line;
+        let end = self.summary.get(g + 1).map_or(self.len, |n| n.line * vpl);
+        self.summary[g].line * vpl..end
+    }
+
+    /// The one probe walk: decode the groups whose OR meets `mask` and
+    /// whose rows `within` reaches, and push every line run whose vector
+    /// meets `mask`, intersected with `within` (sorted, disjoint).
+    fn walk(&self, mask: u64, inner: u64, within: &[CandidateRange]) -> CandidateList {
         let mut out = CandidateList::empty();
-        let mut line = 0usize;
-        let mut vi = 0usize;
-        for &e in &self.dict {
-            let count = e.count() as usize;
-            if e.repeat() {
-                let d = self.vectors[vi];
-                vi += 1;
-                if d & mask != 0 {
-                    let all = d & !inner == 0;
-                    self.push_lines(&mut out, line, line + count, all);
-                }
-                line += count;
-            } else {
-                for k in 0..count {
-                    let d = self.vectors[vi + k];
+        let mut j = 0usize;
+        for (g, group) in self.summary.iter().enumerate() {
+            let rows = self.group_rows(g);
+            while j < within.len() && within[j].end <= rows.start {
+                j += 1;
+            }
+            if j == within.len() {
+                break;
+            }
+            if group.or & mask == 0 || within[j].start >= rows.end {
+                continue;
+            }
+            let (mut line, mut vi) = (group.line, group.vi);
+            let entries = &self.dict[g * GROUP..((g + 1) * GROUP).min(self.dict.len())];
+            for &e in entries {
+                let count = e.count() as usize;
+                if e.repeat() {
+                    let d = self.vectors[vi];
                     if d & mask != 0 {
                         let all = d & !inner == 0;
-                        self.push_lines(&mut out, line + k, line + k + 1, all);
+                        self.push_within(&mut out, within, &mut j, line..line + count, all);
                     }
+                    vi += 1;
+                } else {
+                    // Consecutive hit lines of one flag go out as one run.
+                    let vs = &self.vectors[vi..vi + count];
+                    let mut k = 0;
+                    while k < count {
+                        if vs[k] & mask == 0 {
+                            k += 1;
+                            continue;
+                        }
+                        let all = vs[k] & !inner == 0;
+                        let mut e = k + 1;
+                        while e < count && vs[e] & mask != 0 && (vs[e] & !inner == 0) == all {
+                            e += 1;
+                        }
+                        self.push_within(&mut out, within, &mut j, line + k..line + e, all);
+                        k = e;
+                    }
+                    vi += count;
                 }
-                vi += count;
                 line += count;
             }
         }
-        debug_assert_eq!(vi, self.vectors.len());
-        debug_assert_eq!(line, self.num_lines());
         out
     }
 
+    /// Push the rows of `lines` that lie inside `within[*j..]`, each part
+    /// flagged `all` ANDed with its range's flag.
     #[inline]
-    fn push_lines(&self, out: &mut CandidateList, from_line: usize, to_line: usize, all: bool) {
-        let start = from_line * self.values_per_line;
-        let end = (to_line * self.values_per_line).min(self.len);
-        out.push(start, end, all);
+    fn push_within(
+        &self,
+        out: &mut CandidateList,
+        within: &[CandidateRange],
+        j: &mut usize,
+        lines: Range<usize>,
+        all: bool,
+    ) {
+        let start = lines.start * self.values_per_line;
+        let end = (lines.end * self.values_per_line).min(self.len);
+        while *j < within.len() && within[*j].end <= start {
+            *j += 1;
+        }
+        for r in within[*j..].iter().take_while(|r| r.start < end) {
+            out.push(start.max(r.start), end.min(r.end), all && r.all_qualify);
+        }
     }
 
     /// Expand the compressed representation back into one vector per
@@ -301,6 +461,84 @@ mod tests {
                         r.start + off
                     );
                 }
+            }
+        }
+    }
+
+    /// Recompute the summary level from the dictionary alone and require
+    /// the maintained one to equal it.
+    fn assert_summary_exact<T: Native>(imp: &Imprints<T>) {
+        let (mut line, mut vi) = (0usize, 0usize);
+        let mut expect = Vec::new();
+        for chunk in imp.dict.chunks(GROUP) {
+            let mut group = Group { or: 0, line, vi };
+            for e in chunk {
+                let n = if e.repeat() { 1 } else { e.count() as usize };
+                group.or |= imp.vectors[vi..vi + n].iter().fold(0, |a, &v| a | v);
+                assert!(
+                    e.repeat() || e.count() <= LITERAL_MAX,
+                    "literal run over the cap"
+                );
+                vi += n;
+                line += e.count() as usize;
+            }
+            expect.push(group);
+        }
+        assert_eq!(imp.summary, expect);
+    }
+
+    #[test]
+    fn summary_level_is_exact_and_literal_runs_are_capped() {
+        // Shuffled data: long stretches of distinct vectors, split at the
+        // cap, spanning many groups.
+        let data: Vec<i64> = (0..40_000).map(|i| (i * 2654435761i64) % 4099).collect();
+        let mut imp = Imprints::build(&data);
+        assert!(imp.summary.len() >= 2, "{} groups", imp.summary.len());
+        assert_summary_exact(&imp);
+        imp.append(&data[..1000]);
+        assert_summary_exact(&imp);
+        assert_sound(&[&data[..], &data[..1000]].concat(), &imp, 100, 300);
+    }
+
+    /// Lines `a b b` with a fresh `b` each time: every third line splits a
+    /// repeat run off a non-repeat one. Two leading lines shift the splits
+    /// to even entry indexes, so some open a summary group and take their
+    /// vector — whose bit no other vector of the old group has — with them.
+    fn split_heavy(lead: usize) -> (Vec<i64>, BinMap<i64>) {
+        let mut lines: Vec<i64> = vec![60; lead];
+        for t in 0..150 {
+            lines.extend([62, t % 60, t % 60]);
+        }
+        let data = lines.iter().flat_map(|&v| [v; 8]).collect();
+        (data, BinMap::from_borders((1..63).collect()))
+    }
+
+    /// The protocol `append` relies on: popping line `l` restores the
+    /// dictionary and vectors of the `l`-line build and leaves the summary
+    /// a sound superset of its summary; pushing any superset of the popped
+    /// vector back makes the summary exact again.
+    #[test]
+    fn pop_then_push_of_a_superset_restores_the_summary_exactly() {
+        for lead in 0..3 {
+            let (data, bins) = split_heavy(lead);
+            let full = Imprints::build_with_bins(&data, bins.clone());
+            assert!(full.summary.len() > 2, "lead={lead}");
+            assert_summary_exact(&full);
+            // Bit 63 is no bin of the data: `1 << 63` widens the line.
+            for (l, widen) in (0..full.num_lines()).flat_map(|l| [(l, 0), (l, 1 << 63)]) {
+                let mut imp = Imprints::build_with_bins(&data[..(l + 1) * 8], bins.clone());
+                let d = imp.pop_last_line();
+                let mut expect = Imprints::build_with_bins(&data[..l * 8], bins.clone());
+                assert_eq!((&imp.dict, &imp.vectors), (&expect.dict, &expect.vectors));
+                assert_eq!(imp.summary.len(), expect.summary.len(), "lead={lead} l={l}");
+                for (got, exact) in imp.summary.iter().zip(&expect.summary) {
+                    assert_eq!((got.line, got.vi), (exact.line, exact.vi));
+                    assert_eq!(got.or & exact.or, exact.or, "lead={lead} l={l}: lost bits");
+                }
+                imp.push_line(l, d | widen);
+                expect.push_line(l, d | widen);
+                assert_eq!(imp.summary, expect.summary, "lead={lead} l={l} widen={widen}");
+                assert_summary_exact(&imp);
             }
         }
     }
@@ -444,6 +682,9 @@ mod tests {
                 rebuilt.expand_vectors(),
                 "split={split}"
             );
+            assert_summary_exact(&imp);
+            assert_eq!(imp.summary, rebuilt.summary, "split={split}");
+            assert_eq!(imp, rebuilt, "split={split}: dictionary and summary too");
             assert_sound(&full, &imp, 150, 350);
         }
     }
@@ -501,8 +742,10 @@ mod tests {
     fn byte_size_accounts_all_parts() {
         let data: Vec<i64> = (0..8000).collect();
         let imp = Imprints::build(&data);
-        let expect =
-            imp.num_vectors() * 8 + imp.num_dict_entries() * 4 + imp.bins().borders().len() * 8;
+        let expect = imp.num_vectors() * 8
+            + imp.num_dict_entries() * 4
+            + imp.summary.len() * 24
+            + imp.bins().borders().len() * 8;
         assert_eq!(imp.byte_size(), expect);
         assert!(imp.byte_size() < data.len() * 8 / 4, "index far smaller than data");
     }

@@ -23,7 +23,16 @@
 //!   (8 × `f64`, 16 × `i32`, … values per vector), compressed with the
 //!   SIGMOD'13 *cacheline dictionary*: runs of identical vectors collapse to
 //!   a single vector plus a repetition counter, exploiting the local
-//!   clustering that acquisition-ordered data (LIDAR flight lines!) exhibits;
+//!   clustering that acquisition-ordered data (LIDAR flight lines!) exhibits.
+//!   A *summary level* beside the dictionary holds, per group of 64
+//!   dictionary entries, the OR of the group's vectors and where the group
+//!   starts; a probe decodes only the groups whose OR meets its mask;
+//! * restricted probes — [`Imprints::probe_within`] returns exactly
+//!   `probe(lo, hi).intersect(&list)` but also skips the groups whose rows
+//!   the restricting list does not reach. A query orders its probes by
+//!   [`Imprints::estimate`] (the candidate rows of a summary-only walk),
+//!   cheapest first, and restricts each later probe to the running list,
+//!   so the filter step costs about the groups a viewport touches;
 //! * [`CandidateList`] — the result of probing the index with a range
 //!   predicate: maximal row ranges that *may* contain qualifying values,
 //!   each flagged when the imprint proves that *every* value in it
@@ -40,6 +49,9 @@
 //!   range is covered by the returned candidate list (property-tested).
 //! * **Sound all-qualify flags**: a range flagged `all_qualify` contains
 //!   only qualifying values (property-tested).
+//! * **Skipping changes nothing**: summary-skipping and restricted probes
+//!   equal a walk of every line's vector (plus `intersect`), flags
+//!   included, after any sequence of appends (property-tested).
 
 pub mod bins;
 pub mod candidates;

@@ -8,6 +8,66 @@ use lidardb_imprints::{BinMap, CandidateList, ColumnImprints, Imprints};
 use lidardb_storage::Column;
 use proptest::prelude::*;
 
+/// Segments of `(value, length, noisy)`: a constant segment gives repeat
+/// runs, a noisy one long stretches of distinct vectors.
+fn segment_data(segments: &[(i64, usize, bool)]) -> Vec<i64> {
+    segments
+        .iter()
+        .flat_map(|&(v, n, noisy)| {
+            (0..n as i64).map(move |k| if noisy { v + k * 7 % 13 } else { v })
+        })
+        .collect()
+}
+
+/// Sorted, disjoint runs from `(gap, length, flag)` triples.
+fn restricting_list(runs: &[(usize, usize, bool)]) -> CandidateList {
+    let mut list = CandidateList::empty();
+    let mut at = 0;
+    for &(gap, len, flag) in runs {
+        list.push(at + gap, at + gap + len, flag);
+        at += gap + len;
+    }
+    list
+}
+
+/// The probe as a walk of every line's vector, without the dictionary or
+/// the summary level: the reference the summary-skipping walks must equal.
+fn full_walk(imp: &Imprints<i64>, lo: i64, hi: i64) -> CandidateList {
+    let mut out = CandidateList::empty();
+    if lo > hi {
+        return out;
+    }
+    let (mask, inner) = imp.bins().range_masks(lo, hi);
+    let vpl = imp.values_per_line();
+    for (line, d) in imp.expand_vectors().into_iter().enumerate() {
+        if d & mask != 0 {
+            out.push(
+                line * vpl,
+                ((line + 1) * vpl).min(imp.len()),
+                d & !inner == 0,
+            );
+        }
+    }
+    out
+}
+
+fn check_probes_equal_full_walk(
+    imp: &Imprints<i64>,
+    lo: i64,
+    hi: i64,
+    within: &CandidateList,
+) -> Result<(), TestCaseError> {
+    let reference = full_walk(imp, lo, hi);
+    let probed = imp.probe(lo, hi);
+    prop_assert_eq!(&probed, &reference);
+    prop_assert!(imp.estimate(lo, hi) >= probed.num_rows());
+    prop_assert_eq!(
+        imp.probe_within(lo, hi, within),
+        reference.intersect(within)
+    );
+    Ok(())
+}
+
 fn check_sound_i64(data: &[i64], lo: i64, hi: i64) {
     let imp = Imprints::build(data);
     let cand = imp.probe(lo, hi);
@@ -135,6 +195,49 @@ proptest! {
         // bin counts the borders <= v.
         let expect = borders.iter().filter(|&&b| b <= v).count();
         prop_assert_eq!(bin, expect);
+    }
+
+    #[test]
+    fn summary_skipping_probes_equal_full_walk(
+        segments in prop::collection::vec((0i64..40, 1usize..80, prop::bool::ANY), 0..150),
+        borders in prop::collection::btree_set(0i64..45, 1..12),
+        a in -2i64..47,
+        b in -2i64..47,
+        runs in prop::collection::vec((0usize..300, 1usize..300, prop::bool::ANY), 0..30),
+    ) {
+        let data = segment_data(&segments);
+        let bins = BinMap::from_borders(borders.into_iter().collect());
+        let imp = Imprints::build_with_bins(&data, bins);
+        check_probes_equal_full_walk(&imp, a, b, &restricting_list(&runs))?;
+    }
+
+    #[test]
+    fn summary_skipping_probes_equal_full_walk_after_appends(
+        segments in prop::collection::vec((0i64..40, 1usize..80, prop::bool::ANY), 0..150),
+        borders in prop::collection::btree_set(0i64..45, 1..12),
+        split in 0usize..4000,
+        batches in prop::collection::vec(1usize..50, 1..8),
+        a in -2i64..47,
+        b in -2i64..47,
+        runs in prop::collection::vec((0usize..300, 1usize..300, prop::bool::ANY), 0..30),
+    ) {
+        let data = segment_data(&segments);
+        let bins = BinMap::from_borders(borders.into_iter().collect());
+        let split = split.min(data.len());
+        let mut imp = Imprints::build_with_bins(&data[..split], bins.clone());
+        // Batches of 1..50 values land mid-line, so partial last lines get
+        // popped and re-pushed, splitting and merging repeat runs.
+        let mut at = split;
+        for &n in batches.iter().cycle() {
+            if at == data.len() {
+                break;
+            }
+            let end = (at + n).min(data.len());
+            imp.append(&data[at..end]);
+            at = end;
+        }
+        prop_assert_eq!(&imp, &Imprints::build_with_bins(&data, bins));
+        check_probes_equal_full_walk(&imp, a, b, &restricting_list(&runs))?;
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread;
@@ -22,8 +22,16 @@ static CASE: AtomicUsize = AtomicUsize::new(0);
 fn tdir() -> PathBuf {
     let case = CASE.fetch_add(1, Ordering::Relaxed);
     let d = std::env::temp_dir().join(format!("lidardb_drain_{}_{case}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
+    clear(&d);
     d
+}
+
+/// Remove a table directory together with its sibling WAL
+/// (`wal::wal_path_for`): a log left behind would be replayed into the
+/// next table a recycled pid opens at the same path.
+fn clear(dir: &Path) {
+    let _ = std::fs::remove_dir_all(dir);
+    let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(dir));
 }
 
 fn grid_cloud(n: usize) -> PointCloud {
@@ -205,7 +213,7 @@ fn drain_flushes_group_commit_wal_before_returning() {
     // Reopen the directory: the drain's forced sync made the rows durable.
     let pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
     assert_eq!(pc.num_points(), 2, "drained rows survive a reopen");
-    let _ = std::fs::remove_dir_all(&dir);
+    clear(&dir);
 }
 
 #[test]
@@ -246,7 +254,7 @@ fn retrying_client_replays_an_ack_lost_insert_exactly_once() {
 
     proxy.shutdown();
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+    clear(&dir);
 }
 
 #[test]

@@ -4,10 +4,13 @@
 //! makes one tight pass over a typed slice (or a selected subset of it) and
 //! produces or refines a *selection vector* of qualifying row ids. The
 //! two-step spatial query engine composes them: the imprint filter yields
-//! candidate row ranges, `range_scan_ranges` performs the exact check over
-//! just those ranges, and thematic predicates refine the selection further.
+//! candidate row ranges, [`bbox_scan`] performs the exact bbox check over
+//! just those ranges — 64 rows at a time become one `u64` mask of
+//! branch-free compares of x *and* y, and row ids are pushed only from its
+//! set bits — and thematic predicates refine the selection further.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
 
 use crate::types::{Native, Value};
@@ -15,7 +18,7 @@ use crate::types::{Native, Value};
 /// Process-wide scan-kernel counters, pulled into `core::metrics` snapshots.
 ///
 /// The kernels themselves stay free of atomics: the filter step issues one
-/// `range_scan_ranges` call *per candidate run* (hundreds of thousands per
+/// [`bbox_scan`] call *per candidate run* (hundreds of thousands per
 /// 12M-point bbox query), and even a relaxed `fetch_add` per call measured
 /// ~10% overhead on that loop. The engine therefore accumulates calls/rows in
 /// locals and flushes one [`note_scans`] batch per morsel.
@@ -55,42 +58,52 @@ pub fn reset_scan_counters() {
     ROWS_EXAMINED.store(0, MemOrdering::Relaxed);
 }
 
-/// Inclusive range predicate `lo <= v <= hi` over a full column.
-///
-/// Appends qualifying row ids to `out` and returns the number appended.
-pub fn range_scan<T: Native>(data: &[T], lo: T, hi: T, out: &mut Vec<usize>) -> usize {
-    let before = out.len();
-    for (i, v) in data.iter().enumerate() {
-        // `>=` / `<=` on floats is false for NaN, which is the correct
-        // semantics: NaN never satisfies a range predicate.
-        if *v >= lo && *v <= hi {
-            out.push(i);
-        }
-    }
-    out.len() - before
-}
-
-/// Inclusive range predicate evaluated only inside the given row ranges.
-///
-/// `ranges` holds half-open `[start, end)` row intervals, as produced by the
-/// imprint candidate list. Row ids pushed to `out` are absolute.
-pub fn range_scan_ranges<T: Native>(
-    data: &[T],
-    ranges: &[(usize, usize)],
-    lo: T,
-    hi: T,
+/// The exact bbox check over the candidate run `rows`: append, in order,
+/// the ids of the rows whose x lies in `x_range` and whose y lies in
+/// `y_range` (inclusive). A `None` range is not compared — the caller's
+/// imprint proved it for the whole run. Each block of 64 rows becomes one
+/// `u64` of branch-free compares, x-mask AND y-mask, and ids are pushed
+/// only from its set bits. NaN satisfies no range.
+pub fn bbox_scan(
+    xs: &[f64],
+    ys: &[f64],
+    rows: Range<usize>,
+    x_range: Option<(f64, f64)>,
+    y_range: Option<(f64, f64)>,
     out: &mut Vec<usize>,
-) -> usize {
-    let before = out.len();
-    for &(start, end) in ranges {
-        let end = end.min(data.len());
-        for (off, v) in data[start.min(end)..end].iter().enumerate() {
-            if *v >= lo && *v <= hi {
-                out.push(start + off);
+) {
+    if x_range.is_none() && y_range.is_none() {
+        out.extend(rows);
+        return;
+    }
+    let mut start = rows.start;
+    while start < rows.end {
+        let n = (rows.end - start).min(64);
+        let mut m = u64::MAX >> (64 - n);
+        if let Some((lo, hi)) = x_range {
+            m &= range_mask(&xs[start..start + n], lo, hi);
+        }
+        if let Some((lo, hi)) = y_range {
+            m &= range_mask(&ys[start..start + n], lo, hi);
+        }
+        if m == u64::MAX {
+            out.extend(start..start + 64);
+        } else {
+            while m != 0 {
+                out.push(start + m.trailing_zeros() as usize);
+                m &= m - 1;
             }
         }
+        start += n;
     }
-    out.len() - before
+}
+
+/// Bit `i` set iff `lo <= vals[i] <= hi`, for at most 64 values.
+#[inline]
+fn range_mask(vals: &[f64], lo: f64, hi: f64) -> u64 {
+    vals.iter()
+        .enumerate()
+        .fold(0, |m, (i, &v)| m | (u64::from((v >= lo) & (v <= hi)) << i))
 }
 
 /// Refine an existing selection with an inclusive range predicate.
@@ -361,21 +374,6 @@ impl AggState {
     }
 }
 
-/// Count (without materialising) the rows in `ranges` satisfying the range
-/// predicate — the kernel behind `SELECT COUNT(*)` with pushed-down filters.
-pub fn count_range_ranges<T: Native>(data: &[T], ranges: &[(usize, usize)], lo: T, hi: T) -> usize {
-    let mut n = 0;
-    for &(start, end) in ranges {
-        let end = end.min(data.len());
-        for v in &data[start.min(end)..end] {
-            if *v >= lo && *v <= hi {
-                n += 1;
-            }
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,20 +388,58 @@ mod tests {
         st
     }
 
+    /// The mask kernel against a row-at-a-time reference: NaN, ±inf and
+    /// signed-zero values and bounds, values equal to a bound, runs of
+    /// 0/1/63/64/65/130 rows at aligned and unaligned starts, and every
+    /// compared/skipped combination of x and y — `(Some, None)` is a sure
+    /// run under a degraded x probe.
     #[test]
-    fn full_range_scan() {
-        let data = [5i32, 1, 9, 3, 7, 3];
-        let mut sel = Vec::new();
-        assert_eq!(range_scan(&data, 3, 7, &mut sel), 4);
-        assert_eq!(sel, vec![0, 3, 4, 5]);
-    }
-
-    #[test]
-    fn range_scan_over_ranges_is_absolute_and_clamped() {
-        let data: Vec<i64> = (0..100).collect();
-        let mut sel = Vec::new();
-        range_scan_ranges(&data, &[(10, 20), (90, 200)], 15, 95, &mut sel);
-        assert_eq!(sel, (15..20).chain(90..96).collect::<Vec<_>>());
+    fn bbox_scan_matches_scalar_reference() {
+        let pool = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            -0.0,
+            0.0,
+            1.0,
+            -1.0,
+            2.5,
+            3.0,
+            1e300,
+        ];
+        let xs: Vec<f64> = (0..400).map(|i| pool[i * 7 % pool.len()]).collect();
+        let ys: Vec<f64> = (0..400)
+            .map(|i| pool[(i * 11 + i / 9) % pool.len()])
+            .collect();
+        let bounds = [
+            Some((0.0, 3.0)),
+            Some((-0.0, 0.0)),
+            Some((0.0, -0.0)),
+            Some((f64::NEG_INFINITY, f64::INFINITY)),
+            Some((1.0, 1.0)),
+            Some((f64::NAN, 1.0)),
+            Some((3.0, 0.0)),
+            None,
+        ];
+        let within = |v: f64, b: Option<(f64, f64)>| b.is_none_or(|(lo, hi)| v >= lo && v <= hi);
+        for start in [0usize, 1, 5, 63, 64, 100] {
+            for len in [0usize, 1, 63, 64, 65, 130] {
+                let rows = start..start + len;
+                for &x in &bounds {
+                    for &y in &bounds {
+                        let mut out = vec![usize::MAX];
+                        bbox_scan(&xs, &ys, rows.clone(), x, y, &mut out);
+                        let expect: Vec<usize> = std::iter::once(usize::MAX)
+                            .chain(
+                                rows.clone()
+                                    .filter(|&i| within(xs[i], x) && within(ys[i], y)),
+                            )
+                            .collect();
+                        assert_eq!(out, expect, "rows {rows:?} x {x:?} y {y:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -412,14 +448,6 @@ mod tests {
         let mut sel = vec![4, 2, 0];
         refine_range(&data, &mut sel, 2.5, 5.0);
         assert_eq!(sel, vec![4, 2]);
-    }
-
-    #[test]
-    fn nan_never_matches_ranges() {
-        let data = [1.0f64, f64::NAN, 3.0];
-        let mut sel = Vec::new();
-        range_scan(&data, f64::NEG_INFINITY, f64::INFINITY, &mut sel);
-        assert_eq!(sel, vec![0, 2]);
     }
 
     #[test]
@@ -432,15 +460,6 @@ mod tests {
         assert!(CmpOp::Ge.eval(4, 4));
         assert!(!CmpOp::Eq.eval(f64::NAN, f64::NAN));
         assert!(CmpOp::Ne.eval(f64::NAN, f64::NAN));
-    }
-
-    #[test]
-    fn count_matches_materialised_scan() {
-        let data: Vec<u32> = (0..1000).map(|i| i * 7 % 101).collect();
-        let ranges = [(0usize, 500usize), (700, 1000)];
-        let mut sel = Vec::new();
-        range_scan_ranges(&data, &ranges, 10, 50, &mut sel);
-        assert_eq!(count_range_ranges(&data, &ranges, 10, 50), sel.len());
     }
 
     /// Regression (native-domain attribute comparison): predicates with
@@ -599,14 +618,5 @@ mod tests {
         assert_eq!(st.min, 1.0);
         assert_eq!(st.max, 3.0);
         assert!(st.sum().is_nan());
-    }
-
-    #[test]
-    fn empty_inputs() {
-        let data: [i32; 0] = [];
-        let mut sel = Vec::new();
-        assert_eq!(range_scan(&data, 0, 10, &mut sel), 0);
-        assert_eq!(range_scan_ranges(&data, &[(0, 10)], 0, 10, &mut sel), 0);
-        assert!(sel.is_empty());
     }
 }

@@ -69,26 +69,29 @@ proptest! {
 
     #[test]
     fn scan_kernels_match_bruteforce(
-        data in prop::collection::vec(-100i64..100, 0..1000),
-        a in -120i64..120,
-        b in -120i64..120,
+        points in prop::collection::vec((-100i32..100, -100i32..100), 0..1000),
+        bounds in prop::collection::vec(-120i32..120, 4..5),
+        cut in 0usize..1000,
+        skip_x in prop::bool::ANY,
+        skip_y in prop::bool::ANY,
     ) {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let xs: Vec<f64> = points.iter().map(|p| f64::from(p.0) / 4.0).collect();
+        let ys: Vec<f64> = points.iter().map(|p| f64::from(p.1) / 4.0).collect();
+        let (x0, x1) = (f64::from(bounds[0].min(bounds[1])), f64::from(bounds[0].max(bounds[1])));
+        let (y0, y1) = (f64::from(bounds[2].min(bounds[3])), f64::from(bounds[2].max(bounds[3])));
+        let x = (!skip_x).then_some((x0, x1));
+        let y = (!skip_y).then_some((y0, y1));
+        // Two runs split at an arbitrary row, as two candidate runs are.
+        let n = xs.len();
+        let cut = cut.min(n);
         let mut sel = Vec::new();
-        scan::range_scan(&data, lo, hi, &mut sel);
-        let oracle: Vec<usize> = data
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v >= lo && v <= hi)
-            .map(|(i, _)| i)
+        scan::bbox_scan(&xs, &ys, 0..cut, x, y, &mut sel);
+        scan::bbox_scan(&xs, &ys, cut..n, x, y, &mut sel);
+        let oracle: Vec<usize> = (0..n)
+            .filter(|&i| skip_x || (xs[i] >= x0 && xs[i] <= x1))
+            .filter(|&i| skip_y || (ys[i] >= y0 && ys[i] <= y1))
             .collect();
         prop_assert_eq!(&sel, &oracle);
-        // Counting matches materialisation over arbitrary ranges.
-        let n = data.len();
-        let ranges = [(0usize, n / 2), (n / 2, n)];
-        let mut sel2 = Vec::new();
-        scan::range_scan_ranges(&data, &ranges, lo, hi, &mut sel2);
-        prop_assert_eq!(sel2.len(), scan::count_range_ranges(&data, &ranges, lo, hi));
     }
 
     #[test]
