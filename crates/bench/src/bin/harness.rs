@@ -270,9 +270,13 @@ fn e4_refinement() {
         "strategy", "results", "exact tests", "cells in/out/bnd", "ms"
     );
     let run = |name: &str, strat: RefineStrategy| {
-        let sel = pc.select_with(&pred, strat).expect("select");
+        let select = || {
+            pc.select_query_with(Some(&pred), &[], strat, Parallelism::default())
+                .expect("select")
+        };
+        let sel = select();
         let t = median_seconds(5, || {
-            std::hint::black_box(pc.select_with(&pred, strat).expect("select").rows.len());
+            std::hint::black_box(select().rows.len());
         });
         let e = &sel.explain;
         println!(

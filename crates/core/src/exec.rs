@@ -38,8 +38,10 @@ use crate::governor::{GovernCtx, CHECKPOINT_STRIDE};
 use crate::pointcloud::PointCloud;
 use crate::query::{grid_cell, grid_cell_env, AttrRange, Explain, SpatialPredicate};
 
-/// Worker-count policy for query execution, set per [`PointCloud`] (or per
-/// call via `select_query_with`) and plumbed through the SQL catalog.
+/// Worker-count policy for query execution: passed per call to the
+/// `select_query_*` and `aggregate_with` entry points of [`PointCloud`] and
+/// `TiledCloud` (the shorthand `select`/`aggregate` use the default), and
+/// plumbed through the SQL catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// One worker, run inline on the calling thread.

@@ -134,7 +134,7 @@ impl CancelToken {
         won
     }
 
-    /// Manually kill the query (`KILL <id>`, [`crate::PointCloud::kill_query`]).
+    /// Manually kill the query (`KILL <id>`, [`QueryRegistry::kill`]).
     pub fn kill(&self) -> bool {
         self.trip(CancelReason::Killed)
     }

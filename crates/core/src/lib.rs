@@ -59,7 +59,7 @@ pub use governor::{
     AdmissionController, CancelToken, GovernCtx, MemBudget, QueryId, QueryInfo,
     QueryRegistry, SessionInfo, SessionRegistry, SessionTicket, CHECKPOINT_STRIDE,
 };
-pub use metrics::{MetricsRegistry, QueryProfile, Stage, StageSample};
+pub use metrics::{MetricsRegistry, Stage};
 pub use fault::{FaultInjector, FaultKind, FaultStage};
 pub use loader::{
     FileOutcome, FileReport, LoadMethod, LoadPolicy, LoadReport, LoadStats, Loader,

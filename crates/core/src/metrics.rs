@@ -1,11 +1,10 @@
-//! Engine observability: a process-wide metrics registry plus per-query
-//! profiles.
+//! Engine observability: the process-wide metrics registry.
 //!
 //! The paper's demo shows a per-operator cardinality/timing table next to
-//! every query (§4.2); [`crate::query::Explain`] reproduces that table but
-//! is the *only* window into the engine — nothing accumulates across
-//! queries, and the loader, persister, imprint cache and morsel workers
-//! are invisible. This module adds the missing layer, in the tree's
+//! every query (§4.2); [`crate::query::Explain`] is that table, carried by
+//! every [`crate::query::Selection`]. It describes one query; this module
+//! accumulates across queries and covers what `Explain` cannot see — the
+//! loader, persister, imprint cache and morsel workers — in the tree's
 //! "simple, fast, lean" style: no tracing framework, no external crates,
 //! just `std` atomics.
 //!
@@ -18,11 +17,6 @@
 //! * [`Stage`] — the stage taxonomy every layer records against:
 //!   `imprint_probe`, `bbox_scan`, `grid_refine`, `aggregate`,
 //!   `imprint_build`, `persist_save`, `persist_load`, `morsel`.
-//! * [`QueryProfile`] — the per-query view. It *subsumes* `Explain`: the
-//!   legacy cardinality/timing struct is kept as the `explain` component
-//!   (and [`crate::query::Selection`] derefs to the profile, so existing
-//!   `sel.explain.*` call sites compile unchanged) while `stages` carries
-//!   the named [`StageSample`]s recorded while the query ran.
 //!
 //! Cross-crate counters that cannot live here without inverting the
 //! dependency graph (the imprints and storage crates sit *below* core)
@@ -303,7 +297,7 @@ pub struct MetricsRegistry {
     pub queries_shed: Counter,
     /// Queries cancelled by an expired statement deadline.
     pub queries_timed_out: Counter,
-    /// Queries cancelled by `KILL` / `kill_query` (incl. injected Cancel
+    /// Queries cancelled by `KILL` / `QueryRegistry::kill` (incl. injected Cancel
     /// faults).
     pub queries_killed: Counter,
     /// Queries cancelled by an exceeded memory budget.
@@ -562,81 +556,6 @@ impl MetricsRegistry {
     }
 }
 
-/// One named stage execution observed while answering a single query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageSample {
-    /// Which stage ran.
-    pub stage: Stage,
-    /// Rows the stage emitted (its output cardinality).
-    pub rows: usize,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-}
-
-/// The full observability record of one query. Subsumes
-/// [`crate::query::Explain`]: `explain` is the legacy per-operator view
-/// (kept so existing tests and benches hold — [`crate::query::Selection`]
-/// derefs here, making `sel.explain` reach it unchanged), `stages` the
-/// named samples recorded into the global registry while the query ran.
-#[derive(Debug, Clone, Default)]
-pub struct QueryProfile {
-    /// Legacy per-operator cardinalities and timings.
-    pub explain: crate::query::Explain,
-    /// Named stage samples, in execution order.
-    pub stages: Vec<StageSample>,
-    /// The query's span-trace id, when it ran traced (see [`crate::trace`]):
-    /// `Tracer::global().snapshot().for_trace(id)` yields its span tree.
-    pub trace_id: Option<u64>,
-}
-
-impl QueryProfile {
-    /// Total seconds across the recorded stage samples.
-    pub fn total_seconds(&self) -> f64 {
-        self.stages.iter().map(|s| s.seconds).sum()
-    }
-
-    /// Seconds spent in one stage (summed over its samples).
-    pub fn stage_seconds(&self, stage: Stage) -> f64 {
-        self.stages
-            .iter()
-            .filter(|s| s.stage == stage)
-            .map(|s| s.seconds)
-            .sum()
-    }
-
-    /// Output rows of one stage (summed over its samples), `None` if the
-    /// stage never ran in this query.
-    pub fn stage_rows(&self, stage: Stage) -> Option<usize> {
-        let mut any = false;
-        let mut rows = 0usize;
-        for s in self.stages.iter().filter(|s| s.stage == stage) {
-            any = true;
-            rows += s.rows;
-        }
-        any.then_some(rows)
-    }
-
-    /// Every deterministic counter of the profile as `(name, value)`
-    /// pairs — cardinalities and probe counts, no timings. The
-    /// differential suite asserts these are identical between serial and
-    /// parallel runs of the same query.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        let e = &self.explain;
-        vec![
-            ("after_imprints", e.after_imprints as u64),
-            ("sure_rows", e.sure_rows as u64),
-            ("after_bbox", e.after_bbox as u64),
-            ("cells_inside", e.cells_inside as u64),
-            ("cells_outside", e.cells_outside as u64),
-            ("cells_boundary", e.cells_boundary as u64),
-            ("exact_tests", e.exact_tests as u64),
-            ("attr_probes", e.attr_probes as u64),
-            ("degraded_probes", e.degraded_probes as u64),
-            ("result_rows", e.result_rows as u64),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,27 +614,6 @@ mod tests {
         assert_eq!(s.rows.get(), 150);
         assert!((s.seconds() - 0.003).abs() < 1e-9);
         assert_eq!(r.stage(Stage::GridRefine).calls.get(), 0);
-    }
-
-    #[test]
-    fn profile_stage_accessors() {
-        let mut p = QueryProfile::default();
-        p.stages.push(StageSample {
-            stage: Stage::ImprintProbe,
-            rows: 10,
-            seconds: 0.5,
-        });
-        p.stages.push(StageSample {
-            stage: Stage::BboxScan,
-            rows: 7,
-            seconds: 0.25,
-        });
-        assert_eq!(p.stage_rows(Stage::ImprintProbe), Some(10));
-        assert_eq!(p.stage_rows(Stage::Morsel), None);
-        assert!((p.total_seconds() - 0.75).abs() < 1e-12);
-        assert!((p.stage_seconds(Stage::BboxScan) - 0.25).abs() < 1e-12);
-        assert_eq!(p.counters().len(), 10);
-        assert!(p.counters().iter().any(|(n, _)| *n == "attr_probes"));
     }
 
     #[test]

@@ -964,10 +964,11 @@ mod tests {
         }
         // Queries work immediately (imprints rebuild lazily).
         let sel = back
-            .select_query(
+            .select_query_with(
                 None,
                 &[crate::query::AttrRange::new("classification", 3.0, 3.0)],
                 Default::default(),
+                crate::Parallelism::default(),
             )
             .unwrap();
         assert_eq!(sel.rows.len(), 500);
@@ -979,13 +980,15 @@ mod tests {
         cloud(100).save_dir(&dir).unwrap();
         cloud(250).save_dir(&dir).unwrap();
         assert_eq!(PointCloud::open_dir(&dir).unwrap().num_points(), 250);
-        // No staging or backup residue next to the target.
+        // No staging or backup residue next to the target (other tests
+        // stage their own directories in the same parent concurrently).
         let parent = dir.parent().unwrap();
+        let name = dir.file_name().unwrap().to_string_lossy().into_owned();
         let residue: Vec<_> = std::fs::read_dir(parent)
             .unwrap()
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains("staging") || n.contains("replaced"))
+            .filter(|n| n.contains(&name) && (n.contains("staging") || n.contains("replaced")))
             .collect();
         assert!(residue.is_empty(), "residue: {residue:?}");
     }

@@ -21,17 +21,14 @@ use crate::wal::{self, Durability, RecoveryReport, WalWriter};
 /// Imprint indexes are built lazily: *"Its creation is triggered when it
 /// encounters a range query for the first time"* (§3.2). The cache is
 /// internally synchronised, so a `&PointCloud` can serve queries from
-/// several threads.
+/// several threads. Queries go through the entry points in
+/// [`crate::query`], shared with [`crate::TiledCloud`].
 pub struct PointCloud {
     table: FlatTable,
     imprints: RwLock<HashMap<String, Arc<ColumnImprints>>>,
     fault: Option<Arc<crate::fault::FaultInjector>>,
-    parallelism: crate::exec::Parallelism,
-    tracing: std::sync::atomic::AtomicBool,
     /// Default statement timeout in milliseconds; 0 = none.
     default_deadline_ms: std::sync::atomic::AtomicU64,
-    /// Default per-query memory budget in bytes; 0 = unlimited.
-    mem_budget_bytes: std::sync::atomic::AtomicU64,
     /// Admission controller queries on this cloud pass through; `None`
     /// falls back to the process-wide controller (unlimited by default).
     admission: Option<Arc<crate::governor::AdmissionController>>,
@@ -101,10 +98,7 @@ impl PointCloud {
             table: FlatTable::new(point_schema()),
             imprints: RwLock::new(HashMap::new()),
             fault: None,
-            parallelism: crate::exec::Parallelism::default(),
-            tracing: std::sync::atomic::AtomicBool::new(false),
             default_deadline_ms: std::sync::atomic::AtomicU64::new(0),
-            mem_budget_bytes: std::sync::atomic::AtomicU64::new(0),
             admission: None,
             visible_rows: AtomicUsize::new(0),
             degraded: std::sync::atomic::AtomicBool::new(false),
@@ -160,23 +154,6 @@ impl PointCloud {
         }
     }
 
-    /// Set the default per-query memory budget in bytes (`None` = off).
-    /// Queries whose materialised selections would exceed it are
-    /// cancelled with [`crate::CancelReason::MemBudget`] instead of
-    /// allocating unboundedly.
-    pub fn set_mem_budget(&self, bytes: Option<u64>) {
-        self.mem_budget_bytes
-            .store(bytes.map_or(0, |b| b.max(1)), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// The cloud's default per-query memory budget, if any.
-    pub fn mem_budget(&self) -> Option<u64> {
-        match self.mem_budget_bytes.load(std::sync::atomic::Ordering::Relaxed) {
-            0 => None,
-            b => Some(b),
-        }
-    }
-
     /// Route queries on this cloud through an explicit admission
     /// controller (overload shedding; see [`crate::governor`]).
     pub fn set_admission(&mut self, adm: Arc<crate::governor::AdmissionController>) {
@@ -195,20 +172,6 @@ impl PointCloud {
         }
     }
 
-    /// Cooperatively cancel a running query by id (from
-    /// [`Self::running_queries`] or SQL `SHOW QUERIES`). Returns whether
-    /// the id named a live query; the query itself unwinds with
-    /// [`CoreError::Cancelled`] at its next checkpoint.
-    pub fn kill_query(&self, id: crate::governor::QueryId) -> bool {
-        crate::governor::QueryRegistry::global().kill(id)
-    }
-
-    /// Snapshot of queries currently in flight (process-wide registry,
-    /// like [`Self::metrics`]).
-    pub fn running_queries(&self) -> Vec<crate::governor::QueryInfo> {
-        crate::governor::QueryRegistry::global().list()
-    }
-
     /// The cloud's fault injector, if one is attached (query-checkpoint
     /// fault rules fire through the governance context). Public so a
     /// session layer running queries through [`Self::select_query_ctx`]
@@ -217,48 +180,10 @@ impl PointCloud {
         self.fault.clone()
     }
 
-    /// Turn per-query span tracing on or off for queries against this
-    /// cloud (`&self`: the flag is atomic, so a shared cloud can be
-    /// toggled mid-serving). Process-wide and per-thread activation live
-    /// in [`crate::trace`].
-    pub fn set_tracing(&self, on: bool) {
-        self.tracing.store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether this cloud's per-instance tracing toggle is on.
-    pub fn tracing(&self) -> bool {
-        self.tracing.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The K worst traced queries by wall time, worst first, with their
-    /// span trees. Queries enter the log only while traced; the log is
-    /// process-wide (shared across clouds, like [`Self::metrics`]).
-    pub fn slow_queries(&self) -> Vec<crate::trace::SlowQuery> {
-        crate::trace::SlowQueryLog::global().worst()
-    }
-
     /// Attach fault-injection hooks for the imprint-build path (tests
     /// only; see [`crate::fault`]).
     pub fn set_fault_injector(&mut self, fi: Arc<crate::fault::FaultInjector>) {
         self.fault = Some(fi);
-    }
-
-    /// Set the worker-count policy queries on this cloud use by default
-    /// (per-call overrides via `select_query_with` / `aggregate_with`).
-    pub fn set_parallelism(&mut self, p: crate::exec::Parallelism) {
-        self.parallelism = p;
-    }
-
-    /// The cloud's default worker-count policy.
-    pub fn parallelism(&self) -> crate::exec::Parallelism {
-        self.parallelism
-    }
-
-    /// The process-wide metrics registry the engine records into —
-    /// programmatic access to cumulative counters, stage timings and the
-    /// JSON snapshot ([`crate::metrics::MetricsRegistry::snapshot_json`]).
-    pub fn metrics(&self) -> &'static crate::metrics::MetricsRegistry {
-        crate::metrics::MetricsRegistry::global()
     }
 
     /// Number of points (rows).
@@ -966,13 +891,19 @@ mod tests {
         assert_eq!(pc.durable_rows(), Some(0));
         // A query sees the empty snapshot, not the in-flight batch.
         let sel = pc
-            .select_query(None, &[], Default::default())
+            .select_query_with(None, &[], Default::default(), crate::Parallelism::default())
             .unwrap();
         assert_eq!(sel.rows.len(), 0, "no ghost rows");
         pc.flush_wal().unwrap();
         assert_eq!(pc.visible_rows(), 60);
         assert_eq!(pc.durable_rows(), Some(60));
-        let sel = pc.select_query(None, &[], Default::default()).unwrap();
+        let sel = pc.select_query_with(
+            None,
+            &[],
+            Default::default(),
+            crate::Parallelism::default(),
+        )
+        .unwrap();
         assert_eq!(sel.rows.len(), 60, "visible after the group commit");
     }
 

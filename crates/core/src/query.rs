@@ -12,8 +12,13 @@
 //! (INSIDE → take all points, OUTSIDE → drop all), and only BOUNDARY
 //! cells fall back to exact per-point predicate evaluation.
 //!
-//! Every query produces an [`Explain`] — cardinalities and wall-clock per
-//! operator, the breakdown the demo shows its audience.
+//! [`PointCloud`] and [`crate::TiledCloud`] answer through the same six
+//! entry points: `select`, `select_query_with` (the table's own
+//! governance), `select_query_governed` (explicit deadline and budget),
+//! `select_query_ctx` (a caller's [`GovernCtx`]), `aggregate` and
+//! `aggregate_with`. Every query returns a [`Selection`] carrying its
+//! [`Explain`] — cardinalities and wall-clock per operator, the breakdown
+//! the demo shows its audience.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,7 +33,7 @@ use lidardb_storage::scan::{self, CmpOp};
 use crate::error::CoreError;
 use crate::exec::{self, MorselTiming, Parallelism};
 use crate::governor::{self, GovernCtx};
-use crate::metrics::{MetricsRegistry, QueryProfile, Stage, StageSample};
+use crate::metrics::{MetricsRegistry, Stage};
 use crate::pointcloud::PointCloud;
 use crate::trace::{self, SpanKind};
 
@@ -197,6 +202,24 @@ impl Explain {
         self.t_imprint_build + self.t_imprints + self.t_bbox + self.t_refine
     }
 
+    /// Every deterministic counter as `(name, value)` pairs — cardinalities
+    /// and probe counts, no timings. The differential suite asserts these
+    /// are identical between serial and parallel runs of the same query.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("after_imprints", self.after_imprints as u64),
+            ("sure_rows", self.sure_rows as u64),
+            ("after_bbox", self.after_bbox as u64),
+            ("cells_inside", self.cells_inside as u64),
+            ("cells_outside", self.cells_outside as u64),
+            ("cells_boundary", self.cells_boundary as u64),
+            ("exact_tests", self.exact_tests as u64),
+            ("attr_probes", self.attr_probes as u64),
+            ("degraded_probes", self.degraded_probes as u64),
+            ("result_rows", self.result_rows as u64),
+        ]
+    }
+
     /// Render the per-operator table the demo shows next to each query.
     pub fn to_table(&self) -> String {
         format!(
@@ -237,31 +260,16 @@ impl Explain {
     }
 }
 
-/// A query result: matching row ids plus the execution profile.
-///
-/// The selection derefs to its [`QueryProfile`], which in turn carries the
-/// legacy [`Explain`] view — so `sel.explain.after_bbox` and friends keep
-/// working unchanged while `sel.stages` exposes the named stage samples.
+/// A query result: matching row ids plus the query's [`Explain`].
 #[derive(Debug, Clone, Default)]
 pub struct Selection {
     /// Matching rows, ascending.
     pub rows: Vec<usize>,
-    /// Execution profile (stage samples + the legacy `Explain` view).
-    pub profile: QueryProfile,
-}
-
-impl std::ops::Deref for Selection {
-    type Target = QueryProfile;
-
-    fn deref(&self) -> &QueryProfile {
-        &self.profile
-    }
-}
-
-impl std::ops::DerefMut for Selection {
-    fn deref_mut(&mut self) -> &mut QueryProfile {
-        &mut self.profile
-    }
+    /// Per-operator cardinalities and timings.
+    pub explain: Explain,
+    /// The query's span-trace id, when it ran traced (see [`crate::trace`]):
+    /// `Tracer::global().snapshot().for_trace(id)` yields its span tree.
+    pub trace_id: Option<u64>,
 }
 
 /// An inclusive range predicate on one attribute column, expressed on the
@@ -294,37 +302,25 @@ impl AttrRange {
 
 /// What makes one statement one query to every observer, shared by the
 /// flat and the tiled engine: tick `queries`, open the root span, run
-/// `stages` (which fills the stage samples and the `Explain` as far as it
-/// gets), and — when traced — enter the slow-query log once.
+/// `stages` (which fills the `Explain` as far as it gets), and — when
+/// traced — enter the slow-query log once.
 pub(crate) fn run_query(
-    tracing: bool,
     ctx: &GovernCtx,
-    stages: impl FnOnce(
-        &mut trace::SpanGuard,
-        &mut Vec<StageSample>,
-        &mut Explain,
-    ) -> Result<Vec<usize>, CoreError>,
+    stages: impl FnOnce(&mut trace::SpanGuard, &mut Explain) -> Result<Vec<usize>, CoreError>,
 ) -> Result<Selection, CoreError> {
     MetricsRegistry::global().queries.inc();
     // Root span: records when tracing is active (process flag, thread
-    // guard, enclosing span) or the caller's per-cloud toggle is on.
-    // Inert guards cost one relaxed load and two TLS reads — the scan
-    // kernels never see a tracing branch.
-    let mut root = trace::root_span_if(tracing, SpanKind::Query);
+    // guard, enclosing span). Inert guards cost one relaxed load and two
+    // TLS reads — the scan kernels never see a tracing branch.
+    let mut root = trace::span(SpanKind::Query);
     let trace_id = root.trace_id();
-    let mut profile = QueryProfile {
-        trace_id,
-        ..Default::default()
-    };
-    let result = stages(&mut root, &mut profile.stages, &mut profile.explain);
+    let mut explain = Explain::default();
+    let result = stages(&mut root, &mut explain);
     // Failed queries still leave a trace: a cancelled one flags its root
     // span, and every traced query enters the slow log — a query someone
     // had to kill is exactly what the log exists to surface.
     match &result {
-        Ok(_) => root.set_rows(
-            profile.explain.after_imprints as u64,
-            profile.explain.result_rows as u64,
-        ),
+        Ok(_) => root.set_rows(explain.after_imprints as u64, explain.result_rows as u64),
         Err(CoreError::Cancelled { .. }) => root.add_flags(trace::FLAG_CANCELLED),
         Err(_) => {}
     }
@@ -335,49 +331,34 @@ pub(crate) fn run_query(
             seconds: ctx.token().elapsed().as_secs_f64(),
             queue_wait_seconds: ctx.queue_wait().as_secs_f64(),
             result_rows: result.as_ref().map_or_else(|_| ctx.partial_rows(), Vec::len),
-            profile: profile.clone(),
+            explain: explain.clone(),
             spans: trace::Tracer::global().snapshot().for_trace(tid).spans,
         });
     }
-    result.map(|rows| Selection { rows, profile })
+    result.map(|rows| Selection {
+        rows,
+        explain,
+        trace_id,
+    })
 }
 
 impl PointCloud {
-    /// Two-step spatial selection with the default grid refinement.
+    /// Two-step spatial selection with the default grid refinement and
+    /// worker policy, governed like [`Self::select_query_with`].
     pub fn select(&self, pred: &SpatialPredicate) -> Result<Selection, CoreError> {
-        self.select_with(pred, RefineStrategy::default())
-    }
-
-    /// Two-step spatial selection with an explicit refinement strategy.
-    pub fn select_with(
-        &self,
-        pred: &SpatialPredicate,
-        strategy: RefineStrategy,
-    ) -> Result<Selection, CoreError> {
-        self.select_query(Some(pred), &[], strategy)
+        self.select_query_with(Some(pred), &[], RefineStrategy::default(), Parallelism::default())
     }
 
     /// The general entry point: an optional spatial predicate plus any
-    /// number of attribute-range predicates, all served by imprints.
+    /// number of attribute-range predicates, all served by imprints, under
+    /// the cloud's own governance — its admission controller, fault
+    /// injector and default deadline.
     ///
     /// Every referenced column gets a (lazily built) imprint; candidate
     /// lists are intersected before any data is touched; candidate runs
-    /// the imprints prove fully qualifying skip the exact checks.
-    pub fn select_query(
-        &self,
-        pred: Option<&SpatialPredicate>,
-        attrs: &[AttrRange],
-        strategy: RefineStrategy,
-    ) -> Result<Selection, CoreError> {
-        self.select_query_with(pred, attrs, strategy, self.parallelism())
-    }
-
-    /// [`select_query`](Self::select_query) with an explicit worker-count
-    /// policy, overriding the cloud's [`Parallelism`] knob for this call.
-    ///
-    /// Rows are identical at every worker count: morsels partition the
-    /// candidates in row order and merge in morsel order (see
-    /// [`crate::exec`]).
+    /// the imprints prove fully qualifying skip the exact checks. Rows are
+    /// identical at every worker count: morsels partition the candidates
+    /// in row order and merge in morsel order (see [`crate::exec`]).
     pub fn select_query_with(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -385,21 +366,14 @@ impl PointCloud {
         strategy: RefineStrategy,
         parallelism: Parallelism,
     ) -> Result<Selection, CoreError> {
-        self.select_query_governed(
-            pred,
-            attrs,
-            strategy,
-            parallelism,
-            self.default_deadline(),
-            self.mem_budget(),
-        )
+        let deadline = self.default_deadline();
+        self.select_query_governed(pred, attrs, strategy, parallelism, deadline, None)
     }
 
     /// [`select_query_with`](Self::select_query_with) with explicit
-    /// deadline / memory-budget overrides (`None` = ungoverned). This is
-    /// where a session layer's `SET STATEMENT_TIMEOUT` / `SET MEM_BUDGET`
-    /// land; the query still passes admission and the query registry
-    /// (the shared [`governor::govern`] prologue).
+    /// deadline / memory-budget overrides (`None` = ungoverned). The query
+    /// still passes admission and the query registry (the shared
+    /// [`governor::govern`] prologue).
     pub fn select_query_governed(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -424,11 +398,11 @@ impl PointCloud {
         self.select_query_ctx(pred, attrs, strategy, parallelism, &g.ctx)
     }
 
-    /// [`select_query_with`](Self::select_query_with) under an explicit
-    /// governance context, bypassing admission and the query registry —
-    /// the seam for deterministic cancellation tests (differential suite,
-    /// fault injection) and for callers that manage their own
-    /// [`crate::CancelToken`] lifecycle.
+    /// The engine under an explicit governance context, bypassing
+    /// admission and the query registry — the seam for the SQL layer
+    /// (which governs the whole statement), for deterministic cancellation
+    /// tests (differential suite, fault injection) and for callers that
+    /// manage their own [`crate::CancelToken`] lifecycle.
     pub fn select_query_ctx(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -437,15 +411,14 @@ impl PointCloud {
         parallelism: Parallelism,
         ctx: &GovernCtx,
     ) -> Result<Selection, CoreError> {
-        run_query(self.tracing(), ctx, |root, stages, explain| {
-            self.query_stages(pred, attrs, strategy, parallelism, ctx, root, stages, explain)
+        run_query(ctx, |root, explain| {
+            self.query_stages(pred, attrs, strategy, parallelism, ctx, root, explain)
         })
     }
 
     /// The two-step pipeline proper: probes, exact scans, refinement.
-    /// Returns the matching rows; `stages`/`explain` are filled in as far
-    /// as execution got (on cancellation they describe the completed
-    /// prefix).
+    /// Returns the matching rows; `explain` is filled in as far as
+    /// execution got (on cancellation it describes the completed prefix).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn query_stages(
         &self,
@@ -455,7 +428,6 @@ impl PointCloud {
         parallelism: Parallelism,
         ctx: &GovernCtx,
         root: &mut trace::SpanGuard,
-        stages: &mut Vec<StageSample>,
         explain: &mut Explain,
     ) -> Result<Vec<usize>, CoreError> {
         let metrics = MetricsRegistry::global();
@@ -549,21 +521,6 @@ impl PointCloud {
         explain.t_imprint_build = build_secs;
         // Probe-only: the lazy index builds above are reported separately.
         explain.t_imprints = (t0.elapsed().as_secs_f64() - build_secs).max(0.0);
-        // The registry's imprint_build stage is recorded at the build site
-        // (`PointCloud::imprints_for_timed`); the profile notes it here so
-        // the per-query view carries the build cost too.
-        if build_secs > 0.0 {
-            stages.push(StageSample {
-                stage: Stage::ImprintBuild,
-                rows: 0,
-                seconds: build_secs,
-            });
-        }
-        stages.push(StageSample {
-            stage: Stage::ImprintProbe,
-            rows: explain.after_imprints,
-            seconds: explain.t_imprints,
-        });
         metrics.record_stage(
             Stage::ImprintProbe,
             explain.after_imprints,
@@ -611,11 +568,6 @@ impl PointCloud {
         let mut rows = exec::filter(&job, &cand, workers, explain)?;
         explain.after_bbox = rows.len();
         explain.t_bbox = t0.elapsed().as_secs_f64();
-        stages.push(StageSample {
-            stage: Stage::BboxScan,
-            rows: explain.after_bbox,
-            seconds: explain.t_bbox,
-        });
         metrics.record_stage(
             Stage::BboxScan,
             explain.after_bbox,
@@ -658,11 +610,6 @@ impl PointCloud {
         explain.t_refine = t0.elapsed().as_secs_f64();
         explain.result_rows = rows.len();
         if pred.is_some() {
-            stages.push(StageSample {
-                stage: Stage::GridRefine,
-                rows: explain.result_rows,
-                seconds: explain.t_refine,
-            });
             metrics.record_stage(
                 Stage::GridRefine,
                 explain.result_rows,
@@ -707,8 +654,9 @@ impl PointCloud {
         Ok(())
     }
 
-    /// Aggregate a column over a selection. Returns `None` for an empty
-    /// selection (except `count`, which is always defined).
+    /// Aggregate a column over a selection with the default worker policy.
+    /// Returns `None` for an empty selection (except `count`, which is
+    /// always defined).
     ///
     /// `Sum`/`Avg` use compensated (Neumaier) summation over the typed
     /// column slice — no per-row boxing, and precision holds on multi-
@@ -719,7 +667,7 @@ impl PointCloud {
         column: &str,
         agg: Aggregate,
     ) -> Result<Option<f64>, CoreError> {
-        self.aggregate_with(rows, column, agg, self.parallelism())
+        self.aggregate_with(rows, column, agg, Parallelism::default())
     }
 
     /// [`aggregate`](Self::aggregate) with an explicit worker-count policy:
@@ -746,7 +694,7 @@ impl PointCloud {
         let workers = parallelism.workers();
         // Roots its own trace when called standalone; nests under the
         // caller's span when one is live on this thread.
-        let mut agg_span = trace::root_span_if(self.tracing(), SpanKind::Stage(Stage::Aggregate));
+        let mut agg_span = trace::span(SpanKind::Stage(Stage::Aggregate));
         agg_span.set_rows(rows.len() as u64, 1);
         let t0 = Instant::now();
         let state = for_each_variant!(col, v => {
@@ -868,13 +816,19 @@ mod tests {
             RefineStrategy::AdaptiveGrid,
             RefineStrategy::Exhaustive,
         ] {
-            let sel = pc.select_with(&tri, strat).unwrap();
+            let sel = pc.select_query_with(Some(&tri), &[], strat, Parallelism::default()).unwrap();
             let mut rows = sel.rows.clone();
             rows.sort_unstable();
             assert_eq!(rows, expect, "{strat:?}");
         }
         // BboxOnly returns a superset.
-        let sup = pc.select_with(&tri, RefineStrategy::BboxOnly).unwrap();
+        let sup = pc.select_query_with(
+            Some(&tri),
+            &[],
+            RefineStrategy::BboxOnly,
+            Parallelism::default(),
+        )
+        .unwrap();
         assert!(sup.rows.len() >= expect.len());
         for r in &expect {
             assert!(sup.rows.contains(r));
@@ -894,9 +848,20 @@ mod tests {
             .unwrap(),
         ));
         let grid = pc
-            .select_with(&big, RefineStrategy::Grid { cells: 64 })
+            .select_query_with(
+                Some(&big),
+                &[],
+                RefineStrategy::Grid { cells: 64 },
+                Parallelism::default(),
+            )
             .unwrap();
-        let exhaustive = pc.select_with(&big, RefineStrategy::Exhaustive).unwrap();
+        let exhaustive = pc.select_query_with(
+            Some(&big),
+            &[],
+            RefineStrategy::Exhaustive,
+            Parallelism::default(),
+        )
+        .unwrap();
         assert_eq!(grid.rows.len(), exhaustive.rows.len());
         assert!(
             grid.explain.exact_tests < exhaustive.explain.exact_tests / 2,
@@ -1034,6 +999,11 @@ mod tests {
                 "field with sentinel {sentinel} missing from to_table():\n{table}"
             );
         }
+        // `counters()` carries every deterministic count and no timing.
+        let counters = e.counters();
+        assert!(counters.contains(&("attr_probes", 809)));
+        let values: Vec<u64> = counters.iter().map(|c| c.1).collect();
+        assert_eq!(values, [101, 211, 307, 401, 503, 601, 701, 809, 907, 1009]);
     }
 
     #[test]
@@ -1042,13 +1012,14 @@ mod tests {
         let window = rect(20.0, 20.0, 70.0, 70.0);
         // Index-driven: spatial + classification + z range in one call.
         let sel = pc
-            .select_query(
+            .select_query_with(
                 Some(&window),
                 &[
                     AttrRange::new("classification", 6.0, 6.0),
                     AttrRange::new("z", 8.0, 12.0),
                 ],
                 RefineStrategy::default(),
+                Parallelism::default(),
             )
             .unwrap();
         assert_eq!(sel.explain.attr_probes, 2);
@@ -1070,10 +1041,11 @@ mod tests {
     fn attr_only_query_uses_imprints_without_spatial() {
         let pc = grid_cloud();
         let sel = pc
-            .select_query(
+            .select_query_with(
                 None,
                 &[AttrRange::new("intensity", 100.0, 200.0)],
                 RefineStrategy::default(),
+                Parallelism::default(),
             )
             .unwrap();
         let ints = pc.column("intensity").unwrap().as_slice::<u16>().unwrap();
@@ -1093,7 +1065,7 @@ mod tests {
     fn no_predicates_returns_everything() {
         let pc = grid_cloud();
         let sel = pc
-            .select_query(None, &[], RefineStrategy::default())
+            .select_query_with(None, &[], RefineStrategy::default(), Parallelism::default())
             .unwrap();
         assert_eq!(sel.rows.len(), pc.num_points());
     }
@@ -1102,10 +1074,11 @@ mod tests {
     fn inverted_attr_range_is_empty() {
         let pc = grid_cloud();
         let sel = pc
-            .select_query(
+            .select_query_with(
                 None,
                 &[AttrRange::new("z", 10.0, 5.0)],
                 RefineStrategy::default(),
+                Parallelism::default(),
             )
             .unwrap();
         assert!(sel.rows.is_empty());
@@ -1149,10 +1122,11 @@ mod tests {
         fi.inject_n(FaultStage::ImprintBuild, None, FaultKind::IoError, 0, 99);
         pc.set_fault_injector(fi);
         let sel = pc
-            .select_query(
+            .select_query_with(
                 Some(&tri),
                 &[AttrRange::new("classification", 2.0, 2.0)],
                 RefineStrategy::default(),
+                Parallelism::default(),
             )
             .unwrap();
         assert_eq!(sel.explain.degraded_probes, 3);
@@ -1167,10 +1141,11 @@ mod tests {
         assert_eq!(sel.rows, oracle);
         // Unknown columns are still hard errors, not degradation.
         assert!(pc
-            .select_query(
+            .select_query_with(
                 None,
                 &[AttrRange::new("wibble", 0.0, 1.0)],
-                RefineStrategy::default()
+                RefineStrategy::default(),
+                Parallelism::default(),
             )
             .is_err());
     }
@@ -1229,10 +1204,11 @@ mod tests {
         pc.append_records(&recs).unwrap();
         let lo = (u64::MAX - 2047) as f64;
         let sel = pc
-            .select_query(
+            .select_query_with(
                 None,
                 &[AttrRange::new("wave_offset", lo, f64::INFINITY)],
                 RefineStrategy::default(),
+                Parallelism::default(),
             )
             .unwrap();
         assert_eq!(sel.rows, vec![0, 1], "row 2 is below the bound");
@@ -1280,7 +1256,7 @@ mod review_regressions {
         let pred = SpatialPredicate::Within(Geometry::Polygon(bowtie.clone()));
         let grid = pc.select(&pred).unwrap();
         let exhaustive = pc
-            .select_with(&pred, RefineStrategy::Exhaustive)
+            .select_query_with(Some(&pred), &[], RefineStrategy::Exhaustive, Parallelism::default())
             .unwrap();
         assert_eq!(grid.rows, exhaustive.rows, "paths must agree");
         // And strictly fewer points than the bbox holds.
@@ -1307,10 +1283,15 @@ mod review_regressions {
             .unwrap(),
         ));
         let sel = pc
-            .select_with(&tri, RefineStrategy::Grid { cells: usize::MAX })
+            .select_query_with(
+                Some(&tri),
+                &[],
+                RefineStrategy::Grid { cells: usize::MAX },
+                Parallelism::default(),
+            )
             .unwrap();
         let oracle = pc
-            .select_with(&tri, RefineStrategy::Exhaustive)
+            .select_query_with(Some(&tri), &[], RefineStrategy::Exhaustive, Parallelism::default())
             .unwrap();
         assert_eq!(sel.rows, oracle.rows);
     }
@@ -1423,8 +1404,9 @@ mod review_regressions {
         let pc = grid_cloud();
         let token = CancelToken::new();
         let ctx = GovernCtx::new(token, None);
-        let ticket = crate::governor::QueryRegistry::global().register("test select", &ctx);
-        assert!(pc.kill_query(ticket.id()), "id names a live query");
+        let registry = crate::governor::QueryRegistry::global();
+        let ticket = registry.register("test select", &ctx);
+        assert!(registry.kill(ticket.id()), "id names a live query");
         let err = pc
             .select_query_ctx(
                 Some(&rect(0.0, 0.0, 9.0, 9.0)),
@@ -1436,7 +1418,7 @@ mod review_regressions {
             .unwrap_err();
         expect_cancelled(err, CancelReason::Killed);
         drop(ticket);
-        assert!(!pc.kill_query(crate::governor::QueryId(u64::MAX)));
+        assert!(!registry.kill(crate::governor::QueryId(u64::MAX)));
     }
 
     #[test]
@@ -1473,7 +1455,7 @@ mod review_regressions {
         let pc = grid_cloud();
         // Unknown attribute column: typed error, not a panic.
         let err = pc
-            .select_query(
+            .select_query_with(
                 None,
                 &[AttrRange {
                     column: "no_such_column".into(),
@@ -1481,6 +1463,7 @@ mod review_regressions {
                     hi: 1.0,
                 }],
                 RefineStrategy::AdaptiveGrid,
+                Parallelism::default(),
             )
             .unwrap_err();
         assert!(err.to_string().contains("no_such_column"), "{err}");
@@ -1491,7 +1474,7 @@ mod review_regressions {
         assert!(matches!(err, CoreError::InvalidQuery(_)), "{err}");
         // Inverted attribute range: empty result, not a panic.
         let sel = pc
-            .select_query(
+            .select_query_with(
                 None,
                 &[AttrRange {
                     column: "z".into(),
@@ -1499,6 +1482,7 @@ mod review_regressions {
                     hi: 1.0,
                 }],
                 RefineStrategy::AdaptiveGrid,
+                Parallelism::default(),
             )
             .unwrap();
         assert!(sel.rows.is_empty());

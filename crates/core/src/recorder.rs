@@ -126,8 +126,7 @@ pub fn series_names() -> &'static [&'static str] {
     })
 }
 
-fn collect_values() -> Vec<u64> {
-    let m = MetricsRegistry::global();
+fn collect_values(m: &MetricsRegistry) -> Vec<u64> {
     m.counter_values()
         .iter()
         .map(|(_, v)| *v)
@@ -190,6 +189,10 @@ struct WriterState {
 /// The flight recorder. One process-wide instance ([`Recorder::global`]);
 /// private instances exist only for tests.
 pub struct Recorder {
+    /// The registry every sample reads ([`MetricsRegistry::global`] for the
+    /// process-wide recorder; a private one in tests, so concurrent tests'
+    /// counters never leak into a sample).
+    metrics: &'static MetricsRegistry,
     slots: Box<[Slot]>,
     /// Uncompressed absolute copy of the most recent sample, so the
     /// Prometheus scrape path reads one seqlock slot and never decodes.
@@ -202,17 +205,12 @@ pub struct Recorder {
     interval_ms: AtomicU64,
 }
 
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::new()
-    }
-}
-
 impl Recorder {
-    /// A fresh, empty recorder.
-    pub fn new() -> Recorder {
+    /// A fresh, empty recorder sampling `metrics`.
+    fn new(metrics: &'static MetricsRegistry) -> Recorder {
         let n = series_names().len();
         Recorder {
+            metrics,
             slots: (0..RECORDER_SLOTS).map(|_| Slot::default()).collect(),
             latest: Slot::default(),
             latest_values: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -230,7 +228,7 @@ impl Recorder {
     /// sampler; see [`Recorder::start_sampler`].
     pub fn global() -> &'static Recorder {
         static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-        GLOBAL.get_or_init(Recorder::new)
+        GLOBAL.get_or_init(|| Recorder::new(MetricsRegistry::global()))
     }
 
     /// Milliseconds between sampler ticks.
@@ -271,8 +269,8 @@ impl Recorder {
     /// Take one sample right now (the sampler's tick; also the
     /// deterministic entry point for tests).
     pub fn sample_now(&self) {
-        let values = collect_values();
-        let uptime = MetricsRegistry::global().uptime_ns();
+        let values = collect_values(self.metrics);
+        let uptime = self.metrics.uptime_ns();
         let mut w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let claim = w.claim;
         let keyframe = w.prev.is_none() || claim.is_multiple_of(KEYFRAME_EVERY);
@@ -437,6 +435,13 @@ impl Recorder {
 mod tests {
     use super::*;
 
+    /// A recorder over a private registry, so counters other tests bump
+    /// concurrently never reach its samples.
+    fn private() -> (&'static Recorder, &'static MetricsRegistry) {
+        let m: &'static MetricsRegistry = Box::leak(Box::default());
+        (Box::leak(Box::new(Recorder::new(m))), m)
+    }
+
     #[test]
     fn varint_zigzag_round_trips() {
         for v in [0i64, 1, -1, 63, -64, 300, -300, i64::MAX, i64::MIN] {
@@ -453,10 +458,9 @@ mod tests {
 
     #[test]
     fn samples_round_trip_and_deltas_reconstruct() {
-        let r = Recorder::new();
+        let (r, m) = private();
         assert!(r.latest().is_none());
         assert!(r.snapshot().is_empty());
-        let m = MetricsRegistry::global();
         for i in 0..5 {
             m.queries.add(3);
             m.table_rows.set(1000 + i);
@@ -482,8 +486,7 @@ mod tests {
 
     #[test]
     fn ring_laps_and_keyframes_resync() {
-        let r = Recorder::new();
-        let m = MetricsRegistry::global();
+        let (r, m) = private();
         let total = RECORDER_SLOTS as u64 + 3 * KEYFRAME_EVERY;
         for _ in 0..total {
             m.queries.inc();
@@ -507,8 +510,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_never_see_torn_samples() {
-        let r: &'static Recorder = Box::leak(Box::new(Recorder::new()));
-        let m = MetricsRegistry::global();
+        let (r, m) = private();
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 std::thread::spawn(move || {

@@ -247,9 +247,9 @@ pub struct TileResidency {
 /// Tiles load on first touch and stay resident until the LRU evicts them
 /// to honour [`Self::set_resident_budget`]; the most recently touched tile
 /// is never evicted, so a budget smaller than one tile still makes
-/// progress (one tile resident at a time). All query entry points mirror
-/// the flat [`PointCloud`] API and return bit-identical rows (global row
-/// ids in the sealed SFC order).
+/// progress (one tile resident at a time). The query entry points are
+/// the flat [`PointCloud`]'s, with the same signatures and governance, and
+/// return bit-identical rows (global row ids in the sealed SFC order).
 pub struct TiledCloud {
     dir: PathBuf,
     tiles: TileSet,
@@ -259,7 +259,6 @@ pub struct TiledCloud {
     /// `true` when the directory was a flat v1/v2 dump opened as a single
     /// pseudo-tile (no zones, never pruned).
     flat: bool,
-    parallelism: Parallelism,
     /// Resident-cache byte budget; 0 = unlimited.
     budget_bytes: AtomicU64,
     cache: Mutex<TileCache>,
@@ -311,7 +310,6 @@ impl TiledCloud {
             bits,
             rows,
             flat,
-            parallelism: Parallelism::default(),
             budget_bytes: AtomicU64::new(0),
             cache: Mutex::new(TileCache::default()),
             loads: AtomicU64::new(0),
@@ -410,17 +408,6 @@ impl TiledCloud {
             .collect()
     }
 
-    /// Default worker policy for query entry points without an explicit
-    /// [`Parallelism`].
-    pub fn set_parallelism(&mut self, p: Parallelism) {
-        self.parallelism = p;
-    }
-
-    /// The default worker policy.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
     /// Load (or re-touch) a tile, charging faulted-in bytes to the
     /// query's memory budget and evicting LRU tiles past the resident
     /// budget. Held-lock loading keeps accounting exact; tile I/O under
@@ -475,22 +462,14 @@ impl TiledCloud {
         Ok(pc)
     }
 
-    /// Two-step spatial query with the default strategy and worker policy.
+    /// Two-step spatial query with the default strategy and worker policy,
+    /// governed like [`Self::select_query_with`].
     pub fn select(&self, pred: &SpatialPredicate) -> Result<Selection, CoreError> {
-        self.select_query(Some(pred), &[], RefineStrategy::default())
+        self.select_query_with(Some(pred), &[], RefineStrategy::default(), Parallelism::default())
     }
 
-    /// Spatial + attribute query with the default worker policy.
-    pub fn select_query(
-        &self,
-        pred: Option<&SpatialPredicate>,
-        attrs: &[AttrRange],
-        strategy: RefineStrategy,
-    ) -> Result<Selection, CoreError> {
-        self.select_query_with(pred, attrs, strategy, self.parallelism)
-    }
-
-    /// [`Self::select_query`] with an explicit worker policy, ungoverned.
+    /// Spatial + attribute query under the process-wide admission
+    /// controller, with no deadline or memory budget.
     pub fn select_query_with(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -498,15 +477,14 @@ impl TiledCloud {
         strategy: RefineStrategy,
         parallelism: Parallelism,
     ) -> Result<Selection, CoreError> {
-        self.select_query_ctx(pred, attrs, strategy, parallelism, &GovernCtx::ungoverned())
+        self.select_query_governed(pred, attrs, strategy, parallelism, None, None)
     }
 
-    /// Governed tiled query, through the same [`governor::govern`]
-    /// prologue as the flat table: it takes an admission permit (from the
-    /// process-wide controller), and one deadline/budget token covers
-    /// zone-map pruning, every tile load (bytes charged as they fault in)
-    /// and every per-tile probe; the query is visible in the global
-    /// registry.
+    /// [`Self::select_query_with`] with explicit deadline / memory-budget
+    /// overrides, through the same [`governor::govern`] prologue as the
+    /// flat table: one deadline/budget token covers zone-map pruning,
+    /// every tile load (bytes charged as they fault in) and every per-tile
+    /// probe; the query is visible in the global registry.
     pub fn select_query_governed(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -541,7 +519,7 @@ impl TiledCloud {
         parallelism: Parallelism,
         ctx: &GovernCtx,
     ) -> Result<Selection, CoreError> {
-        run_query(false, ctx, |root, stages, explain| {
+        run_query(ctx, |root, explain| {
             let mut preds: Vec<(&str, f64, f64)> = Vec::new();
             if let Some(env) = pred.and_then(|p| p.filter_envelope()) {
                 preds.push(("x", env.min_x, env.max_x));
@@ -559,7 +537,7 @@ impl TiledCloud {
                 let pc = self.load_tile(t, ctx)?;
                 let mut sub = Explain::default();
                 let local =
-                    pc.query_stages(pred, attrs, strategy, parallelism, ctx, root, stages, &mut sub)?;
+                    pc.query_stages(pred, attrs, strategy, parallelism, ctx, root, &mut sub)?;
                 let base = self.tiles.tiles[t].row_start;
                 rows.extend(local.iter().map(|&r| r + base));
                 merge_explain(explain, &sub);
@@ -618,7 +596,7 @@ impl TiledCloud {
         column: &str,
         agg: Aggregate,
     ) -> Result<Option<f64>, CoreError> {
-        self.aggregate_with(rows, column, agg, self.parallelism)
+        self.aggregate_with(rows, column, agg, Parallelism::default())
     }
 
     /// [`Self::aggregate`] with an explicit worker policy. Rows are

@@ -30,9 +30,8 @@
 //! (`--no-default-features`) pins [`enabled`] to `false` so every guard
 //! constant-folds to a no-op.
 //!
-//! Tracing turns on three ways, any of which activates a query root:
+//! Tracing turns on two ways, either of which activates a query root:
 //! * process-wide: [`set_enabled`] (`benchmark/` does this for `--trace 1`);
-//! * per [`PointCloud`](crate::PointCloud): `pc.set_tracing(true)`;
 //! * per thread/session: [`force_thread`] — the SQL layer holds this
 //!   guard while executing a statement after `SET TRACE = ON`.
 //!
@@ -47,15 +46,17 @@
 //!   `ph:"X"` duration events), loadable in `ui.perfetto.dev`; a
 //!   `benchmark … --trace 1` run writes one per workload.
 //! * [`SlowQueryLog`] — a bounded ring of the K worst queries by wall
-//!   time, each with its [`QueryProfile`] and span tree; surfaced via
-//!   `PointCloud::slow_queries()` and SQL `SHOW SLOW QUERIES`.
+//!   time, each with its [`Explain`](crate::Explain) and span tree;
+//!   surfaced via `SlowQueryLog::global().worst()` and SQL
+//!   `SHOW SLOW QUERIES`.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::metrics::{QueryProfile, Stage};
+use crate::metrics::Stage;
+use crate::query::Explain;
 
 /// Span flag: at least one imprint probe degraded to an exact scan.
 pub const FLAG_DEGRADED: u64 = 1;
@@ -396,8 +397,10 @@ impl std::fmt::Debug for SpanGuard {
     }
 }
 
-fn span_impl(kind: SpanKind, force: bool) -> SpanGuard {
-    if !cfg!(feature = "trace") || !(force || is_active()) {
+/// Open a span. Records only if tracing is active on this thread (process
+/// flag, thread guard, or an enclosing live span).
+pub fn span(kind: SpanKind) -> SpanGuard {
+    if !cfg!(feature = "trace") || !is_active() {
         return SpanGuard(None);
     }
     let prev = CURRENT.with(Cell::get);
@@ -422,18 +425,6 @@ fn span_impl(kind: SpanKind, force: bool) -> SpanGuard {
         aux: 0,
         prev,
     }))
-}
-
-/// Open a span. Records only if tracing is active on this thread (process
-/// flag, thread guard, or an enclosing live span).
-pub fn span(kind: SpanKind) -> SpanGuard {
-    span_impl(kind, false)
-}
-
-/// Open a root span, additionally activated by a caller-side flag (the
-/// per-`PointCloud` toggle): records if `force` *or* tracing is active.
-pub fn root_span_if(force: bool, kind: SpanKind) -> SpanGuard {
-    span_impl(kind, force)
 }
 
 /// An always-inert guard, for sites that only sometimes have a span.
@@ -651,8 +642,8 @@ pub struct SlowQuery {
     pub queue_wait_seconds: f64,
     /// Result cardinality.
     pub result_rows: usize,
-    /// The query's full profile (Explain + stage samples).
-    pub profile: QueryProfile,
+    /// The query's per-operator cardinalities and timings.
+    pub explain: Explain,
     /// The query's span tree as captured at completion.
     pub spans: Vec<SpanRecord>,
 }
@@ -952,7 +943,7 @@ mod tests {
                 seconds: secs,
                 queue_wait_seconds: secs / 10.0,
                 result_rows: i,
-                profile: QueryProfile::default(),
+                explain: Explain::default(),
                 spans: Vec::new(),
             });
         }

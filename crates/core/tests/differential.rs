@@ -215,9 +215,9 @@ fn assert_differential(
         // The whole named-counter view must agree, not just the fields
         // spelled out above — new counters are covered automatically.
         assert_eq!(
-            serial.profile.counters(),
-            par.profile.counters(),
-            "QueryProfile counters differ at {w} workers"
+            serial.explain.counters(),
+            par.explain.counters(),
+            "Explain counters differ at {w} workers"
         );
         assert_morsels_partition_candidates(b);
         if b.after_imprints >= 2 * MORSEL_MIN_ROWS {
@@ -452,9 +452,9 @@ fn differential_with_injected_imprint_faults() {
             assert_eq!(serial.explain.degraded_probes, par.explain.degraded_probes);
             assert_eq!(serial.explain.result_rows, par.explain.result_rows);
             assert_eq!(
-                serial.profile.counters(),
-                par.profile.counters(),
-                "degraded QueryProfile counters differ at {w} workers"
+                serial.explain.counters(),
+                par.explain.counters(),
+                "degraded Explain counters differ at {w} workers"
             );
         }
     }
@@ -508,7 +508,13 @@ fn differential_span_trees_serial_vs_parallel() {
     let pc = shared_cloud();
     let pred = diamond(500.0, 500.0, 350.0);
     // Warm the lazy imprints so neither traced run records a build span.
-    pc.select_with(&pred, RefineStrategy::default()).unwrap();
+    pc.select_query_with(
+        Some(&pred),
+        &[],
+        RefineStrategy::default(),
+        Parallelism::default(),
+    )
+    .unwrap();
 
     let (serial, par);
     {
@@ -521,8 +527,8 @@ fn differential_span_trees_serial_vs_parallel() {
             .unwrap();
     }
     assert_eq!(serial.rows, par.rows);
-    let serial_tid = serial.profile.trace_id.expect("serial run traced");
-    let par_tid = par.profile.trace_id.expect("parallel run traced");
+    let serial_tid = serial.trace_id.expect("serial run traced");
+    let par_tid = par.trace_id.expect("parallel run traced");
     assert_ne!(serial_tid, par_tid, "each query gets its own trace id");
 
     let sink = lidardb_core::Tracer::global().snapshot();

@@ -148,7 +148,6 @@ fn slow_log_stays_bounded_under_concurrent_cancellation_storm() {
     trace::SlowQueryLog::global().clear();
 
     let pc = Arc::new(build_cloud(30_000, 0xB0B));
-    pc.set_tracing(true);
     let pred = rect(100.0, 100.0, 900.0, 900.0);
 
     // 100 concurrent queries, every one pre-killed: all must resolve to
@@ -158,6 +157,7 @@ fn slow_log_stays_bounded_under_concurrent_cancellation_storm() {
             let pc = Arc::clone(&pc);
             let pred = pred.clone();
             std::thread::spawn(move || {
+                let _g = trace::force_thread();
                 let token = CancelToken::with(None, None);
                 token.kill();
                 let ctx = GovernCtx::new(token, None);
@@ -175,7 +175,6 @@ fn slow_log_stays_bounded_under_concurrent_cancellation_storm() {
         let err = t.join().expect("no panics").unwrap_err();
         assert!(matches!(err, CoreError::Cancelled { .. }), "{err}");
     }
-    pc.set_tracing(false);
 
     let worst = trace::SlowQueryLog::global().worst();
     assert!(
@@ -203,7 +202,7 @@ fn cancelled_query_renders_in_slow_log_tree() {
     trace::SlowQueryLog::global().clear();
 
     let pc = build_cloud(20_000, 0xC0C);
-    pc.set_tracing(true);
+    let traced = trace::force_thread();
     let err = pc
         .select_query_governed(
             Some(&rect(0.0, 0.0, 1000.0, 1000.0)),
@@ -214,7 +213,7 @@ fn cancelled_query_renders_in_slow_log_tree() {
             Some(1), // 1-byte budget: trips at the first materialisation
         )
         .unwrap_err();
-    pc.set_tracing(false);
+    drop(traced);
     assert!(matches!(
         err,
         CoreError::Cancelled {
@@ -320,12 +319,12 @@ fn slow_log_reports_nonzero_queue_wait_for_queued_query() {
     let mut pc = build_cloud(20_000, 0xBEEF);
     let ctl = Arc::new(AdmissionController::new(1, 8));
     pc.set_admission(Arc::clone(&ctl));
-    pc.set_tracing(true);
     let held = ctl.admit(None).expect("take the only slot");
     let pc = Arc::new(pc);
     let worker = {
         let pc = Arc::clone(&pc);
         std::thread::spawn(move || {
+            let _g = trace::force_thread();
             pc.select_query_governed(
                 Some(&rect(100.0, 100.0, 900.0, 900.0)),
                 &[],
@@ -345,7 +344,6 @@ fn slow_log_reports_nonzero_queue_wait_for_queued_query() {
         .join()
         .expect("no panic")
         .expect("query succeeds once admitted");
-    pc.set_tracing(false);
     let worst = trace::SlowQueryLog::global().worst();
     let entry = worst
         .iter()

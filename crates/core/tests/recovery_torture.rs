@@ -313,10 +313,11 @@ fn queries_on_recovered_cloud_match_a_never_crashed_one() {
         fresh.append_records(&batch(b)).unwrap();
     }
     let q = |pc: &PointCloud| {
-        pc.select_query(
+        pc.select_query_with(
             None,
             &[lidardb_core::AttrRange::new("z", 10.0, 40.0)],
             Default::default(),
+            lidardb_core::Parallelism::default(),
         )
         .unwrap()
         .rows

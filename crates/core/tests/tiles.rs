@@ -148,11 +148,11 @@ fn zone_maps_prune_tiles_without_changing_results() {
     // range prunes by the gps_time zone maps even with no spatial filter.
     let attr = [AttrRange::new("gps_time", 0.0, 0.5)];
     let sel = tc
-        .select_query(None, &attr, RefineStrategy::default())
+        .select_query_with(None, &attr, RefineStrategy::default(), Parallelism::default())
         .unwrap();
     assert_eq!(
         sel.rows,
-        flat.select_query(None, &attr, RefineStrategy::default())
+        flat.select_query_with(None, &attr, RefineStrategy::default(), Parallelism::default())
             .unwrap()
             .rows
     );
@@ -341,7 +341,7 @@ fn governed_tiled_query_charges_tile_bytes_to_the_budget() {
 
 /// One tiled statement is one query to every observer: one trace id, one
 /// slow-log entry, one `Query` root with every tile's load and stage spans
-/// under it — while the profile still carries the per-tile stage samples.
+/// under it, whose per-tile bbox rows add up to the merged `Explain`.
 #[test]
 fn one_tiled_statement_is_one_traced_query() {
     use lidardb_core::{SlowQueryLog, SpanKind, Stage};
@@ -363,7 +363,7 @@ fn one_tiled_statement_is_one_traced_query() {
     let entry = &log[0];
     assert_eq!(entry.trace_id, id);
     assert_eq!(entry.result_rows, sel.rows.len());
-    assert_eq!(entry.profile.explain, sel.explain);
+    assert_eq!(entry.explain, sel.explain);
 
     let count = |kind: SpanKind| entry.spans.iter().filter(|s| s.kind == kind).count();
     assert_eq!(count(SpanKind::Query), 1, "one root");
@@ -383,13 +383,11 @@ fn one_tiled_statement_is_one_traced_query() {
             stage.name()
         );
     }
-
-    // The profile still sums per-tile samples.
-    let samples = |stage: Stage| sel.stages.iter().filter(move |s| s.stage == stage);
-    assert_eq!(samples(Stage::ImprintProbe).count(), tiles);
-    assert_eq!(samples(Stage::BboxScan).count(), tiles);
-    assert_eq!(
-        samples(Stage::BboxScan).map(|s| s.rows).sum::<usize>(),
-        sel.explain.after_bbox
-    );
+    let bbox_rows: u64 = entry
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Stage(Stage::BboxScan))
+        .map(|s| s.rows_out)
+        .sum();
+    assert_eq!(bbox_rows, sel.explain.after_bbox as u64);
 }

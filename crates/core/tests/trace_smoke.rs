@@ -1,13 +1,13 @@
 //! Smoke tests for the span tracer: the Chrome trace-event export is
-//! well-formed JSON with the expected event shape, the per-PointCloud
-//! toggle gates tracing, and the slow-query log captures traced queries.
+//! well-formed JSON with the expected event shape, the per-thread guard
+//! gates tracing, and the slow-query log captures traced queries.
 //!
 //! The tracer ring and slow-query log are process-global; the stateful
 //! checks run in one `#[test]` so they see a coherent sequence, and the
 //! cross-trace assertions always filter by this test's own trace ids.
 
 use lidardb_core::{
-    Parallelism, PointCloud, RefineStrategy, SpatialPredicate, Tracer,
+    trace, Parallelism, PointCloud, RefineStrategy, SlowQueryLog, SpatialPredicate, Tracer,
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
@@ -133,7 +133,6 @@ fn json_checker_accepts_and_rejects() {
 #[test]
 fn untraced_queries_have_no_trace_id() {
     let pc = cloud(10_000);
-    assert!(!pc.tracing(), "tracing defaults to off");
     let sel = pc
         .select_query_with(
             Some(&diamond(50.0, 50.0, 40.0)),
@@ -143,7 +142,7 @@ fn untraced_queries_have_no_trace_id() {
         )
         .unwrap();
     assert!(!sel.rows.is_empty());
-    assert_eq!(sel.profile.trace_id, None, "untraced query carries no trace id");
+    assert_eq!(sel.trace_id, None, "untraced query carries no trace id");
 }
 
 #[test]
@@ -151,20 +150,19 @@ fn trace_smoke() {
     let pc = cloud(30_000);
     let pred = diamond(80.0, 80.0, 70.0);
 
-    // --- per-PointCloud toggle --------------------------------------------
-    pc.set_tracing(true);
-    assert!(pc.tracing());
+    // --- per-thread guard -------------------------------------------------
+    let guard = trace::force_thread();
     let traced = pc
         .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
         .unwrap();
-    let tid = traced.profile.trace_id.expect("traced query has a trace id");
+    let tid = traced.trace_id.expect("traced query has a trace id");
 
-    pc.set_tracing(false);
+    drop(guard);
     let untraced = pc
         .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
         .unwrap();
-    assert_eq!(untraced.rows, traced.rows, "toggle must not change results");
-    assert_eq!(untraced.profile.trace_id, None);
+    assert_eq!(untraced.rows, traced.rows, "tracing must not change results");
+    assert_eq!(untraced.trace_id, None);
 
     // --- the trace holds one span per exercised stage ---------------------
     let sink = Tracer::global().snapshot().for_trace(tid);
@@ -199,7 +197,7 @@ fn trace_smoke() {
     assert_eq!(json.matches("\"ph\": \"X\"").count(), sink.spans.len());
 
     // --- slow-query log ----------------------------------------------------
-    let slow = pc.slow_queries();
+    let slow = SlowQueryLog::global().worst();
     let entry = slow
         .iter()
         .find(|q| q.trace_id == tid)
@@ -209,7 +207,7 @@ fn trace_smoke() {
     assert!(!entry.spans.is_empty(), "slow-query entry keeps its span tree");
     assert!(slow.windows(2).all(|w| w[0].seconds >= w[1].seconds), "worst first");
     assert!(
-        !slow.iter().any(|q| Some(q.trace_id) == untraced.profile.trace_id),
+        !slow.iter().any(|q| Some(q.trace_id) == untraced.trace_id),
         "untraced queries never reach the log"
     );
 }

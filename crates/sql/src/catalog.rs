@@ -191,8 +191,8 @@ impl PcRead<'_> {
     /// Run the governance prologue ([`governor::govern`]) for a statement
     /// of `session` on this table: the table's admission controller and
     /// fault injector (a tiled table has the process-wide controller and
-    /// none), the session's `SET STATEMENT_TIMEOUT` / `SET MEM_BUDGET` or
-    /// else the table's own defaults.
+    /// none), the session's `SET STATEMENT_TIMEOUT` or else the table's
+    /// default deadline, and the session's `SET MEM_BUDGET`.
     pub fn govern(&self, session: &Catalog, detail: String) -> Result<Governed<'_>, CoreError> {
         let pc = self.flat().ok();
         governor::govern(
@@ -205,9 +205,7 @@ impl PcRead<'_> {
             session
                 .statement_timeout()
                 .or_else(|| pc.and_then(PointCloud::default_deadline)),
-            session
-                .mem_budget()
-                .or_else(|| pc.and_then(PointCloud::mem_budget)),
+            session.mem_budget(),
         )
     }
 

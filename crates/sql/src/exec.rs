@@ -883,7 +883,7 @@ pub fn execute(catalog: &Catalog, stmt: &Statement) -> Result<ResultSet, SqlErro
 
 /// Build the `EXPLAIN ANALYZE` output: the planned operator tree followed
 /// by the actual per-operator rows and wall-clock of the execution (the
-/// same numbers the query's `QueryProfile`/`Explain` carries — the trace
+/// same numbers the query's `Explain` carries — the trace
 /// entries are derived from it in [`scan_rows`]).
 fn analyze_result(plan: &Plan, executed: ResultSet, total_seconds: f64) -> ResultSet {
     let mut lines: Vec<String> = plan.describe().lines().map(str::to_string).collect();

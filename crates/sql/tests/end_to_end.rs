@@ -514,7 +514,7 @@ fn set_trace_session_records_spans_and_shows_slow_queries() {
     let slow = lidardb_core::SlowQueryLog::global().worst();
     assert!(!slow.is_empty(), "traced query entered the slow log");
     let q = &slow[0];
-    assert!(q.profile.trace_id.is_some());
+    assert!(q.spans.iter().all(|s| s.trace_id == q.trace_id), "spans belong to the entry");
     let names: Vec<&str> = q.spans.iter().map(|s| s.kind.name()).collect();
     assert!(names.contains(&"query"), "{names:?}");
     assert!(names.contains(&"bbox_scan"), "{names:?}");

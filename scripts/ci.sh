@@ -9,8 +9,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> index, storage and geometry crates, whole: unit and property suites"
-cargo test -q -p lidardb-imprints -p lidardb-storage -p lidardb-geom
+echo "==> index, storage, geometry and LAS crates, whole: unit and property suites"
+cargo test -q -p lidardb-imprints -p lidardb-storage -p lidardb-geom -p lidardb-las
+
+echo "==> core unit tests (explain table, typed cancellation, flight recorder, manifest hardening) debug + release"
+cargo test -q -p lidardb-core --lib
+cargo test -q --release -p lidardb-core --lib
 
 echo "==> SQL layer, whole crate: unit, end_to_end, tiled, hostile_inputs, parser properties"
 cargo test -q -p lidardb-sql
@@ -30,20 +34,12 @@ cargo test -q -p lidardb-core --test metrics_smoke -- --test-threads=1
 # the concurrency-exactness checks under release codegen too.
 cargo test -q --release -p lidardb-core --test metrics_smoke -- --test-threads=1
 
-echo "==> trace smoke (chrome JSON shape, per-cloud toggle, slow-query log)"
+echo "==> trace smoke (chrome JSON shape, per-thread guard, slow-query log)"
 cargo test -q -p lidardb-core --test trace_smoke -- --test-threads=1
 cargo test -q --release -p lidardb-core --test trace_smoke -- --test-threads=1
 
 echo "==> core builds with tracing compiled out"
 cargo check -q -p lidardb-core --no-default-features
-
-echo "==> decoder-hardening and observability regression tests"
-cargo test -q -p lidardb-las absurd_point_count_rejected_without_overflow
-cargo test -q -p lidardb-core forged_manifest_row_count_rejected_without_overflow
-cargo test -q -p lidardb-core to_table_renders_every_explain_field
-
-echo "==> governance regression tests (typed cancellation)"
-cargo test -q -p lidardb-core --lib review_regressions
 
 echo "==> WAL crash-recovery torture suite (fault-injected, debug + release)"
 cargo test -q -p lidardb-core --test recovery_torture -- --test-threads=1
@@ -64,10 +60,6 @@ cargo test -q -p lidardb-server --lib
 cargo test -q -p lidardb-server --test frame_properties
 cargo test -q -p lidardb-server --test loopback -- --test-threads=1
 cargo test -q -p lidardb-server --test disconnect_durability -- --test-threads=1
-
-echo "==> introspection plane: flight recorder (seqlock ring, delta decode) debug + release"
-cargo test -q -p lidardb-core recorder -- --test-threads=1
-cargo test -q --release -p lidardb-core recorder -- --test-threads=1
 
 echo "==> introspection plane: Prometheus exposition (validator, proptests, scrape, healthz)"
 cargo test -q -p lidardb-server --test exposition -- --test-threads=1

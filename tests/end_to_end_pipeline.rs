@@ -94,7 +94,13 @@ fn two_step_engine_matches_bruteforce_oracle() {
         RefineStrategy::Grid { cells: 5 },
         RefineStrategy::Exhaustive,
     ] {
-        let sel = pc.select_with(&pred, strat).unwrap();
+        let sel = pc.select_query_with(
+            Some(&pred),
+            &[],
+            strat,
+            lidardb_core::Parallelism::default(),
+        )
+        .unwrap();
         let mut rows = sel.rows.clone();
         rows.sort_unstable();
         assert_eq!(rows, oracle, "strategy {strat:?}");
