@@ -140,7 +140,10 @@ impl Client {
     }
 
     /// Execute `sql`, invoking `on_header` once and `on_batch` per batch,
-    /// in arrival order. Returns the server's totals.
+    /// in arrival order. Returns the server's totals, after checking them
+    /// against what arrived: a batch whose width differs from the header,
+    /// or a `Done` whose row or batch count differs from the batches
+    /// received, is a [`ProtoError::Inconsistent`].
     pub fn query_streamed(
         &mut self,
         sql: &str,
@@ -155,26 +158,36 @@ impl Client {
         )?;
         use std::io::Write;
         self.w.flush().map_err(ProtoError::Io)?;
-        let mut saw_header = false;
+        let inconsistent = |context, expected, actual| {
+            let e = ProtoError::Inconsistent { context, expected, actual };
+            Err(ClientError::Proto(e))
+        };
+        let mut width = None;
+        let (mut got_rows, mut got_batches) = (0u64, 0u32);
         loop {
             match protocol::read_frame(&mut self.r)?.msg {
                 Message::Header { columns } => {
-                    if saw_header {
+                    if width.is_some() {
                         return Err(ClientError::Proto(ProtoError::BadTag {
                             context: "duplicate header",
                             tag: 2,
                         }));
                     }
-                    saw_header = true;
+                    width = Some(columns.len());
                     on_header(&columns);
                 }
                 Message::Batch { rows } => {
-                    if !saw_header {
+                    let Some(width) = width else {
                         return Err(ClientError::Proto(ProtoError::BadTag {
                             context: "batch before header",
                             tag: 3,
                         }));
+                    };
+                    if let Some(row) = rows.iter().find(|r| r.len() != width) {
+                        return inconsistent("batch width", width as u64, row.len() as u64);
                     }
+                    got_rows += rows.len() as u64;
+                    got_batches += 1;
                     on_batch(rows);
                 }
                 Message::Done {
@@ -182,6 +195,12 @@ impl Client {
                     batches,
                     elapsed_us,
                 } => {
+                    if rows != got_rows {
+                        return inconsistent("done row count", rows, got_rows);
+                    }
+                    if batches != got_batches {
+                        return inconsistent("done batch count", batches.into(), got_batches.into());
+                    }
                     return Ok(QueryStats {
                         rows,
                         batches,

@@ -8,11 +8,19 @@
 //! | len: u32 LE | crc32(body): u32 LE | body = kind: u8 + payload |
 //! ```
 //!
+//! A result batch is column-major, `nrows: u32 | ncols: u32 | ncols ×
+//! (tag: u8 | payload)`: tag `F64` carries `nrows` little-endian `f64`
+//! bits, `I64` `nrows` `i64`s, `VALUES` `nrows` tagged values. The tag is
+//! picked per column from the values alone, so a row batch
+//! ([`Message::Batch`]) and a typed column batch ([`encode_columns`]) with
+//! the same values encode to the same bytes.
+//!
 //! The decoder treats every byte as hostile. The declared length is
 //! bounded by [`MAX_FRAME`] *before* any allocation, so a forged
 //! `u32::MAX` prefix costs nothing; inside a frame, every count and
 //! string length is checked against the bytes actually remaining, so a
-//! forged inner length can never over-allocate either. A corrupted frame
+//! forged inner length (a batch's `ncols`, `nrows × ncols`) can never
+//! over-allocate either. A corrupted frame
 //! surfaces as a typed [`ProtoError`], never a panic — the frame-decoder
 //! property tests (`frame_properties.rs`) drive truncations, bit flips
 //! and forged prefixes through here to prove it.
@@ -22,11 +30,11 @@ use std::time::{Duration, Instant};
 
 use lidardb_core::crc::crc32;
 use lidardb_geom::wkt;
-use lidardb_sql::SqlValue;
+use lidardb_sql::{ColumnBatch, ColumnChunk, SqlValue};
 
 /// Protocol magic + version, exchanged once per connection (client first).
 /// Bump the trailing digits to break old peers loudly instead of subtly.
-pub const MAGIC: [u8; 8] = *b"LDBNET01";
+pub const MAGIC: [u8; 8] = *b"LDBNET02";
 
 /// Hard cap on one frame's body. The declared length is compared against
 /// this before the body buffer is allocated; result batches are sized
@@ -56,6 +64,14 @@ pub enum ProtoError {
     BadUtf8,
     /// A geometry value carried unparseable WKT.
     BadGeometry(String),
+    /// A well-formed stream whose contents contradict each other (a batch
+    /// wider than its header, `Done` totals that disagree with what
+    /// arrived).
+    Inconsistent {
+        context: &'static str,
+        expected: u64,
+        actual: u64,
+    },
 }
 
 impl std::fmt::Display for ProtoError {
@@ -79,6 +95,11 @@ impl std::fmt::Display for ProtoError {
             }
             ProtoError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             ProtoError::BadGeometry(e) => write!(f, "geometry field does not parse: {e}"),
+            ProtoError::Inconsistent {
+                context,
+                expected,
+                actual,
+            } => write!(f, "{context}: expected {expected}, received {actual}"),
         }
     }
 }
@@ -99,7 +120,8 @@ pub enum Message {
     Query { sql: String },
     /// Result column names, sent once per statement before any rows.
     Header { columns: Vec<String> },
-    /// One bounded batch of result rows.
+    /// One bounded batch of result rows; rectangular, and with at least
+    /// one column unless it has no rows.
     Batch { rows: Vec<Vec<SqlValue>> },
     /// Statement finished: totals for the client to cross-check.
     Done {
@@ -132,6 +154,10 @@ const VAL_INT: u8 = 2;
 const VAL_FLOAT: u8 = 3;
 const VAL_STR: u8 = 4;
 const VAL_GEOM: u8 = 5;
+
+const COL_F64: u8 = 1;
+const COL_I64: u8 = 2;
+const COL_VALUES: u8 = 3;
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -178,6 +204,59 @@ fn put_value(out: &mut Vec<u8>, v: &SqlValue) {
     }
 }
 
+fn put_words(out: &mut Vec<u8>, tag: u8, words: impl Iterator<Item = u64>) {
+    out.push(tag);
+    for w in words {
+        put_u64(out, w);
+    }
+}
+
+/// One batch column: `F64` when every value is a float, `I64` when every
+/// value is an integer, tagged `VALUES` otherwise.
+fn put_column<'a>(out: &mut Vec<u8>, vals: impl Iterator<Item = &'a SqlValue> + Clone) {
+    let word = |tag, v: &SqlValue| match (tag, v) {
+        (COL_F64, SqlValue::Float(x)) => Some(x.to_bits()),
+        (COL_I64, SqlValue::Int(x)) => Some(*x as u64),
+        _ => None,
+    };
+    for tag in [COL_F64, COL_I64] {
+        if vals.clone().all(|v| word(tag, v).is_some()) {
+            return put_words(out, tag, vals.filter_map(|v| word(tag, v)));
+        }
+    }
+    out.push(COL_VALUES);
+    vals.for_each(|v| put_value(out, v));
+}
+
+/// The batch prologue: kind, `nrows`, `ncols`.
+fn put_batch_shape(out: &mut Vec<u8>, nrows: usize, ncols: usize) {
+    assert!(
+        ncols > 0 || nrows == 0,
+        "a batch with rows needs at least one column"
+    );
+    out.push(KIND_BATCH);
+    put_u32(out, nrows as u32);
+    put_u32(out, ncols as u32);
+}
+
+/// Encode a column-major batch to a Batch frame body, typed chunks
+/// straight from their vectors. The bytes equal
+/// `Message::Batch { rows: batch.to_rows() }.encode()`.
+pub fn encode_columns(batch: &ColumnBatch) -> Vec<u8> {
+    let ncols = if batch.rows == 0 { 0 } else { batch.columns.len() };
+    let mut out = Vec::with_capacity(9 + ncols * (1 + 8 * batch.rows));
+    put_batch_shape(&mut out, batch.rows, ncols);
+    for chunk in &batch.columns[..ncols] {
+        assert_eq!(chunk.len(), batch.rows, "every column holds one value per row");
+        match chunk {
+            ColumnChunk::Float(v) => put_words(&mut out, COL_F64, v.iter().map(|x| x.to_bits())),
+            ColumnChunk::Int(v) => put_words(&mut out, COL_I64, v.iter().map(|&x| x as u64)),
+            ColumnChunk::Values(v) => put_column(&mut out, v.iter()),
+        }
+    }
+    out
+}
+
 impl Message {
     /// Encode to a frame body (`kind` byte + payload).
     pub fn encode(&self) -> Vec<u8> {
@@ -195,13 +274,14 @@ impl Message {
                 }
             }
             Message::Batch { rows } => {
-                out.push(KIND_BATCH);
-                put_u32(&mut out, rows.len() as u32);
-                for row in rows {
-                    put_u32(&mut out, row.len() as u32);
-                    for v in row {
-                        put_value(&mut out, v);
-                    }
+                let ncols = rows.first().map_or(0, Vec::len);
+                assert!(
+                    rows.iter().all(|r| r.len() == ncols),
+                    "batch rows must be rectangular"
+                );
+                put_batch_shape(&mut out, rows.len(), ncols);
+                for c in 0..ncols {
+                    put_column(&mut out, rows.iter().map(|r| &r[c]));
                 }
             }
             Message::Done {
@@ -243,19 +323,7 @@ impl Message {
                 }
                 Message::Header { columns }
             }
-            KIND_BATCH => {
-                let nrows = r.count("batch rows", 1)?;
-                let mut rows = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    let ncols = r.count("row values", 1)?;
-                    let mut row = Vec::with_capacity(ncols);
-                    for _ in 0..ncols {
-                        row.push(r.value()?);
-                    }
-                    rows.push(row);
-                }
-                Message::Batch { rows }
-            }
+            KIND_BATCH => Message::Batch { rows: r.batch()? },
             KIND_DONE => Message::Done {
                 rows: r.u64("done rows")?,
                 batches: r.u32("done batches")?,
@@ -335,6 +403,52 @@ impl Reader<'_> {
         let len = self.u32(context)? as usize;
         let bytes = self.take(len, context)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadUtf8)
+    }
+
+    /// A column-major batch, returned as rows.
+    fn batch(&mut self) -> Result<Vec<Vec<SqlValue>>, ProtoError> {
+        let nrows = self.u32("batch rows")? as usize;
+        let ncols = self.u32("batch columns")? as usize;
+        // A column costs a tag byte and a cell at least one more: a shape
+        // the body cannot hold is rejected before any allocation.
+        let fits = ncols <= self.remaining() && nrows.saturating_mul(ncols) <= self.remaining();
+        if !fits || (ncols == 0 && nrows > 0) {
+            return Err(ProtoError::Truncated {
+                context: "batch shape",
+            });
+        }
+        let columns = (0..ncols)
+            .map(|_| self.column(nrows))
+            .collect::<Result<_, _>>()?;
+        Ok(ColumnBatch {
+            rows: nrows,
+            columns,
+        }
+        .to_rows())
+    }
+
+    /// One batch column of `n` values.
+    fn column(&mut self, n: usize) -> Result<ColumnChunk, ProtoError> {
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+        Ok(match self.u8("column tag")? {
+            COL_F64 => {
+                let bytes = self.take(n * 8, "f64 column")?;
+                ColumnChunk::Float(bytes.chunks_exact(8).map(|b| f64::from_bits(word(b))).collect())
+            }
+            COL_I64 => {
+                let bytes = self.take(n * 8, "i64 column")?;
+                ColumnChunk::Int(bytes.chunks_exact(8).map(|b| word(b) as i64).collect())
+            }
+            COL_VALUES => {
+                ColumnChunk::Values((0..n).map(|_| self.value()).collect::<Result<_, _>>()?)
+            }
+            tag => {
+                return Err(ProtoError::BadTag {
+                    context: "column",
+                    tag,
+                })
+            }
+        })
     }
 
     fn value(&mut self) -> Result<SqlValue, ProtoError> {
@@ -426,13 +540,19 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
 
 /// Write one frame. Returns the bytes written (header + body).
 pub fn write_frame(w: &mut impl Write, msg: &Message) -> Result<usize, ProtoError> {
-    let body = msg.encode();
+    write_body(w, &msg.encode())
+}
+
+/// Write one already encoded frame body ([`Message::encode`],
+/// [`encode_columns`]) under its length and CRC header. Returns the bytes
+/// written (header + body).
+pub(crate) fn write_body(w: &mut impl Write, body: &[u8]) -> Result<usize, ProtoError> {
     debug_assert!(body.len() as u32 <= MAX_FRAME, "oversized outgoing frame");
     let mut hdr = [0u8; 8];
     hdr[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    hdr[4..].copy_from_slice(&crc32(&body).to_le_bytes());
+    hdr[4..].copy_from_slice(&crc32(body).to_le_bytes());
     w.write_all(&hdr)?;
-    w.write_all(&body)?;
+    w.write_all(body)?;
     Ok(8 + body.len())
 }
 

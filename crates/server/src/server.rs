@@ -11,7 +11,11 @@
 //!   next governance checkpoint instead of streaming rows to a ghost.
 //! * the **session** thread that executes statements via
 //!   [`lidardb_sql::query_streamed`] and writes `Header`/`Batch`/`Done`
-//!   frames back. Every batch write is flushed, so a slow client
+//!   frames back. A natively streamed scan hands over column-major
+//!   batches whose `f64`/`i64` chunks are copied straight into the frame
+//!   body ([`protocol::encode_columns`]); materialised results (aggregates,
+//!   `SHOW`, `sys.*`, `INSERT` status) arrive as rows and encode to the same
+//!   bytes for the same values. Every batch write is flushed, so a slow client
 //!   backpressures the statement through the socket buffer — and because
 //!   the admission permit is held for the statement's whole lifetime
 //!   (scan *and* delivery, see `execute_streamed`), a slow consumer
@@ -40,7 +44,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use lidardb_core::{CancelToken, MetricsRegistry, QueryRegistry, SessionRegistry, Stage};
-use lidardb_sql::{Catalog, RowSink, SqlError, SqlValue};
+use lidardb_sql::{Catalog, ColumnBatch, RowSink, SqlError, SqlValue};
 
 use crate::promtext;
 use crate::protocol::{self, Message, ProtoError};
@@ -721,15 +725,12 @@ fn run_statement(
     }
     match result {
         Ok(summary) => {
-            send_frame(
-                w,
-                &Message::Done {
-                    rows: summary.rows as u64,
-                    batches: summary.batches as u32,
-                    elapsed_us: t0.elapsed().as_micros() as u64,
-                },
-                0,
-            )?;
+            let done = Message::Done {
+                rows: summary.rows as u64,
+                batches: summary.batches as u32,
+                elapsed_us: t0.elapsed().as_micros() as u64,
+            };
+            send_frame(w, 0, || done.encode())?;
             Ok(())
         }
         Err(e) => {
@@ -737,26 +738,23 @@ fn run_statement(
             // cancelled, overloaded, ...): the session survives. A client
             // that already saw Header/Batch frames treats Error as a
             // stream abort.
-            send_frame(
-                w,
-                &Message::Error {
-                    message: e.to_string(),
-                },
-                0,
-            )?;
+            let error = Message::Error {
+                message: e.to_string(),
+            };
+            send_frame(w, 0, || error.encode())?;
             Ok(())
         }
     }
 }
 
-/// Write + flush one frame, recording the `server_send` stage.
+/// Encode + write + flush one frame, recording the `server_send` stage.
 fn send_frame(
     w: &mut BufWriter<TcpStream>,
-    msg: &Message,
     rows: usize,
+    encode: impl FnOnce() -> Vec<u8>,
 ) -> Result<(), ProtoError> {
     let t0 = Instant::now();
-    protocol::write_frame(w, msg)?;
+    protocol::write_body(w, &encode())?;
     w.flush()?;
     MetricsRegistry::global().record_stage(Stage::ServerSend, rows, t0.elapsed());
     Ok(())
@@ -774,8 +772,8 @@ struct NetSink<'a> {
 }
 
 impl NetSink<'_> {
-    fn send(&mut self, msg: &Message, rows: usize) -> Result<(), SqlError> {
-        match send_frame(self.w, msg, rows) {
+    fn send(&mut self, rows: usize, encode: impl FnOnce() -> Vec<u8>) -> Result<(), SqlError> {
+        match send_frame(self.w, rows, encode) {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.net_err = Some(e);
@@ -793,16 +791,18 @@ impl RowSink for NetSink<'_> {
             .current
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(token.clone());
-        self.send(
-            &Message::Header {
-                columns: columns.to_vec(),
-            },
-            0,
-        )
+        let header = Message::Header {
+            columns: columns.to_vec(),
+        };
+        self.send(0, || header.encode())
     }
 
     fn batch(&mut self, rows: Vec<Vec<SqlValue>>) -> Result<(), SqlError> {
         let n = rows.len();
-        self.send(&Message::Batch { rows }, n)
+        self.send(n, || Message::Batch { rows }.encode())
+    }
+
+    fn columns(&mut self, batch: ColumnBatch) -> Result<(), SqlError> {
+        self.send(batch.rows, || protocol::encode_columns(&batch))
     }
 }

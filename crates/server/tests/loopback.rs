@@ -316,3 +316,53 @@ fn geometry_values_roundtrip() {
     );
     server.shutdown();
 }
+
+/// A scripted peer on a raw socket: answers the hello, reads one query
+/// and replies with `frames` verbatim, whatever they claim.
+fn scripted_server(frames: Vec<Message>) -> std::net::SocketAddr {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        protocol::read_magic(&mut s).unwrap();
+        protocol::write_magic(&mut s).unwrap();
+        protocol::read_frame(&mut s).unwrap();
+        for f in &frames {
+            protocol::write_frame(&mut s, f).unwrap();
+        }
+    });
+    addr
+}
+
+#[test]
+fn client_cross_checks_batch_width_and_done_totals() {
+    let header = Message::Header {
+        columns: vec!["a".into(), "b".into()],
+    };
+    let rows = |n: usize| Message::Batch {
+        rows: vec![vec![SqlValue::Int(1), SqlValue::Int(2)]; n],
+    };
+    let done = |rows, batches| Message::Done {
+        rows,
+        batches,
+        elapsed_us: 0,
+    };
+    let narrow = Message::Batch {
+        rows: vec![vec![SqlValue::Int(1)]],
+    };
+    for (frames, want) in [
+        (vec![header.clone(), narrow, done(1, 1)], "batch width"),
+        (vec![header.clone(), rows(2), done(5, 1)], "done row count"),
+        (vec![header.clone(), rows(2), done(2, 3)], "done batch count"),
+    ] {
+        let mut c = Client::connect(scripted_server(frames)).unwrap();
+        match c.query_collect("SELECT a, b FROM t") {
+            Err(ClientError::Proto(e)) => assert!(e.to_string().contains(want), "{want}: {e}"),
+            other => panic!("{want}: expected a typed protocol error, got {other:?}"),
+        }
+    }
+    // The honest script passes.
+    let mut c = Client::connect(scripted_server(vec![header, rows(2), done(2, 1)])).unwrap();
+    let (_, got, stats) = c.query_collect("SELECT a, b FROM t").unwrap();
+    assert_eq!((got.len(), stats.rows, stats.batches), (2, 2, 1));
+}

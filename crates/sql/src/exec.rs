@@ -1,10 +1,12 @@
-//! Expression evaluation and plan execution.
+//! Expression evaluation and plan execution: materialised ([`execute`])
+//! and streamed ([`execute_streamed`], column-major batches into a
+//! [`RowSink`]).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use lidardb_core::{GovernCtx, PointCloud, SpatialPredicate};
-use lidardb_storage::Value;
+use lidardb_storage::{for_each_variant, Native, PhysicalType, Value};
 
 use crate::ast::{BinOp, Expr, SelectItem, SelectStmt, Statement};
 use crate::catalog::{Catalog, PcRead, Run, Table, VectorTable};
@@ -1211,12 +1213,84 @@ fn project(
 /// per-batch framing and cancellation checks are noise.
 pub const STREAM_BATCH_ROWS: usize = 4096;
 
+/// One column of a [`ColumnBatch`]: typed when every value is a float or
+/// every value is an integer, tagged values otherwise.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ColumnChunk {
+    /// Every value is a [`SqlValue::Float`].
+    Float(Vec<f64>),
+    /// Every value is a [`SqlValue::Int`].
+    Int(Vec<i64>),
+    /// Anything else: NULLs, text, geometry, mixed types.
+    Values(Vec<SqlValue>),
+}
+
+impl ColumnChunk {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnChunk::Float(v) => v.len(),
+            ColumnChunk::Int(v) => v.len(),
+            ColumnChunk::Values(v) => v.len(),
+        }
+    }
+
+    /// Whether the chunk holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Value `i`.
+    fn get(&self, i: usize) -> SqlValue {
+        match self {
+            ColumnChunk::Float(v) => SqlValue::Float(v[i]),
+            ColumnChunk::Int(v) => SqlValue::Int(v[i]),
+            ColumnChunk::Values(v) => v[i].clone(),
+        }
+    }
+
+    /// Append one value, turning a typed chunk into `Values` when `v` does
+    /// not fit it.
+    fn push(&mut self, v: SqlValue) {
+        match (&mut *self, v) {
+            (ColumnChunk::Float(out), SqlValue::Float(x)) => out.push(x),
+            (ColumnChunk::Int(out), SqlValue::Int(x)) => out.push(x),
+            (ColumnChunk::Values(out), v) => out.push(v),
+            (chunk, v) => {
+                let mut vals: Vec<SqlValue> = (0..chunk.len()).map(|i| chunk.get(i)).collect();
+                vals.push(v);
+                *chunk = ColumnChunk::Values(vals);
+            }
+        }
+    }
+}
+
+/// A column-major batch: one chunk of `rows` values per output column.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnBatch {
+    /// Rows in the batch.
+    pub rows: usize,
+    /// One chunk per output column, in output order.
+    pub columns: Vec<ColumnChunk>,
+}
+
+impl ColumnBatch {
+    /// The same values row-major.
+    pub fn to_rows(&self) -> Vec<Vec<SqlValue>> {
+        (0..self.rows)
+            .map(|i| self.columns.iter().map(|c| c.get(i)).collect())
+            .collect()
+    }
+}
+
 /// Where [`execute_streamed`] delivers its output: a header once, then
-/// zero or more row batches. A sink that blocks in [`RowSink::batch`]
-/// (e.g. a socket write against a slow client) backpressures the whole
-/// statement — no more rows are produced until the batch is taken.
+/// zero or more batches — column-major [`ColumnBatch`]es from a native
+/// point-table scan, row batches from materialised results. A sink that
+/// blocks in [`RowSink::batch`] or [`RowSink::columns`] (e.g. a socket
+/// write against a slow client) backpressures the whole statement — no
+/// more rows are produced until the batch is taken.
 ///
-/// Either method may fail (a network sink fails when the peer hangs up);
+/// Any method may fail (a network sink fails when the peer hangs up);
 /// the statement aborts and its governance state (admission permit, query
 /// registry ticket) unwinds via RAII.
 pub trait RowSink {
@@ -1232,6 +1306,12 @@ pub trait RowSink {
 
     /// Deliver one batch of rows (never empty).
     fn batch(&mut self, rows: Vec<Vec<SqlValue>>) -> Result<(), SqlError>;
+
+    /// Deliver one column-major batch (never empty). By default the same
+    /// values go to [`RowSink::batch`] as rows.
+    fn columns(&mut self, batch: ColumnBatch) -> Result<(), SqlError> {
+        self.batch(batch.to_rows())
+    }
 }
 
 /// Outcome of a streamed statement.
@@ -1239,26 +1319,50 @@ pub trait RowSink {
 pub struct StreamSummary {
     /// Total rows delivered across all batches.
     pub rows: usize,
-    /// Number of [`RowSink::batch`] calls.
+    /// Number of [`RowSink::batch`] and [`RowSink::columns`] calls.
     pub batches: usize,
+}
+
+/// Append rows `ids` (global ids; the segment starts at `base`) of one
+/// storage column to `chunk`, converted as [`from_storage`] converts: a
+/// `u64` above `i64::MAX` becomes a float and the chunk `Values`.
+fn gather<T: Native>(v: &[T], base: usize, ids: &[usize], chunk: &mut ColumnChunk) {
+    let float = T::PHYS.is_float();
+    if chunk.is_empty() {
+        *chunk = if float {
+            ColumnChunk::Float(Vec::new())
+        } else {
+            ColumnChunk::Int(Vec::new())
+        };
+    }
+    let vals = ids.iter().map(|&r| v[r - base]);
+    match chunk {
+        ColumnChunk::Float(out) if float => out.extend(vals.map(T::to_f64)),
+        ColumnChunk::Int(out) if !float && T::PHYS != PhysicalType::U64 => {
+            out.extend(vals.map(|x| x.to_value().as_i64()))
+        }
+        _ => vals.for_each(|x| chunk.push(from_storage(x.to_value()))),
+    }
 }
 
 /// Execute a parsed statement, delivering rows to `sink` in batches of at
 /// most `batch_rows` instead of materialising a [`ResultSet`].
 ///
 /// A point-table scan — flat, streaming or tiled — without aggregation /
-/// ordering / `DISTINCT` streams natively: the two-step engine produces
-/// row *ids*, and resolving them to segments, residual filtering and
-/// projection run batch-by-batch, so the projected result set never
-/// exists in memory on this side and a tiled table keeps one tile pinned
-/// at a time. The admission permit and registry ticket are held for the
-/// whole statement — scan *and* delivery — so a slow consumer occupies an
-/// in-flight slot exactly like a slow scan, and `KILL <id>` / statement
-/// timeouts fire between batches.
+/// ordering / `DISTINCT` streams natively into [`RowSink::columns`] and
+/// never builds a row: the two-step engine produces row *ids*; per batch
+/// the residual filters them, plain column items are gathered from typed
+/// storage and other items evaluated per row. Batches hold exactly
+/// `batch_rows` rows across tile boundaries (the last may be shorter), so
+/// the result set never exists in memory on this side and a tiled table
+/// keeps one tile pinned at a time. The admission permit and registry
+/// ticket are held for the whole statement — scan *and* delivery — so a
+/// slow consumer occupies an in-flight slot exactly like a slow scan, and
+/// `KILL <id>` / statement timeouts fire between batches.
 ///
 /// Everything else (aggregates, ORDER BY, joins, vector tables, SET/SHOW/
 /// INSERT) falls back to [`execute`] and re-chunks the materialised
-/// result, so the sink sees one uniform shape.
+/// result into [`RowSink::batch`] calls.
 pub fn execute_streamed(
     catalog: &Catalog,
     stmt: &Statement,
@@ -1294,6 +1398,11 @@ pub fn execute_streamed(
         return stream_materialised(catalog, stmt, batch_rows, sink);
     }
     let columns: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
+    let alias = scan.table.alias.as_str();
+    let empty_batch = || ColumnBatch {
+        rows: 0,
+        columns: vec![ColumnChunk::Values(Vec::new()); items.len()],
+    };
 
     // Statement-lifetime governance: the permit and the registry ticket
     // are held until this function returns — across the scan AND the
@@ -1304,31 +1413,58 @@ pub fn execute_streamed(
     let token = g.ctx.token();
 
     // Row ids via the two-step engine (pushdown only); segments are
-    // resolved, residuals applied and rows projected per batch below.
+    // resolved, residuals applied and columns gathered per batch below.
     let row_ids = scan_rows(&pc, scan, catalog, &g.ctx, &mut Vec::new())?;
 
     sink.start(&columns, token)?;
     let limit = sel.limit.map(|l| l as usize).unwrap_or(usize::MAX);
-    let mut emitted = 0usize;
-    let mut batches = 0usize;
-    let mut batch: Vec<Vec<SqlValue>> = Vec::new();
-    'runs: for run in pc.runs(&row_ids) {
-        let run = run?;
-        for rctx in run_ctxs(&run, &scan.table.alias) {
-            if emitted >= limit {
-                break 'runs;
-            }
-            if !passes(&scan.residual, &rctx)? {
+    let (mut emitted, mut batches) = (0usize, 0usize);
+    let mut out = empty_batch();
+    let mut kept = Vec::new();
+    let mut runs = pc.runs(&row_ids);
+    while emitted < limit {
+        let Some(run) = runs.next() else { break };
+        let (seg, base, mut rest) = run?;
+        let ctx = |r: usize| PcCtx { pc: &seg, alias, row: r - base };
+        while !rest.is_empty() && emitted < limit {
+            // The ids of this step: as many as fill the batch (or reach
+            // the limit), after the residual.
+            let want = (batch_rows - out.rows).min(limit - emitted);
+            let ids: &[usize] = if scan.residual.is_empty() {
+                let (now, later) = rest.split_at(want.min(rest.len()));
+                rest = later;
+                now
+            } else {
+                kept.clear();
+                while let Some((&r, later)) = rest.split_first().filter(|_| kept.len() < want) {
+                    rest = later;
+                    if passes(&scan.residual, &ctx(r))? {
+                        kept.push(r);
+                    }
+                }
+                &kept
+            };
+            if ids.is_empty() {
                 continue;
             }
-            let mut out = Vec::with_capacity(items.len());
-            for (_, e) in &items {
-                out.push(eval(e, &rctx)?);
+            // Plain columns are gathered from typed storage, anything else
+            // is evaluated per row.
+            for ((_, e), chunk) in items.iter().zip(&mut out.columns) {
+                match e {
+                    Expr::Column { table, name } if table.as_deref().is_none_or(|t| t == alias) => {
+                        for_each_variant!(seg.column(name)?, v => gather(v, base, ids, chunk))
+                    }
+                    _ => {
+                        for &r in ids {
+                            chunk.push(eval(e, &ctx(r))?);
+                        }
+                    }
+                }
             }
-            batch.push(out);
-            emitted += 1;
-            if batch.len() >= batch_rows {
-                sink.batch(std::mem::take(&mut batch))?;
+            out.rows += ids.len();
+            emitted += ids.len();
+            if out.rows == batch_rows {
+                sink.columns(std::mem::replace(&mut out, empty_batch()))?;
                 batches += 1;
                 // Deadline / KILL / disconnect-trip land between batches, so
                 // a cancelled stream stops within one batch of the signal.
@@ -1336,8 +1472,8 @@ pub fn execute_streamed(
             }
         }
     }
-    if !batch.is_empty() {
-        sink.batch(batch)?;
+    if out.rows > 0 {
+        sink.columns(out)?;
         batches += 1;
     }
     Ok(StreamSummary {

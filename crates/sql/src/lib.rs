@@ -40,7 +40,8 @@ pub mod value;
 pub use catalog::{Catalog, VectorTable};
 pub use error::SqlError;
 pub use exec::{
-    execute, execute_streamed, ResultSet, RowSink, StreamSummary, STREAM_BATCH_ROWS,
+    execute, execute_streamed, ColumnBatch, ColumnChunk, ResultSet, RowSink, StreamSummary,
+    STREAM_BATCH_ROWS,
 };
 pub use value::SqlValue;
 

@@ -1,16 +1,16 @@
 //! SQL over a sealed tiled table: same answers as the flat table, with
 //! zone-map tile pruning visible in `EXPLAIN ANALYZE`.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-use lidardb_core::{CancelToken, PointCloud, QueryRegistry, TileOptions, TiledCloud};
+use lidardb_core::{CancelToken, Durability, PointCloud, QueryRegistry, TileOptions, TiledCloud};
 use lidardb_las::PointRecord;
 use lidardb_sql::{query, query_streamed, Catalog, RowSink, SqlError, SqlValue};
 
-/// 100x100 integer grid; classification 6 for x > 50, else 2; z = x/10.
-fn grid_cloud() -> PointCloud {
-    let mut pc = PointCloud::new();
-    let recs: Vec<PointRecord> = (0..100)
+/// 100x100 integer grid; classification 6 for x > 50, else 2; z = x/10;
+/// the `u64` column `wave_offset` is past `i64::MAX` on the diagonal.
+fn grid_records() -> Vec<PointRecord> {
+    (0..100)
         .flat_map(|y| {
             (0..100).map(move |x| PointRecord {
                 x: x as f64,
@@ -18,11 +18,16 @@ fn grid_cloud() -> PointCloud {
                 z: x as f64 / 10.0,
                 classification: if x > 50 { 6 } else { 2 },
                 intensity: 100,
+                wave_offset: if x == y { u64::MAX } else { (x * y) as u64 },
                 ..Default::default()
             })
         })
-        .collect();
-    pc.append_records(&recs).unwrap();
+        .collect()
+}
+
+fn grid_cloud() -> PointCloud {
+    let mut pc = PointCloud::new();
+    pc.append_records(&grid_records()).unwrap();
     pc
 }
 
@@ -178,6 +183,7 @@ fn insert_into_a_sealed_tiled_table_is_rejected_read_only() {
 #[derive(Default)]
 struct Collect {
     rows: Vec<Vec<SqlValue>>,
+    sizes: Vec<usize>,
     registered_at_first_batch: Option<bool>,
 }
 
@@ -193,6 +199,7 @@ impl RowSink for Collect {
                 .iter()
                 .any(|q| q.detail == "stream select tiles")
         });
+        self.sizes.push(rows.len());
         self.rows.extend(rows);
         Ok(())
     }
@@ -253,6 +260,71 @@ fn tiled_scans_stream_natively_in_bounded_batches() {
     .unwrap();
     let full = tc.tile_loads() - loads;
     assert!(limited < full, "LIMIT loaded {limited} tiles, the full stream {full}");
+}
+
+#[test]
+fn streamed_rows_equal_materialised_rows_on_every_storage_shape() {
+    let (mut c, _tc) = setup("stream_eq");
+    // A streaming table: the grid committed, then rows inside every window
+    // applied past the watermark, which no read may see.
+    let dir = tdir("stream_eq_wal");
+    let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(&dir));
+    let mut st = PointCloud::open_ingest(
+        &dir,
+        Durability::GroupCommit {
+            max_batches: 1_000_000,
+            max_delay: std::time::Duration::from_secs(3_600),
+        },
+    )
+    .unwrap();
+    st.ingest_records(&grid_records()).unwrap();
+    st.flush_wal().unwrap();
+    let ghosts: Vec<PointRecord> = (0..50)
+        .map(|i| PointRecord {
+            x: 10.5 + i as f64,
+            y: 10.5,
+            ..Default::default()
+        })
+        .collect();
+    st.ingest_records(&ghosts).unwrap();
+    c.register_stream("stream", Arc::new(RwLock::new(st)));
+
+    let window = "ST_Contains(ST_MakeEnvelope(5, 5, 60, 40), ST_Point(x, y))";
+    let queries = [
+        format!("SELECT x, y, z FROM {{t}} WHERE {window}"),
+        format!("SELECT classification, intensity, wave_offset FROM {{t}} WHERE {window}"),
+        format!("SELECT x + 1, 7, 'k' FROM {{t}} WHERE {window}"),
+        // `x * 2 > y` is a residual: no index answers it.
+        format!(
+            "SELECT x, classification, x * 2 AS d, 'k', z FROM {{t}} \
+             WHERE {window} AND x * 2 > y"
+        ),
+        format!("SELECT * FROM {{t}} WHERE {window} LIMIT 100"),
+        format!("SELECT x, y FROM {{t}} WHERE {window} LIMIT 128"),
+        "SELECT x, y FROM {t} LIMIT 70".to_string(),
+        "SELECT x, y FROM {t} WHERE \
+         ST_Contains(ST_MakeEnvelope(500, 500, 600, 600), ST_Point(x, y))"
+            .to_string(),
+    ];
+    for template in &queries {
+        let flat = query(&c, &template.replace("{t}", "points")).unwrap().rows;
+        for table in ["points", "stream", "tiles"] {
+            let sql = template.replace("{t}", table);
+            let want = query(&c, &sql).unwrap().rows;
+            let mut sink = Collect::default();
+            let sum = query_streamed(&c, &sql, 64, &mut sink).unwrap();
+            assert_eq!(sink.rows, want, "{sql}: streamed rows, in order");
+            assert_eq!(sum.rows, want.len(), "{sql}");
+            assert_eq!(sum.batches, want.len().div_ceil(64), "{sql}");
+            let (last, full) = sink.sizes.split_last().unwrap_or((&0, &[]));
+            assert!(full.iter().all(|&n| n == 64) && *last <= 64, "{sql}: {:?}", sink.sizes);
+            if table == "stream" {
+                assert_eq!(want, flat, "{sql}: rows past the watermark stay invisible");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(&dir));
 }
 
 #[test]

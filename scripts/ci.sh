@@ -46,7 +46,7 @@ cargo test -q -p lidardb-core --test recovery_torture -- --test-threads=1
 cargo test -q --release -p lidardb-core --test recovery_torture -- --test-threads=1
 
 echo "==> WAL property tests (arbitrary tail truncation, single-bit corruption)"
-cargo test -q -p lidardb-core --test wal_properties -- --test-threads=1
+cargo test -q -p lidardb-core --test wal_properties
 
 echo "==> tiled out-of-core suite (zone-map prune, LRU residency, flat-v2 fallback, admission)"
 cargo test -q -p lidardb-core --test tiles
@@ -55,9 +55,8 @@ cargo test -q -p lidardb-core --test tiled_admission
 echo "==> snapshot-watermark regression suite (ghost rows invisible on every query path)"
 cargo test -q -p lidardb-core --test snapshot_watermark -- --test-threads=1
 
-echo "==> wire-protocol suites (frame proptests, loopback integration, disconnect durability)"
-cargo test -q -p lidardb-server --lib
-cargo test -q -p lidardb-server --test frame_properties
+echo "==> wire-protocol suites (unit, frame proptests, chaos soak, loopback, disconnect durability)"
+cargo test -q -p lidardb-server --lib --test frame_properties --test chaos_soak
 cargo test -q -p lidardb-server --test loopback -- --test-threads=1
 cargo test -q -p lidardb-server --test disconnect_durability -- --test-threads=1
 
@@ -69,9 +68,6 @@ echo "==> fault-domain suites (graceful drain, retrying client, idempotency, dis
 cargo test -q -p lidardb-server --test drain -- --test-threads=1
 cargo test -q -p lidardb-core --test idempotency_ledger -- --test-threads=1
 cargo test -q -p lidardb-core --test disk_full -- --test-threads=1
-
-echo "==> chaos soak (exactly-once through proxy + drains + disk-full)"
-cargo test -q -p lidardb-server --test chaos_soak
 
 echo "==> benchmark smoke (the four BENCHMARK.json workloads, oracle-checked, 1 s each)"
 for w in nav_flat nav_tiled adhoc_refine ingest_mixed; do
