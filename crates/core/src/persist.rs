@@ -1,32 +1,41 @@
-//! On-disk persistence of the flat table as per-column binary dumps.
+//! On-disk persistence of point tables — flat, tiled and ingest
+//! checkpoints alike — as per-column binary dumps.
 //!
 //! §3.2 of the paper: the loader "generates a new file that is the binary
 //! dump of a C-array containing the values of the property for all
 //! points" — MonetDB's BAT storage is exactly one memory-mappable file per
-//! column. This module round-trips a [`PointCloud`] through that layout:
-//! a directory with one `<column>.bin` little-endian dump per column plus
-//! a manifest for validation.
+//! column. A **dump** is a directory with one little-endian `<column>.bin`
+//! per column plus a v2 manifest. A flat table is one dump; a tiled table
+//! is a v3 root manifest (row ranges, SFC key ranges, zone maps) plus one
+//! `tile_NNNNN/` dump per tile.
 //!
-//! # Durability model
+//! **One writer, one reader.** `write_tile` alone writes column files and
+//! a dump manifest, `save_staged` alone stages and commits a directory: a
+//! flat save is one `write_tile` over every row, a tiled save one per tile
+//! plus the root manifest. `read_layout` reads any manifest as a tile
+//! layout (a flat one is one tile at the root) and `read_tile` reads and
+//! verifies one dump: [`PointCloud::open_dir`], [`validate_dir`], the lazy
+//! tile load and [`crate::segment::TiledCloud::open`] are these two calls,
+//! so they accept and reject the same directories.
 //!
-//! Saves are **atomic**: all dumps and the manifest are written to a
-//! staging directory next to the target, then committed with a single
-//! `rename`. A crash at any point leaves either the old state or the new
-//! state at the target path — never a hybrid, and never a directory that
-//! [`PointCloud::open_dir`] accepts by accident (the staging name is not
-//! the target name).
+//! **Durability.** Saves are atomic: the tree is written to a staging
+//! directory next to the target and committed with one `rename`, so a
+//! crash leaves the old state or the new one — never a hybrid, never a
+//! directory `open_dir` accepts by accident. Every column file has a CRC-32
+//! in its dump manifest and every manifest (v2, v3) a trailing CRC-32 over
+//! its own bytes, so any ≤32-bit burst in any file is detected. Version-1
+//! dumps (no checksums) still open, with size checks only.
 //!
-//! Integrity is **checksummed** (manifest v2): each column dump gets a
-//! CRC-32 recorded in the manifest, and the manifest itself carries a
-//! trailing CRC-32 over its own preceding bytes. `open_dir` and
-//! [`validate_dir`] verify every checksum, so any single-byte (in fact,
-//! any ≤32-bit burst) corruption of any file is detected. Version-1
-//! directories (no checksums) written by earlier builds still open; they
-//! get size validation only.
+//! **Fault sites**, the same for both layouts: `WriteColumn` (target =
+//! column name) and `WriteManifest` before each file is written, `Commit`
+//! before the commit rename, between its two renames (`"swap"`) and before
+//! the parent fsync (`"fsync"`); reads pass `ReadManifest` and `ReadColumn`.
 
 use std::collections::HashMap;
 use std::io::Write;
+use std::ops::{Range, RangeInclusive};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use lidardb_las::{point_schema, COLUMN_NAMES};
 use lidardb_storage::{TileMeta, TileSet, ZoneEntry};
@@ -34,27 +43,25 @@ use lidardb_storage::{TileMeta, TileSet, ZoneEntry};
 use crate::crc::crc32;
 use crate::error::CoreError;
 use crate::fault::{FaultInjector, FaultKind, FaultStage};
+use crate::metrics::{MetricsRegistry, Stage};
 use crate::pointcloud::PointCloud;
+use crate::trace::SpanKind;
 use crate::wal::Durability;
 
 /// Manifest file name.
 const MANIFEST: &str = "MANIFEST.lidardb";
 
-/// Current manifest format version (v2 = per-column checksums).
+/// Header line of a dump (flat v1/v2) manifest.
+const FLAT_HEADER: &str = "lidardb flat table";
+
+/// Current dump manifest version (v2 = per-column checksums).
 const VERSION: u32 = 2;
 
-/// Header line of a tiled (v3) root manifest. A tiled directory holds this
-/// root manifest plus one `tile_NNNNN/` subdirectory per tile, each of
-/// which is a complete, self-validating v2 flat-table dump.
-pub(crate) const TILED_HEADER: &str = "lidardb tiled table";
+/// Header line of a tiled (v3) root manifest.
+const TILED_HEADER: &str = "lidardb tiled table";
 
 /// Tiled root-manifest format version.
 const TILED_VERSION: u32 = 3;
-
-/// Directory name of tile `id` inside a tiled dump.
-pub(crate) fn tile_dir_name(id: usize) -> String {
-    format!("tile_{id:05}")
-}
 
 fn io_err(e: std::io::Error) -> CoreError {
     CoreError::Las(lidardb_las::LasError::Io(e))
@@ -75,11 +82,73 @@ fn corrupt(msg: impl Into<String>) -> CoreError {
     CoreError::Corrupt(msg.into())
 }
 
-/// Parsed manifest, shared by `open_dir` and `validate_dir` so the two
-/// enforce identical invariants.
-#[derive(Debug, Clone, PartialEq)]
+/// A manifest scanned into `key value` lines, its header line checked:
+/// the one line scanner behind the dump and root-manifest parsers.
+struct Scan<'a> {
+    text: &'a str,
+    lines: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Scan<'a> {
+    fn new(text: &'a str, header: &str, what: &str) -> Result<Scan<'a>, CoreError> {
+        let mut lines = text.lines();
+        if lines.next() != Some(header) {
+            return Err(corrupt(format!("{what}: bad header line")));
+        }
+        let lines = lines.filter_map(|line| line.split_once(' ')).collect();
+        Ok(Scan { text, lines })
+    }
+
+    /// The last `key` line's value, parsed; `None` if missing or malformed.
+    fn get<T: FromStr>(&self, key: &str) -> Option<T> {
+        let (_, v) = self.lines.iter().rev().find(|(k, _)| *k == key)?;
+        v.trim().parse().ok()
+    }
+
+    /// The version (one of `supported`) and the row count, once the
+    /// column list matched the schema.
+    fn head(&self, what: &str, supported: RangeInclusive<u32>) -> Result<(u32, usize), CoreError> {
+        let version = match self.get("version") {
+            Some(v) if supported.contains(&v) => v,
+            Some(v) => return Err(corrupt(format!("{what}: unsupported version {v}"))),
+            None => return Err(corrupt(format!("{what}: missing version"))),
+        };
+        let rows = self
+            .get("rows")
+            .ok_or_else(|| corrupt(format!("{what}: missing row count")))?;
+        if self.get::<String>("columns") != Some(COLUMN_NAMES.join(",")) {
+            return Err(corrupt(format!("{what}: column list mismatch")));
+        }
+        Ok((version, rows))
+    }
+
+    /// Verify the trailing self-CRC, which covers every byte before the
+    /// first `manifest_crc` line.
+    fn check_crc(&self, what: &str) -> Result<(), CoreError> {
+        let declared: u32 = self
+            .get("manifest_crc")
+            .ok_or_else(|| corrupt(format!("{what}: missing manifest_crc")))?;
+        // invariant: `get` only found a value on a line starting
+        // "manifest_crc ", so find() cannot miss it.
+        let end = self
+            .text
+            .find("manifest_crc ")
+            .expect("manifest_crc line scanned");
+        if crc32(&self.text.as_bytes()[..end]) != declared {
+            return Err(corrupt(format!("{what}: self-checksum mismatch")));
+        }
+        Ok(())
+    }
+}
+
+/// Append the trailing self-CRC every rendered manifest ends with.
+fn with_crc(mut text: String) -> String {
+    text.push_str(&format!("manifest_crc {}\n", crc32(text.as_bytes())));
+    text
+}
+
+/// A parsed dump manifest (v1/v2).
 struct Manifest {
-    version: u32,
     rows: usize,
     /// Per-column CRC-32 of the dump bytes; `None` for v1 manifests.
     checksums: Option<HashMap<String, u32>>,
@@ -87,110 +156,96 @@ struct Manifest {
 
 impl Manifest {
     /// Render the v2 manifest text, including its trailing self-CRC.
-    fn render_v2(rows: usize, checksums: &[(String, u32)]) -> String {
+    fn render(rows: usize, checksums: &[(String, u32)]) -> String {
         let mut text = format!(
-            "lidardb flat table\nversion {VERSION}\nrows {rows}\ncolumns {}\n",
+            "{FLAT_HEADER}\nversion {VERSION}\nrows {rows}\ncolumns {}\n",
             COLUMN_NAMES.join(",")
         );
         for (name, crc) in checksums {
             text.push_str(&format!("checksum {name} {crc}\n"));
         }
-        text.push_str(&format!("manifest_crc {}\n", crc32(text.as_bytes())));
-        text
+        with_crc(text)
     }
 
     /// Parse and validate manifest text (header, version, row count,
-    /// column list; for v2 also the manifest self-CRC and checksum
-    /// coverage of every column).
+    /// column list; for v2 also the self-CRC and a checksum for every
+    /// column).
     fn parse(text: &str) -> Result<Manifest, CoreError> {
-        let mut lines = text.lines();
-        if lines.next() != Some("lidardb flat table") {
-            return Err(corrupt("manifest: bad header line"));
-        }
-        let mut version: Option<u32> = None;
-        let mut rows: Option<usize> = None;
-        let mut columns: Option<String> = None;
-        let mut checksums: HashMap<String, u32> = HashMap::new();
-        let mut manifest_crc: Option<u32> = None;
-        for line in lines {
-            if let Some(v) = line.strip_prefix("version ") {
-                version = v.trim().parse().ok();
-            } else if let Some(v) = line.strip_prefix("rows ") {
-                rows = v.trim().parse().ok();
-            } else if let Some(v) = line.strip_prefix("columns ") {
-                columns = Some(v.trim().to_string());
-            } else if let Some(v) = line.strip_prefix("checksum ") {
-                let mut it = v.split_whitespace();
-                match (
-                    it.next(),
-                    it.next().and_then(|c| c.parse::<u32>().ok()),
-                    it.next(),
-                ) {
-                    (Some(name), Some(crc), None) => {
-                        checksums.insert(name.to_string(), crc);
-                    }
-                    _ => return Err(corrupt(format!("manifest: bad checksum line {line:?}"))),
-                }
-            } else if let Some(v) = line.strip_prefix("manifest_crc ") {
-                manifest_crc = v.trim().parse().ok();
-            }
-        }
-        let version = match version {
-            Some(v @ (1 | 2)) => v,
-            Some(v) => return Err(corrupt(format!("manifest: unsupported version {v}"))),
-            None => return Err(corrupt("manifest: missing version")),
-        };
-        let rows = rows.ok_or_else(|| corrupt("manifest: missing row count"))?;
-        if columns.as_deref() != Some(&COLUMN_NAMES.join(",")) {
-            return Err(corrupt("manifest: column list mismatch"));
-        }
+        let s = Scan::new(text, FLAT_HEADER, "manifest")?;
+        let (version, rows) = s.head("manifest", 1..=VERSION)?;
         if version == 1 {
             return Ok(Manifest {
-                version,
                 rows,
                 checksums: None,
             });
         }
-        // v2: the manifest must checksum itself and every column.
-        let declared = manifest_crc.ok_or_else(|| corrupt("manifest: missing manifest_crc"))?;
-        // invariant: `manifest_crc` was Some above, which only happens after
-        // the line-scan saw a "manifest_crc " line in `text` — find() cannot
-        // miss it, so this expect is unreachable on any input, forged or not.
-        let body_end = text
-            .find("manifest_crc ")
-            .expect("manifest_crc line parsed above");
-        if crc32(&text.as_bytes()[..body_end]) != declared {
-            return Err(corrupt("manifest: self-checksum mismatch"));
-        }
-        for name in COLUMN_NAMES {
-            if !checksums.contains_key(name) {
-                return Err(corrupt(format!("manifest: missing checksum for {name}")));
+        s.check_crc("manifest")?;
+        let mut checksums: HashMap<String, u32> = HashMap::new();
+        for &(_, v) in s.lines.iter().filter(|(key, _)| *key == "checksum") {
+            let mut it = v.split_whitespace();
+            match (it.next(), it.next().and_then(|c| c.parse().ok()), it.next()) {
+                (Some(name), Some(crc), None) => {
+                    checksums.insert(name.to_string(), crc);
+                }
+                _ => return Err(corrupt(format!("manifest: bad checksum line {v:?}"))),
             }
         }
+        if let Some(name) = COLUMN_NAMES.iter().find(|n| !checksums.contains_key(**n)) {
+            return Err(corrupt(format!("manifest: missing checksum for {name}")));
+        }
         Ok(Manifest {
-            version,
             rows,
             checksums: Some(checksums),
         })
     }
 }
 
-/// Parsed tiled (v3) root manifest: the tile layout of a sealed segment.
-/// The per-tile column data lives in `tile_NNNNN/` subdirectories, each a
-/// self-validating v2 dump, so tiles load independently and lazily.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct TiledManifest {
+/// The tile layout of a saved table. A tiled (v3) directory declares it in
+/// its root manifest and keeps tile `i` in `tile_{i:05}/`; a flat (v1/v2)
+/// directory is one tile living at the root, with no zone maps.
+pub(crate) struct Layout {
     /// Total rows across every tile.
     pub(crate) rows: usize,
-    /// Space-filling curve the rows are clustered by (`hilbert`/`morton`).
+    /// Space-filling curve the rows are clustered by (`hilbert`/`morton`,
+    /// `none` for a flat table).
     pub(crate) curve: String,
-    /// Quantizer resolution (bits per axis) used for the SFC keys.
+    /// Quantizer resolution (bits per axis) of the SFC keys, 0 when flat.
     pub(crate) bits: u32,
-    /// Tile layout: row ranges, key ranges and zone maps, in row order.
+    /// Row ranges, key ranges and zone maps, in row order.
     pub(crate) tiles: TileSet,
+    /// Whether the one tile is the table directory itself.
+    pub(crate) flat: bool,
 }
 
-impl TiledManifest {
+impl Layout {
+    /// A flat table of `rows` rows: one unpruneable tile at the root.
+    pub(crate) fn flat(rows: usize) -> Layout {
+        let tile = TileMeta {
+            id: 0,
+            row_start: 0,
+            row_end: rows,
+            key_lo: 0,
+            key_hi: u64::MAX,
+            zones: Vec::new(),
+        };
+        Layout {
+            rows,
+            curve: "none".to_string(),
+            bits: 0,
+            tiles: TileSet { tiles: vec![tile] },
+            flat: true,
+        }
+    }
+
+    /// The dump directory of tile `id` of the table at `dir`.
+    pub(crate) fn tile_dir(&self, dir: &Path, id: usize) -> PathBuf {
+        if self.flat {
+            dir.to_path_buf()
+        } else {
+            dir.join(format!("tile_{id:05}"))
+        }
+    }
+
     /// Render the v3 root-manifest text, including its trailing self-CRC.
     /// Zone bounds are `f64` shortest-round-trip decimals (`Display`), so
     /// parsing restores bit-identical pruning behaviour.
@@ -214,159 +269,144 @@ impl TiledManifest {
                 text.push_str(&format!("zone {} {} {} {}\n", t.id, z.column, z.min, z.max));
             }
         }
-        text.push_str(&format!("manifest_crc {}\n", crc32(text.as_bytes())));
-        text
+        with_crc(text)
     }
 
     /// Parse and validate v3 root-manifest text: header, version, self-CRC,
     /// column list, and the tile layout (contiguous row ranges starting at
     /// 0 and ending at `rows`, ids in order, ordered key ranges).
-    pub(crate) fn parse(text: &str) -> Result<TiledManifest, CoreError> {
-        let mut lines = text.lines();
-        if lines.next() != Some(TILED_HEADER) {
-            return Err(corrupt("tiled manifest: bad header line"));
-        }
-        let mut version: Option<u32> = None;
-        let mut rows: Option<usize> = None;
-        let mut columns: Option<String> = None;
-        let mut curve: Option<String> = None;
-        let mut bits: Option<u32> = None;
-        let mut tile_count: Option<usize> = None;
+    fn parse(text: &str) -> Result<Layout, CoreError> {
+        const WHAT: &str = "tiled manifest";
+        let s = Scan::new(text, TILED_HEADER, WHAT)?;
+        let (_, rows) = s.head(WHAT, TILED_VERSION..=TILED_VERSION)?;
+        s.check_crc(WHAT)?;
+        let curve = s
+            .get("curve")
+            .ok_or_else(|| corrupt(format!("{WHAT}: missing curve")))?;
+        let bits = s
+            .get("bits")
+            .ok_or_else(|| corrupt(format!("{WHAT}: missing bits")))?;
         let mut tiles: Vec<TileMeta> = Vec::new();
-        let mut manifest_crc: Option<u32> = None;
-        for line in lines {
-            if let Some(v) = line.strip_prefix("version ") {
-                version = v.trim().parse().ok();
-            } else if let Some(v) = line.strip_prefix("rows ") {
-                rows = v.trim().parse().ok();
-            } else if let Some(v) = line.strip_prefix("columns ") {
-                columns = Some(v.trim().to_string());
-            } else if let Some(v) = line.strip_prefix("curve ") {
-                curve = Some(v.trim().to_string());
-            } else if let Some(v) = line.strip_prefix("bits ") {
-                bits = v.trim().parse().ok();
-            } else if let Some(v) = line.strip_prefix("tiles ") {
-                tile_count = v.trim().parse().ok();
-            } else if let Some(v) = line.strip_prefix("tile ") {
-                let f: Vec<&str> = v.split_whitespace().collect();
-                let parsed = (|| {
-                    let [id, rs, re, klo, khi] = f.as_slice() else {
-                        return None;
-                    };
-                    Some(TileMeta {
+        for &(key, v) in &s.lines {
+            let f: Vec<&str> = v.split_whitespace().collect();
+            let parsed = match (key, f.as_slice()) {
+                ("tile", [id, rs, re, klo, khi]) => (|| {
+                    tiles.push(TileMeta {
                         id: id.parse().ok()?,
                         row_start: rs.parse().ok()?,
                         row_end: re.parse().ok()?,
                         key_lo: klo.parse().ok()?,
                         key_hi: khi.parse().ok()?,
                         zones: Vec::new(),
-                    })
-                })();
-                match parsed {
-                    Some(t) => tiles.push(t),
-                    None => return Err(corrupt(format!("tiled manifest: bad tile line {line:?}"))),
-                }
-            } else if let Some(v) = line.strip_prefix("zone ") {
-                let f: Vec<&str> = v.split_whitespace().collect();
-                let parsed = (|| {
-                    let [tid, col, lo, hi] = f.as_slice() else {
-                        return None;
-                    };
-                    let tid: usize = tid.parse().ok()?;
+                    });
+                    Some(())
+                })(),
+                ("zone", [tid, col, lo, hi]) => (|| {
                     let entry = ZoneEntry {
                         column: col.to_string(),
                         min: lo.parse().ok()?,
                         max: hi.parse().ok()?,
                     };
-                    Some((tid, entry))
-                })();
-                match parsed {
-                    Some((tid, entry)) if tid < tiles.len() => tiles[tid].zones.push(entry),
-                    _ => return Err(corrupt(format!("tiled manifest: bad zone line {line:?}"))),
-                }
-            } else if let Some(v) = line.strip_prefix("manifest_crc ") {
-                manifest_crc = v.trim().parse().ok();
+                    tiles.get_mut(tid.parse::<usize>().ok()?)?.zones.push(entry);
+                    Some(())
+                })(),
+                ("tile" | "zone", _) => None,
+                _ => Some(()),
+            };
+            if parsed.is_none() {
+                return Err(corrupt(format!("{WHAT}: bad {key} line {v:?}")));
             }
         }
-        match version {
-            Some(v) if v == TILED_VERSION => {}
-            Some(v) => return Err(corrupt(format!("tiled manifest: unsupported version {v}"))),
-            None => return Err(corrupt("tiled manifest: missing version")),
-        }
-        let rows = rows.ok_or_else(|| corrupt("tiled manifest: missing row count"))?;
-        if columns.as_deref() != Some(&COLUMN_NAMES.join(",")) {
-            return Err(corrupt("tiled manifest: column list mismatch"));
-        }
-        let curve = curve.ok_or_else(|| corrupt("tiled manifest: missing curve"))?;
-        let bits = bits.ok_or_else(|| corrupt("tiled manifest: missing bits"))?;
-        let declared =
-            manifest_crc.ok_or_else(|| corrupt("tiled manifest: missing manifest_crc"))?;
-        let body_end = text
-            .find("manifest_crc ")
-            .expect("manifest_crc line parsed above");
-        if crc32(&text.as_bytes()[..body_end]) != declared {
-            return Err(corrupt("tiled manifest: self-checksum mismatch"));
-        }
-        if tile_count != Some(tiles.len()) {
-            return Err(corrupt("tiled manifest: tile count mismatch"));
+        if s.get::<usize>("tiles") != Some(tiles.len()) {
+            return Err(corrupt(format!("{WHAT}: tile count mismatch")));
         }
         if tiles.is_empty() {
-            return Err(corrupt("tiled manifest: no tiles"));
+            return Err(corrupt(format!("{WHAT}: no tiles")));
         }
         let mut next_row = 0usize;
         for (i, t) in tiles.iter().enumerate() {
             if t.id != i {
-                return Err(corrupt(format!("tiled manifest: tile id {} out of order", t.id)));
+                return Err(corrupt(format!("{WHAT}: tile id {} out of order", t.id)));
             }
             if t.row_start != next_row || t.row_end < t.row_start {
-                return Err(corrupt(format!("tiled manifest: tile {} rows not contiguous", i)));
+                return Err(corrupt(format!("{WHAT}: tile {i} rows not contiguous")));
             }
             if t.key_lo > t.key_hi {
-                return Err(corrupt(format!("tiled manifest: tile {} key range inverted", i)));
+                return Err(corrupt(format!("{WHAT}: tile {i} key range inverted")));
             }
             next_row = t.row_end;
         }
         if next_row != rows {
             return Err(corrupt(format!(
-                "tiled manifest: tiles cover {next_row} rows, manifest declares {rows}"
+                "{WHAT}: tiles cover {next_row} rows, manifest declares {rows}"
             )));
         }
-        Ok(TiledManifest {
+        Ok(Layout {
             rows,
             curve,
             bits,
             tiles: TileSet { tiles },
+            flat: false,
         })
     }
 }
 
-/// Read the raw manifest text of a saved-table directory (flat or tiled),
-/// applying any armed read faults.
-fn read_manifest_text(dir: &Path, fi: Option<&FaultInjector>) -> Result<String, CoreError> {
-    let mut bytes = std::fs::read(dir.join(MANIFEST)).map_err(io_err)?;
-    if let Some(kind) = fi.and_then(|fi| fi.fire(FaultStage::ReadManifest, MANIFEST)) {
+/// Read one file through its fault site: `IoError` fails the read, the
+/// byte-level kinds damage the bytes as if they had rotted on disk.
+fn read_file(
+    path: &Path,
+    fi: Option<&FaultInjector>,
+    stage: FaultStage,
+    target: &str,
+) -> Result<Vec<u8>, CoreError> {
+    let mut bytes = std::fs::read(path).map_err(io_err)?;
+    if let Some(kind) = fi.and_then(|fi| fi.fire(stage, target)) {
         if kind == FaultKind::IoError {
             return Err(io_err(kind.to_io_error()));
         }
         kind.corrupt(&mut bytes);
     }
+    Ok(bytes)
+}
+
+/// Read the manifest text of a directory.
+fn read_manifest_text(dir: &Path, fi: Option<&FaultInjector>) -> Result<String, CoreError> {
+    let bytes = read_file(&dir.join(MANIFEST), fi, FaultStage::ReadManifest, MANIFEST)?;
     String::from_utf8(bytes).map_err(|_| corrupt("manifest: not UTF-8"))
 }
 
-/// Read and parse the (flat v1/v2) manifest of a saved-table directory.
-fn read_manifest(dir: &Path, fi: Option<&FaultInjector>) -> Result<Manifest, CoreError> {
-    Manifest::parse(&read_manifest_text(dir, fi)?)
+/// The one layout read: the manifest of a table directory, tiled root or
+/// flat dump, as a tile layout.
+pub(crate) fn read_layout(dir: &Path, fi: Option<&FaultInjector>) -> Result<Layout, CoreError> {
+    let text = read_manifest_text(dir, fi)?;
+    if text.starts_with(TILED_HEADER) {
+        Layout::parse(&text)
+    } else {
+        Manifest::parse(&text).map(|m| Layout::flat(m.rows))
+    }
 }
 
-/// Whether `dir` holds *some* valid manifest — flat or tiled. Used by
-/// stale-dir recovery to decide if a `.replaced` copy is worth rolling
-/// back.
-fn manifest_ok(dir: &Path) -> bool {
-    match read_manifest_text(dir, None) {
-        Ok(text) if text.starts_with(TILED_HEADER) => TiledManifest::parse(&text).is_ok(),
-        Ok(text) => Manifest::parse(&text).is_ok(),
-        Err(_) => false,
+/// The one dump read: the manifest of `tile_dir`, its row count against
+/// the layout's `expected_rows`, then the size and CRC of every column
+/// file. Returns the verified dumps in schema order.
+fn read_tile(
+    tile_dir: &Path,
+    expected_rows: usize,
+    fi: Option<&FaultInjector>,
+) -> Result<Vec<Vec<u8>>, CoreError> {
+    let manifest = Manifest::parse(&read_manifest_text(tile_dir, fi)?)?;
+    if manifest.rows != expected_rows {
+        return Err(corrupt(format!(
+            "{} declares {} rows, layout expects {expected_rows}",
+            tile_dir.display(),
+            manifest.rows
+        )));
     }
+    point_schema()
+        .fields()
+        .iter()
+        .map(|field| read_column(tile_dir, &manifest, field, fi))
+        .collect()
 }
 
 /// Read one column dump and verify its size (and CRC, for v2 manifests).
@@ -377,13 +417,7 @@ fn read_column(
     fi: Option<&FaultInjector>,
 ) -> Result<Vec<u8>, CoreError> {
     let path = dir.join(format!("{}.bin", field.name));
-    let mut bytes = std::fs::read(&path).map_err(io_err)?;
-    if let Some(kind) = fi.and_then(|fi| fi.fire(FaultStage::ReadColumn, &field.name)) {
-        if kind == FaultKind::IoError {
-            return Err(io_err(kind.to_io_error()));
-        }
-        kind.corrupt(&mut bytes);
-    }
+    let bytes = read_file(&path, fi, FaultStage::ReadColumn, &field.name)?;
     // `rows` is an untrusted count parsed from the manifest text: multiply
     // checked so a forged row count (e.g. u64::MAX in a v1 manifest, which
     // carries no checksums) is rejected instead of overflowing.
@@ -411,6 +445,49 @@ fn read_column(
     Ok(bytes)
 }
 
+/// Read and verify every tile of the table at `dir`, handing each tile's
+/// dumps to `each` in row order. Returns the layout.
+fn read_all(
+    dir: &Path,
+    fi: Option<&FaultInjector>,
+    mut each: impl FnMut(Vec<Vec<u8>>) -> Result<(), CoreError>,
+) -> Result<Layout, CoreError> {
+    let layout = read_layout(dir, fi)?;
+    for t in &layout.tiles.tiles {
+        each(read_tile(&layout.tile_dir(dir, t.id), t.rows(), fi)?)?;
+    }
+    Ok(layout)
+}
+
+/// Build one cloud under a `PersistLoad` span and stage sample — once per
+/// `open_dir`, once per lazy tile load (`benchmark/` reads tile-load time
+/// from this stage).
+fn timed_load(
+    fi: Option<&FaultInjector>,
+    load: impl FnOnce(&mut PointCloud) -> Result<(), CoreError>,
+) -> Result<PointCloud, CoreError> {
+    let mut pspan = crate::trace::span(SpanKind::Stage(Stage::PersistLoad));
+    if fi.is_some() {
+        pspan.add_flags(crate::trace::FLAG_FAULT);
+    }
+    let t0 = std::time::Instant::now();
+    let mut pc = PointCloud::new();
+    load(&mut pc)?;
+    let n = pc.num_points();
+    MetricsRegistry::global().record_stage(Stage::PersistLoad, n, t0.elapsed());
+    pspan.set_rows(n as u64, n as u64);
+    Ok(pc)
+}
+
+/// Load tile `id` of the table at `dir` as its own cloud.
+pub(crate) fn open_tile(dir: &Path, layout: &Layout, id: usize) -> Result<PointCloud, CoreError> {
+    let tile = &layout.tiles.tiles[id];
+    timed_load(None, |pc| {
+        let dumps = read_tile(&layout.tile_dir(dir, id), tile.rows(), None)?;
+        pc.append_dumps(&dumps).map(drop)
+    })
+}
+
 /// A staging directory that removes itself on drop unless committed.
 struct Staging {
     path: PathBuf,
@@ -425,10 +502,7 @@ impl Staging {
             .ok_or_else(|| corrupt(format!("bad save path {}", target.display())))?;
         // Unique per process+cloud so concurrent saves to different
         // targets never collide; the leading dot keeps it out of globs.
-        let staging = target.with_file_name(format!(
-            ".{name}.staging.{}",
-            std::process::id()
-        ));
+        let staging = target.with_file_name(format!(".{name}.staging.{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&staging); // stale leftover from a crash
         std::fs::create_dir_all(&staging).map_err(io_err)?;
         Ok(Staging {
@@ -486,14 +560,6 @@ impl Drop for Staging {
     }
 }
 
-/// fsync an already-open file, honouring the durability policy.
-fn sync_file(f: &std::fs::File, durability: Durability) -> Result<(), CoreError> {
-    if durability == Durability::None {
-        return Ok(());
-    }
-    f.sync_all().map_err(wio_err)
-}
-
 /// fsync a *directory*, making the renames/creates inside it durable.
 /// A `rename` only becomes crash-safe once its parent directory entry is
 /// flushed — syncing the files alone is not enough.
@@ -506,326 +572,169 @@ fn sync_dir(dir: &Path, durability: Durability) -> Result<(), CoreError> {
         .map_err(wio_err)
 }
 
+/// Write and fsync one file of a staged tree through its fault site. The
+/// caller checksummed `bytes` first, so an injected byte-level fault models
+/// bits rotting after the CRC was taken and stays detectable.
+fn write_file(
+    path: &Path,
+    mut bytes: Vec<u8>,
+    fi: Option<&FaultInjector>,
+    stage: FaultStage,
+    target: &str,
+    durability: Durability,
+) -> Result<(), CoreError> {
+    if let Some(kind) = fi.and_then(|fi| fi.fire(stage, target)) {
+        match kind {
+            FaultKind::IoError => return Err(io_err(kind.to_io_error())),
+            FaultKind::Crash => return Err(corrupt(format!("injected crash writing {target}"))),
+            _ => kind.corrupt(&mut bytes),
+        }
+    }
+    let mut f = std::fs::File::create(path).map_err(wio_err)?;
+    f.write_all(&bytes).map_err(wio_err)?;
+    // Regression: the dump used to leave the page cache unflushed, so a
+    // power cut after a "successful" save could lose or tear bytes the
+    // checksums were computed over.
+    if durability != Durability::None {
+        f.sync_all().map_err(wio_err)?;
+    }
+    Ok(())
+}
+
+/// The one dump writer: the column files of `rows`, each serialised from
+/// that row range only, then the v2 manifest over their CRCs, then the
+/// directory entry — all fsynced.
+fn write_tile(
+    dir: &Path,
+    pc: &PointCloud,
+    rows: Range<usize>,
+    fi: Option<&FaultInjector>,
+    durability: Durability,
+) -> Result<(), CoreError> {
+    use FaultStage::{WriteColumn, WriteManifest};
+    std::fs::create_dir_all(dir).map_err(io_err)?;
+    let schema = point_schema();
+    let mut checksums = Vec::with_capacity(schema.width());
+    for field in schema.fields() {
+        let bytes = pc.column(&field.name)?.range_to_le_bytes(rows.clone());
+        checksums.push((field.name.clone(), crc32(&bytes)));
+        let path = dir.join(format!("{}.bin", field.name));
+        write_file(&path, bytes, fi, WriteColumn, &field.name, durability)?;
+    }
+    let manifest = Manifest::render(rows.len(), &checksums).into_bytes();
+    let path = dir.join(MANIFEST);
+    write_file(&path, manifest, fi, WriteManifest, MANIFEST, durability)?;
+    sync_dir(dir, durability)
+}
+
+/// The one staged commit: `write` fills a fresh staging directory next to
+/// `target` (and must leave it durable), which is then committed with
+/// [`Staging::commit`] and made durable by fsyncing the parent — under one
+/// `PersistSave` span and stage sample.
+fn save_staged(
+    target: &Path,
+    rows: usize,
+    fi: Option<&FaultInjector>,
+    durability: Durability,
+    write: impl FnOnce(&Path) -> Result<(), CoreError>,
+) -> Result<(), CoreError> {
+    let mut pspan = crate::trace::span(SpanKind::Stage(Stage::PersistSave));
+    pspan.set_rows(rows as u64, rows as u64);
+    if fi.is_some() {
+        pspan.add_flags(crate::trace::FLAG_FAULT);
+    }
+    let t0 = std::time::Instant::now();
+    let parent = target.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(parent) = parent {
+        std::fs::create_dir_all(parent).map_err(io_err)?;
+    }
+    let staging = Staging::for_target(target)?;
+    write(&staging.path)?;
+    if fi
+        .and_then(|fi| fi.fire(FaultStage::Commit, MANIFEST))
+        .is_some()
+    {
+        // Simulated kill right before the commit rename: the staging
+        // directory is abandoned (cleaned by Drop), the target keeps
+        // its previous state.
+        return Err(corrupt("injected crash before commit"));
+    }
+    staging.commit(target, fi)?;
+    if let Some(kind) = fi.and_then(|fi| fi.fire(FaultStage::Commit, "fsync")) {
+        return Err(match kind {
+            FaultKind::IoError => io_err(kind.to_io_error()),
+            other => corrupt(format!("injected {other:?} before parent-dir fsync")),
+        });
+    }
+    // And the commit rename itself must reach the disk: fsync the parent
+    // directory that holds the renamed entry.
+    if let Some(parent) = parent {
+        sync_dir(parent, durability)?;
+    }
+    MetricsRegistry::global().record_stage(Stage::PersistSave, rows, t0.elapsed());
+    Ok(())
+}
+
+/// Save `pc` at `dir` in `layout`, atomically and durably: one dump per
+/// tile — a flat layout's one tile is the directory itself — plus, for a
+/// tiled layout, the v3 root manifest. The rows must already be in tile
+/// order.
+pub(crate) fn save(
+    pc: &PointCloud,
+    dir: &Path,
+    layout: &Layout,
+    fi: Option<&FaultInjector>,
+    durability: Durability,
+) -> Result<(), CoreError> {
+    let n = pc.num_points();
+    if layout.rows != n || layout.tiles.total_rows() != n {
+        return Err(corrupt("save: tile layout does not cover the table"));
+    }
+    use FaultStage::WriteManifest;
+    save_staged(dir, n, fi, durability, |staging| {
+        for t in &layout.tiles.tiles {
+            let rows = t.row_start..t.row_end;
+            write_tile(&layout.tile_dir(staging, t.id), pc, rows, fi, durability)?;
+        }
+        if layout.flat {
+            return Ok(());
+        }
+        let (path, root) = (staging.join(MANIFEST), layout.render().into_bytes());
+        write_file(&path, root, fi, WriteManifest, MANIFEST, durability)?;
+        sync_dir(staging, durability)
+    })
+}
+
 impl PointCloud {
     /// Write the table as one binary dump per column plus a checksummed
     /// manifest, atomically (staging directory + rename) and **durably**:
     /// every dump, the manifest and the parent directory entry are
     /// fsynced before the call returns.
     pub fn save_dir(&self, dir: impl AsRef<Path>) -> Result<(), CoreError> {
-        self.save_dir_inner(dir, None, Durability::Always)
+        let layout = Layout::flat(self.num_points());
+        save(self, dir.as_ref(), &layout, None, Durability::Always)
     }
 
-    /// [`PointCloud::save_dir`] with an explicit [`Durability`]:
-    /// `Durability::None` skips every fsync (bulk loads that end with an
-    /// explicit durable save); anything else syncs like `save_dir`.
-    pub fn save_dir_durable(
-        &self,
-        dir: impl AsRef<Path>,
-        durability: Durability,
-    ) -> Result<(), CoreError> {
-        self.save_dir_inner(dir, None, durability)
-    }
-
-    /// [`PointCloud::save_dir`] with fault-injection hooks (tests only).
-    pub fn save_dir_with_faults(
-        &self,
-        dir: impl AsRef<Path>,
-        fi: Option<&FaultInjector>,
-    ) -> Result<(), CoreError> {
-        self.save_dir_inner(dir, fi, Durability::Always)
-    }
-
-    pub(crate) fn save_dir_inner(
-        &self,
-        dir: impl AsRef<Path>,
-        fi: Option<&FaultInjector>,
-        durability: Durability,
-    ) -> Result<(), CoreError> {
-        let mut pspan = crate::trace::span(crate::trace::SpanKind::Stage(
-            crate::metrics::Stage::PersistSave,
-        ));
-        pspan.set_rows(self.num_points() as u64, self.num_points() as u64);
-        if fi.is_some() {
-            pspan.add_flags(crate::trace::FLAG_FAULT);
-        }
-        let t0 = std::time::Instant::now();
-        let dir = dir.as_ref();
-        if let Some(parent) = dir.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(io_err)?;
-            }
-        }
-        let staging = Staging::for_target(dir)?;
-        let schema = point_schema();
-        let mut checksums = Vec::with_capacity(schema.width());
-        for field in schema.fields() {
-            let col = self.column(&field.name)?;
-            let mut bytes = col.to_le_bytes();
-            // CRC first, fault second: an injected write fault models bits
-            // rotting after the checksum was taken, so it stays detectable.
-            checksums.push((field.name.clone(), crc32(&bytes)));
-            if let Some(kind) = fi.and_then(|fi| fi.fire(FaultStage::WriteColumn, &field.name)) {
-                match kind {
-                    FaultKind::IoError => return Err(io_err(kind.to_io_error())),
-                    FaultKind::Crash => return Err(corrupt("injected crash during column write")),
-                    _ => kind.corrupt(&mut bytes),
-                }
-            }
-            let path = staging.path.join(format!("{}.bin", field.name));
-            let mut f =
-                std::io::BufWriter::new(std::fs::File::create(&path).map_err(wio_err)?);
-            f.write_all(&bytes)
-                .and_then(|()| f.flush())
-                .map_err(wio_err)?;
-            // Regression: the dump used to leave the page cache unflushed,
-            // so a power cut after a "successful" save could lose or tear
-            // column bytes the checksums were computed over.
-            sync_file(f.get_ref(), durability)?;
-        }
-        let mut manifest = Manifest::render_v2(self.num_points(), &checksums).into_bytes();
-        if let Some(kind) = fi.and_then(|fi| fi.fire(FaultStage::WriteManifest, MANIFEST)) {
-            match kind {
-                FaultKind::IoError => return Err(io_err(kind.to_io_error())),
-                FaultKind::Crash => return Err(corrupt("injected crash during manifest write")),
-                _ => kind.corrupt(&mut manifest),
-            }
-        }
-        {
-            let mut f =
-                std::fs::File::create(staging.path.join(MANIFEST)).map_err(wio_err)?;
-            f.write_all(&manifest).map_err(wio_err)?;
-            sync_file(&f, durability)?;
-        }
-        // The staged files themselves must be durable before the commit
-        // rename: otherwise the rename can survive a crash while the
-        // content it points at does not.
-        sync_dir(&staging.path, durability)?;
-        if fi
-            .and_then(|fi| fi.fire(FaultStage::Commit, MANIFEST))
-            .is_some()
-        {
-            // Simulated kill right before the commit rename: the staging
-            // directory is abandoned (cleaned by Drop), the target keeps
-            // its previous state.
-            return Err(corrupt("injected crash before commit"));
-        }
-        staging.commit(dir, fi)?;
-        if let Some(kind) = fi.and_then(|fi| fi.fire(FaultStage::Commit, "fsync")) {
-            return Err(match kind {
-                FaultKind::IoError => io_err(kind.to_io_error()),
-                other => corrupt(format!("injected {other:?} before parent-dir fsync")),
-            });
-        }
-        // And the commit rename itself must reach the disk: fsync the
-        // parent directory that holds the renamed entry.
-        if let Some(parent) = dir.parent() {
-            if !parent.as_os_str().is_empty() {
-                sync_dir(parent, durability)?;
-            }
-        }
-        crate::metrics::MetricsRegistry::global().record_stage(
-            crate::metrics::Stage::PersistSave,
-            self.num_points(),
-            t0.elapsed(),
-        );
-        Ok(())
-    }
-
-    /// Load a table previously written by [`PointCloud::save_dir`].
-    /// Verifies every checksum the manifest declares.
+    /// Load a table previously written by [`PointCloud::save_dir`], or
+    /// every tile of one written by [`PointCloud::save_tiled`] /
+    /// [`PointCloud::seal_to_tiles`] into one flat table in tile order.
+    /// Sweeps commit debris first ([`recover_stale_dirs`]) and verifies
+    /// every checksum.
     pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self, CoreError> {
         Self::open_dir_with_faults(dir, None)
     }
 
-    /// [`PointCloud::open_dir`] with fault-injection hooks (tests only).
-    pub fn open_dir_with_faults(
+    /// [`PointCloud::open_dir`] with fault-injection hooks.
+    pub(crate) fn open_dir_with_faults(
         dir: impl AsRef<Path>,
         fi: Option<&FaultInjector>,
     ) -> Result<Self, CoreError> {
-        let mut pspan = crate::trace::span(crate::trace::SpanKind::Stage(
-            crate::metrics::Stage::PersistLoad,
-        ));
-        if fi.is_some() {
-            pspan.add_flags(crate::trace::FLAG_FAULT);
-        }
-        let t0 = std::time::Instant::now();
         let dir = dir.as_ref();
-        recover_stale_dirs(dir)?;
-        let text = read_manifest_text(dir, fi)?;
-        if text.starts_with(TILED_HEADER) {
-            // v3 tiled dump: eager-load every tile into one flat table, so
-            // existing flat-table consumers (including `open_ingest`) keep
-            // working on a sealed-tiled directory. The lazy out-of-core
-            // path is [`crate::segment::TiledCloud::open`].
-            let tm = TiledManifest::parse(&text)?;
-            let pc = open_tiled_eager(dir, &tm, fi)?;
-            crate::metrics::MetricsRegistry::global().record_stage(
-                crate::metrics::Stage::PersistLoad,
-                pc.num_points(),
-                t0.elapsed(),
-            );
-            pspan.set_rows(pc.num_points() as u64, pc.num_points() as u64);
-            return Ok(pc);
-        }
-        let manifest = Manifest::parse(&text)?;
-        let mut pc = PointCloud::new();
-        let schema = point_schema();
-        let mut dumps = Vec::with_capacity(schema.width());
-        for field in schema.fields() {
-            dumps.push(read_column(dir, &manifest, field, fi)?);
-        }
-        pc.append_dumps(&dumps)?;
-        if pc.num_points() != manifest.rows {
-            return Err(corrupt(format!(
-                "table reassembled to {} rows, manifest declares {}",
-                pc.num_points(),
-                manifest.rows
-            )));
-        }
-        crate::metrics::MetricsRegistry::global().record_stage(
-            crate::metrics::Stage::PersistLoad,
-            pc.num_points(),
-            t0.elapsed(),
-        );
-        pspan.set_rows(pc.num_points() as u64, pc.num_points() as u64);
-        Ok(pc)
+        timed_load(fi, |pc| {
+            recover_stale_dirs(dir)?;
+            read_all(dir, fi, |dumps| pc.append_dumps(&dumps).map(drop)).map(drop)
+        })
     }
-}
-
-/// Write a tiled (v3) dump of an **SFC-sorted** point cloud: one
-/// `tile_NNNNN/` v2 flat dump per tile plus the v3 root manifest, staged
-/// and committed atomically exactly like [`PointCloud::save_dir`]. The
-/// cloud's rows must already be in tile order — each tile is a contiguous
-/// byte slice of every column dump.
-pub(crate) fn save_tiled_inner(
-    pc: &PointCloud,
-    dir: &Path,
-    tm: &TiledManifest,
-    durability: Durability,
-) -> Result<(), CoreError> {
-    let mut pspan = crate::trace::span(crate::trace::SpanKind::Stage(
-        crate::metrics::Stage::PersistSave,
-    ));
-    pspan.set_rows(pc.num_points() as u64, pc.num_points() as u64);
-    let t0 = std::time::Instant::now();
-    if tm.rows != pc.num_points() || tm.tiles.total_rows() != pc.num_points() {
-        return Err(corrupt("tiled save: tile layout does not cover the table"));
-    }
-    if let Some(parent) = dir.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(io_err)?;
-        }
-    }
-    let staging = Staging::for_target(dir)?;
-    let schema = point_schema();
-    for t in &tm.tiles.tiles {
-        std::fs::create_dir_all(staging.path.join(tile_dir_name(t.id))).map_err(io_err)?;
-    }
-    // Column-outer loop: one column's full dump is materialised at a time
-    // (bounded transient memory), then sliced into per-tile files.
-    let mut tile_sums: Vec<Vec<(String, u32)>> = vec![Vec::new(); tm.tiles.len()];
-    for field in schema.fields() {
-        let bytes = pc.column(&field.name)?.to_le_bytes();
-        let sz = field.ptype.size();
-        for t in &tm.tiles.tiles {
-            let slice = &bytes[t.row_start * sz..t.row_end * sz];
-            tile_sums[t.id].push((field.name.clone(), crc32(slice)));
-            let path = staging
-                .path
-                .join(tile_dir_name(t.id))
-                .join(format!("{}.bin", field.name));
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&path).map_err(wio_err)?);
-            f.write_all(slice).and_then(|()| f.flush()).map_err(wio_err)?;
-            sync_file(f.get_ref(), durability)?;
-        }
-    }
-    for t in &tm.tiles.tiles {
-        let tdir = staging.path.join(tile_dir_name(t.id));
-        let manifest = Manifest::render_v2(t.rows(), &tile_sums[t.id]);
-        let mut f = std::fs::File::create(tdir.join(MANIFEST)).map_err(wio_err)?;
-        f.write_all(manifest.as_bytes()).map_err(wio_err)?;
-        sync_file(&f, durability)?;
-        sync_dir(&tdir, durability)?;
-    }
-    {
-        let mut f = std::fs::File::create(staging.path.join(MANIFEST)).map_err(wio_err)?;
-        f.write_all(tm.render().as_bytes()).map_err(wio_err)?;
-        sync_file(&f, durability)?;
-    }
-    sync_dir(&staging.path, durability)?;
-    staging.commit(dir, None)?;
-    if let Some(parent) = dir.parent() {
-        if !parent.as_os_str().is_empty() {
-            sync_dir(parent, durability)?;
-        }
-    }
-    crate::metrics::MetricsRegistry::global().record_stage(
-        crate::metrics::Stage::PersistSave,
-        pc.num_points(),
-        t0.elapsed(),
-    );
-    Ok(())
-}
-
-/// Load one tile of a tiled dump as its own flat-table cloud (standard v2
-/// open of the tile subdirectory, full checksum verification).
-pub(crate) fn open_tile(dir: &Path, tile: &TileMeta) -> Result<PointCloud, CoreError> {
-    let pc = PointCloud::open_dir(dir.join(tile_dir_name(tile.id)))?;
-    if pc.num_points() != tile.rows() {
-        return Err(corrupt(format!(
-            "tile {} loaded {} rows, root manifest declares {}",
-            tile.id,
-            pc.num_points(),
-            tile.rows()
-        )));
-    }
-    Ok(pc)
-}
-
-/// Eager-load every tile of a tiled dump into one flat table (row order =
-/// tile order = SFC order). The backwards-compatibility path behind
-/// [`PointCloud::open_dir`] on a v3 directory.
-fn open_tiled_eager(
-    dir: &Path,
-    tm: &TiledManifest,
-    fi: Option<&FaultInjector>,
-) -> Result<PointCloud, CoreError> {
-    let mut pc = PointCloud::new();
-    let schema = point_schema();
-    for t in &tm.tiles.tiles {
-        let tdir = dir.join(tile_dir_name(t.id));
-        let manifest = read_manifest(&tdir, fi)?;
-        let mut dumps = Vec::with_capacity(schema.width());
-        for field in schema.fields() {
-            dumps.push(read_column(&tdir, &manifest, field, fi)?);
-        }
-        pc.append_dumps(&dumps)?;
-    }
-    if pc.num_points() != tm.rows {
-        return Err(corrupt(format!(
-            "tiled table reassembled to {} rows, root manifest declares {}",
-            pc.num_points(),
-            tm.rows
-        )));
-    }
-    Ok(pc)
-}
-
-/// Read the tiled root manifest of `dir`, if it holds a v3 dump:
-/// `Ok(None)` means the directory is a flat (v1/v2) dump.
-pub(crate) fn read_tiled_manifest(dir: &Path) -> Result<Option<TiledManifest>, CoreError> {
-    recover_stale_dirs(dir)?;
-    let text = read_manifest_text(dir, None)?;
-    if text.starts_with(TILED_HEADER) {
-        Ok(Some(TiledManifest::parse(&text)?))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Row count declared by a flat (v1/v2) manifest, without loading columns.
-pub(crate) fn flat_manifest_rows(dir: &Path) -> Result<usize, CoreError> {
-    Ok(read_manifest(dir, None)?.rows)
 }
 
 /// Clean up the debris a crash inside [`Staging::commit`] can leave next
@@ -866,15 +775,10 @@ pub fn recover_stale_dirs(target: impl AsRef<Path>) -> Result<Vec<String>, CoreE
             continue;
         }
         let path = entry.path();
-        if fname.ends_with(".replaced") {
-            if !target.exists() && manifest_ok(&path) {
-                std::fs::rename(&path, target).map_err(io_err)?;
-                sync_dir(parent, Durability::Always)?;
-                actions.push(format!("rolled back {fname}"));
-                continue;
-            }
-            std::fs::remove_dir_all(&path).map_err(io_err)?;
-            actions.push(format!("removed {fname}"));
+        if fname.ends_with(".replaced") && !target.exists() && read_layout(&path, None).is_ok() {
+            std::fs::rename(&path, target).map_err(io_err)?;
+            sync_dir(parent, Durability::Always)?;
+            actions.push(format!("rolled back {fname}"));
         } else {
             std::fs::remove_dir_all(&path).map_err(io_err)?;
             actions.push(format!("removed {fname}"));
@@ -884,38 +788,11 @@ pub fn recover_stale_dirs(target: impl AsRef<Path>) -> Result<Vec<String>, CoreE
 }
 
 /// Validate a table directory without building the in-memory table
-/// (catalog-style check). Enforces the same invariants as
-/// [`PointCloud::open_dir`]: manifest well-formedness, version, column
-/// list, per-column sizes, and (for v2) every checksum.
+/// (catalog-style check): the same read as [`PointCloud::open_dir`] —
+/// layout, every tile's manifest and row count, every column's size and
+/// (for v2) checksum — with the dumps dropped. Returns the row count.
 pub fn validate_dir(dir: impl AsRef<Path>) -> Result<usize, CoreError> {
-    let dir = dir.as_ref();
-    let text = read_manifest_text(dir, None)?;
-    if text.starts_with(TILED_HEADER) {
-        // Tiled dump: validate the root layout plus every tile's own v2
-        // manifest, sizes and checksums.
-        let tm = TiledManifest::parse(&text)?;
-        for t in &tm.tiles.tiles {
-            let tdir = dir.join(tile_dir_name(t.id));
-            let manifest = read_manifest(&tdir, None)?;
-            if manifest.rows != t.rows() {
-                return Err(corrupt(format!(
-                    "tile {} declares {} rows, root manifest expects {}",
-                    t.id,
-                    manifest.rows,
-                    t.rows()
-                )));
-            }
-            for field in point_schema().fields() {
-                read_column(&tdir, &manifest, field, None)?;
-            }
-        }
-        return Ok(tm.rows);
-    }
-    let manifest = Manifest::parse(&text)?;
-    for field in point_schema().fields() {
-        read_column(dir, &manifest, field, None)?;
-    }
-    Ok(manifest.rows)
+    read_all(dir.as_ref(), None, |_| Ok(())).map(|layout| layout.rows)
 }
 
 #[cfg(test)]
@@ -945,6 +822,31 @@ mod tests {
             .collect();
         pc.append_records(&recs).unwrap();
         pc
+    }
+
+    /// A cloud of `n` rows and the layout to save it in: flat, or
+    /// SFC-sorted into about four tiles.
+    fn planned(n: usize, tiled: bool) -> (PointCloud, Layout) {
+        let mut pc = cloud(n);
+        let layout = if tiled {
+            let opts = crate::segment::TileOptions {
+                target_rows: n.div_ceil(4),
+                ..Default::default()
+            };
+            crate::segment::sort_and_plan(&mut pc, &opts).unwrap()
+        } else {
+            Layout::flat(n)
+        };
+        (pc, layout)
+    }
+
+    /// Save a planned cloud durably with `fi` armed.
+    fn save_with(
+        (pc, layout): &(PointCloud, Layout),
+        target: &Path,
+        fi: Option<&FaultInjector>,
+    ) -> Result<(), CoreError> {
+        save(pc, target, layout, fi, Durability::Always)
     }
 
     #[test]
@@ -1084,39 +986,45 @@ mod tests {
         assert!(validate_dir(&dir).is_err());
     }
 
+    /// Flat and tiled saves pass the same fault sites: a crash at any of
+    /// them fails the save and leaves nothing `open_dir` accepts.
     #[test]
     fn crash_during_save_leaves_no_accepted_directory() {
-        let parent = tdir("crash");
-        std::fs::create_dir_all(&parent).unwrap();
-        let target = parent.join("table");
-        let pc = cloud(40);
-        for (stage, col) in [
-            (FaultStage::WriteColumn, Some("x")),
-            (FaultStage::WriteColumn, Some("gps_time")),
-            (FaultStage::WriteManifest, None),
-            (FaultStage::Commit, None),
-        ] {
+        for tiled in [false, true] {
+            let parent = tdir(&format!("crash_{tiled}"));
+            std::fs::create_dir_all(&parent).unwrap();
+            let target = parent.join("table");
+            let planned40 = planned(40, tiled);
+            for (stage, col) in [
+                (FaultStage::WriteColumn, Some("x")),
+                (FaultStage::WriteColumn, Some("gps_time")),
+                (FaultStage::WriteManifest, None),
+                (FaultStage::Commit, None),
+            ] {
+                let ctx = format!("tiled={tiled} {stage:?}");
+                let fi = FaultInjector::new();
+                fi.inject(stage, col, FaultKind::Crash);
+                let err = save_with(&planned40, &target, Some(&fi)).unwrap_err();
+                assert!(matches!(err, CoreError::Corrupt(_)), "{ctx}: {err}");
+                assert_eq!(fi.fired().len(), 1, "{ctx}: the site fired");
+                assert!(
+                    PointCloud::open_dir(&target).is_err(),
+                    "{ctx}: interrupted save must not yield an openable dir"
+                );
+            }
+            // A good save over the crash debris succeeds and opens.
+            save_with(&planned40, &target, None).unwrap();
+            assert_eq!(PointCloud::open_dir(&target).unwrap().num_points(), 40);
+            // Crash during an overwrite keeps the previous state intact.
             let fi = FaultInjector::new();
-            fi.inject(stage, col, FaultKind::Crash);
-            let err = pc.save_dir_with_faults(&target, Some(&fi)).unwrap_err();
-            assert!(matches!(err, CoreError::Corrupt(_)), "{stage:?}: {err}");
-            assert!(
-                PointCloud::open_dir(&target).is_err(),
-                "{stage:?}: interrupted save must not yield an openable dir"
+            fi.inject(FaultStage::Commit, None, FaultKind::Crash);
+            assert!(save_with(&planned(99, tiled), &target, Some(&fi)).is_err());
+            assert_eq!(
+                PointCloud::open_dir(&target).unwrap().num_points(),
+                40,
+                "tiled={tiled}: old state survives an interrupted overwrite"
             );
         }
-        // A good save over the crash debris succeeds and opens.
-        pc.save_dir(&target).unwrap();
-        assert_eq!(PointCloud::open_dir(&target).unwrap().num_points(), 40);
-        // Crash during an overwrite keeps the previous state intact.
-        let fi = FaultInjector::new();
-        fi.inject(FaultStage::Commit, None, FaultKind::Crash);
-        assert!(cloud(99).save_dir_with_faults(&target, Some(&fi)).is_err());
-        assert_eq!(
-            PointCloud::open_dir(&target).unwrap().num_points(),
-            40,
-            "old state survives an interrupted overwrite"
-        );
     }
 
     #[test]
@@ -1128,7 +1036,10 @@ mod tests {
         let fi = FaultInjector::new();
         fi.inject(FaultStage::ReadColumn, Some("y"), FaultKind::BitFlip(42));
         let err = PointCloud::open_dir_with_faults(&dir, Some(&fi)).unwrap_err();
-        assert!(matches!(&err, CoreError::Corrupt(m) if m.contains("checksum")), "{err}");
+        assert!(
+            matches!(&err, CoreError::Corrupt(m) if m.contains("checksum")),
+            "{err}"
+        );
         // Transient read error surfaces as a retryable I/O error.
         let fi = FaultInjector::new();
         fi.inject(FaultStage::ReadManifest, None, FaultKind::IoError);
@@ -1141,43 +1052,55 @@ mod tests {
     /// Regression for the crash window *between* the two commit renames:
     /// the old state sits at `.replaced`, nothing sits at the target, and
     /// the abandoned staging directory survives. The next `open_dir` must
-    /// roll the old state back and sweep the debris.
+    /// roll the old state back and sweep the debris — for either layout.
     #[test]
     fn crash_between_commit_renames_rolls_back_on_open() {
-        let parent = tdir("swapcrash");
-        std::fs::create_dir_all(&parent).unwrap();
-        let target = parent.join("table");
-        cloud(40).save_dir(&target).unwrap();
-        let fi = FaultInjector::new();
-        fi.inject(FaultStage::Commit, Some("swap"), FaultKind::Crash);
-        let err = cloud(99).save_dir_with_faults(&target, Some(&fi)).unwrap_err();
-        assert!(matches!(err, CoreError::Corrupt(_)), "{err}");
-        assert!(!target.exists(), "crash window leaves no target");
-        let leftovers: Vec<String> = std::fs::read_dir(&parent)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            leftovers.iter().any(|n| n.ends_with(".replaced")),
-            "old state parked at .replaced: {leftovers:?}"
-        );
-        assert!(
-            leftovers
-                .iter()
-                .any(|n| n.contains(".staging.") && !n.ends_with(".replaced")),
-            "abandoned staging dir left behind: {leftovers:?}"
-        );
-        // Reopen: stale-dir recovery rolls the previous state back.
-        let back = PointCloud::open_dir(&target).unwrap();
-        assert_eq!(back.num_points(), 40, "pre-crash state restored");
-        let residue: Vec<String> = std::fs::read_dir(&parent)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains(".staging."))
-            .collect();
-        assert!(residue.is_empty(), "debris swept: {residue:?}");
+        for tiled in [false, true] {
+            let parent = tdir(&format!("swapcrash_{tiled}"));
+            std::fs::create_dir_all(&parent).unwrap();
+            let target = parent.join("table");
+            save_with(&planned(40, tiled), &target, None).unwrap();
+            let fi = FaultInjector::new();
+            fi.inject(FaultStage::Commit, Some("swap"), FaultKind::Crash);
+            let err = save_with(&planned(99, tiled), &target, Some(&fi)).unwrap_err();
+            assert!(matches!(err, CoreError::Corrupt(_)), "tiled={tiled}: {err}");
+            assert!(
+                !target.exists(),
+                "tiled={tiled}: crash window leaves no target"
+            );
+            let leftovers: Vec<String> = std::fs::read_dir(&parent)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .collect();
+            assert!(
+                leftovers.iter().any(|n| n.ends_with(".replaced")),
+                "tiled={tiled}: old state parked at .replaced: {leftovers:?}"
+            );
+            assert!(
+                leftovers
+                    .iter()
+                    .any(|n| n.contains(".staging.") && !n.ends_with(".replaced")),
+                "tiled={tiled}: abandoned staging dir left behind: {leftovers:?}"
+            );
+            // Reopen: stale-dir recovery rolls the previous state back.
+            let back = PointCloud::open_dir(&target).unwrap();
+            assert_eq!(
+                back.num_points(),
+                40,
+                "tiled={tiled}: pre-crash state restored"
+            );
+            let residue: Vec<String> = std::fs::read_dir(&parent)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter(|n| n.contains(".staging."))
+                .collect();
+            assert!(
+                residue.is_empty(),
+                "tiled={tiled}: debris swept: {residue:?}"
+            );
+        }
     }
 
     /// Each leftover shape on its own: an orphaned staging dir is removed,
@@ -1212,32 +1135,36 @@ mod tests {
         assert!(!replaced.exists());
     }
 
-    /// The save path fsyncs dumps, manifest and parent dir; the fault hook
+    /// The save path fsyncs dumps, manifests and parent dir; the fault hook
     /// at the parent-dir fsync site fires after the swap, so the new state
-    /// is already at the target when the "crash" hits.
+    /// is already at the target when the "crash" hits — for either layout.
     #[test]
     fn fsync_fault_fires_after_commit_swap() {
-        let parent = tdir("fsyncfault");
-        std::fs::create_dir_all(&parent).unwrap();
-        let target = parent.join("table");
-        let fi = FaultInjector::new();
-        fi.inject(FaultStage::Commit, Some("fsync"), FaultKind::Crash);
-        let err = cloud(25).save_dir_with_faults(&target, Some(&fi)).unwrap_err();
-        assert!(matches!(err, CoreError::Corrupt(_)), "{err}");
-        assert_eq!(fi.fired().len(), 1);
-        // The swap happened; only the directory-entry flush was lost. The
-        // state is openable — the caller just must not treat the save as
-        // acknowledged (it got an Err).
-        assert_eq!(PointCloud::open_dir(&target).unwrap().num_points(), 25);
-        // A transient fsync error surfaces as retryable I/O.
-        let fi = FaultInjector::new();
-        fi.inject(FaultStage::Commit, Some("fsync"), FaultKind::IoError);
-        let err = cloud(25).save_dir_with_faults(&target, Some(&fi)).unwrap_err();
-        assert!(err.is_transient(), "{err}");
-        // `Durability::None` skips the fsyncs entirely but still saves.
-        let none_target = parent.join("table_none");
-        cloud(12).save_dir_durable(&none_target, Durability::None).unwrap();
-        assert_eq!(PointCloud::open_dir(&none_target).unwrap().num_points(), 12);
+        for tiled in [false, true] {
+            let parent = tdir(&format!("fsyncfault_{tiled}"));
+            std::fs::create_dir_all(&parent).unwrap();
+            let target = parent.join("table");
+            let planned25 = planned(25, tiled);
+            let fi = FaultInjector::new();
+            fi.inject(FaultStage::Commit, Some("fsync"), FaultKind::Crash);
+            let err = save_with(&planned25, &target, Some(&fi)).unwrap_err();
+            assert!(matches!(err, CoreError::Corrupt(_)), "tiled={tiled}: {err}");
+            assert_eq!(fi.fired().len(), 1);
+            // The swap happened; only the directory-entry flush was lost.
+            // The state is openable — the caller just must not treat the
+            // save as acknowledged (it got an Err).
+            assert_eq!(PointCloud::open_dir(&target).unwrap().num_points(), 25);
+            // A transient fsync error surfaces as retryable I/O.
+            let fi = FaultInjector::new();
+            fi.inject(FaultStage::Commit, Some("fsync"), FaultKind::IoError);
+            let err = save_with(&planned25, &target, Some(&fi)).unwrap_err();
+            assert!(err.is_transient(), "tiled={tiled}: {err}");
+            // `Durability::None` skips the fsyncs entirely but still saves.
+            let none_target = parent.join("table_none");
+            let (pc, layout) = &planned25;
+            save(pc, &none_target, layout, None, Durability::None).unwrap();
+            assert_eq!(PointCloud::open_dir(&none_target).unwrap().num_points(), 25);
+        }
     }
 
     #[test]

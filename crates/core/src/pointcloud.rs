@@ -621,11 +621,35 @@ impl PointCloud {
     }
 
     /// Checkpoint: flush the WAL, fold the whole table into a fresh
-    /// atomic + durable dump (staged rename), then truncate the WAL to a
-    /// new base. A crash anywhere inside leaves a recoverable state —
+    /// atomic + durable flat dump (staged rename), then truncate the WAL
+    /// to a new base. A crash anywhere inside leaves a recoverable state —
     /// in the window between the dump commit and the WAL truncate, replay
     /// skips the frames the dump already contains.
     pub fn seal(&mut self) -> Result<(), CoreError> {
+        self.checkpoint(None).map(drop)
+    }
+
+    /// [`Self::seal`], but folding the table into a **tiled** (v3) dump:
+    /// rows are SFC-sorted in place, cut into tiles with per-column zone
+    /// maps, and written as one v2 dump per tile under the ingest
+    /// directory — the same checkpoint, fault sites and crash windows as
+    /// `seal`, only the layout differs. Returns the tile count. The
+    /// directory then opens either eagerly ([`Self::open_dir`] /
+    /// [`Self::open_ingest`]) or lazily and out-of-core
+    /// ([`crate::segment::TiledCloud::open`]).
+    pub fn seal_to_tiles(
+        &mut self,
+        opts: &crate::segment::TileOptions,
+    ) -> Result<usize, CoreError> {
+        self.checkpoint(Some(opts))
+    }
+
+    /// The one checkpoint body behind [`Self::seal`] (flat layout, `None`)
+    /// and [`Self::seal_to_tiles`] (tiled). Returns the tile count.
+    fn checkpoint(
+        &mut self,
+        tiles: Option<&crate::segment::TileOptions>,
+    ) -> Result<usize, CoreError> {
         let Some((dir, durability)) = self
             .ingest
             .as_ref()
@@ -636,7 +660,11 @@ impl PointCloud {
             ));
         };
         self.flush_wal()?;
-        let saved = self.save_dir_inner(&dir, self.fault.as_deref(), durability);
+        let layout = match tiles {
+            Some(opts) => crate::segment::sort_and_plan(self, opts)?,
+            None => crate::persist::Layout::flat(self.num_points()),
+        };
+        let saved = crate::persist::save(self, &dir, &layout, self.fault.as_deref(), durability);
         self.note_storage(saved)?;
         if let Some(fi) = &self.fault {
             if let Some(kind) = fi.fire(crate::fault::FaultStage::Seal, "truncate") {
@@ -658,56 +686,23 @@ impl PointCloud {
         // been exhausted, the operator has freed space — leave degraded
         // mode and accept ingest again.
         self.set_degraded(false);
-        Ok(())
-    }
-
-    /// [`Self::seal`], but folding the table into a **tiled** (v3) dump:
-    /// rows are SFC-sorted in place, cut into tiles with per-column zone
-    /// maps, and written as one v2 dump per tile under the ingest
-    /// directory. Returns the tile count. The directory then opens either
-    /// eagerly ([`Self::open_dir`] / [`Self::open_ingest`], which keep
-    /// working) or lazily and out-of-core
-    /// ([`crate::segment::TiledCloud::open`]).
-    pub fn seal_to_tiles(
-        &mut self,
-        opts: &crate::segment::TileOptions,
-    ) -> Result<usize, CoreError> {
-        let Some((dir, durability)) = self
-            .ingest
-            .as_ref()
-            .map(|i| (i.dir.clone(), i.wal.durability()))
-        else {
-            return Err(CoreError::InvalidQuery(
-                "seal_to_tiles: cloud was not opened for ingest".into(),
-            ));
-        };
-        self.flush_wal()?;
-        let tm = crate::segment::sort_and_plan(self, opts)?;
-        let tiles = tm.tiles.len();
-        let saved = crate::persist::save_tiled_inner(self, &dir, &tm, durability);
-        self.note_storage(saved)?;
-        let n = self.table.num_rows() as u64;
-        self.ingest
-            .as_mut()
-            .expect("ingest state checked above")
-            .wal
-            .reset(n)?;
-        self.set_degraded(false);
-        Ok(tiles)
+        Ok(layout.tiles.len())
     }
 
     /// Write the table as a tiled (v3) dump at `dir`, SFC-sorting the rows
-    /// in place first. For plain (non-ingest) clouds — ingesting clouds
-    /// should use [`Self::seal_to_tiles`], which also checkpoints the WAL.
-    /// Returns the tile count.
+    /// in place first: one v2 dump per tile plus a root manifest, staged,
+    /// committed and fsynced exactly like [`Self::save_dir`]. For plain
+    /// (non-ingest) clouds — ingesting clouds should use
+    /// [`Self::seal_to_tiles`], which also checkpoints the WAL. Returns
+    /// the tile count.
     pub fn save_tiled(
         &mut self,
         dir: impl AsRef<std::path::Path>,
         opts: &crate::segment::TileOptions,
     ) -> Result<usize, CoreError> {
-        let tm = crate::segment::sort_and_plan(self, opts)?;
-        crate::persist::save_tiled_inner(self, dir.as_ref(), &tm, Durability::Always)?;
-        Ok(tm.tiles.len())
+        let layout = crate::segment::sort_and_plan(self, opts)?;
+        crate::persist::save(self, dir.as_ref(), &layout, None, Durability::Always)?;
+        Ok(layout.tiles.len())
     }
 }
 

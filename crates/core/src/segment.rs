@@ -38,7 +38,7 @@ use crate::error::CoreError;
 use crate::exec::Parallelism;
 use crate::governor::{self, AdmissionController, GovernCtx};
 use crate::metrics::MetricsRegistry;
-use crate::persist::{self, TiledManifest};
+use crate::persist::{self, Layout};
 use crate::pointcloud::PointCloud;
 use crate::query::{
     run_query, Aggregate, AttrRange, Explain, RefineStrategy, Selection, SpatialPredicate,
@@ -66,22 +66,11 @@ impl Default for TileOptions {
     }
 }
 
-/// Manifest name of a [`Curve`].
-fn curve_name(c: Curve) -> &'static str {
-    match c {
-        Curve::Hilbert => "hilbert",
-        Curve::Morton => "morton",
-    }
-}
-
 /// SFC-sort the cloud's rows in place and plan the tile layout: key
 /// ranges from the sorted keys, row ranges from [`TileBinning`], zone maps
 /// from a single pass over every column. Cached imprints are dropped (they
 /// describe the old row order).
-pub(crate) fn sort_and_plan(
-    pc: &mut PointCloud,
-    opts: &TileOptions,
-) -> Result<TiledManifest, CoreError> {
+pub(crate) fn sort_and_plan(pc: &mut PointCloud, opts: &TileOptions) -> Result<Layout, CoreError> {
     if opts.target_rows == 0 {
         return Err(CoreError::InvalidQuery(
             "tile options: target_rows must be at least 1".into(),
@@ -200,11 +189,16 @@ pub(crate) fn sort_and_plan(
             }
         }
     }
-    Ok(TiledManifest {
+    Ok(Layout {
         rows: n,
-        curve: curve_name(opts.curve).to_string(),
+        curve: match opts.curve {
+            Curve::Hilbert => "hilbert",
+            Curve::Morton => "morton",
+        }
+        .to_string(),
         bits: opts.bits,
         tiles: TileSet { tiles },
+        flat: false,
     })
 }
 
@@ -252,13 +246,9 @@ pub struct TileResidency {
 /// return bit-identical rows (global row ids in the sealed SFC order).
 pub struct TiledCloud {
     dir: PathBuf,
-    tiles: TileSet,
-    curve: String,
-    bits: u32,
-    rows: usize,
-    /// `true` when the directory was a flat v1/v2 dump opened as a single
-    /// pseudo-tile (no zones, never pruned).
-    flat: bool,
+    /// Tile row/key ranges and zone maps; a flat v1/v2 directory is one
+    /// tile at the root with no zones (never pruned).
+    layout: Layout,
     /// Resident-cache byte budget; 0 = unlimited.
     budget_bytes: AtomicU64,
     cache: Mutex<TileCache>,
@@ -271,10 +261,10 @@ impl std::fmt::Debug for TiledCloud {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TiledCloud")
             .field("dir", &self.dir)
-            .field("rows", &self.rows)
-            .field("tiles", &self.tiles.len())
-            .field("curve", &self.curve)
-            .field("bits", &self.bits)
+            .field("rows", &self.layout.rows)
+            .field("tiles", &self.layout.tiles.len())
+            .field("curve", &self.layout.curve)
+            .field("bits", &self.layout.bits)
             .field("budget_bytes", &self.budget_bytes.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -286,30 +276,11 @@ impl TiledCloud {
     /// fires, but the out-of-core cache and the API shape still apply.
     pub fn open(dir: impl AsRef<Path>) -> Result<TiledCloud, CoreError> {
         let dir = dir.as_ref().to_path_buf();
-        let (tiles, curve, bits, rows, flat) = match persist::read_tiled_manifest(&dir)? {
-            Some(tm) => (tm.tiles, tm.curve, tm.bits, tm.rows, false),
-            None => {
-                let rows = persist::flat_manifest_rows(&dir)?;
-                let tiles = TileSet {
-                    tiles: vec![TileMeta {
-                        id: 0,
-                        row_start: 0,
-                        row_end: rows,
-                        key_lo: 0,
-                        key_hi: u64::MAX,
-                        zones: Vec::new(),
-                    }],
-                };
-                (tiles, "none".to_string(), 0, rows, true)
-            }
-        };
+        persist::recover_stale_dirs(&dir)?;
+        let layout = persist::read_layout(&dir, None)?;
         Ok(TiledCloud {
             dir,
-            tiles,
-            curve,
-            bits,
-            rows,
-            flat,
+            layout,
             budget_bytes: AtomicU64::new(0),
             cache: Mutex::new(TileCache::default()),
             loads: AtomicU64::new(0),
@@ -320,28 +291,28 @@ impl TiledCloud {
 
     /// Total rows across every tile.
     pub fn num_points(&self) -> usize {
-        self.rows
+        self.layout.rows
     }
 
     /// Number of tiles.
     pub fn num_tiles(&self) -> usize {
-        self.tiles.len()
+        self.layout.tiles.len()
     }
 
     /// The tile layout (row ranges, key ranges, zone maps).
     pub fn tiles(&self) -> &TileSet {
-        &self.tiles
+        &self.layout.tiles
     }
 
     /// The curve the rows are clustered by (`hilbert`, `morton`, or
     /// `none` for a flat directory).
     pub fn curve(&self) -> &str {
-        &self.curve
+        &self.layout.curve
     }
 
     /// Quantiser bits per axis (0 for a flat directory).
     pub fn bits(&self) -> u32 {
-        self.bits
+        self.layout.bits
     }
 
     /// The directory the cloud was opened from.
@@ -393,7 +364,8 @@ impl TiledCloud {
     /// consistent with itself but not frozen against concurrent loads.
     pub fn tile_residency(&self) -> Vec<TileResidency> {
         let cache = self.cache.lock();
-        self.tiles
+        self.layout
+            .tiles
             .tiles
             .iter()
             .map(|t| TileResidency {
@@ -422,11 +394,7 @@ impl TiledCloud {
             c.last_used = tick;
             return Ok(Arc::clone(&c.pc));
         }
-        let pc = if self.flat {
-            PointCloud::open_dir(&self.dir)?
-        } else {
-            persist::open_tile(&self.dir, &self.tiles.tiles[id])?
-        };
+        let pc = persist::open_tile(&self.dir, &self.layout, id)?;
         let bytes = pc.data_bytes() as u64;
         ctx.charge(bytes)?;
         let pc = Arc::new(pc);
@@ -528,7 +496,7 @@ impl TiledCloud {
             for a in attrs {
                 preds.push((a.column.as_str(), a.lo, a.hi));
             }
-            let survivors = self.tiles.prune(&preds);
+            let survivors = self.layout.tiles.prune(&preds);
             let loads0 = self.loads.load(Ordering::Relaxed);
             let evictions0 = self.evictions.load(Ordering::Relaxed);
             let mut rows = Vec::new();
@@ -538,13 +506,13 @@ impl TiledCloud {
                 let mut sub = Explain::default();
                 let local =
                     pc.query_stages(pred, attrs, strategy, parallelism, ctx, root, &mut sub)?;
-                let base = self.tiles.tiles[t].row_start;
+                let base = self.layout.tiles.tiles[t].row_start;
                 rows.extend(local.iter().map(|&r| r + base));
                 merge_explain(explain, &sub);
             }
             explain.result_rows = rows.len();
-            explain.tiles_total = self.tiles.len();
-            explain.tiles_pruned = self.tiles.len() - survivors.len();
+            explain.tiles_total = self.layout.tiles.len();
+            explain.tiles_pruned = self.layout.tiles.len() - survivors.len();
             explain.tiles_probed = survivors.len();
             // Cache-delta attribution is exact for single-threaded use and
             // approximate when queries run concurrently (the counters are
@@ -571,14 +539,14 @@ impl TiledCloud {
     ) -> impl Iterator<Item = Result<(Arc<PointCloud>, usize, &'r [usize]), CoreError>> + 'r {
         std::iter::from_fn(move || {
             let first = *rows.first()?;
-            let Some(t) = self.tiles.tile_for_row(first) else {
+            let Some(t) = self.layout.tiles.tile_for_row(first) else {
                 rows = &[];
                 return Some(Err(CoreError::InvalidQuery(format!(
                     "row {first} out of range ({} rows)",
-                    self.rows
+                    self.layout.rows
                 ))));
             };
-            let tile = &self.tiles.tiles[t];
+            let tile = &self.layout.tiles.tiles[t];
             let (head, tail) = rows.split_at(rows.partition_point(|&r| r < tile.row_end));
             rows = tail;
             Some(
@@ -654,11 +622,11 @@ impl TiledCloud {
 
     /// Materialise one point by global row id (`None` past the end).
     pub fn record(&self, row: usize) -> Result<Option<lidardb_las::PointRecord>, CoreError> {
-        let Some(t) = self.tiles.tile_for_row(row) else {
+        let Some(t) = self.layout.tiles.tile_for_row(row) else {
             return Ok(None);
         };
         let pc = self.load_tile(t, &GovernCtx::ungoverned())?;
-        Ok(pc.record(row - self.tiles.tiles[t].row_start))
+        Ok(pc.record(row - self.layout.tiles.tiles[t].row_start))
     }
 }
 

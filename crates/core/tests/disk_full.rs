@@ -7,12 +7,16 @@
 //! (`FaultKind::DiskFull` surfaces as errno 28 with nothing reaching the
 //! medium).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use lidardb_core::{
     CoreError, Durability, FaultInjector, FaultKind, FaultStage, MetricsRegistry, PointCloud,
 };
 use lidardb_las::PointRecord;
+
+/// Every test here flips the process-wide `degraded_tables` gauge, and the
+/// first asserts an exact delta on it: they run one at a time.
+static GAUGE: Mutex<()> = Mutex::new(());
 
 fn batch(n: usize, salt: u16) -> Vec<PointRecord> {
     (0..n)
@@ -34,6 +38,7 @@ fn tdir(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn enospc_degrades_to_read_only_and_seal_recovers() {
+    let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tdir("roundtrip");
     let fi = Arc::new(FaultInjector::new());
     let mut pc =
@@ -79,6 +84,7 @@ fn enospc_degrades_to_read_only_and_seal_recovers() {
 
 #[test]
 fn enospc_at_group_commit_sync_also_degrades() {
+    let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tdir("sync");
     let fi = Arc::new(FaultInjector::new());
     let mut pc = PointCloud::open_ingest_with_faults(
@@ -108,6 +114,7 @@ fn enospc_at_group_commit_sync_also_degrades() {
 
 #[test]
 fn degraded_table_survives_restart_cleanly() {
+    let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
     // Degradation is a *runtime* mode, not an on-disk poison: after a
     // restart the durable prefix opens normally and ingest works again
     // (the operator's restart implies the device was dealt with).

@@ -1,16 +1,18 @@
-//! Property test for the on-disk durability contract (ISSUE: robustness).
+//! Property test for the on-disk durability contract.
 //!
 //! The format guarantees that **any single-bit corruption of any file** in
-//! a saved table directory is either (a) detected by `open_dir` /
-//! `validate_dir`, or (b) harmless — the directory still opens to a table
-//! byte-identical to the original. Because every byte of every column dump
-//! is covered by a CRC32 and the manifest checks itself, in practice every
-//! flip lands in case (a); the property is stated in its weaker, safe form
-//! so it stays true even if slack bytes ever appear in the format.
+//! a saved table directory — flat, or tiled (root manifest, tile manifests,
+//! tile columns) — is either (a) detected by every reader, or (b) harmless:
+//! the directory still opens to a table byte-identical to the original.
+//! Because every byte of every column dump is covered by a CRC32 and every
+//! manifest checks itself, in practice every flip lands in case (a); the
+//! property is stated in its weaker, safe form so it stays true even if
+//! slack bytes ever appear in the format. The readers — `open_dir`,
+//! `validate_dir`, and a lazy `TiledCloud` loading every tile — must agree.
 
 use proptest::prelude::*;
 
-use lidardb_core::{persist::validate_dir, PointCloud};
+use lidardb_core::{persist::validate_dir, PointCloud, TileOptions, TiledCloud};
 use lidardb_las::{point_schema, PointRecord};
 
 fn sample_cloud(n: usize) -> PointCloud {
@@ -31,11 +33,36 @@ fn sample_cloud(n: usize) -> PointCloud {
     pc
 }
 
+/// Every file under `dir`, recursively, in a stable order.
+fn files_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(files_under(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The lazy reader: open the layout, then load every tile.
+fn lazy_load_all(dir: &std::path::Path) -> Result<(), lidardb_core::CoreError> {
+    let tc = TiledCloud::open(dir)?;
+    for t in &tc.tiles().tiles {
+        tc.record(t.row_start)?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     fn single_bit_corruption_is_detected_or_harmless(
         n in 1usize..200,
+        tiled in any::<bool>(),
         file_sel in any::<u64>(),
         byte_sel in any::<u64>(),
         bit in 0u32..8,
@@ -47,15 +74,17 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let original = sample_cloud(n);
-        original.save_dir(&dir).unwrap();
+        let mut original = sample_cloud(n);
+        if tiled {
+            // Sorts `original` into tile order, so it stays the reference.
+            let opts = TileOptions { target_rows: n.div_ceil(3), ..Default::default() };
+            original.save_tiled(&dir, &opts).unwrap();
+        } else {
+            original.save_dir(&dir).unwrap();
+        }
 
-        // Pick one file of the saved directory and flip one bit in it.
-        let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
+        // Pick one file of the saved tree and flip one bit in it.
+        let files = files_under(&dir);
         let victim = &files[(file_sel % files.len() as u64) as usize];
         let mut bytes = std::fs::read(victim).unwrap();
         prop_assume!(!bytes.is_empty());
@@ -64,18 +93,21 @@ proptest! {
         std::fs::write(victim, &bytes).unwrap();
 
         let validated = validate_dir(&dir);
+        let lazy = lazy_load_all(&dir);
         match PointCloud::open_dir(&dir) {
             Err(_) => {
-                // Detected. The cheap catalog-style check must agree.
+                // Detected. The other readers must agree.
                 prop_assert!(
-                    validated.is_err(),
-                    "open_dir rejected {} but validate_dir accepted it",
-                    victim.display()
+                    validated.is_err() && lazy.is_err(),
+                    "open_dir rejected {} but validate_dir ({:?}) or the lazy load ({:?}) accepted it",
+                    victim.display(),
+                    validated,
+                    lazy
                 );
             }
             Ok(reopened) => {
                 // Harmless: the table must be byte-identical per column.
-                prop_assert!(validated.is_ok());
+                prop_assert!(validated.is_ok() && lazy.is_ok());
                 prop_assert_eq!(reopened.num_points(), original.num_points());
                 for field in point_schema().fields() {
                     prop_assert_eq!(

@@ -244,6 +244,46 @@ fn crash_during_seal_dump_commit_keeps_the_wal_authoritative() {
 }
 
 #[test]
+fn crash_during_tiled_seal_keeps_the_previous_dump_and_every_ack() {
+    // A tiled checkpoint passes the same write fault sites as a flat one:
+    // a crash writing a column fails it, the previous dump stays byte for
+    // byte, and dump + WAL still recover every acked row.
+    let dir = tdir("tiled_seal_crash");
+    let fi = std::sync::Arc::new(FaultInjector::new());
+    let mut pc =
+        PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi.clone())).unwrap();
+    for b in 0..2 {
+        assert!(pc.ingest_records(&batch(b)).unwrap());
+    }
+    pc.seal().unwrap(); // the previous dump: 100 rows
+    let snapshot = || -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
+    let before = snapshot();
+    for b in 2..5 {
+        assert!(pc.ingest_records(&batch(b)).unwrap());
+    }
+    fi.inject(FaultStage::WriteColumn, Some("intensity"), FaultKind::Crash);
+    let opts = lidardb_core::TileOptions {
+        target_rows: 64,
+        ..Default::default()
+    };
+    assert!(pc.seal_to_tiles(&opts).is_err(), "injected column-write crash");
+    assert_eq!(fi.fired().len(), 1);
+    drop(pc);
+    assert_eq!(snapshot(), before, "previous dump untouched");
+    let pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
+    assert_exact_prefix(&pc, 250, "tiled seal crash");
+    assert_eq!(pc.recovery_report().unwrap().base_rows, 100);
+}
+
+#[test]
 fn fault_during_recovery_is_an_error_then_a_clean_retry() {
     let dir = tdir("recover_fault");
     let mut pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();

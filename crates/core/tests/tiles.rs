@@ -220,6 +220,28 @@ fn flat_v2_directory_opens_as_single_unpruned_tile() {
     assert_eq!(sel.explain.tiles_pruned, 0, "no zones, never pruned");
 }
 
+/// Every reader checks each tile's own row count against the root layout.
+/// Two tiles rewritten as valid dumps one row longer and one row shorter
+/// keep the total and the root manifest (and its CRC) intact; the eager
+/// open, the catalog check and the lazy tile load must all refuse them.
+#[test]
+fn readers_agree_on_tile_row_counts() {
+    let dir = tdir("rowcounts");
+    let mut pc = cloud(4_000);
+    assert!(pc.save_tiled(&dir, &opts(1_000)).unwrap() >= 2);
+    let tc = TiledCloud::open(&dir).unwrap();
+    let (rows0, rows1) = (tc.tiles().tiles[0].rows(), tc.tiles().tiles[1].rows());
+    drop(tc);
+    cloud(rows0 + 1).save_dir(dir.join("tile_00000")).unwrap();
+    cloud(rows1 - 1).save_dir(dir.join("tile_00001")).unwrap();
+    assert!(PointCloud::open_dir(&dir).is_err(), "open_dir");
+    assert!(lidardb_core::persist::validate_dir(&dir).is_err(), "validate_dir");
+    assert!(
+        TiledCloud::open(&dir).and_then(|tc| tc.record(0)).is_err(),
+        "lazy tile load"
+    );
+}
+
 #[test]
 fn seal_to_tiles_checkpoints_the_ingest_wal() {
     let dir = tdir("sealtiles");

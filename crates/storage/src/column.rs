@@ -211,9 +211,18 @@ impl Column {
     /// Serialise the column payload as a little-endian binary dump — the
     /// format produced by the binary loader of §3.2.
     pub fn to_le_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.byte_len());
+        self.range_to_le_bytes(0..self.len())
+    }
+
+    /// [`Self::to_le_bytes`] of the rows in `rows` only — one tile of a
+    /// tiled dump, without serialising the rest of the column.
+    ///
+    /// # Panics
+    /// Panics if `rows` is out of bounds.
+    pub fn range_to_le_bytes(&self, rows: std::ops::Range<usize>) -> Vec<u8> {
+        let mut out = Vec::with_capacity(rows.len() * self.ptype().size());
         for_each_variant!(self, v => {
-            for &x in v.iter() {
+            for &x in &v[rows] {
                 x.write_le(&mut out);
             }
         });

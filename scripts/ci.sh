@@ -9,8 +9,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> index, storage, geometry and LAS crates, whole: unit and property suites"
-cargo test -q -p lidardb-imprints -p lidardb-storage -p lidardb-geom -p lidardb-las
+echo "==> index, storage, geometry, LAS, SFC and baseline crates, whole: unit and property suites"
+cargo test -q -p lidardb-imprints -p lidardb-storage -p lidardb-geom -p lidardb-las -p lidardb-sfc -p lidardb-baselines
 
 echo "==> core unit tests (explain table, typed cancellation, flight recorder, manifest hardening) debug + release"
 cargo test -q -p lidardb-core --lib
@@ -41,33 +41,21 @@ cargo test -q --release -p lidardb-core --test trace_smoke -- --test-threads=1
 echo "==> core builds with tracing compiled out"
 cargo check -q -p lidardb-core --no-default-features
 
-echo "==> WAL crash-recovery torture suite (fault-injected, debug + release)"
-cargo test -q -p lidardb-core --test recovery_torture -- --test-threads=1
-cargo test -q --release -p lidardb-core --test recovery_torture -- --test-threads=1
-
-echo "==> WAL property tests (arbitrary tail truncation, single-bit corruption)"
-cargo test -q -p lidardb-core --test wal_properties
-
-echo "==> tiled out-of-core suite (zone-map prune, LRU residency, flat-v2 fallback, admission)"
-cargo test -q -p lidardb-core --test tiles
-cargo test -q -p lidardb-core --test tiled_admission
-
-echo "==> snapshot-watermark regression suite (ghost rows invisible on every query path)"
-cargo test -q -p lidardb-core --test snapshot_watermark -- --test-threads=1
+echo "==> storage suites: WAL crash-recovery torture (debug + release), WAL and dump bit-flip properties, tiles, tiled admission, snapshot watermark, idempotency, disk-full"
+cargo test -q -p lidardb-core --test recovery_torture --test wal_properties --test durability \
+    --test tiles --test tiled_admission --test snapshot_watermark --test idempotency_ledger --test disk_full
+cargo test -q --release -p lidardb-core --test recovery_torture
 
 echo "==> wire-protocol suites (unit, frame proptests, chaos soak, loopback, disconnect durability)"
-cargo test -q -p lidardb-server --lib --test frame_properties --test chaos_soak
+cargo test -q -p lidardb-server --lib --test frame_properties --test chaos_soak --test disconnect_durability
 cargo test -q -p lidardb-server --test loopback -- --test-threads=1
-cargo test -q -p lidardb-server --test disconnect_durability -- --test-threads=1
 
 echo "==> introspection plane: Prometheus exposition (validator, proptests, scrape, healthz)"
 cargo test -q -p lidardb-server --test exposition -- --test-threads=1
 cargo test -q --release -p lidardb-server --test exposition -- --test-threads=1
 
-echo "==> fault-domain suites (graceful drain, retrying client, idempotency, disk-full)"
+echo "==> graceful drain and the retrying client"
 cargo test -q -p lidardb-server --test drain -- --test-threads=1
-cargo test -q -p lidardb-core --test idempotency_ledger -- --test-threads=1
-cargo test -q -p lidardb-core --test disk_full -- --test-threads=1
 
 echo "==> benchmark smoke (the four BENCHMARK.json workloads, oracle-checked, 1 s each)"
 for w in nav_flat nav_tiled adhoc_refine ingest_mixed; do
