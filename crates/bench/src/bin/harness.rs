@@ -26,7 +26,10 @@ use lidardb_core::{
 use lidardb_geom::{Envelope, Geometry, Point, Polygon, Ring};
 use lidardb_imprints::Imprints;
 use lidardb_sfc::{curve_locality, Curve, Quantizer};
-use lidardb_storage::zonemap::ZoneMap;
+
+#[path = "harness/zonemap.rs"]
+mod zonemap;
+use zonemap::ZoneMap;
 
 const AHN2_POINTS: u64 = 640_000_000_000;
 

@@ -1,12 +1,13 @@
-//! Per-block min/max zonemaps.
+//! Per-block min/max zonemaps: E7's comparator.
 //!
 //! Zonemaps are the "other state-of-the-art" lightweight index that §2.1.1
 //! of the paper says *fails on unclustered data* while imprints remain
 //! robust: a zonemap can only skip a block when the whole block's value
 //! range misses the query range, so a single outlier per block destroys it.
-//! Experiment E7 measures exactly this contrast.
+//! Experiment E7 measures exactly this contrast. The query path never uses
+//! them (sealed tiles keep their own zone maps, `lidardb_storage::segment`).
 
-use crate::types::Native;
+use lidardb_storage::Native;
 
 /// A min/max summary per fixed-size block of a column.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,11 +47,6 @@ impl<T: Native> ZoneMap<T> {
             mins,
             maxs,
         }
-    }
-
-    /// Values per zone.
-    pub fn block_size(&self) -> usize {
-        self.block
     }
 
     /// Number of zones.
@@ -100,6 +96,7 @@ impl<T: Native> ZoneMap<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn clustered_data_skips_blocks() {
@@ -174,5 +171,36 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_block_panics() {
         ZoneMap::<i32>::build(&[1], 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn zonemap_candidates_cover_all_matches(
+            data in prop::collection::vec(-500i32..500, 1..1500),
+            block in 1usize..200,
+            a in -600i32..600,
+            b in -600i32..600,
+        ) {
+            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+            let zm = ZoneMap::build(&data, block);
+            let ranges = zm.candidate_ranges(lo, hi);
+            for (i, &v) in data.iter().enumerate() {
+                if v >= lo && v <= hi {
+                    prop_assert!(
+                        ranges.iter().any(|&(s, e)| i >= s && i < e),
+                        "row {} escaped", i
+                    );
+                }
+            }
+            // Ranges are sorted, disjoint, in-bounds.
+            for w in ranges.windows(2) {
+                prop_assert!(w[0].1 <= w[1].0);
+            }
+            for &(s, e) in &ranges {
+                prop_assert!(s < e && e <= data.len());
+            }
+        }
     }
 }

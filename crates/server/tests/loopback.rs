@@ -10,10 +10,12 @@ use lidardb_core::{
     AdmissionController, Durability, FaultInjector, FaultKind, FaultStage, Parallelism,
     PointCloud,
 };
+use lidardb_geom::{Geometry, Point};
 use lidardb_las::PointRecord;
 use lidardb_server::protocol::{self, Message};
 use lidardb_server::{Client, ClientError, ProtoError, Server, ServerHandle};
-use lidardb_sql::{Catalog, SqlValue};
+use lidardb_sql::catalog::VColumn;
+use lidardb_sql::{Catalog, SqlValue, VectorTable};
 
 /// `n`-point grid cloud: x = i % side, y = i / side, classification
 /// cycles 0..12.
@@ -176,15 +178,10 @@ fn kill_from_another_connection_aborts_a_stream() {
     server.shutdown();
 }
 
-#[test]
-fn client_disconnect_cancels_an_aggregate() {
-    let mut pc = grid_cloud(300_000);
-    // The cloud's own injector: its fired list counts this test's
-    // checkpoints only.
-    let fi = Arc::new(FaultInjector::new());
-    fi.inject_n(FaultStage::QueryCheckpoint, None, FaultKind::Stall(100), 0, 1000);
-    pc.set_fault_injector(Arc::clone(&fi));
-    let mut catalog = points_catalog(pc);
+/// Send `sql` to a server over `catalog`, whose point table stalls at
+/// every checkpoint on `fi`; hang up ~250 ms in, once the statement has
+/// stalled twice; then at most two more checkpoints may fire.
+fn assert_disconnect_cancels(mut catalog: Catalog, fi: &FaultInjector, sql: &str) {
     // One worker, so checkpoints come one stall at a time.
     catalog.set_parallelism(Parallelism::Serial);
     let server = serve(catalog, 4096);
@@ -193,10 +190,6 @@ fn client_disconnect_cancels_an_aggregate() {
     s.write_all(&protocol::MAGIC).unwrap();
     let mut hello = [0u8; 8];
     s.read_exact(&mut hello).unwrap();
-    // A triangle over the whole 548-wide grid: the bbox scan and both
-    // grid-refinement passes checkpoint every 2^16 rows, 13 in all.
-    let sql = "SELECT COUNT(*) FROM points WHERE ST_Contains(\
-               ST_GeomFromText('POLYGON((-1 -1, 2000 -1, -1 2000, -1 -1))'), ST_Point(x, y))";
     let query = Message::Query { sql: sql.into() };
     protocol::write_frame(&mut s, &query).unwrap();
     let t0 = std::time::Instant::now();
@@ -211,9 +204,51 @@ fn client_disconnect_cancels_an_aggregate() {
     let after = fi.fired().len();
     assert!(
         after <= at_disconnect + 2,
-        "checkpoints kept firing after the client left: {at_disconnect} -> {after}"
+        "{sql}: checkpoints kept firing after the client left: {at_disconnect} -> {after}"
     );
     server.shutdown();
+}
+
+/// A triangle over the whole 548-wide grid of `grid_cloud(300_000)`: the
+/// bbox scan and both grid-refinement passes checkpoint every 2^16 rows,
+/// 13 in all.
+const TRIANGLE: &str = "ST_Contains(\
+    ST_GeomFromText('POLYGON((-1 -1, 2000 -1, -1 2000, -1 -1))'), ST_Point(x, y))";
+
+#[test]
+fn client_disconnect_cancels_an_aggregate() {
+    let mut pc = grid_cloud(300_000);
+    // The cloud's own injector: its fired list counts this test's
+    // checkpoints only.
+    let fi = Arc::new(FaultInjector::new());
+    fi.inject_n(FaultStage::QueryCheckpoint, None, FaultKind::Stall(100), 0, 1000);
+    pc.set_fault_injector(Arc::clone(&fi));
+    let sql = format!("SELECT COUNT(*) FROM points WHERE {TRIANGLE}");
+    assert_disconnect_cancels(points_catalog(pc), &fi, &sql);
+}
+
+#[test]
+fn client_disconnect_cancels_a_join() {
+    // A join of twenty stalled probes and a GROUP BY: both run on the
+    // statement's own token, the one the disconnect watcher trips.
+    let at = |k: usize| (4.0 + 8.0 * (k % 5) as f64, 4.0 + 8.0 * (k / 5) as f64);
+    let join = "SELECT COUNT(*) FROM points p, feats f \
+                WHERE ST_DWithin(ST_Point(p.x, p.y), f.geom, 1.5)";
+    let group_by =
+        format!("SELECT classification, COUNT(*) FROM points WHERE {TRIANGLE} GROUP BY classification");
+    for (points, stall, sql) in [(1600, 50, join), (300_000, 100, &group_by)] {
+        let mut pc = grid_cloud(points);
+        let fi = Arc::new(FaultInjector::new());
+        fi.inject_n(FaultStage::QueryCheckpoint, None, FaultKind::Stall(stall), 0, 1000);
+        pc.set_fault_injector(Arc::clone(&fi));
+        let mut catalog = points_catalog(pc);
+        let feats = (0..20).map(|k| Geometry::Point(Point::new(at(k).0, at(k).1)));
+        catalog.register_vector(
+            "feats",
+            VectorTable::new().with_column("geom", VColumn::Geom(feats.collect())),
+        );
+        assert_disconnect_cancels(catalog, &fi, sql);
+    }
 }
 
 #[test]
@@ -252,7 +287,13 @@ fn admission_overload_is_a_typed_error_frame() {
 #[test]
 fn insert_and_query_over_the_wire() {
     let dir = std::env::temp_dir().join(format!("lidardb_net_ingest_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    // The WAL sits beside the directory: a stale one (a recycled pid)
+    // would replay old rows into the table.
+    let remove = || {
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(&dir));
+    };
+    remove();
     let pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
     let mut catalog = Catalog::new();
     catalog.register_stream("stream", Arc::new(RwLock::new(pc)));
@@ -267,7 +308,7 @@ fn insert_and_query_over_the_wire() {
     let (_, rows, _) = c.query_collect("SELECT COUNT(*) FROM stream").unwrap();
     assert_eq!(rows[0][0], SqlValue::Int(2));
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+    remove();
 }
 
 #[test]

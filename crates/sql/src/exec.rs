@@ -1,6 +1,8 @@
-//! Expression evaluation and plan execution: materialised ([`execute`])
-//! and streamed ([`execute_streamed`], column-major batches into a
-//! [`RowSink`]).
+//! Expression evaluation and plan execution: one statement pipeline
+//! ([`execute_streamed`], batches into a [`RowSink`]) that [`execute`]
+//! collects into a [`ResultSet`]. A SELECT is planned, shaped and governed
+//! once, then runs one arm: the typed fold, the native column stream or
+//! the row path.
 //!
 //! An aggregate statement without `GROUP BY` over a point table or a
 //! spatial join, whose aggregates are `COUNT(*)` or `COUNT`/`SUM`/`AVG`/
@@ -10,10 +12,9 @@
 //! per point. Every other aggregate runs on the row path (`project`),
 //! whose `SUM`/`AVG` accumulate in the same compensated `AggState`.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use lidardb_core::{Aggregate, GovernCtx, PointCloud, SpatialPredicate};
+use lidardb_core::{Aggregate, CancelToken, GovernCtx, PointCloud, SpatialPredicate};
 use lidardb_storage::scan::AggState;
 use lidardb_storage::{for_each_variant, Native, PhysicalType, Value};
 
@@ -162,6 +163,7 @@ impl Ctx for PcCtx<'_> {
     }
 }
 
+#[derive(Clone, Copy)]
 struct VecCtx<'a> {
     vt: &'a VectorTable,
     alias: &'a str,
@@ -282,34 +284,7 @@ pub fn eval(e: &Expr, ctx: &dyn Ctx) -> Result<SqlValue, SqlError> {
                     }
                     Ok(SqlValue::Bool(l.as_bool()? || r.as_bool()?))
                 }
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let l = eval(left, ctx)?;
-                    let r = eval(right, ctx)?;
-                    if l.is_null() || r.is_null() {
-                        return Ok(SqlValue::Null);
-                    }
-                    match l.compare(&r) {
-                        Some(ord) => Ok(SqlValue::Bool(match op {
-                            BinOp::Eq => ord.is_eq(),
-                            BinOp::Ne => ord.is_ne(),
-                            BinOp::Lt => ord.is_lt(),
-                            BinOp::Le => ord.is_le(),
-                            BinOp::Gt => ord.is_gt(),
-                            BinOp::Ge => ord.is_ge(),
-                            _ => unreachable!(),
-                        })),
-                        None => Err(SqlError::Exec(format!(
-                            "cannot compare {} with {}",
-                            l.type_name(),
-                            r.type_name()
-                        ))),
-                    }
-                }
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                    let l = eval(left, ctx)?;
-                    let r = eval(right, ctx)?;
-                    apply_binop(*op, l, r)
-                }
+                _ => apply_binop(*op, eval(left, ctx)?, eval(right, ctx)?),
             }
         }
     }
@@ -444,21 +419,8 @@ fn show_slow_queries() -> ResultSet {
             ]
         })
         .collect();
-    ResultSet {
-        columns: [
-            "trace_id",
-            "seconds",
-            "queue_wait",
-            "result_rows",
-            "cancelled",
-            "spans",
-            "tree",
-        ]
-        .map(String::from)
-        .to_vec(),
-        rows,
-        trace: Vec::new(),
-    }
+    let columns = ["trace_id", "seconds", "queue_wait", "result_rows", "cancelled", "spans", "tree"];
+    untraced(&columns, rows)
 }
 
 /// `SHOW QUERIES`: queries currently in flight (process-wide registry).
@@ -475,13 +437,7 @@ fn show_queries() -> ResultSet {
             ]
         })
         .collect();
-    ResultSet {
-        columns: ["query_id", "elapsed_seconds", "detail", "cancelled"]
-            .map(String::from)
-            .to_vec(),
-        rows,
-        trace: Vec::new(),
-    }
+    untraced(&["query_id", "elapsed_seconds", "detail", "cancelled"], rows)
 }
 
 /// Evaluate an INSERT value: a numeric constant, optionally negated.
@@ -562,34 +518,20 @@ fn exec_insert(catalog: &Catalog, ins: &crate::ast::InsertStmt) -> Result<Result
         .ingest_records_tagged(&recs, ins.token.unwrap_or(0))
         .map_err(|e| SqlError::Exec(format!("ingest into {}: {e}", ins.table)))?;
     drop(pc);
-    let (columns, row) = if ins.token.is_some() {
-        (
-            ["inserted", "durable", "deduped"].map(String::from).to_vec(),
-            vec![
-                SqlValue::Int(ack.inserted as i64),
-                SqlValue::Int(i64::from(ack.durable)),
-                SqlValue::Int(i64::from(ack.deduped)),
-            ],
-        )
-    } else {
+    let row = vec![
+        SqlValue::Int(ack.inserted as i64),
+        SqlValue::Int(i64::from(ack.durable)),
+        SqlValue::Int(i64::from(ack.deduped)),
+    ];
+    let mut rs = untraced(&["inserted", "durable", "deduped"], vec![row]);
+    if ins.token.is_none() {
         // Token-less inserts keep the original two-column shape.
-        (
-            ["inserted", "durable"].map(String::from).to_vec(),
-            vec![
-                SqlValue::Int(ack.inserted as i64),
-                SqlValue::Int(i64::from(ack.durable)),
-            ],
-        )
-    };
-    Ok(ResultSet {
-        columns,
-        rows: vec![row],
-        trace: vec![TraceEntry::new(
-            format!("insert {}", ins.table),
-            recs.len(),
-            t0.elapsed().as_secs_f64(),
-        )],
-    })
+        rs.columns.pop();
+        rs.rows[0].pop();
+    }
+    let op = format!("insert {}", ins.table);
+    rs.trace.push(TraceEntry::new(op, recs.len(), t0.elapsed().as_secs_f64()));
+    Ok(rs)
 }
 
 /// `SHOW RECOVERY`: for every streaming table, the crash-recovery report
@@ -650,137 +592,317 @@ fn show_recovery(catalog: &Catalog) -> ResultSet {
             SqlValue::Int(pc.num_points() as i64),
         ));
     }
-    ResultSet {
-        columns: ["table", "stat", "value"].map(String::from).to_vec(),
-        rows,
-        trace: Vec::new(),
-    }
+    untraced(&["table", "stat", "value"], rows)
+}
+
+/// A result without operator trace.
+fn untraced(columns: &[&str], rows: Vec<Vec<SqlValue>>) -> ResultSet {
+    let columns = columns.iter().map(|c| c.to_string()).collect();
+    ResultSet { columns, rows, trace: Vec::new() }
 }
 
 /// One-row acknowledgement result (session knobs, KILL).
 fn ack(column: &str, value: SqlValue) -> ResultSet {
-    ResultSet {
-        columns: vec![column.to_string()],
-        rows: vec![vec![value]],
-        trace: Vec::new(),
+    untraced(&[column], vec![vec![value]])
+}
+
+/// Execute a parsed statement and collect its result: a collecting
+/// [`RowSink`] over the one statement pipeline [`execute_streamed`] runs,
+/// which keeps every row and the operator trace.
+pub fn execute(catalog: &Catalog, stmt: &Statement) -> Result<ResultSet, SqlError> {
+    let mut out = Collect::default();
+    let mut trace = Vec::new();
+    run(catalog, stmt, STREAM_BATCH_ROWS, &mut out, &mut trace)?;
+    Ok(ResultSet {
+        columns: out.columns,
+        rows: out.rows,
+        trace,
+    })
+}
+
+/// The sink behind [`execute`]: the columns and every row, in order.
+#[derive(Default)]
+struct Collect {
+    columns: Vec<String>,
+    rows: Vec<Vec<SqlValue>>,
+}
+
+impl RowSink for Collect {
+    fn start(&mut self, columns: &[String], _: &CancelToken) -> Result<(), SqlError> {
+        self.columns = columns.to_vec();
+        Ok(())
+    }
+
+    fn batch(&mut self, rows: Vec<Vec<SqlValue>>) -> Result<(), SqlError> {
+        self.rows.extend(rows);
+        Ok(())
     }
 }
 
-/// Execute a parsed statement against the catalog.
-pub fn execute(catalog: &Catalog, stmt: &Statement) -> Result<ResultSet, SqlError> {
-    let sel = match stmt {
-        Statement::Select(sel) => sel,
+/// The sink `EXPLAIN ANALYZE` runs its statement into: the pipeline's
+/// summary counts the rows, the rows themselves are dropped.
+struct Discard;
+
+impl RowSink for Discard {
+    fn start(&mut self, _: &[String], _: &CancelToken) -> Result<(), SqlError> {
+        Ok(())
+    }
+
+    fn batch(&mut self, _: Vec<Vec<SqlValue>>) -> Result<(), SqlError> {
+        Ok(())
+    }
+
+    fn columns(&mut self, _: ColumnBatch) -> Result<(), SqlError> {
+        Ok(())
+    }
+}
+
+/// The one statement pipeline behind [`execute`] and [`execute_streamed`].
+/// A SELECT is scoped, planned once and handed to [`select`]; every other
+/// statement, plain `EXPLAIN` and the rendered `EXPLAIN ANALYZE` run to
+/// completion and then emit. Operator timings go to `trace`.
+fn run(
+    catalog: &Catalog,
+    stmt: &Statement,
+    batch_rows: usize,
+    sink: &mut dyn RowSink,
+    trace: &mut Vec<TraceEntry>,
+) -> Result<StreamSummary, SqlError> {
+    let rs = match stmt {
+        Statement::Select(sel) => return explain_or_select(catalog, sel, batch_rows, sink, trace),
         Statement::SetTrace(on) => {
             catalog.set_trace(*on);
-            return Ok(ResultSet {
-                columns: vec!["trace".to_string()],
-                rows: vec![vec![SqlValue::Str(
-                    if *on { "ON" } else { "OFF" }.to_string(),
-                )]],
-                trace: Vec::new(),
-            });
+            ack("trace", SqlValue::Str(if *on { "ON" } else { "OFF" }.to_string()))
         }
         Statement::SetStatementTimeout(ms) => {
             catalog.set_statement_timeout_ms(*ms);
-            return Ok(ack("statement_timeout_ms", SqlValue::Int(*ms as i64)));
+            ack("statement_timeout_ms", SqlValue::Int(*ms as i64))
         }
         Statement::SetMemBudget(bytes) => {
             catalog.set_mem_budget_bytes(*bytes);
-            return Ok(ack("mem_budget_bytes", SqlValue::Int(*bytes as i64)));
+            ack("mem_budget_bytes", SqlValue::Int(*bytes as i64))
         }
         Statement::Kill(id) => {
             let hit = lidardb_core::QueryRegistry::global().kill(lidardb_core::QueryId(*id));
-            return Ok(ack(
-                "killed",
-                SqlValue::Str(if hit { "OK" } else { "no such query" }.to_string()),
-            ));
+            let reply = if hit { "OK" } else { "no such query" };
+            ack("killed", SqlValue::Str(reply.to_string()))
         }
-        Statement::ShowQueries => return Ok(show_queries()),
-        Statement::ShowSlowQueries => return Ok(show_slow_queries()),
-        Statement::ShowRecovery => return Ok(show_recovery(catalog)),
-        Statement::Insert(ins) => return exec_insert(catalog, ins),
+        Statement::ShowQueries => show_queries(),
+        Statement::ShowSlowQueries => show_slow_queries(),
+        Statement::ShowRecovery => show_recovery(catalog),
+        Statement::Insert(ins) => exec_insert(catalog, ins)?,
     };
+    emit(rs, batch_rows, sink, trace)
+}
+
+/// A SELECT, `EXPLAIN` or `EXPLAIN ANALYZE`: scope the `sys.*` tables, set
+/// up the trace scope and plan — once — then run the statement into `sink`
+/// or, for `EXPLAIN ANALYZE`, into a [`Discard`] sink followed by the plan
+/// annotated with the observed per-operator cardinalities and timings.
+fn explain_or_select(
+    catalog: &Catalog,
+    sel: &SelectStmt,
+    batch_rows: usize,
+    sink: &mut dyn RowSink,
+    trace: &mut Vec<TraceEntry>,
+) -> Result<StreamSummary, SqlError> {
     // `sys.*` references get a scoped catalog clone with those virtual
     // tables materialised for this statement; everything downstream
     // (planner, projection, joins) treats them as ordinary vector tables.
     let sys_scope = crate::sys::scoped_catalog(catalog, sel)?;
     let catalog = sys_scope.as_ref().unwrap_or(catalog);
     // While session tracing is on, everything this statement runs — point
-    // scans, join probes, aggregates — records spans (the guard drops
-    // when execution finishes).
+    // scans, join probes, aggregates, delivery — records spans.
     let _trace_scope = catalog
         .trace_enabled()
         .then(lidardb_core::trace::force_thread);
     let plan = plan_select(catalog, sel)?;
-    if sel.explain && !sel.analyze {
-        let lines: Vec<Vec<SqlValue>> = plan
-            .describe()
-            .lines()
-            .map(|l| vec![SqlValue::Str(l.to_string())])
-            .collect();
-        return Ok(ResultSet {
-            columns: vec!["plan".to_string()],
-            rows: lines,
-            trace: Vec::new(),
-        });
+    if !sel.explain {
+        return select(catalog, sel, &plan, batch_rows, sink, trace);
     }
-    let t_exec = Instant::now();
-    let mut trace = Vec::new();
-    let fold = typed_fold(catalog, sel, &plan)?;
-
-    // Materialise input rows.
-    let result = match (&plan, &fold) {
-        (Plan::PcScan(scan), Some(fold)) => {
-            let pc = catalog.read_points(&scan.table.name)?;
-            let g = pc.govern(catalog, format!("select {}", scan.table.name))?;
-            fold_scan(catalog, sel, &pc, scan, fold, &g.ctx, trace)
+    let mut lines: Vec<String> = plan.describe().lines().map(str::to_string).collect();
+    if sel.analyze {
+        let t0 = Instant::now();
+        let done = select(catalog, sel, &plan, batch_rows, &mut Discard, trace)?;
+        let total = TraceEntry::new("total", done.rows, t0.elapsed().as_secs_f64());
+        lines.push(String::new());
+        lines.push("actual:".to_string());
+        for t in trace.iter().chain([&total]) {
+            let (op, rows, secs) = (&t.operator, t.rows, t.seconds);
+            lines.push(format!("  {op:<36} rows={rows:<10} time={secs:.6}s"));
         }
-        (Plan::PcScan(scan), None) => {
-            let pc = catalog.read_points(&scan.table.name)?;
-            // The permit and registry ticket cover the scan; residuals and
-            // the projection below run after they are released.
-            let rows = {
-                let g = pc.govern(catalog, format!("select {}", scan.table.name))?;
-                scan_rows(&pc, scan, catalog, &g.ctx, &mut trace)?
-            };
-            // The row path evaluates rows lazily (GROUP BY, ORDER BY), so
-            // every segment the rows touch stays pinned until the
-            // projection is done.
+    }
+    let rows = lines.into_iter().map(|l| vec![SqlValue::Str(l)]).collect();
+    emit(untraced(&["plan"], rows), batch_rows, sink, trace)
+}
+
+/// Deliver a result that ran to completion under a token of its own.
+fn emit(
+    rs: ResultSet,
+    batch_rows: usize,
+    sink: &mut dyn RowSink,
+    trace: &mut Vec<TraceEntry>,
+) -> Result<StreamSummary, SqlError> {
+    let token = CancelToken::new();
+    sink.start(&rs.columns, &token)?;
+    trace.extend(rs.trace);
+    deliver(rs.rows, batch_rows, sink, &token)
+}
+
+/// Hand finished rows to `sink` in batches of `batch_rows`, checking
+/// `token` between batches so a deadline or a hang-up stops delivery.
+fn deliver(
+    rows: Vec<Vec<SqlValue>>,
+    batch_rows: usize,
+    sink: &mut dyn RowSink,
+    token: &CancelToken,
+) -> Result<StreamSummary, SqlError> {
+    let summary = StreamSummary {
+        rows: rows.len(),
+        batches: rows.len().div_ceil(batch_rows),
+    };
+    let mut rows = rows.into_iter();
+    for sent in 0..summary.batches {
+        if sent > 0 {
+            token.check(sent * batch_rows)?;
+        }
+        sink.batch(rows.by_ref().take(batch_rows).collect())?;
+    }
+    Ok(summary)
+}
+
+/// A planned SELECT whose shape has been checked: what every arm reads.
+struct Shaped<'a> {
+    catalog: &'a Catalog,
+    sel: &'a SelectStmt,
+    plan: &'a Plan,
+    /// The output items, `*` expanded against the plan's tables.
+    items: Vec<(String, Expr)>,
+    /// Whether the statement aggregates (`GROUP BY`, `HAVING` or an
+    /// aggregate call among the items).
+    grouped: bool,
+    /// `ORDER BY` as (output column, ascending).
+    order: Vec<(usize, bool)>,
+}
+
+/// Expand the output items and check the statement's shape. Every error
+/// raised here comes before any frame is sent.
+fn shape<'a>(
+    catalog: &'a Catalog,
+    sel: &'a SelectStmt,
+    plan: &'a Plan,
+) -> Result<Shaped<'a>, SqlError> {
+    let items = output_items(catalog, sel, plan)?;
+    let grouped = !sel.group_by.is_empty()
+        || sel.having.is_some()
+        || items.iter().any(|(_, e)| e.has_aggregate());
+    let bare_column = items.iter().any(|(_, e)| matches!(e, Expr::Column { .. }));
+    if grouped && bare_column && sel.group_by.is_empty() {
+        return Err(SqlError::Exec(
+            "plain columns mixed with aggregates need GROUP BY".into(),
+        ));
+    }
+    let order = sel.order_by.iter().map(|(e, asc)| Ok((resolve_output_column(e, &items)?, *asc)));
+    Ok(Shaped {
+        order: order.collect::<Result<_, SqlError>>()?,
+        catalog,
+        sel,
+        plan,
+        items,
+        grouped,
+    })
+}
+
+/// One SELECT, once: check its shape, govern it once when it reads a point
+/// table or is a join (join probes share the statement's context: one
+/// registry entry, one permit, one deadline and memory budget), hand the
+/// sink its columns and the statement's own token — so a disconnect or
+/// `KILL` cancels it at the next checkpoint — then run exactly one arm:
+///
+/// * the **typed fold** of a foldable aggregate ([`typed_fold`]);
+/// * the **native column stream** of a plain point-table scan
+///   ([`stream_scan`]);
+/// * the **row path** ([`row_path`]): `GROUP BY`, `ORDER BY`, `DISTINCT`,
+///   other aggregates, joins that do not fold, vector and `sys.*` scans.
+///   Its rows are whole before delivery, so the table — read guard,
+///   pinned segments, permit, registry ticket — is released first and a
+///   slow client never holds up an `INSERT`.
+fn select(
+    catalog: &Catalog,
+    sel: &SelectStmt,
+    plan: &Plan,
+    batch_rows: usize,
+    sink: &mut dyn RowSink,
+    trace: &mut Vec<TraceEntry>,
+) -> Result<StreamSummary, SqlError> {
+    let q = shape(catalog, sel, plan)?;
+    let calls = typed_fold(&q);
+    let plain = !q.grouped && !sel.distinct && q.order.is_empty();
+    let (table, verb) = match plan {
+        Plan::PcScan(scan) if plain => (Some(&scan.table.name), "stream select"),
+        Plan::PcScan(scan) => (Some(&scan.table.name), "select"),
+        Plan::SpatialJoin { pc, .. } => (Some(&pc.table.name), "join"),
+        Plan::VecScan(_) => (None, ""),
+    };
+    let pc = table.map(|t| catalog.read_points(t)).transpose()?;
+    let governed = (pc.as_ref().zip(table))
+        .map(|(pc, t)| pc.govern(catalog, format!("{verb} {t}")))
+        .transpose()?;
+    let token = governed
+        .as_ref()
+        .map_or_else(CancelToken::new, |g| g.ctx.token().clone());
+    let columns: Vec<String> = q.items.iter().map(|(n, _)| n.clone()).collect();
+    sink.start(&columns, &token)?;
+    let input = pc.as_ref().zip(governed.as_ref().map(|g| &g.ctx));
+    match (plan, input, &calls) {
+        (_, Some((pc, ctx)), Some(calls)) => {
+            let rows = fold(&q, pc, ctx, calls, trace)?;
+            return deliver(rows, batch_rows, sink, &token);
+        }
+        (Plan::PcScan(scan), Some((pc, ctx)), None) if plain => {
+            return stream_scan(&q, scan, pc, ctx, batch_rows, sink, trace)
+        }
+        _ => {}
+    }
+    let rows = row_path(&q, input, trace)?;
+    drop(governed);
+    drop(pc);
+    deliver(rows, batch_rows, sink, &token)
+}
+
+/// The row path's input rows, then [`project`]. `input` is the governed
+/// point table of a scan or join. The rows a point scan or join selects
+/// are resolved to their segments, which stay pinned until the projection
+/// is done (`GROUP BY` and `ORDER BY` read rows lazily).
+fn row_path(
+    q: &Shaped,
+    input: Option<(&PcRead, &GovernCtx)>,
+    trace: &mut Vec<TraceEntry>,
+) -> Result<Vec<Vec<SqlValue>>, SqlError> {
+    let t0 = Instant::now();
+    match (q.plan, input) {
+        (Plan::PcScan(scan), Some((pc, ctx))) => {
+            let rows = scan_rows(pc, scan, q.catalog, ctx, trace)?;
             let runs: Vec<Run> = pc.runs(&rows).collect::<Result<_, _>>()?;
             let t0 = Instant::now();
             let mut envs = Vec::new();
-            for run in &runs {
-                let ctxs = run_ctxs(run, &scan.table.alias);
-                if scan.residual.is_empty() {
-                    // Every row survives: one exactly sized append.
-                    envs.extend(ctxs.map(RowEnv::Pc));
-                    continue;
-                }
-                for ctx in ctxs {
-                    if passes(&scan.residual, &ctx)? {
-                        envs.push(RowEnv::Pc(ctx));
-                    }
+            for ctx in runs.iter().flat_map(|run| run_ctxs(run, &scan.table.alias)) {
+                if passes(&scan.residual, &ctx)? {
+                    envs.push(RowEnv::Pc(ctx));
                 }
             }
             if !scan.residual.is_empty() {
-                trace.push(TraceEntry::new(
-                    "thematic filter",
-                    envs.len(),
-                    t0.elapsed().as_secs_f64(),
-                ));
+                let elapsed = t0.elapsed().as_secs_f64();
+                trace.push(TraceEntry::new("thematic filter", envs.len(), elapsed));
             }
-            project(catalog, sel, &plan, envs, trace)
+            project(q, envs, trace)
         }
         (Plan::VecScan(scan), _) => {
-            let Table::Vector(vt) = catalog.table(&scan.table.name)? else {
-                unreachable!("bound as vector");
-            };
-            let vt = Arc::clone(vt);
-            let t0 = Instant::now();
+            let vt = vector_table(q.catalog, scan)?;
             let mut envs = Vec::new();
             for row in 0..vt.num_rows() {
                 let ctx = VecCtx {
-                    vt: &vt,
+                    vt,
                     alias: &scan.table.alias,
                     row,
                 };
@@ -788,12 +910,9 @@ pub fn execute(catalog: &Catalog, stmt: &Statement) -> Result<ResultSet, SqlErro
                     envs.push(RowEnv::Vec(ctx));
                 }
             }
-            trace.push(TraceEntry::new(
-                format!("vector scan {}", scan.table.alias),
-                envs.len(),
-                t0.elapsed().as_secs_f64(),
-            ));
-            project(catalog, sel, &plan, envs, trace)
+            let op = format!("vector scan {}", scan.table.alias);
+            trace.push(TraceEntry::new(op, envs.len(), t0.elapsed().as_secs_f64()));
+            project(q, envs, trace)
         }
         (
             Plan::SpatialJoin {
@@ -802,154 +921,103 @@ pub fn execute(catalog: &Catalog, stmt: &Statement) -> Result<ResultSet, SqlErro
                 join,
                 pair_residual,
             },
-            fold,
+            Some((pc, ctx)),
         ) => {
-            let pc = catalog.read_points(&pc_scan.table.name)?;
-            let Table::Vector(vt) = catalog.table(&vec_scan.table.name)? else {
-                unreachable!("bound as vector");
-            };
-            let vt = Arc::clone(vt);
-            let feature = |row| VecCtx {
-                vt: &vt,
-                alias: &vec_scan.table.alias,
-                row,
-            };
-
-            // Feature-side filter.
+            let probes = join_probes(q.catalog, pc, ctx, pc_scan, vec_scan, join, trace)?;
+            // Point-side + pair residuals, over the segments the matched
+            // rows live in.
             let t0 = Instant::now();
-            let mut features = Vec::new();
-            for row in 0..vt.num_rows() {
-                if passes(&vec_scan.residual, &feature(row))? {
-                    features.push(row);
+            let mut runs: Vec<(VecCtx, Run)> = Vec::new();
+            for (feature, rows) in &probes {
+                for run in pc.runs(rows) {
+                    runs.push((*feature, run?));
                 }
             }
-            trace.push(TraceEntry::new(
-                format!("feature filter {}", vec_scan.table.alias),
-                features.len(),
-                t0.elapsed().as_secs_f64(),
-            ));
-
-            // One governed two-step probe per feature.
-            let t0 = Instant::now();
-            let geom_col = match join {
-                JoinPred::DWithin { geom_col, .. } => geom_col,
-                JoinPred::ContainsPoint { geom_col } => geom_col,
-            };
-            let mut probes: Vec<(usize, Vec<usize>)> = Vec::new();
-            for &frow in &features {
-                let g = match vt.value(geom_col, frow)? {
-                    SqlValue::Geom(g) => g,
-                    other => {
-                        return Err(SqlError::Exec(format!(
-                            "join column {geom_col} is {}, not GEOMETRY",
-                            other.type_name()
-                        )))
+            let mut envs = Vec::new();
+            for (vec, run) in &runs {
+                for pc in run_ctxs(run, &pc_scan.table.alias) {
+                    let ctx = PairCtx { pc, vec: *vec };
+                    if passes(&pc_scan.residual, &ctx)? && passes(pair_residual, &ctx)? {
+                        envs.push(RowEnv::Pair(ctx));
                     }
-                };
-                let pred = match join {
-                    JoinPred::DWithin { dist, .. } => SpatialPredicate::DWithin(g, *dist),
-                    JoinPred::ContainsPoint { .. } => SpatialPredicate::Within(g),
-                };
-                let g = pc.govern(catalog, format!("join probe {}", pc_scan.table.name))?;
-                let sel =
-                    pc.select(Some(&pred), &pc_scan.attr_ranges, catalog.parallelism(), &g.ctx)?;
-                probes.push((frow, sel.rows));
+                }
             }
-            trace.push(TraceEntry::new(
-                format!("spatial join ({} probes)", features.len()),
-                probes.iter().map(|(_, rows)| rows.len()).sum(),
-                t0.elapsed().as_secs_f64(),
-            ));
-
-            let t0 = Instant::now();
-            if let Some(fold) = fold {
-                // Every surviving (feature, point) pair contributes its
-                // point's id once, so a point near two features counts twice.
-                let mut ids = Vec::new();
-                for (frow, rows) in &probes {
-                    if pc_scan.residual.is_empty() && pair_residual.is_empty() {
-                        ids.extend_from_slice(rows);
-                        continue;
-                    }
-                    retain_ids(&pc, rows, &pc_scan.table.alias, &mut ids, |pc| {
-                        let ctx = PairCtx {
-                            pc,
-                            vec: feature(*frow),
-                        };
-                        Ok(passes(&pc_scan.residual, &ctx)? && passes(pair_residual, &ctx)?)
-                    })?;
-                }
-                let elapsed = t0.elapsed().as_secs_f64();
-                trace.push(TraceEntry::new("pair filter", ids.len(), elapsed));
-                fold_ids(catalog, sel, &pc, &ids, fold, trace)
-            } else {
-                // Point-side + pair residuals, over the segments the matched
-                // rows live in (pinned until the projection is done).
-                let mut runs: Vec<(usize, Run)> = Vec::new();
-                for (frow, rows) in &probes {
-                    for run in pc.runs(rows) {
-                        runs.push((*frow, run?));
-                    }
-                }
-                let mut envs = Vec::new();
-                for (frow, run) in &runs {
-                    for pc in run_ctxs(run, &pc_scan.table.alias) {
-                        let ctx = PairCtx {
-                            pc,
-                            vec: feature(*frow),
-                        };
-                        if passes(&pc_scan.residual, &ctx)? && passes(pair_residual, &ctx)? {
-                            envs.push(RowEnv::Pair(ctx));
-                        }
-                    }
-                }
-                trace.push(TraceEntry::new(
-                    "pair filter",
-                    envs.len(),
-                    t0.elapsed().as_secs_f64(),
-                ));
-                project(catalog, sel, &plan, envs, trace)
-            }
+            let elapsed = t0.elapsed().as_secs_f64();
+            trace.push(TraceEntry::new("pair filter", envs.len(), elapsed));
+            project(q, envs, trace)
         }
-    }?;
-    if sel.analyze {
-        // EXPLAIN ANALYZE: the query ran for real above; render the plan
-        // annotated with the observed per-operator cardinalities/timings.
-        return Ok(analyze_result(
-            &plan,
-            result,
-            t_exec.elapsed().as_secs_f64(),
-        ));
+        _ => unreachable!("point tables are governed"),
     }
-    Ok(result)
 }
 
-/// Build the `EXPLAIN ANALYZE` output: the planned operator tree followed
-/// by the actual per-operator rows and wall-clock of the execution (the
-/// same numbers the query's `Explain` carries — the trace
-/// entries are derived from it in [`scan_rows`]).
-fn analyze_result(plan: &Plan, executed: ResultSet, total_seconds: f64) -> ResultSet {
-    let mut lines: Vec<String> = plan.describe().lines().map(str::to_string).collect();
-    lines.push(String::new());
-    lines.push("actual:".to_string());
-    for t in &executed.trace {
-        lines.push(format!(
-            "  {:<36} rows={:<10} time={:.6}s",
-            t.operator, t.rows, t.seconds
-        ));
+/// A vector table the plan bound.
+fn vector_table<'c>(
+    catalog: &'c Catalog,
+    scan: &crate::plan::VecScan,
+) -> Result<&'c VectorTable, SqlError> {
+    match catalog.table(&scan.table.name)? {
+        Table::Vector(vt) => Ok(vt),
+        _ => unreachable!("bound as vector"),
     }
-    lines.push(format!(
-        "  {:<36} rows={:<10} time={:.6}s",
-        "total", executed.rows.len(), total_seconds
+}
+
+/// The probes of a spatial join, all under the statement's `ctx`: every
+/// feature that passes the feature-side residual, with the ascending ids
+/// of the points one two-step select finds for its predicate.
+fn join_probes<'a>(
+    catalog: &'a Catalog,
+    pc: &PcRead,
+    ctx: &GovernCtx,
+    pc_scan: &crate::plan::PcScan,
+    vec_scan: &'a crate::plan::VecScan,
+    join: &JoinPred,
+    trace: &mut Vec<TraceEntry>,
+) -> Result<Vec<(VecCtx<'a>, Vec<usize>)>, SqlError> {
+    let vt = vector_table(catalog, vec_scan)?;
+    let t0 = Instant::now();
+    let mut features = Vec::new();
+    for row in 0..vt.num_rows() {
+        let feature = VecCtx {
+            vt,
+            alias: &vec_scan.table.alias,
+            row,
+        };
+        if passes(&vec_scan.residual, &feature)? {
+            features.push(feature);
+        }
+    }
+    let op = format!("feature filter {}", vec_scan.table.alias);
+    trace.push(TraceEntry::new(op, features.len(), t0.elapsed().as_secs_f64()));
+
+    let t0 = Instant::now();
+    let geom_col = match join {
+        JoinPred::DWithin { geom_col, .. } => geom_col,
+        JoinPred::ContainsPoint { geom_col } => geom_col,
+    };
+    let mut probes = Vec::with_capacity(features.len());
+    for feature in features {
+        let g = match vt.value(geom_col, feature.row)? {
+            SqlValue::Geom(g) => g,
+            other => {
+                return Err(SqlError::Exec(format!(
+                    "join column {geom_col} is {}, not GEOMETRY",
+                    other.type_name()
+                )))
+            }
+        };
+        let pred = match join {
+            JoinPred::DWithin { dist, .. } => SpatialPredicate::DWithin(g, *dist),
+            JoinPred::ContainsPoint { .. } => SpatialPredicate::Within(g),
+        };
+        let sel = pc.select(Some(&pred), &pc_scan.attr_ranges, catalog.parallelism(), ctx)?;
+        probes.push((feature, sel.rows));
+    }
+    trace.push(TraceEntry::new(
+        format!("spatial join ({} probes)", probes.len()),
+        probes.iter().map(|(_, rows)| rows.len()).sum(),
+        t0.elapsed().as_secs_f64(),
     ));
-    ResultSet {
-        columns: vec!["plan".to_string()],
-        rows: lines
-            .into_iter()
-            .map(|l| vec![SqlValue::Str(l)])
-            .collect(),
-        trace: executed.trace,
-    }
+    Ok(probes)
 }
 
 /// The select step every point-table path shares: global row ids of the
@@ -1128,30 +1196,14 @@ fn row_aggregate(e: &Expr, group: &[&RowEnv]) -> Result<SqlValue, SqlError> {
 
 /// Projection, aggregation, ordering, limiting: the row path.
 fn project(
-    catalog: &Catalog,
-    sel: &SelectStmt,
-    plan: &Plan,
+    q: &Shaped,
     envs: Vec<RowEnv>,
-    mut trace: Vec<TraceEntry>,
-) -> Result<ResultSet, SqlError> {
+    trace: &mut Vec<TraceEntry>,
+) -> Result<Vec<Vec<SqlValue>>, SqlError> {
+    let (sel, items) = (q.sel, &q.items);
     let t0 = Instant::now();
-    let items = output_items(catalog, sel, plan)?;
-    let needs_agg = !sel.group_by.is_empty()
-        || sel.having.is_some()
-        || items.iter().any(|(_, e)| e.has_aggregate());
-    let columns: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
-
     let mut rows: Vec<Vec<SqlValue>> = Vec::new();
-    if needs_agg {
-        if items
-            .iter()
-            .any(|(_, e)| matches!(e, Expr::Column { .. }))
-            && sel.group_by.is_empty()
-        {
-            return Err(SqlError::Exec(
-                "plain columns mixed with aggregates need GROUP BY".into(),
-            ));
-        }
+    if q.grouped {
         let groups: Vec<Vec<&RowEnv>> = if sel.group_by.is_empty() {
             // One global group, also over an empty input: COUNT(*) = 0,
             // other aggregates are NULL, and HAVING still applies.
@@ -1183,7 +1235,7 @@ fn project(
                 }
             }
             let mut row = Vec::new();
-            for (_, e) in &items {
+            for (_, e) in items {
                 row.push(eval_agg(e, first, &call)?);
             }
             rows.push(row);
@@ -1191,7 +1243,7 @@ fn project(
     } else {
         for env in &envs {
             let mut row = Vec::with_capacity(items.len());
-            for (_, e) in &items {
+            for (_, e) in items {
                 row.push(eval(e, env)?);
             }
             rows.push(row);
@@ -1209,21 +1261,15 @@ fn project(
         });
     }
     trace.push(TraceEntry::new(
-        if needs_agg { "aggregate + project" } else { "project" },
+        if q.grouped { "aggregate + project" } else { "project" },
         rows.len(),
         t0.elapsed().as_secs_f64(),
     ));
 
-    // ORDER BY: resolve each key against the output columns.
-    if !sel.order_by.is_empty() {
+    if !q.order.is_empty() {
         let t0 = Instant::now();
-        let mut keys = Vec::new();
-        for (e, asc) in &sel.order_by {
-            let idx = resolve_output_column(e, &items)?;
-            keys.push((idx, *asc));
-        }
         rows.sort_by(|a, b| {
-            for &(idx, asc) in &keys {
+            for &(idx, asc) in &q.order {
                 let ord = a[idx]
                     .compare(&b[idx])
                     .unwrap_or(std::cmp::Ordering::Equal);
@@ -1239,11 +1285,7 @@ fn project(
     if let Some(limit) = sel.limit {
         rows.truncate(limit as usize);
     }
-    Ok(ResultSet {
-        columns,
-        rows,
-        trace,
-    })
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -1258,43 +1300,23 @@ struct Call {
     column: Option<(&'static str, PhysicalType)>,
 }
 
-/// A folded statement: its output items and the distinct aggregate calls
-/// they and `HAVING` make.
-struct Fold {
-    items: Vec<(String, Expr)>,
-    calls: Vec<Call>,
-}
-
-/// The typed fold of `sel`, if it is one: no `GROUP BY`, `ORDER BY` or
-/// `DISTINCT`, a point table or a spatial join, every aggregate call
-/// `COUNT(*)` or one over a plain point-side column, and nothing else but
-/// constants. `None` keeps the statement on the row path.
-fn typed_fold(
-    catalog: &Catalog,
-    sel: &SelectStmt,
-    plan: &Plan,
-) -> Result<Option<Fold>, SqlError> {
-    let alias = match plan {
+/// The aggregate calls of `q` when it is a typed fold: no `GROUP BY`,
+/// `ORDER BY` or `DISTINCT`, a point table or a spatial join, every
+/// aggregate call `COUNT(*)` or one over a plain point-side column, and
+/// nothing else but constants; each distinct call once. `None` keeps the
+/// statement on the row path.
+fn typed_fold(q: &Shaped) -> Option<Vec<Call>> {
+    let alias = match q.plan {
         Plan::PcScan(scan) => &scan.table.alias,
         Plan::SpatialJoin { pc, .. } => &pc.table.alias,
-        Plan::VecScan(_) => return Ok(None),
+        Plan::VecScan(_) => return None,
     };
-    let aggregates = sel.items.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr.has_aggregate(),
-        SelectItem::Wildcard => false,
-    });
-    if !(aggregates || sel.having.is_some())
-        || !sel.group_by.is_empty()
-        || !sel.order_by.is_empty()
-        || sel.distinct
-    {
-        return Ok(None);
+    if !q.grouped || !q.sel.group_by.is_empty() || !q.order.is_empty() || q.sel.distinct {
+        return None;
     }
-    let items = output_items(catalog, sel, plan)?;
     let mut calls = Vec::new();
-    let mut exprs = items.iter().map(|(_, e)| e).chain(&sel.having);
-    let foldable = exprs.all(|e| collect_calls(e, alias, &mut calls));
-    Ok(foldable.then_some(Fold { items, calls }))
+    let mut exprs = q.items.iter().map(|(_, e)| e).chain(&q.sel.having);
+    exprs.all(|e| collect_calls(e, alias, &mut calls)).then_some(calls)
 }
 
 /// Collect the aggregate calls of `e` into `calls`, each once; false when
@@ -1358,64 +1380,74 @@ fn retain_ids(
     Ok(())
 }
 
-/// A folded point-table aggregate: the select under `ctx`, the residual,
-/// then the fold.
-fn fold_scan(
-    catalog: &Catalog,
-    sel: &SelectStmt,
+/// The typed-fold arm: the ids the statement aggregates — the select and
+/// its residual, or every (feature, point) pair of a join that passes the
+/// point-side and pair residuals, a point near two features counted twice
+/// — folded for every call through [`PcRead::aggregate`]; then `HAVING`
+/// and the items over the one global group.
+fn fold(
+    q: &Shaped,
     pc: &PcRead,
-    scan: &crate::plan::PcScan,
-    fold: &Fold,
     ctx: &GovernCtx,
-    mut trace: Vec<TraceEntry>,
-) -> Result<ResultSet, SqlError> {
-    let mut ids = scan_rows(pc, scan, catalog, ctx, &mut trace)?;
-    if !scan.residual.is_empty() {
-        let t0 = Instant::now();
-        let all = std::mem::take(&mut ids);
-        retain_ids(pc, &all, &scan.table.alias, &mut ids, |c| passes(&scan.residual, &c))?;
-        let elapsed = t0.elapsed().as_secs_f64();
-        trace.push(TraceEntry::new("thematic filter", ids.len(), elapsed));
+    calls: &[Call],
+    trace: &mut Vec<TraceEntry>,
+) -> Result<Vec<Vec<SqlValue>>, SqlError> {
+    let mut ids = Vec::new();
+    match q.plan {
+        Plan::PcScan(scan) => {
+            ids = scan_rows(pc, scan, q.catalog, ctx, trace)?;
+            if !scan.residual.is_empty() {
+                let t0 = Instant::now();
+                let all = std::mem::take(&mut ids);
+                retain_ids(pc, &all, &scan.table.alias, &mut ids, |c| passes(&scan.residual, &c))?;
+                let elapsed = t0.elapsed().as_secs_f64();
+                trace.push(TraceEntry::new("thematic filter", ids.len(), elapsed));
+            }
+        }
+        Plan::SpatialJoin {
+            pc: pc_scan,
+            vec: vec_scan,
+            join,
+            pair_residual,
+        } => {
+            let probes = join_probes(q.catalog, pc, ctx, pc_scan, vec_scan, join, trace)?;
+            let t0 = Instant::now();
+            for (vec, rows) in &probes {
+                if pc_scan.residual.is_empty() && pair_residual.is_empty() {
+                    ids.extend_from_slice(rows);
+                    continue;
+                }
+                retain_ids(pc, rows, &pc_scan.table.alias, &mut ids, |pc| {
+                    let ctx = PairCtx { pc, vec: *vec };
+                    Ok(passes(&pc_scan.residual, &ctx)? && passes(pair_residual, &ctx)?)
+                })?;
+            }
+            let elapsed = t0.elapsed().as_secs_f64();
+            trace.push(TraceEntry::new("pair filter", ids.len(), elapsed));
+        }
+        Plan::VecScan(_) => unreachable!("vector scans do not fold"),
     }
-    fold_ids(catalog, sel, pc, &ids, fold, trace)
-}
-
-/// Fold `ids` for every call through [`PcRead::aggregate`], then evaluate
-/// `HAVING` and the items over the one global group.
-fn fold_ids(
-    catalog: &Catalog,
-    sel: &SelectStmt,
-    pc: &PcRead,
-    ids: &[usize],
-    fold: &Fold,
-    mut trace: Vec<TraceEntry>,
-) -> Result<ResultSet, SqlError> {
     let t0 = Instant::now();
-    let vals = fold.calls.iter().map(|c| fold_call(pc, ids, c, catalog));
+    let vals = calls.iter().map(|c| fold_call(pc, &ids, c, q.catalog));
     let vals: Vec<SqlValue> = vals.collect::<Result<_, _>>()?;
     let call = |e: &Expr| {
-        let i = fold.calls.iter().position(|c| c.expr == *e);
+        let i = calls.iter().position(|c| c.expr == *e);
         Ok(vals[i.expect("every aggregate call was collected")].clone())
     };
     let mut rows = Vec::new();
-    let kept = match &sel.having {
+    let kept = match &q.sel.having {
         Some(h) => truthy(&eval_agg(h, None, &call)?),
         None => true,
     };
     if kept {
-        let row = fold.items.iter().map(|(_, e)| eval_agg(e, None, &call));
+        let row = q.items.iter().map(|(_, e)| eval_agg(e, None, &call));
         rows.push(row.collect::<Result<_, _>>()?);
     }
-    rows.truncate(sel.limit.map_or(usize::MAX, |l| l as usize));
-    let names: Vec<String> = fold.calls.iter().map(|c| c.expr.render()).collect();
+    rows.truncate(q.sel.limit.map_or(usize::MAX, |l| l as usize));
+    let names: Vec<String> = calls.iter().map(|c| c.expr.render()).collect();
     let op = format!("aggregate (typed fold: {})", names.join(", "));
     trace.push(TraceEntry::new(op, ids.len(), t0.elapsed().as_secs_f64()));
-    let columns = fold.items.iter().map(|(n, _)| n.clone()).collect();
-    Ok(ResultSet {
-        columns,
-        rows,
-        trace,
-    })
+    Ok(rows)
 }
 
 /// One call's value, typed as the row path types it: `MIN`/`MAX` of an
@@ -1540,7 +1572,7 @@ impl ColumnBatch {
 
 /// Where [`execute_streamed`] delivers its output: a header once, then
 /// zero or more batches — column-major [`ColumnBatch`]es from a native
-/// point-table scan, row batches from materialised results. A sink that
+/// point-table scan, row batches from every other statement. A sink that
 /// blocks in [`RowSink::batch`] or [`RowSink::columns`] (e.g. a socket
 /// write against a slow client) backpressures the whole statement — no
 /// more rows are produced until the batch is taken.
@@ -1550,9 +1582,9 @@ impl ColumnBatch {
 /// registry ticket) unwinds via RAII.
 pub trait RowSink {
     /// Called exactly once, before any batch, with the output column names
-    /// and the statement's [`CancelToken`](lidardb_core::CancelToken). A
-    /// server can clone the token and trip it from another thread (e.g. a
-    /// disconnect watcher) to cancel the statement at its next checkpoint.
+    /// and the statement's [`CancelToken`]. A server can clone the token and
+    /// trip it from another thread (e.g. a disconnect watcher) to cancel the
+    /// statement at its next checkpoint.
     fn start(
         &mut self,
         columns: &[String],
@@ -1601,94 +1633,63 @@ fn gather<T: Native>(v: &[T], base: usize, ids: &[usize], chunk: &mut ColumnChun
 }
 
 /// Execute a parsed statement, delivering rows to `sink` in batches of at
-/// most `batch_rows` instead of materialising a [`ResultSet`].
+/// most `batch_rows` instead of materialising a [`ResultSet`]. This is the
+/// one statement pipeline; [`execute`] is a collecting sink over it.
 ///
-/// A point-table scan — flat, streaming or tiled — without aggregation /
-/// ordering / `DISTINCT` streams natively into [`RowSink::columns`] and
-/// never builds a row: the two-step engine produces row *ids*; per batch
-/// the residual filters them, plain column items are gathered from typed
-/// storage and other items evaluated per row. Batches hold exactly
-/// `batch_rows` rows across tile boundaries (the last may be shorter), so
-/// the result set never exists in memory on this side and a tiled table
-/// keeps one tile pinned at a time. The admission permit and registry
-/// ticket are held for the whole statement — scan *and* delivery — so a
-/// slow consumer occupies an in-flight slot exactly like a slow scan, and
-/// `KILL <id>` / statement timeouts fire between batches.
+/// A SELECT is planned once and, when it reads a point table or is a
+/// spatial join, governed once: one admission permit, one registry entry,
+/// one deadline and memory budget for the whole statement, join probes
+/// included. [`RowSink::start`] gets the statement's own token before any
+/// work, so a disconnect or `KILL` cancels it at its next checkpoint;
+/// shape errors (plain columns mixed with aggregates, an unknown `ORDER
+/// BY` column) come before it.
 ///
-/// An aggregate over a point table that the typed fold answers streams
-/// natively too: governance first, then [`RowSink::start`] with the
-/// statement's own token (so a disconnect or `KILL` cancels the select at
-/// its next checkpoint), the select, the fold, and one [`RowSink::batch`].
+/// A plain point-table scan — flat, streaming or tiled — streams natively
+/// into [`RowSink::columns`] and never builds a row: the two-step engine
+/// produces row *ids*; per batch the residual filters them, plain column
+/// items are gathered from typed storage and other items evaluated per
+/// row. Batches hold exactly `batch_rows` rows across tile boundaries (the
+/// last may be shorter), so a tiled table keeps one tile pinned at a time,
+/// and the permit and ticket are held across the scan *and* the
+/// backpressured delivery. A typed fold delivers its one row. The row path
+/// (`GROUP BY`, `ORDER BY`, `DISTINCT`, other aggregates, unfolded joins,
+/// vector tables) releases the table before its rows go to
+/// [`RowSink::batch`]; the token is checked between batches on every path.
 ///
-/// Everything else (joins, `GROUP BY`, ORDER BY, `DISTINCT`, vector
-/// tables, SET/SHOW/INSERT) falls back to [`execute`] and re-chunks the
-/// materialised result into [`RowSink::batch`] calls.
+/// `SET`, `SHOW`, `KILL`, `INSERT` and `EXPLAIN` run to completion, then
+/// emit.
 pub fn execute_streamed(
     catalog: &Catalog,
     stmt: &Statement,
     batch_rows: usize,
     sink: &mut dyn RowSink,
 ) -> Result<StreamSummary, SqlError> {
-    let batch_rows = batch_rows.max(1);
-    let sel = match stmt {
-        Statement::Select(sel) if !sel.explain => sel,
-        _ => return stream_materialised(catalog, stmt, batch_rows, sink),
-    };
-    // `sys.*` scans stream like any vector table: materialise them on a
-    // scoped catalog before planning, then ride the materialised fallback.
-    let sys_scope = crate::sys::scoped_catalog(catalog, sel)?;
-    let catalog = sys_scope.as_ref().unwrap_or(catalog);
-    let _trace_scope = catalog
-        .trace_enabled()
-        .then(lidardb_core::trace::force_thread);
-    let plan = plan_select(catalog, sel)?;
-    let Plan::PcScan(scan) = &plan else {
-        return stream_materialised(catalog, stmt, batch_rows, sink);
-    };
-    if let Some(fold) = typed_fold(catalog, sel, &plan)? {
-        // The sink gets the statement's own token before the select runs,
-        // so a disconnect or KILL cancels it at the next checkpoint.
-        let pc = catalog.read_points(&scan.table.name)?;
-        let g = pc.govern(catalog, format!("select {}", scan.table.name))?;
-        let columns: Vec<String> = fold.items.iter().map(|(n, _)| n.clone()).collect();
-        sink.start(&columns, g.ctx.token())?;
-        let rows = fold_scan(catalog, sel, &pc, scan, &fold, &g.ctx, Vec::new())?.rows;
-        let summary = StreamSummary { rows: rows.len(), batches: usize::from(!rows.is_empty()) };
-        if !rows.is_empty() {
-            sink.batch(rows)?;
-        }
-        return Ok(summary);
-    }
-    let items = output_items(catalog, sel, &plan)?;
-    if sel.distinct
-        || !sel.group_by.is_empty()
-        || sel.having.is_some()
-        || !sel.order_by.is_empty()
-        || items.iter().any(|(_, e)| e.has_aggregate())
-    {
-        return stream_materialised(catalog, stmt, batch_rows, sink);
-    }
-    let columns: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
+    run(catalog, stmt, batch_rows.max(1), sink, &mut Vec::new())
+}
+
+/// The native column stream of a plain point-table scan (see
+/// [`execute_streamed`]): row ids from the select, then per batch the
+/// residual, gathered columns and evaluated items.
+fn stream_scan(
+    q: &Shaped,
+    scan: &crate::plan::PcScan,
+    pc: &PcRead,
+    ctx: &GovernCtx,
+    batch_rows: usize,
+    sink: &mut dyn RowSink,
+    trace: &mut Vec<TraceEntry>,
+) -> Result<StreamSummary, SqlError> {
+    let items = &q.items;
     let alias = scan.table.alias.as_str();
     let empty_batch = || ColumnBatch {
         rows: 0,
         columns: vec![ColumnChunk::Values(Vec::new()); items.len()],
     };
-
-    // Statement-lifetime governance: the permit and the registry ticket
-    // are held until this function returns — across the scan AND the
-    // backpressured delivery. A server streaming to a slow client holds
-    // its in-flight slot the whole time, which is exactly the point.
-    let pc = catalog.read_points(&scan.table.name)?;
-    let g = pc.govern(catalog, format!("stream select {}", scan.table.name))?;
-    let token = g.ctx.token();
-
     // Row ids via the two-step engine (pushdown only); segments are
     // resolved, residuals applied and columns gathered per batch below.
-    let row_ids = scan_rows(&pc, scan, catalog, &g.ctx, &mut Vec::new())?;
-
-    sink.start(&columns, token)?;
-    let limit = sel.limit.map(|l| l as usize).unwrap_or(usize::MAX);
+    let row_ids = scan_rows(pc, scan, q.catalog, ctx, trace)?;
+    let t0 = Instant::now();
+    let limit = q.sel.limit.map(|l| l as usize).unwrap_or(usize::MAX);
     let (mut emitted, mut batches) = (0usize, 0usize);
     let mut out = empty_batch();
     let mut kept = Vec::new();
@@ -1696,7 +1697,7 @@ pub fn execute_streamed(
     while emitted < limit {
         let Some(run) = runs.next() else { break };
         let (seg, base, mut rest) = run?;
-        let ctx = |r: usize| PcCtx { pc: &seg, alias, row: r - base };
+        let ctx_of = |r: usize| PcCtx { pc: &seg, alias, row: r - base };
         while !rest.is_empty() && emitted < limit {
             // The ids of this step: as many as fill the batch (or reach
             // the limit), after the residual.
@@ -1709,7 +1710,7 @@ pub fn execute_streamed(
                 kept.clear();
                 while let Some((&r, later)) = rest.split_first().filter(|_| kept.len() < want) {
                     rest = later;
-                    if passes(&scan.residual, &ctx(r))? {
+                    if passes(&scan.residual, &ctx_of(r))? {
                         kept.push(r);
                     }
                 }
@@ -1727,7 +1728,7 @@ pub fn execute_streamed(
                     }
                     _ => {
                         for &r in ids {
-                            chunk.push(eval(e, &ctx(r))?);
+                            chunk.push(eval(e, &ctx_of(r))?);
                         }
                     }
                 }
@@ -1739,7 +1740,7 @@ pub fn execute_streamed(
                 batches += 1;
                 // Deadline / KILL / disconnect-trip land between batches, so
                 // a cancelled stream stops within one batch of the signal.
-                token.check(emitted)?;
+                ctx.token().check(emitted)?;
             }
         }
     }
@@ -1747,39 +1748,12 @@ pub fn execute_streamed(
         sink.columns(out)?;
         batches += 1;
     }
+    let elapsed = t0.elapsed().as_secs_f64();
+    trace.push(TraceEntry::new("project (column stream)", emitted, elapsed));
     Ok(StreamSummary {
         rows: emitted,
         batches,
     })
-}
-
-/// Fallback for statements that cannot stream natively: run [`execute`]
-/// (which applies its own per-scan governance) and re-chunk the
-/// materialised rows. The token handed to the sink is observational only —
-/// tripping it stops delivery between batches but cannot interrupt the
-/// already-finished execution.
-fn stream_materialised(
-    catalog: &Catalog,
-    stmt: &Statement,
-    batch_rows: usize,
-    sink: &mut dyn RowSink,
-) -> Result<StreamSummary, SqlError> {
-    let rs = execute(catalog, stmt)?;
-    let token = lidardb_core::CancelToken::new();
-    sink.start(&rs.columns, &token)?;
-    let rows = rs.rows.len();
-    let mut batches = 0usize;
-    let mut iter = rs.rows.into_iter();
-    loop {
-        let chunk: Vec<Vec<SqlValue>> = iter.by_ref().take(batch_rows).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        sink.batch(chunk)?;
-        batches += 1;
-        token.check(batches * batch_rows)?;
-    }
-    Ok(StreamSummary { rows, batches })
 }
 
 /// Find the output column an ORDER BY expression refers to: by alias, by

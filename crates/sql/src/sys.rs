@@ -342,7 +342,12 @@ mod tests {
     fn sys_wal_reports_stream_tables() {
         use lidardb_core::PointCloud;
         let dir = std::env::temp_dir().join(format!("lidardb-sys-wal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        // A stale sibling WAL (a recycled pid) would replay into the table.
+        let remove = || {
+            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(&dir));
+        };
+        remove();
         let mut pc = PointCloud::open_ingest(&dir, lidardb_core::Durability::Always).unwrap();
         let recs: Vec<lidardb_las::PointRecord> = (0..32)
             .map(|i| lidardb_las::PointRecord {
@@ -368,8 +373,7 @@ mod tests {
             t.value("durability", 0).unwrap(),
             crate::value::SqlValue::Str("always".into())
         );
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_file(dir.with_extension("wal"));
+        remove();
     }
 
     #[test]

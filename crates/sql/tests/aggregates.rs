@@ -40,9 +40,11 @@ fn records() -> Vec<PointRecord> {
         .collect()
 }
 
+/// A fresh per-process directory, its sibling WAL removed too: a stale
+/// one (a recycled pid) would replay old rows into a streaming table.
 fn tdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("lidardb_sql_agg_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    cleanup(std::slice::from_ref(&dir));
     dir
 }
 

@@ -905,7 +905,9 @@ fn sys_recorder_exposes_sampled_series() {
 
 #[test]
 fn sys_tiles_reports_residency() {
-    let dir = std::env::temp_dir().join(format!("lidardb-sys-tiles-{}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("lidardb-sys-tiles-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut pc = PointCloud::new();
     let recs: Vec<PointRecord> = (0..4096)

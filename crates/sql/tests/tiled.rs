@@ -31,9 +31,12 @@ fn grid_cloud() -> PointCloud {
     pc
 }
 
+/// A fresh directory, unique per call within this process.
 fn tdir(name: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
-        "lidardb_sql_tiled_{name}_{}",
+        "lidardb_sql_tiled_{name}_{}_{n}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -197,7 +200,7 @@ impl RowSink for Collect {
             QueryRegistry::global()
                 .list()
                 .iter()
-                .any(|q| q.detail == "stream select tiles")
+                .any(|q| q.detail == "stream select native_tiles")
         });
         self.sizes.push(rows.len());
         self.rows.extend(rows);
@@ -208,6 +211,9 @@ impl RowSink for Collect {
 #[test]
 fn tiled_scans_stream_natively_in_bounded_batches() {
     let (mut c, tc) = setup("stream");
+    // A name of its own: other tests scan `tiles` concurrently, and the
+    // registry below is process-wide.
+    c.register_tiled("native_tiles", Arc::clone(&tc));
     // The same directory opened eagerly: a flat table in the sealed order.
     c.register_pointcloud("sealed", Arc::new(PointCloud::open_dir(tc.dir()).unwrap()));
     // Small enough that the statement's tiles cannot all stay cached.
@@ -218,7 +224,7 @@ fn tiled_scans_stream_natively_in_bounded_batches() {
     assert!(flat.rows.len() > 1000, "window spans several tiles");
 
     let mut sink = Collect::default();
-    let sum = query_streamed(&c, &format!("SELECT x, y, z FROM tiles {filter}"), 64, &mut sink)
+    let sum = query_streamed(&c, &format!("SELECT x, y, z FROM native_tiles {filter}"), 64, &mut sink)
         .unwrap();
     assert_eq!(sink.rows, flat.rows, "streamed rows, in order");
     assert_eq!(sum.rows, flat.rows.len());
@@ -232,7 +238,7 @@ fn tiled_scans_stream_natively_in_bounded_batches() {
         !QueryRegistry::global()
             .list()
             .iter()
-            .any(|q| q.detail == "stream select tiles"),
+            .any(|q| q.detail == "stream select native_tiles"),
         "and released when the statement ends"
     );
 
@@ -242,7 +248,7 @@ fn tiled_scans_stream_natively_in_bounded_batches() {
     let mut sink = Collect::default();
     let sum = query_streamed(
         &c,
-        &format!("SELECT x, y, z FROM tiles {filter} LIMIT 150"),
+        &format!("SELECT x, y, z FROM native_tiles {filter} LIMIT 150"),
         64,
         &mut sink,
     )
@@ -253,7 +259,7 @@ fn tiled_scans_stream_natively_in_bounded_batches() {
     let loads = tc.tile_loads();
     query_streamed(
         &c,
-        &format!("SELECT x, y, z FROM tiles {filter}"),
+        &format!("SELECT x, y, z FROM native_tiles {filter}"),
         64,
         &mut Collect::default(),
     )

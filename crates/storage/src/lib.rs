@@ -16,9 +16,8 @@
 //! * [`compress`] — run-length and frame-of-reference/bit-packing codecs for
 //!   cold columns (the paper notes RLE as the natural fit for flat columnar
 //!   point-cloud storage),
-//! * [`zonemap`] — classic per-block min/max light indexes, used as the
-//!   "state of the art that fails on unclustered data" comparator in the
-//!   robustness experiment (E7).
+//! * [`segment`] — per-tile key ranges and min/max zone maps of sealed,
+//!   SFC-clustered tiles.
 //!
 //! The crate is deliberately free of any spatial knowledge; geometry lives in
 //! `lidardb-geom` and the imprints index in `lidardb-imprints`.
@@ -30,7 +29,6 @@ pub mod scan;
 pub mod segment;
 pub mod table;
 pub mod types;
-pub mod zonemap;
 
 pub use column::Column;
 pub use error::StorageError;

@@ -6,8 +6,8 @@
 //! seal time. Zone maps are the per-chunk lightweight index of Spatial
 //! Parquet applied to our flat table: because the rows are Hilbert/Morton
 //! clustered, the x/y zone maps are tight and pruning is effective — the
-//! exact failure mode [`crate::zonemap`] demonstrates on unclustered data
-//! (E7) goes away.
+//! exact failure mode per-block zonemaps show on unclustered data (E7, the
+//! harness's comparator) goes away.
 //!
 //! Pruning is **conservative on the `f64` domain**: zone bounds are the
 //! min/max of each column viewed through `Column::iter_f64`, the same

@@ -2,7 +2,6 @@
 
 use lidardb_storage::compress::{forpack::ForPacked, rle::Rle};
 use lidardb_storage::scan;
-use lidardb_storage::zonemap::ZoneMap;
 use lidardb_storage::{Column, PhysicalType};
 use proptest::prelude::*;
 
@@ -38,33 +37,6 @@ proptest! {
             prop_assert_eq!(p.get(i), Some(data[i]));
         }
         prop_assert_eq!(p.get(data.len()), None);
-    }
-
-    #[test]
-    fn zonemap_candidates_cover_all_matches(
-        data in prop::collection::vec(-500i32..500, 1..1500),
-        block in 1usize..200,
-        a in -600i32..600,
-        b in -600i32..600,
-    ) {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let zm = ZoneMap::build(&data, block);
-        let ranges = zm.candidate_ranges(lo, hi);
-        for (i, &v) in data.iter().enumerate() {
-            if v >= lo && v <= hi {
-                prop_assert!(
-                    ranges.iter().any(|&(s, e)| i >= s && i < e),
-                    "row {} escaped", i
-                );
-            }
-        }
-        // Ranges are sorted, disjoint, in-bounds.
-        for w in ranges.windows(2) {
-            prop_assert!(w[0].1 <= w[1].0);
-        }
-        for &(s, e) in &ranges {
-            prop_assert!(s < e && e <= data.len());
-        }
     }
 
     #[test]

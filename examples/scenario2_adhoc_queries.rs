@@ -14,10 +14,13 @@ fn run(catalog: &Catalog, sql: &str) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n> {sql}");
     let rs = lidardb::sql::query(catalog, sql)?;
     print!("{}", rs.render());
-    // The trace view: the select's operators, then one
-    // `aggregate (typed fold: ...)` line when the aggregates fold straight
-    // over the matched row ids, or `aggregate + project` on the row path
-    // (GROUP BY, expression arguments).
+    // The trace view: the select's (or the join's) operators, then the one
+    // arm the statement ran — `aggregate (typed fold: ...)` when the
+    // aggregates fold straight over the matched row ids, `project (column
+    // stream)` for a plain scan, or `aggregate + project` / `project` on
+    // the row path (GROUP BY, ORDER BY, expression arguments). `execute`
+    // collects what the server streams, so these are the operators a wire
+    // client's statement runs too.
     print!("{}", rs.render_trace());
     Ok(())
 }

@@ -6,44 +6,27 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> every crate but the server, whole, debug: lib, integration, doc and bin tests"
+cargo test -q --workspace --exclude lidardb-server
 
-echo "==> index, storage, geometry, LAS, SFC and baseline crates, whole: unit and property suites"
-cargo test -q -p lidardb-imprints -p lidardb-storage -p lidardb-geom -p lidardb-las -p lidardb-sfc -p lidardb-baselines
-
-echo "==> core unit tests (explain table, typed cancellation, flight recorder, manifest hardening) debug + release"
-cargo test -q -p lidardb-core --lib
+echo "==> core unit tests (explain table, typed cancellation, flight recorder, manifest hardening) release"
 cargo test -q --release -p lidardb-core --lib
 
-echo "==> SQL layer, whole crate: unit, end_to_end, tiled, hostile_inputs, parser properties"
-cargo test -q -p lidardb-sql
-
-echo "==> differential suite: brute-force reference vs 1 worker vs N workers (default, 2 and 8; incl. Cancel/Stall faults)"
-cargo test -q -p lidardb-core --test differential
+echo "==> differential suite at 2 and 8 workers (brute-force reference vs 1 worker vs N; incl. Cancel/Stall faults)"
 LIDARDB_WORKERS=2 cargo test -q -p lidardb-core --test differential
 LIDARDB_WORKERS=8 cargo test -q -p lidardb-core --test differential
 
-echo "==> governance suite (admission, cancellation, slow-log storm) debug + release"
-cargo test -q -p lidardb-core --test governance
-cargo test -q --release -p lidardb-core --test governance
-
-echo "==> metrics smoke (snapshot JSON parses, stage timers within wall-clock)"
-cargo test -q -p lidardb-core --test metrics_smoke
 # Debug atomics can hide lost-update bugs behind slow interleavings; run
-# the concurrency-exactness checks under release codegen too.
+# the governance and concurrency-exactness checks under release codegen too.
+echo "==> governance, metrics smoke and trace smoke, release"
+cargo test -q --release -p lidardb-core --test governance
 cargo test -q --release -p lidardb-core --test metrics_smoke
-
-echo "==> trace smoke (chrome JSON shape, per-thread guard, slow-query log)"
-cargo test -q -p lidardb-core --test trace_smoke
 cargo test -q --release -p lidardb-core --test trace_smoke
 
 echo "==> core builds with tracing compiled out"
 cargo check -q -p lidardb-core --no-default-features
 
-echo "==> storage suites: WAL crash-recovery torture (debug + release), WAL and dump bit-flip properties, tiles, tiled admission, snapshot watermark, idempotency, disk-full"
-cargo test -q -p lidardb-core --test recovery_torture --test wal_properties --test durability \
-    --test tiles --test tiled_admission --test snapshot_watermark --test idempotency_ledger --test disk_full
+echo "==> WAL crash-recovery torture, release"
 cargo test -q --release -p lidardb-core --test recovery_torture
 
 echo "==> wire-protocol suites (unit, frame proptests, chaos soak, loopback, disconnect durability)"

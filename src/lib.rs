@@ -11,7 +11,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`storage`] | typed columns, flat tables, scan kernels, RLE/FOR codecs, zonemaps |
+//! | [`storage`] | typed columns, flat tables, scan kernels, RLE/FOR codecs, tile zone maps |
 //! | [`imprints`] | the column-imprints secondary index (SIGMOD'13) |
 //! | [`geom`] | OGC Simple Features subset: types, WKT, predicates, grid classification |
 //! | [`sfc`] | Morton + Hilbert space-filling curves |
