@@ -21,7 +21,7 @@ use lidardb_bench::{
 };
 use lidardb_core::{
     AdmissionController, CoreError, FaultInjector, FaultKind, FaultStage, LoadMethod, LoadPolicy,
-    Loader, Parallelism, PointCloud, RefineStrategy, SpatialPredicate,
+    Loader, Parallelism, PointCloud, PointTable, RefineStrategy, SpatialPredicate,
 };
 use lidardb_geom::{Envelope, Geometry, Point, Polygon, Ring};
 use lidardb_imprints::Imprints;
@@ -679,14 +679,13 @@ fn e10_overload() {
         burst(CLIENTS, PER_CLIENT, |t| {
             let (pc, preds) = (&pc, &preds);
             move |q| {
-                let res = pc.select_query_governed(
-                    Some(&preds[(t + q) % preds.len()]),
-                    &[],
-                    RefineStrategy::default(),
-                    Parallelism::Serial,
-                    deadline,
-                    None,
-                );
+                let table = PointTable::Flat(pc);
+                let pred = Some(&preds[(t + q) % preds.len()]);
+                let res = table.govern("select within (0 attr filters)", deadline, None);
+                let res = res.and_then(|g| {
+                    let (strategy, serial) = (RefineStrategy::default(), Parallelism::Serial);
+                    table.select(pred, &[], strategy, serial, &g.ctx)
+                });
                 match res {
                     Ok(_) => Outcome::Ok,
                     Err(CoreError::Cancelled { .. }) => Outcome::Cancelled,

@@ -38,10 +38,10 @@ use crate::governor::{GovernCtx, CHECKPOINT_STRIDE};
 use crate::pointcloud::PointCloud;
 use crate::query::{grid_cell, grid_cell_env, AttrRange, Explain, SpatialPredicate};
 
-/// Worker-count policy for query execution: passed per call to the
-/// `select_query_*` and `aggregate_with` entry points of [`PointCloud`] and
-/// `TiledCloud` (the shorthand `select`/`aggregate` use the default), and
-/// plumbed through the SQL catalog.
+/// Worker-count policy for query execution: passed per call to
+/// `PointTable::select`/`aggregate` and `select_query_with` (the shorthand
+/// `select`/`aggregate` use the default), and plumbed through the SQL
+/// catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// One worker, run inline on the calling thread.
@@ -442,10 +442,12 @@ pub(crate) fn refine_grid(
 }
 
 /// Aggregation over a typed slice: per-morsel compensated-sum states,
-/// merged in morsel order (one morsel's state is returned as it is).
+/// merged in morsel order (one morsel's state is returned as it is). Row
+/// id `r` reads `data[r - base]`, so a tile folds global ids in place.
 pub(crate) fn aggregate<T: Native>(
     data: &[T],
     rows: &[usize],
+    base: usize,
     workers: usize,
     govern: &GovernCtx,
 ) -> Result<AggState, CoreError> {
@@ -457,7 +459,7 @@ pub(crate) fn aggregate<T: Native>(
         let mut st = AggState::default();
         for sub in chunks[i].chunks(CHECKPOINT_STRIDE) {
             for &r in sub {
-                st.push(data[r].to_f64());
+                st.push(data[r - base].to_f64());
             }
             govern.checkpoint("aggregate")?;
         }

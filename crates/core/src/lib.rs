@@ -50,6 +50,7 @@ pub mod query;
 pub mod recorder;
 pub mod segment;
 pub mod soa;
+pub mod table;
 pub mod trace;
 pub mod wal;
 
@@ -68,5 +69,6 @@ pub use pointcloud::{IngestAck, PointCloud};
 pub use query::{Aggregate, AttrRange, Explain, RefineStrategy, Selection, SpatialPredicate};
 pub use recorder::{Recorder, RecorderSample, DEFAULT_INTERVAL_MS, RECORDER_SLOTS};
 pub use segment::{TileOptions, TileResidency, TiledCloud};
+pub use table::{PointTable, Run, Segment};
 pub use trace::{SlowQuery, SlowQueryLog, SpanKind, SpanRecord, TraceSink, Tracer};
 pub use wal::{Durability, RecoveryReport, LEDGER_CAP};

@@ -800,10 +800,8 @@ mod tests {
     use super::*;
     use lidardb_las::PointRecord;
 
-    fn tdir(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("lidardb_persist_{name}"));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    fn tdir(name: &str) -> crate::wal::TempDir {
+        crate::wal::TempDir::new(&format!("persist_{name}"))
     }
 
     fn cloud(n: usize) -> PointCloud {

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::RwLock;
 
@@ -13,6 +14,8 @@ use lidardb_las::{point_schema, PointRecord};
 use lidardb_storage::{Column, FlatTable};
 
 use crate::error::CoreError;
+use crate::fault::FaultInjector;
+use crate::governor::AdmissionController;
 use crate::soa::ColumnArrays;
 use crate::wal::{self, Durability, RecoveryReport, WalWriter};
 
@@ -21,8 +24,9 @@ use crate::wal::{self, Durability, RecoveryReport, WalWriter};
 /// Imprint indexes are built lazily: *"Its creation is triggered when it
 /// encounters a range query for the first time"* (§3.2). The cache is
 /// internally synchronised, so a `&PointCloud` can serve queries from
-/// several threads. Queries go through the entry points in
-/// [`crate::query`], shared with [`crate::TiledCloud`].
+/// several threads. It is read through [`crate::PointTable::Flat`], the
+/// view shared with [`crate::TiledCloud`]; `select`, `select_query_with`
+/// and `aggregate` are the shorthands.
 pub struct PointCloud {
     table: FlatTable,
     imprints: RwLock<HashMap<String, Arc<ColumnImprints>>>,
@@ -143,41 +147,25 @@ impl PointCloud {
             .store(ms, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// The cloud's default statement timeout, if any.
-    pub fn default_deadline(&self) -> Option<std::time::Duration> {
-        match self
-            .default_deadline_ms
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
-            0 => None,
-            ms => Some(std::time::Duration::from_millis(ms)),
-        }
-    }
-
     /// Route queries on this cloud through an explicit admission
     /// controller (overload shedding; see [`crate::governor`]).
     pub fn set_admission(&mut self, adm: Arc<crate::governor::AdmissionController>) {
         self.admission = Some(adm);
     }
 
-    /// The admission controller queries pass through: the instance one if
-    /// set, else the process-wide default (unlimited out of the box).
-    /// Public so a session layer (the network server) can hold a permit
-    /// across the whole statement lifetime — scan *and* result streaming —
-    /// instead of only the scan.
-    pub fn admission(&self) -> &crate::governor::AdmissionController {
-        match &self.admission {
-            Some(a) => a,
-            None => crate::governor::AdmissionController::global(),
-        }
-    }
-
-    /// The cloud's fault injector, if one is attached (query-checkpoint
-    /// fault rules fire through the governance context). Public so a
-    /// session layer running queries through [`Self::select_query_ctx`]
-    /// keeps the same fault surface as the in-process path.
-    pub fn fault_injector(&self) -> Option<Arc<crate::fault::FaultInjector>> {
-        self.fault.clone()
+    /// What [`crate::PointTable::govern`] runs a statement on this cloud
+    /// under: its admission controller (the instance one if set, else the
+    /// process-wide default, unlimited out of the box), its fault injector
+    /// and its default deadline.
+    pub(crate) fn governance(
+        &self,
+    ) -> (&AdmissionController, Option<Arc<FaultInjector>>, Option<Duration>) {
+        let deadline = match self.default_deadline_ms.load(Ordering::Relaxed) {
+            0 => None,
+            ms => Some(Duration::from_millis(ms)),
+        };
+        let admission = self.admission.as_deref().unwrap_or(AdmissionController::global());
+        (admission, self.fault.clone(), deadline)
     }
 
     /// Attach fault-injection hooks for the imprint-build path (tests
@@ -824,12 +812,8 @@ mod tests {
         assert_eq!(pc.data_bytes(), 10_000 * 81);
     }
 
-    fn tdir(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("lidardb_ingest_{name}"));
-        let _ = std::fs::remove_dir_all(&d);
-        let _ = std::fs::remove_file(wal::wal_path_for(&d));
-        std::fs::create_dir_all(d.parent().unwrap()).unwrap();
-        d
+    fn tdir(name: &str) -> wal::TempDir {
+        wal::TempDir::new(&format!("ingest_{name}"))
     }
 
     #[test]

@@ -12,13 +12,11 @@
 //! (INSIDE → take all points, OUTSIDE → drop all), and only BOUNDARY
 //! cells fall back to exact per-point predicate evaluation.
 //!
-//! [`PointCloud`] and [`crate::TiledCloud`] answer through the same six
-//! entry points: `select`, `select_query_with` (the table's own
-//! governance), `select_query_governed` (explicit deadline and budget),
-//! `select_query_ctx` (a caller's [`GovernCtx`]), `aggregate` and
-//! `aggregate_with`. Every query returns a [`Selection`] carrying its
-//! [`Explain`] — cardinalities and wall-clock per operator, the breakdown
-//! the demo shows its audience.
+//! Reads of every table shape go through one view,
+//! [`crate::table::PointTable`]; [`PointCloud`] keeps `select`,
+//! `select_query_with` and `aggregate` as one-line calls into it. Every
+//! query returns a [`Selection`] carrying its [`Explain`] — cardinalities
+//! and wall-clock per operator, the breakdown the demo shows its audience.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,14 +25,14 @@ use lidardb_geom::{
     classify_rect_dwithin, classify_rect_polygon, contains_point, dwithin_point, Envelope,
     Geometry, Point, RectClass,
 };
-use lidardb_storage::for_each_variant;
-use lidardb_storage::scan::{self, CmpOp};
+use lidardb_storage::scan;
 
 use crate::error::CoreError;
 use crate::exec::{self, MorselTiming, Parallelism};
-use crate::governor::{self, GovernCtx};
+use crate::governor::GovernCtx;
 use crate::metrics::{MetricsRegistry, Stage};
 use crate::pointcloud::PointCloud;
+use crate::table::PointTable;
 use crate::trace::{self, SpanKind};
 
 /// Default refinement grid resolution (cells per axis).
@@ -300,48 +298,6 @@ impl AttrRange {
     }
 }
 
-/// What makes one statement one query to every observer, shared by the
-/// flat and the tiled engine: tick `queries`, open the root span, run
-/// `stages` (which fills the `Explain` as far as it gets), and — when
-/// traced — enter the slow-query log once.
-pub(crate) fn run_query(
-    ctx: &GovernCtx,
-    stages: impl FnOnce(&mut trace::SpanGuard, &mut Explain) -> Result<Vec<usize>, CoreError>,
-) -> Result<Selection, CoreError> {
-    MetricsRegistry::global().queries.inc();
-    // Root span: records when tracing is active (process flag, thread
-    // guard, enclosing span). Inert guards cost one relaxed load and two
-    // TLS reads — the scan kernels never see a tracing branch.
-    let mut root = trace::span(SpanKind::Query);
-    let trace_id = root.trace_id();
-    let mut explain = Explain::default();
-    let result = stages(&mut root, &mut explain);
-    // Failed queries still leave a trace: a cancelled one flags its root
-    // span, and every traced query enters the slow log — a query someone
-    // had to kill is exactly what the log exists to surface.
-    match &result {
-        Ok(_) => root.set_rows(explain.after_imprints as u64, explain.result_rows as u64),
-        Err(CoreError::Cancelled { .. }) => root.add_flags(trace::FLAG_CANCELLED),
-        Err(_) => {}
-    }
-    drop(root);
-    if let Some(tid) = trace_id {
-        trace::SlowQueryLog::global().record(trace::SlowQuery {
-            trace_id: tid,
-            seconds: ctx.token().elapsed().as_secs_f64(),
-            queue_wait_seconds: ctx.queue_wait().as_secs_f64(),
-            result_rows: result.as_ref().map_or_else(|_| ctx.partial_rows(), Vec::len),
-            explain: explain.clone(),
-            spans: trace::Tracer::global().snapshot().for_trace(tid).spans,
-        });
-    }
-    result.map(|rows| Selection {
-        rows,
-        explain,
-        trace_id,
-    })
-}
-
 impl PointCloud {
     /// Two-step spatial selection with the default grid refinement and
     /// worker policy, governed like [`Self::select_query_with`].
@@ -366,54 +322,7 @@ impl PointCloud {
         strategy: RefineStrategy,
         parallelism: Parallelism,
     ) -> Result<Selection, CoreError> {
-        let deadline = self.default_deadline();
-        self.select_query_governed(pred, attrs, strategy, parallelism, deadline, None)
-    }
-
-    /// [`select_query_with`](Self::select_query_with) with explicit
-    /// deadline / memory-budget overrides (`None` = ungoverned). The query
-    /// still passes admission and the query registry (the shared
-    /// [`governor::govern`] prologue).
-    pub fn select_query_governed(
-        &self,
-        pred: Option<&SpatialPredicate>,
-        attrs: &[AttrRange],
-        strategy: RefineStrategy,
-        parallelism: Parallelism,
-        deadline: Option<Duration>,
-        budget: Option<u64>,
-    ) -> Result<Selection, CoreError> {
-        let detail = match pred {
-            Some(SpatialPredicate::Within(_)) => "select within",
-            Some(SpatialPredicate::DWithin(..)) => "select dwithin",
-            None => "select",
-        };
-        let g = governor::govern(
-            self.admission(),
-            self.fault_injector(),
-            format!("{detail} ({} attr filters)", attrs.len()),
-            deadline,
-            budget,
-        )?;
-        self.select_query_ctx(pred, attrs, strategy, parallelism, &g.ctx)
-    }
-
-    /// The engine under an explicit governance context, bypassing
-    /// admission and the query registry — the seam for the SQL layer
-    /// (which governs the whole statement), for deterministic cancellation
-    /// tests (differential suite, fault injection) and for callers that
-    /// manage their own [`crate::CancelToken`] lifecycle.
-    pub fn select_query_ctx(
-        &self,
-        pred: Option<&SpatialPredicate>,
-        attrs: &[AttrRange],
-        strategy: RefineStrategy,
-        parallelism: Parallelism,
-        ctx: &GovernCtx,
-    ) -> Result<Selection, CoreError> {
-        run_query(ctx, |root, explain| {
-            self.query_stages(pred, attrs, strategy, parallelism, ctx, root, explain)
-        })
+        PointTable::Flat(self).select_governed(pred, attrs, strategy, parallelism)
     }
 
     /// The two-step pipeline proper: probes, exact scans, refinement.
@@ -638,25 +547,9 @@ impl PointCloud {
         })
     }
 
-    /// Thematic refinement: keep rows whose `column` satisfies `op rhs`
-    /// (e.g. `classification = 6`). Works on any numeric column; 64-bit
-    /// integer columns are compared exactly in their native domain rather
-    /// than widened to `f64`.
-    pub fn filter_attr(
-        &self,
-        rows: &mut Vec<usize>,
-        column: &str,
-        op: CmpOp,
-        rhs: f64,
-    ) -> Result<(), CoreError> {
-        let col = self.column(column)?;
-        for_each_variant!(col, v => scan::refine_cmp_f64(v, rows, op, rhs));
-        Ok(())
-    }
-
-    /// Aggregate a column over a selection with the default worker policy.
-    /// Returns `None` for an empty selection (except `count`, which is
-    /// always defined).
+    /// Aggregate a column over a selection with the default worker policy,
+    /// ungoverned (see [`PointTable::aggregate`]). Returns `None` for an
+    /// empty selection (except `count`, which is always defined).
     ///
     /// `Sum`/`Avg` use compensated (Neumaier) summation over the typed
     /// column slice — no per-row boxing, and precision holds on multi-
@@ -667,47 +560,8 @@ impl PointCloud {
         column: &str,
         agg: Aggregate,
     ) -> Result<Option<f64>, CoreError> {
-        self.aggregate_with(rows, column, agg, Parallelism::default())
-    }
-
-    /// [`aggregate`](Self::aggregate) with an explicit worker-count policy:
-    /// per-morsel accumulator states are merged in morsel order.
-    pub fn aggregate_with(
-        &self,
-        rows: &[usize],
-        column: &str,
-        agg: Aggregate,
-        parallelism: Parallelism,
-    ) -> Result<Option<f64>, CoreError> {
-        if agg == Aggregate::Count {
-            return Ok(Some(rows.len() as f64));
-        }
-        if rows.is_empty() {
-            return Ok(None);
-        }
-        let col = self.column(column)?;
-        if let Some(&bad) = rows.iter().find(|&&r| r >= col.len()) {
-            return Err(CoreError::InvalidQuery(format!(
-                "row {bad} out of range in aggregate"
-            )));
-        }
-        let workers = parallelism.workers();
-        // Roots its own trace when called standalone; nests under the
-        // caller's span when one is live on this thread.
-        let mut agg_span = trace::span(SpanKind::Stage(Stage::Aggregate));
-        agg_span.set_rows(rows.len() as u64, 1);
-        let t0 = Instant::now();
-        let state = for_each_variant!(col, v => {
-            exec::aggregate(v, rows, workers, &GovernCtx::ungoverned())?
-        });
-        MetricsRegistry::global().record_stage(Stage::Aggregate, rows.len(), t0.elapsed());
-        Ok(Some(match agg {
-            Aggregate::Count => unreachable!("handled above"),
-            Aggregate::Sum => state.sum(),
-            Aggregate::Avg => state.sum() / rows.len() as f64,
-            Aggregate::Min => state.min,
-            Aggregate::Max => state.max,
-        }))
+        let ctx = GovernCtx::ungoverned();
+        PointTable::Flat(self).aggregate(rows, column, agg, Parallelism::default(), &ctx)
     }
 }
 
@@ -751,6 +605,16 @@ mod tests {
     use super::*;
     use lidardb_geom::Polygon;
     use lidardb_las::PointRecord;
+    use lidardb_storage::for_each_variant;
+    use lidardb_storage::scan::CmpOp;
+
+    /// Keep the rows whose `column` satisfies `op rhs`, through the exact
+    /// comparison kernel (64-bit integer columns compare in their native
+    /// domain).
+    fn filter_cmp(pc: &PointCloud, rows: &mut Vec<usize>, column: &str, op: CmpOp, rhs: f64) {
+        let col = pc.column(column).unwrap();
+        for_each_variant!(col, v => scan::refine_cmp_f64(v, rows, op, rhs));
+    }
 
     /// A 100x100 grid of points at integer coordinates.
     fn grid_cloud() -> PointCloud {
@@ -901,8 +765,7 @@ mod tests {
     fn thematic_filter_and_aggregates() {
         let pc = grid_cloud();
         let mut sel = pc.select(&rect(40.0, 0.0, 60.0, 99.0)).unwrap();
-        pc.filter_attr(&mut sel.rows, "classification", CmpOp::Eq, 6.0)
-            .unwrap();
+        filter_cmp(&pc, &mut sel.rows, "classification", CmpOp::Eq, 6.0);
         // x in 51..=60 after class filter: 10 columns x 100 rows.
         assert_eq!(sel.rows.len(), 1000);
         let avg_x = pc
@@ -1025,8 +888,7 @@ mod tests {
         assert_eq!(sel.explain.attr_probes, 2);
         // Oracle: spatial then exact filters.
         let mut oracle = pc.select(&window).unwrap().rows;
-        pc.filter_attr(&mut oracle, "classification", CmpOp::Eq, 6.0)
-            .unwrap();
+        filter_cmp(&pc, &mut oracle, "classification", CmpOp::Eq, 6.0);
         let zs = pc.f64_column("z").unwrap();
         oracle.retain(|&i| zs[i] >= 8.0 && zs[i] <= 12.0);
         assert_eq!(sel.rows, oracle);
@@ -1212,10 +1074,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(sel.rows, vec![0, 1], "row 2 is below the bound");
-        // filter_attr takes the same exact path: no u64 equals 2^64.
+        // The exact comparison kernel takes the same exact path: no u64
+        // equals 2^64.
         let mut rows = vec![0, 1, 2, 3];
-        pc.filter_attr(&mut rows, "wave_offset", CmpOp::Eq, u64::MAX as f64)
-            .unwrap();
+        filter_cmp(&pc, &mut rows, "wave_offset", CmpOp::Eq, u64::MAX as f64);
         assert!(rows.is_empty(), "u64::MAX as f64 is 2^64, matching nothing");
     }
 }
@@ -1346,8 +1208,8 @@ mod review_regressions {
         let token = CancelToken::new();
         token.kill();
         let ctx = GovernCtx::new(token, None);
-        let err = pc
-            .select_query_ctx(
+        let err = PointTable::Flat(&pc)
+            .select(
                 Some(&rect(0.0, 0.0, 99.0, 99.0)),
                 &[],
                 RefineStrategy::AdaptiveGrid,
@@ -1359,13 +1221,37 @@ mod review_regressions {
     }
 
     #[test]
+    fn aggregate_folds_under_its_statement_ctx() {
+        // A fold checkpoints under the context it is given, so a statement
+        // killed before its aggregate runs is cancelled, not answered.
+        let pc = grid_cloud();
+        let rows: Vec<usize> = (0..pc.num_points()).collect();
+        let token = CancelToken::new();
+        token.kill();
+        let ctx = GovernCtx::new(token, None);
+        for agg in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max] {
+            for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+                let err = PointTable::Flat(&pc)
+                    .aggregate(&rows, "z", agg, par, &ctx)
+                    .unwrap_err();
+                expect_cancelled(err, CancelReason::Killed);
+            }
+        }
+        let ungoverned = GovernCtx::ungoverned();
+        let avg = PointTable::Flat(&pc)
+            .aggregate(&rows, "z", Aggregate::Avg, Parallelism::Serial, &ungoverned)
+            .unwrap();
+        assert_eq!(avg, Some(9.9));
+    }
+
+    #[test]
     fn expired_deadline_cancels_with_typed_error() {
         let pc = grid_cloud();
         let token = CancelToken::with(Some(std::time::Duration::from_nanos(1)), None);
         std::thread::sleep(std::time::Duration::from_millis(2));
         let ctx = GovernCtx::new(token, None);
-        let err = pc
-            .select_query_ctx(
+        let err = PointTable::Flat(&pc)
+            .select(
                 Some(&rect(0.0, 0.0, 99.0, 99.0)),
                 &[],
                 RefineStrategy::AdaptiveGrid,
@@ -1382,8 +1268,8 @@ mod review_regressions {
         // 64 bytes of budget cannot hold a 10 000-row selection vector.
         let token = CancelToken::with(None, Some(64));
         let ctx = GovernCtx::new(token, None);
-        let err = pc
-            .select_query_ctx(
+        let err = PointTable::Flat(&pc)
+            .select(
                 Some(&rect(0.0, 0.0, 99.0, 99.0)),
                 &[],
                 RefineStrategy::AdaptiveGrid,
@@ -1407,8 +1293,8 @@ mod review_regressions {
         let registry = crate::governor::QueryRegistry::global();
         let ticket = registry.register("test select", &ctx);
         assert!(registry.kill(ticket.id()), "id names a live query");
-        let err = pc
-            .select_query_ctx(
+        let err = PointTable::Flat(&pc)
+            .select(
                 Some(&rect(0.0, 0.0, 9.0, 9.0)),
                 &[],
                 RefineStrategy::AdaptiveGrid,

@@ -10,24 +10,24 @@
 //! tile plus a v3 root manifest carrying each tile's key range and
 //! per-column min/max zone maps.
 //!
-//! [`TiledCloud`] opens that layout *lazily*: queries prune tiles by zone
-//! map first (no I/O), then probe each surviving tile with the ordinary
-//! imprint → bbox → refine pipeline of the flat engine, loading tile
-//! segments on demand into an LRU cache bounded by
+//! [`TiledCloud`] opens that layout *lazily*, one segment per tile, loaded
+//! on demand into an LRU cache bounded by
 //! [`TiledCloud::set_resident_budget`]. Datasets larger than RAM stay
 //! queryable: only the working set of tiles is resident, and because rows
 //! are SFC-clustered the zone maps are tight — the unclustered-data
 //! failure mode of classic zone maps (E7) does not apply.
 //!
-//! Every per-tile sub-query inherits the caller's [`GovernCtx`], so
-//! deadlines, cancellation and memory budgets cover the whole tile loop;
-//! loaded tile bytes are charged to the query's memory budget.
+//! Reads go through the one view of every point table,
+//! [`PointTable`]: it prunes tiles by zone map first (no I/O), then runs
+//! the flat engine's imprint → bbox → refine pipeline on each surviving
+//! tile under the caller's [`GovernCtx`], so deadlines, cancellation and
+//! memory budgets cover the whole tile loop and loaded tile bytes are
+//! charged to the query's memory budget.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use lidardb_las::point_schema;
 use lidardb_sfc::{Curve, Quantizer, TileBinning};
@@ -36,13 +36,12 @@ use parking_lot::Mutex;
 
 use crate::error::CoreError;
 use crate::exec::Parallelism;
-use crate::governor::{self, AdmissionController, GovernCtx};
+use crate::governor::GovernCtx;
 use crate::metrics::MetricsRegistry;
 use crate::persist::{self, Layout};
 use crate::pointcloud::PointCloud;
-use crate::query::{
-    run_query, Aggregate, AttrRange, Explain, RefineStrategy, Selection, SpatialPredicate,
-};
+use crate::query::{AttrRange, RefineStrategy, Selection, SpatialPredicate};
+use crate::table::PointTable;
 
 /// How a table is cut into tiles at seal time.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,31 +86,16 @@ pub(crate) fn sort_and_plan(pc: &mut PointCloud, opts: &TileOptions) -> Result<L
     // the quantiser always has a non-empty window. `f64::min`/`max`
     // ignore NaN, so NaN coordinates never poison the window; they
     // quantise to cell 0 like any out-of-window point.
+    let window = |v: &[f64]| {
+        let lo = v.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let lo = if lo.is_finite() { lo } else { 0.0 };
+        (lo, if hi.is_finite() && hi > lo { hi } else { lo + 1.0 })
+    };
     let (keys_sorted, perm) = {
         let xs = pc.f64_column("x")?;
         let ys = pc.f64_column("y")?;
-        let mut min_x = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        for i in 0..n {
-            min_x = min_x.min(xs[i]);
-            max_x = max_x.max(xs[i]);
-            min_y = min_y.min(ys[i]);
-            max_y = max_y.max(ys[i]);
-        }
-        if !min_x.is_finite() {
-            min_x = 0.0;
-        }
-        if !(max_x.is_finite() && max_x > min_x) {
-            max_x = min_x + 1.0;
-        }
-        if !min_y.is_finite() {
-            min_y = 0.0;
-        }
-        if !(max_y.is_finite() && max_y > min_y) {
-            max_y = min_y + 1.0;
-        }
+        let ((min_x, max_x), (min_y, max_y)) = (window(xs), window(ys));
         let q = Quantizer::new(min_x, min_y, max_x, max_y, opts.bits);
         let keys: Vec<u64> = xs
             .iter()
@@ -241,9 +225,10 @@ pub struct TileResidency {
 /// Tiles load on first touch and stay resident until the LRU evicts them
 /// to honour [`Self::set_resident_budget`]; the most recently touched tile
 /// is never evicted, so a budget smaller than one tile still makes
-/// progress (one tile resident at a time). The query entry points are
-/// the flat [`PointCloud`]'s, with the same signatures and governance, and
-/// return bit-identical rows (global row ids in the sealed SFC order).
+/// progress (one tile resident at a time). It is read through
+/// [`PointTable::Tiled`], the same view as a flat [`PointCloud`], and
+/// returns bit-identical rows (global row ids in the sealed SFC order);
+/// `select` and `select_query_with` are the shorthands.
 pub struct TiledCloud {
     dir: PathBuf,
     /// Tile row/key ranges and zone maps; a flat v1/v2 directory is one
@@ -385,7 +370,11 @@ impl TiledCloud {
     /// budget. Held-lock loading keeps accounting exact; tile I/O under
     /// contention serialises, which is the trade this cache makes for
     /// never double-loading a tile.
-    fn load_tile(&self, id: usize, ctx: &GovernCtx) -> Result<Arc<PointCloud>, CoreError> {
+    pub(crate) fn load_tile(
+        &self,
+        id: usize,
+        ctx: &GovernCtx,
+    ) -> Result<Arc<PointCloud>, CoreError> {
         let metrics = MetricsRegistry::global();
         let mut cache = self.cache.lock();
         cache.tick += 1;
@@ -437,7 +426,8 @@ impl TiledCloud {
     }
 
     /// Spatial + attribute query under the process-wide admission
-    /// controller, with no deadline or memory budget.
+    /// controller, with no deadline or memory budget (see
+    /// [`PointTable::select`]).
     pub fn select_query_with(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -445,207 +435,6 @@ impl TiledCloud {
         strategy: RefineStrategy,
         parallelism: Parallelism,
     ) -> Result<Selection, CoreError> {
-        self.select_query_governed(pred, attrs, strategy, parallelism, None, None)
+        PointTable::Tiled(self).select_governed(pred, attrs, strategy, parallelism)
     }
-
-    /// [`Self::select_query_with`] with explicit deadline / memory-budget
-    /// overrides, through the same [`governor::govern`] prologue as the
-    /// flat table: one deadline/budget token covers zone-map pruning,
-    /// every tile load (bytes charged as they fault in) and every per-tile
-    /// probe; the query is visible in the global registry.
-    pub fn select_query_governed(
-        &self,
-        pred: Option<&SpatialPredicate>,
-        attrs: &[AttrRange],
-        strategy: RefineStrategy,
-        parallelism: Parallelism,
-        deadline: Option<Duration>,
-        budget: Option<u64>,
-    ) -> Result<Selection, CoreError> {
-        let g = governor::govern(
-            AdmissionController::global(),
-            None,
-            format!("tiled select ({} attr filters)", attrs.len()),
-            deadline,
-            budget,
-        )?;
-        self.select_query_ctx(pred, attrs, strategy, parallelism, &g.ctx)
-    }
-
-    /// The tiled query pipeline under an explicit governance context:
-    /// zone-map prune → per-tile imprint probe/scan → row-offset merge,
-    /// all inside ONE [`run_query`] — one `queries` tick, one root span
-    /// with every tile's load and stage spans under it, one slow-log
-    /// entry. Tiles are visited in row order, so the merged rows are
-    /// ascending and identical for any worker count (morsels never
-    /// straddle a tile).
-    pub fn select_query_ctx(
-        &self,
-        pred: Option<&SpatialPredicate>,
-        attrs: &[AttrRange],
-        strategy: RefineStrategy,
-        parallelism: Parallelism,
-        ctx: &GovernCtx,
-    ) -> Result<Selection, CoreError> {
-        run_query(ctx, |root, explain| {
-            let mut preds: Vec<(&str, f64, f64)> = Vec::new();
-            if let Some(env) = pred.and_then(|p| p.filter_envelope()) {
-                preds.push(("x", env.min_x, env.max_x));
-                preds.push(("y", env.min_y, env.max_y));
-            }
-            for a in attrs {
-                preds.push((a.column.as_str(), a.lo, a.hi));
-            }
-            let survivors = self.layout.tiles.prune(&preds);
-            let loads0 = self.loads.load(Ordering::Relaxed);
-            let evictions0 = self.evictions.load(Ordering::Relaxed);
-            let mut rows = Vec::new();
-            for &t in &survivors {
-                ctx.checkpoint("tile")?;
-                let pc = self.load_tile(t, ctx)?;
-                let mut sub = Explain::default();
-                let local =
-                    pc.query_stages(pred, attrs, strategy, parallelism, ctx, root, &mut sub)?;
-                let base = self.layout.tiles.tiles[t].row_start;
-                rows.extend(local.iter().map(|&r| r + base));
-                merge_explain(explain, &sub);
-            }
-            explain.result_rows = rows.len();
-            explain.tiles_total = self.layout.tiles.len();
-            explain.tiles_pruned = self.layout.tiles.len() - survivors.len();
-            explain.tiles_probed = survivors.len();
-            // Cache-delta attribution is exact for single-threaded use and
-            // approximate when queries run concurrently (the counters are
-            // shared); the process-wide metrics stay exact either way.
-            explain.tiles_loaded = (self.loads.load(Ordering::Relaxed) - loads0) as usize;
-            explain.tiles_evicted = (self.evictions.load(Ordering::Relaxed) - evictions0) as usize;
-            let metrics = MetricsRegistry::global();
-            metrics.tiles_pruned.add(explain.tiles_pruned as u64);
-            metrics.tiles_probed.add(explain.tiles_probed as u64);
-            Ok(rows)
-        })
-    }
-
-    /// Split ascending global row ids into per-tile runs `(segment, first
-    /// global row of the tile, ids in that tile)`, loading each tile only
-    /// when the iterator reaches it. The yielded `Arc` pins the segment
-    /// resident for as long as the caller holds it, even across LRU
-    /// evictions — a consumer that drops each run before taking the next
-    /// keeps one tile pinned at a time. An id past the last row ends the
-    /// iteration with an error.
-    pub fn runs<'r>(
-        &'r self,
-        mut rows: &'r [usize],
-    ) -> impl Iterator<Item = Result<(Arc<PointCloud>, usize, &'r [usize]), CoreError>> + 'r {
-        std::iter::from_fn(move || {
-            let first = *rows.first()?;
-            let Some(t) = self.layout.tiles.tile_for_row(first) else {
-                rows = &[];
-                return Some(Err(CoreError::InvalidQuery(format!(
-                    "row {first} out of range ({} rows)",
-                    self.layout.rows
-                ))));
-            };
-            let tile = &self.layout.tiles.tiles[t];
-            let (head, tail) = rows.split_at(rows.partition_point(|&r| r < tile.row_end));
-            rows = tail;
-            Some(
-                self.load_tile(t, &GovernCtx::ungoverned())
-                    .map(|pc| (pc, tile.row_start, head)),
-            )
-        })
-    }
-
-    /// Aggregate a selection's rows (global ids) over one column with the
-    /// default worker policy.
-    pub fn aggregate(
-        &self,
-        rows: &[usize],
-        column: &str,
-        agg: Aggregate,
-    ) -> Result<Option<f64>, CoreError> {
-        self.aggregate_with(rows, column, agg, Parallelism::default())
-    }
-
-    /// [`Self::aggregate`] with an explicit worker policy. Rows are
-    /// partitioned by tile and merged with the algebraic decomposition of
-    /// each aggregate (`AVG` = total `SUM` / total count), so the result
-    /// matches a flat-table aggregate over the same rows bit-for-bit on
-    /// `COUNT`/`MIN`/`MAX` and to f64-summation order on `SUM`/`AVG`.
-    pub fn aggregate_with(
-        &self,
-        rows: &[usize],
-        column: &str,
-        agg: Aggregate,
-        parallelism: Parallelism,
-    ) -> Result<Option<f64>, CoreError> {
-        if agg == Aggregate::Count {
-            return Ok(Some(rows.len() as f64));
-        }
-        if rows.is_empty() {
-            return Ok(None);
-        }
-        // The tile walk needs ascending rows; selections are ascending
-        // already, arbitrary caller input gets sorted.
-        let sorted_buf;
-        let rows = if rows.windows(2).all(|w| w[0] <= w[1]) {
-            rows
-        } else {
-            let mut s = rows.to_vec();
-            s.sort_unstable();
-            sorted_buf = s;
-            &sorted_buf
-        };
-        let sub_agg = match agg {
-            Aggregate::Avg => Aggregate::Sum,
-            a => a,
-        };
-        let mut acc: Option<f64> = None;
-        for run in self.runs(rows) {
-            let (pc, base, ids) = run?;
-            let local: Vec<usize> = ids.iter().map(|&r| r - base).collect();
-            if let Some(v) = pc.aggregate_with(&local, column, sub_agg, parallelism)? {
-                acc = Some(match (acc, agg) {
-                    (None, _) => v,
-                    (Some(a), Aggregate::Sum | Aggregate::Avg) => a + v,
-                    (Some(a), Aggregate::Min) => a.min(v),
-                    (Some(a), Aggregate::Max) => a.max(v),
-                    (Some(a), Aggregate::Count) => a, // handled above
-                });
-            }
-        }
-        Ok(match agg {
-            Aggregate::Avg => acc.map(|s| s / rows.len() as f64),
-            _ => acc,
-        })
-    }
-
-    /// Materialise one point by global row id (`None` past the end).
-    pub fn record(&self, row: usize) -> Result<Option<lidardb_las::PointRecord>, CoreError> {
-        let Some(t) = self.layout.tiles.tile_for_row(row) else {
-            return Ok(None);
-        };
-        let pc = self.load_tile(t, &GovernCtx::ungoverned())?;
-        Ok(pc.record(row - self.layout.tiles.tiles[t].row_start))
-    }
-}
-
-/// Fold one tile's `Explain` into the merged tiled-query view: counts
-/// sum, timings sum, workers take the max, morsel breakdowns concatenate.
-fn merge_explain(into: &mut Explain, sub: &Explain) {
-    into.after_imprints += sub.after_imprints;
-    into.sure_rows += sub.sure_rows;
-    into.after_bbox += sub.after_bbox;
-    into.cells_inside += sub.cells_inside;
-    into.cells_outside += sub.cells_outside;
-    into.cells_boundary += sub.cells_boundary;
-    into.exact_tests += sub.exact_tests;
-    into.attr_probes += sub.attr_probes;
-    into.degraded_probes += sub.degraded_probes;
-    into.t_imprint_build += sub.t_imprint_build;
-    into.t_imprints += sub.t_imprints;
-    into.t_bbox += sub.t_bbox;
-    into.t_refine += sub.t_refine;
-    into.workers = into.workers.max(sub.workers);
-    into.morsel_times.extend(sub.morsel_times.iter().copied());
 }

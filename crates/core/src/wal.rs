@@ -770,6 +770,56 @@ pub fn wal_path_for(dir: &Path) -> PathBuf {
     dir.with_file_name(format!("{name}.wal"))
 }
 
+/// A scratch directory of one unit test's own, `lidardb_<name>_<pid>_<n>`
+/// (pid + per-process counter, so concurrent runs never share one). It
+/// and its sibling WAL are cleared now and removed when the guard drops.
+#[cfg(test)]
+pub(crate) struct TempDir(PathBuf);
+
+#[cfg(test)]
+mod temp_dir {
+    use std::path::Path;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use super::{wal_path_for, TempDir};
+
+    impl TempDir {
+        pub(crate) fn new(name: &str) -> TempDir {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let pid = std::process::id();
+            let d = TempDir(std::env::temp_dir().join(format!("lidardb_{name}_{pid}_{n}")));
+            d.clear();
+            d
+        }
+
+        fn clear(&self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+            let _ = std::fs::remove_file(wal_path_for(&self.0));
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            self.clear();
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

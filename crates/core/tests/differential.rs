@@ -7,14 +7,24 @@
 //! refinement strategy, and worker count, including queries degraded by
 //! injected imprint-build faults.
 //!
+//! Every storage shape goes through the same checks: the flat cloud, a
+//! streaming cloud mid-ingest, and the shared workload sealed into tiles
+//! and read out of core through [`PointTable::Tiled`] with a resident
+//! budget below one tile (every query loads and evicts). A tiled table's
+//! reference is the same directory opened flat, which has the sealed row
+//! order.
+//!
 //! Worker counts default to `[2, 4, 8]`; set `LIDARDB_WORKERS=<n>` to pin
 //! a single count (CI runs the suite at 2 and at 8 on top of the default).
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use lidardb_core::{
-    wal, Aggregate, AttrRange, Durability, FaultInjector, FaultKind, FaultStage, Parallelism,
-    PointCloud, RefineStrategy, SpatialPredicate, MORSEL_MIN_ROWS,
+    wal, Aggregate, AttrRange, Durability, FaultInjector, FaultKind, FaultStage, GovernCtx,
+    Parallelism, PointCloud, PointTable, RefineStrategy, Selection, SpatialPredicate,
+    TileOptions, TiledCloud, MORSEL_MIN_ROWS,
 };
 use lidardb_geom::{Geometry, LineString, Point, Polygon};
 use lidardb_las::PointRecord;
@@ -77,7 +87,99 @@ fn workload(n: usize, seed: u64) -> Vec<PointRecord> {
 /// exceed the `2 * MORSEL_MIN_ROWS` threshold and split into morsels).
 fn shared_cloud() -> &'static Arc<PointCloud> {
     static CLOUD: OnceLock<Arc<PointCloud>> = OnceLock::new();
-    CLOUD.get_or_init(|| Arc::new(build_cloud(120_000, 0xC0FFEE)))
+    CLOUD.get_or_init(|| Arc::new(build_cloud(SHARED_ROWS, SHARED_SEED)))
+}
+
+const SHARED_ROWS: usize = 120_000;
+const SHARED_SEED: u64 = 0xC0FFEE;
+
+/// One input of the suite: the table the engine reads, and the flat cloud
+/// holding the same rows in the same order that the brute-force reference
+/// reads.
+#[derive(Clone, Copy)]
+struct Shape<'a> {
+    table: PointTable<'a>,
+    reference: &'a PointCloud,
+}
+
+impl<'a> Shape<'a> {
+    /// A flat (plain or streaming) cloud is its own reference.
+    fn flat(pc: &'a PointCloud) -> Self {
+        Shape {
+            table: PointTable::Flat(pc),
+            reference: pc,
+        }
+    }
+
+    fn select(
+        &self,
+        pred: Option<&SpatialPredicate>,
+        attrs: &[AttrRange],
+        strategy: RefineStrategy,
+        parallelism: Parallelism,
+    ) -> Selection {
+        let ungoverned = GovernCtx::ungoverned();
+        self.table.select(pred, attrs, strategy, parallelism, &ungoverned).unwrap()
+    }
+
+    fn aggregate(&self, rows: &[usize], column: &str, agg: Aggregate, par: Parallelism) -> f64 {
+        let ungoverned = GovernCtx::ungoverned();
+        self.table.aggregate(rows, column, agg, par, &ungoverned).unwrap().unwrap()
+    }
+}
+
+/// The shared workload sealed with `save_tiled` into a scratch directory
+/// of this test's own (pid + per-process counter) and reopened lazily with
+/// a resident budget below one tile, so every query loads and evicts. Its
+/// reference is the directory opened flat. The directory goes on drop.
+struct TiledShape {
+    dir: PathBuf,
+    tc: TiledCloud,
+    reference: PointCloud,
+}
+
+impl TiledShape {
+    fn new() -> TiledShape {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("lidardb_diff_tiled_{}_{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = TileOptions {
+            target_rows: 30_000,
+            ..Default::default()
+        };
+        let tiles = build_cloud(SHARED_ROWS, SHARED_SEED).save_tiled(&dir, &opts).unwrap();
+        assert!(tiles >= 3, "the workload spans several tiles, got {tiles}");
+        let tc = TiledCloud::open(&dir).unwrap();
+        tc.set_resident_budget(1);
+        let reference = PointCloud::open_dir(&dir).unwrap();
+        TiledShape { dir, tc, reference }
+    }
+
+    fn shape(&self) -> Shape<'_> {
+        Shape {
+            table: PointTable::Tiled(&self.tc),
+            reference: &self.reference,
+        }
+    }
+}
+
+impl Drop for TiledShape {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Run `check` on every shape of the shared workload: the flat cloud,
+/// then its tiled copy. The tiled copy must have loaded and evicted tiles.
+fn for_each_shape(check: impl Fn(Shape)) {
+    check(Shape::flat(shared_cloud()));
+    let tiled = TiledShape::new();
+    check(tiled.shape());
+    assert!(tiled.tc.tile_loads() > 0, "tiles load on demand");
+    assert!(tiled.tc.tile_evictions() > 0, "the budget evicts");
+    assert!(tiled.tc.resident_tiles() <= 1, "the budget keeps one tile resident");
 }
 
 fn worker_counts() -> Vec<usize> {
@@ -182,22 +284,24 @@ fn assert_same_rows(engine: &[usize], reference: &[usize]) {
 /// Explain cardinalities are identical across worker counts. Returns the
 /// one-worker rows.
 fn assert_differential(
-    pc: &PointCloud,
+    shape: Shape,
     pred: Option<&SpatialPredicate>,
     attrs: &[AttrRange],
     strategy: RefineStrategy,
 ) -> Vec<usize> {
-    let serial = pc
-        .select_query_with(pred, attrs, strategy, Parallelism::Serial)
-        .unwrap();
-    assert_same_rows(&serial.rows, &brute_force(pc, pred, attrs, strategy));
+    let serial = shape.select(pred, attrs, strategy, Parallelism::Serial);
+    assert_same_rows(&serial.rows, &brute_force(shape.reference, pred, attrs, strategy));
     assert_morsels_partition_candidates(&serial.explain);
-    assert_eq!(serial.explain.workers, 1, "one worker runs one inline morsel");
-    assert!(serial.explain.morsel_times.len() <= 1);
+    let segments = segments_probed(&serial.explain);
+    assert_eq!(serial.explain.workers, segments.min(1), "one worker runs one inline morsel");
+    assert!(serial.explain.morsel_times.len() <= segments, "one inline morsel per segment");
+    let tiled = matches!(shape.table, PointTable::Tiled(_));
+    if tiled {
+        let e = &serial.explain;
+        assert!(e.tiles_loaded + 1 >= e.tiles_probed, "every probed tile but one loads");
+    }
     for &w in &worker_counts() {
-        let par = pc
-            .select_query_with(pred, attrs, strategy, Parallelism::Threads(w))
-            .unwrap();
+        let par = shape.select(pred, attrs, strategy, Parallelism::Threads(w));
         assert_eq!(serial.rows, par.rows, "rows differ at {w} workers");
         let (a, b) = (&serial.explain, &par.explain);
         assert_eq!(a.after_imprints, b.after_imprints, "{w} workers");
@@ -220,7 +324,17 @@ fn assert_differential(
             "Explain counters differ at {w} workers"
         );
         assert_morsels_partition_candidates(b);
-        if b.after_imprints >= 2 * MORSEL_MIN_ROWS {
+        let tiles = |e: &lidardb_core::Explain| (e.tiles_total, e.tiles_pruned, e.tiles_probed);
+        assert_eq!(tiles(a), tiles(b), "tile pruning differs at {w} workers");
+        if tiled {
+            // Morsels split per tile: only a tile with enough candidates
+            // of its own fans out.
+            assert!(b.workers <= w, "{w} workers");
+            if b.after_imprints < 2 * MORSEL_MIN_ROWS {
+                let inline = segments.min(1);
+                assert_eq!(b.workers, inline, "small candidate sets stay one inline morsel");
+            }
+        } else if b.after_imprints >= 2 * MORSEL_MIN_ROWS {
             assert_eq!(b.workers, w, "candidates split across the workers");
             assert!(b.morsel_times.len() > 1, "more than one morsel");
         } else {
@@ -231,15 +345,28 @@ fn assert_differential(
 }
 
 /// The filter step's morsels cover the candidates exactly once and their
-/// survivors are the bbox survivors; a single morsel reports one worker.
+/// survivors are the bbox survivors; a single morsel reports one worker,
+/// and a tiled query whose every tile was pruned ran none.
 fn assert_morsels_partition_candidates(e: &lidardb_core::Explain) {
     let rows_in: usize = e.morsel_times.iter().map(|m| m.rows_in).sum();
     let rows_out: usize = e.morsel_times.iter().map(|m| m.rows_out).sum();
     assert_eq!(rows_in, e.after_imprints, "morsels partition candidates");
     assert_eq!(rows_out, e.after_bbox, "morsel survivors sum to bbox count");
     assert!(e.morsel_times.iter().all(|m| m.rows_in > 0), "no empty morsels");
-    if e.morsel_times.len() <= 1 {
+    if segments_probed(e) == 0 {
+        assert_eq!(e.workers, 0, "no segment ran");
+    } else if e.morsel_times.len() <= 1 {
         assert_eq!(e.workers, 1, "one morsel runs on one worker");
+    }
+}
+
+/// Segments the query ran its stages on: the flat table is one, a tiled
+/// one runs every tile that survived pruning.
+fn segments_probed(e: &lidardb_core::Explain) -> usize {
+    if e.tiles_total == 0 {
+        1
+    } else {
+        e.tiles_probed
     }
 }
 
@@ -247,25 +374,29 @@ fn assert_morsels_partition_candidates(e: &lidardb_core::Explain) {
 
 #[test]
 fn differential_pure_bbox() {
-    let pc = shared_cloud();
-    assert_differential(pc, Some(&rect(100.0, 100.0, 700.0, 650.0)), &[], RefineStrategy::default());
-    // Narrow band: mostly sure runs from the dense cluster.
-    assert_differential(pc, Some(&rect(0.0, 395.0, 1000.0, 425.0)), &[], RefineStrategy::default());
+    for_each_shape(|pc| {
+        let window = rect(100.0, 100.0, 700.0, 650.0);
+        assert_differential(pc, Some(&window), &[], RefineStrategy::default());
+        // Narrow band: mostly sure runs from the dense cluster.
+        let band = rect(0.0, 395.0, 1000.0, 425.0);
+        assert_differential(pc, Some(&band), &[], RefineStrategy::default());
+    });
 }
 
 #[test]
 fn differential_polygon_all_strategies() {
-    let pc = shared_cloud();
-    let pred = diamond(500.0, 500.0, 350.0);
-    for strategy in [
-        RefineStrategy::default(),
-        RefineStrategy::Grid { cells: 8 },
-        RefineStrategy::AdaptiveGrid,
-        RefineStrategy::Exhaustive,
-        RefineStrategy::BboxOnly,
-    ] {
-        assert_differential(pc, Some(&pred), &[], strategy);
-    }
+    for_each_shape(|pc| {
+        let pred = diamond(500.0, 500.0, 350.0);
+        for strategy in [
+            RefineStrategy::default(),
+            RefineStrategy::Grid { cells: 8 },
+            RefineStrategy::AdaptiveGrid,
+            RefineStrategy::Exhaustive,
+            RefineStrategy::BboxOnly,
+        ] {
+            assert_differential(pc, Some(&pred), &[], strategy);
+        }
+    });
 }
 
 /// Degenerate morsel shapes end to end: candidate sets with fewer rows
@@ -274,75 +405,82 @@ fn differential_polygon_all_strategies() {
 /// with no empty morsels inflating the explain counters.
 #[test]
 fn differential_degenerate_candidate_sets() {
-    let pc = shared_cloud();
-    // A few-row window: far fewer candidates than workers * MORSEL_MIN_ROWS.
-    assert_differential(
-        pc,
-        Some(&rect(0.0, 0.0, 4.0, 4.0)),
-        &[],
-        RefineStrategy::default(),
-    );
-    // A sliver that slices through the dense band (single clustered run).
-    assert_differential(
-        pc,
-        Some(&rect(499.0, 399.0, 501.0, 421.0)),
-        &[],
-        RefineStrategy::default(),
-    );
-    // An empty window: zero candidates, every worker count.
-    let rows = assert_differential(
-        pc,
-        Some(&rect(2000.0, 2000.0, 2001.0, 2001.0)),
-        &[],
-        RefineStrategy::default(),
-    );
-    assert!(rows.is_empty());
-    // Attr range matching almost nothing, combined with a huge window.
-    assert_differential(
-        pc,
-        Some(&rect(0.0, 0.0, 1000.0, 1000.0)),
-        &[AttrRange::new("intensity", 0.0, 0.0)],
-        RefineStrategy::default(),
-    );
+    for_each_shape(|pc| {
+        // A few-row window: far fewer candidates than workers *
+        // MORSEL_MIN_ROWS.
+        assert_differential(
+            pc,
+            Some(&rect(0.0, 0.0, 4.0, 4.0)),
+            &[],
+            RefineStrategy::default(),
+        );
+        // A sliver that slices through the dense band (single clustered
+        // run).
+        assert_differential(
+            pc,
+            Some(&rect(499.0, 399.0, 501.0, 421.0)),
+            &[],
+            RefineStrategy::default(),
+        );
+        // An empty window: zero candidates, every worker count.
+        let rows = assert_differential(
+            pc,
+            Some(&rect(2000.0, 2000.0, 2001.0, 2001.0)),
+            &[],
+            RefineStrategy::default(),
+        );
+        assert!(rows.is_empty());
+        // Attr range matching almost nothing, combined with a huge window.
+        assert_differential(
+            pc,
+            Some(&rect(0.0, 0.0, 1000.0, 1000.0)),
+            &[AttrRange::new("intensity", 0.0, 0.0)],
+            RefineStrategy::default(),
+        );
+    });
 }
 
 #[test]
 fn differential_dwithin_line() {
-    let pc = shared_cloud();
-    for strategy in [RefineStrategy::default(), RefineStrategy::AdaptiveGrid] {
-        assert_differential(pc, Some(&road()), &[], strategy);
-    }
+    for_each_shape(|pc| {
+        for strategy in [RefineStrategy::default(), RefineStrategy::AdaptiveGrid] {
+            assert_differential(pc, Some(&road()), &[], strategy);
+        }
+    });
 }
 
 #[test]
 fn differential_attrs_only() {
-    let pc = shared_cloud();
-    assert_differential(
-        pc,
-        None,
-        &[AttrRange::new("classification", 2.0, 6.0)],
-        RefineStrategy::default(),
-    );
-    assert_differential(
-        pc,
-        None,
-        &[
-            AttrRange::new("z", 0.0, 80.0),
-            AttrRange::new("intensity", 100.0, 4000.0),
-        ],
-        RefineStrategy::default(),
-    );
+    for_each_shape(|pc| {
+        assert_differential(
+            pc,
+            None,
+            &[AttrRange::new("classification", 2.0, 6.0)],
+            RefineStrategy::default(),
+        );
+        assert_differential(
+            pc,
+            None,
+            &[
+                AttrRange::new("z", 0.0, 80.0),
+                AttrRange::new("intensity", 100.0, 4000.0),
+            ],
+            RefineStrategy::default(),
+        );
+    });
 }
 
 #[test]
 fn differential_spatial_plus_attrs() {
-    let pc = shared_cloud();
-    let attrs = [
-        AttrRange::new("classification", 0.0, 8.0),
-        AttrRange::new("z", -5.0, 100.0),
-    ];
-    assert_differential(pc, Some(&diamond(400.0, 450.0, 300.0)), &attrs, RefineStrategy::default());
-    assert_differential(pc, Some(&road()), &attrs, RefineStrategy::AdaptiveGrid);
+    for_each_shape(|pc| {
+        let attrs = [
+            AttrRange::new("classification", 0.0, 8.0),
+            AttrRange::new("z", -5.0, 100.0),
+        ];
+        let diamond = diamond(400.0, 450.0, 300.0);
+        assert_differential(pc, Some(&diamond), &attrs, RefineStrategy::default());
+        assert_differential(pc, Some(&road()), &attrs, RefineStrategy::AdaptiveGrid);
+    });
 }
 
 #[test]
@@ -373,7 +511,8 @@ fn differential_mid_ingest_snapshot() {
 
     let pred = rect(0.0, 350.0, 1000.0, 500.0);
     let attrs = [AttrRange::new("classification", 0.0, 8.0)];
-    let rows = assert_differential(&pc, Some(&pred), &attrs, RefineStrategy::default());
+    let rows =
+        assert_differential(Shape::flat(&pc), Some(&pred), &attrs, RefineStrategy::default());
     assert!(!rows.is_empty(), "snapshot query finds the dense band");
     assert!(
         rows.iter().all(|&r| r < 60_000),
@@ -391,7 +530,8 @@ fn differential_mid_ingest_snapshot() {
     // the tail — again identically across executors.
     pc.flush_wal().unwrap();
     assert_eq!(pc.visible_rows(), 80_000);
-    let rows2 = assert_differential(&pc, Some(&pred), &attrs, RefineStrategy::default());
+    let rows2 =
+        assert_differential(Shape::flat(&pc), Some(&pred), &attrs, RefineStrategy::default());
     assert!(rows2.len() > rows.len(), "flushed tail joins the result");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(wal::wal_path_for(&dir));
@@ -401,7 +541,7 @@ fn differential_mid_ingest_snapshot() {
 fn differential_small_cloud_stays_serial() {
     let pc = build_cloud(2000, 7);
     let rows = assert_differential(
-        &pc,
+        Shape::flat(&pc),
         Some(&rect(0.0, 0.0, 1000.0, 1000.0)),
         &[],
         RefineStrategy::default(),
@@ -462,42 +602,51 @@ fn differential_with_injected_imprint_faults() {
 
 #[test]
 fn differential_aggregates() {
-    let pc = shared_cloud();
-    let rows = assert_differential(
-        pc,
-        Some(&rect(50.0, 50.0, 950.0, 950.0)),
-        &[],
-        RefineStrategy::default(),
-    );
-    assert!(rows.len() >= 2 * MORSEL_MIN_ROWS, "aggregate splits into morsels");
-    for column in ["z", "intensity", "classification", "gps_time"] {
-        for agg in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max] {
-            let serial = pc
-                .aggregate_with(&rows, column, agg, Parallelism::Serial)
-                .unwrap()
-                .unwrap();
-            for &w in &worker_counts() {
-                let par = pc
-                    .aggregate_with(&rows, column, agg, Parallelism::Threads(w))
-                    .unwrap()
-                    .unwrap();
+    for_each_shape(|pc| {
+        let rows = assert_differential(
+            pc,
+            Some(&rect(50.0, 50.0, 950.0, 950.0)),
+            &[],
+            RefineStrategy::default(),
+        );
+        assert!(rows.len() >= 2 * MORSEL_MIN_ROWS, "aggregate splits into morsels");
+        let flat = Shape::flat(pc.reference);
+        for column in ["z", "intensity", "classification", "gps_time"] {
+            for agg in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max] {
+                let serial = pc.aggregate(&rows, column, agg, Parallelism::Serial);
+                // A tiled fold merges per-tile states: within 1e-9
+                // relative of the flat fold over the same rows, and
+                // bit-identical on Min/Max.
+                let reference = flat.aggregate(&rows, column, agg, Parallelism::Serial);
                 match agg {
-                    // Min/Max are order-independent: bit-identical.
-                    Aggregate::Min | Aggregate::Max => assert_eq!(serial, par, "{column} {agg:?}"),
-                    // Compensated sums may differ in the last ulps when
-                    // per-morsel states merge; both stay within 1e-12
-                    // relative of each other.
-                    _ => {
-                        let tol = 1e-12 * serial.abs().max(1.0);
-                        assert!(
-                            (serial - par).abs() <= tol,
-                            "{column} {agg:?} at {w} workers: {serial} vs {par}"
-                        );
+                    Aggregate::Min | Aggregate::Max => assert_eq!(serial, reference),
+                    _ => assert!(
+                        (serial - reference).abs() <= 1e-9 * reference.abs().max(1.0),
+                        "{column} {agg:?}: {serial} vs flat {reference}"
+                    ),
+                }
+                for &w in &worker_counts() {
+                    let par = pc.aggregate(&rows, column, agg, Parallelism::Threads(w));
+                    match agg {
+                        // Min/Max are order-independent: bit-identical.
+                        Aggregate::Min | Aggregate::Max => {
+                            assert_eq!(serial, par, "{column} {agg:?}")
+                        }
+                        // Compensated sums may differ in the last ulps when
+                        // per-morsel states merge; both stay within 1e-12
+                        // relative of each other.
+                        _ => {
+                            let tol = 1e-12 * serial.abs().max(1.0);
+                            assert!(
+                                (serial - par).abs() <= tol,
+                                "{column} {agg:?} at {w} workers: {serial} vs {par}"
+                            );
+                        }
                     }
                 }
             }
         }
-    }
+    });
 }
 
 #[test]
@@ -596,16 +745,16 @@ fn governed_run(
         fi.inject(*stage, *target, *kind);
     }
     pc.set_fault_injector(fi);
-    pc.select_query_governed(
-        Some(&diamond(500.0, 500.0, 400.0)),
-        &[AttrRange::new("classification", 1.0, 9.0)],
-        RefineStrategy::default(),
-        workers,
-        deadline,
-        None,
-    )
-    .map(|sel| sel.rows)
-    .map_err(|e| e.to_string())
+    let table = PointTable::Flat(&pc);
+    let attrs = [AttrRange::new("classification", 1.0, 9.0)];
+    table
+        .govern("select within (1 attr filters)", deadline, None)
+        .and_then(|g| {
+            let pred = diamond(500.0, 500.0, 400.0);
+            table.select(Some(&pred), &attrs, RefineStrategy::default(), workers, &g.ctx)
+        })
+        .map(|sel| sel.rows)
+        .map_err(|e| e.to_string())
 }
 
 #[test]

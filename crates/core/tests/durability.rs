@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use lidardb_core::{persist::validate_dir, PointCloud, TileOptions, TiledCloud};
+use lidardb_core::{persist::validate_dir, PointCloud, PointTable, TileOptions, TiledCloud};
 use lidardb_las::{point_schema, PointRecord};
 
 fn sample_cloud(n: usize) -> PointCloud {
@@ -52,7 +52,7 @@ fn files_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 fn lazy_load_all(dir: &std::path::Path) -> Result<(), lidardb_core::CoreError> {
     let tc = TiledCloud::open(dir)?;
     for t in &tc.tiles().tiles {
-        tc.record(t.row_start)?;
+        PointTable::Tiled(&tc).record(t.row_start)?;
     }
     Ok(())
 }

@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use lidardb_core::{
     trace, AdmissionController, AttrRange, CancelToken, CoreError, FaultInjector, FaultKind,
-    FaultStage, GovernCtx, MetricsRegistry, Parallelism, PointCloud, RefineStrategy,
-    SpatialPredicate, CHECKPOINT_STRIDE,
+    FaultStage, GovernCtx, MetricsRegistry, Parallelism, PointCloud, PointTable, RefineStrategy,
+    Selection, SpatialPredicate, CHECKPOINT_STRIDE,
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
@@ -56,6 +56,22 @@ fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> SpatialPredicate {
         ])
         .unwrap(),
     ))
+}
+
+/// A select on `pc` through its own admission controller and fault
+/// injector, with an explicit deadline and memory budget.
+fn select_governed(
+    pc: &PointCloud,
+    pred: &SpatialPredicate,
+    attrs: &[AttrRange],
+    parallelism: Parallelism,
+    deadline: Option<Duration>,
+    budget: Option<u64>,
+) -> Result<Selection, CoreError> {
+    let table = PointTable::Flat(pc);
+    let detail = format!("select within ({} attr filters)", attrs.len());
+    let g = table.govern(detail, deadline, budget)?;
+    table.select(Some(pred), attrs, RefineStrategy::default(), parallelism, &g.ctx)
 }
 
 // ------------------------------------------------------------- admission
@@ -107,16 +123,15 @@ fn queued_query_times_out_when_permit_never_frees() {
 
     // There is queue room, but the slot never frees: the queue-wait
     // deadline must convert into a typed cancellation, not a hang.
-    let err = pc
-        .select_query_governed(
-            Some(&rect(0.0, 0.0, 500.0, 500.0)),
-            &[],
-            RefineStrategy::default(),
-            Parallelism::Serial,
-            Some(Duration::from_millis(20)),
-            None,
-        )
-        .unwrap_err();
+    let err = select_governed(
+        &pc,
+        &rect(0.0, 0.0, 500.0, 500.0),
+        &[],
+        Parallelism::Serial,
+        Some(Duration::from_millis(20)),
+        None,
+    )
+    .unwrap_err();
     assert!(
         matches!(
             err,
@@ -161,7 +176,7 @@ fn slow_log_stays_bounded_under_concurrent_cancellation_storm() {
                 let token = CancelToken::with(None, None);
                 token.kill();
                 let ctx = GovernCtx::new(token, None);
-                pc.select_query_ctx(
+                PointTable::Flat(&pc).select(
                     Some(&pred),
                     &[],
                     RefineStrategy::default(),
@@ -203,16 +218,15 @@ fn cancelled_query_renders_in_slow_log_tree() {
 
     let pc = build_cloud(20_000, 0xC0C);
     let traced = trace::force_thread();
-    let err = pc
-        .select_query_governed(
-            Some(&rect(0.0, 0.0, 1000.0, 1000.0)),
-            &[],
-            RefineStrategy::default(),
-            Parallelism::Serial,
-            None,
-            Some(1), // 1-byte budget: trips at the first materialisation
-        )
-        .unwrap_err();
+    let err = select_governed(
+        &pc,
+        &rect(0.0, 0.0, 1000.0, 1000.0),
+        &[],
+        Parallelism::Serial,
+        None,
+        Some(1), // 1-byte budget: trips at the first materialisation
+    )
+    .unwrap_err();
     drop(traced);
     assert!(matches!(
         err,
@@ -284,10 +298,10 @@ fn hundred_governed_queries_with_attr_filters_all_resolve() {
             std::thread::spawn(move || {
                 let deadline = Some(Duration::from_micros(50 + 40 * (i % 8)));
                 let budget = if i % 3 == 0 { Some(512) } else { None };
-                pc.select_query_governed(
-                    Some(&pred),
+                select_governed(
+                    &pc,
+                    &pred,
                     &[AttrRange::new("classification", 1.0, 8.0)],
-                    RefineStrategy::default(),
                     if i % 2 == 0 {
                         Parallelism::Serial
                     } else {
@@ -325,10 +339,10 @@ fn slow_log_reports_nonzero_queue_wait_for_queued_query() {
         let pc = Arc::clone(&pc);
         std::thread::spawn(move || {
             let _g = trace::force_thread();
-            pc.select_query_governed(
-                Some(&rect(100.0, 100.0, 900.0, 900.0)),
+            select_governed(
+                &pc,
+                &rect(100.0, 100.0, 900.0, 900.0),
                 &[],
-                RefineStrategy::default(),
                 Parallelism::Serial,
                 Some(Duration::from_secs(30)),
                 None,
@@ -384,10 +398,10 @@ fn queue_wait_counts_against_statement_deadline() {
     let worker = {
         let pc = Arc::clone(&pc);
         std::thread::spawn(move || {
-            let r = pc.select_query_governed(
-                Some(&rect(100.0, 100.0, 900.0, 900.0)),
+            let r = select_governed(
+                &pc,
+                &rect(100.0, 100.0, 900.0, 900.0),
                 &[],
-                RefineStrategy::default(),
                 Parallelism::Serial,
                 Some(Duration::from_millis(DEADLINE_MS)),
                 None,

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lidardb_core::{
-    Aggregate, AttrRange, MetricsRegistry, Parallelism, PointCloud, RefineStrategy,
-    SpatialPredicate, Stage,
+    Aggregate, AttrRange, GovernCtx, MetricsRegistry, Parallelism, PointCloud, PointTable,
+    RefineStrategy, SpatialPredicate, Stage,
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
@@ -240,7 +240,9 @@ fn metrics_smoke() {
 
     // An aggregate records its own stage.
     let agg_calls = metrics.stage(Stage::Aggregate).calls.get();
-    pc.aggregate_with(&sel.rows, "z", Aggregate::Avg, Parallelism::Serial)
+    let ungoverned = GovernCtx::ungoverned();
+    PointTable::Flat(&pc)
+        .aggregate(&sel.rows, "z", Aggregate::Avg, Parallelism::Serial, &ungoverned)
         .unwrap();
     assert!(metrics.stage(Stage::Aggregate).calls.get() > agg_calls);
 

@@ -13,16 +13,55 @@
 //! Everything is seed-deterministic: a failing combination reproduces
 //! exactly from its `(stage, kind, seed)` triple in the panic message.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use lidardb_core::{
     wal, Durability, FaultInjector, FaultKind, FaultStage, PointCloud,
 };
 use lidardb_las::PointRecord;
 
-fn tdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("lidardb_torture_{name}"));
-    let _ = std::fs::remove_dir_all(&d);
-    let _ = std::fs::remove_file(wal::wal_path_for(&d));
+/// A scratch directory of one scenario's own (pid + per-process counter,
+/// so concurrent runs never share one). It and its sibling WAL are
+/// cleared now and removed when the guard drops.
+struct TempDir(PathBuf);
+
+fn tdir(name: &str) -> TempDir {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let d = TempDir(std::env::temp_dir().join(format!(
+        "lidardb_torture_{name}_{}_{n}",
+        std::process::id()
+    )));
+    d.clear();
     d
+}
+
+impl TempDir {
+    fn clear(&self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+        let _ = std::fs::remove_file(wal::wal_path_for(&self.0));
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
 }
 
 /// Batch `b` of the torture workload: 50 recognisable points whose values

@@ -16,7 +16,8 @@ use std::sync::RwLock;
 use std::time::Duration;
 
 use lidardb_core::{
-    Aggregate, Durability, Parallelism, PointCloud, RefineStrategy, SpatialPredicate,
+    Aggregate, Durability, GovernCtx, Parallelism, PointCloud, PointTable, RefineStrategy,
+    SpatialPredicate,
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
@@ -249,13 +250,27 @@ fn aggregates_cover_only_visible_rows() {
         assert_clamped(&sel.rows, "aggregate input", w);
         // Every row carries gps_time = 1.0, so SUM equals the row count:
         // ghost rows leaking in would show up directly in the total.
-        let sum = pc
-            .aggregate_with(&sel.rows, "gps_time", Aggregate::Sum, Parallelism::Threads(w))
+        let table = PointTable::Flat(&pc);
+        let ungoverned = GovernCtx::ungoverned();
+        let sum = table
+            .aggregate(
+                &sel.rows,
+                "gps_time",
+                Aggregate::Sum,
+                Parallelism::Threads(w),
+                &ungoverned,
+            )
             .unwrap()
             .unwrap();
         assert_eq!(sum, VISIBLE as f64, "SUM leaked ghost rows at {w} workers");
-        let cnt = pc
-            .aggregate_with(&sel.rows, "gps_time", Aggregate::Count, Parallelism::Threads(w))
+        let cnt = table
+            .aggregate(
+                &sel.rows,
+                "gps_time",
+                Aggregate::Count,
+                Parallelism::Threads(w),
+                &ungoverned,
+            )
             .unwrap()
             .unwrap();
         assert_eq!(cnt, VISIBLE as f64);
@@ -295,16 +310,19 @@ fn racing_reader_sees_exact_snapshots_and_reopen_recovers_every_acked_row() {
                     last = done.load(Ordering::Acquire);
                     let pc = lock.read().unwrap();
                     let visible = pc.visible_rows();
-                    let sel = pc
-                        .select_query_governed(
+                    let table = PointTable::Flat(&pc);
+                    let deadline = Some(Duration::from_secs(10));
+                    let g = table.govern("select (1 attr filters)", deadline, None).unwrap();
+                    let sel = table
+                        .select(
                             None,
                             &[lidardb_core::AttrRange::new("x", 0.0, CUT as f64 - 0.5)],
                             RefineStrategy::default(),
                             Parallelism::Auto,
-                            Some(Duration::from_secs(10)),
-                            None,
+                            &g.ctx,
                         )
                         .unwrap();
+                    drop(g);
                     assert_eq!(
                         sel.rows.len(),
                         visible.min(CUT),

@@ -44,14 +44,7 @@ fn governed_tiled_select_takes_an_admission_permit() {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     let (dir, tc) = tiled("tiled_admission", 64);
     let select = || {
-        tc.select_query_governed(
-            None,
-            &[],
-            RefineStrategy::default(),
-            Parallelism::Serial,
-            None,
-            None,
-        )
+        tc.select_query_with(None, &[], RefineStrategy::default(), Parallelism::Serial)
     };
 
     let adm = AdmissionController::global();

@@ -2,20 +2,69 @@
 //! compatibility tests. The `out_of_core_*` test doubles as the CI smoke:
 //! a dataset bigger than the resident budget must stay exactly queryable.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use lidardb_core::{
-    Aggregate, AttrRange, Durability, Parallelism, PointCloud, RefineStrategy, SpatialPredicate,
-    TileOptions, TiledCloud,
+    wal, Aggregate, AttrRange, CoreError, Durability, GovernCtx, Parallelism, PointCloud,
+    PointTable, RefineStrategy, SpatialPredicate, TileOptions, TiledCloud,
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
 
-fn tdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("lidardb_tiles_{name}"));
-    let _ = std::fs::remove_dir_all(&d);
-    // The ingest WAL lives beside the directory (`<dir>.wal`); a stale one
-    // from a previous run would replay against this run's fresh dump.
-    let _ = std::fs::remove_file(d.with_extension("wal"));
+/// A scratch directory of one test's own (pid + per-process counter, so
+/// concurrent runs never share one). It and its sibling ingest WAL
+/// (`<dir>.wal`, which would replay against a fresh dump) are cleared now
+/// and removed when the guard drops.
+struct TempDir(PathBuf);
+
+fn tdir(name: &str) -> TempDir {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let d = TempDir(std::env::temp_dir().join(format!(
+        "lidardb_tiles_{name}_{}_{n}",
+        std::process::id()
+    )));
+    d.clear();
     d
+}
+
+impl TempDir {
+    fn clear(&self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+        let _ = std::fs::remove_file(wal::wal_path_for(&self.0));
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+/// An ungoverned aggregate over a tiled cloud's global row ids.
+fn aggregate(
+    tc: &TiledCloud,
+    rows: &[usize],
+    column: &str,
+    agg: Aggregate,
+) -> Result<Option<f64>, CoreError> {
+    let ungoverned = GovernCtx::ungoverned();
+    PointTable::Tiled(tc).aggregate(rows, column, agg, Parallelism::default(), &ungoverned)
 }
 
 /// Deterministic pseudo-random points in a 1000×1000 window with varied
@@ -237,7 +286,7 @@ fn readers_agree_on_tile_row_counts() {
     assert!(PointCloud::open_dir(&dir).is_err(), "open_dir");
     assert!(lidardb_core::persist::validate_dir(&dir).is_err(), "validate_dir");
     assert!(
-        TiledCloud::open(&dir).and_then(|tc| tc.record(0)).is_err(),
+        TiledCloud::open(&dir).and_then(|tc| PointTable::Tiled(&tc).record(0)).is_err(),
         "lazy tile load"
     );
 }
@@ -285,7 +334,7 @@ fn tiled_aggregates_match_flat_aggregates() {
         Aggregate::Avg,
     ] {
         let a = flat.aggregate(&rows, "z", agg).unwrap();
-        let b = tc.aggregate(&rows, "z", agg).unwrap();
+        let b = aggregate(&tc, &rows, "z", agg).unwrap();
         match agg {
             // SUM/AVG merge per-tile partials, so allow f64 reassociation.
             Aggregate::Sum | Aggregate::Avg => {
@@ -296,9 +345,9 @@ fn tiled_aggregates_match_flat_aggregates() {
         }
     }
     // Empty and out-of-range row lists behave like the flat cloud.
-    assert_eq!(tc.aggregate(&[], "z", Aggregate::Sum).unwrap(), None);
-    assert_eq!(tc.aggregate(&[], "z", Aggregate::Count).unwrap(), Some(0.0));
-    assert!(tc.aggregate(&[usize::MAX], "z", Aggregate::Sum).is_err());
+    assert_eq!(aggregate(&tc, &[], "z", Aggregate::Sum).unwrap(), None);
+    assert_eq!(aggregate(&tc, &[], "z", Aggregate::Count).unwrap(), Some(0.0));
+    assert!(aggregate(&tc, &[usize::MAX], "z", Aggregate::Sum).is_err());
 }
 
 #[test]
@@ -317,10 +366,10 @@ fn record_access_crosses_tile_boundaries() {
     }
     for row in probe_rows {
         let a = flat.record(row);
-        let b = tc.record(row).unwrap();
+        let b = PointTable::Tiled(&tc).record(row).unwrap();
         assert_eq!(a, b, "row {row}");
     }
-    assert_eq!(tc.record(20_000).unwrap(), None);
+    assert_eq!(PointTable::Tiled(&tc).record(20_000).unwrap(), None);
 }
 
 #[test]
@@ -330,33 +379,20 @@ fn governed_tiled_query_charges_tile_bytes_to_the_budget() {
     pc.save_tiled(&dir, &opts(4096)).unwrap();
     let tc = TiledCloud::open(&dir).unwrap();
     let window = rect(0.0, 0.0, 1000.0, 1000.0);
+    let table = PointTable::Tiled(&tc);
+    let select_budgeted = |budget| {
+        let g = table.govern("tiled select (0 attr filters)", None, Some(budget))?;
+        table.select(Some(&window), &[], RefineStrategy::default(), Parallelism::Serial, &g.ctx)
+    };
     // A budget far below one tile's bytes trips while faulting tiles in.
-    let err = tc
-        .select_query_governed(
-            Some(&window),
-            &[],
-            RefineStrategy::default(),
-            Parallelism::Serial,
-            None,
-            Some(1024),
-        )
-        .unwrap_err();
+    let err = select_budgeted(1024).unwrap_err();
     let msg = format!("{err}");
     assert!(
         msg.contains("budget") || msg.contains("memory") || msg.contains("cancel"),
         "unexpected error: {msg}"
     );
     // A generous budget succeeds and matches the ungoverned result.
-    let governed = tc
-        .select_query_governed(
-            Some(&window),
-            &[],
-            RefineStrategy::default(),
-            Parallelism::Serial,
-            None,
-            Some(1 << 30),
-        )
-        .unwrap();
+    let governed = select_budgeted(1 << 30).unwrap();
     let plain = tc.select(&window).unwrap();
     assert_eq!(governed.rows, plain.rows);
 }

@@ -14,12 +14,15 @@
 
 use std::time::Instant;
 
-use lidardb_core::{Aggregate, CancelToken, GovernCtx, PointCloud, SpatialPredicate};
+use lidardb_core::{
+    Aggregate, CancelToken, GovernCtx, PointCloud, PointTable, RefineStrategy, Run,
+    SpatialPredicate,
+};
 use lidardb_storage::scan::AggState;
 use lidardb_storage::{for_each_variant, Native, PhysicalType, Value};
 
 use crate::ast::{BinOp, Expr, SelectItem, SelectStmt, Statement};
-use crate::catalog::{Catalog, PcRead, Run, Table, VectorTable};
+use crate::catalog::{Catalog, PcRead, Table, VectorTable};
 use crate::error::SqlError;
 use crate::functions;
 use crate::plan::{plan_select, JoinPred, Plan};
@@ -845,15 +848,17 @@ fn select(
         Plan::VecScan(_) => (None, ""),
     };
     let pc = table.map(|t| catalog.read_points(t)).transpose()?;
-    let governed = (pc.as_ref().zip(table))
-        .map(|(pc, t)| pc.govern(catalog, format!("{verb} {t}")))
+    let view = pc.as_ref().map(PcRead::table);
+    let (deadline, budget) = (catalog.statement_timeout(), catalog.mem_budget());
+    let governed = (view.zip(table))
+        .map(|(pc, t)| pc.govern(format!("{verb} {t}"), deadline, budget))
         .transpose()?;
     let token = governed
         .as_ref()
         .map_or_else(CancelToken::new, |g| g.ctx.token().clone());
     let columns: Vec<String> = q.items.iter().map(|(n, _)| n.clone()).collect();
     sink.start(&columns, &token)?;
-    let input = pc.as_ref().zip(governed.as_ref().map(|g| &g.ctx));
+    let input = view.as_ref().zip(governed.as_ref().map(|g| &g.ctx));
     match (plan, input, &calls) {
         (_, Some((pc, ctx)), Some(calls)) => {
             let rows = fold(&q, pc, ctx, calls, trace)?;
@@ -876,7 +881,7 @@ fn select(
 /// is done (`GROUP BY` and `ORDER BY` read rows lazily).
 fn row_path(
     q: &Shaped,
-    input: Option<(&PcRead, &GovernCtx)>,
+    input: Option<(&PointTable, &GovernCtx)>,
     trace: &mut Vec<TraceEntry>,
 ) -> Result<Vec<Vec<SqlValue>>, SqlError> {
     let t0 = Instant::now();
@@ -966,7 +971,7 @@ fn vector_table<'c>(
 /// of the points one two-step select finds for its predicate.
 fn join_probes<'a>(
     catalog: &'a Catalog,
-    pc: &PcRead,
+    pc: &PointTable,
     ctx: &GovernCtx,
     pc_scan: &crate::plan::PcScan,
     vec_scan: &'a crate::plan::VecScan,
@@ -1009,7 +1014,8 @@ fn join_probes<'a>(
             JoinPred::DWithin { dist, .. } => SpatialPredicate::DWithin(g, *dist),
             JoinPred::ContainsPoint { .. } => SpatialPredicate::Within(g),
         };
-        let sel = pc.select(Some(&pred), &pc_scan.attr_ranges, catalog.parallelism(), ctx)?;
+        let (attrs, par) = (&pc_scan.attr_ranges, catalog.parallelism());
+        let sel = pc.select(Some(&pred), attrs, RefineStrategy::default(), par, ctx)?;
         probes.push((feature, sel.rows));
     }
     trace.push(TraceEntry::new(
@@ -1027,7 +1033,7 @@ fn join_probes<'a>(
 /// with a `tile prune` line showing the zone-map skip/probe/load/evict
 /// counts, so `EXPLAIN ANALYZE` makes tile pruning visible.
 fn scan_rows(
-    pc: &PcRead,
+    pc: &PointTable,
     scan: &crate::plan::PcScan,
     catalog: &Catalog,
     ctx: &GovernCtx,
@@ -1046,6 +1052,7 @@ fn scan_rows(
     let sel = pc.select(
         scan.spatial.as_ref(),
         &scan.attr_ranges,
+        RefineStrategy::default(),
         catalog.parallelism(),
         ctx,
     )?;
@@ -1363,7 +1370,7 @@ fn collect_calls(e: &Expr, alias: &str, calls: &mut Vec<Call>) -> bool {
 /// Append to `out` the ids of `ids` (ascending, global) whose row passes
 /// `keep`, resolving them to their segments one run at a time.
 fn retain_ids(
-    pc: &PcRead,
+    pc: &PointTable,
     ids: &[usize],
     alias: &str,
     out: &mut Vec<usize>,
@@ -1383,11 +1390,12 @@ fn retain_ids(
 /// The typed-fold arm: the ids the statement aggregates — the select and
 /// its residual, or every (feature, point) pair of a join that passes the
 /// point-side and pair residuals, a point near two features counted twice
-/// — folded for every call through [`PcRead::aggregate`]; then `HAVING`
-/// and the items over the one global group.
+/// — folded for every call through [`PointTable::aggregate`] under the
+/// statement's `ctx`; then `HAVING` and the items over the one global
+/// group.
 fn fold(
     q: &Shaped,
-    pc: &PcRead,
+    pc: &PointTable,
     ctx: &GovernCtx,
     calls: &[Call],
     trace: &mut Vec<TraceEntry>,
@@ -1428,7 +1436,7 @@ fn fold(
         Plan::VecScan(_) => unreachable!("vector scans do not fold"),
     }
     let t0 = Instant::now();
-    let vals = calls.iter().map(|c| fold_call(pc, &ids, c, q.catalog));
+    let vals = calls.iter().map(|c| fold_call(pc, &ids, c, q.catalog, ctx));
     let vals: Vec<SqlValue> = vals.collect::<Result<_, _>>()?;
     let call = |e: &Expr| {
         let i = calls.iter().position(|c| c.expr == *e);
@@ -1453,16 +1461,17 @@ fn fold(
 /// One call's value, typed as the row path types it: `MIN`/`MAX` of an
 /// integer column is its exact value, an `Int` (past `i64::MAX` a float).
 fn fold_call(
-    pc: &PcRead,
+    pc: &PointTable,
     ids: &[usize],
     call: &Call,
     catalog: &Catalog,
+    ctx: &GovernCtx,
 ) -> Result<SqlValue, SqlError> {
     let Some((column, phys)) = call.column else {
         return Ok(SqlValue::Int(ids.len() as i64));
     };
     let float = matches!(call.agg, Aggregate::Sum | Aggregate::Avg) || phys.is_float();
-    Ok(match pc.aggregate(ids, column, call.agg, catalog.parallelism())? {
+    Ok(match pc.aggregate(ids, column, call.agg, catalog.parallelism(), ctx)? {
         None => SqlValue::Null,
         Some(v) if float => SqlValue::Float(v),
         Some(v) if v.abs() < (1u64 << 53) as f64 => SqlValue::Int(v as i64),
@@ -1673,7 +1682,7 @@ pub fn execute_streamed(
 fn stream_scan(
     q: &Shaped,
     scan: &crate::plan::PcScan,
-    pc: &PcRead,
+    pc: &PointTable,
     ctx: &GovernCtx,
     batch_rows: usize,
     sink: &mut dyn RowSink,

@@ -1,6 +1,7 @@
 //! A spatial join is one governed statement: its probes run under the
 //! statement's token, so `SET STATEMENT_TIMEOUT` and `SET MEM_BUDGET`
-//! bound the whole join, not each probe.
+//! bound the whole join, not each probe. A folded aggregate runs under
+//! the statement's token too.
 
 use std::sync::Arc;
 
@@ -17,13 +18,15 @@ const SIDE: usize = 40;
 const JOIN: &str = "SELECT COUNT(*) FROM points p, feats f \
                     WHERE ST_DWithin(ST_Point(p.x, p.y), f.geom, 1.5)";
 
-/// A 40x40 integer grid `points` (serial probes, `fault` on its
-/// checkpoints) beside ten point features `feats` with ids 1..=10.
+/// A 40x40 integer grid `points` whose `z` is the row id (serial probes,
+/// `fault` on its checkpoints) beside ten point features `feats` with ids
+/// 1..=10.
 fn catalog(fault: Option<Arc<FaultInjector>>) -> Catalog {
     let recs: Vec<PointRecord> = (0..SIDE * SIDE)
         .map(|i| PointRecord {
             x: (i % SIDE) as f64,
             y: (i / SIDE) as f64,
+            z: i as f64,
             ..Default::default()
         })
         .collect();
@@ -98,4 +101,32 @@ fn mem_budget_bounds_a_whole_join() {
     assert_eq!(query(&c, &one).unwrap().rows[0][0], SqlValue::Int(9));
     let err = query(&c, JOIN).unwrap_err().to_string();
     assert!(err.contains("memory budget"), "{err}");
+}
+
+#[test]
+fn folded_aggregates_run_under_their_statement() {
+    let fi = Arc::new(FaultInjector::new());
+    let c = catalog(Some(Arc::clone(&fi)));
+    let window = "ST_Within(ST_Point(x, y), ST_MakeEnvelope(0, 0, 10, 10))";
+    let near = "ST_DWithin(ST_Point(p.x, p.y), f.geom, 1.5)";
+    let folds = [
+        "SELECT AVG(z) FROM points".to_string(),
+        "SELECT AVG(z) FROM points WHERE x > 3".to_string(),
+        format!("SELECT MIN(z), MAX(z) FROM points WHERE {window}"),
+        format!("SELECT AVG(p.z) FROM points p, feats f WHERE {near}"),
+    ];
+    assert_eq!(query(&c, &folds[0]).unwrap().rows[0][0], SqlValue::Float(799.5));
+
+    // A Cancel armed at the aggregate kernel's checkpoint reaches each
+    // fold through the statement's context.
+    fi.inject_n(FaultStage::QueryCheckpoint, Some("aggregate"), FaultKind::Cancel, 0, 1000);
+    for sql in &folds {
+        let before = fi.fired().len();
+        let err = match query(&c, sql) {
+            Ok(rs) => panic!("{sql} answered {:?}", rs.rows),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.contains("cancelled (killed)"), "{sql}: {err}");
+        assert!(fi.fired().len() > before, "{sql}: the fault fired");
+    }
 }

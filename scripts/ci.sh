@@ -9,25 +9,18 @@ cargo build --release
 echo "==> every crate but the server, whole, debug: lib, integration, doc and bin tests"
 cargo test -q --workspace --exclude lidardb-server
 
-echo "==> core unit tests (explain table, typed cancellation, flight recorder, manifest hardening) release"
-cargo test -q --release -p lidardb-core --lib
-
-echo "==> differential suite at 2 and 8 workers (brute-force reference vs 1 worker vs N; incl. Cancel/Stall faults)"
+echo "==> differential suite at 2 and 8 workers (flat, streaming and tiled shapes vs a brute-force reference; incl. Cancel/Stall faults)"
 LIDARDB_WORKERS=2 cargo test -q -p lidardb-core --test differential
 LIDARDB_WORKERS=8 cargo test -q -p lidardb-core --test differential
 
 # Debug atomics can hide lost-update bugs behind slow interleavings; run
-# the governance and concurrency-exactness checks under release codegen too.
-echo "==> governance, metrics smoke and trace smoke, release"
-cargo test -q --release -p lidardb-core --test governance
-cargo test -q --release -p lidardb-core --test metrics_smoke
-cargo test -q --release -p lidardb-core --test trace_smoke
+# every suite under release codegen too (core governance, metrics and trace
+# smoke, WAL crash-recovery torture, and the rest of the workspace).
+echo "==> every crate but the server, whole, release"
+cargo test -q --release --workspace --exclude lidardb-server
 
 echo "==> core builds with tracing compiled out"
 cargo check -q -p lidardb-core --no-default-features
-
-echo "==> WAL crash-recovery torture, release"
-cargo test -q --release -p lidardb-core --test recovery_torture
 
 echo "==> wire-protocol suites (unit, frame proptests, chaos soak, loopback, disconnect durability)"
 cargo test -q -p lidardb-server --lib --test frame_properties --test chaos_soak --test disconnect_durability --test loopback

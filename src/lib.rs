@@ -65,8 +65,8 @@ pub mod prelude {
     pub use lidardb_baselines::{BlockStore, FileStore};
     pub use lidardb_core::{
         Aggregate, CoreError, Durability, FaultInjector, FaultKind, FaultStage, FileOutcome,
-        FileReport, LoadMethod, LoadPolicy, LoadReport, LoadStats, Loader, PointCloud,
-        RefineStrategy, SpatialPredicate, TileOptions, TiledCloud,
+        FileReport, LoadMethod, LoadPolicy, LoadReport, LoadStats, Loader, Parallelism,
+        PointCloud, PointTable, RefineStrategy, SpatialPredicate, TileOptions, TiledCloud,
     };
     pub use lidardb_datagen::{Scene, SceneConfig, Tile, TileSet};
     pub use lidardb_geom::{Envelope, Geometry, LineString, Point, Polygon};

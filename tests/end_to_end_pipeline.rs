@@ -166,14 +166,10 @@ fn sql_agrees_with_direct_engine_calls() {
     )
     .unwrap();
     let pred = SpatialPredicate::Within(Geometry::Polygon(Polygon::rectangle(&window)));
-    let mut sel = pc.select(&pred).unwrap();
-    pc.filter_attr(
-        &mut sel.rows,
-        "classification",
-        lidardb::storage::scan::CmpOp::Eq,
-        2.0,
-    )
-    .unwrap();
+    let theme = [lidardb::core::AttrRange::new("classification", 2.0, 2.0)];
+    let sel = pc
+        .select_query_with(Some(&pred), &theme, RefineStrategy::default(), Default::default())
+        .unwrap();
     let direct_count = sel.rows.len();
     let direct_avg = pc
         .aggregate(&sel.rows, "z", Aggregate::Avg)
