@@ -312,7 +312,8 @@ pub struct MetricsRegistry {
     pub tiles_pruned: Counter,
     /// Tiles that survived pruning and were probed/scanned.
     pub tiles_probed: Counter,
-    /// Tile segments loaded from disk into the resident cache.
+    /// Faults of a tile that was not resident (columns added to a
+    /// resident tile are not counted).
     pub tiles_loaded: Counter,
     /// Tile segments evicted by the resident-budget LRU.
     pub tiles_evicted: Counter,
@@ -320,8 +321,8 @@ pub struct MetricsRegistry {
     pub table_rows: Gauge,
     /// Imprint indexes currently cached on the most recently probed table.
     pub indexed_columns: Gauge,
-    /// Bytes of tile segments currently resident in the most recently
-    /// touched tiled cloud's cache.
+    /// Bytes of the resident columns in the most recently touched tiled
+    /// cloud's cache.
     pub resident_tile_bytes: Gauge,
     /// Network connections currently open on the server.
     pub open_connections: Gauge,

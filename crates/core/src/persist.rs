@@ -14,9 +14,12 @@
 //! flat save is one `write_tile` over every row, a tiled save one per tile
 //! plus the root manifest. `read_layout` reads any manifest as a tile
 //! layout (a flat one is one tile at the root) and `read_tile` reads and
-//! verifies one dump: [`PointCloud::open_dir`], [`validate_dir`], the lazy
-//! tile load and [`crate::segment::TiledCloud::open`] are these two calls,
-//! so they accept and reject the same directories.
+//! verifies a set of columns of one dump — its manifest and row count, then
+//! the size and CRC of each requested column file: [`PointCloud::open_dir`]
+//! and [`validate_dir`] ask for every column, a lazy tile fault of
+//! [`crate::segment::TiledCloud`] for the columns the tile lacks. Those
+//! are these two calls, so they accept and reject the same directories,
+//! and a tiled query checks each column file on first touch.
 //!
 //! **Durability.** Saves are atomic: the tree is written to a staging
 //! directory next to the target and committed with one `rename`, so a
@@ -38,13 +41,14 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use lidardb_las::{point_schema, COLUMN_NAMES};
-use lidardb_storage::{TileMeta, TileSet, ZoneEntry};
+use lidardb_storage::{Column, Field, TileMeta, TileSet, ZoneEntry};
 
 use crate::crc::crc32;
 use crate::error::CoreError;
 use crate::fault::{FaultInjector, FaultKind, FaultStage};
 use crate::metrics::{MetricsRegistry, Stage};
 use crate::pointcloud::PointCloud;
+use crate::table::ColumnSet;
 use crate::trace::SpanKind;
 use crate::wal::Durability;
 
@@ -387,11 +391,12 @@ pub(crate) fn read_layout(dir: &Path, fi: Option<&FaultInjector>) -> Result<Layo
 }
 
 /// The one dump read: the manifest of `tile_dir`, its row count against
-/// the layout's `expected_rows`, then the size and CRC of every column
-/// file. Returns the verified dumps in schema order.
+/// the layout's `expected_rows`, then the size and CRC of each column file
+/// in `columns`. Returns those columns' verified dumps in schema order.
 fn read_tile(
     tile_dir: &Path,
     expected_rows: usize,
+    columns: ColumnSet,
     fi: Option<&FaultInjector>,
 ) -> Result<Vec<Vec<u8>>, CoreError> {
     let manifest = Manifest::parse(&read_manifest_text(tile_dir, fi)?)?;
@@ -402,10 +407,10 @@ fn read_tile(
             manifest.rows
         )));
     }
-    point_schema()
-        .fields()
-        .iter()
-        .map(|field| read_column(tile_dir, &manifest, field, fi))
+    let schema = point_schema();
+    columns
+        .indices()
+        .map(|i| read_column(tile_dir, &manifest, &schema.fields()[i], fi))
         .collect()
 }
 
@@ -413,7 +418,7 @@ fn read_tile(
 fn read_column(
     dir: &Path,
     manifest: &Manifest,
-    field: &lidardb_storage::Field,
+    field: &Field,
     fi: Option<&FaultInjector>,
 ) -> Result<Vec<u8>, CoreError> {
     let path = dir.join(format!("{}.bin", field.name));
@@ -454,37 +459,51 @@ fn read_all(
 ) -> Result<Layout, CoreError> {
     let layout = read_layout(dir, fi)?;
     for t in &layout.tiles.tiles {
-        each(read_tile(&layout.tile_dir(dir, t.id), t.rows(), fi)?)?;
+        let tile_dir = layout.tile_dir(dir, t.id);
+        each(read_tile(&tile_dir, t.rows(), ColumnSet::ALL, fi)?)?;
     }
     Ok(layout)
 }
 
-/// Build one cloud under a `PersistLoad` span and stage sample — once per
-/// `open_dir`, once per lazy tile load (`benchmark/` reads tile-load time
-/// from this stage).
-fn timed_load(
+/// One disk read under a `PersistLoad` span and stage sample — once per
+/// `open_dir`, once per tile fault, of a tile that was not resident or of
+/// columns added to a resident one (`benchmark/` reads tile-load time from
+/// this stage). `load` returns its value and the rows it read.
+fn timed_load<T>(
     fi: Option<&FaultInjector>,
-    load: impl FnOnce(&mut PointCloud) -> Result<(), CoreError>,
-) -> Result<PointCloud, CoreError> {
+    load: impl FnOnce() -> Result<(T, usize), CoreError>,
+) -> Result<T, CoreError> {
     let mut pspan = crate::trace::span(SpanKind::Stage(Stage::PersistLoad));
     if fi.is_some() {
         pspan.add_flags(crate::trace::FLAG_FAULT);
     }
     let t0 = std::time::Instant::now();
-    let mut pc = PointCloud::new();
-    load(&mut pc)?;
-    let n = pc.num_points();
+    let (value, n) = load()?;
     MetricsRegistry::global().record_stage(Stage::PersistLoad, n, t0.elapsed());
     pspan.set_rows(n as u64, n as u64);
-    Ok(pc)
+    Ok(value)
 }
 
-/// Load tile `id` of the table at `dir` as its own cloud.
-pub(crate) fn open_tile(dir: &Path, layout: &Layout, id: usize) -> Result<PointCloud, CoreError> {
-    let tile = &layout.tiles.tiles[id];
-    timed_load(None, |pc| {
-        let dumps = read_tile(&layout.tile_dir(dir, id), tile.rows(), None)?;
-        pc.append_dumps(&dumps).map(drop)
+/// Read and verify `columns` of tile `id` of the table at `dir`, decoded,
+/// in schema order with their fields.
+pub(crate) fn read_tile_columns(
+    dir: &Path,
+    layout: &Layout,
+    id: usize,
+    columns: ColumnSet,
+) -> Result<Vec<(Field, Column)>, CoreError> {
+    let rows = layout.tiles.tiles[id].rows();
+    timed_load(None, || {
+        let dumps = read_tile(&layout.tile_dir(dir, id), rows, columns, None)?;
+        let schema = point_schema();
+        let mut out = Vec::with_capacity(dumps.len());
+        for (i, bytes) in columns.indices().zip(dumps) {
+            let field = schema.fields()[i].clone();
+            let mut col = Column::with_capacity(field.ptype, rows);
+            col.extend_from_le_bytes(&bytes)?;
+            out.push((field, col));
+        }
+        Ok((out, rows))
     })
 }
 
@@ -730,9 +749,12 @@ impl PointCloud {
         fi: Option<&FaultInjector>,
     ) -> Result<Self, CoreError> {
         let dir = dir.as_ref();
-        timed_load(fi, |pc| {
+        timed_load(fi, || {
             recover_stale_dirs(dir)?;
-            read_all(dir, fi, |dumps| pc.append_dumps(&dumps).map(drop)).map(drop)
+            let mut pc = PointCloud::new();
+            read_all(dir, fi, |dumps| pc.append_dumps(&dumps).map(drop))?;
+            let n = pc.num_points();
+            Ok((pc, n))
         })
     }
 }

@@ -10,8 +10,8 @@ use std::time::Duration;
 use parking_lot::RwLock;
 
 use lidardb_imprints::ColumnImprints;
-use lidardb_las::{point_schema, PointRecord};
-use lidardb_storage::{Column, FlatTable};
+use lidardb_las::{point_schema, PointRecord, COLUMN_NAMES, NUM_COLUMNS};
+use lidardb_storage::{Column, Field, FlatTable};
 
 use crate::error::CoreError;
 use crate::fault::FaultInjector;
@@ -98,13 +98,19 @@ impl Drop for PointCloud {
 impl PointCloud {
     /// An empty point cloud.
     pub fn new() -> Self {
+        Self::over(FlatTable::new(point_schema()))
+    }
+
+    /// A plain cloud over `table`, every row visible.
+    fn over(table: FlatTable) -> Self {
+        let rows = table.num_rows();
         PointCloud {
-            table: FlatTable::new(point_schema()),
+            table,
             imprints: RwLock::new(HashMap::new()),
             fault: None,
             default_deadline_ms: std::sync::atomic::AtomicU64::new(0),
             admission: None,
-            visible_rows: AtomicUsize::new(0),
+            visible_rows: AtomicUsize::new(rows),
             degraded: std::sync::atomic::AtomicBool::new(false),
             ingest: None,
         }
@@ -198,6 +204,29 @@ impl PointCloud {
     /// (`&mut self` guarantees no concurrent query holds a snapshot).
     pub(crate) fn table_mut(&mut self) -> &mut FlatTable {
         &mut self.table
+    }
+
+    /// The table of a tile of `rows` rows: the columns of `held` (the
+    /// tile as resident so far, if at all), shared without a copy, plus
+    /// `added`, in schema order, with `held`'s imprint cache — an index
+    /// describes one column, and the columns are the same.
+    pub(crate) fn tile(
+        rows: usize,
+        held: Option<&PointCloud>,
+        added: Vec<(Field, Column)>,
+    ) -> Result<PointCloud, CoreError> {
+        let mut columns: Vec<(Field, Arc<Column>)> = held
+            .iter()
+            .flat_map(|pc| pc.table.shared_columns())
+            .map(|(f, c)| (f.clone(), Arc::clone(c)))
+            .collect();
+        columns.extend(added.into_iter().map(|(f, c)| (f, Arc::new(c))));
+        columns.sort_by_key(|(f, _)| COLUMN_NAMES.iter().position(|n| *n == f.name));
+        let mut pc = Self::over(FlatTable::from_columns(columns, rows)?);
+        if let Some(held) = held {
+            *pc.imprints.get_mut() = held.imprints.read().clone();
+        }
+        Ok(pc)
     }
 
     /// Drop every cached imprint index. Required after a row reorder —
@@ -449,8 +478,13 @@ impl PointCloud {
     }
 
     /// Materialise one record back from the table (cold path: result
-    /// sets, tests, rendering).
+    /// sets, tests, rendering). Needs every column resident.
     pub fn record(&self, row: usize) -> Option<PointRecord> {
+        debug_assert_eq!(
+            self.table.schema().width(),
+            NUM_COLUMNS,
+            "record of a partial tile"
+        );
         let vals = self.table.row(row)?;
         let f = |i: usize| vals[i].as_f64();
         Some(PointRecord {

@@ -188,7 +188,8 @@ pub struct Explain {
     pub tiles_pruned: usize,
     /// Tiles that survived pruning and were imprint-probed/scanned.
     pub tiles_probed: usize,
-    /// Tile segments this query faulted in from disk (0 = all cache hits).
+    /// Tiles this query faulted in that were not resident (0 = every
+    /// tile was resident; columns added to a resident tile do not count).
     pub tiles_loaded: usize,
     /// Tile segments the resident-budget LRU evicted while this query ran.
     pub tiles_evicted: usize,

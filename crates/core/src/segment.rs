@@ -17,11 +17,26 @@
 //! are SFC-clustered the zone maps are tight — the unclustered-data
 //! failure mode of classic zone maps (E7) does not apply.
 //!
+//! **Residency is per (tile, column).** A tile holds only the columns the
+//! reads that touched it asked for ([`ColumnSet`]): a viewport faults in
+//! `x` and `y`, a projection adds `z`, a thematic filter its one column.
+//! A fault reads and CRC-checks only the missing column files and installs
+//! a successor tile sharing the columns and imprints the tile already
+//! held; only the new bytes are charged and counted resident. Eviction
+//! stays whole-tile LRU. The tile's row count comes from the layout, never
+//! from whichever column is resident.
+//!
+//! **Counters.** `tiles_loaded`, [`TiledCloud::tile_loads`] and
+//! `Explain.tiles_loaded` count faults of a tile that was not resident;
+//! columns added to a resident tile are not one. Every disk read — a tile
+//! fault or a column fault into a resident tile — records one
+//! `PersistLoad` stage sample and span.
+//!
 //! Reads go through the one view of every point table,
 //! [`PointTable`]: it prunes tiles by zone map first (no I/O), then runs
 //! the flat engine's imprint → bbox → refine pipeline on each surviving
 //! tile under the caller's [`GovernCtx`], so deadlines, cancellation and
-//! memory budgets cover the whole tile loop and loaded tile bytes are
+//! memory budgets cover the whole tile loop and loaded column bytes are
 //! charged to the query's memory budget.
 
 use std::collections::HashMap;
@@ -41,7 +56,7 @@ use crate::metrics::MetricsRegistry;
 use crate::persist::{self, Layout};
 use crate::pointcloud::PointCloud;
 use crate::query::{AttrRange, RefineStrategy, Selection, SpatialPredicate};
-use crate::table::PointTable;
+use crate::table::{ColumnSet, PointTable};
 
 /// How a table is cut into tiles at seal time.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,9 +201,10 @@ pub(crate) fn sort_and_plan(pc: &mut PointCloud, opts: &TileOptions) -> Result<L
     })
 }
 
-/// One resident tile segment.
+/// One resident tile segment: the columns loaded so far.
 struct CachedTile {
     pc: Arc<PointCloud>,
+    columns: ColumnSet,
     bytes: u64,
     last_used: u64,
 }
@@ -214,8 +230,11 @@ pub struct TileResidency {
     pub key_lo: u64,
     /// Largest SFC key in the tile.
     pub key_hi: u64,
-    /// Column bytes held by the resident cache, `None` when not resident.
+    /// Bytes of the resident columns, `None` when the tile is not
+    /// resident; imprints are not counted.
     pub resident_bytes: Option<u64>,
+    /// The columns the tile holds (none when it is not resident).
+    pub resident_columns: ColumnSet,
     /// Zone-map entries (one per column with a finite min/max).
     pub zone_columns: usize,
 }
@@ -305,10 +324,10 @@ impl TiledCloud {
         &self.dir
     }
 
-    /// Cap the resident tile cache at `bytes` of column data (0 =
-    /// unlimited). Takes effect on the next load; the most recently
-    /// touched tile is always kept, so queries make progress even when a
-    /// single tile exceeds the budget.
+    /// Cap the resident tile cache at `bytes` — bytes of the resident
+    /// columns; imprints are not counted (0 = unlimited). Takes effect on
+    /// the next load; the most recently touched tile is always kept, so
+    /// queries make progress even when a single tile exceeds the budget.
     pub fn set_resident_budget(&self, bytes: u64) {
         self.budget_bytes.store(bytes, Ordering::Relaxed);
     }
@@ -318,7 +337,7 @@ impl TiledCloud {
         self.budget_bytes.load(Ordering::Relaxed)
     }
 
-    /// Bytes of tile segments currently resident.
+    /// Bytes of the resident columns of every resident tile.
     pub fn resident_bytes(&self) -> u64 {
         self.cache.lock().resident
     }
@@ -333,7 +352,8 @@ impl TiledCloud {
         self.peak_resident.load(Ordering::Relaxed)
     }
 
-    /// Tile loads performed (cache misses).
+    /// Faults of a tile that was not resident (cache misses). A column
+    /// added to a resident tile is not one.
     pub fn tile_loads(&self) -> u64 {
         self.loads.load(Ordering::Relaxed)
     }
@@ -345,7 +365,8 @@ impl TiledCloud {
 
     /// Per-tile residency snapshot — the backing rows of `sys.tiles`:
     /// `(tile id, row_start, rows, key_lo, key_hi, resident bytes if the
-    /// tile is in the cache, zone-map column count)`. One lock take;
+    /// tile is in the cache, its resident columns, zone-map column
+    /// count)`. One lock take;
     /// consistent with itself but not frozen against concurrent loads.
     pub fn tile_residency(&self) -> Vec<TileResidency> {
         let cache = self.cache.lock();
@@ -360,44 +381,58 @@ impl TiledCloud {
                 key_lo: t.key_lo,
                 key_hi: t.key_hi,
                 resident_bytes: cache.map.get(&t.id).map(|c| c.bytes),
+                resident_columns: cache.map.get(&t.id).map_or(ColumnSet::EMPTY, |c| c.columns),
                 zone_columns: t.zones.len(),
             })
             .collect()
     }
 
-    /// Load (or re-touch) a tile, charging faulted-in bytes to the
-    /// query's memory budget and evicting LRU tiles past the resident
-    /// budget. Held-lock loading keeps accounting exact; tile I/O under
-    /// contention serialises, which is the trade this cache makes for
-    /// never double-loading a tile.
+    /// The tile `id` holding at least `columns`: the cached tile when it
+    /// holds them all (re-touched), else a successor read from disk with
+    /// only the missing column files, sharing the columns and imprints the
+    /// tile already held. Only the new bytes are charged to the query's
+    /// memory budget and the resident count; LRU tiles are evicted past
+    /// the resident budget. Held-lock loading keeps accounting exact; tile
+    /// I/O under contention serialises, which is the trade this cache
+    /// makes for never loading a column twice. A query holding the old
+    /// `Arc` keeps its snapshot.
     pub(crate) fn load_tile(
         &self,
         id: usize,
+        columns: ColumnSet,
         ctx: &GovernCtx,
     ) -> Result<Arc<PointCloud>, CoreError> {
         let metrics = MetricsRegistry::global();
         let mut cache = self.cache.lock();
         cache.tick += 1;
         let tick = cache.tick;
-        if let Some(c) = cache.map.get_mut(&id) {
+        let held = cache.map.get_mut(&id).map(|c| {
             c.last_used = tick;
-            return Ok(Arc::clone(&c.pc));
+            (Arc::clone(&c.pc), c.columns)
+        });
+        let missing = columns.without(held.as_ref().map_or(ColumnSet::EMPTY, |h| h.1));
+        if let Some((pc, _)) = held.as_ref().filter(|_| missing.is_empty()) {
+            return Ok(Arc::clone(pc));
         }
-        let pc = persist::open_tile(&self.dir, &self.layout, id)?;
-        let bytes = pc.data_bytes() as u64;
+        let added = persist::read_tile_columns(&self.dir, &self.layout, id, missing)?;
+        let bytes: u64 = added.iter().map(|(_, c)| c.byte_len() as u64).sum();
         ctx.charge(bytes)?;
-        let pc = Arc::new(pc);
-        cache.map.insert(
-            id,
-            CachedTile {
-                pc: Arc::clone(&pc),
-                bytes,
-                last_used: tick,
-            },
-        );
+        let rows = self.layout.tiles.tiles[id].rows();
+        let pc = Arc::new(PointCloud::tile(rows, held.as_ref().map(|h| &*h.0), added)?);
+        if held.is_none() {
+            self.loads.fetch_add(1, Ordering::Relaxed);
+            metrics.tiles_loaded.inc();
+        }
+        let entry = cache.map.entry(id).or_insert_with(|| CachedTile {
+            pc: Arc::clone(&pc),
+            columns: ColumnSet::EMPTY,
+            bytes: 0,
+            last_used: tick,
+        });
+        entry.pc = Arc::clone(&pc);
+        entry.columns = entry.columns.union(missing);
+        entry.bytes += bytes;
         cache.resident += bytes;
-        self.loads.fetch_add(1, Ordering::Relaxed);
-        metrics.tiles_loaded.inc();
         let budget = self.budget_bytes.load(Ordering::Relaxed);
         if budget > 0 {
             while cache.resident > budget && cache.map.len() > 1 {

@@ -9,6 +9,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lidardb_las::{COLUMN_NAMES, NUM_COLUMNS};
 use lidardb_storage::for_each_variant;
 use lidardb_storage::scan::AggState;
 
@@ -20,6 +21,67 @@ use crate::pointcloud::PointCloud;
 use crate::query::{Aggregate, AttrRange, Explain, RefineStrategy, Selection, SpatialPredicate};
 use crate::segment::TiledCloud;
 use crate::trace::{self, SpanKind};
+
+/// A set of point-schema columns ([`lidardb_las::COLUMN_NAMES`]): the
+/// columns a read needs resident. A flat table holds every column and
+/// ignores the set; a tiled table faults in the ones a tile lacks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColumnSet(u32);
+
+impl ColumnSet {
+    /// No column.
+    pub const EMPTY: ColumnSet = ColumnSet(0);
+    /// Every column of the point schema.
+    pub const ALL: ColumnSet = ColumnSet((1 << NUM_COLUMNS) - 1);
+
+    /// The point columns among `names`; other names are left out.
+    pub fn of<'n>(names: impl IntoIterator<Item = &'n str>) -> ColumnSet {
+        let mut set = ColumnSet::EMPTY;
+        for name in names {
+            set.insert(name);
+        }
+        set
+    }
+
+    /// Add `name` when it is a point column.
+    pub fn insert(&mut self, name: &str) {
+        if let Some(i) = COLUMN_NAMES.iter().position(|c| *c == name) {
+            self.0 |= 1 << i;
+        }
+    }
+
+    /// The columns of `self` or `other`.
+    pub fn union(self, other: ColumnSet) -> ColumnSet {
+        ColumnSet(self.0 | other.0)
+    }
+
+    /// The columns of `self` not in `other`.
+    pub fn without(self, other: ColumnSet) -> ColumnSet {
+        ColumnSet(self.0 & !other.0)
+    }
+
+    /// Whether the set holds no column.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Schema positions of the columns, ascending.
+    pub fn indices(self) -> impl Iterator<Item = usize> {
+        (0..NUM_COLUMNS).filter(move |i| self.0 & (1 << i) != 0)
+    }
+
+    /// Names of the columns, in schema order.
+    pub fn names(self) -> impl Iterator<Item = &'static str> {
+        self.indices().map(|i| COLUMN_NAMES[i])
+    }
+}
+
+impl std::fmt::Display for ColumnSet {
+    /// The names, comma-separated, in schema order.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.names().collect::<Vec<_>>().join(","))
+    }
+}
 
 /// A read view of a point table, whatever its storage. Cheap to copy.
 #[derive(Debug, Clone, Copy)]
@@ -114,7 +176,9 @@ impl<'a> PointTable<'a> {
     /// one query — one `queries` tick, one root span with every tile's
     /// load and stage spans under it, one slow-log entry. Segments are
     /// visited in row order and morsels never straddle one, so the rows
-    /// are global ids, ascending and identical at every worker count.
+    /// are global ids, ascending and identical at every worker count. A
+    /// tile faults in the predicate columns only: `x` and `y` under a
+    /// spatial predicate, and each attribute column.
     pub fn select(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -142,11 +206,12 @@ impl<'a> PointTable<'a> {
                 preds.push((a.column.as_str(), a.lo, a.hi));
             }
             let survivors = tiles.prune(&preds);
+            let columns = ColumnSet::of(preds.iter().map(|p| p.0));
             let (loads0, evictions0) = (tc.tile_loads(), tc.tile_evictions());
             let mut rows = Vec::new();
             for &t in &survivors {
                 ctx.checkpoint("tile")?;
-                let pc = tc.load_tile(t, ctx)?;
+                let pc = tc.load_tile(t, columns, ctx)?;
                 let mut sub = Explain::default();
                 let local =
                     pc.query_stages(pred, attrs, strategy, parallelism, ctx, root, &mut sub)?;
@@ -175,7 +240,8 @@ impl<'a> PointTable<'a> {
     /// compensated aggregate kernel ([`crate::exec`]) and the per-run
     /// states merge in run order. A flat table folds the ids in the order
     /// given, as one run; a tiled table sorts ids that are not ascending
-    /// first. `None` for an empty input, except `Count`.
+    /// first, and faults in `column` only. `None` for an empty input,
+    /// except `Count`.
     pub fn aggregate(
         &self,
         rows: &[usize],
@@ -203,7 +269,7 @@ impl<'a> PointTable<'a> {
         agg_span.set_rows(rows.len() as u64, 1);
         let t0 = Instant::now();
         let mut state: Option<AggState> = None;
-        for run in self.runs(ids) {
+        for run in self.runs(ids, ColumnSet::of([column])) {
             let (seg, base, ids) = run?;
             let col = seg.column(column)?;
             if let Some(&bad) = ids.iter().find(|&&r| r - base >= col.len()) {
@@ -230,13 +296,16 @@ impl<'a> PointTable<'a> {
 
     /// Resolve global row ids to the segments holding them: one run
     /// covering every id, in the order given, on a flat table; on a tiled
-    /// one (ids ascending) one run per tile, loaded when the iterator
-    /// reaches it and pinned resident — even across LRU evictions — until
-    /// the run is dropped. Tile loads here are ungoverned. An id past the
-    /// last row of a tiled table ends the iteration with an error.
+    /// one (ids ascending) one run per tile, holding at least `columns`
+    /// (faulted in when the iterator reaches it) and pinned resident —
+    /// even across LRU evictions — until the run is dropped. A run's
+    /// segment may hold no other column. Tile loads here are ungoverned.
+    /// An id past the last row of a tiled table ends the iteration with
+    /// an error.
     pub fn runs<'r>(
         &'r self,
         mut rows: &'r [usize],
+        columns: ColumnSet,
     ) -> impl Iterator<Item = Result<Run<'r>, CoreError>> + 'r {
         std::iter::from_fn(move || {
             let first = *rows.first()?;
@@ -257,13 +326,14 @@ impl<'a> PointTable<'a> {
             let (head, tail) = rows.split_at(rows.partition_point(|&r| r < tile.row_end));
             rows = tail;
             Some(
-                tc.load_tile(t, &GovernCtx::ungoverned())
+                tc.load_tile(t, columns, &GovernCtx::ungoverned())
                     .map(|pc| (Segment::Tile(pc), tile.row_start, head)),
             )
         })
     }
 
-    /// Materialise one point by global row id (`None` past the end).
+    /// Materialise one point by global row id (`None` past the end); a
+    /// tile faults in every column.
     pub fn record(&self, row: usize) -> Result<Option<lidardb_las::PointRecord>, CoreError> {
         let tc = match *self {
             PointTable::Flat(pc) => return Ok(pc.record(row)),
@@ -272,7 +342,7 @@ impl<'a> PointTable<'a> {
         let Some(t) = tc.tiles().tile_for_row(row) else {
             return Ok(None);
         };
-        let pc = tc.load_tile(t, &GovernCtx::ungoverned())?;
+        let pc = tc.load_tile(t, ColumnSet::ALL, &GovernCtx::ungoverned())?;
         Ok(pc.record(row - tc.tiles().tiles[t].row_start))
     }
 }

@@ -837,10 +837,33 @@ mod tests {
             .collect()
     }
 
-    fn twal(name: &str) -> PathBuf {
-        let p = std::env::temp_dir().join(format!("lidardb_wal_{name}.wal"));
-        let _ = std::fs::remove_file(&p);
-        p
+    /// A WAL file of one test's own: the sibling WAL of a fresh scratch
+    /// directory (pid + counter), removed with it when the guard drops.
+    struct TestWal {
+        path: PathBuf,
+        _dir: TempDir,
+    }
+
+    fn twal(name: &str) -> TestWal {
+        let dir = TempDir::new(&format!("wal_{name}"));
+        TestWal {
+            path: wal_path_for(&dir),
+            _dir: dir,
+        }
+    }
+
+    impl std::ops::Deref for TestWal {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl AsRef<Path> for TestWal {
+        fn as_ref(&self) -> &Path {
+            &self.path
+        }
     }
 
     #[test]

@@ -12,7 +12,11 @@
 
 use proptest::prelude::*;
 
-use lidardb_core::{persist::validate_dir, PointCloud, PointTable, TileOptions, TiledCloud};
+use lidardb_core::{
+    persist::validate_dir, ColumnSet, CoreError, PointCloud, PointTable, SpatialPredicate,
+    TileOptions, TiledCloud,
+};
+use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::{point_schema, PointRecord};
 
 fn sample_cloud(n: usize) -> PointCloud {
@@ -122,4 +126,68 @@ proptest! {
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A tiled query checks a column file when it first reads it: a bit
+/// flipped in one tile's `intensity.bin` leaves a viewport on x, y, z
+/// exact, fails the first read of that tile's `intensity` with a typed
+/// `Corrupt` naming the file, and is still rejected by the eager readers.
+#[test]
+fn a_column_is_checked_on_first_touch() {
+    let dir = std::env::temp_dir().join(format!("lidardb_durability_touch_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut pc = sample_cloud(3_000);
+    pc.save_tiled(
+        &dir,
+        &TileOptions {
+            target_rows: 1_000,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let parent = PointCloud::open_dir(&dir).unwrap();
+    let victim = dir.join("tile_00000").join("intensity.bin");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    bytes[100] ^= 0x04;
+    std::fs::write(&victim, &bytes).unwrap();
+
+    let tc = TiledCloud::open(&dir).unwrap();
+    let table = PointTable::Tiled(&tc);
+    let corners = [(-1.0, -1.0), (1e6, -1.0), (1e6, 1e6), (-1.0, 1e6)];
+    let ring = corners.iter().map(|&(x, y)| Point::new(x, y)).collect();
+    let everything =
+        SpatialPredicate::Within(Geometry::Polygon(Polygon::from_exterior(ring).unwrap()));
+    let sel = tc.select(&everything).unwrap();
+    assert_eq!(sel.rows, parent.select(&everything).unwrap().rows);
+    assert_eq!(sel.rows.len(), 3_000);
+    let xyz = ColumnSet::of(["x", "y", "z"]);
+    let mut z = Vec::new();
+    for run in table.runs(&sel.rows, xyz) {
+        let (seg, base, ids) = run.unwrap();
+        let col = seg.f64_column("z").unwrap();
+        z.extend(ids.iter().map(|&r| col[r - base]));
+    }
+    assert_eq!(z, parent.f64_column("z").unwrap());
+
+    let tile0 = tc.tiles().tiles[0].row_start..tc.tiles().tiles[0].row_end;
+    let ids: Vec<usize> = tile0.collect();
+    let err = table
+        .runs(&ids, ColumnSet::of(["intensity"]))
+        .next()
+        .unwrap()
+        .err();
+    match err {
+        Some(CoreError::Corrupt(m)) => {
+            assert!(m.contains("intensity.bin") && m.contains("checksum"), "{m}")
+        }
+        other => panic!("expected a typed Corrupt, got {other:?}"),
+    }
+    // Other tiles' intensity is intact.
+    let t1 = tc.tiles().tiles[1].row_start;
+    assert!(table
+        .runs(&[t1], ColumnSet::of(["intensity"]))
+        .all(|r| r.is_ok()));
+    assert!(validate_dir(&dir).is_err(), "validate_dir");
+    assert!(PointCloud::open_dir(&dir).is_err(), "open_dir");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,8 +6,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lidardb_core::{
-    wal, Aggregate, AttrRange, CoreError, Durability, GovernCtx, Parallelism, PointCloud,
-    PointTable, RefineStrategy, SpatialPredicate, TileOptions, TiledCloud,
+    wal, Aggregate, AttrRange, ColumnSet, CoreError, Durability, GovernCtx, Parallelism,
+    PointCloud, PointTable, RefineStrategy, SpanKind, SpatialPredicate, Stage, TileOptions,
+    TiledCloud,
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
@@ -222,11 +223,11 @@ fn out_of_core_budget_below_dataset_stays_exact() {
     let n = 120_000;
     let mut pc = cloud(n);
     let tiles = pc.save_tiled(&dir, &opts(8192)).unwrap();
-    let data_bytes = pc.data_bytes() as u64;
     drop(pc);
     let flat = PointCloud::open_dir(&dir).unwrap();
     let tc = TiledCloud::open(&dir).unwrap();
-    let budget = data_bytes / 4;
+    // The strips read x and y only (16 B a row): a quarter of that.
+    let budget = (n * 16 / 4) as u64;
     tc.set_resident_budget(budget);
     // Sweep the whole window in strips: every tile gets touched, far more
     // bytes than the budget flow through the cache.
@@ -402,7 +403,7 @@ fn governed_tiled_query_charges_tile_bytes_to_the_budget() {
 /// under it, whose per-tile bbox rows add up to the merged `Explain`.
 #[test]
 fn one_tiled_statement_is_one_traced_query() {
-    use lidardb_core::{SlowQueryLog, SpanKind, Stage};
+    use lidardb_core::SlowQueryLog;
     let dir = tdir("onequery");
     let mut pc = cloud(30_000);
     pc.save_tiled(&dir, &opts(4096)).unwrap();
@@ -415,7 +416,8 @@ fn one_tiled_statement_is_one_traced_query() {
     assert_eq!(sel.explain.tiles_loaded, tiles, "cold cache: every probed tile loads");
     let id = sel.trace_id.expect("a traced tiled query carries its trace id");
 
-    // No other test in this binary traces, so the log holds this query only.
+    // No other test in this binary runs a traced query (the residency
+    // test traces bare tile loads), so the log holds this query only.
     let log = SlowQueryLog::global().worst();
     assert_eq!(log.len(), 1, "one statement, one slow-log entry");
     let entry = &log[0];
@@ -448,4 +450,138 @@ fn one_tiled_statement_is_one_traced_query() {
         .map(|s| s.rows_out)
         .sum();
     assert_eq!(bbox_rows, sel.explain.after_bbox as u64);
+}
+
+/// A tile holds the columns its reads touched, and nothing else: a
+/// viewport faults in `x` and `y`, a projection adds `z` without reading
+/// `x`/`y` again (one `PersistLoad` per disk read), an attribute filter
+/// adds its byte-wide column, `record` loads all 26. Resident bytes are
+/// the held columns' bytes; the row count never depends on them.
+#[test]
+fn tiles_hold_exactly_the_columns_their_reads_touched() {
+    let dir = tdir("residency");
+    let n = 30_000;
+    let mut pc = cloud(n);
+    pc.save_tiled(&dir, &opts(4096)).unwrap();
+    let flat = PointCloud::open_dir(&dir).unwrap();
+    let tc = TiledCloud::open(&dir).unwrap();
+    let table = PointTable::Tiled(&tc);
+    let ungoverned = GovernCtx::ungoverned();
+    let resident = |tc: &TiledCloud| -> Vec<(usize, usize, Option<u64>, String)> {
+        let r = tc.tile_residency().into_iter();
+        let r = r.filter(|t| t.resident_bytes.is_some());
+        r.map(|t| {
+            (
+                t.id,
+                t.rows,
+                t.resident_bytes,
+                t.resident_columns.to_string(),
+            )
+        })
+        .collect()
+    };
+    // Disk reads of `f`, counted as the `PersistLoad` spans of a trace of
+    // its own (the stage counters are shared with concurrent tests).
+    let disk_reads = |f: &mut dyn FnMut()| {
+        let traced = lidardb_core::trace::force_thread();
+        let root = lidardb_core::trace::span(SpanKind::Query);
+        let id = root.trace_id().expect("forced tracing records");
+        f();
+        drop((root, traced));
+        let spans = lidardb_core::Tracer::global()
+            .snapshot()
+            .for_trace(id)
+            .spans;
+        spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Stage(Stage::PersistLoad))
+            .count()
+    };
+    let x_ptrs = |rows: &[usize]| -> Vec<*const f64> {
+        let runs = table.runs(rows, ColumnSet::of(["x"]));
+        runs.map(|r| r.unwrap().0.f64_column("x").unwrap().as_ptr())
+            .collect()
+    };
+
+    let window = rect(100.0, 100.0, 400.0, 400.0);
+    let sel = tc.select(&window).unwrap();
+    assert_eq!(sel.rows, flat.select(&window).unwrap().rows);
+    let touched = resident(&tc);
+    assert_eq!(touched.len(), sel.explain.tiles_probed);
+    for (id, rows, bytes, columns) in &touched {
+        assert_eq!(columns, "x,y", "tile {id}");
+        assert_eq!(*bytes, Some(*rows as u64 * 16), "tile {id}");
+    }
+    assert_eq!(tc.tile_loads() as usize, touched.len());
+
+    // A projection of x, y, z reads z only: one disk read per tile, and
+    // the successor tiles share the x they held.
+    let xs = x_ptrs(&sel.rows);
+    let xyz = ColumnSet::of(["x", "y", "z"]);
+    let mut z = Vec::new();
+    let reads = disk_reads(&mut || {
+        for run in table.runs(&sel.rows, xyz) {
+            let (seg, base, ids) = run.unwrap();
+            let col = seg.f64_column("z").unwrap();
+            z.extend(ids.iter().map(|&r| col[r - base]));
+            assert!(seg.column("intensity").is_err(), "nothing beyond the set");
+        }
+    });
+    let flat_z = flat.f64_column("z").unwrap();
+    assert_eq!(z, sel.rows.iter().map(|&r| flat_z[r]).collect::<Vec<_>>());
+    assert_eq!(reads, touched.len(), "one PersistLoad per tile read");
+    assert_eq!(x_ptrs(&sel.rows), xs, "x and y are not read again");
+    assert_eq!(
+        tc.tile_loads() as usize,
+        touched.len(),
+        "adding a column is not a tile load"
+    );
+    for (id, rows, bytes, columns) in resident(&tc) {
+        assert_eq!(columns, "x,y,z", "tile {id}");
+        assert_eq!(bytes, Some(rows as u64 * 24), "tile {id}");
+    }
+    // Asking again reads nothing.
+    let reads = disk_reads(&mut || assert_eq!(table.runs(&sel.rows, xyz).count(), touched.len()));
+    assert_eq!(reads, 0);
+
+    // A thematic filter on a touched tile adds its 1-byte column.
+    let attrs = [AttrRange::new("classification", 3.0, 5.0)];
+    let (par, strategy) = (Parallelism::default(), RefineStrategy::default());
+    let a = tc
+        .select_query_with(Some(&window), &attrs, strategy, par)
+        .unwrap();
+    assert_eq!(
+        a.rows,
+        flat.select_query_with(Some(&window), &attrs, strategy, par)
+            .unwrap()
+            .rows
+    );
+    for (id, rows, bytes, columns) in resident(&tc) {
+        assert_eq!(columns, "x,y,z,classification", "tile {id}");
+        assert_eq!(bytes, Some(rows as u64 * 25), "tile {id}");
+    }
+    assert_eq!(
+        tc.resident_bytes(),
+        resident(&tc).iter().map(|t| t.2.unwrap()).sum::<u64>()
+    );
+
+    // `record` loads every column of its tile.
+    let row = sel.rows[0];
+    assert_eq!(table.record(row).unwrap(), flat.record(row));
+    let t = tc.tiles().tile_for_row(row).unwrap();
+    let full = tc.tile_residency().into_iter().find(|r| r.id == t).unwrap();
+    assert_eq!(full.resident_columns, ColumnSet::ALL);
+    let row_bytes = (flat.data_bytes() / n) as u64;
+    assert_eq!(full.resident_bytes, Some(full.rows as u64 * row_bytes));
+
+    // No predicate: no column, and still every row.
+    let fresh = TiledCloud::open(&dir).unwrap();
+    let all = fresh.select_query_with(None, &[], strategy, par).unwrap();
+    assert_eq!(all.rows, (0..n).collect::<Vec<_>>());
+    assert!(resident(&fresh)
+        .iter()
+        .all(|t| t.2 == Some(0) && t.3.is_empty()));
+    let count =
+        PointTable::Tiled(&fresh).aggregate(&all.rows, "z", Aggregate::Count, par, &ungoverned);
+    assert_eq!(count.unwrap(), Some(n as f64));
 }

@@ -156,10 +156,8 @@ mod tests {
     use super::*;
     use crate::writer::write_las_file;
 
-    fn tdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join("lidardb_reader_test");
-        fs::create_dir_all(&d).unwrap();
-        d
+    fn tdir() -> crate::ScratchDir {
+        crate::ScratchDir::new("reader_test")
     }
 
     fn template(c: Compression) -> LasHeader {
@@ -184,7 +182,8 @@ mod tests {
     #[test]
     fn roundtrip_both_compressions() {
         for (name, c) in [("r.las", Compression::None), ("r.lazl", Compression::LazLite)] {
-            let path = tdir().join(name);
+            let dir = tdir();
+            let path = dir.join(name);
             write_las_file(&path, template(c), &pts(777)).unwrap();
             let (h, back) = read_las_file(&path).unwrap();
             assert_eq!(h.num_points, 777);
@@ -195,8 +194,9 @@ mod tests {
 
     #[test]
     fn lazlite_is_smaller_on_disk() {
-        let a = tdir().join("size.las");
-        let b = tdir().join("size.lazl");
+        let dir = tdir();
+        let a = dir.join("size.las");
+        let b = dir.join("size.lazl");
         let data = pts(20_000);
         write_las_file(&a, template(Compression::None), &data).unwrap();
         write_las_file(&b, template(Compression::LazLite), &data).unwrap();
@@ -210,7 +210,8 @@ mod tests {
 
     #[test]
     fn header_only_read() {
-        let path = tdir().join("h.las");
+        let dir = tdir();
+        let path = dir.join("h.las");
         write_las_file(&path, template(Compression::None), &pts(10)).unwrap();
         let h = LasReader::read_header(&path).unwrap();
         assert_eq!(h.num_points, 10);
@@ -218,7 +219,8 @@ mod tests {
 
     #[test]
     fn truncated_file_rejected() {
-        let path = tdir().join("trunc.las");
+        let dir = tdir();
+        let path = dir.join("trunc.las");
         write_las_file(&path, template(Compression::None), &pts(100)).unwrap();
         let bytes = fs::read(&path).unwrap();
         for cut in [0, 10, HEADER_LEN - 1, HEADER_LEN + 5, bytes.len() - 1] {
@@ -231,7 +233,8 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        let path = tdir().join("garbage.las");
+        let dir = tdir();
+        let path = dir.join("garbage.las");
         write_las_file(&path, template(Compression::None), &pts(10)).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes.extend_from_slice(&[0xAA; 7]);
@@ -243,7 +246,8 @@ mod tests {
 
     #[test]
     fn lying_point_count_rejected_for_lazlite() {
-        let path = tdir().join("liar.lazl");
+        let dir = tdir();
+        let path = dir.join("liar.lazl");
         let h = write_las_file(&path, template(Compression::LazLite), &pts(50)).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let mut fake = h;
@@ -259,7 +263,8 @@ mod tests {
     /// payload check). The multiply is now checked and rejects as corrupt.
     #[test]
     fn absurd_point_count_rejected_without_overflow() {
-        let path = tdir().join("huge_count.las");
+        let dir = tdir();
+        let path = dir.join("huge_count.las");
         let h = write_las_file(&path, template(Compression::None), &pts(10)).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let mut fake = h;
@@ -274,7 +279,8 @@ mod tests {
     #[test]
     fn range_reads_match_full_reads() {
         for c in [Compression::None, Compression::LazLite] {
-            let path = tdir().join(format!("range_{c:?}.las"));
+            let dir = tdir();
+            let path = dir.join(format!("range_{c:?}.las"));
             write_las_file(&path, template(c), &pts(300)).unwrap();
             let r = LasReader::open(&path).unwrap();
             let full = r.read_points().unwrap();

@@ -124,8 +124,7 @@ mod tests {
 
     #[test]
     fn header_gets_bbox_and_count() {
-        let dir = std::env::temp_dir().join("lidardb_writer_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::ScratchDir::new("writer_test");
         let path = dir.join("bbox.las");
         let pts = some_points(100);
         let h = write_las_file(&path, template(Compression::None), &pts).unwrap();
@@ -141,8 +140,7 @@ mod tests {
 
     #[test]
     fn streaming_writer_matches_oneshot() {
-        let dir = std::env::temp_dir().join("lidardb_writer_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::ScratchDir::new("writer_test");
         let a = dir.join("stream.laz");
         let b = dir.join("oneshot.laz");
         let pts = some_points(500);
@@ -159,8 +157,7 @@ mod tests {
 
     #[test]
     fn empty_file_roundtrips() {
-        let dir = std::env::temp_dir().join("lidardb_writer_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::ScratchDir::new("writer_test");
         let path = dir.join("empty.las");
         let h = write_las_file(&path, template(Compression::None), &[]).unwrap();
         assert_eq!(h.num_points, 0);

@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use lidardb_core::{
-    Aggregate, CancelToken, GovernCtx, PointCloud, PointTable, RefineStrategy, Run,
+    Aggregate, CancelToken, ColumnSet, GovernCtx, PointCloud, PointTable, RefineStrategy, Run,
     SpatialPredicate,
 };
 use lidardb_storage::scan::AggState;
@@ -786,6 +786,10 @@ struct Shaped<'a> {
     grouped: bool,
     /// `ORDER BY` as (output column, ascending).
     order: Vec<(usize, bool)>,
+    /// The point columns the statement reads beyond its pushed-down
+    /// predicates: those of the items, residuals, `GROUP BY`, `ORDER BY`
+    /// and `HAVING`. Every [`PointTable::runs`] call faults in this set.
+    columns: ColumnSet,
 }
 
 /// Expand the output items and check the statement's shape. Every error
@@ -806,8 +810,23 @@ fn shape<'a>(
         ));
     }
     let order = sel.order_by.iter().map(|(e, asc)| Ok((resolve_output_column(e, &items)?, *asc)));
+    let residuals: Vec<&Expr> = match plan {
+        Plan::PcScan(scan) => scan.residual.iter().collect(),
+        Plan::SpatialJoin {
+            pc, pair_residual, ..
+        } => pc.residual.iter().chain(pair_residual).collect(),
+        Plan::VecScan(_) => Vec::new(),
+    };
+    let exprs = items.iter().map(|(_, e)| e).chain(residuals);
+    let order_by = sel.order_by.iter().map(|(e, _)| e);
+    let clauses = sel.group_by.iter().chain(order_by).chain(&sel.having);
+    let mut columns = ColumnSet::EMPTY;
+    for e in exprs.chain(clauses) {
+        e.visit_columns(&mut |_, name| columns.insert(name));
+    }
     Ok(Shaped {
         order: order.collect::<Result<_, SqlError>>()?,
+        columns,
         catalog,
         sel,
         plan,
@@ -888,7 +907,7 @@ fn row_path(
     match (q.plan, input) {
         (Plan::PcScan(scan), Some((pc, ctx))) => {
             let rows = scan_rows(pc, scan, q.catalog, ctx, trace)?;
-            let runs: Vec<Run> = pc.runs(&rows).collect::<Result<_, _>>()?;
+            let runs: Vec<Run> = pc.runs(&rows, q.columns).collect::<Result<_, _>>()?;
             let t0 = Instant::now();
             let mut envs = Vec::new();
             for ctx in runs.iter().flat_map(|run| run_ctxs(run, &scan.table.alias)) {
@@ -934,7 +953,7 @@ fn row_path(
             let t0 = Instant::now();
             let mut runs: Vec<(VecCtx, Run)> = Vec::new();
             for (feature, rows) in &probes {
-                for run in pc.runs(rows) {
+                for run in pc.runs(rows, q.columns) {
                     runs.push((*feature, run?));
                 }
             }
@@ -1368,15 +1387,17 @@ fn collect_calls(e: &Expr, alias: &str, calls: &mut Vec<Call>) -> bool {
 }
 
 /// Append to `out` the ids of `ids` (ascending, global) whose row passes
-/// `keep`, resolving them to their segments one run at a time.
+/// `keep`, resolving them to their segments (holding the statement's
+/// columns) one run at a time.
 fn retain_ids(
+    q: &Shaped,
     pc: &PointTable,
     ids: &[usize],
     alias: &str,
     out: &mut Vec<usize>,
     keep: impl Fn(PcCtx) -> Result<bool, SqlError>,
 ) -> Result<(), SqlError> {
-    for run in pc.runs(ids) {
+    for run in pc.runs(ids, q.columns) {
         let run = run?;
         for ctx in run_ctxs(&run, alias) {
             if keep(ctx)? {
@@ -1407,7 +1428,7 @@ fn fold(
             if !scan.residual.is_empty() {
                 let t0 = Instant::now();
                 let all = std::mem::take(&mut ids);
-                retain_ids(pc, &all, &scan.table.alias, &mut ids, |c| passes(&scan.residual, &c))?;
+                retain_ids(q, pc, &all, &scan.table.alias, &mut ids, |c| passes(&scan.residual, &c))?;
                 let elapsed = t0.elapsed().as_secs_f64();
                 trace.push(TraceEntry::new("thematic filter", ids.len(), elapsed));
             }
@@ -1425,7 +1446,7 @@ fn fold(
                     ids.extend_from_slice(rows);
                     continue;
                 }
-                retain_ids(pc, rows, &pc_scan.table.alias, &mut ids, |pc| {
+                retain_ids(q, pc, rows, &pc_scan.table.alias, &mut ids, |pc| {
                     let ctx = PairCtx { pc, vec: *vec };
                     Ok(passes(&pc_scan.residual, &ctx)? && passes(pair_residual, &ctx)?)
                 })?;
@@ -1436,7 +1457,7 @@ fn fold(
         Plan::VecScan(_) => unreachable!("vector scans do not fold"),
     }
     let t0 = Instant::now();
-    let vals = calls.iter().map(|c| fold_call(pc, &ids, c, q.catalog, ctx));
+    let vals = calls.iter().map(|c| fold_call(q, pc, &ids, c, ctx));
     let vals: Vec<SqlValue> = vals.collect::<Result<_, _>>()?;
     let call = |e: &Expr| {
         let i = calls.iter().position(|c| c.expr == *e);
@@ -1461,17 +1482,17 @@ fn fold(
 /// One call's value, typed as the row path types it: `MIN`/`MAX` of an
 /// integer column is its exact value, an `Int` (past `i64::MAX` a float).
 fn fold_call(
+    q: &Shaped,
     pc: &PointTable,
     ids: &[usize],
     call: &Call,
-    catalog: &Catalog,
     ctx: &GovernCtx,
 ) -> Result<SqlValue, SqlError> {
     let Some((column, phys)) = call.column else {
         return Ok(SqlValue::Int(ids.len() as i64));
     };
     let float = matches!(call.agg, Aggregate::Sum | Aggregate::Avg) || phys.is_float();
-    Ok(match pc.aggregate(ids, column, call.agg, catalog.parallelism(), ctx)? {
+    Ok(match pc.aggregate(ids, column, call.agg, q.catalog.parallelism(), ctx)? {
         None => SqlValue::Null,
         Some(v) if float => SqlValue::Float(v),
         Some(v) if v.abs() < (1u64 << 53) as f64 => SqlValue::Int(v as i64),
@@ -1480,7 +1501,7 @@ fn fold_call(
             let mut ids = ids.to_vec();
             ids.sort_unstable(); // segment runs need ascending ids
             let mut vals = Vec::new();
-            for run in pc.runs(&ids) {
+            for run in pc.runs(&ids, q.columns) {
                 let (seg, base, rows) = run?;
                 let col = seg.column(column)?;
                 vals.extend(rows.iter().filter_map(|&r| match col.get(r - base)? {
@@ -1702,7 +1723,7 @@ fn stream_scan(
     let (mut emitted, mut batches) = (0usize, 0usize);
     let mut out = empty_batch();
     let mut kept = Vec::new();
-    let mut runs = pc.runs(&row_ids);
+    let mut runs = pc.runs(&row_ids, q.columns);
     while emitted < limit {
         let Some(run) = runs.next() else { break };
         let (seg, base, mut rest) = run?;

@@ -205,6 +205,7 @@ fn sys_tiles(catalog: &Catalog) -> VectorTable {
     let mut key_hi = Vec::new();
     let mut resident = Vec::new();
     let mut resident_bytes = Vec::new();
+    let mut resident_columns = Vec::new();
     let mut zone_columns = Vec::new();
     for name in catalog.table_names() {
         let Ok(Table::Tiled(tc)) = catalog.table(name) else {
@@ -219,6 +220,7 @@ fn sys_tiles(catalog: &Catalog) -> VectorTable {
             key_hi.push(t.key_hi as i64);
             resident.push(i64::from(t.resident_bytes.is_some()));
             resident_bytes.push(t.resident_bytes.unwrap_or(0) as i64);
+            resident_columns.push(t.resident_columns.to_string());
             zone_columns.push(t.zone_columns as i64);
         }
     }
@@ -231,6 +233,7 @@ fn sys_tiles(catalog: &Catalog) -> VectorTable {
         .with_column("key_hi", VColumn::Int(key_hi))
         .with_column("resident", VColumn::Int(resident))
         .with_column("resident_bytes", VColumn::Int(resident_bytes))
+        .with_column("resident_columns", VColumn::Str(resident_columns))
         .with_column("zone_columns", VColumn::Int(zone_columns))
 }
 

@@ -58,19 +58,21 @@ fn setup(name: &str) -> (Catalog, Arc<TiledCloud>) {
     let mut c = Catalog::new();
     c.register_pointcloud("points", Arc::new(grid_cloud()));
     c.register_tiled("tiles", Arc::clone(&tc));
-    c.register_vector(
-        "roads",
-        lidardb_sql::VectorTable::new()
-            .with_column("id", lidardb_sql::catalog::VColumn::Int(vec![1, 2]))
-            .with_column(
-                "geom",
-                lidardb_sql::catalog::VColumn::Geom(vec![
-                    lidardb_geom::Geometry::Point(lidardb_geom::Point::new(50.0, 50.0)),
-                    lidardb_geom::Geometry::Point(lidardb_geom::Point::new(12.0, 80.0)),
-                ]),
-            ),
-    );
+    c.register_vector("roads", roads());
     (c, tc)
+}
+
+/// Two point features to join against.
+fn roads() -> lidardb_sql::VectorTable {
+    lidardb_sql::VectorTable::new()
+        .with_column("id", lidardb_sql::catalog::VColumn::Int(vec![1, 2]))
+        .with_column(
+            "geom",
+            lidardb_sql::catalog::VColumn::Geom(vec![
+                lidardb_geom::Geometry::Point(lidardb_geom::Point::new(50.0, 50.0)),
+                lidardb_geom::Geometry::Point(lidardb_geom::Point::new(12.0, 80.0)),
+            ]),
+        )
 }
 
 fn one_value(c: &Catalog, sql: &str) -> SqlValue {
@@ -344,4 +346,123 @@ fn select_star_expands_tiled_columns() {
     .unwrap();
     assert_eq!(rs.columns.len(), 26);
     assert_eq!(rs.rows.len(), 1);
+}
+
+/// The same data flat (`flat`, opened in tile order so row ids agree) and
+/// tiled (`tiles`) under a 1-byte resident budget: every tile a statement
+/// reads is evicted by the next, so each statement faults its columns in
+/// cold, and a column the statement's column set missed fails it.
+fn cold_setup(name: &str) -> (Catalog, Arc<TiledCloud>, std::path::PathBuf) {
+    let dir = tdir(name);
+    let opts = TileOptions {
+        target_rows: 1024,
+        ..Default::default()
+    };
+    grid_cloud().save_tiled(&dir, &opts).unwrap();
+    let tc = Arc::new(TiledCloud::open(&dir).unwrap());
+    tc.set_resident_budget(1);
+    let mut c = Catalog::new();
+    c.register_pointcloud("flat", Arc::new(PointCloud::open_dir(&dir).unwrap()));
+    c.register_tiled("tiles", Arc::clone(&tc));
+    c.register_vector("roads", roads());
+    (c, tc, dir)
+}
+
+/// Equal rows, floats to within reassociation of per-tile partial sums.
+fn assert_same_rows(a: &[Vec<SqlValue>], b: &[Vec<SqlValue>], sql: &str) {
+    assert_eq!(a.len(), b.len(), "{sql}");
+    for (ra, rb) in a.iter().zip(b) {
+        for (va, vb) in ra.iter().zip(rb) {
+            match (va, vb) {
+                (SqlValue::Float(x), SqlValue::Float(y)) => {
+                    assert!(
+                        (x - y).abs() <= 1e-9 * x.abs().max(1.0),
+                        "{sql}: {x} vs {y}"
+                    )
+                }
+                _ => assert_eq!(va, vb, "{sql}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn cold_tiles_fault_in_every_column_a_statement_reads() {
+    let (c, tc, dir) = cold_setup("coldcols");
+    let env = "ST_Contains(ST_MakeEnvelope(10, 10, 70, 70), ST_Point(x, y))";
+    for template in [
+        // Every column.
+        format!("SELECT * FROM T WHERE {env}"),
+        // A residual on columns that are not projected.
+        format!("SELECT x, y FROM T WHERE {env} AND z + classification > 5"),
+        // GROUP BY and HAVING on columns missing from the items.
+        format!("SELECT COUNT(*) AS n FROM T WHERE {env} GROUP BY classification HAVING MAX(z) > 1 ORDER BY n"),
+        // A typed fold on intensity behind a residual, and the exact
+        // re-read of a u64 maximum past 2^53.
+        format!("SELECT SUM(intensity), MAX(wave_offset), AVG(z) FROM T WHERE {env} AND z * 10 <> y"),
+        // A spatial join with point-side and pair residuals.
+        "SELECT p.x, p.y, r.id FROM T p, roads r WHERE ST_DWithin(ST_Point(p.x, p.y), r.geom, 5) \
+         AND p.classification + p.z > 2 AND p.intensity > r.id"
+            .to_string(),
+        // No predicate: every row, with no column resident.
+        "SELECT COUNT(*) FROM T".to_string(),
+        "SELECT wave_size FROM T LIMIT 3000".to_string(),
+    ] {
+        let flat = query(&c, &template.replace(" T", " flat")).unwrap();
+        let tiled = query(&c, &template.replace(" T", " tiles")).unwrap();
+        assert!(!flat.rows.is_empty(), "{template}");
+        assert_same_rows(&flat.rows, &tiled.rows, &template);
+        assert!(tc.resident_tiles() <= 1, "the 1-byte budget keeps one tile");
+    }
+    assert_eq!(
+        one_value(&c, "SELECT COUNT(*) FROM tiles"),
+        SqlValue::Int(10_000)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `sys.tiles` shows which columns each resident tile holds.
+#[test]
+fn sys_tiles_lists_resident_columns() {
+    let (c, tc) = setup("syscols");
+    query(
+        &c,
+        "SELECT z FROM tiles WHERE ST_Contains(ST_MakeEnvelope(0, 0, 5, 5), ST_Point(x, y))",
+    )
+    .unwrap();
+    let rs = query(
+        &c,
+        "SELECT resident_columns, resident_bytes, rows FROM sys.tiles WHERE resident = 1",
+    )
+    .unwrap();
+    assert_eq!(rs.rows.len(), tc.resident_tiles());
+    assert!(!rs.rows.is_empty());
+    for row in &rs.rows {
+        let (SqlValue::Int(bytes), SqlValue::Int(rows)) = (&row[1], &row[2]) else {
+            panic!("ints expected: {row:?}");
+        };
+        assert_eq!(row[0], SqlValue::Str("x,y,z".into()));
+        assert_eq!(*bytes, rows * 24);
+    }
+}
+
+/// A column file is checked when a statement first reads it: a corrupt
+/// `intensity.bin` in one tile leaves x, y, z viewports exact and fails a
+/// statement that reads that tile's intensity, naming the file.
+#[test]
+fn a_corrupt_column_fails_only_the_statements_that_read_it() {
+    let (c, tc, dir) = cold_setup("corruptcol");
+    let victim = dir.join("tile_00000").join("intensity.bin");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    bytes[7] ^= 0x20;
+    std::fs::write(&victim, &bytes).unwrap();
+    tc.set_resident_budget(0);
+    let viewport =
+        "SELECT x, y, z FROM T WHERE ST_Contains(ST_MakeEnvelope(0, 0, 99, 99), ST_Point(x, y))";
+    let flat = query(&c, &viewport.replace(" T", " flat")).unwrap();
+    let tiled = query(&c, &viewport.replace(" T", " tiles")).unwrap();
+    assert_eq!(flat.rows, tiled.rows);
+    let err = query(&c, "SELECT intensity FROM tiles").unwrap_err();
+    assert!(err.to_string().contains("intensity.bin"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,6 +4,13 @@
 //! storing the point cloud data, where a different column is used for storing
 //! the X, Y, Z coordinates and the 23 properties of each point. As a result,
 //! each point is stored as a different tuple in the flat table."*
+//!
+//! Columns are shared slots (`Arc<Column>`): a table built over a subset of
+//! another table's columns ([`FlatTable::from_columns`]) shares them
+//! without a copy, and the mutation paths copy a column only while someone
+//! else still holds it.
+
+use std::sync::Arc;
 
 use crate::column::Column;
 use crate::error::StorageError;
@@ -70,10 +77,13 @@ impl Schema {
 }
 
 /// A flat table: one [`Column`] per schema field, all of equal length.
+/// The row count is the table's own, so a table of no columns still has
+/// rows.
 #[derive(Debug, Clone)]
 pub struct FlatTable {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
+    rows: usize,
 }
 
 impl FlatTable {
@@ -82,9 +92,13 @@ impl FlatTable {
         let columns = schema
             .fields()
             .iter()
-            .map(|f| Column::new(f.ptype))
+            .map(|f| Arc::new(Column::new(f.ptype)))
             .collect();
-        FlatTable { schema, columns }
+        FlatTable {
+            schema,
+            columns,
+            rows: 0,
+        }
     }
 
     /// Create an empty table reserving capacity for `rows` rows.
@@ -92,9 +106,48 @@ impl FlatTable {
         let columns = schema
             .fields()
             .iter()
-            .map(|f| Column::with_capacity(f.ptype, rows))
+            .map(|f| Arc::new(Column::with_capacity(f.ptype, rows)))
             .collect();
-        FlatTable { schema, columns }
+        FlatTable {
+            schema,
+            columns,
+            rows: 0,
+        }
+    }
+
+    /// A table of `rows` rows over the given columns, in the given order,
+    /// sharing them. Every column must hold `rows` values of its field's
+    /// type; the names must be unique.
+    pub fn from_columns(
+        columns: Vec<(Field, Arc<Column>)>,
+        rows: usize,
+    ) -> Result<Self, StorageError> {
+        for (f, c) in &columns {
+            if c.ptype() != f.ptype {
+                return Err(StorageError::TypeMismatch {
+                    expected: f.ptype,
+                    found: c.ptype(),
+                });
+            }
+            if c.len() != rows {
+                return Err(StorageError::LengthMismatch {
+                    column: f.name.clone(),
+                    expected: rows,
+                    found: c.len(),
+                });
+            }
+        }
+        let (fields, columns) = columns.into_iter().unzip();
+        Ok(FlatTable {
+            schema: Schema::new(fields)?,
+            columns,
+            rows,
+        })
+    }
+
+    /// Every field with its shared column, in schema order.
+    pub fn shared_columns(&self) -> impl Iterator<Item = (&Field, &Arc<Column>)> {
+        self.schema.fields().iter().zip(&self.columns)
     }
 
     /// The table schema.
@@ -104,12 +157,12 @@ impl FlatTable {
 
     /// Number of rows (0 for a fresh table).
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, Column::len)
+        self.rows
     }
 
     /// Total payload bytes across all columns.
     pub fn byte_len(&self) -> usize {
-        self.columns.iter().map(Column::byte_len).sum()
+        self.columns.iter().map(|c| c.byte_len()).sum()
     }
 
     /// Borrow a column by position.
@@ -122,11 +175,12 @@ impl FlatTable {
         Ok(&self.columns[self.schema.index_of(name)?])
     }
 
-    /// Mutably borrow a column by name (used by the binary loader to append
-    /// a decoded dump directly to the column tail).
+    /// Mutably borrow a column by name, to rewrite it in place (the row
+    /// reorder at seal time); the caller keeps its length. A column shared
+    /// with another table is copied first.
     pub fn column_by_name_mut(&mut self, name: &str) -> Result<&mut Column, StorageError> {
         let i = self.schema.index_of(name)?;
-        Ok(&mut self.columns[i])
+        Ok(Arc::make_mut(&mut self.columns[i]))
     }
 
     /// Append one row given in schema order.
@@ -136,8 +190,9 @@ impl FlatTable {
     pub fn push_row(&mut self, row: &[Value]) {
         assert_eq!(row.len(), self.schema.width(), "row arity mismatch");
         for (col, v) in self.columns.iter_mut().zip(row) {
-            col.push(*v);
+            Arc::make_mut(col).push(*v);
         }
+        self.rows += 1;
     }
 
     /// `COPY BINARY`: append one little-endian binary dump per column, in
@@ -176,12 +231,14 @@ impl FlatTable {
         }
         let rows = rows.unwrap_or(0);
         for (col, d) in self.columns.iter_mut().zip(dumps) {
-            col.extend_from_le_bytes(d)?;
+            Arc::make_mut(col).extend_from_le_bytes(d)?;
         }
+        self.rows += rows;
         Ok(rows)
     }
 
-    /// Check the internal invariant that all columns have equal length.
+    /// Check the internal invariant that every column holds the table's
+    /// row count.
     pub fn validate(&self) -> Result<(), StorageError> {
         let rows = self.num_rows();
         for (f, c) in self.schema.fields().iter().zip(&self.columns) {
@@ -320,6 +377,37 @@ mod tests {
         ));
         assert_eq!(t.schema().index_of("z").unwrap(), 2);
         assert_eq!(t.schema().field("z").unwrap().ptype, PhysicalType::F64);
+    }
+
+    #[test]
+    fn subset_tables_share_columns_and_keep_their_row_count() {
+        let mut t = FlatTable::new(xyz_schema());
+        t.push_row(&[
+            Value::F64(1.0),
+            Value::F64(2.0),
+            Value::F64(3.0),
+            Value::U64(4),
+        ]);
+        let (f, z) = t.shared_columns().nth(2).unwrap();
+        let sub = FlatTable::from_columns(vec![(f.clone(), Arc::clone(z))], 1).unwrap();
+        assert!(
+            Arc::ptr_eq(z, sub.shared_columns().next().unwrap().1),
+            "no copy"
+        );
+        assert_eq!(sub.byte_len(), 8);
+        // No columns, still rows; a column of the wrong length is refused.
+        assert_eq!(
+            FlatTable::from_columns(Vec::new(), 7).unwrap().num_rows(),
+            7
+        );
+        assert!(FlatTable::from_columns(vec![(f.clone(), Arc::clone(z))], 2).is_err());
+        // Writing through a shared slot copies it; the other table keeps its value.
+        t.column_by_name_mut("z")
+            .unwrap()
+            .as_vec_mut::<f64>()
+            .unwrap()[0] = 9.0;
+        assert_eq!(sub.column(0).get(0), Some(Value::F64(3.0)));
+        assert_eq!(t.column_by_name("z").unwrap().get(0), Some(Value::F64(9.0)));
     }
 
     #[test]

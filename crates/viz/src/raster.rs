@@ -212,8 +212,7 @@ mod tests {
 
     #[test]
     fn write_ppm_to_disk() {
-        let dir = std::env::temp_dir().join("lidardb_viz_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::ScratchDir::new("viz_test");
         let path = dir.join("t.ppm");
         Raster::new(2, 2, world(), (0, 0, 0)).write_ppm(&path).unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() > 10);

@@ -182,8 +182,7 @@ mod tests {
 
     #[test]
     fn write_to_disk() {
-        let dir = std::env::temp_dir().join("lidardb_viz_svg_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::ScratchDir::new("viz_svg_test");
         let path = dir.join("m.svg");
         map().write(&path).unwrap();
         assert!(std::fs::read_to_string(&path).unwrap().contains("<svg"));

@@ -64,7 +64,7 @@ pub use lidardb_viz as viz;
 pub mod prelude {
     pub use lidardb_baselines::{BlockStore, FileStore};
     pub use lidardb_core::{
-        Aggregate, CoreError, Durability, FaultInjector, FaultKind, FaultStage, FileOutcome,
+        Aggregate, ColumnSet, CoreError, Durability, FaultInjector, FaultKind, FaultStage, FileOutcome,
         FileReport, LoadMethod, LoadPolicy, LoadReport, LoadStats, Loader, Parallelism,
         PointCloud, PointTable, RefineStrategy, SpatialPredicate, TileOptions, TiledCloud,
     };
