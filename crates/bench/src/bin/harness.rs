@@ -23,7 +23,10 @@ use lidardb_core::{
     AdmissionController, CoreError, FaultInjector, FaultKind, FaultStage, LoadMethod, LoadPolicy,
     Loader, Parallelism, PointCloud, PointTable, RefineStrategy, SpatialPredicate,
 };
-use lidardb_geom::{Envelope, Geometry, Point, Polygon, Ring};
+use lidardb_geom::{
+    contains_point, dwithin_point, Envelope, Geometry, Point, Polygon, PreparedGeometry, Relation,
+    Ring,
+};
 use lidardb_imprints::Imprints;
 use lidardb_sfc::{curve_locality, Curve, Quantizer};
 
@@ -295,6 +298,48 @@ fn e4_refinement() {
     run("adaptive grid", RefineStrategy::AdaptiveGrid);
     for cells in [8usize, 16, 32, 64, 128, 256] {
         run(&format!("grid {cells}x{cells}"), RefineStrategy::Grid { cells });
+    }
+    println!();
+
+    // The exact test alone, per call against the whole polygon and through
+    // the prepared edge index refinement uses, on the water body (the
+    // buffered sine corridor of the scenario-2 heavy join) and every bbox
+    // candidate of a 4.5 m `ST_DWithin` around it.
+    let water = fx.scene.zones().iter().find(|z| z.class.code() == 50000);
+    let g = Geometry::Polygon(water.expect("the scene has a water body").polygon.clone());
+    let d = 4.5;
+    let pred = SpatialPredicate::DWithin(g.clone(), d);
+    let bbox = pc
+        .select_query_with(Some(&pred), &[], RefineStrategy::BboxOnly, Parallelism::Serial)
+        .expect("select");
+    let (xs, ys) = (pc.f64_column("x").expect("x"), pc.f64_column("y").expect("y"));
+    let pts: Vec<Point> = bbox.rows.iter().map(|&r| Point::new(xs[r], ys[r])).collect();
+    let prepared = PreparedGeometry::new(&g);
+    println!(
+        "exact point test on the water body: {} edges, {} bbox candidates",
+        g.boundary_segments().count(),
+        pts.len()
+    );
+    println!("{:<18} {:>30} {:>30}", "test", "reference ns/test", "prepared ns/test");
+    let relations = [("ST_Contains", Relation::Within), ("ST_DWithin 4.5 m", Relation::DWithin(d))];
+    for (name, rel) in relations {
+        let reference = |p: &Point| match rel {
+            Relation::Within => contains_point(&g, p),
+            Relation::DWithin(d) => dwithin_point(&g, p, d),
+        };
+        let n = pts.iter().filter(|p| reference(p)).count();
+        assert!(
+            pts.iter().all(|p| prepared.matches(p, rel) == reference(p)),
+            "{name}: the prepared test must answer as the reference does"
+        );
+        let per_test = |test: &dyn Fn(&Point) -> bool| {
+            let t = median_seconds(5, || {
+                std::hint::black_box(pts.iter().filter(|p| test(p)).count());
+            });
+            t.scaled(1e9 / pts.len().max(1) as f64)
+        };
+        let (t_ref, t_prep) = (per_test(&reference), per_test(&|p| prepared.matches(p, rel)));
+        println!("{name:<18} {t_ref:>30} {t_prep:>30}   ({n} match, identical)");
     }
     println!();
 }

@@ -25,10 +25,10 @@
 //! parallel loader and surface as [`CoreError::WorkerPanic`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use lidardb_geom::{Envelope, Point, RectClass};
+use lidardb_geom::{Envelope, Point, PreparedGeometry, RectClass, Relation};
 use lidardb_imprints::CandidateList;
 use lidardb_storage::scan::{self, AggState};
 use lidardb_storage::{for_each_variant, Native};
@@ -36,7 +36,7 @@ use lidardb_storage::{for_each_variant, Native};
 use crate::error::CoreError;
 use crate::governor::{GovernCtx, CHECKPOINT_STRIDE};
 use crate::pointcloud::PointCloud;
-use crate::query::{grid_cell, grid_cell_env, AttrRange, Explain, SpatialPredicate};
+use crate::query::{grid_cell, grid_cell_env, AttrRange, Explain};
 
 /// Worker-count policy for query execution: passed per call to
 /// `PointTable::select`/`aggregate` and `select_query_with` (the shorthand
@@ -312,10 +312,11 @@ pub(crate) fn filter(
     Ok(concat(parts))
 }
 
-/// Exhaustive refinement: the exact predicate on every candidate, one
-/// morsel at a time, merged in order.
+/// Exhaustive refinement: the exact predicate, through the prepared
+/// geometry, on every candidate, one morsel at a time, merged in order.
 pub(crate) fn refine_exhaustive(
-    pred: &SpatialPredicate,
+    geom: &PreparedGeometry,
+    rel: Relation,
     xs: &[f64],
     ys: &[f64],
     rows: &mut Vec<usize>,
@@ -329,7 +330,7 @@ pub(crate) fn refine_exhaustive(
         // engine: checkpoint at stride boundaries.
         for sub in chunks[i].chunks(CHECKPOINT_STRIDE) {
             for &row in sub {
-                if pred.matches(&Point::new(xs[row], ys[row])) {
+                if geom.matches(&Point::new(xs[row], ys[row]), rel) {
                     out.push(row);
                 }
             }
@@ -341,16 +342,19 @@ pub(crate) fn refine_exhaustive(
     Ok(())
 }
 
-/// Regular-grid refinement over the candidate rows, in two passes over row
-/// morsels: (1) compute each candidate's cell id; then classify every
-/// non-empty cell once, on the calling thread (the table scan is cheap next
-/// to the geometry tests); (2) dispatch each candidate by its cell class —
-/// Inside keeps, Outside drops, Boundary runs the exact point test — and
-/// merge kept rows in morsel order. Rows and `Explain` cell counts do not
+/// Regular-grid refinement over the candidate rows, in one pass over row
+/// morsels: each candidate is binned to its cell, the cell is classified
+/// the first time a candidate lands in it, and the class dispatches the
+/// candidate — Inside keeps, Outside drops, Boundary runs the exact point
+/// test. Kept rows merge in morsel order. Cells and points are tested
+/// through the prepared geometry, which reads only the edges near them and
+/// answers as the per-call reference does. Every non-empty cell is
+/// classified and counted once, so rows and `Explain` cell counts do not
 /// depend on the worker count.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_grid(
-    pred: &SpatialPredicate,
+    geom: &PreparedGeometry,
+    rel: Relation,
     env: &Envelope,
     cells: usize,
     xs: &[f64],
@@ -360,81 +364,60 @@ pub(crate) fn refine_grid(
     workers: usize,
     govern: &GovernCtx,
 ) -> Result<(), CoreError> {
+    const UNSEEN: u8 = 0;
+    const INSIDE: u8 = 1;
+    const OUTSIDE: u8 = 2;
+    const BOUNDARY: u8 = 3;
     let w = env.width().max(f64::MIN_POSITIVE);
     let h = env.height().max(f64::MIN_POSITIVE);
-    // The refinement working set: one u32 cell id per candidate plus one
-    // class byte per cell. Charging up front converts a would-be OOM into a
-    // budget cancellation.
-    govern.charge((rows.len() * std::mem::size_of::<u32>() + cells * cells) as u64)?;
+    // The refinement working set: one class byte per cell. Charging up
+    // front converts a would-be OOM into a budget cancellation.
+    govern.charge((cells * cells) as u64)?;
+    // Workers racing on an unseen cell both classify it and store the same
+    // class; the byte publishes nothing else, so `Relaxed` suffices.
+    let class: Vec<AtomicU8> = std::iter::repeat_with(|| AtomicU8::new(UNSEEN))
+        .take(cells * cells)
+        .collect();
     let chunks: Vec<&[usize]> = rows.chunks(morsel_size(rows.len(), workers)).collect();
-    // Pass 1: bin candidates to cells (cell ids fit u32: cells <= MAX_GRID).
-    let cell_ids = run_indexed(workers, chunks.len(), |i| {
-        let mut ids = Vec::with_capacity(chunks[i].len());
-        for sub in chunks[i].chunks(CHECKPOINT_STRIDE) {
-            ids.extend(
-                sub.iter()
-                    .map(|&row| grid_cell(env, w, h, cells, xs[row], ys[row]) as u32),
-            );
-            govern.checkpoint("grid_refine")?;
-        }
-        Ok(ids)
-    })?;
-    // Classify each non-empty cell exactly once.
-    const EMPTY: u8 = 0;
-    const PRESENT: u8 = 1;
-    const INSIDE: u8 = 2;
-    const OUTSIDE: u8 = 3;
-    const BOUNDARY: u8 = 4;
-    let mut class = vec![EMPTY; cells * cells];
-    for ids in &cell_ids {
-        for &c in ids {
-            class[c as usize] = PRESENT;
-        }
-    }
-    for (cell, slot) in class.iter_mut().enumerate() {
-        if *slot != PRESENT {
-            continue;
-        }
-        *slot = match pred.classify_cell(&grid_cell_env(env, w, h, cells, cell)) {
-            RectClass::Inside => {
-                explain.cells_inside += 1;
-                INSIDE
-            }
-            RectClass::Outside => {
-                explain.cells_outside += 1;
-                OUTSIDE
-            }
-            RectClass::Boundary => {
-                explain.cells_boundary += 1;
-                BOUNDARY
-            }
-        };
-    }
-    // Pass 2: dispatch candidates by cell class.
     let results = run_indexed(workers, chunks.len(), |i| {
         let mut out = Vec::new();
         let mut tests = 0usize;
-        let mut since = 0usize;
-        for (&row, &c) in chunks[i].iter().zip(&cell_ids[i]) {
-            match class[c as usize] {
-                INSIDE => out.push(row),
-                OUTSIDE => {}
-                BOUNDARY => {
-                    tests += 1;
-                    if pred.matches(&Point::new(xs[row], ys[row])) {
-                        out.push(row);
+        for sub in chunks[i].chunks(CHECKPOINT_STRIDE) {
+            for &row in sub {
+                let p = Point::new(xs[row], ys[row]);
+                let cell = grid_cell(env, w, h, cells, p.x, p.y);
+                let mut c = class[cell].load(Ordering::Relaxed);
+                if c == UNSEEN {
+                    c = match geom.classify_rect(&grid_cell_env(env, w, h, cells, cell), rel) {
+                        RectClass::Inside => INSIDE,
+                        RectClass::Outside => OUTSIDE,
+                        RectClass::Boundary => BOUNDARY,
+                    };
+                    class[cell].store(c, Ordering::Relaxed);
+                }
+                match c {
+                    INSIDE => out.push(row),
+                    OUTSIDE => {}
+                    _ => {
+                        tests += 1;
+                        if geom.matches(&p, rel) {
+                            out.push(row);
+                        }
                     }
                 }
-                _ => unreachable!("present cells were classified"),
             }
-            since += 1;
-            if since >= CHECKPOINT_STRIDE {
-                since = 0;
-                govern.checkpoint("grid_refine")?;
-            }
+            govern.checkpoint("grid_refine")?;
         }
         Ok((out, tests))
     })?;
+    for c in &class {
+        match c.load(Ordering::Relaxed) {
+            INSIDE => explain.cells_inside += 1,
+            OUTSIDE => explain.cells_outside += 1,
+            BOUNDARY => explain.cells_boundary += 1,
+            _ => {}
+        }
+    }
     let (kept, tests): (Vec<_>, Vec<usize>) = results.into_iter().unzip();
     explain.exact_tests += tests.iter().sum::<usize>();
     *rows = concat(kept);

@@ -10,7 +10,10 @@
 //! laid over the bbox, surviving points are binned to cells, every
 //! *non-empty* cell is classified against the geometry in one step
 //! (INSIDE → take all points, OUTSIDE → drop all), and only BOUNDARY
-//! cells fall back to exact per-point predicate evaluation.
+//! cells fall back to exact per-point predicate evaluation. Cells and
+//! points are tested against the geometry's
+//! [`lidardb_geom::PreparedGeometry`] — its edges binned by y-interval —
+//! built at most once per select, the first time refinement runs.
 //!
 //! Reads of every table shape go through one view,
 //! [`crate::table::PointTable`]; [`PointCloud`] keeps `select`,
@@ -18,12 +21,12 @@
 //! query returns a [`Selection`] carrying its [`Explain`] — cardinalities
 //! and wall-clock per operator, the breakdown the demo shows its audience.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lidardb_geom::{
-    classify_rect_dwithin, classify_rect_polygon, contains_point, dwithin_point, Envelope,
-    Geometry, Point, RectClass,
+    contains_point, dwithin_point, Envelope, Geometry, Point, PreparedGeometry, Relation,
 };
 use lidardb_storage::scan;
 
@@ -60,7 +63,9 @@ impl SpatialPredicate {
         }
     }
 
-    /// Exact per-point test.
+    /// Exact per-point test: the per-call reference. Refinement answers
+    /// the same question through the geometry's
+    /// [`PreparedGeometry`], built once per select.
     #[inline]
     pub fn matches(&self, p: &Point) -> bool {
         match self {
@@ -69,19 +74,12 @@ impl SpatialPredicate {
         }
     }
 
-    /// One-step cell classification.
-    pub(crate) fn classify_cell(&self, cell: &Envelope) -> RectClass {
+    /// The geometry and the relation refinement evaluates through the
+    /// geometry's prepared form.
+    pub(crate) fn relation(&self) -> (&Geometry, Relation) {
         match self {
-            SpatialPredicate::Within(g) => match g {
-                Geometry::Polygon(pg) => classify_rect_polygon(cell, pg),
-                Geometry::MultiPolygon(mp) => {
-                    lidardb_geom::classify::classify_rect_multipolygon(cell, mp.polygons())
-                }
-                // Points/lines have no interior: every non-empty cell needs
-                // per-point checks.
-                _ => RectClass::Boundary,
-            },
-            SpatialPredicate::DWithin(g, d) => classify_rect_dwithin(cell, g, *d),
+            SpatialPredicate::Within(g) => (g, Relation::Within),
+            SpatialPredicate::DWithin(g, d) => (g, Relation::DWithin(*d)),
         }
     }
 
@@ -196,6 +194,28 @@ pub struct Explain {
 }
 
 impl Explain {
+    /// Fold another segment's or probe's `Explain` into this one: counts
+    /// and timings sum, workers take the max, morsel breakdowns
+    /// concatenate. Tile counters are the caller's.
+    pub fn merge(&mut self, sub: &Explain) {
+        self.after_imprints += sub.after_imprints;
+        self.sure_rows += sub.sure_rows;
+        self.after_bbox += sub.after_bbox;
+        self.result_rows += sub.result_rows;
+        self.cells_inside += sub.cells_inside;
+        self.cells_outside += sub.cells_outside;
+        self.cells_boundary += sub.cells_boundary;
+        self.exact_tests += sub.exact_tests;
+        self.attr_probes += sub.attr_probes;
+        self.degraded_probes += sub.degraded_probes;
+        self.t_imprint_build += sub.t_imprint_build;
+        self.t_imprints += sub.t_imprints;
+        self.t_bbox += sub.t_bbox;
+        self.t_refine += sub.t_refine;
+        self.workers = self.workers.max(sub.workers);
+        self.morsel_times.extend(sub.morsel_times.iter().copied());
+    }
+
     /// Total measured time in seconds (including lazy index builds).
     pub fn total_seconds(&self) -> f64 {
         self.t_imprint_build + self.t_imprints + self.t_bbox + self.t_refine
@@ -329,10 +349,13 @@ impl PointCloud {
     /// The two-step pipeline proper: probes, exact scans, refinement.
     /// Returns the matching rows; `explain` is filled in as far as
     /// execution got (on cancellation it describes the completed prefix).
+    /// `prepared` holds the predicate geometry's edge index: the first
+    /// segment whose refinement runs builds it, later ones reuse it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn query_stages(
         &self,
         pred: Option<&SpatialPredicate>,
+        prepared: &OnceCell<PreparedGeometry>,
         attrs: &[AttrRange],
         strategy: RefineStrategy,
         parallelism: Parallelism,
@@ -498,12 +521,16 @@ impl PointCloud {
         let t0 = Instant::now();
         if let (Some(pred), Some(env)) = (pred, &env) {
             let pure_bbox = pred.is_pure_bbox().is_some();
+            let (geom, rel) = pred.relation();
+            // Built on first use only: pure-bbox and `BboxOnly` selects
+            // never prepare the geometry.
+            let prepare = || prepared.get_or_init(|| PreparedGeometry::new(geom));
             match strategy {
                 RefineStrategy::BboxOnly => {}
                 _ if pure_bbox => {} // bbox check was already exact
                 RefineStrategy::Exhaustive => {
                     explain.exact_tests = rows.len();
-                    exec::refine_exhaustive(pred, xs, ys, &mut rows, workers, ctx)?;
+                    exec::refine_exhaustive(prepare(), rel, xs, ys, &mut rows, workers, ctx)?;
                 }
                 RefineStrategy::Grid { .. } | RefineStrategy::AdaptiveGrid => {
                     let cells = match strategy {
@@ -513,7 +540,9 @@ impl PointCloud {
                         RefineStrategy::Grid { cells } => cells.clamp(1, MAX_GRID),
                         _ => ((rows.len() as f64 / 128.0).sqrt() as usize).clamp(8, MAX_GRID),
                     };
-                    exec::refine_grid(pred, env, cells, xs, ys, &mut rows, explain, workers, ctx)?;
+                    exec::refine_grid(
+                        prepare(), rel, env, cells, xs, ys, &mut rows, explain, workers, ctx,
+                    )?;
                 }
             }
         }

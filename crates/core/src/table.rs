@@ -5,6 +5,7 @@
 //! the read path: governance, selection, the aggregate fold and the
 //! resolution of row ids to the segments holding them.
 
+use std::cell::OnceCell;
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -188,12 +189,16 @@ impl<'a> PointTable<'a> {
         ctx: &GovernCtx,
     ) -> Result<Selection, CoreError> {
         run_query(ctx, |root, explain| {
+            // The predicate geometry's edge index, shared by every segment
+            // and built by the first one whose refinement runs.
+            let prepared = OnceCell::new();
+            let stages = |pc: &PointCloud, root: &mut _, explain: &mut _| {
+                pc.query_stages(pred, &prepared, attrs, strategy, parallelism, ctx, root, explain)
+            };
             let tc = match *self {
                 // One always-resident segment, nothing to prune: its stages
                 // write the explain and the rows directly.
-                PointTable::Flat(pc) => {
-                    return pc.query_stages(pred, attrs, strategy, parallelism, ctx, root, explain)
-                }
+                PointTable::Flat(pc) => return stages(pc, root, explain),
                 PointTable::Tiled(tc) => tc,
             };
             let tiles = tc.tiles();
@@ -213,11 +218,10 @@ impl<'a> PointTable<'a> {
                 ctx.checkpoint("tile")?;
                 let pc = tc.load_tile(t, columns, ctx)?;
                 let mut sub = Explain::default();
-                let local =
-                    pc.query_stages(pred, attrs, strategy, parallelism, ctx, root, &mut sub)?;
+                let local = stages(&pc, root, &mut sub)?;
                 let base = tiles.tiles[t].row_start;
                 rows.extend(local.iter().map(|&r| r + base));
-                merge_explain(explain, &sub);
+                explain.merge(&sub);
             }
             explain.result_rows = rows.len();
             explain.tiles_total = tiles.len();
@@ -388,24 +392,4 @@ fn run_query(
         explain,
         trace_id,
     })
-}
-
-/// Fold one tile's `Explain` into the merged tiled-query view: counts
-/// sum, timings sum, workers take the max, morsel breakdowns concatenate.
-fn merge_explain(into: &mut Explain, sub: &Explain) {
-    into.after_imprints += sub.after_imprints;
-    into.sure_rows += sub.sure_rows;
-    into.after_bbox += sub.after_bbox;
-    into.cells_inside += sub.cells_inside;
-    into.cells_outside += sub.cells_outside;
-    into.cells_boundary += sub.cells_boundary;
-    into.exact_tests += sub.exact_tests;
-    into.attr_probes += sub.attr_probes;
-    into.degraded_probes += sub.degraded_probes;
-    into.t_imprint_build += sub.t_imprint_build;
-    into.t_imprints += sub.t_imprints;
-    into.t_bbox += sub.t_bbox;
-    into.t_refine += sub.t_refine;
-    into.workers = into.workers.max(sub.workers);
-    into.morsel_times.extend(sub.morsel_times.iter().copied());
 }

@@ -26,7 +26,7 @@ use lidardb_core::{
     Parallelism, PointCloud, PointTable, RefineStrategy, Selection, SpatialPredicate,
     TileOptions, TiledCloud, MORSEL_MIN_ROWS,
 };
-use lidardb_geom::{Geometry, LineString, Point, Polygon};
+use lidardb_geom::{buffer_polyline, Geometry, LineString, Point, Polygon, Ring};
 use lidardb_las::PointRecord;
 use proptest::prelude::*;
 
@@ -447,6 +447,117 @@ fn differential_dwithin_line() {
             assert_differential(pc, Some(&road()), &[], strategy);
         }
     });
+}
+
+/// The water-body shape of the benchmark scene: a 64-vertex sine
+/// centreline buffered into a 128-vertex corridor polygon.
+fn water_corridor() -> Geometry {
+    let line: Vec<Point> = (0..64)
+        .map(|i| {
+            let y = 1000.0 * i as f64 / 63.0;
+            Point::new(500.0 + 150.0 * (y / 800.0 * std::f64::consts::TAU).sin(), y)
+        })
+        .collect();
+    let corridor = buffer_polyline(&LineString::new(line).unwrap(), 20.0).unwrap();
+    assert_eq!(corridor.exterior().vertices().len(), 128);
+    Geometry::Polygon(corridor)
+}
+
+/// A concave "C" whose notch opens east, with a square hole in its spine.
+fn holed_c() -> SpatialPredicate {
+    let ring = |pts: &[(f64, f64)]| {
+        Ring::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
+    };
+    SpatialPredicate::Within(Geometry::Polygon(Polygon::new(
+        ring(&[
+            (150.0, 150.0),
+            (850.0, 180.0),
+            (830.0, 380.0),
+            (400.0, 390.0),
+            (420.0, 610.0),
+            (860.0, 640.0),
+            (820.0, 860.0),
+            (130.0, 840.0),
+        ]),
+        vec![ring(&[(200.0, 450.0), (330.0, 450.0), (330.0, 560.0), (200.0, 560.0)])],
+    )))
+}
+
+/// A workload of `rows` points ingested through the WAL of a scratch
+/// directory of this test's own, with the last sixth applied but not yet
+/// committed: queries see the committed snapshot only. The directory and
+/// its WAL go on drop.
+struct StreamingShape {
+    dir: PathBuf,
+    pc: PointCloud,
+}
+
+impl StreamingShape {
+    fn new(rows: usize) -> StreamingShape {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("lidardb_diff_stream_{}_{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(wal::wal_path_for(&dir));
+        let durability = Durability::GroupCommit {
+            max_batches: 1_000,
+            max_delay: std::time::Duration::from_secs(3_600),
+        };
+        let mut pc = PointCloud::open_ingest(&dir, durability).unwrap();
+        let recs = workload(rows, SHARED_SEED);
+        let committed = rows / 6 * 5;
+        for chunk in recs[..committed].chunks(10_000) {
+            pc.ingest_records(chunk).unwrap();
+        }
+        pc.flush_wal().unwrap();
+        pc.ingest_records(&recs[committed..]).unwrap();
+        assert_eq!(pc.visible_rows(), committed, "the tail is not yet visible");
+        StreamingShape { dir, pc }
+    }
+}
+
+impl Drop for StreamingShape {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+        let _ = std::fs::remove_file(wal::wal_path_for(&self.dir));
+    }
+}
+
+/// Refinement through the prepared edge index, on the shapes it exists
+/// for: the many-edge water corridor under containment and at distances
+/// 0, 1 and 5, and a concave polygon with a hole, each against the
+/// brute-force reference's per-call predicate at every worker count.
+fn check_corridor_and_holed_polygon(shape: Shape) {
+    let corridor = water_corridor();
+    for pred in [
+        SpatialPredicate::Within(corridor.clone()),
+        SpatialPredicate::DWithin(corridor.clone(), 0.0),
+        SpatialPredicate::DWithin(corridor.clone(), 1.0),
+        SpatialPredicate::DWithin(corridor, 5.0),
+        holed_c(),
+    ] {
+        let rows = assert_differential(shape, Some(&pred), &[], RefineStrategy::default());
+        assert!(!rows.is_empty(), "{pred:?} selects rows");
+    }
+}
+
+#[test]
+fn differential_corridor_and_holed_polygon_flat() {
+    check_corridor_and_holed_polygon(Shape::flat(shared_cloud()));
+}
+
+#[test]
+fn differential_corridor_and_holed_polygon_tiled() {
+    let tiled = TiledShape::new();
+    check_corridor_and_holed_polygon(tiled.shape());
+    assert!(tiled.tc.tile_evictions() > 0, "the budget evicts");
+}
+
+#[test]
+fn differential_corridor_and_holed_polygon_streaming() {
+    let streaming = StreamingShape::new(36_000);
+    check_corridor_and_holed_polygon(Shape::flat(&streaming.pc));
 }
 
 #[test]

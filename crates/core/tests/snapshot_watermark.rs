@@ -203,7 +203,7 @@ fn parallel_two_pass_grid_refine_never_reads_past_the_watermark() {
             .unwrap();
         assert!(
             sel.explain.after_imprints >= 2 * lidardb_core::MORSEL_MIN_ROWS,
-            "candidate set too small to trigger the two-pass parallel path"
+            "candidate set too small to trigger parallel grid refinement"
         );
         assert_clamped(&sel.rows, "grid refine", w);
         let rows = sel.rows.clone();

@@ -71,8 +71,13 @@ pub fn classify_rect_multipolygon(rect: &Envelope, polys: &[Polygon]) -> RectCla
 /// report `Boundary` for cells that are actually uniform, never the
 /// reverse.
 pub fn classify_rect_dwithin(rect: &Envelope, g: &Geometry, d: f64) -> RectClass {
-    let center_dist = distance_point(g, &rect.center());
-    let r = rect.half_diagonal();
+    dwithin_label(distance_point(g, &rect.center()), rect.half_diagonal(), d)
+}
+
+/// The triangle-inequality decision of [`classify_rect_dwithin`], given the
+/// distance from the cell centre to the geometry and the cell's
+/// half-diagonal `r`.
+pub(crate) fn dwithin_label(center_dist: f64, r: f64, d: f64) -> RectClass {
     if center_dist + r <= d {
         RectClass::Inside
     } else if center_dist - r > d {

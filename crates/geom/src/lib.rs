@@ -11,6 +11,8 @@
 //! refinement step of §3.3: each grid cell is decided as fully INSIDE the
 //! query geometry (accept all its points without further checks), fully
 //! OUTSIDE (reject all), or BOUNDARY (fall back to exact per-point tests).
+//! [`prepared`] answers the same cell and point questions from an edge
+//! index built once per query, reading only the edges near the point.
 //!
 //! All coordinates are planar `f64` (projected CRS such as the Dutch RD /
 //! EPSG:28992 that AHN2 ships in); no geodesy is involved, exactly as in the
@@ -23,6 +25,7 @@ pub mod error;
 pub mod geometry;
 pub mod polygon;
 pub mod predicates;
+pub mod prepared;
 pub mod segment;
 pub mod wkt;
 
@@ -33,6 +36,7 @@ pub use error::GeomError;
 pub use geometry::{Geometry, LineString, MultiPoint, MultiPolygon};
 pub use polygon::{Polygon, Ring};
 pub use predicates::{contains_point, distance_point, dwithin_point, intersects};
+pub use prepared::{PreparedGeometry, Relation};
 pub use segment::Segment;
 
 /// A planar point. The fundamental coordinate tuple of the crate.

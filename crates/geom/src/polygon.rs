@@ -78,16 +78,10 @@ impl Ring {
         let mut inside = false;
         let mut j = n - 1;
         for i in 0..n {
-            let a = &self.vertices[i];
-            let b = &self.vertices[j];
-            if Segment::new(*a, *b).contains_point(p) {
-                return true;
-            }
-            if (a.y > p.y) != (b.y > p.y) {
-                let x_cross = (b.x - a.x) * (p.y - a.y) / (b.y - a.y) + a.x;
-                if p.x < x_cross {
-                    inside = !inside;
-                }
+            match ray_step(&self.vertices[i], &self.vertices[j], p) {
+                RayStep::OnEdge => return true,
+                RayStep::Crosses => inside = !inside,
+                RayStep::Misses => {}
             }
             j = i;
         }
@@ -100,6 +94,35 @@ impl Ring {
     pub fn on_boundary(&self, p: &Point) -> bool {
         self.edges().any(|e| e.contains_point(p))
     }
+}
+
+/// What one edge contributes to the ray cast from `p` towards +x.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RayStep {
+    /// `p` lies on the edge: the ring contains it.
+    OnEdge,
+    /// The ray crosses the edge: the parity flips.
+    Crosses,
+    /// Neither.
+    Misses,
+}
+
+/// One edge `a–b` of the ray cast in [`Ring::contains_point`], which passes
+/// `(v[i], v[i−1])`; callers keep that operand order, because `orient` and
+/// the crossing abscissa are not symmetric in floating point. Both outcomes
+/// other than `Misses` need `p.y` inside the edge's closed y-interval.
+#[inline]
+pub(crate) fn ray_step(a: &Point, b: &Point, p: &Point) -> RayStep {
+    if Segment::new(*a, *b).contains_point(p) {
+        return RayStep::OnEdge;
+    }
+    if (a.y > p.y) != (b.y > p.y) {
+        let x_cross = (b.x - a.x) * (p.y - a.y) / (b.y - a.y) + a.x;
+        if p.x < x_cross {
+            return RayStep::Crosses;
+        }
+    }
+    RayStep::Misses
 }
 
 /// A polygon: an exterior ring minus its holes.

@@ -15,8 +15,8 @@
 use std::time::Instant;
 
 use lidardb_core::{
-    Aggregate, CancelToken, ColumnSet, GovernCtx, PointCloud, PointTable, RefineStrategy, Run,
-    SpatialPredicate,
+    Aggregate, CancelToken, ColumnSet, Explain, GovernCtx, PointCloud, PointTable,
+    RefineStrategy, Run, SpatialPredicate,
 };
 use lidardb_storage::scan::AggState;
 use lidardb_storage::{for_each_variant, Native, PhysicalType, Value};
@@ -1019,6 +1019,8 @@ fn join_probes<'a>(
         JoinPred::ContainsPoint { geom_col } => geom_col,
     };
     let mut probes = Vec::with_capacity(features.len());
+    // The probes' stages, summed, for the lines under the join's own.
+    let mut stages = Explain::default();
     for feature in features {
         let g = match vt.value(geom_col, feature.row)? {
             SqlValue::Geom(g) => g,
@@ -1035,6 +1037,7 @@ fn join_probes<'a>(
         };
         let (attrs, par) = (&pc_scan.attr_ranges, catalog.parallelism());
         let sel = pc.select(Some(&pred), attrs, RefineStrategy::default(), par, ctx)?;
+        stages.merge(&sel.explain);
         probes.push((feature, sel.rows));
     }
     trace.push(TraceEntry::new(
@@ -1042,6 +1045,7 @@ fn join_probes<'a>(
         probes.iter().map(|(_, rows)| rows.len()).sum(),
         t0.elapsed().as_secs_f64(),
     ));
+    stage_entries(&stages, "  ", trace);
     Ok(probes)
 }
 
@@ -1083,21 +1087,31 @@ fn scan_rows(
         );
         trace.push(TraceEntry::new(op, e.tiles_probed, 0.0));
     }
+    stage_entries(e, "", trace);
+    Ok(sel.rows)
+}
+
+/// The engine's stages of one `Explain` as trace lines, each label after
+/// `indent`: the lazy imprint build when there was one, the imprint
+/// filter, the exact bbox scan, and grid refinement with its cell classes
+/// (inside/outside/boundary) and exact point tests.
+fn stage_entries(e: &Explain, indent: &str, trace: &mut Vec<TraceEntry>) {
     if e.t_imprint_build > 0.0 {
-        trace.push(TraceEntry::new("imprint build (lazy)", 0, e.t_imprint_build));
+        let op = format!("{indent}imprint build (lazy)");
+        trace.push(TraceEntry::new(op, 0, e.t_imprint_build));
     }
     let op = match e.attr_probes {
-        0 => "imprint filter".to_string(),
-        n => format!("imprint filter (+{n} attribute probes)"),
+        0 => format!("{indent}imprint filter"),
+        n => format!("{indent}imprint filter (+{n} attribute probes)"),
     };
     trace.push(TraceEntry::new(op, e.after_imprints, e.t_imprints));
-    trace.push(TraceEntry::new("exact bbox scan", e.after_bbox, e.t_bbox));
+    let op = format!("{indent}exact bbox scan");
+    trace.push(TraceEntry::new(op, e.after_bbox, e.t_bbox));
     let op = format!(
-        "grid refinement (cells {}/{}/{})",
-        e.cells_inside, e.cells_outside, e.cells_boundary
+        "{indent}grid refinement (cells {}/{}/{}, {} exact tests)",
+        e.cells_inside, e.cells_outside, e.cells_boundary, e.exact_tests
     );
     trace.push(TraceEntry::new(op, e.result_rows, e.t_refine));
-    Ok(sel.rows)
 }
 
 /// Expand the projection list against the plan's tables.

@@ -193,6 +193,42 @@ fn scenario2_points_near_fast_transit_road() {
     assert!(rs.trace.iter().any(|t| t.operator.contains("spatial join")));
 }
 
+/// `EXPLAIN ANALYZE` of a spatial join names the layers its probes ran:
+/// under the join line come the probes' summed imprint filter, bbox scan
+/// and grid refinement, the last with its exact point tests.
+#[test]
+fn explain_analyze_join_shows_the_refine_layer() {
+    let c = setup();
+    let rs = query(
+        &c,
+        "EXPLAIN ANALYZE SELECT COUNT(*) FROM points p, ua u WHERE \
+         ST_DWithin(ST_Point(p.x, p.y), u.geom, 2.5) AND u.code = 12210",
+    )
+    .unwrap();
+    let ops: Vec<&str> = rs.trace.iter().map(|t| t.operator.as_str()).collect();
+    let join = ops.iter().position(|op| op.starts_with("spatial join (1 probes)"));
+    let join = join.unwrap_or_else(|| panic!("no join line in {ops:?}"));
+    let under = &rs.trace[join + 1..];
+    assert!(under.iter().any(|t| t.operator == "  imprint filter"), "{ops:?}");
+    assert!(under.iter().any(|t| t.operator == "  exact bbox scan"), "{ops:?}");
+    let refine = under
+        .iter()
+        .find(|t| t.operator.starts_with("  grid refinement"))
+        .unwrap_or_else(|| panic!("no refine line in {ops:?}"));
+    let tests: usize = refine
+        .operator
+        .rsplit_once(", ")
+        .and_then(|(_, tail)| tail.strip_suffix(" exact tests)"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no exact test count in {:?}", refine.operator));
+    assert!(tests > 0, "{:?}", refine.operator);
+    // The refine line's rows are the join's: y in 43..=57 -> 15 x 100.
+    assert_eq!(refine.rows, 1500);
+    assert_eq!(rs.trace[join].rows, 1500);
+    let text: String = rs.rows.iter().map(|r| r[0].render() + "\n").collect();
+    assert!(text.contains("grid refinement"), "{text}");
+}
+
 #[test]
 fn scenario2_average_elevation_near_road() {
     let c = setup();

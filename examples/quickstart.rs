@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use lidardb::prelude::*;
-use lidardb::{scene_catalog, write_scene_tiles};
+use lidardb::{scene_catalog, write_scene_tiles, ScratchDir};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A 1 km² synthetic Dutch municipality at 1 pt/m² (≈1M points).
@@ -18,9 +18,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("scene: {:?}", scene.envelope());
 
     // 2. Write it out as a directory of laz-lite tiles (the AHN2 shape).
-    let dir = std::env::temp_dir().join("lidardb_quickstart_tiles");
-    let _ = std::fs::remove_dir_all(&dir);
-    let paths = write_scene_tiles(&scene, &dir, 4, 1.0, Compression::LazLite)?;
+    let scratch = ScratchDir::new("quickstart_tiles")?;
+    let dir = scratch.path();
+    let paths = write_scene_tiles(&scene, dir, 4, 1.0, Compression::LazLite)?;
     println!("wrote {} tiles to {}", paths.len(), dir.display());
 
     // 3. Bulk-load with the paper's binary loader (parallel decode,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lidardb::prelude::*;
-use lidardb::{scene_catalog, write_scene_tiles};
+use lidardb::{scene_catalog, write_scene_tiles, ScratchDir};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scene = Scene::generate(SceneConfig {
@@ -18,13 +18,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         origin: (0.0, 0.0),
         extent_m: 1200.0,
     });
-    let dir = std::env::temp_dir().join("lidardb_scenario1_tiles");
-    let _ = std::fs::remove_dir_all(&dir);
-    let paths = write_scene_tiles(&scene, &dir, 4, 1.0, Compression::LazLite)?;
+    let scratch = ScratchDir::new("scenario1_tiles")?;
+    let dir = scratch.path();
+    let paths = write_scene_tiles(&scene, dir, 4, 1.0, Compression::LazLite)?;
     println!("dataset: {} laz-lite tiles", paths.len());
 
     // --- the file-based solution -------------------------------------------
-    let mut filestore = FileStore::open(&dir)?;
+    let mut filestore = FileStore::open(dir)?;
     let t0 = Instant::now();
     filestore.sort_files(Curve::Morton)?; // lassort
     filestore.build_indexes()?; // lasindex

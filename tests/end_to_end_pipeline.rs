@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use lidardb::prelude::*;
-use lidardb::{scene_catalog, write_scene_tiles};
+use lidardb::{scene_catalog, write_scene_tiles, ScratchDir};
 
 fn scene() -> Scene {
     Scene::generate(SceneConfig {
@@ -14,11 +14,8 @@ fn scene() -> Scene {
     })
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("lidardb_it_{name}"));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
+fn tmp(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("it_{name}")).unwrap()
 }
 
 #[test]
@@ -26,8 +23,9 @@ fn both_file_formats_load_identically() {
     let scene = scene();
     let dir_las = tmp("fmt_las");
     let dir_laz = tmp("fmt_laz");
-    let paths_las = write_scene_tiles(&scene, &dir_las, 2, 0.5, Compression::None).unwrap();
-    let paths_laz = write_scene_tiles(&scene, &dir_laz, 2, 0.5, Compression::LazLite).unwrap();
+    let paths_las = write_scene_tiles(&scene, dir_las.path(), 2, 0.5, Compression::None).unwrap();
+    let paths_laz =
+        write_scene_tiles(&scene, dir_laz.path(), 2, 0.5, Compression::LazLite).unwrap();
 
     let mut a = PointCloud::new();
     Loader::new(LoadMethod::Binary)
@@ -128,7 +126,7 @@ fn csv_and_binary_loads_agree() {
         extent_m: 150.0,
     });
     let dir = tmp("csvbin");
-    let paths = write_scene_tiles(&scene, &dir, 1, 0.5, Compression::None).unwrap();
+    let paths = write_scene_tiles(&scene, dir.path(), 1, 0.5, Compression::None).unwrap();
     let mut bin = PointCloud::new();
     let sb = Loader::new(LoadMethod::Binary)
         .load_files(&mut bin, &paths)
@@ -199,7 +197,7 @@ fn corrupt_tile_fails_loading_cleanly() {
         extent_m: 100.0,
     });
     let dir = tmp("corrupt");
-    let paths = write_scene_tiles(&scene, &dir, 2, 0.5, Compression::LazLite).unwrap();
+    let paths = write_scene_tiles(&scene, dir.path(), 2, 0.5, Compression::LazLite).unwrap();
     // Truncate one tile.
     let victim = &paths[2];
     let bytes = std::fs::read(victim).unwrap();

@@ -5,35 +5,12 @@
 //! EXPERIMENTS.md to be meaningful.
 
 use lidardb::prelude::*;
-use lidardb::write_scene_tiles;
+use lidardb::{write_scene_tiles, ScratchDir};
 
 /// Canonical multiset key for a result point (quantised to laz-lite's cm
 /// precision so float paths compare equal).
 fn key(x: f64, y: f64) -> (i64, i64) {
     ((x * 100.0).round() as i64, (y * 100.0).round() as i64)
-}
-
-/// A scratch directory of this test's own (pid + counter + test name, so
-/// tests running side by side never share one), removed on drop.
-struct ScratchDir(std::path::PathBuf);
-
-impl ScratchDir {
-    fn new(test: &str, what: &str) -> Self {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "lidardb_agree_{}_{n}_{test}_{what}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 struct Setup {
@@ -53,10 +30,10 @@ fn setup(test: &str) -> Setup {
         extent_m: 500.0,
     });
     let scratch = [
-        ScratchDir::new(test, "plain"),
-        ScratchDir::new(test, "indexed"),
+        ScratchDir::new(&format!("agree_{test}_plain")).unwrap(),
+        ScratchDir::new(&format!("agree_{test}_indexed")).unwrap(),
     ];
-    let (dir_a, dir_b) = (&scratch[0].0, &scratch[1].0);
+    let (dir_a, dir_b) = (scratch[0].path(), scratch[1].path());
     let paths = write_scene_tiles(&scene, dir_a, 3, 0.6, Compression::None).unwrap();
     write_scene_tiles(&scene, dir_b, 3, 0.6, Compression::LazLite).unwrap();
 

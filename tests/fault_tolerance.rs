@@ -7,6 +7,7 @@
 use std::path::PathBuf;
 
 use lidardb::prelude::*;
+use lidardb::ScratchDir;
 
 const FILES: usize = 16;
 const PER_FILE: usize = 40;
@@ -49,9 +50,8 @@ fn make_survey(dir: &std::path::Path) -> Vec<PathBuf> {
 
 #[test]
 fn skip_corrupt_loads_the_good_thirteen_and_names_the_bad() {
-    let dir = std::env::temp_dir().join("lidardb_ft_skip_corrupt");
-    let _ = std::fs::remove_dir_all(&dir);
-    let paths = make_survey(&dir);
+    let dir = ScratchDir::new("ft_skip_corrupt").unwrap();
+    let paths = make_survey(dir.path());
 
     let mut pc = PointCloud::new();
     let report = Loader::new(LoadMethod::Binary)
@@ -81,9 +81,8 @@ fn skip_corrupt_loads_the_good_thirteen_and_names_the_bad() {
 
 #[test]
 fn fail_fast_names_the_first_bad_file() {
-    let dir = std::env::temp_dir().join("lidardb_ft_fail_fast");
-    let _ = std::fs::remove_dir_all(&dir);
-    let paths = make_survey(&dir);
+    let dir = ScratchDir::new("ft_fail_fast").unwrap();
+    let paths = make_survey(dir.path());
 
     let mut pc = PointCloud::new();
     let err = Loader::new(LoadMethod::Binary)
