@@ -13,13 +13,15 @@
 //! a dump manifest, `save_staged` alone stages and commits a directory: a
 //! flat save is one `write_tile` over every row, a tiled save one per tile
 //! plus the root manifest. `read_layout` reads any manifest as a tile
-//! layout (a flat one is one tile at the root) and `read_tile` reads and
-//! verifies a set of columns of one dump — its manifest and row count, then
-//! the size and CRC of each requested column file: [`PointCloud::open_dir`]
-//! and [`validate_dir`] ask for every column, a lazy tile fault of
-//! [`crate::segment::TiledCloud`] for the columns the tile lacks. Those
-//! are these two calls, so they accept and reject the same directories,
-//! and a tiled query checks each column file on first touch.
+//! layout (a flat one is one tile at the root), `read_manifest` verifies
+//! one dump's manifest and row count, and `read_columns` reads a set of its
+//! columns, each file checked for size and CRC as it lands in the column's
+//! own buffer (one copy): [`PointCloud::open_dir`] and [`validate_dir`] ask
+//! for every column, a lazy tile fault of [`crate::segment::TiledCloud`]
+//! for the columns the tile lacks, reading the tile's manifest on its first
+//! fault only. Those are these three calls, so they accept and reject the
+//! same directories, and a tiled query checks each column file on first
+//! touch.
 //!
 //! **Durability.** Saves are atomic: the tree is written to a staging
 //! directory next to the target and committed with one `rename`, so a
@@ -34,7 +36,6 @@
 //! before the commit rename, between its two renames (`"swap"`) and before
 //! the parent fsync (`"fsync"`); reads pass `ReadManifest` and `ReadColumn`.
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::ops::{Range, RangeInclusive};
 use std::path::{Path, PathBuf};
@@ -151,11 +152,13 @@ fn with_crc(mut text: String) -> String {
     text
 }
 
-/// A parsed dump manifest (v1/v2).
-struct Manifest {
+/// A parsed dump manifest (v1/v2): what a column read checks its file
+/// against.
+pub(crate) struct Manifest {
     rows: usize,
-    /// Per-column CRC-32 of the dump bytes; `None` for v1 manifests.
-    checksums: Option<HashMap<String, u32>>,
+    /// CRC-32 of each column's dump bytes, in schema order; `None` for v1
+    /// manifests.
+    checksums: Option<Vec<u32>>,
 }
 
 impl Manifest {
@@ -184,22 +187,25 @@ impl Manifest {
             });
         }
         s.check_crc("manifest")?;
-        let mut checksums: HashMap<String, u32> = HashMap::new();
+        // The last line naming a column wins; other names are ignored.
+        let mut checksums: Vec<Option<u32>> = vec![None; COLUMN_NAMES.len()];
         for &(_, v) in s.lines.iter().filter(|(key, _)| *key == "checksum") {
             let mut it = v.split_whitespace();
             match (it.next(), it.next().and_then(|c| c.parse().ok()), it.next()) {
                 (Some(name), Some(crc), None) => {
-                    checksums.insert(name.to_string(), crc);
+                    if let Some(i) = COLUMN_NAMES.iter().position(|n| *n == name) {
+                        checksums[i] = Some(crc);
+                    }
                 }
                 _ => return Err(corrupt(format!("manifest: bad checksum line {v:?}"))),
             }
         }
-        if let Some(name) = COLUMN_NAMES.iter().find(|n| !checksums.contains_key(**n)) {
-            return Err(corrupt(format!("manifest: missing checksum for {name}")));
-        }
+        let checksums = checksums.iter().zip(COLUMN_NAMES).map(|(crc, name)| {
+            crc.ok_or_else(|| corrupt(format!("manifest: missing checksum for {name}")))
+        });
         Ok(Manifest {
             rows,
-            checksums: Some(checksums),
+            checksums: Some(checksums.collect::<Result<_, _>>()?),
         })
     }
 }
@@ -390,15 +396,14 @@ pub(crate) fn read_layout(dir: &Path, fi: Option<&FaultInjector>) -> Result<Layo
     }
 }
 
-/// The one dump read: the manifest of `tile_dir`, its row count against
-/// the layout's `expected_rows`, then the size and CRC of each column file
-/// in `columns`. Returns those columns' verified dumps in schema order.
-fn read_tile(
+/// The one manifest read of a dump: the manifest of `tile_dir`, parsed
+/// and verified, and its row count checked against the layout's
+/// `expected_rows`.
+pub(crate) fn read_manifest(
     tile_dir: &Path,
     expected_rows: usize,
-    columns: ColumnSet,
     fi: Option<&FaultInjector>,
-) -> Result<Vec<Vec<u8>>, CoreError> {
+) -> Result<Manifest, CoreError> {
     let manifest = Manifest::parse(&read_manifest_text(tile_dir, fi)?)?;
     if manifest.rows != expected_rows {
         return Err(corrupt(format!(
@@ -407,60 +412,99 @@ fn read_tile(
             manifest.rows
         )));
     }
+    Ok(manifest)
+}
+
+/// The one column read of a dump: each column file in `columns`, its size
+/// and CRC checked against `manifest`, decoded in schema order with its
+/// field.
+fn read_columns(
+    tile_dir: &Path,
+    manifest: &Manifest,
+    columns: ColumnSet,
+    fi: Option<&FaultInjector>,
+) -> Result<Vec<(Field, Column)>, CoreError> {
     let schema = point_schema();
     columns
         .indices()
-        .map(|i| read_column(tile_dir, &manifest, &schema.fields()[i], fi))
+        .map(|i| {
+            let field = &schema.fields()[i];
+            Ok((field.clone(), read_column(tile_dir, manifest, i, field, fi)?))
+        })
         .collect()
 }
 
-/// Read one column dump and verify its size (and CRC, for v2 manifests).
+/// Read column `i` of the schema, `field`, from its dump file in `dir`
+/// straight into the column's buffer, checking the bytes read — their
+/// size, and their CRC for v2 manifests — before they become values. A
+/// `ReadColumn` fault damages those bytes as if they had rotted on disk.
 fn read_column(
     dir: &Path,
     manifest: &Manifest,
+    i: usize,
     field: &Field,
     fi: Option<&FaultInjector>,
-) -> Result<Vec<u8>, CoreError> {
+) -> Result<Column, CoreError> {
+    use std::io::Read;
     let path = dir.join(format!("{}.bin", field.name));
-    let bytes = read_file(&path, fi, FaultStage::ReadColumn, &field.name)?;
     // `rows` is an untrusted count parsed from the manifest text: multiply
     // checked so a forged row count (e.g. u64::MAX in a v1 manifest, which
-    // carries no checksums) is rejected instead of overflowing.
+    // carries no checksums) is rejected instead of overflowing, and the
+    // file size is checked before a buffer of that size is allocated.
     let expected = manifest
         .rows
         .checked_mul(field.ptype.size())
         .ok_or_else(|| corrupt("manifest: row count overflows byte size"))?;
-    if bytes.len() != expected {
-        return Err(corrupt(format!(
-            "column file {} has {} bytes, manifest expects {expected}",
-            path.display(),
-            bytes.len()
-        )));
+    let wrong_size = |found: u64| {
+        corrupt(format!(
+            "column file {} has {found} bytes, manifest expects {expected}",
+            path.display()
+        ))
+    };
+    let mut file = std::fs::File::open(&path).map_err(io_err)?;
+    let found = file.metadata().map_err(io_err)?.len();
+    if found != expected as u64 {
+        return Err(wrong_size(found));
     }
-    if let Some(sums) = &manifest.checksums {
-        let declared = sums[field.name.as_str()];
-        let actual = crc32(&bytes);
-        if actual != declared {
-            return Err(corrupt(format!(
-                "column file {} checksum mismatch: manifest {declared}, data {actual}",
-                path.display()
-            )));
+    Column::from_le_with(field.ptype, manifest.rows, |bytes| {
+        file.read_exact(bytes).map_err(io_err)?;
+        if let Some(kind) = fi.and_then(|fi| fi.fire(FaultStage::ReadColumn, &field.name)) {
+            if kind == FaultKind::IoError {
+                return Err(io_err(kind.to_io_error()));
+            }
+            let mut damaged = bytes.to_vec();
+            kind.corrupt(&mut damaged);
+            if damaged.len() != expected {
+                return Err(wrong_size(damaged.len() as u64));
+            }
+            bytes.copy_from_slice(&damaged);
         }
-    }
-    Ok(bytes)
+        if let Some(sums) = &manifest.checksums {
+            let (declared, actual) = (sums[i], crc32(bytes));
+            if actual != declared {
+                return Err(corrupt(format!(
+                    "column file {} checksum mismatch: manifest {declared}, data {actual}",
+                    path.display()
+                )));
+            }
+        }
+        Ok(())
+    })
 }
 
 /// Read and verify every tile of the table at `dir`, handing each tile's
-/// dumps to `each` in row order. Returns the layout.
+/// columns (all of them, in schema order) to `each` in row order. Returns
+/// the layout.
 fn read_all(
     dir: &Path,
     fi: Option<&FaultInjector>,
-    mut each: impl FnMut(Vec<Vec<u8>>) -> Result<(), CoreError>,
+    mut each: impl FnMut(Vec<(Field, Column)>) -> Result<(), CoreError>,
 ) -> Result<Layout, CoreError> {
     let layout = read_layout(dir, fi)?;
     for t in &layout.tiles.tiles {
         let tile_dir = layout.tile_dir(dir, t.id);
-        each(read_tile(&tile_dir, t.rows(), ColumnSet::ALL, fi)?)?;
+        let manifest = read_manifest(&tile_dir, t.rows(), fi)?;
+        each(read_columns(&tile_dir, &manifest, ColumnSet::ALL, fi)?)?;
     }
     Ok(layout)
 }
@@ -485,25 +529,25 @@ fn timed_load<T>(
 }
 
 /// Read and verify `columns` of tile `id` of the table at `dir`, decoded,
-/// in schema order with their fields.
+/// in schema order with their fields. `manifest` is the tile's verified
+/// manifest: read (and kept there) on the tile's first fault, so a later
+/// fault of the same tile reads only its column files.
 pub(crate) fn read_tile_columns(
     dir: &Path,
     layout: &Layout,
     id: usize,
+    manifest: &mut Option<Manifest>,
     columns: ColumnSet,
+    fi: Option<&FaultInjector>,
 ) -> Result<Vec<(Field, Column)>, CoreError> {
     let rows = layout.tiles.tiles[id].rows();
-    timed_load(None, || {
-        let dumps = read_tile(&layout.tile_dir(dir, id), rows, columns, None)?;
-        let schema = point_schema();
-        let mut out = Vec::with_capacity(dumps.len());
-        for (i, bytes) in columns.indices().zip(dumps) {
-            let field = schema.fields()[i].clone();
-            let mut col = Column::with_capacity(field.ptype, rows);
-            col.extend_from_le_bytes(&bytes)?;
-            out.push((field, col));
-        }
-        Ok((out, rows))
+    let tile_dir = layout.tile_dir(dir, id);
+    timed_load(fi, || {
+        let manifest = match manifest {
+            Some(m) => m,
+            None => manifest.insert(read_manifest(&tile_dir, rows, fi)?),
+        };
+        Ok((read_columns(&tile_dir, manifest, columns, fi)?, rows))
     })
 }
 
@@ -751,10 +795,20 @@ impl PointCloud {
         let dir = dir.as_ref();
         timed_load(fi, || {
             recover_stale_dirs(dir)?;
-            let mut pc = PointCloud::new();
-            read_all(dir, fi, |dumps| pc.append_dumps(&dumps).map(drop))?;
-            let n = pc.num_points();
-            Ok((pc, n))
+            let mut columns: Vec<(Field, Column)> = Vec::new();
+            let layout = read_all(dir, fi, |tile| {
+                if columns.is_empty() {
+                    columns = tile;
+                    return Ok(());
+                }
+                for ((_, col), (_, more)) in columns.iter_mut().zip(tile) {
+                    lidardb_storage::for_each_variant!(&more, v => col.extend_typed(v))?;
+                }
+                Ok(())
+            })?;
+            let pc = PointCloud::tile(layout.rows, None, columns)?;
+            MetricsRegistry::global().table_rows.set(layout.rows as u64);
+            Ok((pc, layout.rows))
         })
     }
 }

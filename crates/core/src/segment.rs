@@ -22,7 +22,9 @@
 //! `x` and `y`, a projection adds `z`, a thematic filter its one column.
 //! A fault reads and CRC-checks only the missing column files and installs
 //! a successor tile sharing the columns and imprints the tile already
-//! held; only the new bytes are charged and counted resident. Eviction
+//! held; only the new bytes are charged and counted resident. A tile's
+//! manifest is verified on its first fault and kept, so later faults of
+//! the tile read column files only. Eviction
 //! stays whole-tile LRU. The tile's row count comes from the layout, never
 //! from whichever column is resident.
 //!
@@ -51,6 +53,7 @@ use parking_lot::Mutex;
 
 use crate::error::CoreError;
 use crate::exec::Parallelism;
+use crate::fault::FaultInjector;
 use crate::governor::GovernCtx;
 use crate::metrics::MetricsRegistry;
 use crate::persist::{self, Layout};
@@ -209,12 +212,15 @@ struct CachedTile {
     last_used: u64,
 }
 
-/// The resident-segment cache: loaded tiles, LRU clock, resident bytes.
+/// The resident-segment cache: loaded tiles, LRU clock, resident bytes,
+/// and each faulted tile's verified manifest (kept past eviction: the
+/// files it checks are immutable).
 #[derive(Default)]
 struct TileCache {
     map: HashMap<usize, CachedTile>,
     tick: u64,
     resident: u64,
+    manifests: Vec<Option<persist::Manifest>>,
 }
 
 /// One row of [`TiledCloud::tile_residency`] (and of `sys.tiles`).
@@ -259,6 +265,7 @@ pub struct TiledCloud {
     loads: AtomicU64,
     evictions: AtomicU64,
     peak_resident: AtomicU64,
+    fault: Option<Arc<FaultInjector>>,
 }
 
 impl std::fmt::Debug for TiledCloud {
@@ -279,17 +286,31 @@ impl TiledCloud {
     /// opens, as a single pseudo-tile with no zone maps — pruning never
     /// fires, but the out-of-core cache and the API shape still apply.
     pub fn open(dir: impl AsRef<Path>) -> Result<TiledCloud, CoreError> {
+        Self::open_with_faults(dir, None)
+    }
+
+    /// [`Self::open`] with fault-injection hooks on the layout read and
+    /// every later tile fault (tests only).
+    pub(crate) fn open_with_faults(
+        dir: impl AsRef<Path>,
+        fault: Option<Arc<FaultInjector>>,
+    ) -> Result<TiledCloud, CoreError> {
         let dir = dir.as_ref().to_path_buf();
         persist::recover_stale_dirs(&dir)?;
-        let layout = persist::read_layout(&dir, None)?;
+        let layout = persist::read_layout(&dir, fault.as_deref())?;
+        let cache = TileCache {
+            manifests: layout.tiles.tiles.iter().map(|_| None).collect(),
+            ..TileCache::default()
+        };
         Ok(TiledCloud {
             dir,
             layout,
             budget_bytes: AtomicU64::new(0),
-            cache: Mutex::new(TileCache::default()),
+            cache: Mutex::new(cache),
             loads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             peak_resident: AtomicU64::new(0),
+            fault,
         })
     }
 
@@ -414,7 +435,9 @@ impl TiledCloud {
         if let Some((pc, _)) = held.as_ref().filter(|_| missing.is_empty()) {
             return Ok(Arc::clone(pc));
         }
-        let added = persist::read_tile_columns(&self.dir, &self.layout, id, missing)?;
+        let manifest = &mut cache.manifests[id];
+        let fi = self.fault.as_deref();
+        let added = persist::read_tile_columns(&self.dir, &self.layout, id, manifest, missing, fi)?;
         let bytes: u64 = added.iter().map(|(_, c)| c.byte_len() as u64).sum();
         ctx.charge(bytes)?;
         let rows = self.layout.tiles.tiles[id].rows();
@@ -471,5 +494,60 @@ impl TiledCloud {
         parallelism: Parallelism,
     ) -> Result<Selection, CoreError> {
         PointTable::Tiled(self).select_governed(pred, attrs, strategy, parallelism)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{FaultKind, FaultStage};
+    use lidardb_las::PointRecord;
+
+    /// A tile's manifest is verified on its first fault and kept: a later
+    /// fault of more columns of the same tile, even after the tile was
+    /// evicted, reads only column files.
+    #[test]
+    fn a_tile_manifest_is_read_once() {
+        let dir = crate::wal::TempDir::new("segment_manifest_once");
+        let recs: Vec<PointRecord> = (0..4000)
+            .map(|i| PointRecord {
+                x: (i % 100) as f64,
+                y: (i / 100) as f64,
+                z: i as f64,
+                ..Default::default()
+            })
+            .collect();
+        let mut pc = PointCloud::new();
+        pc.append_records(&recs).unwrap();
+        let opts = TileOptions {
+            target_rows: 1000,
+            ..Default::default()
+        };
+        pc.save_tiled(&dir, &opts).unwrap();
+        // `Stall(0)` changes no byte and sleeps not at all: the rules only
+        // count the reads.
+        let fi = Arc::new(FaultInjector::new());
+        for stage in [FaultStage::ReadManifest, FaultStage::ReadColumn] {
+            fi.inject_n(stage, None, FaultKind::Stall(0), 0, u32::MAX);
+        }
+        let reads = |stage| fi.fired().iter().filter(|f| f.0 == stage).count();
+        let tc = TiledCloud::open_with_faults(&dir, Some(Arc::clone(&fi))).unwrap();
+        assert!(tc.num_tiles() >= 2);
+        assert_eq!(reads(FaultStage::ReadManifest), 1, "the root layout");
+        let ctx = GovernCtx::ungoverned();
+        tc.load_tile(0, ColumnSet::of(["x"]), &ctx).unwrap();
+        assert_eq!(reads(FaultStage::ReadManifest), 2, "tile 0's first fault");
+        assert_eq!(reads(FaultStage::ReadColumn), 1);
+        tc.load_tile(0, ColumnSet::of(["x", "y"]), &ctx).unwrap();
+        assert_eq!(reads(FaultStage::ReadManifest), 2, "a second fault reads no manifest");
+        assert_eq!(reads(FaultStage::ReadColumn), 2);
+        // Evict tile 0 by faulting tile 1 under a one-byte budget; its
+        // next fault re-reads column files only.
+        tc.set_resident_budget(1);
+        tc.load_tile(1, ColumnSet::of(["x"]), &ctx).unwrap();
+        assert_eq!(tc.resident_tiles(), 1);
+        tc.load_tile(0, ColumnSet::of(["z"]), &ctx).unwrap();
+        assert_eq!(reads(FaultStage::ReadManifest), 3, "tile 1's first fault only");
+        assert_eq!(reads(FaultStage::ReadColumn), 4);
     }
 }

@@ -866,6 +866,36 @@ mod tests {
         }
     }
 
+    /// Every frame and the header carry the reference CRC — frames run
+    /// the carry-less fold where the CPU has it, the short header the
+    /// portable kernel — and recovery replays every batch intact.
+    #[test]
+    fn wal_crcs_match_the_reference_and_recover_every_batch() {
+        let p = twal("crc_reference");
+        let mut w = open_writer(&p, 7, Durability::Always, None).unwrap();
+        let batches: Vec<(usize, u8)> = vec![(1, 3), (2, 9), (17, 1), (300, 5)];
+        for &(rows, seed) in &batches {
+            w.append_batch(&dumps_of(rows, seed), rows, 0).unwrap();
+        }
+        let bytes = std::fs::read(&p).unwrap();
+        let header_len = HEADER_LEN as usize;
+        let stored = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert_eq!(stored(header_len - 4), crate::crc::bytewise(&bytes[..header_len - 4]));
+        let mut at = header_len;
+        for _ in &batches {
+            let payload = stored(at) as usize;
+            let end = at + FRAME_HEADER_LEN as usize + payload;
+            assert_eq!(stored(at + 4), crate::crc::bytewise(&bytes[at + 8..end]));
+            at = end;
+        }
+        assert_eq!(at, bytes.len());
+        let scan = scan_file(&p, None).unwrap();
+        assert_eq!(scan.frames.len(), batches.len());
+        for (frame, &(rows, seed)) in scan.frames.iter().zip(&batches) {
+            assert_eq!(frame.dumps, dumps_of(rows, seed));
+        }
+    }
+
     #[test]
     fn frame_roundtrip_and_scan() {
         let p = twal("roundtrip");

@@ -6,6 +6,8 @@
 //! sort it, and place borders at equi-depth quantiles, deduplicating so that
 //! heavily skewed columns get fewer, wider bins rather than empty ones.
 
+use std::marker::PhantomData;
+
 use lidardb_storage::Native;
 
 use crate::{MAX_BINS, SAMPLE_SIZE};
@@ -86,12 +88,26 @@ impl<T: Native> BinMap<T> {
     }
 
     /// The bin index of a value: the number of borders `<=` the value.
+    /// The same six-step search as [`BinKeys::bin_of`], keying each probed
+    /// border on the fly; loops over many values build the keys once with
+    /// [`Self::keys`].
     #[inline]
     pub fn bin_of(&self, v: T) -> u32 {
-        // Branch-free enough: borders are <= 63, a linear scan would also
-        // work, but partition_point is O(log 64) and obviously correct.
-        self.borders
-            .partition_point(|b| b.total_cmp(&v).is_le()) as u32
+        let key_at = |i: usize| self.borders.get(i).map_or(u64::MAX, |b| b.order_key());
+        search(v.order_key(), key_at, self.borders.len() as u32)
+    }
+
+    /// The borders as a fixed-size search table for [`BinKeys::bin_of`].
+    pub(crate) fn keys(&self) -> BinKeys<T> {
+        let mut keys = [u64::MAX; MAX_BINS];
+        for (k, b) in keys.iter_mut().zip(&self.borders) {
+            *k = b.order_key();
+        }
+        BinKeys {
+            keys,
+            borders: self.borders.len() as u32,
+            _value: PhantomData,
+        }
     }
 
     /// Bit mask with exactly the bit `bin_of(v)` set.
@@ -147,6 +163,49 @@ impl<T: Native> BinMap<T> {
         }
         (mask, inner)
     }
+}
+
+/// The borders of a [`BinMap`] as [`Native::order_key`]s, padded with
+/// `u64::MAX` to [`MAX_BINS`] slots: a search table the bin lookup walks in
+/// six fixed steps, with no data-dependent branch. Built per
+/// [`Imprints::build`](crate::Imprints::build) or
+/// [`Imprints::append`](crate::Imprints::append) call, not stored.
+pub(crate) struct BinKeys<T> {
+    keys: [u64; MAX_BINS],
+    borders: u32,
+    _value: PhantomData<T>,
+}
+
+impl<T: Native> BinKeys<T> {
+    /// The number of borders `<=` `v`, as [`BinMap::bin_of`].
+    ///
+    /// Borders are strictly increasing and keys preserve their order, so
+    /// the table is sorted; each step halves the span the count can lie in
+    /// and adds its width when the probed slot is `<=` the key. Padding
+    /// slots only count for the key `u64::MAX`, which every border is
+    /// `<=`, so clamping at the border count gives the exact answer.
+    #[inline]
+    pub(crate) fn bin_of(&self, v: T) -> u32 {
+        search(v.order_key(), |i| self.keys[i % MAX_BINS], self.borders)
+    }
+
+    /// Bit mask with exactly the bit `bin_of(v)` set.
+    #[inline]
+    pub(crate) fn bit_of(&self, v: T) -> u64 {
+        1u64 << self.bin_of(v)
+    }
+}
+
+/// The number of the `borders` sorted keys `key_at(0..63)` that are `<=`
+/// `k`, where slots past the borders hold `u64::MAX`: six steps, each
+/// halving the span the count lies in, then a clamp at `borders`.
+#[inline(always)]
+fn search(k: u64, key_at: impl Fn(usize) -> u64, borders: u32) -> u32 {
+    let mut at = 0usize;
+    for step in [32, 16, 8, 4, 2, 1] {
+        at += step * usize::from(key_at(at + step - 1) <= k);
+    }
+    (at as u32).min(borders)
 }
 
 /// Mask with bits `lo..=hi` set.

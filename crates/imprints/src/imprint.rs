@@ -19,7 +19,7 @@ use std::ops::Range;
 
 use lidardb_storage::Native;
 
-use crate::bins::BinMap;
+use crate::bins::{BinKeys, BinMap};
 use crate::candidates::{CandidateList, CandidateRange};
 
 /// A packed cacheline-dictionary entry: 31-bit counter + 1 repeat bit, the
@@ -93,12 +93,9 @@ impl<T: Native> Imprints<T> {
             values_per_line,
             len: 0,
         };
+        let keys = imp.bins.keys();
         for (line, values) in data.chunks(values_per_line).enumerate() {
-            let mut d = 0u64;
-            for &v in values {
-                d |= imp.bins.bit_of(v);
-            }
-            imp.push_line(line, d);
+            imp.push_line(line, line_vector(&keys, values));
         }
         imp.len = data.len();
         imp
@@ -211,6 +208,7 @@ impl<T: Native> Imprints<T> {
         if added.is_empty() {
             return;
         }
+        let keys = self.bins.keys();
         let vpl = self.values_per_line;
         let fill = self.len % vpl;
         let mut line = self.len / vpl;
@@ -220,20 +218,13 @@ impl<T: Native> Imprints<T> {
             // their bin bits into its existing vector (OR is monotonic, so
             // the old tail values need not be re-read).
             let take = (vpl - fill).min(added.len());
-            let mut d = self.pop_last_line();
-            for &v in &added[..take] {
-                d |= self.bins.bit_of(v);
-            }
+            let d = self.pop_last_line() | line_vector(&keys, &added[..take]);
             self.push_line(line, d);
             line += 1;
             rest = &added[take..];
         }
         for values in rest.chunks(vpl) {
-            let mut d = 0u64;
-            for &v in values {
-                d |= self.bins.bit_of(v);
-            }
-            self.push_line(line, d);
+            self.push_line(line, line_vector(&keys, values));
             line += 1;
         }
         self.len += added.len();
@@ -431,6 +422,12 @@ impl<T: Native> Imprints<T> {
         }
         out
     }
+}
+
+/// The imprint vector of one cacheline of values: the OR of their bins.
+#[inline]
+fn line_vector<T: Native>(keys: &BinKeys<T>, values: &[T]) -> u64 {
+    values.iter().fold(0, |d, &v| d | keys.bit_of(v))
 }
 
 #[cfg(test)]
@@ -749,4 +746,155 @@ mod tests {
         assert_eq!(imp.byte_size(), expect);
         assert!(imp.byte_size() < data.len() * 8 / 4, "index far smaller than data");
     }
+}
+
+/// The key-table bin lookup and the build and append over it against the
+/// order they replaced: `partition_point` over `total_cmp`, for every
+/// `Native` type, on edge values (±0, NaN payloads, ±∞, subnormals,
+/// integer extremes) and random bit patterns.
+#[cfg(test)]
+mod lookup_equivalence {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A value type with its edge values and a raw-bits constructor.
+    trait Edge: Native {
+        const EDGES: &'static [Self];
+        fn from_bits(s: u64) -> Self;
+        /// An edge value for one seed in three, else raw bits.
+        fn pick(s: u64) -> Self {
+            if s.is_multiple_of(3) {
+                Self::EDGES[(s / 3) as usize % Self::EDGES.len()]
+            } else {
+                Self::from_bits(s)
+            }
+        }
+    }
+
+    macro_rules! int_edges {
+        ($($t:ty),*) => {$(
+            impl Edge for $t {
+                const EDGES: &'static [Self] =
+                    &[<$t>::MIN, <$t>::MIN + 1, 0, 1, <$t>::MAX - 1, <$t>::MAX, <$t>::MAX / 2];
+                fn from_bits(s: u64) -> Self {
+                    s as $t
+                }
+            }
+        )*};
+    }
+    int_edges!(i8, i16, i32, i64, u8, u16, u32, u64);
+
+    impl Edge for f64 {
+        const EDGES: &'static [Self] = &[
+            f64::NEG_INFINITY, f64::MIN, -1.0, -f64::MIN_POSITIVE, -5e-324, -0.0, 0.0,
+            5e-324, f64::MIN_POSITIVE, 1.0, f64::MAX, f64::INFINITY, f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001), f64::from_bits(0xFFF8_0000_0000_0007),
+        ];
+        fn from_bits(s: u64) -> Self {
+            f64::from_bits(s)
+        }
+    }
+
+    impl Edge for f32 {
+        const EDGES: &'static [Self] = &[
+            f32::NEG_INFINITY, f32::MIN, -1.0, -f32::MIN_POSITIVE, -1e-45, -0.0, 0.0, 1e-45,
+            f32::MIN_POSITIVE, 1.0, f32::MAX, f32::INFINITY, f32::NAN,
+            f32::from_bits(0x7F80_0001), f32::from_bits(0xFFC0_0003),
+        ];
+        fn from_bits(s: u64) -> Self {
+            f32::from_bits(s as u32)
+        }
+    }
+
+    /// The lookup the key table replaced.
+    fn reference_bin<T: Native>(bins: &BinMap<T>, v: T) -> u32 {
+        bins.borders().partition_point(|b| b.total_cmp(&v).is_le()) as u32
+    }
+
+    /// The build the key table replaced: every line's vector from the
+    /// reference lookup, through the one dictionary state machine.
+    fn reference_build<T: Native>(data: &[T], bins: &BinMap<T>) -> Imprints<T> {
+        let vpl = T::PHYS.values_per_cacheline();
+        let mut imp = Imprints {
+            bins: bins.clone(),
+            dict: Vec::new(),
+            vectors: Vec::new(),
+            summary: Vec::new(),
+            values_per_line: vpl,
+            len: data.len(),
+        };
+        for (line, values) in data.chunks(vpl).enumerate() {
+            imp.push_line(line, values.iter().fold(0, |d, &v| d | 1 << reference_bin(bins, v)));
+        }
+        imp
+    }
+
+    /// Dictionary, vectors, summary and length equal. (Borders are one
+    /// clone on both sides; `==` on them would fail on a NaN border.)
+    fn same<T: Native>(got: &Imprints<T>, want: &Imprints<T>) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&got.dict, &want.dict);
+        prop_assert_eq!(&got.vectors, &want.vectors);
+        prop_assert_eq!(&got.summary, &want.summary);
+        prop_assert_eq!(got.len, want.len);
+        Ok(())
+    }
+
+    fn check<T: Edge>(
+        seeds: &[u64],
+        border_seeds: &[u64],
+        max_borders: usize,
+        split: usize,
+    ) -> Result<(), TestCaseError> {
+        let data: Vec<T> = seeds.iter().map(|&s| T::pick(s)).collect();
+        let mut borders: Vec<T> = border_seeds.iter().map(|&s| T::pick(s)).collect();
+        borders.sort_by(|a, b| a.total_cmp(b));
+        borders.dedup_by(|a, b| a.total_cmp(b).is_eq());
+        // Keep `max_borders` spread over the candidates, both ends included.
+        if borders.len() > max_borders {
+            let n = borders.len();
+            borders = (0..max_borders)
+                .map(|k| borders[k * (n - 1) / (max_borders - 1).max(1)])
+                .collect();
+        }
+        for bins in [BinMap::from_borders(borders), BinMap::from_data(&data)] {
+            let keys = bins.keys();
+            let probes = data.iter().chain(bins.borders()).chain(T::EDGES);
+            for &v in probes {
+                let want = reference_bin(&bins, v);
+                prop_assert_eq!(bins.bin_of(v), want, "{:?} in {:?}", v, bins.borders());
+                prop_assert_eq!(keys.bin_of(v), want);
+            }
+            let want = reference_build(&data, &bins);
+            same(&Imprints::build_with_bins(&data, bins.clone()), &want)?;
+            let split = split.min(data.len());
+            let mut appended = Imprints::build_with_bins(&data[..split], bins.clone());
+            for batch in data[split..].chunks(37) {
+                appended.append(batch);
+            }
+            same(&appended, &want)?;
+        }
+        Ok(())
+    }
+
+    macro_rules! equivalence {
+        ($($name:ident: $t:ty),*) => {$(
+            proptest! {
+                fn $name(
+                    seeds in prop::collection::vec(any::<u64>(), 0..700),
+                    border_seeds in prop::collection::vec(any::<u64>(), 0..200),
+                    pick in 0usize..4,
+                    split in 0usize..700,
+                ) {
+                    check::<$t>(&seeds, &border_seeds, [0, 1, 2, 63][pick], split)?;
+                }
+            }
+        )*};
+    }
+
+    equivalence!(
+        i8_lookup_and_build: i8, i16_lookup_and_build: i16, i32_lookup_and_build: i32,
+        i64_lookup_and_build: i64, u8_lookup_and_build: u8, u16_lookup_and_build: u16,
+        u32_lookup_and_build: u32, u64_lookup_and_build: u64, f32_lookup_and_build: f32,
+        f64_lookup_and_build: f64
+    );
 }

@@ -54,6 +54,9 @@ extern "C" {
 }
 
 fn install_signal_handlers() {
+    // SAFETY: `signal` is the C library's, declared with its C signature;
+    // `on_signal` is an `extern "C" fn(i32)` that only stores to an atomic,
+    // which is async-signal-safe.
     unsafe {
         signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
         signal(SIGINT, on_signal as extern "C" fn(i32) as usize);

@@ -581,6 +581,42 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ProtoError
 mod tests {
     use super::*;
 
+    /// CRC-32 one table-free bit at a time: the reference both kernels of
+    /// `core::crc` must agree with.
+    fn bitwise_crc(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    /// `write_body` stamps the reference CRC on bodies short enough for
+    /// the portable kernel and long enough for the carry-less fold (where
+    /// the CPU has it), `read_frame` accepts exactly those frames, and a
+    /// flipped body bit is a `CrcMismatch`.
+    #[test]
+    fn frame_crc_round_trip_matches_the_reference_at_every_kernel_length() {
+        for len in [0usize, 1, 15, 50, 59, 60, 61, 100, 127, 128, 1000, 4109, 70_001] {
+            let sql: String = (0..len).map(|i| char::from(b'a' + (i * 7 % 26) as u8)).collect();
+            let msg = Message::Query { sql };
+            let body = msg.encode();
+            let mut wire = Vec::new();
+            write_body(&mut wire, &body).unwrap();
+            assert_eq!(wire[4..8], bitwise_crc(&body).to_le_bytes(), "body of {}", body.len());
+            assert_eq!(read_frame(&mut wire.as_slice()).unwrap().msg, msg);
+            let last = wire.len() - 1;
+            wire[last] ^= 0x20;
+            assert!(matches!(
+                read_frame(&mut wire.as_slice()),
+                Err(ProtoError::CrcMismatch { .. })
+            ));
+        }
+    }
+
     #[test]
     fn roundtrip_every_kind() {
         let msgs = vec![

@@ -199,13 +199,39 @@ impl Column {
             });
         }
         let n = bytes.len() / width;
-        for_each_variant!(self, v => {
-            v.reserve(n);
-            for chunk in bytes.chunks_exact(width) {
-                v.push(Native::read_le(chunk));
+        for_each_variant!(self, v => extend_le(v, bytes));
+        Ok(n)
+    }
+
+    /// A column of `n` values of `ptype` whose little-endian dump `fill`
+    /// writes straight into the column's own buffer — the one copy of a
+    /// dump read. `fill` gets the `n * width` bytes (zeroed) and may check
+    /// them before they become values; its error is returned as is.
+    pub fn from_le_with<E>(
+        ptype: PhysicalType,
+        n: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<Column, E> {
+        let mut col = match ptype {
+            PhysicalType::I8 => Column::I8(vec![0; n]),
+            PhysicalType::I16 => Column::I16(vec![0; n]),
+            PhysicalType::I32 => Column::I32(vec![0; n]),
+            PhysicalType::I64 => Column::I64(vec![0; n]),
+            PhysicalType::U8 => Column::U8(vec![0; n]),
+            PhysicalType::U16 => Column::U16(vec![0; n]),
+            PhysicalType::U32 => Column::U32(vec![0; n]),
+            PhysicalType::U64 => Column::U64(vec![0; n]),
+            PhysicalType::F32 => Column::F32(vec![0.0; n]),
+            PhysicalType::F64 => Column::F64(vec![0.0; n]),
+        };
+        for_each_variant!(&mut col, v => {
+            fill(value_bytes_mut(v))?;
+            if cfg!(target_endian = "big") {
+                let values = value_bytes_mut(v).chunks_exact(ptype.size()).map(Native::read_le);
+                *v = values.collect();
             }
         });
-        Ok(n)
+        Ok(col)
     }
 
     /// Serialise the column payload as a little-endian binary dump — the
@@ -273,6 +299,21 @@ impl Column {
     pub fn iter_f64(&self) -> Box<dyn Iterator<Item = f64> + '_> {
         for_each_variant!(self, v => Box::new(v.iter().map(|&x| x.to_f64())))
     }
+}
+
+/// Append the values of a little-endian dump whose length is a multiple
+/// of the width (one bounds-check-free loop, not a push per value).
+fn extend_le<T: Native>(v: &mut Vec<T>, bytes: &[u8]) {
+    v.extend(bytes.chunks_exact(T::PHYS.size()).map(T::read_le));
+}
+
+/// The bytes of one of a [`Column`]'s value vectors, in memory order.
+fn value_bytes_mut<T: Native>(v: &mut [T]) -> &mut [u8] {
+    // SAFETY: only called on the vectors inside a `Column`, whose element
+    // types are primitive integers and floats: no padding, every bit
+    // pattern a valid value. The view covers exactly `v`'s initialised
+    // bytes and borrows `v` mutably for its whole life.
+    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
 }
 
 impl<T: Native> FromIterator<T> for Column {
@@ -348,6 +389,38 @@ mod tests {
         let col: Column = vec![10.0f32, 20.0, 30.0, 40.0].into_iter().collect();
         let picked = col.gather(&[3, 1]);
         assert_eq!(picked.as_slice::<f32>().unwrap(), &[40.0, 20.0]);
+    }
+
+    /// A dump read in place decodes to the column `extend_from_le_bytes`
+    /// builds, for every type; `fill`'s error comes back unchanged.
+    #[test]
+    fn from_le_with_equals_extend_from_le_bytes() {
+        let cols = [
+            Column::from_iter([i8::MIN, -1, 0, 7, i8::MAX]),
+            Column::from_iter([i16::MIN, -300, 0, i16::MAX]),
+            Column::from_iter([i32::MIN, -70_000, 0, i32::MAX]),
+            Column::from_iter([i64::MIN, -1, 0, i64::MAX]),
+            Column::from_iter([0u8, 200, u8::MAX]),
+            Column::from_iter([0u16, 60_000]),
+            Column::from_iter([0u32, u32::MAX]),
+            Column::from_iter([0u64, u64::MAX]),
+            Column::from_iter([f32::MIN, -0.0, 1.5, f32::INFINITY]),
+            Column::from_iter([f64::MIN_POSITIVE, -2.5, f64::NAN]),
+        ];
+        for col in cols {
+            let dump = col.to_le_bytes();
+            let mut expect = Column::new(col.ptype());
+            expect.extend_from_le_bytes(&dump).unwrap();
+            let got = Column::from_le_with(col.ptype(), col.len(), |b: &mut [u8]| {
+                b.copy_from_slice(&dump);
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+            assert_eq!(got.to_le_bytes(), expect.to_le_bytes(), "{:?}", col.ptype());
+            assert_eq!(got.len(), col.len());
+        }
+        let err = Column::from_le_with(PhysicalType::U16, 3, |b| Err(b.len()));
+        assert_eq!(err, Err(6));
     }
 
     #[test]

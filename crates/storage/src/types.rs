@@ -165,6 +165,11 @@ pub trait Native: Copy + PartialOrd + Send + Sync + 'static + std::fmt::Debug {
     /// Total order (IEEE totalOrder-like for floats: NaN sorts last).
     fn total_cmp(&self, other: &Self) -> Ordering;
 
+    /// An unsigned key ordered exactly like [`Native::total_cmp`]:
+    /// `a.total_cmp(&b) == a.order_key().cmp(&b.order_key())`. Floats map
+    /// `-0.0` and `+0.0` to one key and every NaN to `u64::MAX`.
+    fn order_key(self) -> u64;
+
     /// Encode as little-endian bytes, appending to `out`.
     fn write_le(self, out: &mut Vec<u8>);
 
@@ -202,6 +207,11 @@ macro_rules! impl_native_int {
             #[inline]
             fn total_cmp(&self, other: &Self) -> Ordering {
                 Ord::cmp(self, other)
+            }
+            #[inline]
+            fn order_key(self) -> u64 {
+                // Signed types flip the sign bit of the widened value.
+                (self as $wide as u64) ^ (u64::from(<$t>::MIN != 0) << 63)
             }
             #[inline]
             fn write_le(self, out: &mut Vec<u8>) {
@@ -255,6 +265,20 @@ macro_rules! impl_native_float {
                         (false, true) => Ordering::Less,
                         (false, false) => unreachable!("partial_cmp is None only with NaN"),
                     },
+                }
+            }
+            #[inline]
+            fn order_key(self) -> u64 {
+                // `+ 0.0` turns -0.0 into +0.0; widening to f64 is exact
+                // and order-preserving. Negative values invert every bit
+                // (larger magnitude, smaller key), positive ones set the
+                // sign bit to rise above them.
+                let bits = (self as f64 + 0.0).to_bits();
+                let key = bits ^ (((bits as i64 >> 63) as u64) | 1 << 63);
+                if self.is_nan() {
+                    u64::MAX
+                } else {
+                    key
                 }
             }
             #[inline]
@@ -312,6 +336,32 @@ mod tests {
             Native::total_cmp(&f64::NAN, &f64::NAN),
             Ordering::Equal
         );
+    }
+
+    /// `order_key` sorts every edge value exactly as `total_cmp` does.
+    #[test]
+    fn order_key_agrees_with_total_cmp() {
+        fn check<T: Native>(vals: &[T]) {
+            for a in vals {
+                for b in vals {
+                    assert_eq!(
+                        a.order_key().cmp(&b.order_key()),
+                        a.total_cmp(b),
+                        "{a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
+        let neg_nan = f64::from_bits(f64::NAN.to_bits() | 1 << 63 | 5);
+        check(&[
+            f64::NEG_INFINITY, f64::MIN, -1.5, -f64::MIN_POSITIVE, -5e-324, -0.0, 0.0,
+            5e-324, f64::MIN_POSITIVE, 1.5, f64::MAX, f64::INFINITY, f64::NAN, neg_nan,
+        ]);
+        check(&[f32::NEG_INFINITY, -1.5f32, -1e-45, -0.0, 0.0, 1e-45, 2.5, f32::INFINITY, f32::NAN]);
+        check(&[i64::MIN, -1, 0, 1, i64::MAX]);
+        check(&[i8::MIN, -1, 0, 1, i8::MAX]);
+        check(&[0u64, 1, u64::MAX - 1, u64::MAX]);
+        check(&[0u16, 1, u16::MAX]);
     }
 
     #[test]
