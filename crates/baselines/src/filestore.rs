@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn catalog_prunes_files() {
-        let dir = crate::ScratchDir::new("fs_test_a");
+        let dir = lidardb_test_support::ScratchDir::new("fs_test_a");
         let fs = make_store(&dir, Compression::None);
         assert_eq!(fs.num_files(), 4);
         assert_eq!(fs.num_points(), 10_000);
@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn index_reduces_decoded_records() {
-        let dir = crate::ScratchDir::new("fs_test_b");
+        let dir = lidardb_test_support::ScratchDir::new("fs_test_b");
         let mut fs = make_store(&dir, Compression::None);
         let window = env(5.0, 5.0, 10.0, 10.0);
         let (recs_a, stats_a) = fs.query_bbox(&window).unwrap();
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn lassort_plus_index_on_lazlite() {
-        let dir = crate::ScratchDir::new("fs_test_c");
+        let dir = lidardb_test_support::ScratchDir::new("fs_test_c");
         let mut fs = make_store(&dir, Compression::LazLite);
         fs.sort_files(Curve::Morton).unwrap();
         fs.build_indexes().unwrap();
@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn geometry_query_refines_per_point() {
-        let dir = crate::ScratchDir::new("fs_test_d");
+        let dir = lidardb_test_support::ScratchDir::new("fs_test_d");
         let fs = make_store(&dir, Compression::None);
         let tri = Geometry::Polygon(
             lidardb_geom::Polygon::from_exterior(vec![
@@ -314,12 +314,12 @@ mod tests {
 
     #[test]
     fn empty_window_and_empty_dir() {
-        let dir = crate::ScratchDir::new("fs_test_e");
+        let dir = lidardb_test_support::ScratchDir::new("fs_test_e");
         let fs = make_store(&dir, Compression::None);
         let (recs, stats) = fs.query_bbox(&env(500.0, 500.0, 600.0, 600.0)).unwrap();
         assert!(recs.is_empty());
         assert_eq!(stats.files_matched, 0);
-        let empty = crate::ScratchDir::new("fs_test_empty");
+        let empty = lidardb_test_support::ScratchDir::new("fs_test_empty");
         let fs = FileStore::open(&*empty).unwrap();
         assert_eq!(fs.num_files(), 0);
         assert!(!fs.is_indexed());

@@ -33,38 +33,3 @@ pub use blockstore::{BlockQueryStats, BlockStore};
 pub use error::BaselineError;
 pub use filestore::{FileQueryStats, FileStore};
 pub use quadtree::QuadTree;
-
-/// A scratch directory of one unit test's own, `lidardb_<name>_<pid>_<n>`
-/// (pid + per-process counter, so concurrent runs never share one):
-/// created empty, removed when the guard drops.
-#[cfg(test)]
-pub(crate) struct ScratchDir(std::path::PathBuf);
-
-#[cfg(test)]
-impl ScratchDir {
-    pub(crate) fn new(name: &str) -> ScratchDir {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let pid = std::process::id();
-        let path = std::env::temp_dir().join(format!("lidardb_{name}_{pid}_{n}"));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).expect("create scratch dir");
-        ScratchDir(path)
-    }
-}
-
-#[cfg(test)]
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-#[cfg(test)]
-impl std::ops::Deref for ScratchDir {
-    type Target = std::path::Path;
-
-    fn deref(&self) -> &std::path::Path {
-        &self.0
-    }
-}

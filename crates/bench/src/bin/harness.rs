@@ -467,7 +467,7 @@ fn e7_robustness() {
     println!("\nfault injection (deterministic seeded faults, lidardb_core::fault):");
 
     // 1. Corruption detection: save, flip one bit of one seeded byte, reopen.
-    let save_dir = fx.scratch.0.join("fault_save");
+    let save_dir = fx.scratch.join("fault_save");
     let trials = 64usize;
     let mut detected = 0usize;
     for _ in 0..trials {
@@ -491,7 +491,7 @@ fn e7_robustness() {
     );
 
     // 2. Quarantining ingestion: 16 tiles, 3 corrupted three ways.
-    let tile_dir = fx.scratch.0.join("fault_tiles");
+    let tile_dir = fx.scratch.join("fault_tiles");
     std::fs::create_dir_all(&tile_dir).expect("mkdir");
     let paths: Vec<std::path::PathBuf> = (0..16usize)
         .map(|i| {

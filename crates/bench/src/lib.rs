@@ -7,35 +7,13 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use lidardb_core::{LoadMethod, Loader, PointCloud};
 use lidardb_datagen::{Scene, SceneConfig};
 use lidardb_geom::Envelope;
 use lidardb_las::{Compression, PointRecord};
-
-/// A directory under the system temp dir that belongs to one caller (pid +
-/// counter, so concurrent runs never share one), removed on drop.
-pub struct ScratchDir(pub PathBuf);
-
-impl ScratchDir {
-    /// Create a fresh, empty scratch directory.
-    pub fn create() -> Self {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("lidardb_harness_{}_{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use lidardb_test_support::ScratchDir;
 
 /// Standard experiment fixture: a scene, its tile files on disk, and the
 /// loaded point cloud.
@@ -60,9 +38,9 @@ impl Fixture {
             origin: (100_000.0, 450_000.0),
             extent_m,
         });
-        let scratch = ScratchDir::create();
+        let scratch = ScratchDir::new("harness");
         let tiles = |sub: &str, compression| {
-            write_tiles(&scene, &scratch.0.join(sub), tiles_per_side, density, compression)
+            write_tiles(&scene, &scratch.join(sub), tiles_per_side, density, compression)
         };
         let las_paths = tiles("las", Compression::None);
         let lazl_paths = tiles("lazl", Compression::LazLite);
@@ -313,7 +291,7 @@ mod tests {
         assert_eq!(f.lazl_paths.len(), 4);
         assert!(f.window(0.001).area() < f.window(0.1).area());
         assert!(f.scene.envelope().contains_envelope(&f.window(0.1)));
-        let dir = f.scratch.0.clone();
+        let dir = f.scratch.to_path_buf();
         assert!(f.las_paths[0].starts_with(&dir) && dir.is_dir());
         drop(f);
         assert!(!dir.exists(), "scratch directory must be removed on drop");

@@ -546,7 +546,7 @@ mod tests {
 
     #[test]
     fn binary_and_csv_paths_load_identical_tables() {
-        let dir = crate::wal::TempDir::new("loader_test_a");
+        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_a");
         let paths = make_files(&dir, 4, 500);
         let mut a = PointCloud::new();
         let sa = Loader::new(LoadMethod::Binary)
@@ -570,7 +570,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_single_threaded() {
-        let dir = crate::wal::TempDir::new("loader_test_b");
+        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_b");
         let paths = make_files(&dir, 8, 300);
         let mut a = PointCloud::new();
         Loader::new(LoadMethod::Binary)
@@ -590,7 +590,7 @@ mod tests {
 
     #[test]
     fn load_dir_filters_and_sorts() {
-        let dir = crate::wal::TempDir::new("loader_test_c");
+        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_c");
         make_files(&dir, 3, 100);
         std::fs::write(dir.join("README.txt"), "not a las file").unwrap();
         let mut pc = PointCloud::new();
@@ -603,7 +603,7 @@ mod tests {
 
     #[test]
     fn stats_are_plausible() {
-        let dir = crate::wal::TempDir::new("loader_test_d");
+        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_d");
         let paths = make_files(&dir, 2, 2000);
         let mut pc = PointCloud::new();
         let s = Loader::new(LoadMethod::Binary)
@@ -632,7 +632,7 @@ mod tests {
 
     #[test]
     fn fail_fast_aborts_on_first_bad_file_in_order() {
-        let dir = crate::wal::TempDir::new("loader_test_ff");
+        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_ff");
         let mut paths = make_files(&dir, 5, 50);
         // Corrupt file index 1 (garbage) and index 3 (truncated).
         std::fs::write(&paths[1], b"not a las file at all").unwrap();
@@ -669,7 +669,7 @@ mod tests {
 
     #[test]
     fn skip_corrupt_quarantines_and_loads_the_rest() {
-        let dir = crate::wal::TempDir::new("loader_test_sc");
+        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_sc");
         let paths = make_files(&dir, 6, 80);
         std::fs::write(&paths[2], b"garbage").unwrap();
         let mut pc = PointCloud::new();
@@ -693,7 +693,7 @@ mod tests {
 
     #[test]
     fn transient_errors_are_retried_with_bound() {
-        let dir = crate::wal::TempDir::new("loader_test_retry");
+        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_retry");
         let paths = make_files(&dir, 3, 40);
         // Two transient failures on file 1, then it succeeds.
         let fi = Arc::new(FaultInjector::new());
@@ -723,7 +723,7 @@ mod tests {
 
     #[test]
     fn worker_panic_becomes_typed_error() {
-        let dir = crate::wal::TempDir::new("loader_test_panic");
+        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_panic");
         let paths = make_files(&dir, 4, 30);
         let fi = Arc::new(FaultInjector::new());
         fi.inject(FaultStage::LoadDecode, Some("t02"), FaultKind::Crash);

@@ -876,8 +876,8 @@ mod tests {
     use super::*;
     use lidardb_las::PointRecord;
 
-    fn tdir(name: &str) -> crate::wal::TempDir {
-        crate::wal::TempDir::new(&format!("persist_{name}"))
+    fn tdir(name: &str) -> lidardb_test_support::ScratchDir {
+        lidardb_test_support::ScratchDir::vacant(&format!("persist_{name}"))
     }
 
     fn cloud(n: usize) -> PointCloud {

@@ -846,8 +846,8 @@ mod tests {
         assert_eq!(pc.data_bytes(), 10_000 * 81);
     }
 
-    fn tdir(name: &str) -> wal::TempDir {
-        wal::TempDir::new(&format!("ingest_{name}"))
+    fn tdir(name: &str) -> lidardb_test_support::ScratchDir {
+        lidardb_test_support::ScratchDir::vacant(&format!("ingest_{name}"))
     }
 
     #[test]

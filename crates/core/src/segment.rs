@@ -508,7 +508,7 @@ mod tests {
     /// evicted, reads only column files.
     #[test]
     fn a_tile_manifest_is_read_once() {
-        let dir = crate::wal::TempDir::new("segment_manifest_once");
+        let dir = lidardb_test_support::ScratchDir::vacant("segment_manifest_once");
         let recs: Vec<PointRecord> = (0..4000)
             .map(|i| PointRecord {
                 x: (i % 100) as f64,

@@ -1,5 +1,5 @@
-//! Differential tests: the morsel engine must return exactly the rows a
-//! brute-force reference finds (every visible row through the exact
+//! Differential tests: the morsel engine must return exactly the rows the
+//! brute-force [`Model`] finds (every visible record through the exact
 //! predicate, no imprints, grid or scan kernels) when it runs one inline
 //! worker, and results **identical** to that at every worker count — same
 //! `Selection.rows`, same Explain cardinalities (candidates, bbox
@@ -11,23 +11,22 @@
 //! streaming cloud mid-ingest, and the shared workload sealed into tiles
 //! and read out of core through [`PointTable::Tiled`] with a resident
 //! budget below one tile (every query loads and evicts). A tiled table's
-//! reference is the same directory opened flat, which has the sealed row
-//! order.
+//! model holds the records in the sealed row order, read back from the
+//! same directory opened flat.
 //!
 //! Worker counts default to `[2, 4, 8]`; set `LIDARDB_WORKERS=<n>` to pin
 //! a single count (CI runs the suite at 2 and at 8 on top of the default).
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use lidardb_core::{
-    wal, Aggregate, AttrRange, Durability, FaultInjector, FaultKind, FaultStage, GovernCtx,
+    Aggregate, AttrRange, Durability, FaultInjector, FaultKind, FaultStage, GovernCtx,
     Parallelism, PointCloud, PointTable, RefineStrategy, Selection, SpatialPredicate,
     TileOptions, TiledCloud, MORSEL_MIN_ROWS,
 };
 use lidardb_geom::{buffer_polyline, Geometry, LineString, Point, Polygon, Ring};
 use lidardb_las::PointRecord;
+use lidardb_test_support::{Model, ScratchDir};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- fixtures
@@ -90,25 +89,33 @@ fn shared_cloud() -> &'static Arc<PointCloud> {
     CLOUD.get_or_init(|| Arc::new(build_cloud(SHARED_ROWS, SHARED_SEED)))
 }
 
+/// The shared cloud's model.
+fn shared_model() -> &'static Model {
+    static MODEL: OnceLock<Model> = OnceLock::new();
+    MODEL.get_or_init(|| Model::new(workload(SHARED_ROWS, SHARED_SEED)))
+}
+
 const SHARED_ROWS: usize = 120_000;
 const SHARED_SEED: u64 = 0xC0FFEE;
 
-/// One input of the suite: the table the engine reads, and the flat cloud
-/// holding the same rows in the same order that the brute-force reference
-/// reads.
+/// One input of the suite: the table the engine reads, and the model of
+/// the same rows in the same order.
 #[derive(Clone, Copy)]
 struct Shape<'a> {
     table: PointTable<'a>,
-    reference: &'a PointCloud,
+    model: &'a Model,
 }
 
 impl<'a> Shape<'a> {
-    /// A flat (plain or streaming) cloud is its own reference.
-    fn flat(pc: &'a PointCloud) -> Self {
+    fn flat(pc: &'a PointCloud, model: &'a Model) -> Self {
         Shape {
             table: PointTable::Flat(pc),
-            reference: pc,
+            model,
         }
+    }
+
+    fn shared() -> Shape<'static> {
+        Shape::flat(shared_cloud(), shared_model())
     }
 
     fn select(
@@ -129,22 +136,18 @@ impl<'a> Shape<'a> {
 }
 
 /// The shared workload sealed with `save_tiled` into a scratch directory
-/// of this test's own (pid + per-process counter) and reopened lazily with
-/// a resident budget below one tile, so every query loads and evicts. Its
-/// reference is the directory opened flat. The directory goes on drop.
+/// of this test's own and reopened lazily with a resident budget below one
+/// tile, so every query loads and evicts. Its model reads the records back
+/// from the directory opened flat, in the sealed order.
 struct TiledShape {
-    dir: PathBuf,
+    _dir: ScratchDir,
     tc: TiledCloud,
-    reference: PointCloud,
+    model: Model,
 }
 
 impl TiledShape {
     fn new() -> TiledShape {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("lidardb_diff_tiled_{}_{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::vacant("diff_tiled");
         let opts = TileOptions {
             target_rows: 30_000,
             ..Default::default()
@@ -153,28 +156,27 @@ impl TiledShape {
         assert!(tiles >= 3, "the workload spans several tiles, got {tiles}");
         let tc = TiledCloud::open(&dir).unwrap();
         tc.set_resident_budget(1);
-        let reference = PointCloud::open_dir(&dir).unwrap();
-        TiledShape { dir, tc, reference }
+        let sealed = PointCloud::open_dir(&dir).unwrap();
+        let records = (0..sealed.num_points()).map(|r| sealed.record(r).unwrap()).collect();
+        TiledShape {
+            _dir: dir,
+            tc,
+            model: Model::new(records),
+        }
     }
 
     fn shape(&self) -> Shape<'_> {
         Shape {
             table: PointTable::Tiled(&self.tc),
-            reference: &self.reference,
+            model: &self.model,
         }
-    }
-}
-
-impl Drop for TiledShape {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
 /// Run `check` on every shape of the shared workload: the flat cloud,
 /// then its tiled copy. The tiled copy must have loaded and evicted tiles.
 fn for_each_shape(check: impl Fn(Shape)) {
-    check(Shape::flat(shared_cloud()));
+    check(Shape::shared());
     let tiled = TiledShape::new();
     check(tiled.shape());
     assert!(tiled.tc.tile_loads() > 0, "tiles load on demand");
@@ -230,57 +232,38 @@ fn road() -> SpatialPredicate {
     )
 }
 
-// ------------------------------------------------------------- the oracle
-
-/// The brute-force reference: every visible row through the exact spatial
-/// predicate and the inclusive attribute ranges, values read one at a time
-/// through `Column::get` — no imprints, no grid, no scan kernels.
-/// `BboxOnly` stops after the filter step, so its reference is the bbox.
-fn brute_force(
-    pc: &PointCloud,
+/// Assert the engine's one-worker rows are the model's answer, reporting
+/// the first difference instead of printing two hundred-thousand-element
+/// lists. `BboxOnly` stops after the filter step, so its answer is the
+/// filter envelope's.
+fn assert_model_rows(
+    engine: &[usize],
+    model: &Model,
     pred: Option<&SpatialPredicate>,
     attrs: &[AttrRange],
     strategy: RefineStrategy,
-) -> Vec<usize> {
-    let value = |column: &str, row: usize| pc.column(column).unwrap().get(row).unwrap().as_f64();
-    let bbox = pred.and_then(|p| p.filter_envelope());
-    (0..pc.visible_rows())
-        .filter(|&row| {
-            let spatial = pred.is_none_or(|p| {
-                let pt = Point::new(value("x", row), value("y", row));
-                if strategy == RefineStrategy::BboxOnly {
-                    bbox.is_some_and(|env| env.contains(&pt))
-                } else {
-                    p.matches(&pt)
-                }
-            });
-            spatial
-                && attrs.iter().all(|a| {
-                    let v = value(&a.column, row);
-                    a.lo <= v && v <= a.hi
-                })
-        })
-        .collect()
-}
-
-/// `assert_eq!` on row vectors that reports the first difference instead of
-/// printing two hundred-thousand-element lists.
-fn assert_same_rows(engine: &[usize], reference: &[usize]) {
-    let longest = engine.len().max(reference.len());
-    if let Some(i) = (0..longest).find(|&i| engine.get(i) != reference.get(i)) {
+) {
+    let bbox = |p: &SpatialPredicate| {
+        let env = p.filter_envelope().expect("a predicate with an envelope");
+        SpatialPredicate::Within(Geometry::Polygon(Polygon::rectangle(&env)))
+    };
+    let filter = pred.filter(|_| strategy == RefineStrategy::BboxOnly).map(bbox);
+    let expect = model.select(filter.as_ref().or(pred), attrs);
+    let longest = engine.len().max(expect.len());
+    if let Some(i) = (0..longest).find(|&i| engine.get(i) != expect.get(i)) {
         panic!(
-            "one-worker rows differ from the brute-force reference at position {i}: \
-             engine {:?} vs reference {:?} ({} vs {} rows)",
+            "one-worker rows differ from the model at position {i}: \
+             engine {:?} vs model {:?} ({} vs {} rows)",
             engine.get(i),
-            reference.get(i),
+            expect.get(i),
             engine.len(),
-            reference.len()
+            expect.len()
         );
     }
 }
 
 /// Run the query on one inline worker and at every worker count; assert the
-/// one-worker rows equal the brute-force reference and that rows AND all
+/// one-worker rows equal the model's and that rows AND all
 /// Explain cardinalities are identical across worker counts. Returns the
 /// one-worker rows.
 fn assert_differential(
@@ -290,7 +273,7 @@ fn assert_differential(
     strategy: RefineStrategy,
 ) -> Vec<usize> {
     let serial = shape.select(pred, attrs, strategy, Parallelism::Serial);
-    assert_same_rows(&serial.rows, &brute_force(shape.reference, pred, attrs, strategy));
+    assert_model_rows(&serial.rows, shape.model, pred, attrs, strategy);
     assert_morsels_partition_candidates(&serial.explain);
     let segments = segments_probed(&serial.explain);
     assert_eq!(serial.explain.workers, segments.min(1), "one worker runs one inline morsel");
@@ -485,21 +468,17 @@ fn holed_c() -> SpatialPredicate {
 
 /// A workload of `rows` points ingested through the WAL of a scratch
 /// directory of this test's own, with the last sixth applied but not yet
-/// committed: queries see the committed snapshot only. The directory and
-/// its WAL go on drop.
+/// committed: queries see the committed snapshot only, and so does the
+/// model.
 struct StreamingShape {
-    dir: PathBuf,
+    _dir: ScratchDir,
     pc: PointCloud,
+    model: Model,
 }
 
 impl StreamingShape {
     fn new(rows: usize) -> StreamingShape {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("lidardb_diff_stream_{}_{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_file(wal::wal_path_for(&dir));
+        let dir = ScratchDir::vacant("diff_stream");
         let durability = Durability::GroupCommit {
             max_batches: 1_000,
             max_delay: std::time::Duration::from_secs(3_600),
@@ -513,21 +492,18 @@ impl StreamingShape {
         pc.flush_wal().unwrap();
         pc.ingest_records(&recs[committed..]).unwrap();
         assert_eq!(pc.visible_rows(), committed, "the tail is not yet visible");
-        StreamingShape { dir, pc }
-    }
-}
-
-impl Drop for StreamingShape {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-        let _ = std::fs::remove_file(wal::wal_path_for(&self.dir));
+        StreamingShape {
+            _dir: dir,
+            pc,
+            model: Model::new(recs).with_visible(committed),
+        }
     }
 }
 
 /// Refinement through the prepared edge index, on the shapes it exists
 /// for: the many-edge water corridor under containment and at distances
 /// 0, 1 and 5, and a concave polygon with a hole, each against the
-/// brute-force reference's per-call predicate at every worker count.
+/// model's per-call predicate at every worker count.
 fn check_corridor_and_holed_polygon(shape: Shape) {
     let corridor = water_corridor();
     for pred in [
@@ -544,7 +520,7 @@ fn check_corridor_and_holed_polygon(shape: Shape) {
 
 #[test]
 fn differential_corridor_and_holed_polygon_flat() {
-    check_corridor_and_holed_polygon(Shape::flat(shared_cloud()));
+    check_corridor_and_holed_polygon(Shape::shared());
 }
 
 #[test]
@@ -557,7 +533,7 @@ fn differential_corridor_and_holed_polygon_tiled() {
 #[test]
 fn differential_corridor_and_holed_polygon_streaming() {
     let streaming = StreamingShape::new(36_000);
-    check_corridor_and_holed_polygon(Shape::flat(&streaming.pc));
+    check_corridor_and_holed_polygon(Shape::flat(&streaming.pc, &streaming.model));
 }
 
 #[test]
@@ -601,10 +577,9 @@ fn differential_mid_ingest_snapshot() {
     // rows past the visibility watermark. Serial and every parallel run
     // must return byte-identical results, and all of them must see exactly
     // the committed snapshot — never the unacknowledged tail.
-    let dir = std::env::temp_dir().join(format!("lidardb_diff_ingest_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_file(wal::wal_path_for(&dir));
+    let dir = ScratchDir::vacant("diff_ingest");
     let recs = workload(80_000, 0xD1FF);
+    let mut model = Model::new(recs.clone()).with_visible(60_000);
     let durability = Durability::GroupCommit {
         max_batches: 1_000,
         max_delay: std::time::Duration::from_secs(3_600),
@@ -622,37 +597,34 @@ fn differential_mid_ingest_snapshot() {
 
     let pred = rect(0.0, 350.0, 1000.0, 500.0);
     let attrs = [AttrRange::new("classification", 0.0, 8.0)];
-    let rows =
-        assert_differential(Shape::flat(&pc), Some(&pred), &attrs, RefineStrategy::default());
-    assert!(!rows.is_empty(), "snapshot query finds the dense band");
-    assert!(
-        rows.iter().all(|&r| r < 60_000),
-        "no ghost rows from the unsynced tail"
+    // The model's watermark is the committed prefix: no ghost rows.
+    let rows = assert_differential(
+        Shape::flat(&pc, &model),
+        Some(&pred),
+        &attrs,
+        RefineStrategy::default(),
     );
-    // Oracle: a plain cloud built from only the committed prefix answers
-    // identically — the snapshot IS the 60k-row cloud, bit for bit.
-    let oracle = build_cloud(60_000, 0xD1FF);
-    let expect = oracle
-        .select_query_with(Some(&pred), &attrs, RefineStrategy::default(), Parallelism::Serial)
-        .unwrap();
-    assert_eq!(rows, expect.rows, "snapshot equals the committed prefix");
+    assert!(!rows.is_empty(), "snapshot query finds the dense band");
 
     // After the flush the watermark advances and the same query picks up
     // the tail — again identically across executors.
     pc.flush_wal().unwrap();
     assert_eq!(pc.visible_rows(), 80_000);
-    let rows2 =
-        assert_differential(Shape::flat(&pc), Some(&pred), &attrs, RefineStrategy::default());
+    model.set_visible(80_000);
+    let rows2 = assert_differential(
+        Shape::flat(&pc, &model),
+        Some(&pred),
+        &attrs,
+        RefineStrategy::default(),
+    );
     assert!(rows2.len() > rows.len(), "flushed tail joins the result");
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_file(wal::wal_path_for(&dir));
 }
 
 #[test]
 fn differential_small_cloud_stays_serial() {
     let pc = build_cloud(2000, 7);
     let rows = assert_differential(
-        Shape::flat(&pc),
+        Shape::flat(&pc, &Model::new(workload(2000, 7))),
         Some(&rect(0.0, 0.0, 1000.0, 1000.0)),
         &[],
         RefineStrategy::default(),
@@ -664,7 +636,8 @@ fn differential_small_cloud_stays_serial() {
 fn differential_with_injected_imprint_faults() {
     // A failed imprint build degrades the probe (no pruning, exact scan
     // enforces the predicate); every worker count must degrade identically,
-    // and to exactly the brute-force rows.
+    // and to exactly the model's rows.
+    let model = Model::new(workload(40_000, 99));
     for target in [Some("x"), None] {
         let mut pc = build_cloud(40_000, 99);
         let fi = Arc::new(FaultInjector::new());
@@ -681,14 +654,12 @@ fn differential_with_injected_imprint_faults() {
             )
             .unwrap();
         assert!(serial.explain.degraded_probes > 0, "fault fired");
-        assert_same_rows(
+        assert_model_rows(
             &serial.rows,
-            &brute_force(
-                &pc,
-                Some(&diamond(500.0, 500.0, 400.0)),
-                &[AttrRange::new("classification", 1.0, 9.0)],
-                RefineStrategy::default(),
-            ),
+            &model,
+            Some(&diamond(500.0, 500.0, 400.0)),
+            &[AttrRange::new("classification", 1.0, 9.0)],
+            RefineStrategy::default(),
         );
         for &w in &worker_counts() {
             let par = pc
@@ -721,19 +692,18 @@ fn differential_aggregates() {
             RefineStrategy::default(),
         );
         assert!(rows.len() >= 2 * MORSEL_MIN_ROWS, "aggregate splits into morsels");
-        let flat = Shape::flat(pc.reference);
         for column in ["z", "intensity", "classification", "gps_time"] {
             for agg in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max] {
                 let serial = pc.aggregate(&rows, column, agg, Parallelism::Serial);
                 // A tiled fold merges per-tile states: within 1e-9
-                // relative of the flat fold over the same rows, and
+                // relative of the model over the same rows, and
                 // bit-identical on Min/Max.
-                let reference = flat.aggregate(&rows, column, agg, Parallelism::Serial);
+                let model = pc.model.aggregate(&rows, column, agg).unwrap().as_f64();
                 match agg {
-                    Aggregate::Min | Aggregate::Max => assert_eq!(serial, reference),
+                    Aggregate::Min | Aggregate::Max => assert_eq!(serial, model),
                     _ => assert!(
-                        (serial - reference).abs() <= 1e-9 * reference.abs().max(1.0),
-                        "{column} {agg:?}: {serial} vs flat {reference}"
+                        (serial - model).abs() <= 1e-9 * model.abs().max(1.0),
+                        "{column} {agg:?}: {serial} vs model {model}"
                     ),
                 }
                 for &w in &worker_counts() {

@@ -13,6 +13,7 @@ use lidardb_core::{
     CoreError, Durability, FaultInjector, FaultKind, FaultStage, MetricsRegistry, PointCloud,
 };
 use lidardb_las::PointRecord;
+use lidardb_test_support::ScratchDir;
 
 /// Every test here flips the process-wide `degraded_tables` gauge, and the
 /// first asserts an exact delta on it: they run one at a time.
@@ -29,17 +30,10 @@ fn batch(n: usize, salt: u16) -> Vec<PointRecord> {
         .collect()
 }
 
-fn tdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("lidardb_diskfull_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(&d));
-    d
-}
-
 #[test]
 fn enospc_degrades_to_read_only_and_seal_recovers() {
     let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = tdir("roundtrip");
+    let dir = ScratchDir::vacant("diskfull_roundtrip");
     let fi = Arc::new(FaultInjector::new());
     let mut pc =
         PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi.clone())).unwrap();
@@ -85,7 +79,7 @@ fn enospc_degrades_to_read_only_and_seal_recovers() {
 #[test]
 fn enospc_at_group_commit_sync_also_degrades() {
     let _g = GAUGE.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = tdir("sync");
+    let dir = ScratchDir::vacant("diskfull_sync");
     let fi = Arc::new(FaultInjector::new());
     let mut pc = PointCloud::open_ingest_with_faults(
         &dir,
@@ -118,7 +112,7 @@ fn degraded_table_survives_restart_cleanly() {
     // Degradation is a *runtime* mode, not an on-disk poison: after a
     // restart the durable prefix opens normally and ingest works again
     // (the operator's restart implies the device was dealt with).
-    let dir = tdir("restart");
+    let dir = ScratchDir::vacant("diskfull_restart");
     let fi = Arc::new(FaultInjector::new());
     let mut pc =
         PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi.clone())).unwrap();

@@ -18,6 +18,7 @@ use lidardb_core::{
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::{point_schema, PointRecord};
+use lidardb_test_support::ScratchDir;
 
 fn sample_cloud(n: usize) -> PointCloud {
     let recs: Vec<PointRecord> = (0..n)
@@ -70,13 +71,8 @@ proptest! {
         file_sel in any::<u64>(),
         byte_sel in any::<u64>(),
         bit in 0u32..8,
-        case in any::<u64>(),
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "lidardb_durability_{}_{case:016x}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::vacant("durability");
 
         let mut original = sample_cloud(n);
         if tiled {
@@ -123,8 +119,6 @@ proptest! {
                 }
             }
         }
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -134,8 +128,7 @@ proptest! {
 /// `Corrupt` naming the file, and is still rejected by the eager readers.
 #[test]
 fn a_column_is_checked_on_first_touch() {
-    let dir = std::env::temp_dir().join(format!("lidardb_durability_touch_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::vacant("durability_touch");
     let mut pc = sample_cloud(3_000);
     pc.save_tiled(
         &dir,
@@ -189,5 +182,4 @@ fn a_column_is_checked_on_first_touch() {
         .all(|r| r.is_ok()));
     assert!(validate_dir(&dir).is_err(), "validate_dir");
     assert!(PointCloud::open_dir(&dir).is_err(), "open_dir");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,25 +7,11 @@
 //! may exceed [`LEDGER_CAP`] only by the undurable group-commit window.
 
 use std::collections::HashSet;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lidardb_core::{wal, Durability, PointCloud, LEDGER_CAP};
 use lidardb_las::PointRecord;
+use lidardb_test_support::ScratchDir;
 use proptest::prelude::*;
-
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn tdir() -> PathBuf {
-    let case = CASE.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!(
-        "lidardb_ledger_{}_{case}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    let _ = std::fs::remove_file(wal::wal_path_for(&d));
-    d
-}
 
 fn batch(tag: u64, n: usize) -> Vec<PointRecord> {
     (0..n)
@@ -69,7 +55,7 @@ proptest! {
     fn tokens_are_applied_exactly_once_across_seals_and_restarts(
         ops in prop::collection::vec(op_strategy(), 1..24),
     ) {
-        let dir = tdir();
+        let dir = ScratchDir::vacant("ledger");
         let mut pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
         let mut seen: HashSet<u64> = HashSet::new();
         let mut expect_rows = 0usize;
@@ -113,7 +99,7 @@ proptest! {
 /// header — so the on-disk header cannot grow without bound either.
 #[test]
 fn ledger_stays_bounded_past_the_durable_watermark() {
-    let dir = tdir();
+    let dir = ScratchDir::vacant("ledger");
     let mut pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
     for t in 0..LEDGER_CAP as u64 + 50 {
         pc.ingest_records_tagged(&batch(t + 1, 1), t + 1).unwrap();

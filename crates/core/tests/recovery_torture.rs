@@ -13,56 +13,9 @@
 //! Everything is seed-deterministic: a failing combination reproduces
 //! exactly from its `(stage, kind, seed)` triple in the panic message.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use lidardb_core::{
-    wal, Durability, FaultInjector, FaultKind, FaultStage, PointCloud,
-};
+use lidardb_core::{Durability, FaultInjector, FaultKind, FaultStage, PointCloud};
 use lidardb_las::PointRecord;
-
-/// A scratch directory of one scenario's own (pid + per-process counter,
-/// so concurrent runs never share one). It and its sibling WAL are
-/// cleared now and removed when the guard drops.
-struct TempDir(PathBuf);
-
-fn tdir(name: &str) -> TempDir {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let d = TempDir(std::env::temp_dir().join(format!(
-        "lidardb_torture_{name}_{}_{n}",
-        std::process::id()
-    )));
-    d.clear();
-    d
-}
-
-impl TempDir {
-    fn clear(&self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-        let _ = std::fs::remove_file(wal::wal_path_for(&self.0));
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        self.clear();
-    }
-}
-
-impl std::ops::Deref for TempDir {
-    type Target = Path;
-
-    fn deref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl AsRef<Path> for TempDir {
-    fn as_ref(&self) -> &Path {
-        &self.0
-    }
-}
+use lidardb_test_support::ScratchDir;
 
 /// Batch `b` of the torture workload: 50 recognisable points whose values
 /// encode their global row index, so payload corruption is detectable.
@@ -139,7 +92,7 @@ fn byte_faults_at_wal_append_lose_only_unacked_batches() {
     {
         for frame in [0u64, 2, 5] {
             let ctx = format!("append {kind:?} at frame {frame}");
-            let dir = tdir(&format!("append_{i}_{frame}"));
+            let dir = ScratchDir::vacant(&format!("torture_append_{i}_{frame}"));
             let fi = std::sync::Arc::new(FaultInjector::new());
             fi.inject(
                 FaultStage::WalAppend,
@@ -175,7 +128,7 @@ fn crash_at_group_commit_sync_loses_only_the_unsynced_group() {
         (FaultKind::TornWrite(71), "torn"),
     ] {
         let ctx = format!("sync {name}");
-        let dir = tdir(&format!("sync_{name}"));
+        let dir = ScratchDir::vacant(&format!("torture_sync_{name}"));
         let fi = std::sync::Arc::new(FaultInjector::new());
         // Groups of 3 batches; die at the second group's sync. The first
         // group (3 batches, 150 rows) was acknowledged and must survive;
@@ -215,7 +168,7 @@ fn crash_at_group_commit_sync_loses_only_the_unsynced_group() {
 fn crash_during_seal_window_replays_idempotently() {
     // Die after the dump commit but before the WAL truncate: the dump and
     // the WAL both hold the same 200 rows. Replay must skip, not double.
-    let dir = tdir("seal_window");
+    let dir = ScratchDir::vacant("torture_seal_window");
     let fi = std::sync::Arc::new(FaultInjector::new());
     fi.inject(FaultStage::Seal, Some("truncate"), FaultKind::Crash);
     let mut pc =
@@ -245,7 +198,7 @@ fn crash_during_seal_dump_commit_keeps_the_wal_authoritative() {
     // commit renames): the dump is old/absent but the WAL has everything.
     for (target, name) in [(None, "precommit"), (Some("swap"), "swap")] {
         let ctx = format!("seal dump {name}");
-        let dir = tdir(&format!("seal_dump_{name}"));
+        let dir = ScratchDir::vacant(&format!("torture_seal_dump_{name}"));
         let fi = std::sync::Arc::new(FaultInjector::new());
         fi.inject(FaultStage::Commit, target, FaultKind::Crash);
         let mut pc =
@@ -263,7 +216,7 @@ fn crash_during_seal_dump_commit_keeps_the_wal_authoritative() {
     }
     // Same, but sealing OVER a previous good dump: the old dump plus the
     // full WAL must reconstruct the acked state.
-    let dir = tdir("seal_dump_over");
+    let dir = ScratchDir::vacant("torture_seal_dump_over");
     let mut pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
     pc.ingest_records(&batch(0)).unwrap();
     pc.seal().unwrap(); // good dump at 50 rows
@@ -287,7 +240,7 @@ fn crash_during_tiled_seal_keeps_the_previous_dump_and_every_ack() {
     // A tiled checkpoint passes the same write fault sites as a flat one:
     // a crash writing a column fails it, the previous dump stays byte for
     // byte, and dump + WAL still recover every acked row.
-    let dir = tdir("tiled_seal_crash");
+    let dir = ScratchDir::vacant("torture_tiled_seal_crash");
     let fi = std::sync::Arc::new(FaultInjector::new());
     let mut pc =
         PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi.clone())).unwrap();
@@ -324,7 +277,7 @@ fn crash_during_tiled_seal_keeps_the_previous_dump_and_every_ack() {
 
 #[test]
 fn fault_during_recovery_is_an_error_then_a_clean_retry() {
-    let dir = tdir("recover_fault");
+    let dir = ScratchDir::vacant("torture_recover_fault");
     let mut pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
     for b in 0..3 {
         assert!(pc.ingest_records(&batch(b)).unwrap());
@@ -346,7 +299,7 @@ fn fault_during_recovery_is_an_error_then_a_clean_retry() {
 fn repeated_crashes_never_lose_reacked_rows() {
     // A chain of sessions, each killed at a different point; rows acked
     // in ANY session must survive every later crash.
-    let dir = tdir("chain");
+    let dir = ScratchDir::vacant("torture_chain");
     let mut acked = 0usize;
     for (round, frame) in [(0usize, 1u64), (1, 2), (2, 0)] {
         let fi = std::sync::Arc::new(FaultInjector::new());
@@ -381,7 +334,7 @@ fn repeated_crashes_never_lose_reacked_rows() {
 fn queries_on_recovered_cloud_match_a_never_crashed_one() {
     // End-to-end: same workload into a crashed+recovered cloud and a
     // pristine one; a selective query must return identical rows.
-    let dir = tdir("query_equiv");
+    let dir = ScratchDir::vacant("torture_query_equiv");
     let fi = std::sync::Arc::new(FaultInjector::new());
     fi.inject(FaultStage::WalAppend, Some("frame:3"), FaultKind::BitFlip(5));
     let durable = ingest_until_death(&dir, Durability::Always, fi, 6);
@@ -419,7 +372,7 @@ fn crash_during_drain_triggered_flush_replays_exactly_the_acked_prefix() {
         .enumerate()
     {
         let ctx = format!("drain flush {kind:?}");
-        let dir = tdir(&format!("drainflush_{i}"));
+        let dir = ScratchDir::vacant(&format!("torture_drainflush_{i}"));
         let fi = std::sync::Arc::new(FaultInjector::new());
         let mut pc = PointCloud::open_ingest_with_faults(
             &dir,

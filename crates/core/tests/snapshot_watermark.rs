@@ -11,7 +11,7 @@
 //! governed reader against a live writer under each durability policy and
 //! reopens the table cold.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::RwLock;
 use std::time::Duration;
 
@@ -21,32 +21,10 @@ use lidardb_core::{
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
+use lidardb_test_support::ScratchDir;
 
 const VISIBLE: usize = 30_000;
 const GHOST: usize = 30_000;
-
-/// A scratch directory of one test's own (pid + counter, so tests running
-/// side by side never share one), removed on drop. Ingest directories go
-/// *inside* it, because their WAL lives beside them (`<dir>.wal`).
-struct Scratch(std::path::PathBuf);
-
-impl Scratch {
-    fn new() -> Self {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("lidardb_watermark_{}_{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Deterministic records, all inside [0,100)². `tag` goes to gps_time so
 /// sums distinguish the committed batch from the ghost batch.
@@ -74,10 +52,10 @@ fn records(n: usize, seed: u64, tag: f64) -> Vec<PointRecord> {
 /// Batch A committed and visible, imprints warmed over it, batch B
 /// applied but unflushed: `num_points = 60k`, `visible_rows = 30k`, and
 /// the cached x/y/classification/gps_time imprints cover all 60k rows.
-fn cloud_with_ghost_rows() -> (Scratch, PointCloud) {
-    let scratch = Scratch::new();
+fn cloud_with_ghost_rows() -> (ScratchDir, PointCloud) {
+    let scratch = ScratchDir::vacant("watermark");
     let mut pc = PointCloud::open_ingest(
-        scratch.0.join("ingest"),
+        &scratch,
         Durability::GroupCommit {
             max_batches: usize::MAX,
             max_delay: Duration::from_secs(3600),
@@ -296,8 +274,7 @@ fn racing_reader_sees_exact_snapshots_and_reopen_recovers_every_acked_row() {
         Durability::Always,
     ];
     for durability in policies {
-        let scratch = Scratch::new();
-        let dir = scratch.0.join("ingest");
+        let dir = ScratchDir::vacant("watermark");
         let lock = RwLock::new(PointCloud::open_ingest(&dir, durability).unwrap());
         let done = AtomicBool::new(false);
         let queries = std::thread::scope(|s| {

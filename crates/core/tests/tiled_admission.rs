@@ -12,15 +12,15 @@ use lidardb_core::{
     RefineStrategy, TileOptions, TiledCloud,
 };
 use lidardb_las::PointRecord;
+use lidardb_test_support::ScratchDir;
 
 /// Serialises the tests that reconfigure the process-wide controller.
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 /// A `side × side` point grid sealed into tiles of 512 rows under a fresh
 /// directory named after `tag`.
-fn tiled(tag: &str, side: usize) -> (std::path::PathBuf, TiledCloud) {
-    let dir = std::env::temp_dir().join(format!("lidardb_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn tiled(tag: &str, side: usize) -> (ScratchDir, TiledCloud) {
+    let dir = ScratchDir::vacant(tag);
     let recs: Vec<PointRecord> = (0..side * side)
         .map(|i| PointRecord {
             x: (i % side) as f64,
@@ -42,7 +42,7 @@ fn tiled(tag: &str, side: usize) -> (std::path::PathBuf, TiledCloud) {
 #[test]
 fn governed_tiled_select_takes_an_admission_permit() {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
-    let (dir, tc) = tiled("tiled_admission", 64);
+    let (_dir, tc) = tiled("tiled_admission", 64);
     let select = || {
         tc.select_query_with(None, &[], RefineStrategy::default(), Parallelism::Serial)
     };
@@ -68,7 +68,6 @@ fn governed_tiled_select_takes_an_admission_permit() {
     assert_eq!(adm.in_flight(), 0, "the query's permit was released");
 
     adm.set_limits(before.0, before.1);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `select_query_with` on a tiled table is governed, not a bypass: it
@@ -77,7 +76,7 @@ fn governed_tiled_select_takes_an_admission_permit() {
 #[test]
 fn tiled_select_query_with_is_governed() {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
-    let (dir, tc) = tiled("tiled_select_with", 256);
+    let (_dir, tc) = tiled("tiled_select_with", 256);
     // Every query reloads its tiles, so each one runs long enough to be seen.
     tc.set_resident_budget(1);
     let select =
@@ -124,5 +123,4 @@ fn tiled_select_query_with_is_governed() {
         stop.store(true, Ordering::Relaxed);
     });
     assert!(QueryRegistry::global().list().is_empty(), "finished queries deregister");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,60 +2,13 @@
 //! compatibility tests. The `out_of_core_*` test doubles as the CI smoke:
 //! a dataset bigger than the resident budget must stay exactly queryable.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use lidardb_core::{
-    wal, Aggregate, AttrRange, ColumnSet, CoreError, Durability, GovernCtx, Parallelism,
-    PointCloud, PointTable, RefineStrategy, SpanKind, SpatialPredicate, Stage, TileOptions,
-    TiledCloud,
+    Aggregate, AttrRange, ColumnSet, CoreError, Durability, GovernCtx, Parallelism, PointCloud,
+    PointTable, RefineStrategy, SpanKind, SpatialPredicate, Stage, TileOptions, TiledCloud,
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
-
-/// A scratch directory of one test's own (pid + per-process counter, so
-/// concurrent runs never share one). It and its sibling ingest WAL
-/// (`<dir>.wal`, which would replay against a fresh dump) are cleared now
-/// and removed when the guard drops.
-struct TempDir(PathBuf);
-
-fn tdir(name: &str) -> TempDir {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let d = TempDir(std::env::temp_dir().join(format!(
-        "lidardb_tiles_{name}_{}_{n}",
-        std::process::id()
-    )));
-    d.clear();
-    d
-}
-
-impl TempDir {
-    fn clear(&self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-        let _ = std::fs::remove_file(wal::wal_path_for(&self.0));
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        self.clear();
-    }
-}
-
-impl std::ops::Deref for TempDir {
-    type Target = Path;
-
-    fn deref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl AsRef<Path> for TempDir {
-    fn as_ref(&self) -> &Path {
-        &self.0
-    }
-}
+use lidardb_test_support::ScratchDir;
 
 /// An ungoverned aggregate over a tiled cloud's global row ids.
 fn aggregate(
@@ -118,7 +71,7 @@ fn opts(target_rows: usize) -> TileOptions {
 
 #[test]
 fn tiled_queries_match_the_eager_flat_open_bit_for_bit() {
-    let dir = tdir("roundtrip");
+    let dir = ScratchDir::vacant("tiles_roundtrip");
     let n = 60_000;
     let mut pc = cloud(n);
     let tiles = pc.save_tiled(&dir, &opts(8192)).unwrap();
@@ -175,7 +128,7 @@ fn tiled_queries_match_the_eager_flat_open_bit_for_bit() {
 
 #[test]
 fn zone_maps_prune_tiles_without_changing_results() {
-    let dir = tdir("prune");
+    let dir = ScratchDir::vacant("tiles_prune");
     let mut pc = cloud(50_000);
     let tiles = pc.save_tiled(&dir, &opts(4096)).unwrap();
     let flat = PointCloud::open_dir(&dir).unwrap();
@@ -219,7 +172,7 @@ fn zone_maps_prune_tiles_without_changing_results() {
 /// budget, evictions observed.
 #[test]
 fn out_of_core_budget_below_dataset_stays_exact() {
-    let dir = tdir("oocore");
+    let dir = ScratchDir::vacant("tiles_oocore");
     let n = 120_000;
     let mut pc = cloud(n);
     let tiles = pc.save_tiled(&dir, &opts(8192)).unwrap();
@@ -256,7 +209,7 @@ fn out_of_core_budget_below_dataset_stays_exact() {
 
 #[test]
 fn flat_v2_directory_opens_as_single_unpruned_tile() {
-    let dir = tdir("v2compat");
+    let dir = ScratchDir::vacant("tiles_v2compat");
     let pc = cloud(5_000);
     pc.save_dir(&dir).unwrap();
     let tc = TiledCloud::open(&dir).unwrap();
@@ -276,7 +229,7 @@ fn flat_v2_directory_opens_as_single_unpruned_tile() {
 /// open, the catalog check and the lazy tile load must all refuse them.
 #[test]
 fn readers_agree_on_tile_row_counts() {
-    let dir = tdir("rowcounts");
+    let dir = ScratchDir::vacant("tiles_rowcounts");
     let mut pc = cloud(4_000);
     assert!(pc.save_tiled(&dir, &opts(1_000)).unwrap() >= 2);
     let tc = TiledCloud::open(&dir).unwrap();
@@ -294,7 +247,7 @@ fn readers_agree_on_tile_row_counts() {
 
 #[test]
 fn seal_to_tiles_checkpoints_the_ingest_wal() {
-    let dir = tdir("sealtiles");
+    let dir = ScratchDir::vacant("tiles_sealtiles");
     let mut pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
     pc.append_records(&records(20_000)).unwrap();
     let tiles = pc.seal_to_tiles(&opts(4096)).unwrap();
@@ -319,7 +272,7 @@ fn seal_to_tiles_checkpoints_the_ingest_wal() {
 
 #[test]
 fn tiled_aggregates_match_flat_aggregates() {
-    let dir = tdir("agg");
+    let dir = ScratchDir::vacant("tiles_agg");
     let mut pc = cloud(30_000);
     pc.save_tiled(&dir, &opts(4096)).unwrap();
     let flat = PointCloud::open_dir(&dir).unwrap();
@@ -353,7 +306,7 @@ fn tiled_aggregates_match_flat_aggregates() {
 
 #[test]
 fn record_access_crosses_tile_boundaries() {
-    let dir = tdir("record");
+    let dir = ScratchDir::vacant("tiles_record");
     let mut pc = cloud(20_000);
     pc.save_tiled(&dir, &opts(4096)).unwrap();
     let flat = PointCloud::open_dir(&dir).unwrap();
@@ -375,7 +328,7 @@ fn record_access_crosses_tile_boundaries() {
 
 #[test]
 fn governed_tiled_query_charges_tile_bytes_to_the_budget() {
-    let dir = tdir("govern");
+    let dir = ScratchDir::vacant("tiles_govern");
     let mut pc = cloud(30_000);
     pc.save_tiled(&dir, &opts(4096)).unwrap();
     let tc = TiledCloud::open(&dir).unwrap();
@@ -404,7 +357,7 @@ fn governed_tiled_query_charges_tile_bytes_to_the_budget() {
 #[test]
 fn one_tiled_statement_is_one_traced_query() {
     use lidardb_core::SlowQueryLog;
-    let dir = tdir("onequery");
+    let dir = ScratchDir::vacant("tiles_onequery");
     let mut pc = cloud(30_000);
     pc.save_tiled(&dir, &opts(4096)).unwrap();
     let tc = TiledCloud::open(&dir).unwrap();
@@ -459,7 +412,7 @@ fn one_tiled_statement_is_one_traced_query() {
 /// the held columns' bytes; the row count never depends on them.
 #[test]
 fn tiles_hold_exactly_the_columns_their_reads_touched() {
-    let dir = tdir("residency");
+    let dir = ScratchDir::vacant("tiles_residency");
     let n = 30_000;
     let mut pc = cloud(n);
     pc.save_tiled(&dir, &opts(4096)).unwrap();

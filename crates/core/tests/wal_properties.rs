@@ -8,11 +8,9 @@
 //! (`header | [32-byte frame header + payload]*`), so these tests would
 //! catch a decoder that "helpfully" resynchronises past damage.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use lidardb_core::{wal, Durability, PointCloud};
 use lidardb_las::{point_schema, PointRecord};
+use lidardb_test_support::ScratchDir;
 use proptest::prelude::*;
 
 // v02 layout: header magic + base_rows + ledger_count + crc (an empty
@@ -20,19 +18,6 @@ use proptest::prelude::*;
 // payload_len + crc + seq + end_rows + token.
 const WAL_HEADER: usize = 8 + 8 + 4 + 4;
 const FRAME_HEADER: usize = 4 + 4 + 8 + 8 + 8;
-
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn tdir() -> PathBuf {
-    let case = CASE.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!(
-        "lidardb_walprop_{}_{case}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    let _ = std::fs::remove_file(wal::wal_path_for(&d));
-    d
-}
 
 fn row_bytes() -> usize {
     point_schema().fields().iter().map(|f| f.ptype.size()).sum()
@@ -111,7 +96,7 @@ proptest! {
         sizes in prop::collection::vec(1usize..40, 1..6),
         frac in 0u32..=1000,
     ) {
-        let dir = tdir();
+        let dir = ScratchDir::vacant("walprop");
         let bytes = write_log(&dir, &sizes);
         let cut = (bytes.len() * frac as usize / 1000).min(bytes.len());
         std::fs::write(wal::wal_path_for(&dir), &bytes[..cut]).unwrap();
@@ -141,7 +126,7 @@ proptest! {
         pos in 0u32..1000,
         bit in 0u8..8,
     ) {
-        let dir = tdir();
+        let dir = ScratchDir::vacant("walprop");
         let mut bytes = write_log(&dir, &sizes);
         let at = (bytes.len() * pos as usize / 1000).min(bytes.len() - 1);
         bytes[at] ^= 1 << bit;

@@ -156,8 +156,8 @@ mod tests {
     use super::*;
     use crate::writer::write_las_file;
 
-    fn tdir() -> crate::ScratchDir {
-        crate::ScratchDir::new("reader_test")
+    fn tdir() -> lidardb_test_support::ScratchDir {
+        lidardb_test_support::ScratchDir::new("reader_test")
     }
 
     fn template(c: Compression) -> LasHeader {

@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn header_gets_bbox_and_count() {
-        let dir = crate::ScratchDir::new("writer_test");
+        let dir = lidardb_test_support::ScratchDir::new("writer_test");
         let path = dir.join("bbox.las");
         let pts = some_points(100);
         let h = write_las_file(&path, template(Compression::None), &pts).unwrap();
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn streaming_writer_matches_oneshot() {
-        let dir = crate::ScratchDir::new("writer_test");
+        let dir = lidardb_test_support::ScratchDir::new("writer_test");
         let a = dir.join("stream.laz");
         let b = dir.join("oneshot.laz");
         let pts = some_points(500);
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn empty_file_roundtrips() {
-        let dir = crate::ScratchDir::new("writer_test");
+        let dir = lidardb_test_support::ScratchDir::new("writer_test");
         let path = dir.join("empty.las");
         let h = write_las_file(&path, template(Compression::None), &[]).unwrap();
         assert_eq!(h.num_points, 0);

@@ -74,7 +74,7 @@ pub fn render() -> String {
 /// Render the exposition from an explicit registry and (optionally) a
 /// recorder sample supplying scalar values. With `sample == None` the
 /// scalars are read live — the endpoint works before the first sample
-/// lands.
+/// lands — and `recorder_last_seq` is left out.
 pub fn render_from(registry: &MetricsRegistry, sample: Option<&RecorderSample>) -> String {
     let mut out = String::with_capacity(16 * 1024);
 
@@ -94,8 +94,12 @@ pub fn render_from(registry: &MetricsRegistry, sample: Option<&RecorderSample>) 
     let uptime_ns = sample.map_or_else(|| registry.uptime_ns(), |s| s.uptime_ns);
     let m = format!("{PREFIX}_uptime_seconds");
     let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", uptime_ns as f64 * 1e-9);
-    let m = format!("{PREFIX}_recorder_last_seq");
-    let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", sample.map_or(0, |s| s.seq));
+    // The first sample's `seq` is 0, so the series exists only once a
+    // sample does: "no sample yet" and "first sample" read differently.
+    if let Some(s) = sample {
+        let m = format!("{PREFIX}_recorder_last_seq");
+        let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", s.seq);
+    }
 
     // Per-stage latency histograms, one family with a `stage` label.
     // Bucket b of the log₂ histogram holds calls with ⌊log₂ ns⌋ = b,
@@ -180,10 +184,12 @@ pub fn health_status(
 }
 
 /// Health verdict from the live gauges (recorder sample preferred, same
-/// source the scrape uses). The drain and degradation flags are read live
-/// — a drain must flip `/healthz` immediately, not a sampling interval
-/// later.
-pub fn health_now() -> (bool, String) {
+/// source the scrape uses) and the answering server's own drain flag. The
+/// drain and degradation flags are read live — a drain must flip
+/// `/healthz` immediately, not a sampling interval later — and the drain
+/// flag is the server's, not the process-wide `server_draining` gauge, so
+/// one server's drain never takes another out of rotation.
+pub fn health_now(draining: bool) -> (bool, String) {
     let registry = MetricsRegistry::global();
     let sample = Recorder::global().latest();
     let get = |name: &str, live: u64| {
@@ -194,7 +200,6 @@ pub fn health_now() -> (bool, String) {
     };
     let queued = get("admission_queued", registry.admission_queued.get());
     let backlog = get("wal_backlog_rows", registry.wal_backlog_rows.get());
-    let draining = registry.server_draining.get() != 0;
     let degraded = registry.degraded_tables.get();
     health_status(queued, backlog, draining, degraded)
 }

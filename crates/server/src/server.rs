@@ -31,7 +31,7 @@
 //! accepting TCP connections just long enough to answer them with a
 //! [`Message::ShuttingDown`] frame (never a raw reset mid-handshake), idle
 //! sessions get the same typed goodbye, in-flight statements run to the
-//! drain deadline and are then cancelled through the [`QueryRegistry`],
+//! drain deadline and are then cancelled through their sessions' tokens,
 //! every streaming table's group-commit window is force-fsynced, and the
 //! observability plane (answering 503 the whole time) is stopped last.
 
@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use lidardb_core::{CancelToken, MetricsRegistry, QueryRegistry, SessionRegistry, Stage};
+use lidardb_core::{CancelToken, MetricsRegistry, SessionRegistry, Stage};
 use lidardb_sql::{Catalog, ColumnBatch, RowSink, SqlError, SqlValue};
 
 use crate::promtext;
@@ -63,11 +63,17 @@ const CANCEL_GRACE: Duration = Duration::from_secs(2);
 /// flag (bounds how stale a typed goodbye can be).
 const DRAIN_POLL: Duration = Duration::from_millis(50);
 
+/// The statement a session is executing, if any: its [`CancelToken`], for
+/// the disconnect watcher and the drain deadline to trip.
+type Current = Arc<Mutex<Option<CancelToken>>>;
+
 /// One accepted connection the server is tracking for drain: the stream
-/// (for a deadline force-close), a done flag the session thread sets on
-/// exit, and the thread handle to join.
+/// (for a deadline force-close), the session's current statement (for a
+/// deadline cancel), a done flag the session thread sets on exit, and the
+/// thread handle to join.
 struct ConnSlot {
     stream: TcpStream,
+    current: Current,
     done: Arc<AtomicBool>,
     handle: thread::JoinHandle<()>,
 }
@@ -144,7 +150,8 @@ impl Server {
         let stop = Arc::clone(&self.stop);
         if let Some(ml) = self.metrics_listener {
             let mstop = Arc::clone(&stop);
-            thread::spawn(move || metrics_accept_loop(ml, mstop));
+            let draining = Arc::clone(&self.draining);
+            thread::spawn(move || metrics_accept_loop(ml, mstop, draining));
         }
         let drain_ms = self.drain_deadline.as_millis() as u64;
         for conn in self.listener.incoming() {
@@ -166,11 +173,13 @@ impl Server {
             let session = self.catalog.session();
             let batch_rows = self.batch_rows;
             let draining = Arc::clone(&self.draining);
+            let current = Current::default();
+            let session_current = Arc::clone(&current);
             let done = Arc::new(AtomicBool::new(false));
             let thread_done = Arc::clone(&done);
             let track = stream.try_clone();
             let handle = thread::spawn(move || {
-                handle_conn(stream, session, batch_rows, &draining, drain_ms);
+                handle_conn(stream, session, batch_rows, &draining, &session_current, drain_ms);
                 thread_done.store(true, Ordering::Release);
             });
             let mut conns = self.conns.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -182,6 +191,7 @@ impl Server {
             match track {
                 Ok(stream) => conns.push(ConnSlot {
                     stream,
+                    current,
                     done,
                     handle,
                 }),
@@ -257,8 +267,8 @@ impl ServerHandle {
     ///    503): idle sessions send `ShuttingDown` and close; new
     ///    connections are refused with the same typed frame;
     /// 2. wait for in-flight sessions to finish, up to `deadline`;
-    /// 3. deadline passed: trip every registered statement's
-    ///    [`CancelToken`] via the [`QueryRegistry`], wait [`CANCEL_GRACE`]
+    /// 3. deadline passed: trip the [`CancelToken`] of every statement
+    ///    this server's sessions are running, wait [`CANCEL_GRACE`]
     ///    for the typed `Error` farewells to flush, then force-close
     ///    whatever sockets remain;
     /// 4. stop the accept loop and join every session thread;
@@ -278,12 +288,11 @@ impl ServerHandle {
                 break;
             }
             if t0.elapsed() >= deadline {
-                // Phase 2: cancel in-flight statements; their sessions see
-                // a typed Error, then the drain flag, and exit.
-                let queries = QueryRegistry::global();
-                for q in queries.list() {
-                    queries.kill(q.id);
-                }
+                // Phase 2: cancel this server's in-flight statements —
+                // not the process's: another server or an embedded caller
+                // keeps its own. Their sessions see a typed Error, then the
+                // drain flag, and exit.
+                self.cancel_statements();
                 let g0 = Instant::now();
                 while self.reap_conns(false) > 0 && g0.elapsed() < CANCEL_GRACE {
                     thread::sleep(DRAIN_POLL);
@@ -328,6 +337,24 @@ impl ServerHandle {
         registry.server_draining.set(0);
     }
 
+    /// Trip the token of every statement this server's sessions are
+    /// running.
+    fn cancel_statements(&self) {
+        let conns = self
+            .conns
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for slot in conns.iter() {
+            let current = slot
+                .current
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            if let Some(token) = current.as_ref() {
+                token.kill();
+            }
+        }
+    }
+
     /// Reap finished sessions from the table, returning how many are still
     /// live. With `force`, shut the remaining sockets down first.
     fn reap_conns(&self, force: bool) -> usize {
@@ -369,13 +396,14 @@ fn refuse_conn(stream: TcpStream, drain_ms: u64) {
 /// Accept loop for the metrics listener. Each request is served inline —
 /// a scrape is one read + one buffered write of pre-rendered text, so
 /// there is nothing to parallelise and no thread to leak per scrape.
-fn metrics_accept_loop(listener: TcpListener, stop: Arc<AtomicBool>) {
+/// `/healthz` reads this server's own `draining` flag.
+fn metrics_accept_loop(listener: TcpListener, stop: Arc<AtomicBool>, draining: Arc<AtomicBool>) {
     for conn in listener.incoming() {
         if stop.load(Ordering::Acquire) {
             break;
         }
         if let Ok(stream) = conn {
-            let _ = serve_metrics_conn(stream);
+            let _ = serve_metrics_conn(stream, draining.load(Ordering::Acquire));
         }
     }
 }
@@ -384,7 +412,7 @@ fn metrics_accept_loop(listener: TcpListener, stop: Arc<AtomicBool>) {
 /// not `GET /metrics` or `GET /healthz` gets a 404; a malformed or
 /// oversized request line gets a 400. The connection always closes after
 /// one response (HTTP/1.0 semantics — curl and Prometheus both cope).
-fn serve_metrics_conn(stream: TcpStream) -> std::io::Result<()> {
+fn serve_metrics_conn(stream: TcpStream, draining: bool) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     // Bounded request-line read: the observability port gets the same
@@ -403,7 +431,7 @@ fn serve_metrics_conn(stream: TcpStream) -> std::io::Result<()> {
         match path {
             "/metrics" => ("200 OK", promtext::CONTENT_TYPE, promtext::render()),
             "/healthz" => {
-                let (healthy, body) = promtext::health_now();
+                let (healthy, body) = promtext::health_now(draining);
                 let status = if healthy { "200 OK" } else { "503 Service Unavailable" };
                 (status, "text/plain", body)
             }
@@ -425,6 +453,7 @@ fn handle_conn(
     catalog: Catalog,
     batch_rows: usize,
     draining: &AtomicBool,
+    current: &Current,
     drain_ms: u64,
 ) {
     let _ = stream.set_nodelay(true);
@@ -441,6 +470,7 @@ fn handle_conn(
         batch_rows,
         &session_ticket,
         draining,
+        current,
         drain_ms,
     );
     // Unblock the reader thread if it is still parked in read().
@@ -533,6 +563,7 @@ fn serve_session(
     batch_rows: usize,
     session: &lidardb_core::SessionTicket,
     draining: &AtomicBool,
+    current: &Current,
     drain_ms: u64,
 ) -> Result<(), ProtoError> {
     let mut w = BufWriter::new(stream.try_clone()?);
@@ -568,11 +599,8 @@ fn serve_session(
         protocol::write_magic(&mut w)?;
         let mut r = BufReader::new(stream.try_clone()?);
 
-        // The statement currently executing on this session, for the
-        // reader thread to cancel on disconnect.
-        let current: Arc<Mutex<Option<CancelToken>>> = Arc::new(Mutex::new(None));
         let (tx, rx) = mpsc::channel::<Result<Message, ProtoError>>();
-        let reader_current = Arc::clone(&current);
+        let reader_current = Arc::clone(current);
         let reader = thread::spawn(move || loop {
             match protocol::read_frame(&mut r) {
                 Ok(frame) => {
@@ -602,7 +630,7 @@ fn serve_session(
         });
 
         let outcome = session_loop(
-            &mut w, catalog, batch_rows, &rx, &current, session, draining, drain_ms,
+            &mut w, catalog, batch_rows, &rx, current, session, draining, drain_ms,
         );
         // Make sure the reader is not left parked in read() before we
         // drop the receiver.

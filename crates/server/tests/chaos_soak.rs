@@ -6,7 +6,6 @@
 //! batch must be present exactly once — whole — in the final table, and
 //! no batch, acked or not, may appear twice.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -14,33 +13,12 @@ use std::time::{Duration, Instant};
 use lidardb_core::{Durability, FaultInjector, FaultKind, FaultStage, PointCloud};
 use lidardb_server::{ChaosProxy, Client, RetryPolicy, RetryingClient, Server};
 use lidardb_sql::{Catalog, SqlValue};
+use lidardb_test_support::ScratchDir;
 
 const CLIENTS: usize = 2;
 const BATCHES: usize = 12;
 const CYCLES: usize = 3;
 const ROWS_PER_BATCH: i64 = 2;
-
-/// A scratch directory of this run's own, removed on drop. The ingest
-/// directory goes *inside* it because its WAL lives beside it
-/// (`<dir>.wal`).
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new() -> Self {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("lidardb_chaos_soak_{}_{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Batch identity rides in x; y distinguishes the rows, so a
 /// double-applied batch is visible as count > ROWS_PER_BATCH.
@@ -50,8 +28,7 @@ fn batch_id(client: usize, seq: usize) -> usize {
 
 #[test]
 fn acked_inserts_land_exactly_once_through_chaos_drains_and_a_full_disk() {
-    let scratch = Scratch::new();
-    let dir = scratch.0.join("ingest");
+    let dir = ScratchDir::vacant("chaos_soak");
     let fi = Arc::new(FaultInjector::new());
 
     // One server incarnation: reopen the same ingest directory (WAL

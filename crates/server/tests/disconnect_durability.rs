@@ -10,15 +10,7 @@ use std::time::{Duration, Instant};
 use lidardb_core::{Durability, FaultInjector, FaultKind, FaultStage, PointCloud};
 use lidardb_server::{Client, ClientError, Server, ServerHandle};
 use lidardb_sql::{Catalog, SqlValue};
-
-fn tdir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "lidardb_disc_dur_{tag}_{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
+use lidardb_test_support::ScratchDir;
 
 /// A group-commit policy that will never sync on its own within the
 /// test's lifetime: durability only arrives via an explicit flush.
@@ -53,7 +45,7 @@ fn wait_durable(pc: &Arc<RwLock<PointCloud>>, rows: usize) {
 
 #[test]
 fn dropped_connection_flushes_the_group_commit_window() {
-    let dir = tdir("flush");
+    let dir = ScratchDir::vacant("disc_dur_flush");
     let pc = Arc::new(RwLock::new(PointCloud::open_ingest(&dir, LAZY).unwrap()));
     let server = serve_stream(Arc::clone(&pc));
 
@@ -83,12 +75,11 @@ fn dropped_connection_flushes_the_group_commit_window() {
     server.shutdown();
     let recovered = PointCloud::open_ingest(&dir, LAZY).unwrap();
     assert_eq!(recovered.num_points(), 3, "flushed rows survive recovery");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn torn_wal_tail_from_dying_session_recovers_to_flushed_prefix() {
-    let dir = tdir("torn");
+    let dir = ScratchDir::vacant("disc_dur_torn");
     let fi = Arc::new(FaultInjector::new());
     let pc = Arc::new(RwLock::new(
         PointCloud::open_ingest_with_faults(&dir, LAZY, Some(Arc::clone(&fi))).unwrap(),
@@ -125,5 +116,4 @@ fn torn_wal_tail_from_dying_session_recovers_to_flushed_prefix() {
     assert_eq!(recovered.num_points(), 3, "flushed prefix survives");
     let rep = recovered.recovery_report().expect("recovery ran");
     assert!(rep.torn_tail, "torn tail detected: {rep:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,8 +4,6 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -13,26 +11,11 @@ use std::time::{Duration, Instant};
 use lidardb_core::{Durability, FaultInjector, FaultKind, FaultStage, PointCloud};
 use lidardb_las::PointRecord;
 use lidardb_server::{
-    ChaosProxy, ChaosScript, Client, ClientError, RetryPolicy, RetryingClient, Server,
+    ChaosProxy, ChaosScript, Client, ClientError, QueryStats, RetryPolicy, RetryingClient, Server,
+    ServerHandle,
 };
 use lidardb_sql::{Catalog, SqlValue};
-
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn tdir() -> PathBuf {
-    let case = CASE.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!("lidardb_drain_{}_{case}", std::process::id()));
-    clear(&d);
-    d
-}
-
-/// Remove a table directory together with its sibling WAL
-/// (`wal::wal_path_for`): a log left behind would be replayed into the
-/// next table a recycled pid opens at the same path.
-fn clear(dir: &Path) {
-    let _ = std::fs::remove_dir_all(dir);
-    let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(dir));
-}
+use lidardb_test_support::ScratchDir;
 
 fn grid_cloud(n: usize) -> PointCloud {
     let side = (n as f64).sqrt().ceil() as usize;
@@ -68,6 +51,33 @@ fn stream_catalog(dir: &std::path::Path) -> Catalog {
     let mut c = Catalog::new();
     c.register_stream("stream", Arc::new(RwLock::new(pc)));
     c
+}
+
+/// A server with a metrics listener over a 10,000-point table whose first
+/// query stalls `stall_ms` at its first checkpoint, draining with
+/// `deadline`.
+fn stalling_server(stall_ms: u64, deadline: Duration) -> ServerHandle {
+    let mut pc = grid_cloud(10_000);
+    let fi = Arc::new(FaultInjector::new());
+    fi.inject(FaultStage::QueryCheckpoint, None, FaultKind::Stall(stall_ms));
+    pc.set_fault_injector(fi);
+    Server::bind("127.0.0.1:0", points_catalog(pc))
+        .unwrap()
+        .with_drain_deadline(deadline)
+        .with_metrics_addr("127.0.0.1:0")
+        .unwrap()
+        .spawn()
+        .unwrap()
+}
+
+type Collected = Result<(Vec<String>, Vec<Vec<SqlValue>>, QueryStats), ClientError>;
+
+/// Count every point of `addr`'s table on a session of its own.
+fn count_on(addr: SocketAddr) -> thread::JoinHandle<Collected> {
+    thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        c.query_collect("SELECT COUNT(*) FROM points WHERE x >= 0")
+    })
 }
 
 /// Minimal HTTP/1.0 GET against the metrics listener: (status line, body).
@@ -106,32 +116,17 @@ fn idle_session_gets_a_typed_shutting_down_frame() {
 
 #[test]
 fn drain_refuses_new_connections_typed_and_healthz_says_503() {
-    // A table whose first query stalls 900ms at its first checkpoint —
-    // the statement that holds the drain open while we probe it.
-    let mut pc = grid_cloud(10_000);
-    let fi = Arc::new(FaultInjector::new());
-    fi.inject(FaultStage::QueryCheckpoint, None, FaultKind::Stall(900));
-    pc.set_fault_injector(Arc::clone(&fi));
-    let server = Server::bind("127.0.0.1:0", points_catalog(pc))
-        .unwrap()
-        .with_drain_deadline(Duration::from_secs(10))
-        .with_metrics_addr("127.0.0.1:0")
-        .unwrap()
-        .spawn()
-        .unwrap();
+    // The first query stalls 900ms: the statement that holds the drain
+    // open while we probe it. A second server drains nothing.
+    let server = stalling_server(900, Duration::from_secs(10));
+    let other = stalling_server(900, Duration::from_secs(10));
     let addr = server.addr();
     let maddr = server.metrics_addr().unwrap();
-    let (ok, _) = {
-        let (status, body) = http_get(maddr, "/healthz");
-        (status.contains("200"), body)
-    };
-    assert!(ok, "healthy before the drain");
+    let (status, _) = http_get(maddr, "/healthz");
+    assert!(status.contains("200"), "healthy before the drain");
 
     // In-flight statement on session A.
-    let slow = thread::spawn(move || {
-        let mut c = Client::connect(addr).unwrap();
-        c.query_collect("SELECT COUNT(*) FROM points WHERE x >= 0")
-    });
+    let slow = count_on(addr);
     thread::sleep(Duration::from_millis(200)); // statement is running
     let drain = thread::spawn(move || server.shutdown());
     thread::sleep(Duration::from_millis(250)); // drain flag is up, held by A
@@ -149,31 +144,25 @@ fn drain_refuses_new_connections_typed_and_healthz_says_503() {
     let (status, body) = http_get(maddr, "/healthz");
     assert!(status.contains("503"), "draining => 503, got {status}");
     assert!(body.contains("draining"), "body names the cause: {body}");
+    // Health is per server: the other one stays in rotation.
+    let (status, body) = http_get(other.metrics_addr().unwrap(), "/healthz");
+    assert!(status.contains("200"), "a drain elsewhere => 200, got {status}: {body}");
 
     // The in-flight statement finished inside the deadline, untouched.
     let (_, rows, _) = slow.join().unwrap().expect("slow query survives the drain");
     assert_eq!(rows[0][0], SqlValue::Int(10_000));
     drain.join().unwrap();
+    other.shutdown();
 }
 
 #[test]
 fn drain_deadline_cancels_in_flight_statements_with_a_typed_error() {
-    let mut pc = grid_cloud(10_000);
-    let fi = Arc::new(FaultInjector::new());
-    fi.inject(FaultStage::QueryCheckpoint, None, FaultKind::Stall(1200));
-    pc.set_fault_injector(Arc::clone(&fi));
-    let server = Server::bind("127.0.0.1:0", points_catalog(pc))
-        .unwrap()
-        .with_drain_deadline(Duration::from_millis(200))
-        .spawn()
-        .unwrap();
-    let addr = server.addr();
-
-    let slow = thread::spawn(move || {
-        let mut c = Client::connect(addr).unwrap();
-        c.query_collect("SELECT COUNT(*) FROM points WHERE x >= 0")
-    });
-    thread::sleep(Duration::from_millis(200)); // statement parked in its stall
+    let server = stalling_server(1200, Duration::from_millis(200));
+    // A second server's statement, stalled past the first one's deadline.
+    let other = stalling_server(1500, Duration::from_secs(10));
+    let slow = count_on(server.addr());
+    let bystander = count_on(other.addr());
+    thread::sleep(Duration::from_millis(200)); // statements parked in their stalls
     let t0 = Instant::now();
     server.shutdown();
     assert!(
@@ -190,11 +179,15 @@ fn drain_deadline_cancels_in_flight_statements_with_a_typed_error() {
         }
         other => panic!("expected a typed server Error frame, got {other:?}"),
     }
+    // The drain cancelled its own statements only.
+    let (_, rows, _) = bystander.join().unwrap().expect("another server's statement survives");
+    assert_eq!(rows[0][0], SqlValue::Int(10_000));
+    other.shutdown();
 }
 
 #[test]
 fn drain_flushes_group_commit_wal_before_returning() {
-    let dir = tdir();
+    let dir = ScratchDir::vacant("drain_flush");
     let server = Server::bind("127.0.0.1:0", stream_catalog(&dir))
         .unwrap()
         .with_drain_deadline(Duration::from_millis(1500))
@@ -213,12 +206,11 @@ fn drain_flushes_group_commit_wal_before_returning() {
     // Reopen the directory: the drain's forced sync made the rows durable.
     let pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
     assert_eq!(pc.num_points(), 2, "drained rows survive a reopen");
-    clear(&dir);
 }
 
 #[test]
 fn retrying_client_replays_an_ack_lost_insert_exactly_once() {
-    let dir = tdir();
+    let dir = ScratchDir::vacant("drain_replay");
     let server = Server::bind("127.0.0.1:0", stream_catalog(&dir))
         .unwrap()
         .spawn()
@@ -254,7 +246,6 @@ fn retrying_client_replays_an_ack_lost_insert_exactly_once() {
 
     proxy.shutdown();
     server.shutdown();
-    clear(&dir);
 }
 
 #[test]

@@ -213,12 +213,16 @@ fn rendered_exposition_validates() {
             .any(|s| s.name == "lidardb_stage_duration_nanoseconds_bucket"),
         "stage histogram missing"
     );
-    // Scalars come from the recorder sample just taken.
+    // Scalars come from the recorder sample just taken — the first one
+    // too, whose seq is 0 — and only a scrape without a sample lacks the
+    // series.
     let seq = samples
         .iter()
         .find(|s| s.name == "lidardb_recorder_last_seq")
-        .expect("recorder seq series missing");
-    assert!(seq.value >= 1.0, "scrape not served from a recorder sample");
+        .expect("scrape not served from a recorder sample");
+    assert!(seq.value >= 0.0);
+    let unsampled = promtext::render_from(MetricsRegistry::global(), None);
+    assert!(!unsampled.contains("lidardb_recorder_last_seq"), "no sample, no seq");
 }
 
 proptest! {

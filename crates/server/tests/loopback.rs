@@ -16,6 +16,7 @@ use lidardb_server::protocol::{self, Message};
 use lidardb_server::{Client, ClientError, ProtoError, Server, ServerHandle};
 use lidardb_sql::catalog::VColumn;
 use lidardb_sql::{Catalog, SqlValue, VectorTable};
+use lidardb_test_support::ScratchDir;
 
 /// `n`-point grid cloud: x = i % side, y = i / side, classification
 /// cycles 0..12.
@@ -286,14 +287,7 @@ fn admission_overload_is_a_typed_error_frame() {
 
 #[test]
 fn insert_and_query_over_the_wire() {
-    let dir = std::env::temp_dir().join(format!("lidardb_net_ingest_{}", std::process::id()));
-    // The WAL sits beside the directory: a stale one (a recycled pid)
-    // would replay old rows into the table.
-    let remove = || {
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(&dir));
-    };
-    remove();
+    let dir = ScratchDir::vacant("net_ingest");
     let pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
     let mut catalog = Catalog::new();
     catalog.register_stream("stream", Arc::new(RwLock::new(pc)));
@@ -308,7 +302,6 @@ fn insert_and_query_over_the_wire() {
     let (_, rows, _) = c.query_collect("SELECT COUNT(*) FROM stream").unwrap();
     assert_eq!(rows[0][0], SqlValue::Int(2));
     server.shutdown();
-    remove();
 }
 
 #[test]

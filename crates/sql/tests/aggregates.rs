@@ -1,17 +1,20 @@
 //! One aggregate suite over every storage shape: `COUNT`/`SUM`/`AVG`/
 //! `MIN`/`MAX` over a flat table, a streaming table with rows applied past
 //! its watermark, and a tiled table with a one-tile resident budget —
-//! materialised and streamed, plain scans and spatial joins — against a
-//! brute-force oracle over the records. `COUNT`/`MIN`/`MAX` must match in
-//! value and type, `SUM`/`AVG` within 1e-12 relative.
+//! materialised and streamed, plain scans and spatial joins — against the
+//! brute-force [`Model`]. `COUNT`/`MIN`/`MAX` must match in value and
+//! type, `SUM`/`AVG` within 1e-12 relative.
 
 use std::sync::{Arc, RwLock};
 
-use lidardb_core::{CancelToken, Durability, PointCloud, TileOptions, TiledCloud};
-use lidardb_geom::{Geometry, Point};
+use lidardb_core::{
+    Aggregate, CancelToken, Durability, PointCloud, SpatialPredicate, TileOptions, TiledCloud,
+};
+use lidardb_geom::{Envelope, Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
 use lidardb_sql::catalog::VColumn;
 use lidardb_sql::{query, query_streamed, Catalog, RowSink, SqlError, SqlValue, VectorTable};
+use lidardb_test_support::{Model, ScratchDir, Value};
 
 const SIDE: usize = 40;
 
@@ -40,24 +43,34 @@ fn records() -> Vec<PointRecord> {
         .collect()
 }
 
-/// A fresh per-process directory, its sibling WAL removed too: a stale
-/// one (a recycled pid) would replay old rows into a streaming table.
-fn tdir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("lidardb_sql_agg_{name}_{}", std::process::id()));
-    cleanup(std::slice::from_ref(&dir));
-    dir
+/// Rows applied to the streaming table but never acknowledged: no
+/// aggregate may see these.
+fn ghosts() -> Vec<PointRecord> {
+    (0..30)
+        .map(|i| PointRecord {
+            x: 10.0 + i as f64 * 0.5,
+            y: 10.0,
+            z: 1e6,
+            intensity: 249,
+            classification: 200,
+            wave_offset: 5,
+            ..Default::default()
+        })
+        .collect()
 }
 
-/// The records as a flat table (`flat`), a streaming table whose extra
+/// The records as a flat table (`flat`), a streaming table whose ghost
 /// rows sit past the watermark (`stream`), and a tiled table that keeps
 /// one tile resident (`tiles`), beside point features `feats` where the
 /// grid point (11, 10) lies within 1.5 of both (10, 10) and (12, 10).
-fn setup(name: &str) -> (Catalog, Vec<std::path::PathBuf>) {
+/// One model answers for all three: the records, then the ghosts past its
+/// watermark.
+fn setup(name: &str) -> (Catalog, Model, [ScratchDir; 2]) {
     let recs = records();
     let mut flat = PointCloud::new();
     flat.append_records(&recs).unwrap();
 
-    let tiles_dir = tdir(&format!("{name}_tiles"));
+    let tiles_dir = ScratchDir::vacant(&format!("sql_agg_{name}_tiles"));
     let opts = TileOptions {
         target_rows: 256,
         ..Default::default()
@@ -66,7 +79,7 @@ fn setup(name: &str) -> (Catalog, Vec<std::path::PathBuf>) {
     let tc = TiledCloud::open(&tiles_dir).unwrap();
     tc.set_resident_budget(1);
 
-    let wal_dir = tdir(&format!("{name}_wal"));
+    let wal_dir = ScratchDir::vacant(&format!("sql_agg_{name}_wal"));
     let mut st = PointCloud::open_ingest(
         &wal_dir,
         Durability::GroupCommit {
@@ -77,19 +90,7 @@ fn setup(name: &str) -> (Catalog, Vec<std::path::PathBuf>) {
     .unwrap();
     st.ingest_records(&recs).unwrap();
     st.flush_wal().unwrap();
-    // Applied but unacknowledged: no aggregate may see these.
-    let ghosts: Vec<PointRecord> = (0..30)
-        .map(|i| PointRecord {
-            x: 10.0 + i as f64 * 0.5,
-            y: 10.0,
-            z: 1e6,
-            intensity: 249,
-            classification: 200,
-            wave_offset: 5,
-            ..Default::default()
-        })
-        .collect();
-    st.ingest_records(&ghosts).unwrap();
+    st.ingest_records(&ghosts()).unwrap();
 
     let feats = VectorTable::new()
         .with_column("id", VColumn::Int(vec![1, 2, 3]))
@@ -107,98 +108,62 @@ fn setup(name: &str) -> (Catalog, Vec<std::path::PathBuf>) {
     c.register_stream("stream", Arc::new(RwLock::new(st)));
     c.register_tiled("tiles", Arc::new(tc));
     c.register_vector("feats", feats);
-    (c, vec![tiles_dir, wal_dir])
-}
-
-fn cleanup(dirs: &[std::path::PathBuf]) {
-    for d in dirs {
-        let _ = std::fs::remove_dir_all(d);
-        let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(d));
-    }
+    let model = Model::new([recs, ghosts()].concat()).with_visible(SIDE * SIDE);
+    (c, model, [tiles_dir, wal_dir])
 }
 
 /// The items every statement folds: (aggregate, column; `None` = `*`).
-const ITEMS: [(&str, Option<&str>); 16] = [
-    ("COUNT", None),
-    ("COUNT", Some("z")),
-    ("SUM", Some("z")),
-    ("AVG", Some("z")),
-    ("MIN", Some("z")),
-    ("MAX", Some("z")),
-    ("SUM", Some("intensity")),
-    ("AVG", Some("intensity")),
-    ("MIN", Some("intensity")),
-    ("MAX", Some("intensity")),
-    ("MIN", Some("classification")),
-    ("MAX", Some("classification")),
-    ("SUM", Some("wave_offset")),
-    ("AVG", Some("wave_offset")),
-    ("MIN", Some("wave_offset")),
-    ("MAX", Some("wave_offset")),
+const ITEMS: [(Aggregate, Option<&str>); 16] = [
+    (Aggregate::Count, None),
+    (Aggregate::Count, Some("z")),
+    (Aggregate::Sum, Some("z")),
+    (Aggregate::Avg, Some("z")),
+    (Aggregate::Min, Some("z")),
+    (Aggregate::Max, Some("z")),
+    (Aggregate::Sum, Some("intensity")),
+    (Aggregate::Avg, Some("intensity")),
+    (Aggregate::Min, Some("intensity")),
+    (Aggregate::Max, Some("intensity")),
+    (Aggregate::Min, Some("classification")),
+    (Aggregate::Max, Some("classification")),
+    (Aggregate::Sum, Some("wave_offset")),
+    (Aggregate::Avg, Some("wave_offset")),
+    (Aggregate::Min, Some("wave_offset")),
+    (Aggregate::Max, Some("wave_offset")),
 ];
 
 fn item_sql(alias: &str) -> String {
     ITEMS
         .iter()
-        .map(|(agg, col)| match col {
-            None => format!("{agg}(*)"),
-            Some(c) => format!("{agg}({alias}{c})"),
+        .map(|(agg, col)| {
+            let agg = format!("{agg:?}").to_uppercase();
+            match col {
+                None => format!("{agg}(*)"),
+                Some(c) => format!("{agg}({alias}{c})"),
+            }
         })
         .collect::<Vec<_>>()
         .join(", ")
 }
 
-/// Neumaier-compensated sum, so the oracle's own rounding stays far below
-/// the tolerance.
-fn exact_sum(vals: impl Iterator<Item = f64>) -> f64 {
-    let (mut s, mut c) = (0.0f64, 0.0f64);
-    for v in vals {
-        let t = s + v;
-        c += if s.abs() >= v.abs() { (s - t) + v } else { (v - t) + s };
-        s = t;
-    }
-    s + c
-}
-
-/// The brute-force answer of one item over the selected records (a
-/// joined record appears once per feature it pairs with).
-fn oracle(agg: &str, col: Option<&str>, rows: &[&PointRecord]) -> SqlValue {
-    let Some(col) = col.filter(|_| agg != "COUNT") else {
-        return SqlValue::Int(rows.len() as i64);
-    };
-    if rows.is_empty() {
-        return SqlValue::Null;
-    }
-    let ints: Vec<u64> = rows
-        .iter()
-        .map(|r| match col {
-            "intensity" => u64::from(r.intensity),
-            "classification" => u64::from(r.classification),
-            "wave_offset" => r.wave_offset,
-            _ => 0,
-        })
-        .collect();
-    let floats: Vec<f64> = match col {
-        "z" => rows.iter().map(|r| r.z).collect(),
-        _ => ints.iter().map(|&v| v as f64).collect(),
-    };
-    let typed = |v: u64| i64::try_from(v).map_or(SqlValue::Float(v as f64), SqlValue::Int);
-    match (agg, col) {
-        ("SUM", _) => SqlValue::Float(exact_sum(floats.into_iter())),
-        ("AVG", _) => SqlValue::Float(exact_sum(floats.into_iter()) / rows.len() as f64),
-        ("MIN", "z") => SqlValue::Float(floats.into_iter().fold(f64::INFINITY, f64::min)),
-        ("MAX", "z") => SqlValue::Float(floats.into_iter().fold(f64::NEG_INFINITY, f64::max)),
-        ("MIN", _) => typed(*ints.iter().min().unwrap()),
-        ("MAX", _) => typed(*ints.iter().max().unwrap()),
-        _ => unreachable!("{agg}"),
+/// The model's answer as SQL types it: an integer that fits an `i64` as
+/// `Int` (a `u64` past `i64::MAX` as `Float`), a float as `Float`, no
+/// answer as `NULL`.
+fn sql_value(v: Option<Value>) -> SqlValue {
+    match v {
+        None => SqlValue::Null,
+        Some(Value::Int(i)) => i64::try_from(i).map_or(SqlValue::Float(i as f64), SqlValue::Int),
+        Some(Value::Float(f)) => SqlValue::Float(f),
     }
 }
 
 /// `SUM`/`AVG` within 1e-12 relative; everything else equal in value and
 /// type.
-fn assert_matches(agg: &str, got: &SqlValue, want: &SqlValue, what: &str) {
+fn assert_matches(agg: Aggregate, got: &SqlValue, want: &SqlValue, what: &str) {
     match (got, want) {
-        (SqlValue::Float(a), SqlValue::Float(b)) if matches!(agg, "SUM" | "AVG") => {
+        (SqlValue::Float(a), SqlValue::Float(b))
+            if matches!(agg, Aggregate::Sum | Aggregate::Avg) =>
+        {
             assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{what}: {a} vs {b}")
         }
         _ => assert_eq!(got, want, "{what}: value and type"),
@@ -235,35 +200,57 @@ fn run(c: &Catalog, sql: &str) -> Vec<Vec<SqlValue>> {
     rs.rows
 }
 
-fn check(c: &Catalog, sql: &str, selected: &[&PointRecord]) {
+/// Every item of `sql` against the model over the rows `ids` (a joined
+/// row listed once per feature it pairs with).
+fn check(c: &Catalog, sql: &str, model: &Model, ids: &[usize]) {
     let rows = run(c, sql);
     assert_eq!(rows.len(), 1, "{sql}");
     for ((agg, col), got) in ITEMS.iter().zip(&rows[0]) {
-        let what = format!("{agg}({}) in {sql}", col.unwrap_or("*"));
-        assert_matches(agg, got, &oracle(agg, *col, selected), &what);
+        let what = format!("{agg:?}({}) in {sql}", col.unwrap_or("*"));
+        // COUNT(*) reads no column.
+        let want = sql_value(model.aggregate(ids, col.unwrap_or("x"), *agg));
+        assert_matches(*agg, got, &want, &what);
     }
 }
 
-/// Which records a filter keeps, and which (record, feature id) pairs.
+/// The residual part of a filter no model predicate states, on a record
+/// and (in a join) the feature id it pairs with.
 type Keep = fn(&PointRecord) -> bool;
 type KeepPair = fn(&PointRecord, i64) -> bool;
 
+/// The model's rows inside `pred` that `keep` keeps.
+fn model_rows(
+    model: &Model,
+    pred: Option<&SpatialPredicate>,
+    keep: impl Fn(&PointRecord) -> bool,
+) -> Vec<usize> {
+    let mut ids = model.select(pred, &[]);
+    ids.retain(|&id| keep(model.record(id)));
+    ids
+}
+
 #[test]
 fn point_table_aggregates_match_brute_force_on_every_shape() {
-    let (c, dirs) = setup("scan");
-    let recs = records();
-    let filters: [(&str, Keep); 4] = [
-        ("", |_| true),
+    let (c, model, _dirs) = setup("scan");
+    // A window whose four edges run through grid points (and the ghosts).
+    let window = Envelope::new(5.0, 5.0, 20.0, 12.0).unwrap();
+    let within = SpatialPredicate::Within(Geometry::Polygon(Polygon::rectangle(&window)));
+    let on_window = "WHERE ST_Within(ST_Point(x, y), ST_MakeEnvelope(5, 5, 20, 12))";
+    let filters: [(&str, Option<&SpatialPredicate>, Keep); 5] = [
+        ("", None, |_| true),
         // A residual: no index answers it.
-        ("WHERE x * 2 > y", |r| r.x * 2.0 > r.y),
+        ("WHERE x * 2 > y", None, |r| r.x * 2.0 > r.y),
         // A strict bound pushed down as an inclusive range, then refined.
-        ("WHERE intensity > 110", |r| r.intensity > 110),
-        ("WHERE x > 1000", |_| false),
+        ("WHERE intensity > 110", None, |r| r.intensity > 110),
+        ("WHERE x > 1000", None, |r| r.x > 1000.0),
+        // On-edge points count: the window is closed.
+        (on_window, Some(&within), |_| true),
     ];
     for table in ["flat", "stream", "tiles"] {
-        for (filter, keep) in &filters {
-            let selected: Vec<&PointRecord> = recs.iter().filter(|r| keep(r)).collect();
-            check(&c, &format!("SELECT {} FROM {table} {filter}", item_sql("")), &selected);
+        for (filter, pred, keep) in &filters {
+            let ids = model_rows(&model, *pred, keep);
+            let sql = format!("SELECT {} FROM {table} {filter}", item_sql(""));
+            check(&c, &sql, &model, &ids);
         }
         // The typed fold answered, not the row path.
         let sql = format!("EXPLAIN ANALYZE SELECT COUNT(*), AVG(z) FROM {table} WHERE x * 2 > y");
@@ -275,15 +262,12 @@ fn point_table_aggregates_match_brute_force_on_every_shape() {
         );
         assert!(!text.iter().any(|l| l.contains("aggregate + project")), "{text:#?}");
     }
-    cleanup(&dirs);
 }
 
 #[test]
 fn join_aggregates_count_every_pair() {
-    let (c, dirs) = setup("join");
-    let recs = records();
+    let (c, model, _dirs) = setup("join");
     let feats = [(1, 10.0, 10.0), (2, 12.0, 10.0), (3, 30.0, 20.0)];
-    let near = |r: &PointRecord, (fx, fy): (f64, f64)| (r.x - fx).hypot(r.y - fy) <= 1.5;
     let cases: [(&str, KeepPair); 3] = [
         ("", |_, _| true),
         ("AND p.x * 2 > p.y", |r, _| r.x * 2.0 > r.y),
@@ -291,16 +275,17 @@ fn join_aggregates_count_every_pair() {
     ];
     for table in ["flat", "stream", "tiles"] {
         for (filter, keep) in &cases {
-            let mut pairs: Vec<&PointRecord> = Vec::new();
+            let mut pairs = Vec::new();
             for &(id, fx, fy) in &feats {
-                pairs.extend(recs.iter().filter(|r| near(r, (fx, fy)) && keep(r, id)));
+                let near = SpatialPredicate::DWithin(Geometry::Point(Point::new(fx, fy)), 1.5);
+                pairs.extend(model_rows(&model, Some(&near), |r| keep(r, id)));
             }
             let sql = format!(
                 "SELECT {} FROM {table} p, feats f \
                  WHERE ST_DWithin(ST_Point(p.x, p.y), f.geom, 1.5) {filter}",
                 item_sql("p.")
             );
-            check(&c, &sql, &pairs);
+            check(&c, &sql, &model, &pairs);
         }
         // (11, 10) is near two features: it counts twice.
         let rows = run(
@@ -312,12 +297,11 @@ fn join_aggregates_count_every_pair() {
         );
         assert_eq!(rows[0], [SqlValue::Int(2), SqlValue::Float(22.0)], "{table}");
     }
-    cleanup(&dirs);
 }
 
 #[test]
 fn having_limit_and_empty_inputs_behave_as_on_the_row_path() {
-    let (c, dirs) = setup("edges");
+    let (c, _model, _dirs) = setup("edges");
     for table in ["flat", "stream", "tiles"] {
         let n = (SIDE * SIDE) as i64;
         let rows = run(&c, &format!("SELECT COUNT(*) AS n FROM {table} HAVING COUNT(*) = {n}"));
@@ -339,5 +323,4 @@ fn having_limit_and_empty_inputs_behave_as_on_the_row_path() {
         let rows = run(&c, &format!("SELECT COUNT(*) / 2, -MIN(intensity) FROM {table}"));
         assert_eq!(rows, [[SqlValue::Float(n as f64 / 2.0), SqlValue::Int(0)]]);
     }
-    cleanup(&dirs);
 }

@@ -7,6 +7,7 @@ use lidardb_geom::{Geometry, LineString, Point, Polygon};
 use lidardb_las::PointRecord;
 use lidardb_sql::catalog::VColumn;
 use lidardb_sql::{query, Catalog, ResultSet, SqlValue, VectorTable};
+use lidardb_test_support::ScratchDir;
 
 /// 100x100 integer grid; classification 6 for x > 50, else 2; z = x/10.
 fn setup() -> Catalog {
@@ -698,22 +699,12 @@ fn cancelled_queries_render_in_show_slow_queries() {
 
 /// A streaming catalog: table `pts` is an ingest-enabled cloud with a WAL
 /// beside `dir`, registered via `register_stream`.
-fn streaming_catalog(
-    name: &str,
-    durability: lidardb_core::Durability,
-) -> (Catalog, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("lidardb_sql_stream_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(&dir));
+fn streaming_catalog(name: &str, durability: lidardb_core::Durability) -> (Catalog, ScratchDir) {
+    let dir = ScratchDir::vacant(&format!("sql_stream_{name}"));
     let pc = PointCloud::open_ingest(&dir, durability).unwrap();
     let mut c = Catalog::new();
     c.register_stream("pts", Arc::new(std::sync::RwLock::new(pc)));
     (c, dir)
-}
-
-fn cleanup_stream(dir: &std::path::Path) {
-    let _ = std::fs::remove_dir_all(dir);
-    let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(dir));
 }
 
 #[test]
@@ -736,12 +727,11 @@ fn insert_is_wal_logged_and_queryable() {
     let pc = PointCloud::open_ingest(&dir, lidardb_core::Durability::Always).unwrap();
     assert_eq!(pc.num_points(), 3, "WAL replay restores the insert");
     assert_eq!(pc.record(2).unwrap().z, 30.0);
-    cleanup_stream(&dir);
 }
 
 #[test]
 fn insert_token_replay_is_deduped() {
-    let (c, dir) = streaming_catalog("ins_token", lidardb_core::Durability::Always);
+    let (c, _dir) = streaming_catalog("ins_token", lidardb_core::Durability::Always);
     let stmt = "INSERT INTO pts (x, y) VALUES (1, 2), (3, 4) TOKEN 424242";
     let rs = query(&c, stmt).unwrap();
     assert_eq!(rs.columns, vec!["inserted", "durable", "deduped"]);
@@ -761,12 +751,11 @@ fn insert_token_replay_is_deduped() {
     assert_eq!(rs.columns, vec!["inserted", "durable"]);
     let rs = query(&c, "SELECT COUNT(*) FROM pts").unwrap();
     assert_eq!(rs.rows[0][0], SqlValue::Int(4));
-    cleanup_stream(&dir);
 }
 
 #[test]
 fn group_commit_inserts_stay_invisible_until_flushed() {
-    let (c, dir) = streaming_catalog(
+    let (c, _dir) = streaming_catalog(
         "groupvis",
         lidardb_core::Durability::GroupCommit {
             max_batches: 1_000,
@@ -788,7 +777,6 @@ fn group_commit_inserts_stay_invisible_until_flushed() {
     }
     let rs = query(&c, "SELECT COUNT(*) FROM pts").unwrap();
     assert_eq!(rs.rows[0][0], SqlValue::Int(1), "flushed insert is visible");
-    cleanup_stream(&dir);
 }
 
 #[test]
@@ -815,12 +803,11 @@ fn show_recovery_reports_the_stream_state() {
     assert_eq!(stat("durable_rows"), SqlValue::Int(2));
     assert_eq!(stat("durability"), SqlValue::Str("always".into()));
     assert_eq!(stat("torn_tail"), SqlValue::Int(0));
-    cleanup_stream(&dir);
 }
 
 #[test]
 fn insert_errors_are_reported() {
-    let (c, dir) = streaming_catalog("inserr", lidardb_core::Durability::Always);
+    let (c, _dir) = streaming_catalog("inserr", lidardb_core::Durability::Always);
     // Unknown column.
     assert!(query(&c, "INSERT INTO pts (bogus) VALUES (1)").is_err());
     // Duplicate column.
@@ -830,7 +817,6 @@ fn insert_errors_are_reported() {
     // Failed inserts leave nothing behind.
     let rs = query(&c, "SELECT COUNT(*) FROM pts").unwrap();
     assert_eq!(rs.rows[0][0], SqlValue::Int(0));
-    cleanup_stream(&dir);
 
     // Plain (non-streaming) tables are read-only.
     let c = setup();
@@ -941,10 +927,7 @@ fn sys_recorder_exposes_sampled_series() {
 
 #[test]
 fn sys_tiles_reports_residency() {
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("lidardb-sys-tiles-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::vacant("sql_sys_tiles");
     let mut pc = PointCloud::new();
     let recs: Vec<PointRecord> = (0..4096)
         .map(|i| PointRecord {
@@ -965,7 +948,6 @@ fn sys_tiles_reports_residency() {
     query(&c, "SELECT COUNT(*) FROM tiled_pts WHERE x < 4 AND y < 4").unwrap();
     let rs = query(&c, "SELECT COUNT(*) FROM sys.tiles WHERE resident = 1").unwrap();
     assert!(matches!(rs.rows[0][0], SqlValue::Int(n) if n >= 1), "{rs:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -6,6 +6,7 @@ use std::sync::{Arc, RwLock};
 use lidardb_core::{CancelToken, Durability, PointCloud, QueryRegistry, TileOptions, TiledCloud};
 use lidardb_las::PointRecord;
 use lidardb_sql::{query, query_streamed, Catalog, RowSink, SqlError, SqlValue};
+use lidardb_test_support::ScratchDir;
 
 /// 100x100 integer grid; classification 6 for x > 50, else 2; z = x/10;
 /// the `u64` column `wave_offset` is past `i64::MAX` on the diagonal.
@@ -31,22 +32,10 @@ fn grid_cloud() -> PointCloud {
     pc
 }
 
-/// A fresh directory, unique per call within this process.
-fn tdir(name: &str) -> std::path::PathBuf {
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "lidardb_sql_tiled_{name}_{}_{n}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// One catalog with the same data registered flat (`points`) and tiled
 /// (`tiles`), so every query can be answered both ways and compared.
-fn setup(name: &str) -> (Catalog, Arc<TiledCloud>) {
-    let dir = tdir(name);
+fn setup(name: &str) -> (Catalog, Arc<TiledCloud>, ScratchDir) {
+    let dir = ScratchDir::vacant(&format!("sql_tiled_{name}"));
     let mut pc = grid_cloud();
     let opts = TileOptions {
         target_rows: 1024,
@@ -59,7 +48,7 @@ fn setup(name: &str) -> (Catalog, Arc<TiledCloud>) {
     c.register_pointcloud("points", Arc::new(grid_cloud()));
     c.register_tiled("tiles", Arc::clone(&tc));
     c.register_vector("roads", roads());
-    (c, tc)
+    (c, tc, dir)
 }
 
 /// Two point features to join against.
@@ -83,7 +72,7 @@ fn one_value(c: &Catalog, sql: &str) -> SqlValue {
 
 #[test]
 fn tiled_answers_match_flat_answers() {
-    let (c, _tc) = setup("match");
+    let (c, _tc, _dir) = setup("match");
     for (flat_sql, tiled_sql) in [
         // Spatial pushdown.
         (
@@ -131,7 +120,7 @@ fn tiled_answers_match_flat_answers() {
 
 #[test]
 fn projected_rows_read_the_right_tile_values() {
-    let (c, _tc) = setup("project");
+    let (c, _tc, _dir) = setup("project");
     let rs = query(
         &c,
         "SELECT x, y, z FROM tiles WHERE \
@@ -150,7 +139,7 @@ fn projected_rows_read_the_right_tile_values() {
 
 #[test]
 fn explain_analyze_shows_tile_pruning() {
-    let (c, tc) = setup("explain");
+    let (c, tc, _dir) = setup("explain");
     let rs = query(
         &c,
         "EXPLAIN ANALYZE SELECT COUNT(*) FROM tiles WHERE \
@@ -176,7 +165,7 @@ fn explain_analyze_shows_tile_pruning() {
 
 #[test]
 fn insert_into_a_sealed_tiled_table_is_rejected_read_only() {
-    let (c, _tc) = setup("reject");
+    let (c, _tc, _dir) = setup("reject");
     let err = query(&c, "INSERT INTO tiles (x, y, z) VALUES (1, 2, 3)")
         .unwrap_err()
         .to_string();
@@ -212,7 +201,7 @@ impl RowSink for Collect {
 
 #[test]
 fn tiled_scans_stream_natively_in_bounded_batches() {
-    let (mut c, tc) = setup("stream");
+    let (mut c, tc, _dir) = setup("stream");
     // A name of its own: other tests scan `tiles` concurrently, and the
     // registry below is process-wide.
     c.register_tiled("native_tiles", Arc::clone(&tc));
@@ -272,11 +261,10 @@ fn tiled_scans_stream_natively_in_bounded_batches() {
 
 #[test]
 fn streamed_rows_equal_materialised_rows_on_every_storage_shape() {
-    let (mut c, _tc) = setup("stream_eq");
+    let (mut c, _tc, _dir) = setup("stream_eq");
     // A streaming table: the grid committed, then rows inside every window
     // applied past the watermark, which no read may see.
-    let dir = tdir("stream_eq_wal");
-    let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(&dir));
+    let dir = ScratchDir::vacant("sql_tiled_stream_eq_wal");
     let mut st = PointCloud::open_ingest(
         &dir,
         Durability::GroupCommit {
@@ -331,13 +319,11 @@ fn streamed_rows_equal_materialised_rows_on_every_storage_shape() {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_file(lidardb_core::wal::wal_path_for(&dir));
 }
 
 #[test]
 fn select_star_expands_tiled_columns() {
-    let (c, _tc) = setup("star");
+    let (c, _tc, _dir) = setup("star");
     let rs = query(
         &c,
         "SELECT * FROM tiles WHERE \
@@ -352,8 +338,8 @@ fn select_star_expands_tiled_columns() {
 /// tiled (`tiles`) under a 1-byte resident budget: every tile a statement
 /// reads is evicted by the next, so each statement faults its columns in
 /// cold, and a column the statement's column set missed fails it.
-fn cold_setup(name: &str) -> (Catalog, Arc<TiledCloud>, std::path::PathBuf) {
-    let dir = tdir(name);
+fn cold_setup(name: &str) -> (Catalog, Arc<TiledCloud>, ScratchDir) {
+    let dir = ScratchDir::vacant(&format!("sql_tiled_{name}"));
     let opts = TileOptions {
         target_rows: 1024,
         ..Default::default()
@@ -388,7 +374,7 @@ fn assert_same_rows(a: &[Vec<SqlValue>], b: &[Vec<SqlValue>], sql: &str) {
 
 #[test]
 fn cold_tiles_fault_in_every_column_a_statement_reads() {
-    let (c, tc, dir) = cold_setup("coldcols");
+    let (c, tc, _dir) = cold_setup("coldcols");
     let env = "ST_Contains(ST_MakeEnvelope(10, 10, 70, 70), ST_Point(x, y))";
     for template in [
         // Every column.
@@ -418,13 +404,12 @@ fn cold_tiles_fault_in_every_column_a_statement_reads() {
         one_value(&c, "SELECT COUNT(*) FROM tiles"),
         SqlValue::Int(10_000)
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `sys.tiles` shows which columns each resident tile holds.
 #[test]
 fn sys_tiles_lists_resident_columns() {
-    let (c, tc) = setup("syscols");
+    let (c, tc, _dir) = setup("syscols");
     query(
         &c,
         "SELECT z FROM tiles WHERE ST_Contains(ST_MakeEnvelope(0, 0, 5, 5), ST_Point(x, y))",
@@ -464,5 +449,4 @@ fn a_corrupt_column_fails_only_the_statements_that_read_it() {
     assert_eq!(flat.rows, tiled.rows);
     let err = query(&c, "SELECT intensity FROM tiles").unwrap_err();
     assert!(err.to_string().contains("intensity.bin"), "{err}");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn write_ppm_to_disk() {
-        let dir = crate::ScratchDir::new("viz_test");
+        let dir = lidardb_test_support::ScratchDir::new("viz_test");
         let path = dir.join("t.ppm");
         Raster::new(2, 2, world(), (0, 0, 0)).write_ppm(&path).unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() > 10);

@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn write_to_disk() {
-        let dir = crate::ScratchDir::new("viz_svg_test");
+        let dir = lidardb_test_support::ScratchDir::new("viz_svg_test");
         let path = dir.join("m.svg");
         map().write(&path).unwrap();
         assert!(std::fs::read_to_string(&path).unwrap().contains("<svg"));

@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use lidardb::prelude::*;
-use lidardb::{scene_catalog, write_scene_tiles, ScratchDir};
+use lidardb::{scene_catalog, write_scene_tiles};
+use lidardb_test_support::ScratchDir;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A 1 km² synthetic Dutch municipality at 1 pt/m² (≈1M points).
@@ -18,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("scene: {:?}", scene.envelope());
 
     // 2. Write it out as a directory of laz-lite tiles (the AHN2 shape).
-    let scratch = ScratchDir::new("quickstart_tiles")?;
+    let scratch = ScratchDir::new("quickstart_tiles");
     let dir = scratch.path();
     let paths = write_scene_tiles(&scene, dir, 4, 1.0, Compression::LazLite)?;
     println!("wrote {} tiles to {}", paths.len(), dir.display());

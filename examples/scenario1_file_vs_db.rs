@@ -10,7 +10,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lidardb::prelude::*;
-use lidardb::{scene_catalog, write_scene_tiles, ScratchDir};
+use lidardb::{scene_catalog, write_scene_tiles};
+use lidardb_test_support::ScratchDir;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scene = Scene::generate(SceneConfig {
@@ -18,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         origin: (0.0, 0.0),
         extent_m: 1200.0,
     });
-    let scratch = ScratchDir::new("scenario1_tiles")?;
+    let scratch = ScratchDir::new("scenario1_tiles");
     let dir = scratch.path();
     let paths = write_scene_tiles(&scene, dir, 4, 1.0, Compression::LazLite)?;
     println!("dataset: {} laz-lite tiles", paths.len());

@@ -76,7 +76,6 @@ pub mod prelude {
 }
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lidardb_datagen::Scene;
@@ -202,35 +201,6 @@ pub fn scene_catalog(pc: Arc<lidardb_core::PointCloud>, scene: &Scene) -> Catalo
     catalog
 }
 
-/// A fresh directory under the system temp dir, named by a label, the
-/// process id and a per-process counter — so concurrent runs, tests and
-/// examples never share one — and removed with its contents on drop.
-#[derive(Debug)]
-pub struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    /// Create `lidardb_<label>_<pid>_<n>`, replacing any stale copy.
-    pub fn new(label: &str) -> std::io::Result<ScratchDir> {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("lidardb_{label}_{}_{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir)?;
-        Ok(ScratchDir(dir))
-    }
-
-    /// The directory.
-    pub fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// Write the tiles of a scene into a directory as LAS / laz-lite files
 /// (the synthetic AHN2 distribution). Returns the file paths in tile order.
 pub fn write_scene_tiles(
@@ -296,7 +266,7 @@ mod tests {
             origin: (0.0, 0.0),
             extent_m: 200.0,
         });
-        let dir = ScratchDir::new("root_tiles").unwrap();
+        let dir = lidardb_test_support::ScratchDir::new("root_tiles");
         let paths =
             write_scene_tiles(&scene, dir.path(), 2, 0.3, lidardb_las::Compression::LazLite)
                 .unwrap();

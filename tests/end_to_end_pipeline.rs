@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use lidardb::prelude::*;
-use lidardb::{scene_catalog, write_scene_tiles, ScratchDir};
+use lidardb::{scene_catalog, write_scene_tiles};
+use lidardb_test_support::{Model, ScratchDir};
 
 fn scene() -> Scene {
     Scene::generate(SceneConfig {
@@ -14,15 +15,11 @@ fn scene() -> Scene {
     })
 }
 
-fn tmp(name: &str) -> ScratchDir {
-    ScratchDir::new(&format!("it_{name}")).unwrap()
-}
-
 #[test]
 fn both_file_formats_load_identically() {
     let scene = scene();
-    let dir_las = tmp("fmt_las");
-    let dir_laz = tmp("fmt_laz");
+    let dir_las = ScratchDir::new("it_fmt_las");
+    let dir_laz = ScratchDir::new("it_fmt_laz");
     let paths_las = write_scene_tiles(&scene, dir_las.path(), 2, 0.5, Compression::None).unwrap();
     let paths_laz =
         write_scene_tiles(&scene, dir_laz.path(), 2, 0.5, Compression::LazLite).unwrap();
@@ -58,8 +55,7 @@ fn two_step_engine_matches_bruteforce_oracle() {
     for t in tiles.tiles() {
         pc.append_records(&t.records).unwrap();
     }
-    let xs = pc.f64_column("x").unwrap().to_vec();
-    let ys = pc.f64_column("y").unwrap().to_vec();
+    let model = Model::new(tiles.tiles().iter().flat_map(|t| t.records.clone()).collect());
     let env = scene.envelope();
 
     // A concave polygon with a hole, positioned mid-scene.
@@ -82,10 +78,8 @@ fn two_step_engine_matches_bruteforce_oracle() {
         ])
         .unwrap()],
     );
-    let pred = SpatialPredicate::Within(Geometry::Polygon(poly.clone()));
-    let oracle: Vec<usize> = (0..pc.num_points())
-        .filter(|&i| poly.contains_point(&Point::new(xs[i], ys[i])))
-        .collect();
+    let pred = SpatialPredicate::Within(Geometry::Polygon(poly));
+    let oracle = model.select(Some(&pred), &[]);
 
     for strat in [
         RefineStrategy::Grid { cells: 64 },
@@ -106,16 +100,10 @@ fn two_step_engine_matches_bruteforce_oracle() {
 
     // DWithin against the river geometry.
     let river = Geometry::LineString(scene.rivers()[0].geometry.clone());
-    let pred = SpatialPredicate::DWithin(river.clone(), 30.0);
-    let sel = pc.select(&pred).unwrap();
-    let oracle: Vec<usize> = (0..pc.num_points())
-        .filter(|&i| {
-            lidardb::geom::dwithin_point(&river, &Point::new(xs[i], ys[i]), 30.0)
-        })
-        .collect();
-    let mut rows = sel.rows;
+    let pred = SpatialPredicate::DWithin(river, 30.0);
+    let mut rows = pc.select(&pred).unwrap().rows;
     rows.sort_unstable();
-    assert_eq!(rows, oracle);
+    assert_eq!(rows, model.select(Some(&pred), &[]));
 }
 
 #[test]
@@ -125,7 +113,7 @@ fn csv_and_binary_loads_agree() {
         origin: (0.0, 0.0),
         extent_m: 150.0,
     });
-    let dir = tmp("csvbin");
+    let dir = ScratchDir::new("it_csvbin");
     let paths = write_scene_tiles(&scene, dir.path(), 1, 0.5, Compression::None).unwrap();
     let mut bin = PointCloud::new();
     let sb = Loader::new(LoadMethod::Binary)
@@ -196,7 +184,7 @@ fn corrupt_tile_fails_loading_cleanly() {
         origin: (0.0, 0.0),
         extent_m: 100.0,
     });
-    let dir = tmp("corrupt");
+    let dir = ScratchDir::new("it_corrupt");
     let paths = write_scene_tiles(&scene, dir.path(), 2, 0.5, Compression::LazLite).unwrap();
     // Truncate one tile.
     let victim = &paths[2];

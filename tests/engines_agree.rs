@@ -1,11 +1,12 @@
 //! Cross-engine agreement: the flat-table-plus-imprints system, the
 //! file-based baseline (indexed and unindexed, sorted and unsorted) and
-//! the block-based baseline must return identical result sets for the
-//! same queries — the precondition for every performance comparison in
-//! EXPERIMENTS.md to be meaningful.
+//! the block-based baseline must each return the brute-force model's
+//! result set for the same queries — the precondition for every
+//! performance comparison in EXPERIMENTS.md to be meaningful.
 
 use lidardb::prelude::*;
-use lidardb::{write_scene_tiles, ScratchDir};
+use lidardb::write_scene_tiles;
+use lidardb_test_support::{Model, ScratchDir};
 
 /// Canonical multiset key for a result point (quantised to laz-lite's cm
 /// precision so float paths compare equal).
@@ -15,6 +16,8 @@ fn key(x: f64, y: f64) -> (i64, i64) {
 
 struct Setup {
     pc: PointCloud,
+    /// The loaded records, for the brute-force answer.
+    model: Model,
     filestore_plain: FileStore,
     filestore_indexed: FileStore,
     blockstore: BlockStore,
@@ -30,8 +33,8 @@ fn setup(test: &str) -> Setup {
         extent_m: 500.0,
     });
     let scratch = [
-        ScratchDir::new(&format!("agree_{test}_plain")).unwrap(),
-        ScratchDir::new(&format!("agree_{test}_indexed")).unwrap(),
+        ScratchDir::new(&format!("agree_{test}_plain")),
+        ScratchDir::new(&format!("agree_{test}_indexed")),
     ];
     let (dir_a, dir_b) = (scratch[0].path(), scratch[1].path());
     let paths = write_scene_tiles(&scene, dir_a, 3, 0.6, Compression::None).unwrap();
@@ -55,6 +58,7 @@ fn setup(test: &str) -> Setup {
 
     Setup {
         pc,
+        model: Model::new(records),
         filestore_plain,
         filestore_indexed,
         blockstore,
@@ -69,6 +73,20 @@ fn sorted_keys(pts: impl IntoIterator<Item = (f64, f64)>) -> Vec<(i64, i64)> {
     v
 }
 
+impl Setup {
+    /// The model's answer to `pred` and ours, as sorted keys; they must
+    /// agree.
+    fn expect(&self, pred: &SpatialPredicate) -> Vec<(i64, i64)> {
+        let (xs, ys) = (self.pc.f64_column("x").unwrap(), self.pc.f64_column("y").unwrap());
+        let ours = self.pc.select(pred).unwrap();
+        let ours = sorted_keys(ours.rows.iter().map(|&i| (xs[i], ys[i])));
+        let model = self.model.select(Some(pred), &[]).into_iter().map(|i| self.model.record(i));
+        let model = sorted_keys(model.map(|r| (r.x, r.y)));
+        assert_eq!(ours, model, "imprints + refinement vs the model for {pred:?}");
+        model
+    }
+}
+
 #[test]
 fn all_engines_agree_on_windows() {
     let s = setup("windows");
@@ -79,8 +97,6 @@ fn all_engines_agree_on_windows() {
         (0.9, 0.9, 0.99, 0.99),
         (2.0, 2.0, 3.0, 3.0),   // empty (outside)
     ];
-    let xs = s.pc.f64_column("x").unwrap();
-    let ys = s.pc.f64_column("y").unwrap();
     for (fx0, fy0, fx1, fy1) in windows {
         let w = Envelope::new(
             s.env.min_x + s.env.width() * fx0,
@@ -89,26 +105,24 @@ fn all_engines_agree_on_windows() {
             s.env.min_y + s.env.height() * fy1,
         )
         .unwrap();
-        let pred = SpatialPredicate::Within(Geometry::Polygon(Polygon::rectangle(&w)));
-        let ours = s.pc.select(&pred).unwrap();
-        let ours_keys = sorted_keys(ours.rows.iter().map(|&i| (xs[i], ys[i])));
+        let expect = s.expect(&SpatialPredicate::Within(Geometry::Polygon(Polygon::rectangle(&w))));
 
         let (plain, _) = s.filestore_plain.query_bbox(&w).unwrap();
         assert_eq!(
             sorted_keys(plain.iter().map(|r| (r.x, r.y))),
-            ours_keys,
+            expect,
             "plain filestore window {fx0},{fy0}"
         );
         let (indexed, _) = s.filestore_indexed.query_bbox(&w).unwrap();
         assert_eq!(
             sorted_keys(indexed.iter().map(|r| (r.x, r.y))),
-            ours_keys,
+            expect,
             "indexed filestore window {fx0},{fy0}"
         );
         let (blocks, _) = s.blockstore.query_bbox(&w).unwrap();
         assert_eq!(
             sorted_keys(blocks.iter().map(|r| (r.x, r.y))),
-            ours_keys,
+            expect,
             "blockstore window {fx0},{fy0}"
         );
     }
@@ -126,19 +140,13 @@ fn all_engines_agree_on_polygon() {
     ])
     .unwrap();
     let g = Geometry::Polygon(tri);
-    let xs = s.pc.f64_column("x").unwrap();
-    let ys = s.pc.f64_column("y").unwrap();
-    let ours = s
-        .pc
-        .select(&SpatialPredicate::Within(g.clone()))
-        .unwrap();
-    let ours_keys = sorted_keys(ours.rows.iter().map(|&i| (xs[i], ys[i])));
-    assert!(!ours_keys.is_empty());
+    let expect = s.expect(&SpatialPredicate::Within(g.clone()));
+    assert!(!expect.is_empty());
 
     let (fsr, _) = s.filestore_indexed.query_geometry(&g).unwrap();
-    assert_eq!(sorted_keys(fsr.iter().map(|r| (r.x, r.y))), ours_keys);
+    assert_eq!(sorted_keys(fsr.iter().map(|r| (r.x, r.y))), expect);
     let (bsr, _) = s.blockstore.query_geometry(&g).unwrap();
-    assert_eq!(sorted_keys(bsr.iter().map(|r| (r.x, r.y))), ours_keys);
+    assert_eq!(sorted_keys(bsr.iter().map(|r| (r.x, r.y))), expect);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 
 use lidardb::prelude::*;
-use lidardb::ScratchDir;
+use lidardb_test_support::ScratchDir;
 
 const FILES: usize = 16;
 const PER_FILE: usize = 40;
@@ -50,7 +50,7 @@ fn make_survey(dir: &std::path::Path) -> Vec<PathBuf> {
 
 #[test]
 fn skip_corrupt_loads_the_good_thirteen_and_names_the_bad() {
-    let dir = ScratchDir::new("ft_skip_corrupt").unwrap();
+    let dir = ScratchDir::new("ft_skip_corrupt");
     let paths = make_survey(dir.path());
 
     let mut pc = PointCloud::new();
@@ -81,7 +81,7 @@ fn skip_corrupt_loads_the_good_thirteen_and_names_the_bad() {
 
 #[test]
 fn fail_fast_names_the_first_bad_file() {
-    let dir = ScratchDir::new("ft_fail_fast").unwrap();
+    let dir = ScratchDir::new("ft_fail_fast");
     let paths = make_survey(dir.path());
 
     let mut pc = PointCloud::new();
