@@ -255,52 +255,46 @@ impl PointCloud {
         self.ingest_records_tagged(records, 0).map(|a| a.durable)
     }
 
-    /// [`Self::ingest_records`] with an idempotency token (0 = none): a
-    /// batch whose token the WAL has already logged is acknowledged
-    /// without being applied again, so a client retrying an INSERT after
-    /// a lost acknowledgement cannot double-insert.
+    /// [`Self::ingest_records`] with an idempotency token (0 = none): the
+    /// records are transposed and handed to [`Self::ingest_columns_tagged`].
     pub fn ingest_records_tagged(
         &mut self,
         records: &[PointRecord],
+        token: u64,
+    ) -> Result<IngestAck, CoreError> {
+        self.ingest_columns_tagged(ColumnArrays::from_records(records), token)
+    }
+
+    /// The one ingest entry: append a column batch. A batch whose token
+    /// (0 = none) the WAL has already logged is acknowledged without being
+    /// applied again, so a client retrying an INSERT after a lost
+    /// acknowledgement cannot double-insert. Otherwise the batch's column
+    /// dumps — the WAL payload — are logged, then applied; the rows become
+    /// visible once the WAL acknowledges them durable. Plain clouds apply
+    /// the batch directly.
+    pub fn ingest_columns_tagged(
+        &mut self,
+        batch: ColumnArrays,
         token: u64,
     ) -> Result<IngestAck, CoreError> {
         if self.degraded() {
             return Err(CoreError::StorageExhausted(format!(
                 "table is read-only (degraded after a storage failure); \
                  {} rows refused — free space and seal() to recover",
-                records.len()
+                batch.num_rows()
             )));
         }
-        if token != 0 {
-            if let Some(ing) = &self.ingest {
-                if ing.wal.token_seen(token).is_some() {
-                    crate::metrics::MetricsRegistry::global()
-                        .wal_dedup_hits
-                        .inc();
-                    return Ok(IngestAck {
-                        inserted: 0,
-                        durable: true,
-                        deduped: true,
-                    });
-                }
-            }
+        let logged = |ing: &IngestState| ing.wal.token_seen(token).is_some();
+        if token != 0 && self.ingest.as_ref().is_some_and(logged) {
+            crate::metrics::MetricsRegistry::global().wal_dedup_hits.inc();
+            return Ok(IngestAck { inserted: 0, durable: true, deduped: true });
         }
-        let soa = ColumnArrays::from_records(records);
-        let dumps = soa.to_dumps();
-        if self.ingest.is_none() {
-            let n = self.append_dumps(&dumps)?;
-            return Ok(IngestAck {
-                inserted: n,
-                durable: true,
-                deduped: false,
-            });
-        }
-        let (n, durable) = self.append_dumps_ingest_tagged(&dumps, token)?;
-        Ok(IngestAck {
-            inserted: n,
-            durable,
-            deduped: false,
-        })
+        let dumps = batch.to_dumps();
+        let (inserted, durable) = match self.ingest {
+            Some(_) => self.append_dumps_ingest_tagged(&dumps, token)?,
+            None => (self.append_dumps(&dumps)?, true),
+        };
+        Ok(IngestAck { inserted, durable, deduped: false })
     }
 
     /// `COPY BINARY`: append one little-endian dump per column.
@@ -529,8 +523,8 @@ impl PointCloud {
     /// torn or corrupt tail is truncated, never mis-replayed. The findings
     /// are reported via [`Self::recovery_report`].
     ///
-    /// A missing `dir` starts an empty ingesting cloud (the WAL alone
-    /// carries it until the first [`Self::seal`]).
+    /// A missing or empty `dir` starts an empty ingesting cloud (the WAL
+    /// alone carries it until the first [`Self::seal`]).
     pub fn open_ingest(
         dir: impl AsRef<Path>,
         durability: Durability,
@@ -547,7 +541,12 @@ impl PointCloud {
         let t0 = std::time::Instant::now();
         let dir = dir.as_ref();
         crate::persist::recover_stale_dirs(dir)?;
-        let mut pc = if dir.exists() {
+        let saved = match std::fs::read_dir(dir) {
+            Ok(mut entries) => entries.next().is_some(),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
+            Err(e) => return Err(lidardb_las::LasError::Io(e).into()),
+        };
+        let mut pc = if saved {
             Self::open_dir_with_faults(dir, fault.as_deref())?
         } else {
             Self::new()
@@ -867,6 +866,24 @@ mod tests {
         assert_eq!(rep.base_rows, 0);
         assert!(!rep.torn_tail);
         assert_eq!(pc.record(107).unwrap().x, 7.0, "payload intact");
+    }
+
+    #[test]
+    fn an_existing_empty_directory_opens_as_an_empty_table() {
+        let dir = lidardb_test_support::ScratchDir::new("ingest_empty_dir");
+        let mut pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
+        assert_eq!(pc.num_points(), 0);
+        assert!(pc.ingest_records(&sample_records(40)).unwrap());
+        drop(pc);
+        let mut pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
+        assert_eq!(pc.num_points(), 40, "the WAL brings the rows back");
+        assert_eq!(pc.record(39), Some(sample_records(40)[39]));
+        // Sealing over the empty directory makes it a saved table.
+        pc.seal().unwrap();
+        drop(pc);
+        let pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
+        assert_eq!(pc.num_points(), 40);
+        assert_eq!(pc.recovery_report().unwrap().base_rows, 40);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! that is the binary dump of a C-array containing the values of the
 //! property for all points") and appending the dumps with `COPY BINARY`.
 
+use lidardb_las::schema::COLUMN_TYPES;
 use lidardb_las::{PointRecord, COLUMN_NAMES};
 use lidardb_storage::Column;
+
+use crate::error::CoreError;
 
 /// The 26 per-column arrays of a record batch, in schema order.
 #[derive(Debug, Clone)]
@@ -102,6 +105,31 @@ impl ColumnArrays {
         ];
         debug_assert_eq!(columns.len(), COLUMN_NAMES.len());
         ColumnArrays { columns }
+    }
+
+    /// Adopt 26 columns built elsewhere (SQL `INSERT` builds them from its
+    /// cells). They must follow the schema's order and physical types and
+    /// hold the same number of rows.
+    pub fn from_columns(columns: Vec<Column>) -> Result<Self, CoreError> {
+        if columns.len() != COLUMN_NAMES.len() {
+            return Err(CoreError::InvalidQuery(format!(
+                "column batch has {} columns, the point schema {}",
+                columns.len(),
+                COLUMN_NAMES.len()
+            )));
+        }
+        let rows = columns[0].len();
+        for ((col, name), ty) in columns.iter().zip(COLUMN_NAMES).zip(COLUMN_TYPES) {
+            if col.ptype() != ty || col.len() != rows {
+                return Err(CoreError::InvalidQuery(format!(
+                    "column batch: {name} is {} rows of {}, expected {rows} of {}",
+                    col.len(),
+                    col.ptype().name(),
+                    ty.name()
+                )));
+            }
+        }
+        Ok(ColumnArrays { columns })
     }
 
     /// The typed columns in schema order.

@@ -38,9 +38,9 @@ pub struct InsertStmt {
     pub table: String,
     /// Explicit column list (required — the flat table has 26 columns).
     pub columns: Vec<String>,
-    /// One expression list per `VALUES` tuple; each must be a numeric
-    /// constant.
-    pub rows: Vec<Vec<Expr>>,
+    /// The `VALUES` cells, column-major: `values[c][r]` is row `r` of
+    /// `columns[c]`. Every cell is a signed numeric literal.
+    pub values: Vec<Vec<f64>>,
     /// Idempotency token (`TOKEN <n>` clause): a batch whose token the
     /// table has already logged is acknowledged without being applied
     /// again, so a retrying client cannot double-insert. `None` = plain

@@ -14,6 +14,7 @@
 
 use std::time::Instant;
 
+use lidardb_core::soa::ColumnArrays;
 use lidardb_core::{
     Aggregate, CancelToken, ColumnSet, Explain, GovernCtx, PointCloud, PointTable,
     RefineStrategy, Run, SpatialPredicate,
@@ -443,57 +444,6 @@ fn show_queries() -> ResultSet {
     untraced(&["query_id", "elapsed_seconds", "detail", "cancelled"], rows)
 }
 
-/// Evaluate an INSERT value: a numeric constant, optionally negated.
-fn const_num(e: &Expr) -> Result<f64, SqlError> {
-    match e {
-        Expr::Number(v) => Ok(*v),
-        Expr::Neg(inner) => Ok(-const_num(inner)?),
-        other => Err(SqlError::Exec(format!(
-            "INSERT values must be numeric constants, got {}",
-            other.render()
-        ))),
-    }
-}
-
-/// Assign `v` to the named LAS column of `rec`, casting to the column's
-/// physical type (the same narrowing the binary loader applies).
-fn set_field(rec: &mut lidardb_las::PointRecord, name: &str, v: f64) -> Result<(), SqlError> {
-    match name {
-        "x" => rec.x = v,
-        "y" => rec.y = v,
-        "z" => rec.z = v,
-        "intensity" => rec.intensity = v as u16,
-        "return_number" => rec.return_number = v as u8,
-        "number_of_returns" => rec.number_of_returns = v as u8,
-        "scan_direction" => rec.scan_direction = v as u8,
-        "edge_of_flight_line" => rec.edge_of_flight_line = v as u8,
-        "classification" => rec.classification = v as u8,
-        "synthetic" => rec.synthetic = v as u8,
-        "key_point" => rec.key_point = v as u8,
-        "withheld" => rec.withheld = v as u8,
-        "scan_angle_rank" => rec.scan_angle_rank = v as i8,
-        "user_data" => rec.user_data = v as u8,
-        "point_source_id" => rec.point_source_id = v as u16,
-        "gps_time" => rec.gps_time = v,
-        "red" => rec.red = v as u16,
-        "green" => rec.green = v as u16,
-        "blue" => rec.blue = v as u16,
-        "wave_packet_index" => rec.wave_packet_index = v as u8,
-        "wave_offset" => rec.wave_offset = v as u64,
-        "wave_size" => rec.wave_size = v as u32,
-        "wave_return_loc" => rec.wave_return_loc = v as f32,
-        "wave_xt" => rec.wave_xt = v as f32,
-        "wave_yt" => rec.wave_yt = v as f32,
-        "wave_zt" => rec.wave_zt = v as f32,
-        other => {
-            return Err(SqlError::Exec(format!(
-                "unknown point column {other} in INSERT"
-            )))
-        }
-    }
-    Ok(())
-}
-
 /// `INSERT INTO t (cols) VALUES ...` against a streaming point-cloud
 /// table. The batch is WAL-logged before it is applied; `durable = 1`
 /// means the WAL acknowledged it (fsynced under the table's policy),
@@ -502,23 +452,39 @@ fn set_field(rec: &mut lidardb_las::PointRecord, name: &str, v: f64) -> Result<(
 /// token was already logged and the rows were NOT applied again (the
 /// original insert is acknowledged instead — idempotent replay).
 fn exec_insert(catalog: &Catalog, ins: &crate::ast::InsertStmt) -> Result<ResultSet, SqlError> {
-    for (i, c) in ins.columns.iter().enumerate() {
-        if ins.columns[..i].contains(c) {
+    // Each listed name resolves to its schema slot once per statement.
+    let mut source = [None; lidardb_las::NUM_COLUMNS];
+    for (j, c) in ins.columns.iter().enumerate() {
+        let slot = lidardb_las::COLUMN_NAMES
+            .iter()
+            .position(|n| n == c)
+            .ok_or_else(|| SqlError::Exec(format!("unknown point column {c} in INSERT")))?;
+        if source[slot].replace(j).is_some() {
             return Err(SqlError::Exec(format!("duplicate INSERT column {c}")));
         }
     }
-    let mut recs = Vec::with_capacity(ins.rows.len());
-    for row in &ins.rows {
-        let mut rec = lidardb_las::PointRecord::default();
-        for (c, e) in ins.columns.iter().zip(row) {
-            set_field(&mut rec, c, const_num(e)?)?;
-        }
-        recs.push(rec);
-    }
+    // Each cell narrows to its column's physical type with `as` semantics
+    // (`Native::from_f64`: saturating, NaN to 0), the cast the binary
+    // loader applies; an unlisted column is all zeros, the LAS default.
+    let rows = ins.values.first().map_or(0, Vec::len);
+    let columns = lidardb_las::schema::COLUMN_TYPES
+        .iter()
+        .zip(source)
+        .map(|(&ty, src)| {
+            let mut col = lidardb_storage::Column::with_capacity(ty, rows);
+            match src {
+                Some(j) => for_each_variant!(&mut col, v => narrow_into(v, &ins.values[j])),
+                None => for_each_variant!(&mut col, v => v.resize(rows, Native::from_f64(0.0))),
+            }
+            col
+        })
+        .collect();
+    let batch = ColumnArrays::from_columns(columns)
+        .map_err(|e| SqlError::Exec(format!("insert into {}: {e}", ins.table)))?;
     let t0 = Instant::now();
     let mut pc = catalog.write_stream(&ins.table)?;
     let ack = pc
-        .ingest_records_tagged(&recs, ins.token.unwrap_or(0))
+        .ingest_columns_tagged(batch, ins.token.unwrap_or(0))
         .map_err(|e| SqlError::Exec(format!("ingest into {}: {e}", ins.table)))?;
     drop(pc);
     let row = vec![
@@ -533,8 +499,13 @@ fn exec_insert(catalog: &Catalog, ins: &crate::ast::InsertStmt) -> Result<Result
         rs.rows[0].pop();
     }
     let op = format!("insert {}", ins.table);
-    rs.trace.push(TraceEntry::new(op, recs.len(), t0.elapsed().as_secs_f64()));
+    rs.trace.push(TraceEntry::new(op, rows, t0.elapsed().as_secs_f64()));
     Ok(rs)
+}
+
+/// Append `values`, each narrowed to `T` (see [`exec_insert`]).
+fn narrow_into<T: Native>(col: &mut Vec<T>, values: &[f64]) {
+    col.extend(values.iter().map(|&v| T::from_f64(v)));
 }
 
 /// `SHOW RECOVERY`: for every streaming table, the crash-recovery report

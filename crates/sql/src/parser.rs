@@ -42,12 +42,28 @@ impl Parser {
         self.tokens[self.pos].offset
     }
 
+    /// Take the current token and step past it; the final `Eof` is never
+    /// passed. The parser never looks back, so a passed token's payload
+    /// is moved out, not cloned.
     fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
+        let t = std::mem::replace(&mut self.tokens[self.pos].kind, TokenKind::Eof);
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
+    }
+
+    /// `f`, repeated while a `,` separates the items.
+    fn comma_list<T>(
+        &mut self,
+        mut f: impl FnMut(&mut Self) -> Result<T, SqlError>,
+    ) -> Result<Vec<T>, SqlError> {
+        let mut out = vec![f(self)?];
+        while *self.peek() == TokenKind::Comma {
+            self.bump();
+            out.push(f(self)?);
+        }
+        Ok(out)
     }
 
     fn err(&self, reason: impl Into<String>) -> SqlError {
@@ -168,13 +184,7 @@ impl Parser {
         let mut group_by = Vec::new();
         if self.eat_kw("GROUP") {
             self.expect_kw("BY")?;
-            loop {
-                group_by.push(self.parse_expr()?);
-                if *self.peek() != TokenKind::Comma {
-                    break;
-                }
-                self.bump();
-            }
+            group_by = self.comma_list(Self::parse_expr)?;
         }
         let having = if self.eat_kw("HAVING") {
             Some(self.parse_expr()?)
@@ -184,20 +194,16 @@ impl Parser {
         let mut order_by = Vec::new();
         if self.eat_kw("ORDER") {
             self.expect_kw("BY")?;
-            loop {
-                let e = self.parse_expr()?;
-                let asc = if self.eat_kw("DESC") {
+            order_by = self.comma_list(|p| {
+                let e = p.parse_expr()?;
+                let asc = if p.eat_kw("DESC") {
                     false
                 } else {
-                    self.eat_kw("ASC");
+                    p.eat_kw("ASC");
                     true
                 };
-                order_by.push((e, asc));
-                if *self.peek() != TokenKind::Comma {
-                    break;
-                }
-                self.bump();
-            }
+                Ok((e, asc))
+            })?;
         }
         let limit = if self.eat_kw("LIMIT") {
             match self.bump() {
@@ -221,48 +227,38 @@ impl Parser {
         })))
     }
 
-    /// `INSERT INTO t (c, ...) VALUES (e, ...), ...` — the column list is
+    /// `INSERT INTO t (c, ...) VALUES (v, ...), ...` — the column list is
     /// mandatory (nobody remembers the order of 26 LAS columns) and every
-    /// tuple must match its arity.
+    /// tuple must match its arity. Each cell is read by
+    /// [`Self::literal_cell`] straight into its column's vector.
     fn parse_insert(&mut self) -> Result<Statement, SqlError> {
         self.expect_kw("INTO")?;
         let table = self.ident()?;
         self.expect(TokenKind::LParen)?;
-        let mut columns = Vec::new();
-        loop {
-            columns.push(self.ident()?);
-            if *self.peek() != TokenKind::Comma {
-                break;
-            }
-            self.bump();
-        }
+        let columns = self.comma_list(Self::ident)?;
         self.expect(TokenKind::RParen)?;
         self.expect_kw("VALUES")?;
-        let mut rows = Vec::new();
-        loop {
-            self.expect(TokenKind::LParen)?;
-            let mut vals = Vec::new();
-            loop {
-                vals.push(self.parse_expr()?);
-                if *self.peek() != TokenKind::Comma {
-                    break;
+        let mut values = vec![Vec::new(); columns.len()];
+        self.comma_list(|p| {
+            p.expect(TokenKind::LParen)?;
+            let mut arity = 0;
+            p.comma_list(|p| {
+                let v = p.literal_cell()?;
+                if let Some(col) = values.get_mut(arity) {
+                    col.push(v);
                 }
-                self.bump();
-            }
-            self.expect(TokenKind::RParen)?;
-            if vals.len() != columns.len() {
-                return Err(self.err(format!(
-                    "VALUES tuple has {} expressions for {} columns",
-                    vals.len(),
+                arity += 1;
+                Ok(())
+            })?;
+            p.expect(TokenKind::RParen)?;
+            if arity != columns.len() {
+                return Err(p.err(format!(
+                    "VALUES tuple has {arity} values for {} columns",
                     columns.len()
                 )));
             }
-            rows.push(vals);
-            if *self.peek() != TokenKind::Comma {
-                break;
-            }
-            self.bump();
-        }
+            Ok(())
+        })?;
         // Optional idempotency token: `... TOKEN 12345`. 0 is reserved as
         // the "no token" sentinel on the wire, so reject it here.
         let token = if self.eat_kw("TOKEN") {
@@ -277,70 +273,89 @@ impl Parser {
         Ok(Statement::Insert(Box::new(InsertStmt {
             table,
             columns,
-            rows,
+            values,
             token,
         })))
     }
 
-    fn parse_select_items(&mut self) -> Result<Vec<SelectItem>, SqlError> {
-        let mut items = Vec::new();
-        loop {
-            if *self.peek() == TokenKind::Star {
-                self.bump();
-                items.push(SelectItem::Wildcard);
-            } else {
-                let expr = self.parse_expr()?;
-                let alias = if self.eat_kw("AS") {
-                    Some(self.ident()?)
-                } else {
-                    None
-                };
-                items.push(SelectItem::Expr { expr, alias });
+    /// One `VALUES` cell: a numeric literal inside any mix of unary
+    /// `+`/`-` and balanced parentheses (`7`, `-2.5e-2`, `-(-5)`,
+    /// `((+7))`), followed by the `,` or `)` that ends it. The value is
+    /// the literal's `str::parse` result, negated once per `-`, so a cell
+    /// keeps the exact bits its literal spells. Anything else is a parse
+    /// error at the cell's first token.
+    fn literal_cell(&mut self) -> Result<f64, SqlError> {
+        let start = self.offset();
+        let reject = || SqlError::Parse {
+            reason: "an INSERT value must be a signed numeric literal".into(),
+            offset: start,
+        };
+        let (mut negative, mut open) = (false, 0usize);
+        let v = loop {
+            match self.bump() {
+                TokenKind::Minus => negative = !negative,
+                TokenKind::Plus => {}
+                TokenKind::LParen => open += 1,
+                TokenKind::Number(v) => break v,
+                _ => return Err(reject()),
             }
-            if *self.peek() != TokenKind::Comma {
-                break;
-            }
+        };
+        while open > 0 && *self.peek() == TokenKind::RParen {
             self.bump();
+            open -= 1;
         }
-        Ok(items)
+        if open > 0 || !matches!(self.peek(), TokenKind::Comma | TokenKind::RParen) {
+            return Err(reject());
+        }
+        Ok(if negative { -v } else { v })
+    }
+
+    fn parse_select_items(&mut self) -> Result<Vec<SelectItem>, SqlError> {
+        self.comma_list(|p| {
+            if *p.peek() == TokenKind::Star {
+                p.bump();
+                return Ok(SelectItem::Wildcard);
+            }
+            let expr = p.parse_expr()?;
+            let alias = if p.eat_kw("AS") {
+                Some(p.ident()?)
+            } else {
+                None
+            };
+            Ok(SelectItem::Expr { expr, alias })
+        })
     }
 
     fn parse_from(&mut self) -> Result<Vec<TableRef>, SqlError> {
-        let mut out = Vec::new();
-        loop {
-            let mut name = self.ident()?;
+        self.comma_list(|p| {
+            let mut name = p.ident()?;
             // Qualified table name (`sys.metrics`): the dotted pair is one
             // catalog name, kept joined — the catalog namespaces virtual
             // tables with the `sys.` prefix.
-            if *self.peek() == TokenKind::Dot {
-                self.bump();
-                name = format!("{name}.{}", self.ident()?);
+            if *p.peek() == TokenKind::Dot {
+                p.bump();
+                name = format!("{name}.{}", p.ident()?);
             }
             // Optional alias: a bare identifier that is not a clause
             // keyword.
-            let alias = match self.peek() {
+            let alias = match p.peek() {
                 TokenKind::Ident(s)
                     if !["WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "AS"]
                         .iter()
                         .any(|k| s.eq_ignore_ascii_case(k)) =>
                 {
-                    self.ident()?
+                    p.ident()?
                 }
                 _ => {
-                    if self.eat_kw("AS") {
-                        self.ident()?
+                    if p.eat_kw("AS") {
+                        p.ident()?
                     } else {
                         name.clone()
                     }
                 }
             };
-            out.push(TableRef { name, alias });
-            if *self.peek() != TokenKind::Comma {
-                break;
-            }
-            self.bump();
-        }
-        Ok(out)
+            Ok(TableRef { name, alias })
+        })
     }
 
     // ---- expression precedence climbing -----------------------------------
@@ -507,16 +522,11 @@ impl Parser {
                             self.expect(TokenKind::RParen)?;
                             return Ok(Expr::CountStar);
                         }
-                        let mut args = Vec::new();
-                        if *self.peek() != TokenKind::RParen {
-                            loop {
-                                args.push(self.parse_expr()?);
-                                if *self.peek() != TokenKind::Comma {
-                                    break;
-                                }
-                                self.bump();
-                            }
-                        }
+                        let args = if *self.peek() == TokenKind::RParen {
+                            Vec::new()
+                        } else {
+                            self.comma_list(Self::parse_expr)?
+                        };
                         self.expect(TokenKind::RParen)?;
                         Ok(Expr::Func { name, args })
                     }
@@ -669,9 +679,7 @@ mod tests {
         };
         assert_eq!(ins.table, "pts");
         assert_eq!(ins.columns, vec!["x", "y", "z"]);
-        assert_eq!(ins.rows.len(), 2);
-        assert_eq!(ins.rows[0][2], Expr::Number(3.0));
-        assert_eq!(ins.rows[1][1].render(), "(-5)");
+        assert_eq!(ins.values, vec![vec![1.0, 4.0], vec![2.0, -5.0], vec![3.0, 6.5]]);
         // Arity mismatches and malformed forms are parse errors.
         assert!(parse("INSERT INTO pts (x, y) VALUES (1)").is_err());
         assert!(parse("INSERT INTO pts () VALUES (1)").is_err());

@@ -6,7 +6,7 @@ use lidardb_core::PointCloud;
 use lidardb_geom::{Geometry, LineString, Point, Polygon};
 use lidardb_las::PointRecord;
 use lidardb_sql::catalog::VColumn;
-use lidardb_sql::{query, Catalog, ResultSet, SqlValue, VectorTable};
+use lidardb_sql::{query, Catalog, ResultSet, SqlError, SqlValue, VectorTable};
 use lidardb_test_support::ScratchDir;
 
 /// 100x100 integer grid; classification 6 for x > 50, else 2; z = x/10.
@@ -822,6 +822,49 @@ fn insert_errors_are_reported() {
     let c = setup();
     let err = query(&c, "INSERT INTO points (x) VALUES (1)").unwrap_err();
     assert!(err.to_string().contains("read-only"), "{err}");
+}
+
+#[test]
+fn insert_cells_are_signed_literals_and_nothing_else() {
+    let (c, dir) = streaming_catalog("cells", lidardb_core::Durability::Always);
+    query(&c, "INSERT INTO pts (x, y) VALUES (1, 2)").unwrap();
+    let wal = lidardb_core::wal::wal_path_for(dir.path());
+    let wal_len = std::fs::metadata(&wal).unwrap().len();
+    // The bad cell sits in the second tuple, ahead of a good one, so the
+    // first tuple has been read when the cell is rejected.
+    let prefix = "INSERT INTO pts (x, y) VALUES (3, 4), (";
+    for cell in ["x + 1", "1 + 1", "ST_Point(1, 2)", "'a'", "NULL", "(1", "- -", ""] {
+        let sql = format!("{prefix}{cell}, 6) TOKEN 77");
+        match query(&c, &sql) {
+            Err(SqlError::Parse { offset, .. }) => {
+                assert_eq!(offset, prefix.len(), "{cell:?}: error at the cell")
+            }
+            other => panic!("{cell:?}: expected a parse error, got {other:?}"),
+        }
+    }
+    let pc = c.write_stream("pts").unwrap();
+    assert_eq!(pc.num_points(), 1, "a rejected statement applies nothing");
+    drop(pc);
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_len, "nor logs anything");
+
+    // Signs and parentheses around one literal keep the value the literal
+    // spells, negated once per `-`.
+    let accepted = [
+        ("+5", 5.0),
+        ("-(-5)", 5.0),
+        ("((7))", 7.0),
+        ("1e3", 1000.0),
+        (".5", 0.5),
+        ("-2.5e-2", -0.025),
+    ];
+    for (i, (cell, _)) in accepted.iter().enumerate() {
+        query(&c, &format!("INSERT INTO pts (x, y) VALUES ({cell}, {i})")).unwrap();
+    }
+    let pc = c.write_stream("pts").unwrap();
+    for (i, (cell, want)) in accepted.iter().enumerate() {
+        let got = pc.record(1 + i).unwrap().x;
+        assert_eq!(got.to_bits(), f64::to_bits(*want), "{cell}: {got}");
+    }
 }
 
 // ---- sys.* virtual tables ----------------------------------------------

@@ -4,17 +4,19 @@
 //! suite for the server-facing panic sweep: the fuzzer is a deterministic
 //! LCG so failures replay exactly.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-use lidardb_core::PointCloud;
+use lidardb_core::{Durability, PointCloud};
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
 use lidardb_sql::catalog::VColumn;
 use lidardb_sql::parser::MAX_EXPR_DEPTH;
 use lidardb_sql::{query, Catalog, SqlError, VectorTable};
+use lidardb_test_support::ScratchDir;
 
-/// Small catalog with every table kind the executor dispatches on.
-fn setup() -> Catalog {
+/// Small catalog with every table kind the executor dispatches on, and
+/// the directory its streaming table `pts` ingests into.
+fn setup() -> (Catalog, ScratchDir) {
     let mut pc = PointCloud::new();
     let recs: Vec<PointRecord> = (0..64)
         .map(|i| PointRecord {
@@ -43,10 +45,14 @@ fn setup() -> Catalog {
             )]),
         );
 
+    let dir = ScratchDir::vacant("hostile_pts");
+    let stream = PointCloud::open_ingest(&dir, Durability::None).unwrap();
+
     let mut c = Catalog::new();
     c.register_pointcloud("points", Arc::new(pc));
     c.register_vector("zones", zones);
-    c
+    c.register_stream("pts", Arc::new(RwLock::new(stream)));
+    (c, dir)
 }
 
 /// Deterministic LCG (same constants as `rand`'s minstd family).
@@ -74,6 +80,10 @@ const SEEDS: &[&str] = &[
     "SHOW QUERIES",
     "KILL 12345",
     "INSERT INTO points VALUES (1, 2, 3)",
+    "INSERT INTO pts (x, y, z, classification, intensity) VALUES \
+     (85012.34, -444000.5, -(1.5e2), +6, ((4095))), (.5, -2.5e-2, 1E3, 2, 7) TOKEN 42",
+    "INSERT INTO pts (wave_offset, scan_angle_rank, red, x) VALUES \
+     (18446744073709551616, -129, 65536, - -1), ((-(+2)), 1e-3, -.25, 12345678901234567)",
     "SELECT ST_AsText(ST_GeomFromText('POINT(1 2)')) FROM points LIMIT 1",
     "SELECT ST_X() FROM points",
     "SELECT DISTINCT classification FROM points HAVING COUNT(*) > 0",
@@ -88,15 +98,20 @@ fn must_not_panic(c: &Catalog, sql: &str) {
 
 #[test]
 fn seeds_execute_or_fail_typed() {
-    let c = setup();
+    let (c, _dir) = setup();
     for sql in SEEDS {
         must_not_panic(&c, sql);
+    }
+    // The INSERT seeds are well formed, so their mutations start from the
+    // cell reader's accepting path.
+    for sql in SEEDS.iter().filter(|s| s.starts_with("INSERT INTO pts")) {
+        query(&c, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     }
 }
 
 #[test]
 fn truncations_never_panic() {
-    let c = setup();
+    let (c, _dir) = setup();
     for sql in SEEDS {
         // Every prefix, byte by byte (seeds are ASCII so all are char
         // boundaries).
@@ -108,7 +123,7 @@ fn truncations_never_panic() {
 
 #[test]
 fn mutated_statements_never_panic() {
-    let c = setup();
+    let (c, _dir) = setup();
     let mut rng = Lcg(0x5eed_1da8_db01);
     let garbage = ['\0', '(', ')', '\'', '"', ',', '.', ';', '%', 'Ω', '\u{7f}', ' '];
     for round in 0..2000 {
@@ -138,21 +153,23 @@ fn mutated_statements_never_panic() {
 
 #[test]
 fn garbage_bytes_never_panic() {
-    let c = setup();
+    let (c, _dir) = setup();
     let mut rng = Lcg(0xdead_beef_cafe);
-    let alphabet: Vec<char> = "SELECT FROM WHERE AND OR NOT () ',.*=<>0123456789xyz\0\u{1}Ω"
+    let alphabet: Vec<char> = "SELECT FROM WHERE AND OR NOT () ',.*=<>+-eE0123456789xyz\0\u{1}Ω"
         .chars()
         .collect();
     for _ in 0..2000 {
         let len = rng.below(80);
         let s: String = (0..len).map(|_| alphabet[rng.below(alphabet.len())]).collect();
         must_not_panic(&c, &s);
+        // The same bytes as the cells of an INSERT.
+        must_not_panic(&c, &format!("INSERT INTO pts (x, y) VALUES ({s}"));
     }
 }
 
 #[test]
 fn deep_nesting_returns_parse_error_not_stack_overflow() {
-    let c = setup();
+    let (c, _dir) = setup();
     // Far past the cap: without the parser's depth limit this would
     // recurse ~100k frames and abort the process.
     let deep = format!(
@@ -179,7 +196,7 @@ fn deep_nesting_returns_parse_error_not_stack_overflow() {
 
 #[test]
 fn wrong_arity_functions_return_exec_error() {
-    let c = setup();
+    let (c, _dir) = setup();
     for sql in [
         "SELECT ST_X() FROM points LIMIT 1",
         "SELECT ST_Point(1) FROM points LIMIT 1",

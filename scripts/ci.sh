@@ -22,11 +22,11 @@ LIDARDB_WORKERS=8 cargo test -q -p lidardb-core --test differential
 echo "==> core builds with tracing compiled out"
 cargo check -q -p lidardb-core --no-default-features
 
-echo "==> benchmark smoke (the four BENCHMARK.json workloads, oracle-checked, 1 s each)"
-for w in nav_flat nav_tiled adhoc_refine ingest_mixed; do
+echo "==> benchmark smoke (the four BENCHMARK.json workloads, oracle-checked, 1 s each, untraced and traced)"
+for w in nav_flat nav_tiled adhoc_refine ingest_mixed; do for t in 0 1; do
     cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
-        --workload "$w" --seed 1 --seconds 1 --smoke
-done
+        --workload "$w" --seed 1 --seconds 1 --smoke --trace "$t"
+done; done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
