@@ -195,6 +195,23 @@ fn deep_nesting_returns_parse_error_not_stack_overflow() {
 }
 
 #[test]
+fn multi_mib_comments_and_strings_fail_typed_or_run() {
+    let (c, _dir) = setup();
+    let bulk = "x".repeat(8 << 20);
+    let rows = query(&c, &format!("SELECT COUNT(*) FROM points -- {bulk}")).unwrap();
+    assert_eq!(rows.rows.len(), 1);
+    let insert = format!("INSERT INTO pts (x) VALUES ('{bulk}')");
+    match query(&c, &insert) {
+        Err(SqlError::Parse { offset, .. }) => assert_eq!(Some(offset), insert.find('\'')),
+        other => panic!("expected a Parse error at the string cell, got {other:?}"),
+    }
+    assert!(matches!(
+        query(&c, &format!("SELECT '{bulk} FROM points")),
+        Err(SqlError::Lex { .. })
+    ));
+}
+
+#[test]
 fn wrong_arity_functions_return_exec_error() {
     let (c, _dir) = setup();
     for sql in [
