@@ -255,7 +255,7 @@ fn e2_storage() {
 fn e4_refinement() {
     header(
         "E4 (refinement, §3.3)",
-        "the regular grid decides most cells in one step; only boundary cells need per-point tests",
+        "the filter masks by the feature's shape; the square grid decides most cells in one step",
     );
     let fx = Fixture::build(44, 800.0, 2, 2.0);
     let pc = &fx.pc;
@@ -269,44 +269,62 @@ fn e4_refinement() {
         ring(&[(-250.0, -200.0), (280.0, -170.0), (90.0, 40.0), (260.0, 250.0), (-220.0, 230.0)]),
         vec![ring(&[(-60.0, -60.0), (60.0, -60.0), (60.0, 60.0), (-60.0, 60.0)])],
     );
-    let pred = SpatialPredicate::Within(Geometry::Polygon(poly));
-    println!("dataset: {} points; polygon: concave pentagon with hole\n", pc.num_points());
-    println!(
-        "{:<18} {:>9} {:>12} {:>18} {:>30}",
-        "strategy", "results", "exact tests", "cells in/out/bnd", "ms"
-    );
-    let run = |name: &str, strat: RefineStrategy| {
-        let select = || {
-            pc.select_query_with(Some(&pred), &[], strat, Parallelism::default())
+    let zone = |code: u32| {
+        let z = fx.scene.zones().iter().find(|z| z.class.code() == code);
+        Geometry::Polygon(z.expect("the scene has the zone").polygon.clone())
+    };
+    let shapes = [
+        ("concave pentagon with hole", SpatialPredicate::Within(Geometry::Polygon(poly))),
+        ("128-edge water corridor, ST_Contains", SpatialPredicate::Within(zone(50000))),
+        ("128-edge water corridor, ST_DWithin 4.5 m", SpatialPredicate::DWithin(zone(50000), 4.5)),
+        ("E-W chevron corridor (12210), ST_DWithin 2.5 m", SpatialPredicate::DWithin(zone(12210), 2.5)),
+    ];
+    println!("dataset: {} points\n", pc.num_points());
+    for (shape, pred) in &shapes {
+        println!("{shape}");
+        println!(
+            "{:<18} {:>9} {:>10} {:>12} {:>18} {:>10} {:>30}",
+            "strategy", "results", "after bbox", "exact tests", "cells in/out/bnd", "grid", "ms"
+        );
+        let select = |strat| {
+            pc.select_query_with(Some(pred), &[], strat, Parallelism::default())
                 .expect("select")
         };
-        let sel = select();
-        let t = median_seconds(5, || {
-            std::hint::black_box(select().rows.len());
-        });
-        let e = &sel.explain;
-        println!(
-            "{name:<18} {:>9} {:>12} {:>18} {:>30}",
-            e.result_rows,
-            e.exact_tests,
-            format!("{}/{}/{}", e.cells_inside, e.cells_outside, e.cells_boundary),
-            t.ms()
-        );
-    };
-    run("bbox only", RefineStrategy::BboxOnly);
-    run("exhaustive", RefineStrategy::Exhaustive);
-    run("adaptive grid", RefineStrategy::AdaptiveGrid);
-    for cells in [8usize, 16, 32, 64, 128, 256] {
-        run(&format!("grid {cells}x{cells}"), RefineStrategy::Grid { cells });
+        let exhaustive = select(RefineStrategy::Exhaustive).rows;
+        let run = |name: &str, strat: RefineStrategy| {
+            let sel = select(strat);
+            if strat != RefineStrategy::BboxOnly {
+                assert!(sel.rows == exhaustive, "{shape}: {name} must return the exhaustive rows");
+            }
+            let t = median_seconds(5, || {
+                std::hint::black_box(select(strat).rows.len());
+            });
+            let e = &sel.explain;
+            println!(
+                "{name:<18} {:>9} {:>10} {:>12} {:>18} {:>10} {:>30}",
+                e.result_rows,
+                e.after_bbox,
+                e.exact_tests,
+                format!("{}/{}/{}", e.cells_inside, e.cells_outside, e.cells_boundary),
+                format!("{}x{}", e.grid_nx, e.grid_ny),
+                t.ms()
+            );
+        };
+        run("bbox only", RefineStrategy::BboxOnly);
+        run("exhaustive", RefineStrategy::Exhaustive);
+        run("adaptive grid", RefineStrategy::AdaptiveGrid);
+        for cells in [8usize, 16, 32, 64, 128, 256] {
+            run(&format!("grid {cells}x{cells}"), RefineStrategy::Grid { cells });
+        }
+        let bands = select(RefineStrategy::default()).explain;
+        println!("band table: {} x-bands, {} y-bands\n", bands.bands_x, bands.bands_y);
     }
-    println!();
 
     // The exact test alone, per call against the whole polygon and through
     // the prepared edge index refinement uses, on the water body (the
     // buffered sine corridor of the scenario-2 heavy join) and every bbox
     // candidate of a 4.5 m `ST_DWithin` around it.
-    let water = fx.scene.zones().iter().find(|z| z.class.code() == 50000);
-    let g = Geometry::Polygon(water.expect("the scene has a water body").polygon.clone());
+    let g = zone(50000);
     let d = 4.5;
     let pred = SpatialPredicate::DWithin(g.clone(), d);
     let bbox = pc

@@ -3,13 +3,17 @@
 //!
 //! The imprint candidate list is partitioned into balanced row-range
 //! *morsels* ([`lidardb_imprints::CandidateList::split_rows`]); workers pull
-//! morsels off a shared counter and run the exact bbox scan, attribute
-//! refines, and grid-refinement point tests independently; the per-morsel
-//! selection vectors are then concatenated in morsel order. The bbox scan
-//! is one mask kernel ([`lidardb_storage::scan::bbox_scan`]): each block
-//! of 64 candidate rows becomes one `u64` of x-and-y compares and row ids
-//! come only from its set bits; a run the imprints proved fully qualifying
-//! skips the compare of every column whose probe took part. One worker, or
+//! morsels off a shared counter and run the filter kernel and the
+//! grid-refinement point tests independently; the per-morsel selection
+//! vectors are then concatenated in morsel order. The filter is one mask
+//! kernel ([`lidardb_storage::scan::mask_scan`]): each block of 64
+//! candidate rows becomes one `u64` — the x-and-y envelope compares, AND
+//! every pushed-down attribute range in its native domain, AND the band
+//! table's test of the feature's shape on the bits that survive — and row
+//! ids come only from its set bits. A run the imprints proved fully
+//! qualifying skips the envelope compare of every column whose probe took
+//! part. A select with no attribute range and no band table runs the
+//! envelope-only kernel ([`lidardb_storage::scan::bbox_scan`]). One worker, or
 //! an input too small to split ([`MORSEL_MIN_ROWS`]), is one morsel run on
 //! the calling thread: [`Parallelism::Serial`] is this engine with one
 //! inline worker, not a second implementation.
@@ -24,19 +28,19 @@
 //! Kernel panics are contained with the same `catch_unwind` pattern as the
 //! parallel loader and surface as [`CoreError::WorkerPanic`].
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use lidardb_geom::{Envelope, Point, PreparedGeometry, RectClass, Relation};
+use lidardb_geom::{Bands, Envelope, Point, PreparedGeometry, RectClass, Relation};
 use lidardb_imprints::CandidateList;
-use lidardb_storage::scan::{self, AggState};
-use lidardb_storage::{for_each_variant, Native};
+use lidardb_storage::scan::{self, AggState, AttrMask};
+use lidardb_storage::Native;
 
 use crate::error::CoreError;
 use crate::governor::{GovernCtx, CHECKPOINT_STRIDE};
-use crate::pointcloud::PointCloud;
-use crate::query::{grid_cell, grid_cell_env, AttrRange, Explain};
+use crate::query::{Explain, Grid};
 
 /// Worker-count policy for query execution: passed per call to
 /// `PointTable::select`/`aggregate` and `select_query_with` (the shorthand
@@ -188,14 +192,16 @@ fn concat(mut parts: Vec<Vec<usize>>) -> Vec<usize> {
 
 /// The read-only context shared by every filter morsel (step 1b).
 pub(crate) struct FilterJob<'a> {
-    pub pc: &'a PointCloud,
     pub env: Option<&'a Envelope>,
     /// Whether the x imprint participated in the candidate intersection
     /// (sure runs may skip the exact x check only if it did).
     pub x_probed: bool,
     /// The same for the y imprint.
     pub y_probed: bool,
-    pub attrs: &'a [AttrRange],
+    /// The pushed-down attribute ranges over this segment's columns.
+    pub attrs: Vec<AttrMask<'a>>,
+    /// The select's band table, when its predicate has one.
+    pub bands: Option<&'a Bands>,
     pub xs: &'a [f64],
     pub ys: &'a [f64],
     /// The spawning query's bbox-scan span `(trace_id, span_id)` when it
@@ -206,9 +212,40 @@ pub(crate) struct FilterJob<'a> {
     pub govern: &'a GovernCtx,
 }
 
-/// Step 1b: exact bbox scan + attribute refines over the candidate list,
-/// one morsel at a time, merged in morsel order. Records the worker count
-/// and per-morsel timings in `explain`.
+impl FilterJob<'_> {
+    /// Whether a run whose envelope compares are `x` and `y` tests
+    /// anything at all.
+    fn compares(&self, x: Option<(f64, f64)>, y: Option<(f64, f64)>) -> bool {
+        x.is_some() || y.is_some() || !self.attrs.is_empty() || self.bands.is_some()
+    }
+
+    /// The mask kernel over `rows`: the envelope-only kernel when there is
+    /// nothing else to test.
+    fn scan(
+        &self,
+        rows: Range<usize>,
+        x: Option<(f64, f64)>,
+        y: Option<(f64, f64)>,
+        out: &mut Vec<usize>,
+    ) {
+        let (xs, ys, attrs) = (self.xs, self.ys, &self.attrs[..]);
+        match self.bands {
+            Some(b) => {
+                let band = |x, y| b.admits(x, y);
+                scan::mask_scan(xs, ys, rows, x, y, attrs, Some(&band), out);
+            }
+            None if attrs.is_empty() => scan::bbox_scan(xs, ys, rows, x, y, out),
+            None => {
+                let none = None::<&fn(f64, f64) -> bool>;
+                scan::mask_scan(xs, ys, rows, x, y, attrs, none, out);
+            }
+        }
+    }
+}
+
+/// Step 1b: the mask kernel over the candidate list, one morsel at a
+/// time, merged in morsel order. Records the worker count and per-morsel
+/// timings in `explain`.
 pub(crate) fn filter(
     job: &FilterJob<'_>,
     cand: &CandidateList,
@@ -251,14 +288,14 @@ pub(crate) fn filter(
                 ),
                 None => (None, None),
             };
-            if x.is_some() || y.is_some() {
+            if job.compares(x, y) {
                 scan_calls += 1;
                 scan_rows += r.len() as u64;
             }
             let mut s = r.start;
             while s < r.end {
                 let e = r.end.min(s + (CHECKPOINT_STRIDE - since));
-                scan::bbox_scan(job.xs, job.ys, s..e, x, y, &mut rows);
+                job.scan(s..e, x, y, &mut rows);
                 since += e - s;
                 s = e;
                 if since >= CHECKPOINT_STRIDE {
@@ -270,18 +307,8 @@ pub(crate) fn filter(
                 }
             }
         }
-        // Runs are ordered, so `rows` is sorted. Refine the attribute
-        // predicates exactly.
-        for a in job.attrs {
-            scan_calls += 1;
-            scan_rows += rows.len() as u64;
-            // The bounds live on the `f64` query domain; integer columns
-            // are compared in their native domain with inward-rounded
-            // bounds, so predicates stay exact above 2^53.
-            let col = job.pc.column(&a.column)?;
-            for_each_variant!(col, v => scan::refine_range_f64(v, &mut rows, a.lo, a.hi));
-        }
-        // Selection materialisation is the morsel's memory footprint:
+        // Runs are ordered, so `rows` is sorted. Selection
+        // materialisation is the morsel's memory footprint:
         // charge it (budget trips cancel the query) and record the rows
         // toward `partial_rows` before handing the morsel back.
         if let Err(err) = job
@@ -343,20 +370,19 @@ pub(crate) fn refine_exhaustive(
 }
 
 /// Regular-grid refinement over the candidate rows, in one pass over row
-/// morsels: each candidate is binned to its cell, the cell is classified
-/// the first time a candidate lands in it, and the class dispatches the
-/// candidate — Inside keeps, Outside drops, Boundary runs the exact point
-/// test. Kept rows merge in morsel order. Cells and points are tested
-/// through the prepared geometry, which reads only the edges near them and
-/// answers as the per-call reference does. Every non-empty cell is
-/// classified and counted once, so rows and `Explain` cell counts do not
-/// depend on the worker count.
+/// morsels: each candidate is binned to its square cell of `grid`, the
+/// cell is classified the first time a candidate lands in it, and the
+/// class dispatches the candidate — Inside keeps, Outside drops, Boundary
+/// runs the exact point test. Kept rows merge in morsel order. Cells and
+/// points are tested through the prepared geometry, which reads only the
+/// edges near them and answers as the per-call reference does. Every
+/// non-empty cell is classified and counted once, so rows and `Explain`
+/// cell counts do not depend on the worker count.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_grid(
     geom: &PreparedGeometry,
     rel: Relation,
-    env: &Envelope,
-    cells: usize,
+    grid: &Grid,
     xs: &[f64],
     ys: &[f64],
     rows: &mut Vec<usize>,
@@ -368,15 +394,15 @@ pub(crate) fn refine_grid(
     const INSIDE: u8 = 1;
     const OUTSIDE: u8 = 2;
     const BOUNDARY: u8 = 3;
-    let w = env.width().max(f64::MIN_POSITIVE);
-    let h = env.height().max(f64::MIN_POSITIVE);
     // The refinement working set: one class byte per cell. Charging up
     // front converts a would-be OOM into a budget cancellation.
-    govern.charge((cells * cells) as u64)?;
+    govern.charge(grid.len() as u64)?;
+    explain.grid_nx += grid.nx();
+    explain.grid_ny += grid.ny();
     // Workers racing on an unseen cell both classify it and store the same
     // class; the byte publishes nothing else, so `Relaxed` suffices.
     let class: Vec<AtomicU8> = std::iter::repeat_with(|| AtomicU8::new(UNSEEN))
-        .take(cells * cells)
+        .take(grid.len())
         .collect();
     let chunks: Vec<&[usize]> = rows.chunks(morsel_size(rows.len(), workers)).collect();
     let results = run_indexed(workers, chunks.len(), |i| {
@@ -385,10 +411,10 @@ pub(crate) fn refine_grid(
         for sub in chunks[i].chunks(CHECKPOINT_STRIDE) {
             for &row in sub {
                 let p = Point::new(xs[row], ys[row]);
-                let cell = grid_cell(env, w, h, cells, p.x, p.y);
+                let cell = grid.cell(p.x, p.y);
                 let mut c = class[cell].load(Ordering::Relaxed);
                 if c == UNSEEN {
-                    c = match geom.classify_rect(&grid_cell_env(env, w, h, cells, cell), rel) {
+                    c = match geom.classify_rect(&grid.cell_env(cell), rel) {
                         RectClass::Inside => INSIDE,
                         RectClass::Outside => OUTSIDE,
                         RectClass::Boundary => BOUNDARY,

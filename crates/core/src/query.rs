@@ -3,17 +3,22 @@
 //! **Step 1 — filter.** The bbox of the query geometry is probed against
 //! the X- and Y-column imprints, cheapest first, each later probe
 //! restricted to the candidates of the ones before; candidate runs whose
-//! imprints prove every value qualifies skip the exact check entirely, the
-//! rest go through the 64-rows-per-mask bbox kernel.
+//! imprints prove every value qualifies skip the envelope compares, and
+//! every run goes through the 64-rows-per-mask kernel: envelope compares,
+//! pushed-down attribute ranges, and the band table of the geometry's
+//! shape ([`lidardb_geom::Bands`]), which drops the points of the
+//! envelope that lie far from the feature along its long axis.
 //!
-//! **Step 2 — refine.** For a non-rectangular geometry, a regular grid is
-//! laid over the bbox, surviving points are binned to cells, every
-//! *non-empty* cell is classified against the geometry in one step
-//! (INSIDE → take all points, OUTSIDE → drop all), and only BOUNDARY
-//! cells fall back to exact per-point predicate evaluation. Cells and
-//! points are tested against the geometry's
-//! [`lidardb_geom::PreparedGeometry`] — its edges binned by y-interval —
-//! built at most once per select, the first time refinement runs.
+//! **Step 2 — refine.** For a non-rectangular geometry, a grid of about
+//! `cells²` square cells is laid over the bbox, surviving points are
+//! binned to cells, every *non-empty* cell is classified against the
+//! geometry in one step (INSIDE → take all points, OUTSIDE → drop all),
+//! and only BOUNDARY cells fall back to exact per-point predicate
+//! evaluation. Cells and points are tested against the geometry's
+//! [`lidardb_geom::PreparedGeometry`] — its edges binned by y-interval.
+//! The prepared geometry and the band table are built at most once per
+//! select ([`PreparedShape`]), charged to the statement's memory budget
+//! before they are built.
 //!
 //! Reads of every table shape go through one view,
 //! [`crate::table::PointTable`]; [`PointCloud`] keeps `select`,
@@ -26,9 +31,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lidardb_geom::{
-    contains_point, dwithin_point, Envelope, Geometry, Point, PreparedGeometry, Relation,
+    contains_point, dwithin_point, Axis, Bands, Envelope, Geometry, Point, PreparedGeometry,
+    Relation,
 };
-use lidardb_storage::scan;
+use lidardb_storage::for_each_variant;
+use lidardb_storage::scan::{self, AttrMask};
 
 use crate::error::CoreError;
 use crate::exec::{self, MorselTiming, Parallelism};
@@ -106,6 +113,54 @@ impl SpatialPredicate {
             }
         }
         None
+    }
+}
+
+/// A select's predicate geometry, prepared once and shared by every
+/// segment: the edge index refinement tests cells and points through, and
+/// the filter's band table when one pays.
+#[derive(Debug)]
+pub(crate) struct PreparedShape {
+    geom: PreparedGeometry,
+    rel: Relation,
+    bands: Option<Bands>,
+}
+
+impl PreparedShape {
+    /// Prepare `pred` for a select whose filter envelope is `env`,
+    /// charging `ctx` for the edge copies and the band table before
+    /// building either. `None` when refinement tests nothing — a pure
+    /// rectangle, or a `BboxOnly` select — which then filters by its
+    /// envelope alone.
+    pub(crate) fn new(
+        pred: &SpatialPredicate,
+        strategy: RefineStrategy,
+        env: &Envelope,
+        ctx: &GovernCtx,
+    ) -> Result<Option<PreparedShape>, CoreError> {
+        if strategy == RefineStrategy::BboxOnly || pred.is_pure_bbox().is_some() {
+            return Ok(None);
+        }
+        let (g, rel) = pred.relation();
+        ctx.charge(PreparedGeometry::build_bytes(g))?;
+        let geom = PreparedGeometry::new(g);
+        let bands = match Bands::layout(&geom, rel, env) {
+            Some(layout) => {
+                ctx.charge(layout.bytes() as u64)?;
+                Bands::build(&geom, &layout)
+            }
+            None => None,
+        };
+        Ok(Some(PreparedShape { geom, rel, bands }))
+    }
+
+    /// Record the band table's size in `explain`.
+    pub(crate) fn note_bands(&self, explain: &mut Explain) {
+        match self.bands.as_ref().map(|b| (b.axis(), b.len())) {
+            Some((Axis::X, n)) => explain.bands_x = n,
+            Some((Axis::Y, n)) => explain.bands_y = n,
+            None => {}
+        }
     }
 }
 
@@ -191,12 +246,22 @@ pub struct Explain {
     pub tiles_loaded: usize,
     /// Tile segments the resident-budget LRU evicted while this query ran.
     pub tiles_evicted: usize,
+    /// Bands of the filter's band table cutting x (each holding a
+    /// y-interval); 0 when the select built none.
+    pub bands_x: usize,
+    /// The same for a table cutting y.
+    pub bands_y: usize,
+    /// Columns of the refinement grid (summed over the segments that laid
+    /// one).
+    pub grid_nx: usize,
+    /// Rows of the refinement grid (summed likewise).
+    pub grid_ny: usize,
 }
 
 impl Explain {
     /// Fold another segment's or probe's `Explain` into this one: counts
-    /// and timings sum, workers take the max, morsel breakdowns
-    /// concatenate. Tile counters are the caller's.
+    /// (band and grid sizes included) and timings sum, workers take the
+    /// max, morsel breakdowns concatenate. Tile counters are the caller's.
     pub fn merge(&mut self, sub: &Explain) {
         self.after_imprints += sub.after_imprints;
         self.sure_rows += sub.sure_rows;
@@ -212,6 +277,10 @@ impl Explain {
         self.t_imprints += sub.t_imprints;
         self.t_bbox += sub.t_bbox;
         self.t_refine += sub.t_refine;
+        self.bands_x += sub.bands_x;
+        self.bands_y += sub.bands_y;
+        self.grid_nx += sub.grid_nx;
+        self.grid_ny += sub.grid_ny;
         self.workers = self.workers.max(sub.workers);
         self.morsel_times.extend(sub.morsel_times.iter().copied());
     }
@@ -236,6 +305,10 @@ impl Explain {
             ("attr_probes", self.attr_probes as u64),
             ("degraded_probes", self.degraded_probes as u64),
             ("result_rows", self.result_rows as u64),
+            ("bands_x", self.bands_x as u64),
+            ("bands_y", self.bands_y as u64),
+            ("grid_nx", self.grid_nx as u64),
+            ("grid_ny", self.grid_ny as u64),
         ]
     }
 
@@ -246,7 +319,9 @@ impl Explain {
              imprint build       -           {:.6}\n\
              imprint filter      {:<10}  {:.6}\n\
              exact bbox scan     {:<10}  {:.6}\n\
+             (bands x/y)         {}/{}\n\
              grid refinement     {:<10}  {:.6}\n\
+             (grid nx x ny)      {}x{}\n\
              (cells in/out/bnd)  {}/{}/{}\n\
              (sure rows)         {}\n\
              (exact pt tests)    {}\n\
@@ -259,8 +334,12 @@ impl Explain {
             self.t_imprints,
             self.after_bbox,
             self.t_bbox,
+            self.bands_x,
+            self.bands_y,
             self.result_rows,
             self.t_refine,
+            self.grid_nx,
+            self.grid_ny,
             self.cells_inside,
             self.cells_outside,
             self.cells_boundary,
@@ -349,13 +428,13 @@ impl PointCloud {
     /// The two-step pipeline proper: probes, exact scans, refinement.
     /// Returns the matching rows; `explain` is filled in as far as
     /// execution got (on cancellation it describes the completed prefix).
-    /// `prepared` holds the predicate geometry's edge index: the first
-    /// segment whose refinement runs builds it, later ones reuse it.
+    /// `prepared` holds the predicate's [`PreparedShape`]: the first
+    /// segment that filters builds it, later ones reuse it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn query_stages(
         &self,
         pred: Option<&SpatialPredicate>,
-        prepared: &OnceCell<PreparedGeometry>,
+        prepared: &OnceCell<Option<PreparedShape>>,
         attrs: &[AttrRange],
         strategy: RefineStrategy,
         parallelism: Parallelism,
@@ -481,18 +560,33 @@ impl PointCloud {
             0
         };
         let t0 = Instant::now();
+        let shape = match (pred, &env) {
+            (Some(p), Some(e)) => match prepared.get() {
+                Some(shape) => shape.as_ref(),
+                None => {
+                    let shape = PreparedShape::new(p, strategy, e, ctx)?;
+                    prepared.get_or_init(|| shape).as_ref()
+                }
+            },
+            _ => None,
+        };
         let (xs, ys) = if env.is_some() {
             (self.f64_column("x")?, self.f64_column("y")?)
         } else {
             (&[][..], &[][..])
         };
+        let mut masks = Vec::with_capacity(attrs.len());
+        for a in attrs {
+            let col = self.column(&a.column)?;
+            masks.push(for_each_variant!(col, v => AttrMask::new(v, a.lo, a.hi)));
+        }
         let workers = parallelism.workers();
         let job = exec::FilterJob {
-            pc: self,
             env: env.as_ref(),
             x_probed,
             y_probed,
-            attrs,
+            attrs: masks,
+            bands: shape.and_then(|s| s.bands.as_ref()),
             xs,
             ys,
             trace_ctx: bbox_span.ctx(),
@@ -519,30 +613,26 @@ impl PointCloud {
             trace::inert()
         };
         let t0 = Instant::now();
-        if let (Some(pred), Some(env)) = (pred, &env) {
-            let pure_bbox = pred.is_pure_bbox().is_some();
-            let (geom, rel) = pred.relation();
-            // Built on first use only: pure-bbox and `BboxOnly` selects
-            // never prepare the geometry.
-            let prepare = || prepared.get_or_init(|| PreparedGeometry::new(geom));
+        // A pure-bbox or `BboxOnly` select has no shape: its envelope
+        // check was all there is to do.
+        if let (Some(shape), Some(env)) = (shape, &env) {
+            let (geom, rel) = (&shape.geom, shape.rel);
             match strategy {
                 RefineStrategy::BboxOnly => {}
-                _ if pure_bbox => {} // bbox check was already exact
                 RefineStrategy::Exhaustive => {
                     explain.exact_tests = rows.len();
-                    exec::refine_exhaustive(prepare(), rel, xs, ys, &mut rows, workers, ctx)?;
+                    exec::refine_exhaustive(geom, rel, xs, ys, &mut rows, workers, ctx)?;
                 }
                 RefineStrategy::Grid { .. } | RefineStrategy::AdaptiveGrid => {
                     let cells = match strategy {
-                        // Clamp the grid: the cell table is cells² entries,
-                        // so an unbounded request would allocate without
-                        // limit.
+                        // Clamp the grid: the cell table is about cells²
+                        // entries, so an unbounded request would allocate
+                        // without limit.
                         RefineStrategy::Grid { cells } => cells.clamp(1, MAX_GRID),
                         _ => ((rows.len() as f64 / 128.0).sqrt() as usize).clamp(8, MAX_GRID),
                     };
-                    exec::refine_grid(
-                        prepare(), rel, env, cells, xs, ys, &mut rows, explain, workers, ctx,
-                    )?;
+                    let grid = Grid::new(env, cells);
+                    exec::refine_grid(geom, rel, &grid, xs, ys, &mut rows, explain, workers, ctx)?;
                 }
             }
         }
@@ -610,23 +700,69 @@ pub enum Aggregate {
     Max,
 }
 
-/// Cell id of a point on the refinement grid laid over `env`.
-#[inline]
-pub(crate) fn grid_cell(env: &Envelope, w: f64, h: f64, cells: usize, x: f64, y: f64) -> usize {
-    let cx = (((x - env.min_x) / w) * cells as f64) as usize;
-    let cy = (((y - env.min_y) / h) * cells as f64) as usize;
-    cy.min(cells - 1) * cells + cx.min(cells - 1)
+/// The refinement grid over an envelope `w × h`: a budget of `cells²`
+/// square cells of side `s = √(w·h / cells²)`, `⌈w/s⌉ × ⌈h/s⌉` of them.
+/// A cell as wide as the envelope is thin classifies nothing inside a
+/// thin corridor; a square one does. The side is at least
+/// `max(w, h) / cells²`, so an envelope with no height (or width) gets one
+/// row of `cells²` cells.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Grid {
+    min_x: f64,
+    min_y: f64,
+    side: f64,
+    nx: usize,
+    ny: usize,
 }
 
-/// The envelope of one grid cell (inverse of [`grid_cell`]'s binning).
-pub(crate) fn grid_cell_env(env: &Envelope, w: f64, h: f64, cells: usize, cell: usize) -> Envelope {
-    let cx = cell % cells;
-    let cy = cell / cells;
-    Envelope {
-        min_x: env.min_x + w * cx as f64 / cells as f64,
-        min_y: env.min_y + h * cy as f64 / cells as f64,
-        max_x: env.min_x + w * (cx + 1) as f64 / cells as f64,
-        max_y: env.min_y + h * (cy + 1) as f64 / cells as f64,
+impl Grid {
+    pub(crate) fn new(env: &Envelope, cells: usize) -> Grid {
+        let (w, h) = (env.width(), env.height());
+        let budget = (cells * cells) as f64;
+        let side = (w * h / budget).sqrt().max(w.max(h) / budget);
+        // 0 / 0 (a point envelope) saturates to 0 cells, made 1.
+        let count = |extent: f64| ((extent / side).ceil() as usize).max(1);
+        Grid {
+            min_x: env.min_x,
+            min_y: env.min_y,
+            side,
+            nx: count(w),
+            ny: count(h),
+        }
+    }
+
+    /// Columns of cells.
+    pub(crate) fn nx(&self) -> usize {
+        self.nx
+    }
+
+    /// Rows of cells.
+    pub(crate) fn ny(&self) -> usize {
+        self.ny
+    }
+
+    /// Number of cells.
+    pub(crate) fn len(&self) -> usize {
+        self.nx * self.ny
+    }
+
+    /// Cell id of a point of the envelope.
+    #[inline]
+    pub(crate) fn cell(&self, x: f64, y: f64) -> usize {
+        let cx = ((x - self.min_x) / self.side) as usize;
+        let cy = ((y - self.min_y) / self.side) as usize;
+        cy.min(self.ny - 1) * self.nx + cx.min(self.nx - 1)
+    }
+
+    /// The envelope of one cell (inverse of [`Self::cell`]'s binning).
+    pub(crate) fn cell_env(&self, cell: usize) -> Envelope {
+        let (cx, cy) = ((cell % self.nx) as f64, (cell / self.nx) as f64);
+        Envelope {
+            min_x: self.min_x + self.side * cx,
+            min_y: self.min_y + self.side * cy,
+            max_x: self.min_x + self.side * (cx + 1.0),
+            max_y: self.min_y + self.side * (cy + 1.0),
+        }
     }
 }
 
@@ -880,12 +1016,16 @@ mod tests {
             tiles_probed: 1511,
             tiles_loaded: 1601,
             tiles_evicted: 1709,
+            bands_x: 1801,
+            bands_y: 1901,
+            grid_nx: 2003,
+            grid_ny: 2111,
         };
         let table = e.to_table();
         for sentinel in [
             "101", "211", "307", "401", "503", "601", "701", "809", "907", "1009", "0.111213",
             "0.141516", "0.171819", "0.212223", "1103", "1201", "1301", "1409", "1511", "1601",
-            "1709",
+            "1709", "1801", "1901", "2003", "2111",
         ] {
             assert!(
                 table.contains(sentinel),
@@ -896,7 +1036,10 @@ mod tests {
         let counters = e.counters();
         assert!(counters.contains(&("attr_probes", 809)));
         let values: Vec<u64> = counters.iter().map(|c| c.1).collect();
-        assert_eq!(values, [101, 211, 307, 401, 503, 601, 701, 809, 907, 1009]);
+        assert_eq!(
+            values,
+            [101, 211, 307, 401, 503, 601, 701, 809, 907, 1009, 1801, 1901, 2003, 2111]
+        );
     }
 
     #[test]
@@ -1313,6 +1456,37 @@ mod review_regressions {
             pc.select(&rect(0.0, 0.0, 99.0, 99.0)).unwrap().rows.len(),
             10_000
         );
+    }
+
+    /// The prepared geometry's edge copies and the band table are charged
+    /// to the statement before they are built: a budget that holds a
+    /// select's few rows and its grid, but not the edge index of a
+    /// 128-edge corridor, cancels the select with a typed budget error
+    /// before any row is filtered.
+    #[test]
+    fn mem_budget_cancels_before_preparing_a_128_edge_corridor() {
+        let pc = grid_cloud();
+        let line: Vec<Point> = (0..64)
+            .map(|i| Point::new(i as f64 * 0.15, 50.0 + (i as f64 * 0.4).sin()))
+            .collect();
+        let line = lidardb_geom::LineString::new(line).unwrap();
+        let corridor = lidardb_geom::buffer_polyline(&line, 0.4).unwrap();
+        assert_eq!(corridor.exterior().vertices().len(), 128);
+        let pred = SpatialPredicate::DWithin(Geometry::Polygon(corridor), 0.5);
+        let budget = 8 * 1024;
+        let run = |budget| {
+            let ctx = GovernCtx::new(CancelToken::with(None, Some(budget)), None);
+            let strategy = RefineStrategy::default();
+            PointTable::Flat(&pc).select(Some(&pred), &[], strategy, Parallelism::Serial, &ctx)
+        };
+        let err = run(budget).unwrap_err();
+        assert_eq!(expect_cancelled(err, CancelReason::MemBudget), 0);
+        let sel = run(1 << 20).unwrap();
+        let (geom, _) = pred.relation();
+        assert!(PreparedGeometry::build_bytes(geom) > budget);
+        let rows_and_grid = sel.rows.len() * 8 + sel.explain.grid_nx * sel.explain.grid_ny;
+        assert!(rows_and_grid < budget as usize, "{rows_and_grid} bytes");
+        assert!(!sel.rows.is_empty());
     }
 
     #[test]

@@ -189,16 +189,26 @@ impl<'a> PointTable<'a> {
         ctx: &GovernCtx,
     ) -> Result<Selection, CoreError> {
         run_query(ctx, |root, explain| {
-            // The predicate geometry's edge index, shared by every segment
-            // and built by the first one whose refinement runs.
+            // The predicate's edge index and band table, shared by every
+            // segment and built by the first one that filters.
             let prepared = OnceCell::new();
             let stages = |pc: &PointCloud, root: &mut _, explain: &mut _| {
                 pc.query_stages(pred, &prepared, attrs, strategy, parallelism, ctx, root, explain)
             };
+            // The band table is the select's, not each segment's.
+            let note_bands = |explain: &mut Explain| {
+                if let Some(Some(shape)) = prepared.get() {
+                    shape.note_bands(explain);
+                }
+            };
             let tc = match *self {
                 // One always-resident segment, nothing to prune: its stages
                 // write the explain and the rows directly.
-                PointTable::Flat(pc) => return stages(pc, root, explain),
+                PointTable::Flat(pc) => {
+                    let rows = stages(pc, root, explain);
+                    note_bands(explain);
+                    return rows;
+                }
                 PointTable::Tiled(tc) => tc,
             };
             let tiles = tc.tiles();
@@ -223,6 +233,7 @@ impl<'a> PointTable<'a> {
                 rows.extend(local.iter().map(|&r| r + base));
                 explain.merge(&sub);
             }
+            note_bands(explain);
             explain.result_rows = rows.len();
             explain.tiles_total = tiles.len();
             explain.tiles_pruned = tiles.len() - survivors.len();

@@ -153,7 +153,9 @@ const SLOT_WORDS: usize = 11;
 
 struct Slot {
     /// Seqlock word: `2·claim+1` while the slot is being written,
-    /// `2·claim+2` once stable, `1` after [`Tracer::clear`].
+    /// `2·claim+2` once stable, `0` when empty (new, or after
+    /// [`Tracer::clear`]). A writer owns the slot from its odd word to its
+    /// even one; the word only grows between clears.
     seq: AtomicU64,
     data: [AtomicU64; SLOT_WORDS],
 }
@@ -161,7 +163,7 @@ struct Slot {
 impl Slot {
     fn new() -> Slot {
         Slot {
-            seq: AtomicU64::new(1),
+            seq: AtomicU64::new(0),
             data: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -212,12 +214,47 @@ impl Tracer {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Push one finished span. Lock-free: one `fetch_add` to claim a slot
-    /// plus plain word stores published by the slot's sequence.
+    /// Push one finished span: one `fetch_add` claims a slot, and the
+    /// record is written and published there unless a newer claim on the
+    /// same slot got there first.
     pub fn push(&self, r: &SpanRecord) {
-        let claim = self.head.fetch_add(1, Ordering::Relaxed);
+        self.write(self.claim(), r);
+    }
+
+    fn claim(&self) -> u64 {
+        self.head.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Write `r` as claim `claim`. The slot is taken by moving its word
+    /// from an even (stable or empty) value below `2·claim+1` to
+    /// `2·claim+1`: a writer that finds a newer claim's word there has
+    /// been lapped, and drops its record — the ring has already evicted
+    /// it — instead of writing over the newer one. A writer that finds an
+    /// older claim mid-write waits for it to publish, so two writers never
+    /// share a slot's words.
+    fn write(&self, claim: u64, r: &SpanRecord) {
         let slot = &self.slots[(claim % self.slots.len() as u64) as usize];
-        slot.seq.store(2 * claim + 1, Ordering::Release);
+        let mine = 2 * claim + 1;
+        let mut seq = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if seq >= mine {
+                return;
+            }
+            if seq % 2 == 1 {
+                std::thread::yield_now();
+                seq = slot.seq.load(Ordering::Relaxed);
+                continue;
+            }
+            // Acquire pairs with the previous owner's publishing Release,
+            // so its word stores happen before ours.
+            match slot.seq.compare_exchange_weak(seq, mine, Ordering::Acquire, Ordering::Relaxed) {
+                Ok(_) => break,
+                Err(now) => seq = now,
+            }
+        }
+        // Orders the odd word before the data stores for a reader that
+        // sees any of them: its Acquire fence then sees the odd word too.
+        std::sync::atomic::fence(Ordering::Release);
         let words = [
             r.trace_id,
             r.span_id,
@@ -234,7 +271,7 @@ impl Tracer {
         for (cell, w) in slot.data.iter().zip(words) {
             cell.store(w, Ordering::Relaxed);
         }
-        slot.seq.store(2 * claim + 2, Ordering::Release);
+        slot.seq.store(mine + 1, Ordering::Release);
     }
 
     /// Copy the stable contents out, oldest first, without blocking
@@ -283,7 +320,7 @@ impl Tracer {
     pub fn clear(&self) {
         self.head.store(0, Ordering::Release);
         for s in self.slots.iter() {
-            s.seq.store(1, Ordering::Release);
+            s.seq.store(0, Ordering::Release);
         }
     }
 }
@@ -792,6 +829,26 @@ mod tests {
         assert_eq!(sink.spans[0].seq, 0);
     }
 
+    /// A writer preempted between claiming `c` and writing it must not
+    /// write over, or publish over, the newer claim `c + capacity` that
+    /// finished meanwhile: the ring keeps the newest claims whatever order
+    /// their writes land in.
+    #[test]
+    fn a_lapped_writer_does_not_overwrite_the_newer_claim() {
+        let t = Tracer::with_capacity(2);
+        let stale = t.claim(); // claim 0, slot 0: its writer is preempted
+        t.push(&rec(0, 1, 11, 0)); // claim 1, slot 1
+        t.push(&rec(0, 1, 12, 0)); // claim 2, slot 0 again
+        t.write(stale, &rec(0, 1, 10, 0));
+        let sink = t.snapshot();
+        let kept: Vec<(u64, u64)> = sink.spans.iter().map(|s| (s.seq, s.span_id)).collect();
+        assert_eq!(kept, [(1, 11), (2, 12)]);
+        // The slot stays the newer claim's for the next lap.
+        t.push(&rec(0, 1, 13, 0)); // claim 3, slot 1
+        let kept: Vec<u64> = t.snapshot().spans.iter().map(|s| s.span_id).collect();
+        assert_eq!(kept, [12, 13]);
+    }
+
     #[test]
     fn concurrent_pushes_are_not_torn() {
         // 4 threads × 2000 pushes through a 64-slot ring: every record a
@@ -826,6 +883,8 @@ mod tests {
         assert_eq!(t.recorded(), 8000);
         let sink = t.snapshot();
         assert_eq!(sink.len(), 64);
+        let claims: Vec<u64> = sink.spans.iter().map(|s| s.seq).collect();
+        assert_eq!(claims, (8000 - 64..8000).collect::<Vec<_>>(), "the last 64 claims");
         for s in &sink.spans {
             // Internal consistency: every field carries the same id.
             let id = s.trace_id;

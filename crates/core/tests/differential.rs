@@ -536,6 +536,59 @@ fn differential_corridor_and_holed_polygon_streaming() {
     check_corridor_and_holed_polygon(Shape::flat(&streaming.pc, &streaming.model));
 }
 
+/// The east–west chevron corridor of the scene's motorway zone, through
+/// the dense band: its band table cuts x.
+fn chevron_corridor() -> Geometry {
+    let centre = LineString::new(vec![
+        Point::new(0.0, 330.0),
+        Point::new(500.0, 470.0),
+        Point::new(1000.0, 380.0),
+    ])
+    .unwrap();
+    Geometry::Polygon(buffer_polyline(&centre, 23.0).unwrap())
+}
+
+/// The band-masked filter on the shapes it is built for and the one it
+/// drops: the chevron corridor and an axis-parallel line (every band spans
+/// the envelope, so no table), each under `ST_DWithin` plus an attribute
+/// range, refined by grid and exhaustively.
+fn check_banded_filters(shape: Shape) {
+    let attrs = [AttrRange::new("classification", 2.0, 7.0)];
+    let axis_line = Geometry::LineString(
+        LineString::new(vec![Point::new(0.0, 410.0), Point::new(1000.0, 410.0)]).unwrap(),
+    );
+    let cases = [
+        (SpatialPredicate::DWithin(chevron_corridor(), 2.5), true),
+        (SpatialPredicate::DWithin(chevron_corridor(), 0.0), true),
+        (SpatialPredicate::DWithin(axis_line, 5.5), false),
+    ];
+    for (pred, banded) in &cases {
+        for strategy in [RefineStrategy::default(), RefineStrategy::Exhaustive] {
+            let rows = assert_differential(shape, Some(pred), &attrs, strategy);
+            assert!(!rows.is_empty(), "{pred:?} selects rows");
+        }
+        let e = shape.select(Some(pred), &attrs, RefineStrategy::default(), Parallelism::Serial);
+        let e = e.explain;
+        assert_eq!((e.bands_x > 0, e.bands_y), (*banded, 0), "{pred:?}");
+    }
+}
+
+#[test]
+fn differential_banded_filters_flat() {
+    check_banded_filters(Shape::shared());
+}
+
+#[test]
+fn differential_banded_filters_tiled() {
+    check_banded_filters(TiledShape::new().shape());
+}
+
+#[test]
+fn differential_banded_filters_streaming() {
+    let streaming = StreamingShape::new(36_000);
+    check_banded_filters(Shape::flat(&streaming.pc, &streaming.model));
+}
+
 #[test]
 fn differential_attrs_only() {
     for_each_shape(|pc| {

@@ -16,7 +16,7 @@
 use crate::envelope::Envelope;
 use crate::geometry::Geometry;
 use crate::polygon::Polygon;
-use crate::predicates::distance_point;
+use crate::predicates::{contains_point, distance_point};
 
 /// The relation of a grid cell to the query geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,9 +69,34 @@ pub fn classify_rect_multipolygon(rect: &Envelope, polys: &[Polygon]) -> RectCla
 ///
 /// Conservative (triangle-inequality bound around the cell center): may
 /// report `Boundary` for cells that are actually uniform, never the
-/// reverse.
+/// reverse. A centre inside a polygon is decided by its distance `D` to
+/// the boundary instead: see [`inside_dwithin_label`].
 pub fn classify_rect_dwithin(rect: &Envelope, g: &Geometry, d: f64) -> RectClass {
-    dwithin_label(distance_point(g, &rect.center()), rect.half_diagonal(), d)
+    let (c, r) = (rect.center(), rect.half_diagonal());
+    let polygonal = matches!(g, Geometry::Polygon(_) | Geometry::MultiPolygon(_));
+    if polygonal && contains_point(g, &c) {
+        let boundary = g
+            .boundary_segments()
+            .map(|e| e.distance_point(&c))
+            .fold(f64::INFINITY, f64::min);
+        return inside_dwithin_label(boundary, r, d);
+    }
+    dwithin_label(distance_point(g, &c), r, d)
+}
+
+/// The decision for a cell of half-diagonal `r` whose centre lies inside a
+/// polygon, `boundary` away from the nearest boundary edge: `Inside` iff
+/// `d ≥ 0` and `r ≤ boundary + d`. A point of the cell inside the polygon
+/// is at distance 0; one outside is reached from the centre across the
+/// boundary, at least `boundary` along its at most `r` long way, so it
+/// lies within `r − boundary ≤ d` of the polygon. Otherwise the
+/// triangle-inequality label of a centre at distance 0.
+pub(crate) fn inside_dwithin_label(boundary: f64, r: f64, d: f64) -> RectClass {
+    if d >= 0.0 && r <= boundary + d {
+        RectClass::Inside
+    } else {
+        dwithin_label(0.0, r, d)
+    }
 }
 
 /// The triangle-inequality decision of [`classify_rect_dwithin`], given the
@@ -214,6 +239,80 @@ mod tests {
             classify_rect_multipolygon(&env(55.0, 55.0, 65.0, 55.5), &polys),
             RectClass::Boundary
         );
+    }
+
+    /// Under `DWithin`, a cell whose centre lies inside a polygon is
+    /// `Inside` when it reaches past the boundary by no more than `d`, even
+    /// though it is wider than `d`; every point of every `Inside` cell
+    /// passes the exact test, and a cell reaching farther is not `Inside`.
+    #[test]
+    fn dwithin_inside_cells_of_polygons_are_sound() {
+        let square: Geometry = big_square().into();
+        let d = 2.0;
+        // Centre 3 from the left edge, half-diagonal 4.24 ≤ 3 + 2.
+        let near = env(0.0, 47.0, 6.0, 53.0);
+        assert_eq!(classify_rect_dwithin(&near, &square, d), RectClass::Inside);
+        // Centre 1 from the edge, half-diagonal 4.24 > 1 + 2: not decided,
+        // though its far side is exactly 2 out (the rule is conservative).
+        let over = env(-2.0, 47.0, 4.0, 53.0);
+        assert_eq!(classify_rect_dwithin(&over, &square, d), RectClass::Boundary);
+        assert!(distance_point(&square, &Point::new(-2.0, 47.0)) <= d);
+        // Centre outside: the centre-distance label, never Inside here.
+        let far = env(-3.5, 47.0, 2.5, 53.0);
+        assert!(distance_point(&square, &Point::new(-3.5, 47.0)) > d);
+        assert_ne!(classify_rect_dwithin(&far, &square, d), RectClass::Inside);
+        // A sweep of square cells of several sizes over a concave polygon
+        // with a hole: every sampled point of an `Inside` cell passes.
+        let c: Geometry = Polygon::new(
+            Ring::new(vec![
+                Point::new(0.0, 0.0),
+                Point::new(100.0, 0.0),
+                Point::new(100.0, 20.0),
+                Point::new(20.0, 20.0),
+                Point::new(20.0, 80.0),
+                Point::new(100.0, 80.0),
+                Point::new(100.0, 100.0),
+                Point::new(0.0, 100.0),
+            ])
+            .unwrap(),
+            vec![Ring::new(vec![
+                Point::new(5.0, 40.0),
+                Point::new(12.0, 40.0),
+                Point::new(12.0, 60.0),
+                Point::new(5.0, 60.0),
+            ])
+            .unwrap()],
+        )
+        .into();
+        let mut inside = 0;
+        for side in [1.5, 3.0, 7.0] {
+            for d in [0.0, 0.5, 2.0] {
+                let n = (110.0 / side) as i32;
+                for gx in -2..n {
+                    for gy in -2..n {
+                        let (x0, y0) = (gx as f64 * side, gy as f64 * side);
+                        let cell = env(x0, y0, x0 + side, y0 + side);
+                        if classify_rect_dwithin(&cell, &c, d) != RectClass::Inside {
+                            continue;
+                        }
+                        inside += 1;
+                        for i in 0..=4 {
+                            for j in 0..=4 {
+                                let p = Point::new(
+                                    x0 + side * i as f64 / 4.0,
+                                    y0 + side * j as f64 / 4.0,
+                                );
+                                assert!(
+                                    distance_point(&c, &p) <= d,
+                                    "{p:?} of Inside cell {cell:?} at d {d}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(inside > 0);
     }
 
     #[test]

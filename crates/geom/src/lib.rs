@@ -12,12 +12,16 @@
 //! query geometry (accept all its points without further checks), fully
 //! OUTSIDE (reject all), or BOUNDARY (fall back to exact per-point tests).
 //! [`prepared`] answers the same cell and point questions from an edge
-//! index built once per query, reading only the edges near the point.
+//! index built once per query, reading only the edges near the point, and
+//! [`bands`] turns that index into the filter step's band table: per slab
+//! of the long axis, the interval of the other coordinate a matching point
+//! can have.
 //!
 //! All coordinates are planar `f64` (projected CRS such as the Dutch RD /
 //! EPSG:28992 that AHN2 ships in); no geodesy is involved, exactly as in the
 //! demo.
 
+pub mod bands;
 pub mod buffer;
 pub mod classify;
 pub mod envelope;
@@ -29,6 +33,7 @@ pub mod prepared;
 pub mod segment;
 pub mod wkt;
 
+pub use bands::{Axis, BandLayout, Bands};
 pub use buffer::{buffer_geometry, buffer_point, buffer_polyline};
 pub use classify::{classify_rect_dwithin, classify_rect_polygon, RectClass};
 pub use envelope::Envelope;

@@ -25,7 +25,9 @@
 //! * **Cells, `DWithin(d)`.** The centre distance is the minimum over the
 //!   edges within `d + half_diagonal + slack`; when there are none the
 //!   true distance exceeds that radius and the cell is `Outside`, as the
-//!   reference decides.
+//!   reference decides. A centre inside a polygon needs its boundary
+//!   distance `D` only as far as `r − d` (the cell is `Inside` iff
+//!   `r ≤ D + d`): edges farther than `r − d + slack` cannot decide it.
 //!
 //! The bin count follows from the edges alone: their number divided by
 //! how many of them a horizontal line crosses on average, which keeps the
@@ -34,7 +36,7 @@
 //! listed in each and read once per query, from the first bin the query
 //! visits.
 
-use crate::classify::{dwithin_label, RectClass};
+use crate::classify::{dwithin_label, inside_dwithin_label, RectClass};
 use crate::envelope::Envelope;
 use crate::geometry::Geometry;
 use crate::polygon::{ray_step, Polygon, RayStep};
@@ -51,7 +53,7 @@ use crate::Point;
 /// max|coordinate| + |radius|)`, six orders of magnitude above that bound
 /// and 0.1 mm at those coordinates, so no edge the reference would find
 /// within the radius is ever skipped.
-const SLACK: f64 = 1e-9;
+pub(crate) const SLACK: f64 = 1e-9;
 
 /// The relation [`PreparedGeometry::classify_rect`] and
 /// [`PreparedGeometry::matches`] decide.
@@ -132,6 +134,9 @@ pub struct PreparedGeometry {
     last_bin: usize,
     /// `1 + max |coordinate|`, the scale of [`SLACK`].
     magnitude: f64,
+    /// `2 · area / perimeter` of a polygonal geometry (a corridor's
+    /// width), 0 for points and lines.
+    thickness: f64,
 }
 
 impl PreparedGeometry {
@@ -151,6 +156,7 @@ impl PreparedGeometry {
                 + g.vertices()
                     .map(|v| v.x.abs().max(v.y.abs()))
                     .fold(0.0, f64::max),
+            thickness: 0.0,
         };
         let mut edges = Vec::new();
         match g {
@@ -173,8 +179,72 @@ impl PreparedGeometry {
                 }
             }
         }
+        if prep.shape == Shape::Polygons {
+            let area: f64 = match g {
+                Geometry::Polygon(pg) => pg.area(),
+                Geometry::MultiPolygon(mp) => mp.area(),
+                _ => 0.0,
+            };
+            let perimeter: f64 = edges.iter().map(|e| e.seg.length()).sum();
+            if perimeter > 0.0 {
+                prep.thickness = 2.0 * area / perimeter;
+            }
+        }
         prep.build_bins(edges);
         prep
+    }
+
+    /// An upper bound on the heap bytes [`Self::new`] allocates for `g`,
+    /// transient ones included: at most `3n` binned copies of its `n`
+    /// edges plus the `n` it bins from, its bin offsets, member points and
+    /// ring and polygon tags.
+    pub fn build_bytes(g: &Geometry) -> u64 {
+        let n = g.boundary_segments().count();
+        let members = match g {
+            Geometry::MultiPoint(mp) => mp.points().len(),
+            _ => 1,
+        };
+        let words = std::mem::size_of::<usize>();
+        (4 * n * std::mem::size_of::<Edge>()
+            + (n + 2) * words
+            + members * std::mem::size_of::<Point>()
+            + (n + 1) * (std::mem::size_of::<RingTag>() + std::mem::size_of::<Envelope>()))
+            as u64
+    }
+
+    /// Whether the geometry has no edge and no member point.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.binned.is_empty() && self.points.is_empty()
+    }
+
+    /// Whether the geometry is a polyline.
+    pub(crate) fn is_line(&self) -> bool {
+        self.shape == Shape::Lines
+    }
+
+    /// `2 · area / perimeter` of a polygonal geometry, 0 otherwise.
+    pub(crate) fn thickness(&self) -> f64 {
+        self.thickness
+    }
+
+    /// `1 + max |coordinate|`: the scale of the rounding slack.
+    pub(crate) fn magnitude(&self) -> f64 {
+        self.magnitude
+    }
+
+    /// Every edge once, in no particular order.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = &Segment> {
+        (0..=self.last_bin).flat_map(move |b| {
+            self.bin_edges(b)
+                .iter()
+                .filter(move |e| e.first_bin == b)
+                .map(|e| &e.seg)
+        })
+    }
+
+    /// The members of a point geometry (empty otherwise).
+    pub(crate) fn points(&self) -> &[Point] {
+        &self.points
     }
 
     fn push_polygon(&mut self, pg: &Polygon, edges: &mut Vec<Edge>) {
@@ -410,7 +480,16 @@ impl PreparedGeometry {
                 let (c, r) = (cell.center(), cell.half_diagonal());
                 let dist = match self.shape {
                     Shape::Points => self.point_distance(&c),
-                    Shape::Polygons if self.polygons_contain(&c, |_| true, |_| {}) => 0.0,
+                    Shape::Polygons if self.polygons_contain(&c, |_| true, |_| {}) => {
+                        // `r ≤ D + d` holds for every `D ≥ 0` once `r ≤ d`;
+                        // otherwise only a boundary within `r − d` decides.
+                        let boundary = if r <= d {
+                            0.0
+                        } else {
+                            self.edge_distance(&c, r - d)
+                        };
+                        return inside_dwithin_label(boundary, r, d);
+                    }
                     _ => self.edge_distance(&c, d + r),
                 };
                 dwithin_label(dist, r, d)
@@ -485,6 +564,57 @@ mod tests {
         for k in 0..200 {
             let p = Point::new(k as f64 * 2.013, k as f64 * 5.07 - 20.0);
             assert_agrees(&g, &prep, &p, 0.75);
+        }
+    }
+
+    /// Cells of every size, under every distance, answer as the reference
+    /// over a polygon with a hole and a multi-polygon: centres inside a
+    /// polygon take the boundary-distance rule, the others the centre
+    /// distance.
+    #[test]
+    fn dwithin_cells_of_every_size_answer_as_the_reference() {
+        let ring = |pts: &[(f64, f64)]| {
+            crate::polygon::Ring::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
+        };
+        let holed = Polygon::new(
+            ring(&[
+                (0.0, 0.0),
+                (60.0, 5.0),
+                (40.0, 30.0),
+                (55.0, 60.0),
+                (0.0, 55.0),
+            ]),
+            vec![ring(&[
+                (10.0, 10.0),
+                (20.0, 10.0),
+                (20.0, 20.0),
+                (10.0, 20.0),
+            ])],
+        );
+        let other = Polygon::rectangle(&Envelope::new(70.0, 0.0, 90.0, 40.0).unwrap());
+        for g in [
+            Geometry::Polygon(holed.clone()),
+            Geometry::MultiPolygon(MultiPolygon::new(vec![holed, other])),
+        ] {
+            let prep = PreparedGeometry::new(&g);
+            for side in [0.5, 2.0, 6.0, 15.0] {
+                for d in [0.0, 1.0, 4.0, 12.0, -1.0] {
+                    let mut y = -10.0;
+                    while y < 70.0 {
+                        let mut x = -10.0;
+                        while x < 100.0 {
+                            let cell = Envelope::new(x, y, x + side, y + side).unwrap();
+                            assert_eq!(
+                                prep.classify_rect(&cell, Relation::DWithin(d)),
+                                classify_rect_dwithin(&cell, &g, d),
+                                "{cell:?} d={d}"
+                            );
+                            x += side * 0.9 + 0.37;
+                        }
+                        y += side * 0.9 + 0.41;
+                    }
+                }
+            }
         }
     }
 

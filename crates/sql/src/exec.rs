@@ -1064,8 +1064,9 @@ fn scan_rows(
 
 /// The engine's stages of one `Explain` as trace lines, each label after
 /// `indent`: the lazy imprint build when there was one, the imprint
-/// filter, the exact bbox scan, and grid refinement with its cell classes
-/// (inside/outside/boundary) and exact point tests.
+/// filter, the exact bbox scan with the band table it masked by (count
+/// and cut axis), and grid refinement with its `nx×ny` cells, their
+/// classes (inside/outside/boundary) and exact point tests.
 fn stage_entries(e: &Explain, indent: &str, trace: &mut Vec<TraceEntry>) {
     if e.t_imprint_build > 0.0 {
         let op = format!("{indent}imprint build (lazy)");
@@ -1076,10 +1077,22 @@ fn stage_entries(e: &Explain, indent: &str, trace: &mut Vec<TraceEntry>) {
         n => format!("{indent}imprint filter (+{n} attribute probes)"),
     };
     trace.push(TraceEntry::new(op, e.after_imprints, e.t_imprints));
-    let op = format!("{indent}exact bbox scan");
+    let bands: Vec<String> = [(e.bands_x, 'x'), (e.bands_y, 'y')]
+        .iter()
+        .filter(|(n, _)| *n > 0)
+        .map(|(n, axis)| format!("{n} {axis}-bands"))
+        .collect();
+    let op = match bands.is_empty() {
+        true => format!("{indent}exact bbox scan"),
+        false => format!("{indent}exact bbox scan (band table: {})", bands.join(", ")),
+    };
     trace.push(TraceEntry::new(op, e.after_bbox, e.t_bbox));
+    let grid = match e.grid_nx {
+        0 => String::new(),
+        nx => format!("{nx}x{} grid, ", e.grid_ny),
+    };
     let op = format!(
-        "{indent}grid refinement (cells {}/{}/{}, {} exact tests)",
+        "{indent}grid refinement ({grid}cells {}/{}/{}, {} exact tests)",
         e.cells_inside, e.cells_outside, e.cells_boundary, e.exact_tests
     );
     trace.push(TraceEntry::new(op, e.result_rows, e.t_refine));

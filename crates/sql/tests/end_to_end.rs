@@ -230,6 +230,53 @@ fn explain_analyze_join_shows_the_refine_layer() {
     assert!(text.contains("grid refinement"), "{text}");
 }
 
+/// `EXPLAIN ANALYZE` names the filter's band table and the refinement
+/// grid: a join to a chevron fast-transit corridor (like the scene's
+/// motorway zone) masks by x-bands and lays a grid of square cells, and
+/// returns the points the exact predicate accepts; a pure-bbox viewport
+/// builds neither.
+#[test]
+fn explain_analyze_names_the_band_table_and_grid() {
+    let mut c = setup();
+    let centre = LineString::new(vec![
+        Point::new(0.0, 40.0),
+        Point::new(50.0, 60.0),
+        Point::new(99.0, 45.0),
+    ])
+    .unwrap();
+    let corridor = Geometry::Polygon(lidardb_geom::buffer_polyline(&centre, 3.0).unwrap());
+    let expect = (0..100)
+        .flat_map(|y| (0..100).map(move |x| Point::new(x as f64, y as f64)))
+        .filter(|p| lidardb_geom::dwithin_point(&corridor, p, 2.5))
+        .count();
+    let zones = VectorTable::new()
+        .with_column("code", VColumn::Int(vec![12210]))
+        .with_column("geom", VColumn::Geom(vec![corridor]));
+    c.register_vector("chevron", zones);
+    let sql = "SELECT COUNT(*) FROM points p, chevron u WHERE \
+               ST_DWithin(ST_Point(p.x, p.y), u.geom, 2.5) AND u.code = 12210";
+    assert_eq!(query(&c, sql).unwrap().rows[0][0], SqlValue::Int(expect as i64));
+    let rs = query(&c, &format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    let ops: Vec<&str> = rs.trace.iter().map(|t| t.operator.as_str()).collect();
+    let scan = ops.iter().find(|op| op.starts_with("  exact bbox scan"));
+    let scan = scan.unwrap_or_else(|| panic!("no filter line in {ops:?}"));
+    assert!(scan.starts_with("  exact bbox scan (band table: "), "{scan}");
+    assert!(scan.ends_with(" x-bands)"), "{scan}");
+    let grid = ops.iter().find(|op| op.starts_with("  grid refinement ("));
+    let grid = grid.unwrap_or_else(|| panic!("no refine line in {ops:?}"));
+    let dims = grid["  grid refinement (".len()..].split_once(" grid, ").map(|(d, _)| d);
+    let (nx, ny) = dims.and_then(|d| d.split_once('x')).expect("an nx×ny grid");
+    let (nx, ny): (usize, usize) = (nx.parse().unwrap(), ny.parse().unwrap());
+    assert!(nx > 2 * ny, "cells are square over a wide envelope: {grid}");
+
+    let viewport = "EXPLAIN ANALYZE SELECT COUNT(*) FROM points WHERE \
+                    ST_Contains(ST_MakeEnvelope(10, 10, 20, 20), ST_Point(x, y))";
+    let rs = query(&c, viewport).unwrap();
+    let ops: Vec<&str> = rs.trace.iter().map(|t| t.operator.as_str()).collect();
+    assert!(ops.contains(&"exact bbox scan"), "{ops:?}");
+    assert!(!ops.iter().any(|op| op.contains("band table") || op.contains(" grid, ")), "{ops:?}");
+}
+
 #[test]
 fn scenario2_average_elevation_near_road() {
     let c = setup();

@@ -4,10 +4,13 @@
 //! makes one tight pass over a typed slice (or a selected subset of it) and
 //! produces or refines a *selection vector* of qualifying row ids. The
 //! two-step spatial query engine composes them: the imprint filter yields
-//! candidate row ranges, [`bbox_scan`] performs the exact bbox check over
-//! just those ranges — 64 rows at a time become one `u64` mask of
-//! branch-free compares of x *and* y, and row ids are pushed only from its
-//! set bits — and thematic predicates refine the selection further.
+//! candidate row ranges, and one mask kernel decides every filter
+//! predicate over just those ranges — 64 rows at a time become one `u64`
+//! mask, and row ids are pushed only from its set bits. [`bbox_scan`] ANDs
+//! the branch-free compares of x *and* y; [`mask_scan`] also ANDs each
+//! pushed-down attribute range ([`AttrMask`], compared in the column's
+//! native domain) and then runs a per-row test — the band table of the
+//! query's shape — on the bits that survive.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -79,43 +82,132 @@ pub fn bbox_scan(
     let mut start = rows.start;
     while start < rows.end {
         let n = (rows.end - start).min(64);
-        let mut m = u64::MAX >> (64 - n);
-        if let Some((lo, hi)) = x_range {
-            m &= range_mask(&xs[start..start + n], lo, hi);
-        }
-        if let Some((lo, hi)) = y_range {
-            m &= range_mask(&ys[start..start + n], lo, hi);
-        }
-        if m == u64::MAX {
-            out.extend(start..start + 64);
-        } else {
-            while m != 0 {
-                out.push(start + m.trailing_zeros() as usize);
-                m &= m - 1;
-            }
-        }
+        push_bits(
+            envelope_mask(xs, ys, start, n, x_range, y_range),
+            start,
+            out,
+        );
         start += n;
     }
+}
+
+/// The filter step's one mask kernel over the candidate run `rows`: append,
+/// in order, the ids of the rows that pass the envelope compares (as in
+/// [`bbox_scan`]; a `None` range is not compared), every attribute range in
+/// `attrs`, and then `band(x, y)`, which runs only on the rows the masks
+/// before it kept. NaN satisfies no range.
+#[allow(clippy::too_many_arguments)]
+pub fn mask_scan<B: Fn(f64, f64) -> bool>(
+    xs: &[f64],
+    ys: &[f64],
+    rows: Range<usize>,
+    x_range: Option<(f64, f64)>,
+    y_range: Option<(f64, f64)>,
+    attrs: &[AttrMask<'_>],
+    band: Option<&B>,
+    out: &mut Vec<usize>,
+) {
+    let mut start = rows.start;
+    while start < rows.end {
+        let n = (rows.end - start).min(64);
+        let mut m = envelope_mask(xs, ys, start, n, x_range, y_range);
+        for a in attrs {
+            if m == 0 {
+                break;
+            }
+            m &= (a.mask)(start, n);
+        }
+        if let Some(band) = band {
+            let mut bits = m;
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                m &= !(u64::from(!band(xs[start + i], ys[start + i])) << i);
+                bits &= bits - 1;
+            }
+        }
+        push_bits(m, start, out);
+        start += n;
+    }
+}
+
+/// The x-and-y compares of the `n ≤ 64` rows from `start`.
+#[inline]
+fn envelope_mask(
+    xs: &[f64],
+    ys: &[f64],
+    start: usize,
+    n: usize,
+    x_range: Option<(f64, f64)>,
+    y_range: Option<(f64, f64)>,
+) -> u64 {
+    let mut m = u64::MAX >> (64 - n);
+    if let Some((lo, hi)) = x_range {
+        m &= range_mask(&xs[start..start + n], lo, hi);
+    }
+    if let Some((lo, hi)) = y_range {
+        m &= range_mask(&ys[start..start + n], lo, hi);
+    }
+    m
+}
+
+/// Append `start + i` for every set bit `i` of `m`, in order.
+#[inline]
+fn push_bits(mut m: u64, start: usize, out: &mut Vec<usize>) {
+    if m == u64::MAX {
+        out.extend(start..start + 64);
+    } else {
+        while m != 0 {
+            out.push(start + m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
+    }
+}
+
+/// An inclusive range on one attribute column, expressed on the `f64`
+/// query domain and compared by [`mask_scan`] in the column's native
+/// domain: integer columns get inward-rounded native bounds
+/// ([`int_bounds`], exact even near `i64::MAX` / `u64::MAX`); float
+/// columns compare in `f64`, which is exact because `f32` widens
+/// losslessly.
+pub struct AttrMask<'a> {
+    /// The mask of the `n ≤ 64` rows from a start row.
+    mask: Box<dyn Fn(usize, usize) -> u64 + Send + Sync + 'a>,
+}
+
+impl<'a> AttrMask<'a> {
+    /// The range `lo ..= hi` over `data`.
+    pub fn new<T: Native>(data: &'a [T], lo: f64, hi: f64) -> Self {
+        let mask: Box<dyn Fn(usize, usize) -> u64 + Send + Sync + 'a> = if !T::IS_INT {
+            Box::new(move |s, n| {
+                fold_mask(&data[s..s + n], |v| (v.to_f64() >= lo) & (v.to_f64() <= hi))
+            })
+        } else if let Some((l, h)) = int_bounds::<T>(lo, hi) {
+            Box::new(move |s, n| fold_mask(&data[s..s + n], |v| (v >= l) & (v <= h)))
+        } else {
+            Box::new(|_, _| 0)
+        };
+        AttrMask { mask }
+    }
+}
+
+impl std::fmt::Debug for AttrMask<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("AttrMask")
+    }
+}
+
+/// Bit `i` set iff `keep(vals[i])`, for at most 64 values.
+#[inline]
+fn fold_mask<T: Copy>(vals: &[T], keep: impl Fn(T) -> bool) -> u64 {
+    vals.iter()
+        .enumerate()
+        .fold(0, |m, (i, &v)| m | (u64::from(keep(v)) << i))
 }
 
 /// Bit `i` set iff `lo <= vals[i] <= hi`, for at most 64 values.
 #[inline]
 fn range_mask(vals: &[f64], lo: f64, hi: f64) -> u64 {
-    vals.iter()
-        .enumerate()
-        .fold(0, |m, (i, &v)| m | (u64::from((v >= lo) & (v <= hi)) << i))
-}
-
-/// Refine an existing selection with an inclusive range predicate.
-///
-/// Keeps only the rows of `sel` whose value satisfies `lo <= v <= hi`,
-/// compacting in place, and returns the new length.
-pub fn refine_range<T: Native>(data: &[T], sel: &mut Vec<usize>, lo: T, hi: T) -> usize {
-    sel.retain(|&i| {
-        let v = data[i];
-        v >= lo && v <= hi
-    });
-    sel.len()
+    fold_mask(vals, |v| (v >= lo) & (v <= hi))
 }
 
 /// Comparison operators supported by thematic filters.
@@ -261,30 +353,6 @@ pub fn int_bounds<T: Native>(lo: f64, hi: f64) -> Option<(T, T)> {
         return None; // saturated above hi: nothing in range
     }
     Some((ln, hn))
-}
-
-/// Refine a selection with `lo <= v <= hi` where the bounds come from the
-/// `f64` query domain, comparing in the column's native domain.
-///
-/// Integer columns get inward-rounded native bounds (exact even near
-/// `i64::MAX` / `u64::MAX`); float columns compare in `f64`, which is exact
-/// because `f32` widens losslessly.
-pub fn refine_range_f64<T: Native>(data: &[T], sel: &mut Vec<usize>, lo: f64, hi: f64) -> usize {
-    if T::IS_INT {
-        match int_bounds::<T>(lo, hi) {
-            Some((l, h)) => refine_range(data, sel, l, h),
-            None => {
-                sel.clear();
-                0
-            }
-        }
-    } else {
-        sel.retain(|&i| {
-            let v = data[i].to_f64();
-            v >= lo && v <= hi
-        });
-        sel.len()
-    }
 }
 
 /// Refine a selection with `v <op> rhs` where `rhs` is an `f64` query
@@ -442,12 +510,102 @@ mod tests {
         }
     }
 
+    /// The rows of `data` the mask kernel keeps under `lo ..= hi` alone.
+    fn attr_rows<T: Native>(data: &[T], lo: f64, hi: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        let attrs = [AttrMask::new(data, lo, hi)];
+        let none = None::<&fn(f64, f64) -> bool>;
+        mask_scan(&[], &[], 0..data.len(), None, None, &attrs, none, &mut out);
+        out
+    }
+
+    /// The one mask kernel against a row-at-a-time reference: envelope
+    /// compares (compared and skipped), integer and float attribute ranges
+    /// with NaN and fractional bounds, and a band test, over runs of
+    /// 0/1/63/64/65/130 rows at aligned and unaligned starts. The band test
+    /// sees only rows every mask before it kept.
     #[test]
-    fn refine_keeps_order() {
-        let data = [1.0f64, 2.0, 3.0, 4.0, 5.0];
-        let mut sel = vec![4, 2, 0];
-        refine_range(&data, &mut sel, 2.5, 5.0);
-        assert_eq!(sel, vec![4, 2]);
+    fn mask_scan_matches_scalar_reference() {
+        let n = 400;
+        let xs: Vec<f64> = (0..n).map(|i| (i * 37 % 101) as f64 / 10.0).collect();
+        let ys: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 41 == 0 {
+                    f64::NAN
+                } else {
+                    (i * 53 % 97) as f64 / 10.0
+                }
+            })
+            .collect();
+        let class: Vec<u8> = (0..n).map(|i| (i * 7 % 13) as u8).collect();
+        let big: Vec<i64> = (0..n).map(|i| i64::MAX - (i as i64 % 5) * 1024).collect();
+        let zs: Vec<f32> = (0..n).map(|i| (i * 11 % 23) as f32 * 0.5).collect();
+        let attr_sets: Vec<Vec<(usize, f64, f64)>> = vec![
+            vec![],
+            vec![(0, 2.0, 6.0)],
+            vec![(0, 2.5, 2.9)],
+            vec![(1, (i64::MAX - 2047) as f64, f64::INFINITY), (2, 1.0, 7.5)],
+            vec![(2, f64::NAN, 3.0)],
+        ];
+        let band = |x: f64, y: f64| x + y < 12.0;
+        for start in [0usize, 1, 5, 63, 64, 100] {
+            for len in [0usize, 1, 63, 64, 65, 130] {
+                let rows = start..start + len;
+                for set in &attr_sets {
+                    let attrs: Vec<AttrMask> = set
+                        .iter()
+                        .map(|&(c, lo, hi)| match c {
+                            0 => AttrMask::new(&class, lo, hi),
+                            1 => AttrMask::new(&big, lo, hi),
+                            _ => AttrMask::new(&zs, lo, hi),
+                        })
+                        .collect();
+                    let keeps = |i: usize| {
+                        set.iter().all(|&(c, lo, hi)| match c {
+                            0 => int_bounds::<u8>(lo, hi)
+                                .is_some_and(|(l, h)| (l..=h).contains(&class[i])),
+                            1 => int_bounds::<i64>(lo, hi)
+                                .is_some_and(|(l, h)| (l..=h).contains(&big[i])),
+                            _ => (zs[i] as f64) >= lo && (zs[i] as f64) <= hi,
+                        })
+                    };
+                    for (x, y) in [
+                        (Some((1.0, 8.0)), Some((0.5, 9.0))),
+                        (None, Some((0.5, 9.0))),
+                        (None, None),
+                    ] {
+                        let within = |v: f64, b: Option<(f64, f64)>| {
+                            b.is_none_or(|(lo, hi)| v >= lo && v <= hi)
+                        };
+                        let seen = std::cell::Cell::new(0usize);
+                        let counted = |a: f64, b: f64| {
+                            seen.set(seen.get() + 1);
+                            band(a, b)
+                        };
+                        let mut out = vec![usize::MAX];
+                        mask_scan(
+                            &xs,
+                            &ys,
+                            rows.clone(),
+                            x,
+                            y,
+                            &attrs,
+                            Some(&counted),
+                            &mut out,
+                        );
+                        let kept: Vec<usize> = rows
+                            .clone()
+                            .filter(|&i| within(xs[i], x) && within(ys[i], y) && keeps(i))
+                            .collect();
+                        let expect: Vec<usize> = std::iter::once(usize::MAX)
+                            .chain(kept.iter().copied().filter(|&i| band(xs[i], ys[i])))
+                            .collect();
+                        assert_eq!(out, expect, "rows {rows:?} attrs {set:?} x {x:?} y {y:?}");
+                        assert_eq!(seen.get(), kept.len(), "the band sees only kept rows");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -478,9 +636,11 @@ mod tests {
             i64::MAX - 1024, // one below lo, but rounds up onto lo in f64
             0,
         ];
-        let mut sel = vec![0, 1, 2, 3];
-        refine_range_f64(&data, &mut sel, lo, f64::INFINITY);
-        assert_eq!(sel, vec![0, 1], "row 2 is below lo and must be excluded");
+        assert_eq!(
+            attr_rows(&data, lo, f64::INFINITY),
+            vec![0, 1],
+            "row 2 is below lo and must be excluded"
+        );
 
         // i64::MAX as f64 == 2^63, so the old comparison excluded i64::MAX
         // from `v < 2^63` even though every i64 satisfies it.
@@ -505,9 +665,7 @@ mod tests {
             u64::MAX - 2048, // below lo, rounds up onto it in f64
             7,
         ];
-        let mut sel = vec![0, 1, 2, 3];
-        refine_range_f64(&data, &mut sel, lo, f64::INFINITY);
-        assert_eq!(sel, vec![0, 1]);
+        assert_eq!(attr_rows(&data, lo, f64::INFINITY), vec![0, 1]);
 
         // Eq against 2^64: no u64 equals it (old code matched u64::MAX).
         let mut sel = vec![0, 1, 2, 3];

@@ -19,6 +19,9 @@ echo "==> differential suite at 2 and 8 workers (every storage shape vs the brut
 LIDARDB_WORKERS=2 cargo test -q -p lidardb-core --test differential
 LIDARDB_WORKERS=8 cargo test -q -p lidardb-core --test differential
 
+echo "==> harness e4: every refinement strategy returns the exhaustive strategy's rows"
+cargo run -q --release -p lidardb-bench --bin harness -- e4
+
 echo "==> core builds with tracing compiled out"
 cargo check -q -p lidardb-core --no-default-features
 
