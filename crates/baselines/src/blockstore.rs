@@ -188,7 +188,10 @@ impl BlockStore {
     }
 
     /// Rectangular selection.
-    pub fn query_bbox(&self, window: &Envelope) -> Result<(Vec<PointRecord>, BlockQueryStats), BaselineError> {
+    pub fn query_bbox(
+        &self,
+        window: &Envelope,
+    ) -> Result<(Vec<PointRecord>, BlockQueryStats), BaselineError> {
         self.query_filtered(window, |_| true)
     }
 
@@ -228,9 +231,10 @@ impl BlockStore {
             stats.blocks_matched += 1;
             let recs = lazlite::decompress(&self.header, &b.payload)?;
             stats.points_decoded += recs.len();
-            out.extend(recs.into_iter().filter(|r| {
-                window.contains(&Point::new(r.x, r.y)) && extra(r)
-            }));
+            out.extend(
+                recs.into_iter()
+                    .filter(|r| window.contains(&Point::new(r.x, r.y)) && extra(r)),
+            );
         }
         stats.results = out.len();
         Ok((out, stats))
@@ -284,8 +288,10 @@ mod tests {
         assert_eq!(bs.num_blocks(), 10_000usize.div_ceil(512));
         let (hits, stats) = bs.query_bbox(&env(10.0, 10.0, 20.0, 20.0)).unwrap();
         assert_eq!(hits.len(), 11 * 11);
-        assert!(stats.blocks_matched < stats.blocks_total,
-            "curve blocking must prune: {stats:?}");
+        assert!(
+            stats.blocks_matched < stats.blocks_total,
+            "curve blocking must prune: {stats:?}"
+        );
         assert!(stats.points_decoded < 10_000 / 2);
     }
 

@@ -201,9 +201,11 @@ impl FileStore {
                 None => reader.read_points()?,
             };
             stats.records_decoded += candidates.len();
-            out.extend(candidates.into_iter().filter(|r| {
-                window.contains(&Point::new(r.x, r.y)) && extra(r)
-            }));
+            out.extend(
+                candidates
+                    .into_iter()
+                    .filter(|r| window.contains(&Point::new(r.x, r.y)) && extra(r)),
+            );
         }
         stats.results = out.len();
         Ok((out, stats))
@@ -306,7 +308,12 @@ mod tests {
         );
         let (recs, _) = fs.query_geometry(&tri).unwrap();
         for r in &recs {
-            assert!(r.x + r.y <= 40.0 + 1e-9, "({}, {}) outside triangle", r.x, r.y);
+            assert!(
+                r.x + r.y <= 40.0 + 1e-9,
+                "({}, {}) outside triangle",
+                r.x,
+                r.y
+            );
         }
         // Triangle area holds ~861 lattice points.
         assert!(recs.len() > 800 && recs.len() < 950, "{}", recs.len());

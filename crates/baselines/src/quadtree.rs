@@ -186,7 +186,11 @@ mod tests {
         }
         // And it prunes: far fewer candidates than the whole file.
         let covered: usize = intervals.iter().map(|&(s, e)| e - s).sum();
-        assert!(covered < pts.len() / 4, "covered {covered} of {}", pts.len());
+        assert!(
+            covered < pts.len() / 4,
+            "covered {covered} of {}",
+            pts.len()
+        );
     }
 
     #[test]

@@ -9,7 +9,9 @@ use proptest::prelude::*;
 fn points(n: usize, seed: u64) -> Vec<(f64, f64)> {
     (0..n as u64)
         .map(|i| {
-            let h = (i + 1).wrapping_mul(seed | 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let h = (i + 1)
+                .wrapping_mul(seed | 1)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
             (
                 (h >> 11) as f64 / (1u64 << 53) as f64 * 100.0,
                 (h << 13 >> 11) as f64 / (1u64 << 53) as f64 * 100.0,

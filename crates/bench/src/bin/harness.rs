@@ -261,23 +261,50 @@ fn e4_refinement() {
     let pc = &fx.pc;
     let c = fx.scene.envelope().center();
     let ring = |pts: &[(f64, f64)]| {
-        Ring::new(pts.iter().map(|(dx, dy)| Point::new(c.x + dx, c.y + dy)).collect())
-            .expect("ring")
+        Ring::new(
+            pts.iter()
+                .map(|(dx, dy)| Point::new(c.x + dx, c.y + dy))
+                .collect(),
+        )
+        .expect("ring")
     };
     // A concave pentagon with a square hole, ~25% of the scene.
     let poly = Polygon::new(
-        ring(&[(-250.0, -200.0), (280.0, -170.0), (90.0, 40.0), (260.0, 250.0), (-220.0, 230.0)]),
-        vec![ring(&[(-60.0, -60.0), (60.0, -60.0), (60.0, 60.0), (-60.0, 60.0)])],
+        ring(&[
+            (-250.0, -200.0),
+            (280.0, -170.0),
+            (90.0, 40.0),
+            (260.0, 250.0),
+            (-220.0, 230.0),
+        ]),
+        vec![ring(&[
+            (-60.0, -60.0),
+            (60.0, -60.0),
+            (60.0, 60.0),
+            (-60.0, 60.0),
+        ])],
     );
     let zone = |code: u32| {
         let z = fx.scene.zones().iter().find(|z| z.class.code() == code);
         Geometry::Polygon(z.expect("the scene has the zone").polygon.clone())
     };
     let shapes = [
-        ("concave pentagon with hole", SpatialPredicate::Within(Geometry::Polygon(poly))),
-        ("128-edge water corridor, ST_Contains", SpatialPredicate::Within(zone(50000))),
-        ("128-edge water corridor, ST_DWithin 4.5 m", SpatialPredicate::DWithin(zone(50000), 4.5)),
-        ("E-W chevron corridor (12210), ST_DWithin 2.5 m", SpatialPredicate::DWithin(zone(12210), 2.5)),
+        (
+            "concave pentagon with hole",
+            SpatialPredicate::Within(Geometry::Polygon(poly)),
+        ),
+        (
+            "128-edge water corridor, ST_Contains",
+            SpatialPredicate::Within(zone(50000)),
+        ),
+        (
+            "128-edge water corridor, ST_DWithin 4.5 m",
+            SpatialPredicate::DWithin(zone(50000), 4.5),
+        ),
+        (
+            "E-W chevron corridor (12210), ST_DWithin 2.5 m",
+            SpatialPredicate::DWithin(zone(12210), 2.5),
+        ),
     ];
     println!("dataset: {} points\n", pc.num_points());
     for (shape, pred) in &shapes {
@@ -294,7 +321,10 @@ fn e4_refinement() {
         let run = |name: &str, strat: RefineStrategy| {
             let sel = select(strat);
             if strat != RefineStrategy::BboxOnly {
-                assert!(sel.rows == exhaustive, "{shape}: {name} must return the exhaustive rows");
+                assert!(
+                    sel.rows == exhaustive,
+                    "{shape}: {name} must return the exhaustive rows"
+                );
             }
             let t = median_seconds(5, || {
                 std::hint::black_box(select(strat).rows.len());
@@ -305,7 +335,10 @@ fn e4_refinement() {
                 e.result_rows,
                 e.after_bbox,
                 e.exact_tests,
-                format!("{}/{}/{}", e.cells_inside, e.cells_outside, e.cells_boundary),
+                format!(
+                    "{}/{}/{}",
+                    e.cells_inside, e.cells_outside, e.cells_boundary
+                ),
                 format!("{}x{}", e.grid_nx, e.grid_ny),
                 t.ms()
             );
@@ -314,10 +347,16 @@ fn e4_refinement() {
         run("exhaustive", RefineStrategy::Exhaustive);
         run("adaptive grid", RefineStrategy::AdaptiveGrid);
         for cells in [8usize, 16, 32, 64, 128, 256] {
-            run(&format!("grid {cells}x{cells}"), RefineStrategy::Grid { cells });
+            run(
+                &format!("grid {cells}x{cells}"),
+                RefineStrategy::Grid { cells },
+            );
         }
         let bands = select(RefineStrategy::default()).explain;
-        println!("band table: {} x-bands, {} y-bands\n", bands.bands_x, bands.bands_y);
+        println!(
+            "band table: {} x-bands, {} y-bands\n",
+            bands.bands_x, bands.bands_y
+        );
     }
 
     // The exact test alone, per call against the whole polygon and through
@@ -328,18 +367,36 @@ fn e4_refinement() {
     let d = 4.5;
     let pred = SpatialPredicate::DWithin(g.clone(), d);
     let bbox = pc
-        .select_query_with(Some(&pred), &[], RefineStrategy::BboxOnly, Parallelism::Serial)
+        .select_query_with(
+            Some(&pred),
+            &[],
+            RefineStrategy::BboxOnly,
+            Parallelism::Serial,
+        )
         .expect("select");
-    let (xs, ys) = (pc.f64_column("x").expect("x"), pc.f64_column("y").expect("y"));
-    let pts: Vec<Point> = bbox.rows.iter().map(|&r| Point::new(xs[r], ys[r])).collect();
+    let (xs, ys) = (
+        pc.f64_column("x").expect("x"),
+        pc.f64_column("y").expect("y"),
+    );
+    let pts: Vec<Point> = bbox
+        .rows
+        .iter()
+        .map(|&r| Point::new(xs[r], ys[r]))
+        .collect();
     let prepared = PreparedGeometry::new(&g);
     println!(
         "exact point test on the water body: {} edges, {} bbox candidates",
         g.boundary_segments().count(),
         pts.len()
     );
-    println!("{:<18} {:>30} {:>30}", "test", "reference ns/test", "prepared ns/test");
-    let relations = [("ST_Contains", Relation::Within), ("ST_DWithin 4.5 m", Relation::DWithin(d))];
+    println!(
+        "{:<18} {:>30} {:>30}",
+        "test", "reference ns/test", "prepared ns/test"
+    );
+    let relations = [
+        ("ST_Contains", Relation::Within),
+        ("ST_DWithin 4.5 m", Relation::DWithin(d)),
+    ];
     for (name, rel) in relations {
         let reference = |p: &Point| match rel {
             Relation::Within => contains_point(&g, p),
@@ -356,7 +413,10 @@ fn e4_refinement() {
             });
             t.scaled(1e9 / pts.len().max(1) as f64)
         };
-        let (t_ref, t_prep) = (per_test(&reference), per_test(&|p| prepared.matches(p, rel)));
+        let (t_ref, t_prep) = (
+            per_test(&reference),
+            per_test(&|p| prepared.matches(p, rel)),
+        );
         println!("{name:<18} {t_ref:>30} {t_prep:>30}   ({n} match, identical)");
     }
     println!();
@@ -553,7 +613,13 @@ fn e7_robustness() {
         .load_files(&mut degraded_pc, &fx.las_paths)
         .expect("load");
     let fi = Arc::new(FaultInjector::new());
-    fi.inject_n(FaultStage::ImprintBuild, Some("x"), FaultKind::IoError, 0, u32::MAX);
+    fi.inject_n(
+        FaultStage::ImprintBuild,
+        Some("x"),
+        FaultKind::IoError,
+        0,
+        u32::MAX,
+    );
     degraded_pc.set_fault_injector(fi);
     let degraded = degraded_pc.select(&pred).expect("degraded select");
     println!(
@@ -585,7 +651,11 @@ fn e8_sfc() {
 
     // Curve locality on the quantised points.
     let q = Quantizer::new(env.min_x, env.min_y, env.max_x, env.max_y, 16);
-    let cells: Vec<(u32, u32)> = records.iter().step_by(7).map(|r| q.cell(r.x, r.y)).collect();
+    let cells: Vec<(u32, u32)> = records
+        .iter()
+        .step_by(7)
+        .map(|r| q.cell(r.x, r.y))
+        .collect();
     println!("curve locality over {} sampled points:", cells.len());
     println!("{:<10} {:>12} {:>12}", "curve", "mean step", "max step");
     for curve in [Curve::Morton, Curve::Hilbert] {
@@ -599,8 +669,14 @@ fn e8_sfc() {
         BlockStore::build(&records, 512, Curve::Morton).expect("morton"),
         BlockStore::build(&records, 512, Curve::Hilbert).expect("hilbert"),
     ];
-    println!("\nblocks touched per query ({} blocks total):", stores[1].num_blocks());
-    println!("{:>11} {:>10} {:>10} {:>10}", "selectivity", "unsorted", "morton", "hilbert");
+    println!(
+        "\nblocks touched per query ({} blocks total):",
+        stores[1].num_blocks()
+    );
+    println!(
+        "{:>11} {:>10} {:>10} {:>10}",
+        "selectivity", "unsorted", "morton", "hilbert"
+    );
     for frac in [1e-4, 1e-3, 1e-2, 1e-1] {
         let w = fx.window(frac);
         let touched = stores
@@ -682,9 +758,10 @@ fn e9_parallel() {
                 let sel = select(pred, par);
                 assert_eq!(sel.rows, serial_rows, "rows must be identical at {par:?}");
                 let e = &sel.explain;
-                for (step, t) in steps
-                    .iter_mut()
-                    .zip([e.t_imprints, e.t_bbox, e.t_refine, e.total_seconds()])
+                for (step, t) in
+                    steps
+                        .iter_mut()
+                        .zip([e.t_imprints, e.t_bbox, e.t_refine, e.total_seconds()])
                 {
                     step.push(t);
                 }
@@ -763,7 +840,11 @@ fn e10_overload() {
     println!("{:<12} {}", "config", BurstSummary::HEADER);
     let open = run(None);
     println!("{:<12} {open}", "ungoverned");
-    assert_eq!(open.ok, CLIENTS * PER_CLIENT, "ungoverned queries all succeed");
+    assert_eq!(
+        open.ok,
+        CLIENTS * PER_CLIENT,
+        "ungoverned queries all succeed"
+    );
 
     // Governed: 4 in flight, queue of 8, 50 ms deadline that also bounds
     // queue wait. The queue WILL fill at 64 clients: excess is shed as
@@ -794,7 +875,10 @@ fn scrape(addr: std::net::SocketAddr) -> Option<String> {
     let mut buf = String::new();
     s.read_to_string(&mut buf).ok()?;
     let (head, body) = buf.split_once("\r\n\r\n")?;
-    head.lines().next()?.contains("200").then(|| body.to_string())
+    head.lines()
+        .next()?
+        .contains("200")
+        .then(|| body.to_string())
 }
 
 /// Hundreds of concurrent TCP sessions resolve every statement to a typed
@@ -862,7 +946,10 @@ fn e11_wire_burst() {
                 while secs.is_empty() || !stop.load(Ordering::Acquire) {
                     let (body, t) = timed(|| scrape(metrics_addr));
                     let body = body.expect("scrape failed mid-burst");
-                    assert!(body.contains("lidardb_queries_total"), "scrape lacks counters");
+                    assert!(
+                        body.contains("lidardb_queries_total"),
+                        "scrape lacks counters"
+                    );
                     secs.push(t);
                     std::thread::sleep(SCRAPE_EVERY);
                 }
@@ -890,9 +977,18 @@ fn e11_wire_burst() {
          every 50 ms, /metrics scraped every {} ms\n",
         SCRAPE_EVERY.as_millis()
     );
-    println!("{:<12} {} {:>32}", "config", BurstSummary::HEADER, "/metrics scrape ms");
+    println!(
+        "{:<12} {} {:>32}",
+        "config",
+        BurstSummary::HEADER,
+        "/metrics scrape ms"
+    );
     let open = run("ungoverned");
-    assert_eq!(open.ok, CLIENTS * PER_CLIENT, "ungoverned statements all succeed");
+    assert_eq!(
+        open.ok,
+        CLIENTS * PER_CLIENT,
+        "ungoverned statements all succeed"
+    );
 
     // Governed: 4 in flight, queue of 16, 100 ms deadline that also bounds
     // queue wait. At 256 connections the queue WILL fill: excess sheds as

@@ -60,7 +60,8 @@ impl<T: Native> ZoneMap<T> {
         let mut out: Vec<(usize, usize)> = Vec::new();
         for z in 0..self.num_zones() {
             // Zone overlaps [lo,hi] iff zone.min <= hi && zone.max >= lo.
-            let overlaps = self.mins[z].total_cmp(&hi).is_le() && self.maxs[z].total_cmp(&lo).is_ge();
+            let overlaps =
+                self.mins[z].total_cmp(&hi).is_le() && self.maxs[z].total_cmp(&lo).is_ge();
             if overlaps {
                 let start = z * self.block;
                 let end = ((z + 1) * self.block).min(self.len);

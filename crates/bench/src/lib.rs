@@ -40,7 +40,13 @@ impl Fixture {
         });
         let scratch = ScratchDir::new("harness");
         let tiles = |sub: &str, compression| {
-            write_tiles(&scene, &scratch.join(sub), tiles_per_side, density, compression)
+            write_tiles(
+                &scene,
+                &scratch.join(sub),
+                tiles_per_side,
+                density,
+                compression,
+            )
         };
         let las_paths = tiles("las", Compression::None);
         let lazl_paths = tiles("lazl", Compression::LazLite);
@@ -257,8 +263,7 @@ pub struct BurstSummary {
 
 impl BurstSummary {
     /// Column headings matching [`fmt::Display`].
-    pub const HEADER: &'static str =
-        "   ok  cancelled  overloaded    p50 ms    p99 ms    max ms";
+    pub const HEADER: &'static str = "   ok  cancelled  overloaded    p50 ms    p99 ms    max ms";
 }
 
 impl fmt::Display for BurstSummary {
@@ -310,7 +315,13 @@ mod tests {
     #[test]
     fn burst_runs_every_statement_and_summarises() {
         let s = burst(3, 4, |t| {
-            move |q| if (t + q) % 2 == 0 { Outcome::Ok } else { Outcome::Overloaded }
+            move |q| {
+                if (t + q) % 2 == 0 {
+                    Outcome::Ok
+                } else {
+                    Outcome::Overloaded
+                }
+            }
         });
         assert_eq!((s.ok, s.cancelled, s.overloaded), (6, 0, 6));
         assert!(s.p50_ms <= s.p99_ms && s.p99_ms <= s.max_ms);

@@ -22,7 +22,11 @@ const TABLES: [[u32; 256]; 16] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         t[0][i] = c;
@@ -63,7 +67,11 @@ fn sliced(mut c: u32, bytes: &[u8]) -> u32 {
         // CRC, looks up table `15 - j`.
         let head = (c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
         let block = head.iter().chain(&b[4..]);
-        c = TABLES.iter().rev().zip(block).fold(0, |c, (t, &x)| c ^ t[x as usize]);
+        c = TABLES
+            .iter()
+            .rev()
+            .zip(block)
+            .fold(0, |c, (t, &x)| c ^ t[x as usize]);
     }
     for &b in blocks.remainder() {
         c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -159,7 +167,10 @@ mod clmul {
             acc = fold(acc, load(b), k3k4);
         }
         // 128 → 96 bits: the low lane moves 64 bits on, onto the high one.
-        let acc = _mm_xor_si128(_mm_clmulepi64_si128(acc, k3k4, 0x10), _mm_srli_si128(acc, 8));
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128(acc, k3k4, 0x10),
+            _mm_srli_si128(acc, 8),
+        );
         // 96 → 64 bits: the low 32 bits move 64 bits on.
         let low32 = _mm_set_epi32(0, 0, 0, !0);
         let acc = _mm_xor_si128(
@@ -195,10 +206,8 @@ mod tests {
     /// the carry-less fold where the CPU has it, and the dispatcher.
     #[allow(clippy::type_complexity)]
     fn kernels() -> Vec<(&'static str, fn(&[u8]) -> u32)> {
-        let mut ks: Vec<(&'static str, fn(&[u8]) -> u32)> = vec![
-            ("sliced", |b| !sliced(!0, b)),
-            ("crc32", crc32),
-        ];
+        let mut ks: Vec<(&'static str, fn(&[u8]) -> u32)> =
+            vec![("sliced", |b| !sliced(!0, b)), ("crc32", crc32)];
         #[cfg(target_arch = "x86_64")]
         if clmul::available() {
             ks.push(("clmul", |b| {

@@ -135,9 +135,7 @@ impl fmt::Display for CoreError {
                     "query cancelled ({reason}) after {partial_rows} partial rows"
                 )
             }
-            CoreError::Overloaded => {
-                f.write_str("overloaded: admission queue full, query shed")
-            }
+            CoreError::Overloaded => f.write_str("overloaded: admission queue full, query shed"),
             CoreError::StorageExhausted(msg) => {
                 write!(f, "storage exhausted: {msg}")
             }

@@ -259,9 +259,8 @@ pub(crate) fn filter(
         // `_parent` is declared before the span so the span closes (and
         // records) while the adopted context is still in place.
         let _parent = job.trace_ctx.map(|(t, s)| crate::trace::adopt_parent(t, s));
-        let mut mspan = crate::trace::span(crate::trace::SpanKind::Stage(
-            crate::metrics::Stage::Morsel,
-        ));
+        let mut mspan =
+            crate::trace::span(crate::trace::SpanKind::Stage(crate::metrics::Stage::Morsel));
         let t0 = Instant::now();
         let mut rows: Vec<usize> = Vec::new();
         // Kernel work is tallied per run, outside the kernel (accumulators
@@ -510,7 +509,10 @@ mod tests {
         })
         .unwrap_err();
         // First failing index in order, regardless of completion order.
-        assert!(matches!(err, CoreError::InvalidQuery(ref m) if m == "boom 3"), "{err}");
+        assert!(
+            matches!(err, CoreError::InvalidQuery(ref m) if m == "boom 3"),
+            "{err}"
+        );
     }
 
     #[test]

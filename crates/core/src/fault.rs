@@ -226,7 +226,10 @@ impl FaultInjector {
             rule.fires -= 1;
             let kind = rule.kind;
             drop(rules);
-            self.fired.lock().unwrap().push((stage, target.to_string(), kind));
+            self.fired
+                .lock()
+                .unwrap()
+                .push((stage, target.to_string(), kind));
             return Some(kind);
         }
         None
@@ -280,7 +283,13 @@ mod tests {
     #[test]
     fn rules_match_target_skip_and_budget() {
         let fi = FaultInjector::new();
-        fi.inject_n(FaultStage::LoadDecode, Some("b.las"), FaultKind::IoError, 1, 2);
+        fi.inject_n(
+            FaultStage::LoadDecode,
+            Some("b.las"),
+            FaultKind::IoError,
+            1,
+            2,
+        );
         // Wrong target, wrong stage: no fire.
         assert!(fi.fire(FaultStage::LoadDecode, "a.las").is_none());
         assert!(fi.fire(FaultStage::ReadColumn, "b.las").is_none());
@@ -338,7 +347,9 @@ mod tests {
         }
         let fi = FaultInjector::new();
         fi.inject(FaultStage::QueryCheckpoint, Some("bbox"), FaultKind::Cancel);
-        assert!(fi.fire(FaultStage::QueryCheckpoint, "grid_refine").is_none());
+        assert!(fi
+            .fire(FaultStage::QueryCheckpoint, "grid_refine")
+            .is_none());
         assert_eq!(
             fi.fire(FaultStage::QueryCheckpoint, "bbox_scan"),
             Some(FaultKind::Cancel)

@@ -99,9 +99,7 @@ impl CancelToken {
         CancelToken {
             inner: Arc::new(TokenInner {
                 start: Instant::now(),
-                deadline_ns: AtomicU64::new(
-                    deadline.map_or(0, |d| (d.as_nanos() as u64).max(1)),
-                ),
+                deadline_ns: AtomicU64::new(deadline.map_or(0, |d| (d.as_nanos() as u64).max(1))),
                 tripped: AtomicU8::new(LIVE),
                 budget: AtomicU64::new(budget.unwrap_or(0)),
                 charged: AtomicU64::new(0),
@@ -121,7 +119,12 @@ impl CancelToken {
         let won = self
             .inner
             .tripped
-            .compare_exchange(LIVE, reason_to_code(reason), Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(
+                LIVE,
+                reason_to_code(reason),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
             .is_ok();
         if won {
             let m = MetricsRegistry::global();
@@ -463,7 +466,10 @@ impl AdmissionController {
     /// [`CoreError::Overloaded`] when the queue is full or the wait
     /// deadline expires. Waits longer than zero are recorded under the
     /// `governor` stage so queueing shows up in the latency histograms.
-    pub fn admit(&self, queue_deadline: Option<Duration>) -> Result<AdmissionPermit<'_>, CoreError> {
+    pub fn admit(
+        &self,
+        queue_deadline: Option<Duration>,
+    ) -> Result<AdmissionPermit<'_>, CoreError> {
         if self.max_in_flight.load(Ordering::Relaxed) == usize::MAX {
             return Ok(AdmissionPermit {
                 controller: None,
@@ -949,8 +955,7 @@ mod tests {
 
     #[test]
     fn admission_is_fifo() {
-        let c: &'static AdmissionController =
-            Box::leak(Box::new(AdmissionController::new(1, 16)));
+        let c: &'static AdmissionController = Box::leak(Box::new(AdmissionController::new(1, 16)));
         let p = c.admit(None).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
@@ -979,8 +984,7 @@ mod tests {
 
     #[test]
     fn permit_reports_queue_wait() {
-        let c: &'static AdmissionController =
-            Box::leak(Box::new(AdmissionController::new(1, 4)));
+        let c: &'static AdmissionController = Box::leak(Box::new(AdmissionController::new(1, 4)));
         let p1 = c.admit(None).unwrap();
         assert_eq!(p1.queue_wait(), Duration::ZERO, "fast path never waits");
         assert_eq!(c.limits(), (1, 4));
@@ -1021,7 +1025,11 @@ mod tests {
             .expect("registered");
         assert_eq!(me.queue_wait, Duration::from_millis(250));
         assert_eq!(me.rows_so_far, 17);
-        assert!(me.mem_used >= 4096, "budget charges visible: {}", me.mem_used);
+        assert!(
+            me.mem_used >= 4096,
+            "budget charges visible: {}",
+            me.mem_used
+        );
         drop(ticket);
         assert!(!reg.list().iter().any(|q| q.id == id));
     }

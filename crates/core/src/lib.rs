@@ -56,15 +56,13 @@ pub mod wal;
 
 pub use error::{is_storage_exhausted_io, CancelReason, CoreError};
 pub use exec::{MorselTiming, Parallelism, MORSEL_MIN_ROWS};
-pub use governor::{
-    AdmissionController, CancelToken, GovernCtx, MemBudget, QueryId, QueryInfo,
-    QueryRegistry, SessionInfo, SessionRegistry, SessionTicket, CHECKPOINT_STRIDE,
-};
-pub use metrics::{MetricsRegistry, Stage};
 pub use fault::{FaultInjector, FaultKind, FaultStage};
-pub use loader::{
-    FileOutcome, FileReport, LoadMethod, LoadPolicy, LoadReport, LoadStats, Loader,
+pub use governor::{
+    AdmissionController, CancelToken, GovernCtx, MemBudget, QueryId, QueryInfo, QueryRegistry,
+    SessionInfo, SessionRegistry, SessionTicket, CHECKPOINT_STRIDE,
 };
+pub use loader::{FileOutcome, FileReport, LoadMethod, LoadPolicy, LoadReport, LoadStats, Loader};
+pub use metrics::{MetricsRegistry, Stage};
 pub use pointcloud::{IngestAck, PointCloud};
 pub use query::{Aggregate, AttrRange, Explain, RefineStrategy, Selection, SpatialPredicate};
 pub use recorder::{Recorder, RecorderSample, DEFAULT_INTERVAL_MS, RECORDER_SLOTS};

@@ -304,8 +304,10 @@ impl Loader {
             let t0 = Instant::now();
             let attempt: std::thread::Result<Result<Decoded, CoreError>> =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(kind) =
-                        self.fault.as_deref().and_then(|fi| fi.fire(FaultStage::LoadDecode, &name))
+                    if let Some(kind) = self
+                        .fault
+                        .as_deref()
+                        .and_then(|fi| fi.fire(FaultStage::LoadDecode, &name))
                     {
                         match kind {
                             FaultKind::Crash => panic!("injected worker panic for {name}"),
@@ -343,11 +345,7 @@ impl Loader {
         }
     }
 
-    fn load_binary(
-        &self,
-        pc: &mut PointCloud,
-        paths: &[PathBuf],
-    ) -> Result<LoadReport, CoreError> {
+    fn load_binary(&self, pc: &mut PointCloud, paths: &[PathBuf]) -> Result<LoadReport, CoreError> {
         // Fan out decode+transpose, keep results indexed by file position.
         type Slot = (Result<Decoded, CoreError>, u32);
         let mut slots: Vec<Option<Slot>> = Vec::new();
@@ -380,10 +378,7 @@ impl Loader {
         // First pass: under FailFast any failure aborts before the table
         // is touched, keeping "error ⇒ table unchanged".
         if self.policy == LoadPolicy::FailFast {
-            if let Some(pos) = slots
-                .iter()
-                .position(|s| matches!(s, Some((Err(_), _))))
-            {
+            if let Some(pos) = slots.iter().position(|s| matches!(s, Some((Err(_), _)))) {
                 let (result, _) = slots[pos].take().expect("position just matched");
                 return Err(CoreError::FileLoad {
                     path: paths[pos].clone(),
@@ -486,8 +481,10 @@ impl Loader {
         let mut retries = 0;
         loop {
             let result: Result<usize, CoreError> = (|| {
-                if let Some(kind) =
-                    self.fault.as_deref().and_then(|fi| fi.fire(FaultStage::LoadDecode, &name))
+                if let Some(kind) = self
+                    .fault
+                    .as_deref()
+                    .and_then(|fi| fi.fire(FaultStage::LoadDecode, &name))
                 {
                     return Err(match kind {
                         FaultKind::IoError => lidardb_las::LasError::Io(kind.to_io_error()).into(),
@@ -647,7 +644,11 @@ mod tests {
             CoreError::FileLoad { path, .. } => assert_eq!(path, &paths[1]),
             other => panic!("expected FileLoad, got {other}"),
         }
-        assert_eq!(pc.num_points(), 0, "binary FailFast appends nothing on error");
+        assert_eq!(
+            pc.num_points(),
+            0,
+            "binary FailFast appends nothing on error"
+        );
         // The CSV comparison path also fails fast (it appends
         // row-at-a-time, so files before the bad one stay loaded).
         let mut pc_csv = PointCloud::new();
@@ -697,7 +698,13 @@ mod tests {
         let paths = make_files(&dir, 3, 40);
         // Two transient failures on file 1, then it succeeds.
         let fi = Arc::new(FaultInjector::new());
-        fi.inject_n(FaultStage::LoadDecode, Some("t01"), FaultKind::IoError, 0, 2);
+        fi.inject_n(
+            FaultStage::LoadDecode,
+            Some("t01"),
+            FaultKind::IoError,
+            0,
+            2,
+        );
         let mut pc = PointCloud::new();
         let report = Loader::new(LoadMethod::Binary)
             .with_policy(LoadPolicy::SkipCorrupt { max_retries: 3 })
@@ -709,7 +716,13 @@ mod tests {
         assert_eq!(report.files[1].outcome, FileOutcome::Loaded);
         // More transient failures than the budget → quarantined.
         let fi = Arc::new(FaultInjector::new());
-        fi.inject_n(FaultStage::LoadDecode, Some("t00"), FaultKind::IoError, 0, 99);
+        fi.inject_n(
+            FaultStage::LoadDecode,
+            Some("t00"),
+            FaultKind::IoError,
+            0,
+            99,
+        );
         let mut pc = PointCloud::new();
         let report = Loader::new(LoadMethod::Binary)
             .with_policy(LoadPolicy::SkipCorrupt { max_retries: 2 })
@@ -717,7 +730,10 @@ mod tests {
             .load_files_report(&mut pc, &paths)
             .unwrap();
         assert_eq!(report.files[0].retries, 2, "retry budget respected");
-        assert!(matches!(report.files[0].outcome, FileOutcome::Quarantined(_)));
+        assert!(matches!(
+            report.files[0].outcome,
+            FileOutcome::Quarantined(_)
+        ));
         assert_eq!(pc.num_points(), 80);
     }
 

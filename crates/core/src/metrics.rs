@@ -108,7 +108,10 @@ impl Stage {
     }
 
     fn index(self) -> usize {
-        Stage::ALL.iter().position(|s| *s == self).expect("stage in ALL")
+        Stage::ALL
+            .iter()
+            .position(|s| *s == self)
+            .expect("stage in ALL")
     }
 }
 

@@ -429,7 +429,10 @@ fn read_columns(
         .indices()
         .map(|i| {
             let field = &schema.fields()[i];
-            Ok((field.clone(), read_column(tile_dir, manifest, i, field, fi)?))
+            Ok((
+                field.clone(),
+                read_column(tile_dir, manifest, i, field, fi)?,
+            ))
         })
         .collect()
 }

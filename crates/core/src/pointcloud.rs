@@ -165,12 +165,19 @@ impl PointCloud {
     /// and its default deadline.
     pub(crate) fn governance(
         &self,
-    ) -> (&AdmissionController, Option<Arc<FaultInjector>>, Option<Duration>) {
+    ) -> (
+        &AdmissionController,
+        Option<Arc<FaultInjector>>,
+        Option<Duration>,
+    ) {
         let deadline = match self.default_deadline_ms.load(Ordering::Relaxed) {
             0 => None,
             ms => Some(Duration::from_millis(ms)),
         };
-        let admission = self.admission.as_deref().unwrap_or(AdmissionController::global());
+        let admission = self
+            .admission
+            .as_deref()
+            .unwrap_or(AdmissionController::global());
         (admission, self.fault.clone(), deadline)
     }
 
@@ -286,15 +293,25 @@ impl PointCloud {
         }
         let logged = |ing: &IngestState| ing.wal.token_seen(token).is_some();
         if token != 0 && self.ingest.as_ref().is_some_and(logged) {
-            crate::metrics::MetricsRegistry::global().wal_dedup_hits.inc();
-            return Ok(IngestAck { inserted: 0, durable: true, deduped: true });
+            crate::metrics::MetricsRegistry::global()
+                .wal_dedup_hits
+                .inc();
+            return Ok(IngestAck {
+                inserted: 0,
+                durable: true,
+                deduped: true,
+            });
         }
         let dumps = batch.to_dumps();
         let (inserted, durable) = match self.ingest {
             Some(_) => self.append_dumps_ingest_tagged(&dumps, token)?,
             None => (self.append_dumps(&dumps)?, true),
         };
-        Ok(IngestAck { inserted, durable, deduped: false })
+        Ok(IngestAck {
+            inserted,
+            durable,
+            deduped: false,
+        })
     }
 
     /// `COPY BINARY`: append one little-endian dump per column.
@@ -448,7 +465,9 @@ impl PointCloud {
         // lands here, whether triggered by a query or a direct call.
         metrics.record_stage(crate::metrics::Stage::ImprintBuild, imp.len(), built);
         let mut cache = self.imprints.write();
-        cache.entry(name.to_string()).or_insert_with(|| Arc::clone(&imp));
+        cache
+            .entry(name.to_string())
+            .or_insert_with(|| Arc::clone(&imp));
         metrics.indexed_columns.set(cache.len() as u64);
         Ok((imp, built.as_secs_f64()))
     }
@@ -525,10 +544,7 @@ impl PointCloud {
     ///
     /// A missing or empty `dir` starts an empty ingesting cloud (the WAL
     /// alone carries it until the first [`Self::seal`]).
-    pub fn open_ingest(
-        dir: impl AsRef<Path>,
-        durability: Durability,
-    ) -> Result<Self, CoreError> {
+    pub fn open_ingest(dir: impl AsRef<Path>, durability: Durability) -> Result<Self, CoreError> {
         Self::open_ingest_with_faults(dir, durability, None)
     }
 
@@ -582,12 +598,8 @@ impl PointCloud {
                 )));
             }
         }
-        let mut wal = wal::open_writer(
-            &wal_path,
-            pc.num_points() as u64,
-            durability,
-            fault.clone(),
-        )?;
+        let mut wal =
+            wal::open_writer(&wal_path, pc.num_points() as u64, durability, fault.clone())?;
         if report.replayed_frames == 0 {
             // Every logged frame (if any) is already inside the dump — a
             // seal crashed between the dump rename and the log truncate.
@@ -927,13 +939,9 @@ mod tests {
         pc.flush_wal().unwrap();
         assert_eq!(pc.visible_rows(), 60);
         assert_eq!(pc.durable_rows(), Some(60));
-        let sel = pc.select_query_with(
-            None,
-            &[],
-            Default::default(),
-            crate::Parallelism::default(),
-        )
-        .unwrap();
+        let sel = pc
+            .select_query_with(None, &[], Default::default(), crate::Parallelism::default())
+            .unwrap();
         assert_eq!(sel.rows.len(), 60, "visible after the group commit");
     }
 

@@ -402,7 +402,12 @@ impl PointCloud {
     /// Two-step spatial selection with the default grid refinement and
     /// worker policy, governed like [`Self::select_query_with`].
     pub fn select(&self, pred: &SpatialPredicate) -> Result<Selection, CoreError> {
-        self.select_query_with(Some(pred), &[], RefineStrategy::default(), Parallelism::default())
+        self.select_query_with(
+            Some(pred),
+            &[],
+            RefineStrategy::default(),
+            Parallelism::default(),
+        )
     }
 
     /// The general entry point: an optional spatial predicate plus any
@@ -846,19 +851,22 @@ mod tests {
             RefineStrategy::AdaptiveGrid,
             RefineStrategy::Exhaustive,
         ] {
-            let sel = pc.select_query_with(Some(&tri), &[], strat, Parallelism::default()).unwrap();
+            let sel = pc
+                .select_query_with(Some(&tri), &[], strat, Parallelism::default())
+                .unwrap();
             let mut rows = sel.rows.clone();
             rows.sort_unstable();
             assert_eq!(rows, expect, "{strat:?}");
         }
         // BboxOnly returns a superset.
-        let sup = pc.select_query_with(
-            Some(&tri),
-            &[],
-            RefineStrategy::BboxOnly,
-            Parallelism::default(),
-        )
-        .unwrap();
+        let sup = pc
+            .select_query_with(
+                Some(&tri),
+                &[],
+                RefineStrategy::BboxOnly,
+                Parallelism::default(),
+            )
+            .unwrap();
         assert!(sup.rows.len() >= expect.len());
         for r in &expect {
             assert!(sup.rows.contains(r));
@@ -885,13 +893,14 @@ mod tests {
                 Parallelism::default(),
             )
             .unwrap();
-        let exhaustive = pc.select_query_with(
-            Some(&big),
-            &[],
-            RefineStrategy::Exhaustive,
-            Parallelism::default(),
-        )
-        .unwrap();
+        let exhaustive = pc
+            .select_query_with(
+                Some(&big),
+                &[],
+                RefineStrategy::Exhaustive,
+                Parallelism::default(),
+            )
+            .unwrap();
         assert_eq!(grid.rows.len(), exhaustive.rows.len());
         assert!(
             grid.explain.exact_tests < exhaustive.explain.exact_tests / 2,
@@ -954,10 +963,7 @@ mod tests {
             None,
             "empty avg is NULL"
         );
-        assert_eq!(
-            pc.aggregate(&[], "z", Aggregate::Count).unwrap(),
-            Some(0.0)
-        );
+        assert_eq!(pc.aggregate(&[], "z", Aggregate::Count).unwrap(), Some(0.0));
     }
 
     #[test]
@@ -1291,7 +1297,12 @@ mod review_regressions {
         let pred = SpatialPredicate::Within(Geometry::Polygon(bowtie.clone()));
         let grid = pc.select(&pred).unwrap();
         let exhaustive = pc
-            .select_query_with(Some(&pred), &[], RefineStrategy::Exhaustive, Parallelism::default())
+            .select_query_with(
+                Some(&pred),
+                &[],
+                RefineStrategy::Exhaustive,
+                Parallelism::default(),
+            )
             .unwrap();
         assert_eq!(grid.rows, exhaustive.rows, "paths must agree");
         // And strictly fewer points than the bbox holds.
@@ -1326,7 +1337,12 @@ mod review_regressions {
             )
             .unwrap();
         let oracle = pc
-            .select_query_with(Some(&tri), &[], RefineStrategy::Exhaustive, Parallelism::default())
+            .select_query_with(
+                Some(&tri),
+                &[],
+                RefineStrategy::Exhaustive,
+                Parallelism::default(),
+            )
             .unwrap();
         assert_eq!(sel.rows, oracle.rows);
     }
@@ -1402,7 +1418,12 @@ mod review_regressions {
         let token = CancelToken::new();
         token.kill();
         let ctx = GovernCtx::new(token, None);
-        for agg in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max] {
+        for agg in [
+            Aggregate::Sum,
+            Aggregate::Avg,
+            Aggregate::Min,
+            Aggregate::Max,
+        ] {
             for par in [Parallelism::Serial, Parallelism::Threads(4)] {
                 let err = PointTable::Flat(&pc)
                     .aggregate(&rows, "z", agg, par, &ctx)
@@ -1536,8 +1557,15 @@ mod review_regressions {
                 .unwrap_err();
             errs.push(err.to_string());
         }
-        assert_eq!(errs[0], errs[1], "serial and parallel cancellations render identically");
-        assert!(errs[0].contains("killed"), "cancel fault trips as a kill: {}", errs[0]);
+        assert_eq!(
+            errs[0], errs[1],
+            "serial and parallel cancellations render identically"
+        );
+        assert!(
+            errs[0].contains("killed"),
+            "cancel fault trips as a kill: {}",
+            errs[0]
+        );
     }
 
     #[test]

@@ -271,7 +271,10 @@ impl Recorder {
     pub fn sample_now(&self) {
         let values = collect_values(self.metrics);
         let uptime = self.metrics.uptime_ns();
-        let mut w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut w = self
+            .writer
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let claim = w.claim;
         let keyframe = w.prev.is_none() || claim.is_multiple_of(KEYFRAME_EVERY);
         let mut buf = Vec::with_capacity(SLOT_BYTES);
@@ -540,7 +543,12 @@ mod tests {
             names.len(),
             m.counter_values().len() + m.gauge_values().len()
         );
-        for key in ["queries", "wal_backlog_rows", "admission_queued", "open_connections"] {
+        for key in [
+            "queries",
+            "wal_backlog_rows",
+            "admission_queued",
+            "open_connections",
+        ] {
             assert!(names.contains(&key), "{key} missing from recorder series");
         }
     }

@@ -108,7 +108,14 @@ pub(crate) fn sort_and_plan(pc: &mut PointCloud, opts: &TileOptions) -> Result<L
         let lo = v.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let lo = if lo.is_finite() { lo } else { 0.0 };
-        (lo, if hi.is_finite() && hi > lo { hi } else { lo + 1.0 })
+        (
+            lo,
+            if hi.is_finite() && hi > lo {
+                hi
+            } else {
+                lo + 1.0
+            },
+        )
     };
     let (keys_sorted, perm) = {
         let xs = pc.f64_column("x")?;
@@ -472,7 +479,8 @@ impl TiledCloud {
                 metrics.tiles_evicted.inc();
             }
         }
-        self.peak_resident.fetch_max(cache.resident, Ordering::Relaxed);
+        self.peak_resident
+            .fetch_max(cache.resident, Ordering::Relaxed);
         metrics.resident_tile_bytes.set(cache.resident);
         Ok(pc)
     }
@@ -480,7 +488,12 @@ impl TiledCloud {
     /// Two-step spatial query with the default strategy and worker policy,
     /// governed like [`Self::select_query_with`].
     pub fn select(&self, pred: &SpatialPredicate) -> Result<Selection, CoreError> {
-        self.select_query_with(Some(pred), &[], RefineStrategy::default(), Parallelism::default())
+        self.select_query_with(
+            Some(pred),
+            &[],
+            RefineStrategy::default(),
+            Parallelism::default(),
+        )
     }
 
     /// Spatial + attribute query under the process-wide admission
@@ -539,7 +552,11 @@ mod tests {
         assert_eq!(reads(FaultStage::ReadManifest), 2, "tile 0's first fault");
         assert_eq!(reads(FaultStage::ReadColumn), 1);
         tc.load_tile(0, ColumnSet::of(["x", "y"]), &ctx).unwrap();
-        assert_eq!(reads(FaultStage::ReadManifest), 2, "a second fault reads no manifest");
+        assert_eq!(
+            reads(FaultStage::ReadManifest),
+            2,
+            "a second fault reads no manifest"
+        );
         assert_eq!(reads(FaultStage::ReadColumn), 2);
         // Evict tile 0 by faulting tile 1 under a one-byte budget; its
         // next fault re-reads column files only.
@@ -547,7 +564,11 @@ mod tests {
         tc.load_tile(1, ColumnSet::of(["x"]), &ctx).unwrap();
         assert_eq!(tc.resident_tiles(), 1);
         tc.load_tile(0, ColumnSet::of(["z"]), &ctx).unwrap();
-        assert_eq!(reads(FaultStage::ReadManifest), 3, "tile 1's first fault only");
+        assert_eq!(
+            reads(FaultStage::ReadManifest),
+            3,
+            "tile 1's first fault only"
+        );
         assert_eq!(reads(FaultStage::ReadColumn), 4);
     }
 }

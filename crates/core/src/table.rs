@@ -193,7 +193,16 @@ impl<'a> PointTable<'a> {
             // segment and built by the first one that filters.
             let prepared = OnceCell::new();
             let stages = |pc: &PointCloud, root: &mut _, explain: &mut _| {
-                pc.query_stages(pred, &prepared, attrs, strategy, parallelism, ctx, root, explain)
+                pc.query_stages(
+                    pred,
+                    &prepared,
+                    attrs,
+                    strategy,
+                    parallelism,
+                    ctx,
+                    root,
+                    explain,
+                )
             };
             // The band table is the select's, not each segment's.
             let note_bands = |explain: &mut Explain| {

@@ -247,7 +247,10 @@ impl Tracer {
             }
             // Acquire pairs with the previous owner's publishing Release,
             // so its word stores happen before ours.
-            match slot.seq.compare_exchange_weak(seq, mine, Ordering::Acquire, Ordering::Relaxed) {
+            match slot
+                .seq
+                .compare_exchange_weak(seq, mine, Ordering::Acquire, Ordering::Relaxed)
+            {
                 Ok(_) => break,
                 Err(now) => seq = now,
             }
@@ -657,7 +660,11 @@ impl TraceSink {
                 s.kind.name(),
                 s.rows_out,
                 s.dur_ns as f64 / 1e6,
-                if s.flags & FLAG_CANCELLED != 0 { "[cancelled]" } else { "" },
+                if s.flags & FLAG_CANCELLED != 0 {
+                    "[cancelled]"
+                } else {
+                    ""
+                },
             ));
         }
         parts.join(" ")
@@ -751,7 +758,11 @@ mod tests {
 
     #[test]
     fn kind_codes_round_trip() {
-        for k in Stage::ALL.map(SpanKind::Stage).into_iter().chain([SpanKind::Query]) {
+        for k in Stage::ALL
+            .map(SpanKind::Stage)
+            .into_iter()
+            .chain([SpanKind::Query])
+        {
             assert_eq!(SpanKind::from_code(k.code()), Some(k), "{}", k.name());
         }
         assert_eq!(SpanKind::from_code(99), None);
@@ -884,7 +895,11 @@ mod tests {
         let sink = t.snapshot();
         assert_eq!(sink.len(), 64);
         let claims: Vec<u64> = sink.spans.iter().map(|s| s.seq).collect();
-        assert_eq!(claims, (8000 - 64..8000).collect::<Vec<_>>(), "the last 64 claims");
+        assert_eq!(
+            claims,
+            (8000 - 64..8000).collect::<Vec<_>>(),
+            "the last 64 claims"
+        );
         for s in &sink.spans {
             // Internal consistency: every field carries the same id.
             let id = s.trace_id;
@@ -959,8 +974,15 @@ mod tests {
             .find(|s| s.kind == SpanKind::Stage(Stage::Morsel))
             .expect("worker span present");
         assert_eq!(morsel.parent_id, sid);
-        let root_rec = sink.spans.iter().find(|s| s.kind == SpanKind::Query).unwrap();
-        assert_ne!(morsel.thread, root_rec.thread, "worker ran on its own thread");
+        let root_rec = sink
+            .spans
+            .iter()
+            .find(|s| s.kind == SpanKind::Query)
+            .unwrap();
+        assert_ne!(
+            morsel.thread, root_rec.thread,
+            "worker ran on its own thread"
+        );
     }
 
     #[test]

@@ -326,8 +326,10 @@ impl WalWriter {
             file.set_len(0).map_err(io_err)?;
             let tokens: Vec<u64> = ledger.iter().map(|&(t, _)| t).collect();
             let hdr = encode_header(base_rows, &tokens);
-            file.write_all(&hdr).map_err(|e| write_err("wal header", e))?;
-            file.sync_all().map_err(|e| write_err("wal header sync", e))?;
+            file.write_all(&hdr)
+                .map_err(|e| write_err("wal header", e))?;
+            file.sync_all()
+                .map_err(|e| write_err("wal header sync", e))?;
         } else if len > valid_len {
             // Recovery truncation: drop the torn/corrupt tail so the next
             // append starts at a verified frame boundary.
@@ -524,9 +526,7 @@ impl WalWriter {
                 }
             }
         }
-        self.file
-            .sync_all()
-            .map_err(|e| write_err("wal sync", e))?;
+        self.file.sync_all().map_err(|e| write_err("wal sync", e))?;
         self.durable_rows = self.rows;
         self.pending = 0;
         self.last_sync = Instant::now();
@@ -540,7 +540,9 @@ impl WalWriter {
     /// matters more than speed.
     fn durable_len(&mut self) -> Result<u64, CoreError> {
         let durable = self.durable_rows;
-        self.file.seek(std::io::SeekFrom::Start(0)).map_err(io_err)?;
+        self.file
+            .seek(std::io::SeekFrom::Start(0))
+            .map_err(io_err)?;
         let mut bytes = Vec::new();
         self.file.read_to_end(&mut bytes).map_err(io_err)?;
         let scan = scan_frames(&bytes, None)?;
@@ -561,7 +563,9 @@ impl WalWriter {
     /// client replaying a pre-seal INSERT must still be deduped.
     pub fn reset(&mut self, base_rows: u64) -> Result<(), CoreError> {
         self.file.set_len(0).map_err(io_err)?;
-        self.file.seek(std::io::SeekFrom::Start(0)).map_err(io_err)?;
+        self.file
+            .seek(std::io::SeekFrom::Start(0))
+            .map_err(io_err)?;
         let tokens: Vec<u64> = self.ledger.iter().map(|&(t, _)| t).collect();
         let hdr = encode_header(base_rows, &tokens);
         self.file
@@ -651,8 +655,7 @@ pub(crate) fn scan_frames(bytes: &[u8], fi: Option<&FaultInjector>) -> Result<Wa
         if remaining < FRAME_HEADER_LEN as usize {
             break; // short header: torn tail
         }
-        let payload_len =
-            u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let payload_len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         // Untrusted length: capped and checked against the bytes actually
         // present before anything is sliced or allocated.
         if payload_len > MAX_PAYLOAD
@@ -672,7 +675,9 @@ pub(crate) fn scan_frames(bytes: &[u8], fi: Option<&FaultInjector>) -> Result<Wa
         {
             return Err(match kind {
                 FaultKind::IoError => io_err(kind.to_io_error()),
-                other => corrupt(format!("injected {other:?} during wal replay of frame {seq}")),
+                other => corrupt(format!(
+                    "injected {other:?} during wal replay of frame {seq}"
+                )),
             });
         }
         // Structural checks beyond the checksum: sequence and row
@@ -831,7 +836,10 @@ mod tests {
         let bytes = std::fs::read(&p).unwrap();
         let header_len = HEADER_LEN as usize;
         let stored = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        assert_eq!(stored(header_len - 4), crate::crc::bytewise(&bytes[..header_len - 4]));
+        assert_eq!(
+            stored(header_len - 4),
+            crate::crc::bytewise(&bytes[..header_len - 4])
+        );
         let mut at = header_len;
         for _ in &batches {
             let payload = stored(at) as usize;
@@ -1120,10 +1128,7 @@ mod tests {
         fi.inject(FaultStage::WalAppend, None, FaultKind::DiskFull);
         let mut w = open_writer(&p, 0, Durability::Always, Some(fi.clone())).unwrap();
         let err = w.append_batch(&dumps_of(2, 1), 2, 0).unwrap_err();
-        assert!(
-            matches!(err, CoreError::StorageExhausted(_)),
-            "got {err:?}"
-        );
+        assert!(matches!(err, CoreError::StorageExhausted(_)), "got {err:?}");
         assert!(!err.is_transient());
         // Nothing reached the medium: the next append succeeds cleanly
         // and the log has no damaged bytes.

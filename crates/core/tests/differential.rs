@@ -20,9 +20,9 @@
 use std::sync::{Arc, OnceLock};
 
 use lidardb_core::{
-    Aggregate, AttrRange, Durability, FaultInjector, FaultKind, FaultStage, GovernCtx,
-    Parallelism, PointCloud, PointTable, RefineStrategy, Selection, SpatialPredicate,
-    TileOptions, TiledCloud, MORSEL_MIN_ROWS,
+    Aggregate, AttrRange, Durability, FaultInjector, FaultKind, FaultStage, GovernCtx, Parallelism,
+    PointCloud, PointTable, RefineStrategy, Selection, SpatialPredicate, TileOptions, TiledCloud,
+    MORSEL_MIN_ROWS,
 };
 use lidardb_geom::{buffer_polyline, Geometry, LineString, Point, Polygon, Ring};
 use lidardb_las::PointRecord;
@@ -126,12 +126,17 @@ impl<'a> Shape<'a> {
         parallelism: Parallelism,
     ) -> Selection {
         let ungoverned = GovernCtx::ungoverned();
-        self.table.select(pred, attrs, strategy, parallelism, &ungoverned).unwrap()
+        self.table
+            .select(pred, attrs, strategy, parallelism, &ungoverned)
+            .unwrap()
     }
 
     fn aggregate(&self, rows: &[usize], column: &str, agg: Aggregate, par: Parallelism) -> f64 {
         let ungoverned = GovernCtx::ungoverned();
-        self.table.aggregate(rows, column, agg, par, &ungoverned).unwrap().unwrap()
+        self.table
+            .aggregate(rows, column, agg, par, &ungoverned)
+            .unwrap()
+            .unwrap()
     }
 }
 
@@ -152,12 +157,16 @@ impl TiledShape {
             target_rows: 30_000,
             ..Default::default()
         };
-        let tiles = build_cloud(SHARED_ROWS, SHARED_SEED).save_tiled(&dir, &opts).unwrap();
+        let tiles = build_cloud(SHARED_ROWS, SHARED_SEED)
+            .save_tiled(&dir, &opts)
+            .unwrap();
         assert!(tiles >= 3, "the workload spans several tiles, got {tiles}");
         let tc = TiledCloud::open(&dir).unwrap();
         tc.set_resident_budget(1);
         let sealed = PointCloud::open_dir(&dir).unwrap();
-        let records = (0..sealed.num_points()).map(|r| sealed.record(r).unwrap()).collect();
+        let records = (0..sealed.num_points())
+            .map(|r| sealed.record(r).unwrap())
+            .collect();
         TiledShape {
             _dir: dir,
             tc,
@@ -181,7 +190,10 @@ fn for_each_shape(check: impl Fn(Shape)) {
     check(tiled.shape());
     assert!(tiled.tc.tile_loads() > 0, "tiles load on demand");
     assert!(tiled.tc.tile_evictions() > 0, "the budget evicts");
-    assert!(tiled.tc.resident_tiles() <= 1, "the budget keeps one tile resident");
+    assert!(
+        tiled.tc.resident_tiles() <= 1,
+        "the budget keeps one tile resident"
+    );
 }
 
 fn worker_counts() -> Vec<usize> {
@@ -247,7 +259,9 @@ fn assert_model_rows(
         let env = p.filter_envelope().expect("a predicate with an envelope");
         SpatialPredicate::Within(Geometry::Polygon(Polygon::rectangle(&env)))
     };
-    let filter = pred.filter(|_| strategy == RefineStrategy::BboxOnly).map(bbox);
+    let filter = pred
+        .filter(|_| strategy == RefineStrategy::BboxOnly)
+        .map(bbox);
     let expect = model.select(filter.as_ref().or(pred), attrs);
     let longest = engine.len().max(expect.len());
     if let Some(i) = (0..longest).find(|&i| engine.get(i) != expect.get(i)) {
@@ -276,12 +290,22 @@ fn assert_differential(
     assert_model_rows(&serial.rows, shape.model, pred, attrs, strategy);
     assert_morsels_partition_candidates(&serial.explain);
     let segments = segments_probed(&serial.explain);
-    assert_eq!(serial.explain.workers, segments.min(1), "one worker runs one inline morsel");
-    assert!(serial.explain.morsel_times.len() <= segments, "one inline morsel per segment");
+    assert_eq!(
+        serial.explain.workers,
+        segments.min(1),
+        "one worker runs one inline morsel"
+    );
+    assert!(
+        serial.explain.morsel_times.len() <= segments,
+        "one inline morsel per segment"
+    );
     let tiled = matches!(shape.table, PointTable::Tiled(_));
     if tiled {
         let e = &serial.explain;
-        assert!(e.tiles_loaded + 1 >= e.tiles_probed, "every probed tile but one loads");
+        assert!(
+            e.tiles_loaded + 1 >= e.tiles_probed,
+            "every probed tile but one loads"
+        );
     }
     for &w in &worker_counts() {
         let par = shape.select(pred, attrs, strategy, Parallelism::Threads(w));
@@ -315,7 +339,10 @@ fn assert_differential(
             assert!(b.workers <= w, "{w} workers");
             if b.after_imprints < 2 * MORSEL_MIN_ROWS {
                 let inline = segments.min(1);
-                assert_eq!(b.workers, inline, "small candidate sets stay one inline morsel");
+                assert_eq!(
+                    b.workers, inline,
+                    "small candidate sets stay one inline morsel"
+                );
             }
         } else if b.after_imprints >= 2 * MORSEL_MIN_ROWS {
             assert_eq!(b.workers, w, "candidates split across the workers");
@@ -335,7 +362,10 @@ fn assert_morsels_partition_candidates(e: &lidardb_core::Explain) {
     let rows_out: usize = e.morsel_times.iter().map(|m| m.rows_out).sum();
     assert_eq!(rows_in, e.after_imprints, "morsels partition candidates");
     assert_eq!(rows_out, e.after_bbox, "morsel survivors sum to bbox count");
-    assert!(e.morsel_times.iter().all(|m| m.rows_in > 0), "no empty morsels");
+    assert!(
+        e.morsel_times.iter().all(|m| m.rows_in > 0),
+        "no empty morsels"
+    );
     if segments_probed(e) == 0 {
         assert_eq!(e.workers, 0, "no segment ran");
     } else if e.morsel_times.len() <= 1 {
@@ -462,7 +492,12 @@ fn holed_c() -> SpatialPredicate {
             (820.0, 860.0),
             (130.0, 840.0),
         ]),
-        vec![ring(&[(200.0, 450.0), (330.0, 450.0), (330.0, 560.0), (200.0, 560.0)])],
+        vec![ring(&[
+            (200.0, 450.0),
+            (330.0, 450.0),
+            (330.0, 560.0),
+            (200.0, 560.0),
+        ])],
     )))
 }
 
@@ -567,7 +602,12 @@ fn check_banded_filters(shape: Shape) {
             let rows = assert_differential(shape, Some(pred), &attrs, strategy);
             assert!(!rows.is_empty(), "{pred:?} selects rows");
         }
-        let e = shape.select(Some(pred), &attrs, RefineStrategy::default(), Parallelism::Serial);
+        let e = shape.select(
+            Some(pred),
+            &attrs,
+            RefineStrategy::default(),
+            Parallelism::Serial,
+        );
         let e = e.explain;
         assert_eq!((e.bands_x > 0, e.bands_y), (*banded, 0), "{pred:?}");
     }
@@ -696,7 +736,13 @@ fn differential_with_injected_imprint_faults() {
         let fi = Arc::new(FaultInjector::new());
         // Fire on every build attempt (failed builds are not cached, so
         // every run re-hits the injector).
-        fi.inject_n(FaultStage::ImprintBuild, target, FaultKind::IoError, 0, u32::MAX);
+        fi.inject_n(
+            FaultStage::ImprintBuild,
+            target,
+            FaultKind::IoError,
+            0,
+            u32::MAX,
+        );
         pc.set_fault_injector(Arc::clone(&fi));
         let serial = pc
             .select_query_with(
@@ -744,9 +790,17 @@ fn differential_aggregates() {
             &[],
             RefineStrategy::default(),
         );
-        assert!(rows.len() >= 2 * MORSEL_MIN_ROWS, "aggregate splits into morsels");
+        assert!(
+            rows.len() >= 2 * MORSEL_MIN_ROWS,
+            "aggregate splits into morsels"
+        );
         for column in ["z", "intensity", "classification", "gps_time"] {
-            for agg in [Aggregate::Sum, Aggregate::Avg, Aggregate::Min, Aggregate::Max] {
+            for agg in [
+                Aggregate::Sum,
+                Aggregate::Avg,
+                Aggregate::Min,
+                Aggregate::Max,
+            ] {
                 let serial = pc.aggregate(&rows, column, agg, Parallelism::Serial);
                 // A tiled fold merges per-tile states: within 1e-9
                 // relative of the model over the same rows, and
@@ -803,10 +857,20 @@ fn differential_span_trees_serial_vs_parallel() {
     {
         let _traced = lidardb_core::trace::force_thread();
         serial = pc
-            .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
+            .select_query_with(
+                Some(&pred),
+                &[],
+                RefineStrategy::default(),
+                Parallelism::Serial,
+            )
             .unwrap();
         par = pc
-            .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Threads(4))
+            .select_query_with(
+                Some(&pred),
+                &[],
+                RefineStrategy::default(),
+                Parallelism::Threads(4),
+            )
             .unwrap();
     }
     assert_eq!(serial.rows, par.rows);
@@ -833,7 +897,10 @@ fn differential_span_trees_serial_vs_parallel() {
         "serial and parallel span trees disagree on stages or row counts"
     );
     for want in ["query", "imprint_probe", "bbox_scan", "grid_refine"] {
-        assert!(serial_tree.iter().any(|(n, _)| *n == want), "missing {want}");
+        assert!(
+            serial_tree.iter().any(|(n, _)| *n == want),
+            "missing {want}"
+        );
     }
 
     // Morsel spans partition the candidates at any worker count: exactly
@@ -853,15 +920,27 @@ fn differential_span_trees_serial_vs_parallel() {
         .into_iter()
         .find(|s| s.kind.name() == "query")
         .expect("root span");
-    assert_eq!(inline[0].thread, root.thread, "the inline morsel runs on the query's thread");
+    assert_eq!(
+        inline[0].thread, root.thread,
+        "the inline morsel runs on the query's thread"
+    );
     for (sel, morsels) in [(&serial, inline), (&par, morsel_spans(par_tid))] {
         assert_eq!(morsels.len(), sel.explain.morsel_times.len());
         let rows_in: u64 = morsels.iter().map(|m| m.rows_in).sum();
         let rows_out: u64 = morsels.iter().map(|m| m.rows_out).sum();
-        assert_eq!(rows_in, sel.explain.after_imprints as u64, "morsels partition candidates");
-        assert_eq!(rows_out, sel.explain.after_bbox as u64, "morsel survivors sum to bbox count");
+        assert_eq!(
+            rows_in, sel.explain.after_imprints as u64,
+            "morsels partition candidates"
+        );
+        assert_eq!(
+            rows_out, sel.explain.after_bbox as u64,
+            "morsel survivors sum to bbox count"
+        );
     }
-    assert!(par.explain.morsel_times.len() > 1, "the 120k cloud splits at four workers");
+    assert!(
+        par.explain.morsel_times.len() > 1,
+        "the 120k cloud splits at four workers"
+    );
 }
 
 // ------------------------------------------- governance / cancellation
@@ -885,7 +964,13 @@ fn governed_run(
         .govern("select within (1 attr filters)", deadline, None)
         .and_then(|g| {
             let pred = diamond(500.0, 500.0, 400.0);
-            table.select(Some(&pred), &attrs, RefineStrategy::default(), workers, &g.ctx)
+            table.select(
+                Some(&pred),
+                &attrs,
+                RefineStrategy::default(),
+                workers,
+                &g.ctx,
+            )
         })
         .map(|sel| sel.rows)
         .map_err(|e| e.to_string())
@@ -896,9 +981,16 @@ fn differential_cancel_fault_is_identical_serial_and_parallel() {
     // The Cancel fault targets the "query" checkpoint, which runs before
     // any morsel is split off — every worker count must return
     // byte-identical Cancelled errors.
-    let rules = [(FaultStage::QueryCheckpoint, Some("query"), FaultKind::Cancel)];
+    let rules = [(
+        FaultStage::QueryCheckpoint,
+        Some("query"),
+        FaultKind::Cancel,
+    )];
     let serial = governed_run(Parallelism::Serial, None, &rules).unwrap_err();
-    assert!(serial.contains("cancelled") && serial.contains("killed"), "{serial}");
+    assert!(
+        serial.contains("cancelled") && serial.contains("killed"),
+        "{serial}"
+    );
     for &w in &worker_counts() {
         let par = governed_run(Parallelism::Threads(w), None, &rules).unwrap_err();
         assert_eq!(serial, par, "cancelled errors differ at {w} workers");
@@ -931,11 +1023,7 @@ fn differential_stall_without_deadline_leaves_results_identical() {
     // with the others and with the ungoverned baseline.
     let baseline = governed_run(Parallelism::Serial, None, &[]).unwrap();
     for site in ["query", "bbox_scan"] {
-        let rules = [(
-            FaultStage::QueryCheckpoint,
-            Some(site),
-            FaultKind::Stall(5),
-        )];
+        let rules = [(FaultStage::QueryCheckpoint, Some(site), FaultKind::Stall(5))];
         let serial = governed_run(Parallelism::Serial, None, &rules).unwrap();
         assert_eq!(baseline, serial, "stall at {site} changed serial rows");
         for &w in &worker_counts() {

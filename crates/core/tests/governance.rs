@@ -71,7 +71,13 @@ fn select_governed(
     let table = PointTable::Flat(pc);
     let detail = format!("select within ({} attr filters)", attrs.len());
     let g = table.govern(detail, deadline, budget)?;
-    table.select(Some(pred), attrs, RefineStrategy::default(), parallelism, &g.ctx)
+    table.select(
+        Some(pred),
+        attrs,
+        RefineStrategy::default(),
+        parallelism,
+        &g.ctx,
+    )
 }
 
 // ------------------------------------------------------------- admission
@@ -133,10 +139,7 @@ fn queued_query_times_out_when_permit_never_frees() {
     )
     .unwrap_err();
     assert!(
-        matches!(
-            err,
-            CoreError::Cancelled { .. } | CoreError::Overloaded
-        ),
+        matches!(err, CoreError::Cancelled { .. } | CoreError::Overloaded),
         "queued query must resolve with a typed governance error: {err}"
     );
 }
@@ -152,9 +155,15 @@ fn metrics_snapshot_exposes_governor_counters() {
         "queries_killed",
         "budget_trips",
     ] {
-        assert!(json.contains(&format!("\"{key}\"")), "missing {key}: {json}");
+        assert!(
+            json.contains(&format!("\"{key}\"")),
+            "missing {key}: {json}"
+        );
     }
-    assert!(json.contains("\"governor\""), "governor stage block: {json}");
+    assert!(
+        json.contains("\"governor\""),
+        "governor stage block: {json}"
+    );
 }
 
 #[test]
@@ -201,9 +210,7 @@ fn slow_log_stays_bounded_under_concurrent_cancellation_storm() {
     assert!(!worst.is_empty(), "cancelled queries must enter the log");
     for q in &worst {
         assert!(
-            q.spans
-                .iter()
-                .any(|s| s.flags & trace::FLAG_CANCELLED != 0),
+            q.spans.iter().any(|s| s.flags & trace::FLAG_CANCELLED != 0),
             "every retained entry carries the cancelled flag"
         );
         assert_eq!(q.result_rows, 0, "pre-killed queries did no work");
@@ -245,7 +252,10 @@ fn cancelled_query_renders_in_slow_log_tree() {
         spans: entry.spans.clone(),
     }
     .render_tree();
-    assert!(tree.contains("[cancelled]"), "tree renders the flag:\n{tree}");
+    assert!(
+        tree.contains("[cancelled]"),
+        "tree renders the flag:\n{tree}"
+    );
     trace::SlowQueryLog::global().clear();
 }
 
@@ -260,7 +270,12 @@ fn serial_cancellation_lands_within_one_checkpoint_stride() {
     let mut pc = build_cloud(200_000, 0xD0D);
     let pred = rect(0.0, 0.0, 1000.0, 1000.0);
     let full = pc
-        .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
+        .select_query_with(
+            Some(&pred),
+            &[],
+            RefineStrategy::default(),
+            Parallelism::Serial,
+        )
         .expect("baseline run")
         .rows
         .len();
@@ -270,10 +285,19 @@ fn serial_cancellation_lands_within_one_checkpoint_stride() {
     );
 
     let fi = Arc::new(FaultInjector::new());
-    fi.inject(FaultStage::QueryCheckpoint, Some("bbox_scan"), FaultKind::Cancel);
+    fi.inject(
+        FaultStage::QueryCheckpoint,
+        Some("bbox_scan"),
+        FaultKind::Cancel,
+    );
     pc.set_fault_injector(fi);
     let err = pc
-        .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
+        .select_query_with(
+            Some(&pred),
+            &[],
+            RefineStrategy::default(),
+            Parallelism::Serial,
+        )
         .unwrap_err();
     match err {
         CoreError::Cancelled { partial_rows, .. } => assert!(

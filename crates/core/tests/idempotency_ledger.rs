@@ -117,5 +117,8 @@ fn ledger_stays_bounded_past_the_durable_watermark() {
     let ack = pc.ingest_records_tagged(&batch(newest, 1), newest).unwrap();
     assert!(ack.deduped, "newest token evicted too early");
     let ack = pc.ingest_records_tagged(&batch(1, 1), 1).unwrap();
-    assert!(!ack.deduped, "oldest durable token should have been evicted");
+    assert!(
+        !ack.deduped,
+        "oldest durable token should have been evicted"
+    );
 }

@@ -30,7 +30,10 @@ struct Json<'a> {
 
 impl<'a> Json<'a> {
     fn new(s: &'a str) -> Self {
-        Json { s: s.as_bytes(), pos: 0 }
+        Json {
+            s: s.as_bytes(),
+            pos: 0,
+        }
     }
 
     fn fail(&self, what: &str) -> String {
@@ -236,13 +239,22 @@ fn metrics_smoke() {
     );
     let s = metrics.stage(Stage::ImprintProbe);
     let hist_total: u64 = s.latency.counts().iter().sum();
-    assert!(hist_total >= s.calls.get() - probe_calls_before, "latency observed");
+    assert!(
+        hist_total >= s.calls.get() - probe_calls_before,
+        "latency observed"
+    );
 
     // An aggregate records its own stage.
     let agg_calls = metrics.stage(Stage::Aggregate).calls.get();
     let ungoverned = GovernCtx::ungoverned();
     PointTable::Flat(&pc)
-        .aggregate(&sel.rows, "z", Aggregate::Avg, Parallelism::Serial, &ungoverned)
+        .aggregate(
+            &sel.rows,
+            "z",
+            Aggregate::Avg,
+            Parallelism::Serial,
+            &ungoverned,
+        )
         .unwrap();
     assert!(metrics.stage(Stage::Aggregate).calls.get() > agg_calls);
 
@@ -263,7 +275,11 @@ fn metrics_smoke() {
         assert!(json.contains(key), "missing {key} in snapshot:\n{json}");
     }
     for stage in Stage::ALL {
-        assert!(json.contains(stage.name()), "missing stage {}", stage.name());
+        assert!(
+            json.contains(stage.name()),
+            "missing stage {}",
+            stage.name()
+        );
     }
 
     // Registry stage seconds stay sane: the probe stage's accumulated time

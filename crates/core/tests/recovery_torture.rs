@@ -61,8 +61,7 @@ fn ingest_until_death(
     fi: std::sync::Arc<FaultInjector>,
     total: usize,
 ) -> usize {
-    let mut pc =
-        PointCloud::open_ingest_with_faults(dir, durability, Some(fi)).unwrap();
+    let mut pc = PointCloud::open_ingest_with_faults(dir, durability, Some(fi)).unwrap();
     let mut durable_rows = 0usize;
     for b in 0..total {
         match pc.ingest_records(&batch(b)) {
@@ -94,11 +93,7 @@ fn byte_faults_at_wal_append_lose_only_unacked_batches() {
             let ctx = format!("append {kind:?} at frame {frame}");
             let dir = ScratchDir::vacant(&format!("torture_append_{i}_{frame}"));
             let fi = std::sync::Arc::new(FaultInjector::new());
-            fi.inject(
-                FaultStage::WalAppend,
-                Some(&format!("frame:{frame}")),
-                kind,
-            );
+            fi.inject(FaultStage::WalAppend, Some(&format!("frame:{frame}")), kind);
             let durable = ingest_until_death(&dir, Durability::Always, fi, 8);
             assert_eq!(
                 durable as u64,
@@ -171,8 +166,7 @@ fn crash_during_seal_window_replays_idempotently() {
     let dir = ScratchDir::vacant("torture_seal_window");
     let fi = std::sync::Arc::new(FaultInjector::new());
     fi.inject(FaultStage::Seal, Some("truncate"), FaultKind::Crash);
-    let mut pc =
-        PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi)).unwrap();
+    let mut pc = PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi)).unwrap();
     for b in 0..4 {
         assert!(pc.ingest_records(&batch(b)).unwrap());
     }
@@ -202,8 +196,7 @@ fn crash_during_seal_dump_commit_keeps_the_wal_authoritative() {
         let fi = std::sync::Arc::new(FaultInjector::new());
         fi.inject(FaultStage::Commit, target, FaultKind::Crash);
         let mut pc =
-            PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi))
-                .unwrap();
+            PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi)).unwrap();
         for b in 0..3 {
             assert!(pc.ingest_records(&batch(b)).unwrap());
         }
@@ -223,8 +216,7 @@ fn crash_during_seal_dump_commit_keeps_the_wal_authoritative() {
     drop(pc);
     let fi = std::sync::Arc::new(FaultInjector::new());
     fi.inject(FaultStage::Commit, Some("swap"), FaultKind::Crash);
-    let mut pc =
-        PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi)).unwrap();
+    let mut pc = PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi)).unwrap();
     pc.ingest_records(&batch(1)).unwrap();
     assert!(pc.seal().is_err(), "crash between the commit renames");
     drop(pc);
@@ -266,7 +258,10 @@ fn crash_during_tiled_seal_keeps_the_previous_dump_and_every_ack() {
         target_rows: 64,
         ..Default::default()
     };
-    assert!(pc.seal_to_tiles(&opts).is_err(), "injected column-write crash");
+    assert!(
+        pc.seal_to_tiles(&opts).is_err(),
+        "injected column-write crash"
+    );
     assert_eq!(fi.fired().len(), 1);
     drop(pc);
     assert_eq!(snapshot(), before, "previous dump untouched");
@@ -286,8 +281,7 @@ fn fault_during_recovery_is_an_error_then_a_clean_retry() {
     // First reopen dies replaying frame 1 (a crash mid-recovery).
     let fi = std::sync::Arc::new(FaultInjector::new());
     fi.inject(FaultStage::Recover, Some("frame:1"), FaultKind::Crash);
-    let err = PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi))
-        .unwrap_err();
+    let err = PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi)).unwrap_err();
     assert!(err.to_string().contains("injected"), "{err}");
     // Recovery is read-only until the writer opens: a clean retry sees
     // the full committed prefix, nothing was consumed or truncated.
@@ -309,8 +303,7 @@ fn repeated_crashes_never_lose_reacked_rows() {
             FaultKind::TornWrite(round as u64 * 7 + 1),
         );
         let mut pc =
-            PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi))
-                .unwrap();
+            PointCloud::open_ingest_with_faults(&dir, Durability::Always, Some(fi)).unwrap();
         assert_eq!(pc.num_points(), acked, "round {round}: recovered prefix");
         // Seal every other round so the dump/WAL boundary moves around.
         if round == 1 {
@@ -336,7 +329,11 @@ fn queries_on_recovered_cloud_match_a_never_crashed_one() {
     // pristine one; a selective query must return identical rows.
     let dir = ScratchDir::vacant("torture_query_equiv");
     let fi = std::sync::Arc::new(FaultInjector::new());
-    fi.inject(FaultStage::WalAppend, Some("frame:3"), FaultKind::BitFlip(5));
+    fi.inject(
+        FaultStage::WalAppend,
+        Some("frame:3"),
+        FaultKind::BitFlip(5),
+    );
     let durable = ingest_until_death(&dir, Durability::Always, fi, 6);
     assert_eq!(durable, 150);
     let pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();

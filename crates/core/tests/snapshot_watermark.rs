@@ -116,7 +116,12 @@ fn full_scan_sees_only_the_snapshot() {
     let (_scratch, pc) = cloud_with_ghost_rows();
     for w in WORKER_COUNTS {
         let sel = pc
-            .select_query_with(None, &[], RefineStrategy::default(), Parallelism::Threads(w))
+            .select_query_with(
+                None,
+                &[],
+                RefineStrategy::default(),
+                Parallelism::Threads(w),
+            )
             .unwrap();
         assert_eq!(sel.rows.len(), VISIBLE, "full scan at {w} workers");
         assert_clamped(&sel.rows, "full scan", w);
@@ -289,7 +294,9 @@ fn racing_reader_sees_exact_snapshots_and_reopen_recovers_every_acked_row() {
                     let visible = pc.visible_rows();
                     let table = PointTable::Flat(&pc);
                     let deadline = Some(Duration::from_secs(10));
-                    let g = table.govern("select (1 attr filters)", deadline, None).unwrap();
+                    let g = table
+                        .govern("select (1 attr filters)", deadline, None)
+                        .unwrap();
                     let sel = table
                         .select(
                             None,
@@ -333,11 +340,18 @@ fn racing_reader_sees_exact_snapshots_and_reopen_recovers_every_acked_row() {
         });
         assert!(queries > 0);
         let pc = lock.into_inner().unwrap();
-        assert_eq!(pc.visible_rows(), TOTAL, "{durability:?}: all batches acknowledged");
+        assert_eq!(
+            pc.visible_rows(),
+            TOTAL,
+            "{durability:?}: all batches acknowledged"
+        );
         drop(pc);
 
         let recovered = PointCloud::open_ingest(&dir, durability).unwrap();
         let report = recovered.recovery_report().expect("recovery report");
-        assert_eq!(report.total_rows, TOTAL, "{durability:?}: cold reopen lost acked rows");
+        assert_eq!(
+            report.total_rows, TOTAL,
+            "{durability:?}: cold reopen lost acked rows"
+        );
     }
 }

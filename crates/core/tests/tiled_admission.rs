@@ -43,9 +43,7 @@ fn tiled(tag: &str, side: usize) -> (ScratchDir, TiledCloud) {
 fn governed_tiled_select_takes_an_admission_permit() {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     let (_dir, tc) = tiled("tiled_admission", 64);
-    let select = || {
-        tc.select_query_with(None, &[], RefineStrategy::default(), Parallelism::Serial)
-    };
+    let select = || tc.select_query_with(None, &[], RefineStrategy::default(), Parallelism::Serial);
 
     let adm = AdmissionController::global();
     let before = adm.limits();
@@ -79,8 +77,7 @@ fn tiled_select_query_with_is_governed() {
     let (_dir, tc) = tiled("tiled_select_with", 256);
     // Every query reloads its tiles, so each one runs long enough to be seen.
     tc.set_resident_budget(1);
-    let select =
-        || tc.select_query_with(None, &[], RefineStrategy::default(), Parallelism::Serial);
+    let select = || tc.select_query_with(None, &[], RefineStrategy::default(), Parallelism::Serial);
 
     let adm = AdmissionController::global();
     let before = adm.limits();
@@ -117,10 +114,16 @@ fn tiled_select_query_with_is_governed() {
             .iter()
             .any(|q| q.detail.starts_with("tiled select"))
         {
-            assert!(Instant::now() < give_up, "a running tiled query was never listed");
+            assert!(
+                Instant::now() < give_up,
+                "a running tiled query was never listed"
+            );
             std::thread::yield_now();
         }
         stop.store(true, Ordering::Relaxed);
     });
-    assert!(QueryRegistry::global().list().is_empty(), "finished queries deregister");
+    assert!(
+        QueryRegistry::global().list().is_empty(),
+        "finished queries deregister"
+    );
 }

@@ -110,9 +110,7 @@ fn tiled_queries_match_the_eager_flat_open_bit_for_bit() {
                 RefineStrategy::Exhaustive,
                 RefineStrategy::BboxOnly,
             ] {
-                let a = flat
-                    .select_query_with(*pred, attrs, strategy, par)
-                    .unwrap();
+                let a = flat.select_query_with(*pred, attrs, strategy, par).unwrap();
                 let b = tc.select_query_with(*pred, attrs, strategy, par).unwrap();
                 assert_eq!(a.rows, b.rows, "{pred:?} {strategy:?} w={workers}");
                 assert_eq!(b.explain.tiles_total, tiles);
@@ -151,13 +149,23 @@ fn zone_maps_prune_tiles_without_changing_results() {
     // range prunes by the gps_time zone maps even with no spatial filter.
     let attr = [AttrRange::new("gps_time", 0.0, 0.5)];
     let sel = tc
-        .select_query_with(None, &attr, RefineStrategy::default(), Parallelism::default())
+        .select_query_with(
+            None,
+            &attr,
+            RefineStrategy::default(),
+            Parallelism::default(),
+        )
         .unwrap();
     assert_eq!(
         sel.rows,
-        flat.select_query_with(None, &attr, RefineStrategy::default(), Parallelism::default())
-            .unwrap()
-            .rows
+        flat.select_query_with(
+            None,
+            &attr,
+            RefineStrategy::default(),
+            Parallelism::default()
+        )
+        .unwrap()
+        .rows
     );
     // A disjoint window prunes everything and returns nothing.
     let far = rect(5000.0, 5000.0, 6000.0, 6000.0);
@@ -204,7 +212,10 @@ fn out_of_core_budget_below_dataset_stays_exact() {
         "sweeping {tiles} tiles through a quarter-size cache must evict"
     );
     assert!(tc.resident_tiles() >= 1);
-    assert!(tc.tile_loads() as usize > tiles, "tiles reload after eviction");
+    assert!(
+        tc.tile_loads() as usize > tiles,
+        "tiles reload after eviction"
+    );
 }
 
 #[test]
@@ -238,9 +249,14 @@ fn readers_agree_on_tile_row_counts() {
     cloud(rows0 + 1).save_dir(dir.join("tile_00000")).unwrap();
     cloud(rows1 - 1).save_dir(dir.join("tile_00001")).unwrap();
     assert!(PointCloud::open_dir(&dir).is_err(), "open_dir");
-    assert!(lidardb_core::persist::validate_dir(&dir).is_err(), "validate_dir");
     assert!(
-        TiledCloud::open(&dir).and_then(|tc| PointTable::Tiled(&tc).record(0)).is_err(),
+        lidardb_core::persist::validate_dir(&dir).is_err(),
+        "validate_dir"
+    );
+    assert!(
+        TiledCloud::open(&dir)
+            .and_then(|tc| PointTable::Tiled(&tc).record(0))
+            .is_err(),
         "lazy tile load"
     );
 }
@@ -293,14 +309,20 @@ fn tiled_aggregates_match_flat_aggregates() {
             // SUM/AVG merge per-tile partials, so allow f64 reassociation.
             Aggregate::Sum | Aggregate::Avg => {
                 let (a, b) = (a.unwrap(), b.unwrap());
-                assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{agg:?}: {a} vs {b}");
+                assert!(
+                    (a - b).abs() <= 1e-9 * a.abs().max(1.0),
+                    "{agg:?}: {a} vs {b}"
+                );
             }
             _ => assert_eq!(a, b, "{agg:?}"),
         }
     }
     // Empty and out-of-range row lists behave like the flat cloud.
     assert_eq!(aggregate(&tc, &[], "z", Aggregate::Sum).unwrap(), None);
-    assert_eq!(aggregate(&tc, &[], "z", Aggregate::Count).unwrap(), Some(0.0));
+    assert_eq!(
+        aggregate(&tc, &[], "z", Aggregate::Count).unwrap(),
+        Some(0.0)
+    );
     assert!(aggregate(&tc, &[usize::MAX], "z", Aggregate::Sum).is_err());
 }
 
@@ -336,7 +358,13 @@ fn governed_tiled_query_charges_tile_bytes_to_the_budget() {
     let table = PointTable::Tiled(&tc);
     let select_budgeted = |budget| {
         let g = table.govern("tiled select (0 attr filters)", None, Some(budget))?;
-        table.select(Some(&window), &[], RefineStrategy::default(), Parallelism::Serial, &g.ctx)
+        table.select(
+            Some(&window),
+            &[],
+            RefineStrategy::default(),
+            Parallelism::Serial,
+            &g.ctx,
+        )
     };
     // A budget far below one tile's bytes trips while faulting tiles in.
     let err = select_budgeted(1024).unwrap_err();
@@ -365,9 +393,17 @@ fn one_tiled_statement_is_one_traced_query() {
     let sel = tc.select(&rect(100.0, 100.0, 900.0, 900.0)).unwrap();
     drop(traced);
     let tiles = sel.explain.tiles_probed;
-    assert!(tiles >= 3, "window must survive pruning on several tiles, got {tiles}");
-    assert_eq!(sel.explain.tiles_loaded, tiles, "cold cache: every probed tile loads");
-    let id = sel.trace_id.expect("a traced tiled query carries its trace id");
+    assert!(
+        tiles >= 3,
+        "window must survive pruning on several tiles, got {tiles}"
+    );
+    assert_eq!(
+        sel.explain.tiles_loaded, tiles,
+        "cold cache: every probed tile loads"
+    );
+    let id = sel
+        .trace_id
+        .expect("a traced tiled query carries its trace id");
 
     // No other test in this binary runs a traced query (the residency
     // test traces bare tile loads), so the log holds this query only.
@@ -380,7 +416,11 @@ fn one_tiled_statement_is_one_traced_query() {
 
     let count = |kind: SpanKind| entry.spans.iter().filter(|s| s.kind == kind).count();
     assert_eq!(count(SpanKind::Query), 1, "one root");
-    let root = entry.spans.iter().find(|s| s.kind == SpanKind::Query).unwrap();
+    let root = entry
+        .spans
+        .iter()
+        .find(|s| s.kind == SpanKind::Query)
+        .unwrap();
     assert_eq!(root.parent_id, 0);
     assert_eq!(root.rows_out, sel.rows.len() as u64);
     for stage in [Stage::PersistLoad, Stage::ImprintProbe, Stage::BboxScan] {
@@ -391,7 +431,9 @@ fn one_tiled_statement_is_one_traced_query() {
             .collect();
         assert_eq!(spans.len(), tiles, "one {} span per tile", stage.name());
         assert!(
-            spans.iter().all(|s| s.trace_id == id && s.parent_id == root.span_id),
+            spans
+                .iter()
+                .all(|s| s.trace_id == id && s.parent_id == root.span_id),
             "{} spans hang under the root",
             stage.name()
         );

@@ -21,7 +21,11 @@ fn validate_json(s: &str) -> Result<(), String> {
         }
         match b.get(i) {
             Some(b'{') | Some(b'[') => {
-                let (open, close) = if b[i] == b'{' { (b'{', b'}') } else { (b'[', b']') };
+                let (open, close) = if b[i] == b'{' {
+                    (b'{', b'}')
+                } else {
+                    (b'[', b']')
+                };
                 i += 1;
                 loop {
                     while b.get(i).is_some_and(u8::is_ascii_whitespace) {
@@ -153,15 +157,28 @@ fn trace_smoke() {
     // --- per-thread guard -------------------------------------------------
     let guard = trace::force_thread();
     let traced = pc
-        .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
+        .select_query_with(
+            Some(&pred),
+            &[],
+            RefineStrategy::default(),
+            Parallelism::Serial,
+        )
         .unwrap();
     let tid = traced.trace_id.expect("traced query has a trace id");
 
     drop(guard);
     let untraced = pc
-        .select_query_with(Some(&pred), &[], RefineStrategy::default(), Parallelism::Serial)
+        .select_query_with(
+            Some(&pred),
+            &[],
+            RefineStrategy::default(),
+            Parallelism::Serial,
+        )
         .unwrap();
-    assert_eq!(untraced.rows, traced.rows, "tracing must not change results");
+    assert_eq!(
+        untraced.rows, traced.rows,
+        "tracing must not change results"
+    );
     assert_eq!(untraced.trace_id, None);
 
     // --- the trace holds one span per exercised stage ---------------------
@@ -169,7 +186,13 @@ fn trace_smoke() {
     let names: Vec<&str> = sink.spans.iter().map(|s| s.kind.name()).collect();
     // The first traced query on a fresh cloud builds its imprints lazily,
     // so the build span nests under the probe.
-    for want in ["query", "imprint_probe", "imprint_build", "bbox_scan", "grid_refine"] {
+    for want in [
+        "query",
+        "imprint_probe",
+        "imprint_build",
+        "bbox_scan",
+        "grid_refine",
+    ] {
         assert!(names.contains(&want), "missing {want} span in {names:?}");
     }
     let root = sink
@@ -189,8 +212,19 @@ fn trace_smoke() {
     // --- Chrome trace-event export ----------------------------------------
     let json = sink.to_chrome_json();
     validate_json(&json).unwrap_or_else(|e| panic!("chrome json invalid: {e}\n{json}"));
-    assert!(json.trim_start().starts_with('['), "top level is an event array");
-    for key in ["\"ph\": \"X\"", "\"pid\": 1", "\"tid\":", "\"ts\":", "\"dur\":", "\"name\": \"query\"", "\"args\":"] {
+    assert!(
+        json.trim_start().starts_with('['),
+        "top level is an event array"
+    );
+    for key in [
+        "\"ph\": \"X\"",
+        "\"pid\": 1",
+        "\"tid\":",
+        "\"ts\":",
+        "\"dur\":",
+        "\"name\": \"query\"",
+        "\"args\":",
+    ] {
         assert!(json.contains(key), "missing {key} in chrome json");
     }
     // Complete events only — one per span.
@@ -204,8 +238,14 @@ fn trace_smoke() {
         .expect("traced query reached the slow-query log");
     assert_eq!(entry.result_rows, traced.rows.len());
     assert!(entry.seconds >= 0.0);
-    assert!(!entry.spans.is_empty(), "slow-query entry keeps its span tree");
-    assert!(slow.windows(2).all(|w| w[0].seconds >= w[1].seconds), "worst first");
+    assert!(
+        !entry.spans.is_empty(),
+        "slow-query entry keeps its span tree"
+    );
+    assert!(
+        slow.windows(2).all(|w| w[0].seconds >= w[1].seconds),
+        "worst first"
+    );
     assert!(
         !slow.iter().any(|q| Some(q.trace_id) == untraced.trace_id),
         "untraced queries never reach the log"

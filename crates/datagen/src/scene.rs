@@ -10,7 +10,7 @@
 
 use lidardb_geom::{Envelope, Point};
 
-use crate::osm::{self, Poi, River, Road, RiverCourse};
+use crate::osm::{self, Poi, River, RiverCourse, Road};
 use crate::terrain::Terrain;
 use crate::urban_atlas::{self, LandUseZone};
 
@@ -381,7 +381,10 @@ mod tests {
         // Ground dominates; water, buildings and vegetation all present.
         assert!(counts[&2] > counts.values().sum::<usize>() / 2);
         for class in [5u8, 6, 9] {
-            assert!(counts.get(&class).copied().unwrap_or(0) > 10, "class {class}");
+            assert!(
+                counts.get(&class).copied().unwrap_or(0) > 10,
+                "class {class}"
+            );
         }
     }
 

@@ -46,12 +46,10 @@ impl Terrain {
     /// Uniform [0, 1) value at a lattice corner.
     #[inline]
     fn corner(&self, octave: u32, ix: i64, iy: i64) -> f64 {
-        let h = mix(
-            self.seed
-                ^ mix(u64::from(octave))
-                ^ mix(ix as u64).rotate_left(17)
-                ^ mix(iy as u64).rotate_left(43),
-        );
+        let h = mix(self.seed
+            ^ mix(u64::from(octave))
+            ^ mix(ix as u64).rotate_left(17)
+            ^ mix(iy as u64).rotate_left(43));
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 

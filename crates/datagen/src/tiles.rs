@@ -55,8 +55,13 @@ impl TileSet {
                     env.min_y + (row + 1) as f64 * th,
                 )
                 .expect("grid cell of a valid envelope");
-                let records =
-                    generate_tile_points(scene, &te, density, &mut gps_time, (row * tiles_per_side + col) as u16);
+                let records = generate_tile_points(
+                    scene,
+                    &te,
+                    density,
+                    &mut gps_time,
+                    (row * tiles_per_side + col) as u16,
+                );
                 tiles.push(Tile {
                     name: format!("tile_{col:02}_{row:02}"),
                     index: (col, row),
@@ -188,7 +193,9 @@ mod tests {
         for t in ts.tiles() {
             for p in &t.records {
                 assert!(
-                    t.envelope.buffered(2.0).contains(&lidardb_geom::Point::new(p.x, p.y)),
+                    t.envelope
+                        .buffered(2.0)
+                        .contains(&lidardb_geom::Point::new(p.x, p.y)),
                     "{} contains its points",
                     t.name
                 );
@@ -252,7 +259,10 @@ mod tests {
         let ts = TileSet::generate(&s, 1, 1.0);
         let recs = &ts.tiles()[0].records;
         assert!(recs.iter().any(|r| r.classification == 9), "water present");
-        assert!(recs.iter().any(|r| r.number_of_returns > 1), "multi-returns");
+        assert!(
+            recs.iter().any(|r| r.number_of_returns > 1),
+            "multi-returns"
+        );
         // Multi-return pulses produce a full echo sequence: for some pulse
         // there is a return_number == number_of_returns record, and the
         // last return sits below the first (ground under canopy).

@@ -96,7 +96,11 @@ pub fn build_zones(env: &Envelope) -> Vec<LandUseZone> {
         env.min_y + env.height() * 0.75,
     )
     .expect("valid fractions");
-    push(&mut zones, LandUseClass::GreenUrban, Polygon::rectangle(&park));
+    push(
+        &mut zones,
+        LandUseClass::GreenUrban,
+        Polygon::rectangle(&park),
+    );
 
     // Forest in the north-west corner.
     let forest = Envelope::new(
@@ -106,7 +110,11 @@ pub fn build_zones(env: &Envelope) -> Vec<LandUseZone> {
         env.min_y + env.height() * 0.97,
     )
     .expect("valid fractions");
-    push(&mut zones, LandUseClass::Forest, Polygon::rectangle(&forest));
+    push(
+        &mut zones,
+        LandUseClass::Forest,
+        Polygon::rectangle(&forest),
+    );
 
     // Pastures across the south.
     let pasture = Envelope::new(
@@ -174,10 +182,7 @@ mod tests {
             LandUseClass::Forest,
             LandUseClass::Water,
         ] {
-            assert!(
-                zones.iter().any(|z| z.class == class),
-                "missing {class:?}"
-            );
+            assert!(zones.iter().any(|z| z.class == class), "missing {class:?}");
         }
         let mut ids: Vec<u64> = zones.iter().map(|z| z.id).collect();
         ids.sort_unstable();

@@ -314,7 +314,12 @@ mod tests {
     fn holed_multipolygon() -> Geometry {
         let strip = Polygon::new(
             ring(&[(0.0, 0.0), (40.0, 0.0), (940.0, 600.0), (900.0, 600.0)]),
-            vec![ring(&[(460.0, 295.0), (480.0, 295.0), (480.0, 305.0), (460.0, 305.0)])],
+            vec![ring(&[
+                (460.0, 295.0),
+                (480.0, 295.0),
+                (480.0, 305.0),
+                (460.0, 305.0),
+            ])],
         );
         let far = Polygon::from_exterior(vec![
             Point::new(900.0, 100.0),
@@ -582,7 +587,13 @@ mod tests {
             };
             for count in [1, 7, 300, MAX_BANDS] {
                 let reach = 5.5 + SLACK * (prep.magnitude() + 5.5);
-                let layout = BandLayout { axis, key, cross, count, reach };
+                let layout = BandLayout {
+                    axis,
+                    key,
+                    cross,
+                    count,
+                    reach,
+                };
                 assert!(Bands::build(&prep, &layout).is_none(), "{axis:?} {count}");
             }
         }
@@ -613,8 +624,7 @@ mod tests {
         let rel = Relation::DWithin(2.5);
         let layout = Bands::layout(&prep, rel, &filter_env(&g, rel)).unwrap();
         assert_eq!(
-            layout.count,
-            MAX_BANDS,
+            layout.count, MAX_BANDS,
             "a line's 8 · 1005 / 5 bands, capped"
         );
         assert_eq!(layout.bytes(), layout.count * 16);
@@ -626,7 +636,11 @@ mod tests {
         let ls = LineString::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect());
         let g = Geometry::Polygon(buffer_polyline(&ls.unwrap(), 23.0).unwrap());
         let prep = PreparedGeometry::new(&g);
-        assert!((40.0..46.0).contains(&prep.thickness()), "{}", prep.thickness());
+        assert!(
+            (40.0..46.0).contains(&prep.thickness()),
+            "{}",
+            prep.thickness()
+        );
         let env = filter_env(&g, rel);
         let layout = Bands::layout(&prep, rel, &env).unwrap();
         let expect = (8.0 * env.width() / (prep.thickness() + 5.0)).ceil() as usize;

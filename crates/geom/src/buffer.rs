@@ -117,8 +117,8 @@ mod tests {
     fn geometry_dispatch_and_errors() {
         let g = buffer_geometry(&Geometry::Point(Point::new(0.0, 0.0)), 1.0).unwrap();
         assert_eq!(g.type_name(), "POLYGON");
-        let g = buffer_geometry(&Geometry::LineString(line(&[(0.0, 0.0), (1.0, 0.0)])), 1.0)
-            .unwrap();
+        let g =
+            buffer_geometry(&Geometry::LineString(line(&[(0.0, 0.0), (1.0, 0.0)])), 1.0).unwrap();
         assert_eq!(g.type_name(), "POLYGON");
         let poly = Geometry::Polygon(
             Polygon::from_exterior(vec![

@@ -255,7 +255,10 @@ mod tests {
         // Centre 1 from the edge, half-diagonal 4.24 > 1 + 2: not decided,
         // though its far side is exactly 2 out (the rule is conservative).
         let over = env(-2.0, 47.0, 4.0, 53.0);
-        assert_eq!(classify_rect_dwithin(&over, &square, d), RectClass::Boundary);
+        assert_eq!(
+            classify_rect_dwithin(&over, &square, d),
+            RectClass::Boundary
+        );
         assert!(distance_point(&square, &Point::new(-2.0, 47.0)) <= d);
         // Centre outside: the centre-distance label, never Inside here.
         let far = env(-3.5, 47.0, 2.5, 53.0);
@@ -317,12 +320,9 @@ mod tests {
 
     #[test]
     fn dwithin_classification_is_sound() {
-        let road: Geometry = LineString::new(vec![
-            Point::new(0.0, 50.0),
-            Point::new(100.0, 50.0),
-        ])
-        .unwrap()
-        .into();
+        let road: Geometry = LineString::new(vec![Point::new(0.0, 50.0), Point::new(100.0, 50.0)])
+            .unwrap()
+            .into();
         let d = 10.0;
         // A tiny cell hugging the road: inside.
         assert_eq!(

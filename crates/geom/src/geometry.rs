@@ -31,9 +31,7 @@ impl LineString {
 
     /// Iterate the segments.
     pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
-        self.vertices
-            .windows(2)
-            .map(|w| Segment::new(w[0], w[1]))
+        self.vertices.windows(2).map(|w| Segment::new(w[0], w[1]))
     }
 
     /// Total length.

@@ -209,7 +209,10 @@ mod tests {
     #[test]
     fn intersects_envelope_roads_query() {
         let env = Envelope::new(0.0, 0.0, 10.0, 10.0).unwrap();
-        assert!(intersects_envelope(&ls(&[(-5.0, 5.0), (15.0, 5.0)]).into(), &env));
+        assert!(intersects_envelope(
+            &ls(&[(-5.0, 5.0), (15.0, 5.0)]).into(),
+            &env
+        ));
         assert!(!intersects_envelope(
             &ls(&[(-5.0, 20.0), (15.0, 20.0)]).into(),
             &env

@@ -169,7 +169,7 @@ mod tests {
         assert_eq!(s.distance_point(&Point::new(-4.0, 3.0)), 5.0); // start clamp
         assert_eq!(s.distance_point(&Point::new(13.0, 4.0)), 5.0); // end clamp
         assert_eq!(s.distance_point(&Point::new(7.0, 0.0)), 0.0); // on segment
-        // Degenerate segment behaves like a point.
+                                                                  // Degenerate segment behaves like a point.
         let d = seg(1.0, 1.0, 1.0, 1.0);
         assert_eq!(d.distance_point(&Point::new(4.0, 5.0)), 5.0);
     }

@@ -167,9 +167,11 @@ impl<'a> Parser<'a> {
     fn number(&mut self) -> Result<f64, GeomError> {
         self.skip_ws();
         let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| {
-            b.is_ascii_digit() || matches!(b, b'+' | b'-' | b'.' | b'e' | b'E')
-        }) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'+' | b'-' | b'.' | b'e' | b'E'))
+        {
             self.pos += 1;
         }
         self.input[start..self.pos]

@@ -26,8 +26,8 @@ fn convex_polygon() -> impl Strategy<Value = Polygon> {
             let mut pts = Vec::with_capacity(n);
             for i in 0..n {
                 let angle = i as f64 / n as f64 * std::f64::consts::TAU;
-                let jitter = 0.6 + 0.4 * ((seed.wrapping_mul(i as u64 + 1) >> 32) as f64
-                    / u32::MAX as f64);
+                let jitter =
+                    0.6 + 0.4 * ((seed.wrapping_mul(i as u64 + 1) >> 32) as f64 / u32::MAX as f64);
                 pts.push(Point::new(
                     cx + r * jitter * angle.cos(),
                     cy + r * jitter * angle.sin(),

@@ -150,14 +150,12 @@ impl<T: Native> BinMap<T> {
         // possible for the last (open above) bin with hi = +inf, or for an
         // integer domain where hi + 1 == upper border. We keep the check
         // conservative and domain-agnostic: last bin + infinite bound.
-        let hi_covers_bin =
-            hi_bin == self.borders.len() && hi.to_f64() == f64::INFINITY;
-        if lo_covers_bin
-            && (lo_bin < hi_bin || hi_covers_bin) {
-                inner |= 1u64 << lo_bin;
-            }
-            // lo_bin == hi_bin and hi does not cover the bin: the single
-            // boundary bin is only partially covered, leave it out.
+        let hi_covers_bin = hi_bin == self.borders.len() && hi.to_f64() == f64::INFINITY;
+        if lo_covers_bin && (lo_bin < hi_bin || hi_covers_bin) {
+            inner |= 1u64 << lo_bin;
+        }
+        // lo_bin == hi_bin and hi does not cover the bin: the single
+        // boundary bin is only partially covered, leave it out.
         if hi_covers_bin && (hi_bin > lo_bin || lo_covers_bin) {
             inner |= 1u64 << hi_bin;
         }

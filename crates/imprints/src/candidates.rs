@@ -361,7 +361,10 @@ mod tests {
                     .flat_map(|m| m.ranges())
                     .flat_map(|r| (r.start..r.end).map(|row| (row, r.all_qualify)))
                     .collect();
-                assert_eq!(flat, orig, "{label} at {workers} workers lost or reordered rows");
+                assert_eq!(
+                    flat, orig,
+                    "{label} at {workers} workers lost or reordered rows"
+                );
             }
         }
     }

@@ -534,7 +534,10 @@ mod tests {
                 }
                 imp.push_line(l, d | widen);
                 expect.push_line(l, d | widen);
-                assert_eq!(imp.summary, expect.summary, "lead={lead} l={l} widen={widen}");
+                assert_eq!(
+                    imp.summary, expect.summary,
+                    "lead={lead} l={l} widen={widen}"
+                );
                 assert_summary_exact(&imp);
             }
         }
@@ -640,10 +643,7 @@ mod tests {
         }
         // 5 more cachelines repeating the 4th vector.
         data.extend(std::iter::repeat_n(3000, 5 * 8));
-        let imp = Imprints::build_with_bins(
-            &data,
-            BinMap::from_borders(vec![500, 1500, 2500]),
-        );
+        let imp = Imprints::build_with_bins(&data, BinMap::from_borders(vec![500, 1500, 2500]));
         assert_eq!(imp.expand_vectors().len(), imp.num_lines());
         // Vector storage: 4 distinct vectors only.
         assert_eq!(imp.num_vectors(), 4);
@@ -744,7 +744,10 @@ mod tests {
             + imp.summary.len() * 24
             + imp.bins().borders().len() * 8;
         assert_eq!(imp.byte_size(), expect);
-        assert!(imp.byte_size() < data.len() * 8 / 4, "index far smaller than data");
+        assert!(
+            imp.byte_size() < data.len() * 8 / 4,
+            "index far smaller than data"
+        );
     }
 }
 
@@ -786,9 +789,21 @@ mod lookup_equivalence {
 
     impl Edge for f64 {
         const EDGES: &'static [Self] = &[
-            f64::NEG_INFINITY, f64::MIN, -1.0, -f64::MIN_POSITIVE, -5e-324, -0.0, 0.0,
-            5e-324, f64::MIN_POSITIVE, 1.0, f64::MAX, f64::INFINITY, f64::NAN,
-            f64::from_bits(0x7FF0_0000_0000_0001), f64::from_bits(0xFFF8_0000_0000_0007),
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001),
+            f64::from_bits(0xFFF8_0000_0000_0007),
         ];
         fn from_bits(s: u64) -> Self {
             f64::from_bits(s)
@@ -797,9 +812,21 @@ mod lookup_equivalence {
 
     impl Edge for f32 {
         const EDGES: &'static [Self] = &[
-            f32::NEG_INFINITY, f32::MIN, -1.0, -f32::MIN_POSITIVE, -1e-45, -0.0, 0.0, 1e-45,
-            f32::MIN_POSITIVE, 1.0, f32::MAX, f32::INFINITY, f32::NAN,
-            f32::from_bits(0x7F80_0001), f32::from_bits(0xFFC0_0003),
+            f32::NEG_INFINITY,
+            f32::MIN,
+            -1.0,
+            -f32::MIN_POSITIVE,
+            -1e-45,
+            -0.0,
+            0.0,
+            1e-45,
+            f32::MIN_POSITIVE,
+            1.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFFC0_0003),
         ];
         fn from_bits(s: u64) -> Self {
             f32::from_bits(s as u32)
@@ -824,7 +851,12 @@ mod lookup_equivalence {
             len: data.len(),
         };
         for (line, values) in data.chunks(vpl).enumerate() {
-            imp.push_line(line, values.iter().fold(0, |d, &v| d | 1 << reference_bin(bins, v)));
+            imp.push_line(
+                line,
+                values
+                    .iter()
+                    .fold(0, |d, &v| d | 1 << reference_bin(bins, v)),
+            );
         }
         imp
     }

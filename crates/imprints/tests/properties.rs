@@ -79,7 +79,11 @@ fn check_sound_i64(data: &[i64], lo: i64, hi: i64) {
     for r in cand.ranges() {
         if r.all_qualify {
             for (off, &v) in data[r.start..r.end].iter().enumerate() {
-                assert!(v >= lo && v <= hi, "unsound sure flag at row {} (v={v})", r.start + off);
+                assert!(
+                    v >= lo && v <= hi,
+                    "unsound sure flag at row {} (v={v})",
+                    r.start + off
+                );
             }
         }
     }

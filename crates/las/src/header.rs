@@ -150,7 +150,10 @@ impl LasHeader {
             }
         }
         let [scale, offset, min, max] = arrays;
-        if scale.iter().any(|&s| s <= 0.0 || !s.is_finite() || s.is_nan()) {
+        if scale
+            .iter()
+            .any(|&s| s <= 0.0 || !s.is_finite() || s.is_nan())
+        {
             return Err(LasError::Corrupt("non-positive scale".into()));
         }
         if min.iter().zip(&max).any(|(lo, hi)| lo > hi) {

@@ -213,8 +213,7 @@ pub fn decompress_range(
             let mut fields = Vec::with_capacity(NUM_FIELDS);
             for _ in 0..NUM_FIELDS {
                 need(pos, 4)?;
-                let blen =
-                    u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+                let blen = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
                 pos += 4;
                 need(pos, blen)?;
                 let (packed, consumed) = ForPacked::from_bytes(&bytes[pos..pos + blen])
@@ -233,8 +232,7 @@ pub fn decompress_range(
             // Skip the 20 field frames without decoding.
             for _ in 0..NUM_FIELDS {
                 need(pos, 4)?;
-                let blen =
-                    u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+                let blen = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
                 pos += 4;
                 need(pos, blen)?;
                 pos += blen;

@@ -115,7 +115,11 @@ impl LasReader {
     /// For raw LAS this seeks straight to the fixed-width records; for
     /// laz-lite it decodes only the overlapping chunks. This is the read
     /// pattern a `lasindex`-driven query performs.
-    pub fn read_points_range(&self, start: usize, end: usize) -> Result<Vec<PointRecord>, LasError> {
+    pub fn read_points_range(
+        &self,
+        start: usize,
+        end: usize,
+    ) -> Result<Vec<PointRecord>, LasError> {
         let n = self.header.num_points as usize;
         let start = start.min(n);
         let end = end.min(n);
@@ -134,7 +138,9 @@ impl LasReader {
                 }
                 Ok(out)
             }
-            Compression::LazLite => lazlite::decompress_range(&self.header, &self.payload, start, end),
+            Compression::LazLite => {
+                lazlite::decompress_range(&self.header, &self.payload, start, end)
+            }
         }
     }
 
@@ -181,7 +187,10 @@ mod tests {
 
     #[test]
     fn roundtrip_both_compressions() {
-        for (name, c) in [("r.las", Compression::None), ("r.lazl", Compression::LazLite)] {
+        for (name, c) in [
+            ("r.las", Compression::None),
+            ("r.lazl", Compression::LazLite),
+        ] {
             let dir = tdir();
             let path = dir.join(name);
             write_las_file(&path, template(c), &pts(777)).unwrap();
@@ -284,7 +293,14 @@ mod tests {
             write_las_file(&path, template(c), &pts(300)).unwrap();
             let r = LasReader::open(&path).unwrap();
             let full = r.read_points().unwrap();
-            for (s, e) in [(0, 10), (295, 300), (100, 200), (0, 300), (50, 50), (290, 999)] {
+            for (s, e) in [
+                (0, 10),
+                (295, 300),
+                (100, 200),
+                (0, 300),
+                (50, 50),
+                (290, 999),
+            ] {
                 let part = r.read_points_range(s, e).unwrap();
                 assert_eq!(part, full[s.min(300)..e.min(300)], "{c:?} {s}..{e}");
             }

@@ -79,12 +79,14 @@ fn synthetic(n: usize) -> PointCloud {
             ..Default::default()
         });
         if batch.len() == batch.capacity() {
-            pc.append_records(&batch).unwrap_or_else(|e| die(&e.to_string()));
+            pc.append_records(&batch)
+                .unwrap_or_else(|e| die(&e.to_string()));
             batch.clear();
         }
     }
     if !batch.is_empty() {
-        pc.append_records(&batch).unwrap_or_else(|e| die(&e.to_string()));
+        pc.append_records(&batch)
+            .unwrap_or_else(|e| die(&e.to_string()));
     }
     pc
 }
@@ -112,10 +114,10 @@ fn main() {
         match a.as_str() {
             "--listen" => listen = val(),
             "--metrics" => metrics = val(),
-            "--sample-ms" => {
-                sample_ms = val().parse().unwrap_or_else(|_| die("bad --sample-ms"))
+            "--sample-ms" => sample_ms = val().parse().unwrap_or_else(|_| die("bad --sample-ms")),
+            "--synthetic" => {
+                n_synth = Some(val().parse().unwrap_or_else(|_| die("bad --synthetic")))
             }
-            "--synthetic" => n_synth = Some(val().parse().unwrap_or_else(|_| die("bad --synthetic"))),
             "--open" => open_dir = Some(val()),
             "--ingest" => ingest_dir = Some(val()),
             "--admit" => {

@@ -128,7 +128,13 @@ impl ChaosProxy {
         let accept_upstream = Arc::clone(&upstream);
         let accept_stop = Arc::clone(&stop);
         let join = thread::spawn(move || {
-            accept_loop(&listener, &accept_upstream, &accept_stop, &plan, fault.as_ref());
+            accept_loop(
+                &listener,
+                &accept_upstream,
+                &accept_stop,
+                &plan,
+                fault.as_ref(),
+            );
         });
         Ok(ChaosProxy {
             addr,
@@ -233,7 +239,15 @@ fn spawn_pumps(
     let fault_a = fault.map(Arc::clone);
     let fault_b = fault.map(Arc::clone);
     thread::spawn(move || {
-        pump(server, client, index, script, true, &stop_a, fault_a.as_deref());
+        pump(
+            server,
+            client,
+            index,
+            script,
+            true,
+            &stop_a,
+            fault_a.as_deref(),
+        );
     });
     thread::spawn(move || {
         pump(c2, s2, index, script, false, &stop_b, fault_b.as_deref());

@@ -159,7 +159,11 @@ impl Client {
         use std::io::Write;
         self.w.flush().map_err(ProtoError::Io)?;
         let inconsistent = |context, expected, actual| {
-            let e = ProtoError::Inconsistent { context, expected, actual };
+            let e = ProtoError::Inconsistent {
+                context,
+                expected,
+                actual,
+            };
             Err(ClientError::Proto(e))
         };
         let mut width = None;
@@ -199,13 +203,17 @@ impl Client {
                         return inconsistent("done row count", rows, got_rows);
                     }
                     if batches != got_batches {
-                        return inconsistent("done batch count", batches.into(), got_batches.into());
+                        return inconsistent(
+                            "done batch count",
+                            batches.into(),
+                            got_batches.into(),
+                        );
                     }
                     return Ok(QueryStats {
                         rows,
                         batches,
                         elapsed_us,
-                    })
+                    });
                 }
                 Message::Error { message } => return Err(ClientError::Server(message)),
                 Message::ShuttingDown { drain_ms } => {
@@ -428,13 +436,14 @@ impl RetryingClient {
             insert_sql.trim_end().trim_end_matches(';').trim_end()
         );
         let (columns, rows, _) = self.with_retries(|c| c.query_collect(&sql))?;
-        let row = rows.first().ok_or_else(|| {
-            ClientError::Server("insert returned no status row".to_string())
-        })?;
+        let row = rows
+            .first()
+            .ok_or_else(|| ClientError::Server("insert returned no status row".to_string()))?;
         let field = |name: &str| -> Result<u64, ClientError> {
-            let at = columns.iter().position(|c| c == name).ok_or_else(|| {
-                ClientError::Server(format!("insert status row lacks `{name}`"))
-            })?;
+            let at = columns
+                .iter()
+                .position(|c| c == name)
+                .ok_or_else(|| ClientError::Server(format!("insert status row lacks `{name}`")))?;
             match row.get(at) {
                 Some(SqlValue::Int(v)) => Ok(*v as u64),
                 other => Err(ClientError::Server(format!(

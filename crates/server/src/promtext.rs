@@ -68,7 +68,10 @@ pub fn sanitize_metric_name(name: &str) -> String {
 /// Render the full exposition from the global registry and the global
 /// recorder's latest sample.
 pub fn render() -> String {
-    render_from(MetricsRegistry::global(), Recorder::global().latest().as_ref())
+    render_from(
+        MetricsRegistry::global(),
+        Recorder::global().latest().as_ref(),
+    )
 }
 
 /// Render the exposition from an explicit registry and (optionally) a
@@ -127,7 +130,11 @@ pub fn render_from(registry: &MetricsRegistry, sample: Option<&RecorderSample>) 
         let _ = writeln!(out, "{fam}_bucket{{stage=\"{label}\",le=\"+Inf\"}} {total}");
         let _ = writeln!(out, "{fam}_sum{{stage=\"{label}\"}} {}", st.nanos.get());
         let _ = writeln!(out, "{fam}_count{{stage=\"{label}\"}} {total}");
-        let _ = writeln!(rows_out, "{rows_fam}{{stage=\"{label}\"}} {}", st.rows.get());
+        let _ = writeln!(
+            rows_out,
+            "{rows_fam}{{stage=\"{label}\"}} {}",
+            st.rows.get()
+        );
     }
     out.push_str(&rows_out);
     out
@@ -192,12 +199,7 @@ pub fn health_status(
 pub fn health_now(draining: bool) -> (bool, String) {
     let registry = MetricsRegistry::global();
     let sample = Recorder::global().latest();
-    let get = |name: &str, live: u64| {
-        sample
-            .as_ref()
-            .and_then(|s| s.value(name))
-            .unwrap_or(live)
-    };
+    let get = |name: &str, live: u64| sample.as_ref().and_then(|s| s.value(name)).unwrap_or(live);
     let queued = get("admission_queued", registry.admission_queued.get());
     let backlog = get("wal_backlog_rows", registry.wal_backlog_rows.get());
     let degraded = registry.degraded_tables.get();

@@ -85,7 +85,10 @@ impl std::fmt::Display for ProtoError {
                 "declared frame length {declared} outside 1..={MAX_FRAME}"
             ),
             ProtoError::CrcMismatch { expected, actual } => {
-                write!(f, "frame crc mismatch: header {expected:#10x}, body {actual:#10x}")
+                write!(
+                    f,
+                    "frame crc mismatch: header {expected:#10x}, body {actual:#10x}"
+                )
             }
             ProtoError::Truncated { context } => {
                 write!(f, "frame truncated while decoding {context}")
@@ -243,11 +246,19 @@ fn put_batch_shape(out: &mut Vec<u8>, nrows: usize, ncols: usize) {
 /// straight from their vectors. The bytes equal
 /// `Message::Batch { rows: batch.to_rows() }.encode()`.
 pub fn encode_columns(batch: &ColumnBatch) -> Vec<u8> {
-    let ncols = if batch.rows == 0 { 0 } else { batch.columns.len() };
+    let ncols = if batch.rows == 0 {
+        0
+    } else {
+        batch.columns.len()
+    };
     let mut out = Vec::with_capacity(9 + ncols * (1 + 8 * batch.rows));
     put_batch_shape(&mut out, batch.rows, ncols);
     for chunk in &batch.columns[..ncols] {
-        assert_eq!(chunk.len(), batch.rows, "every column holds one value per row");
+        assert_eq!(
+            chunk.len(),
+            batch.rows,
+            "every column holds one value per row"
+        );
         match chunk {
             ColumnChunk::Float(v) => put_words(&mut out, COL_F64, v.iter().map(|x| x.to_bits())),
             ColumnChunk::Int(v) => put_words(&mut out, COL_I64, v.iter().map(|&x| x as u64)),
@@ -433,7 +444,12 @@ impl Reader<'_> {
         Ok(match self.u8("column tag")? {
             COL_F64 => {
                 let bytes = self.take(n * 8, "f64 column")?;
-                ColumnChunk::Float(bytes.chunks_exact(8).map(|b| f64::from_bits(word(b))).collect())
+                ColumnChunk::Float(
+                    bytes
+                        .chunks_exact(8)
+                        .map(|b| f64::from_bits(word(b)))
+                        .collect(),
+                )
             }
             COL_I64 => {
                 let bytes = self.take(n * 8, "i64 column")?;
@@ -588,7 +604,11 @@ mod tests {
         for &b in bytes {
             c ^= u32::from(b);
             for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
             }
         }
         !c
@@ -600,13 +620,22 @@ mod tests {
     /// flipped body bit is a `CrcMismatch`.
     #[test]
     fn frame_crc_round_trip_matches_the_reference_at_every_kernel_length() {
-        for len in [0usize, 1, 15, 50, 59, 60, 61, 100, 127, 128, 1000, 4109, 70_001] {
-            let sql: String = (0..len).map(|i| char::from(b'a' + (i * 7 % 26) as u8)).collect();
+        for len in [
+            0usize, 1, 15, 50, 59, 60, 61, 100, 127, 128, 1000, 4109, 70_001,
+        ] {
+            let sql: String = (0..len)
+                .map(|i| char::from(b'a' + (i * 7 % 26) as u8))
+                .collect();
             let msg = Message::Query { sql };
             let body = msg.encode();
             let mut wire = Vec::new();
             write_body(&mut wire, &body).unwrap();
-            assert_eq!(wire[4..8], bitwise_crc(&body).to_le_bytes(), "body of {}", body.len());
+            assert_eq!(
+                wire[4..8],
+                bitwise_crc(&body).to_le_bytes(),
+                "body of {}",
+                body.len()
+            );
             assert_eq!(read_frame(&mut wire.as_slice()).unwrap().msg, msg);
             let last = wire.len() - 1;
             wire[last] ^= 0x20;

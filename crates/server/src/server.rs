@@ -142,7 +142,9 @@ impl Server {
     /// The bound metrics address, if [`Server::with_metrics_addr`] was
     /// called.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_listener.as_ref().and_then(|l| l.local_addr().ok())
+        self.metrics_listener
+            .as_ref()
+            .and_then(|l| l.local_addr().ok())
     }
 
     /// Run the accept loop on this thread until the stop flag is set.
@@ -179,10 +181,20 @@ impl Server {
             let thread_done = Arc::clone(&done);
             let track = stream.try_clone();
             let handle = thread::spawn(move || {
-                handle_conn(stream, session, batch_rows, &draining, &session_current, drain_ms);
+                handle_conn(
+                    stream,
+                    session,
+                    batch_rows,
+                    &draining,
+                    &session_current,
+                    drain_ms,
+                );
                 thread_done.store(true, Ordering::Release);
             });
-            let mut conns = self.conns.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut conns = self
+                .conns
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             // Reap finished sessions so the table tracks live connections,
             // not connection history.
             for slot in conns.extract_if(.., |c| c.done.load(Ordering::Acquire)) {
@@ -432,7 +444,11 @@ fn serve_metrics_conn(stream: TcpStream, draining: bool) -> std::io::Result<()> 
             "/metrics" => ("200 OK", promtext::CONTENT_TYPE, promtext::render()),
             "/healthz" => {
                 let (healthy, body) = promtext::health_now(draining);
-                let status = if healthy { "200 OK" } else { "503 Service Unavailable" };
+                let status = if healthy {
+                    "200 OK"
+                } else {
+                    "503 Service Unavailable"
+                };
                 (status, "text/plain", body)
             }
             _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
@@ -554,7 +570,9 @@ fn read_magic_draining(stream: &TcpStream, draining: &AtomicBool) -> Handshake {
 /// rejects the timeout the write stays blocking and the force-close
 /// covers it.
 fn set_farewell_timeout(w: &BufWriter<TcpStream>) {
-    let _ = w.get_ref().set_write_timeout(Some(Duration::from_millis(250)));
+    let _ = w
+        .get_ref()
+        .set_write_timeout(Some(Duration::from_millis(250)));
 }
 
 fn serve_session(

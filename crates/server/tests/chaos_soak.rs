@@ -112,7 +112,13 @@ fn acked_inserts_land_exactly_once_through_chaos_drains_and_a_full_disk() {
                 std::thread::sleep(Duration::from_millis(20));
             }
             if cycle == 2 {
-                fi.inject_n(FaultStage::WalAppend, None, FaultKind::DiskFull, 0, 1_000_000);
+                fi.inject_n(
+                    FaultStage::WalAppend,
+                    None,
+                    FaultKind::DiskFull,
+                    0,
+                    1_000_000,
+                );
                 std::thread::sleep(Duration::from_millis(150));
                 fi.clear();
             }
@@ -154,7 +160,13 @@ fn acked_inserts_land_exactly_once_through_chaos_drains_and_a_full_disk() {
     server.shutdown();
 
     assert!(!acked.is_empty(), "the soak never landed an insert");
-    assert!(lost.is_empty(), "acked batches missing or torn in the final table: {lost:?}");
-    assert!(duplicates.is_empty(), "batches applied more than once: {duplicates:?}");
+    assert!(
+        lost.is_empty(),
+        "acked batches missing or torn in the final table: {lost:?}"
+    );
+    assert!(
+        duplicates.is_empty(),
+        "batches applied more than once: {duplicates:?}"
+    );
     assert_eq!(drains, CYCLES, "every drain/restart cycle must run");
 }

@@ -22,7 +22,10 @@ const LAZY: Durability = Durability::GroupCommit {
 fn serve_stream(pc: Arc<RwLock<PointCloud>>) -> ServerHandle {
     let mut catalog = Catalog::new();
     catalog.register_stream("stream", pc);
-    Server::bind("127.0.0.1:0", catalog).unwrap().spawn().unwrap()
+    Server::bind("127.0.0.1:0", catalog)
+        .unwrap()
+        .spawn()
+        .unwrap()
 }
 
 fn wait_durable(pc: &Arc<RwLock<PointCloud>>, rows: usize) {
@@ -95,7 +98,11 @@ fn torn_wal_tail_from_dying_session_recovers_to_flushed_prefix() {
 
         // The next WAL append dies mid-write, leaving a damaged frame on
         // disk — the power-cut shape a checksummed WAL must truncate.
-        fi.inject(FaultStage::WalAppend, Some("frame:1"), FaultKind::TornWrite(0x5eed));
+        fi.inject(
+            FaultStage::WalAppend,
+            Some("frame:1"),
+            FaultKind::TornWrite(0x5eed),
+        );
         match c.query_collect("INSERT INTO stream (x, y, z) VALUES (9, 9, 9), (8, 8, 8)") {
             Err(ClientError::Server(msg)) => {
                 assert!(msg.contains("TornWrite"), "typed ingest failure: {msg}")

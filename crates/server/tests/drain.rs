@@ -59,7 +59,11 @@ fn stream_catalog(dir: &std::path::Path) -> Catalog {
 fn stalling_server(stall_ms: u64, deadline: Duration) -> ServerHandle {
     let mut pc = grid_cloud(10_000);
     let fi = Arc::new(FaultInjector::new());
-    fi.inject(FaultStage::QueryCheckpoint, None, FaultKind::Stall(stall_ms));
+    fi.inject(
+        FaultStage::QueryCheckpoint,
+        None,
+        FaultKind::Stall(stall_ms),
+    );
     pc.set_fault_injector(fi);
     Server::bind("127.0.0.1:0", points_catalog(pc))
         .unwrap()
@@ -106,7 +110,9 @@ fn idle_session_gets_a_typed_shutting_down_frame() {
     // returns once every session closed, so the goodbye frame is already
     // buffered on our socket.
     server.shutdown();
-    let err = client.query_collect("SELECT COUNT(*) FROM points").unwrap_err();
+    let err = client
+        .query_collect("SELECT COUNT(*) FROM points")
+        .unwrap_err();
     match &err {
         ClientError::ShuttingDown { drain_ms } => assert_eq!(*drain_ms, 1500),
         other => panic!("expected typed ShuttingDown, got {other:?}"),
@@ -134,7 +140,9 @@ fn drain_refuses_new_connections_typed_and_healthz_says_503() {
     // A fresh connection mid-drain: accepted, answered with a typed
     // ShuttingDown after the hello — never a raw reset mid-handshake.
     let mut late = Client::connect(addr).expect("mid-drain connect completes the hello");
-    let err = late.query_collect("SELECT COUNT(*) FROM points").unwrap_err();
+    let err = late
+        .query_collect("SELECT COUNT(*) FROM points")
+        .unwrap_err();
     assert!(
         matches!(err, ClientError::ShuttingDown { .. }),
         "typed refusal, got {err:?}"
@@ -146,7 +154,10 @@ fn drain_refuses_new_connections_typed_and_healthz_says_503() {
     assert!(body.contains("draining"), "body names the cause: {body}");
     // Health is per server: the other one stays in rotation.
     let (status, body) = http_get(other.metrics_addr().unwrap(), "/healthz");
-    assert!(status.contains("200"), "a drain elsewhere => 200, got {status}: {body}");
+    assert!(
+        status.contains("200"),
+        "a drain elsewhere => 200, got {status}: {body}"
+    );
 
     // The in-flight statement finished inside the deadline, untouched.
     let (_, rows, _) = slow.join().unwrap().expect("slow query survives the drain");
@@ -180,7 +191,10 @@ fn drain_deadline_cancels_in_flight_statements_with_a_typed_error() {
         other => panic!("expected a typed server Error frame, got {other:?}"),
     }
     // The drain cancelled its own statements only.
-    let (_, rows, _) = bystander.join().unwrap().expect("another server's statement survives");
+    let (_, rows, _) = bystander
+        .join()
+        .unwrap()
+        .expect("another server's statement survives");
     assert_eq!(rows[0][0], SqlValue::Int(10_000));
     other.shutdown();
 }
@@ -218,11 +232,9 @@ fn retrying_client_replays_an_ack_lost_insert_exactly_once() {
     // Connection 0: the server→client leg dies after 9 bytes — the 8-byte
     // hello plus the first byte of the INSERT's response. The statement
     // executed; its ack is lost. Connection 1 onward: healthy.
-    let proxy = ChaosProxy::spawn_scripted(
-        server.addr(),
-        vec![ChaosScript::DropServerToClientAfter(9)],
-    )
-    .unwrap();
+    let proxy =
+        ChaosProxy::spawn_scripted(server.addr(), vec![ChaosScript::DropServerToClientAfter(9)])
+            .unwrap();
     let mut rc = RetryingClient::new(
         proxy.addr(),
         RetryPolicy {
@@ -242,7 +254,11 @@ fn retrying_client_replays_an_ack_lost_insert_exactly_once() {
     // Straight to the server (no proxy): exactly one copy of the batch.
     let mut check = Client::connect(server.addr()).unwrap();
     let (_, rows, _) = check.query_collect("SELECT COUNT(*) FROM stream").unwrap();
-    assert_eq!(rows[0][0], SqlValue::Int(2), "no lost insert, no double insert");
+    assert_eq!(
+        rows[0][0],
+        SqlValue::Int(2),
+        "no lost insert, no double insert"
+    );
 
     proxy.shutdown();
     server.shutdown();

@@ -198,7 +198,11 @@ fn validate_exposition(text: &str) -> Vec<Sample> {
 fn rendered_exposition_validates() {
     // Put traffic through the engine so stages and counters are nonzero.
     let catalog = points_catalog(grid_cloud(5_000));
-    lidardb_sql::query(&catalog, "SELECT COUNT(*) FROM points WHERE x < 30 AND y < 30").unwrap();
+    lidardb_sql::query(
+        &catalog,
+        "SELECT COUNT(*) FROM points WHERE x < 30 AND y < 30",
+    )
+    .unwrap();
     Recorder::global().sample_now();
 
     let text = promtext::render();
@@ -222,7 +226,10 @@ fn rendered_exposition_validates() {
         .expect("scrape not served from a recorder sample");
     assert!(seq.value >= 0.0);
     let unsampled = promtext::render_from(MetricsRegistry::global(), None);
-    assert!(!unsampled.contains("lidardb_recorder_last_seq"), "no sample, no seq");
+    assert!(
+        !unsampled.contains("lidardb_recorder_last_seq"),
+        "no sample, no seq"
+    );
 }
 
 proptest! {
@@ -345,13 +352,17 @@ fn sys_metrics_over_the_wire_matches_snapshot_json() {
         .query_collect("SELECT COUNT(*) FROM points WHERE x < 40")
         .unwrap();
 
-    let before: BTreeMap<&str, u64> =
-        MetricsRegistry::global().counter_values().into_iter().collect();
+    let before: BTreeMap<&str, u64> = MetricsRegistry::global()
+        .counter_values()
+        .into_iter()
+        .collect();
     let (columns, rows, _) = client
         .query_collect("SELECT kind, name, value FROM sys.metrics")
         .unwrap();
-    let after: BTreeMap<&str, u64> =
-        MetricsRegistry::global().counter_values().into_iter().collect();
+    let after: BTreeMap<&str, u64> = MetricsRegistry::global()
+        .counter_values()
+        .into_iter()
+        .collect();
     let snapshot = MetricsRegistry::global().snapshot_json();
 
     assert_eq!(columns, ["kind", "name", "value"]);

@@ -7,8 +7,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use lidardb_core::{
-    AdmissionController, Durability, FaultInjector, FaultKind, FaultStage, Parallelism,
-    PointCloud,
+    AdmissionController, Durability, FaultInjector, FaultKind, FaultStage, Parallelism, PointCloud,
 };
 use lidardb_geom::{Geometry, Point};
 use lidardb_las::PointRecord;
@@ -88,7 +87,11 @@ fn large_selection_streams_in_bounded_batches() {
         .unwrap();
     assert_eq!(total, 50_000);
     assert_eq!(stats.rows as usize, total);
-    assert!(batch_sizes.len() > 50, "many bounded batches, got {}", batch_sizes.len());
+    assert!(
+        batch_sizes.len() > 50,
+        "many bounded batches, got {}",
+        batch_sizes.len()
+    );
     assert!(batch_sizes.iter().all(|&b| b <= 512), "batch cap respected");
     assert_eq!(stats.batches as usize, batch_sizes.len());
     server.shutdown();
@@ -99,7 +102,13 @@ fn session_knobs_are_per_connection() {
     let mut pc = grid_cloud(200_000);
     // Stall every checkpoint 40 ms so a 1 ms statement deadline trips.
     let fi = Arc::new(FaultInjector::new());
-    fi.inject_n(FaultStage::QueryCheckpoint, None, FaultKind::Stall(40), 0, 1000);
+    fi.inject_n(
+        FaultStage::QueryCheckpoint,
+        None,
+        FaultKind::Stall(40),
+        0,
+        1000,
+    );
     pc.set_fault_injector(fi);
     let catalog = points_catalog(pc);
     let server = serve(catalog, 4096);
@@ -147,11 +156,13 @@ fn kill_from_another_connection_aborts_a_stream() {
         // Wait for A's statement to appear in the registry.
         let id = loop {
             let (_, rows, _) = b.query_collect("SHOW QUERIES").unwrap();
-            let hit = rows.iter().find(|r| {
-                matches!(&r[2], SqlValue::Str(d) if d.contains("stream select kill_points"))
-            });
+            let hit = rows.iter().find(
+                |r| matches!(&r[2], SqlValue::Str(d) if d.contains("stream select kill_points")),
+            );
             if let Some(row) = hit {
-                let SqlValue::Int(id) = row[0] else { panic!("id column") };
+                let SqlValue::Int(id) = row[0] else {
+                    panic!("id column")
+                };
                 break id;
             }
             std::thread::sleep(Duration::from_millis(5));
@@ -172,7 +183,10 @@ fn kill_from_another_connection_aborts_a_stream() {
     killer.join().unwrap();
     match res {
         Err(ClientError::Server(msg)) => {
-            assert!(msg.contains("cancelled"), "kill surfaces as cancellation: {msg}")
+            assert!(
+                msg.contains("cancelled"),
+                "kill surfaces as cancellation: {msg}"
+            )
         }
         other => panic!("expected killed stream, got {other:?}"),
     }
@@ -195,7 +209,10 @@ fn assert_disconnect_cancels(mut catalog: Catalog, fi: &FaultInjector, sql: &str
     protocol::write_frame(&mut s, &query).unwrap();
     let t0 = std::time::Instant::now();
     while fi.fired().len() < 2 {
-        assert!(t0.elapsed() < Duration::from_secs(10), "the statement never stalled");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the statement never stalled"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
     std::thread::sleep(Duration::from_millis(250).saturating_sub(t0.elapsed()));
@@ -222,7 +239,13 @@ fn client_disconnect_cancels_an_aggregate() {
     // The cloud's own injector: its fired list counts this test's
     // checkpoints only.
     let fi = Arc::new(FaultInjector::new());
-    fi.inject_n(FaultStage::QueryCheckpoint, None, FaultKind::Stall(100), 0, 1000);
+    fi.inject_n(
+        FaultStage::QueryCheckpoint,
+        None,
+        FaultKind::Stall(100),
+        0,
+        1000,
+    );
     pc.set_fault_injector(Arc::clone(&fi));
     let sql = format!("SELECT COUNT(*) FROM points WHERE {TRIANGLE}");
     assert_disconnect_cancels(points_catalog(pc), &fi, &sql);
@@ -235,12 +258,19 @@ fn client_disconnect_cancels_a_join() {
     let at = |k: usize| (4.0 + 8.0 * (k % 5) as f64, 4.0 + 8.0 * (k / 5) as f64);
     let join = "SELECT COUNT(*) FROM points p, feats f \
                 WHERE ST_DWithin(ST_Point(p.x, p.y), f.geom, 1.5)";
-    let group_by =
-        format!("SELECT classification, COUNT(*) FROM points WHERE {TRIANGLE} GROUP BY classification");
+    let group_by = format!(
+        "SELECT classification, COUNT(*) FROM points WHERE {TRIANGLE} GROUP BY classification"
+    );
     for (points, stall, sql) in [(1600, 50, join), (300_000, 100, &group_by)] {
         let mut pc = grid_cloud(points);
         let fi = Arc::new(FaultInjector::new());
-        fi.inject_n(FaultStage::QueryCheckpoint, None, FaultKind::Stall(stall), 0, 1000);
+        fi.inject_n(
+            FaultStage::QueryCheckpoint,
+            None,
+            FaultKind::Stall(stall),
+            0,
+            1000,
+        );
         pc.set_fault_injector(Arc::clone(&fi));
         let mut catalog = points_catalog(pc);
         let feats = (0..20).map(|k| Geometry::Point(Point::new(at(k).0, at(k).1)));
@@ -257,7 +287,13 @@ fn admission_overload_is_a_typed_error_frame() {
     let mut pc = grid_cloud(200_000);
     let fi = Arc::new(FaultInjector::new());
     // Make every query slow enough to observe overlap.
-    fi.inject_n(FaultStage::QueryCheckpoint, None, FaultKind::Stall(100), 0, 1000);
+    fi.inject_n(
+        FaultStage::QueryCheckpoint,
+        None,
+        FaultKind::Stall(100),
+        0,
+        1000,
+    );
     pc.set_fault_injector(fi);
     // One in-flight slot, no queue: the second concurrent query sheds.
     pc.set_admission(Arc::new(AdmissionController::new(1, 0)));
@@ -356,7 +392,10 @@ fn forged_huge_length_is_rejected_without_allocation() {
     s.write_all(&0u32.to_le_bytes()).unwrap();
     match protocol::read_frame(&mut s).unwrap().msg {
         Message::Error { message } => {
-            assert!(message.contains("length"), "length error reported: {message}")
+            assert!(
+                message.contains("length"),
+                "length error reported: {message}"
+            )
         }
         other => panic!("expected Error frame, got {other:?}"),
     }
@@ -431,7 +470,10 @@ fn client_cross_checks_batch_width_and_done_totals() {
     for (frames, want) in [
         (vec![header.clone(), narrow, done(1, 1)], "batch width"),
         (vec![header.clone(), rows(2), done(5, 1)], "done row count"),
-        (vec![header.clone(), rows(2), done(2, 3)], "done batch count"),
+        (
+            vec![header.clone(), rows(2), done(2, 3)],
+            "done batch count",
+        ),
     ] {
         let mut c = Client::connect(scripted_server(frames)).unwrap();
         match c.query_collect("SELECT a, b FROM t") {

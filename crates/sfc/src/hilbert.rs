@@ -149,7 +149,13 @@ mod tests {
         // bijectivity at several orders.
         for order in [2u32, 3, 8, 12] {
             let n = 1u32 << order;
-            let pts = [(0, 0), (n - 1, 0), (0, n - 1), (n - 1, n - 1), (n / 2, n / 3)];
+            let pts = [
+                (0, 0),
+                (n - 1, 0),
+                (0, n - 1),
+                (n - 1, n - 1),
+                (n / 2, n / 3),
+            ];
             for &(x, y) in &pts {
                 let d = hilbert_encode_order(order, x, y);
                 assert_eq!(hilbert_decode_order(order, d), (x, y));

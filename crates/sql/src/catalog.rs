@@ -216,7 +216,10 @@ impl Catalog {
 
     /// The session's per-query memory budget, if set.
     pub fn mem_budget(&self) -> Option<u64> {
-        match self.mem_budget_bytes.load(std::sync::atomic::Ordering::Relaxed) {
+        match self
+            .mem_budget_bytes
+            .load(std::sync::atomic::Ordering::Relaxed)
+        {
             0 => None,
             b => Some(b),
         }
@@ -285,9 +288,9 @@ impl Catalog {
     /// seal). Plain point clouds are read-only through SQL.
     pub fn write_stream(&self, name: &str) -> Result<RwLockWriteGuard<'_, PointCloud>, SqlError> {
         match self.table(name)? {
-            Table::Stream(pc) => {
-                Ok(pc.write().unwrap_or_else(std::sync::PoisonError::into_inner))
-            }
+            Table::Stream(pc) => Ok(pc
+                .write()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)),
             Table::Points(_) | Table::Tiled(_) => Err(SqlError::Exec(format!(
                 "table {name} is read-only (register it as a stream to INSERT)"
             ))),
@@ -355,7 +358,10 @@ mod tests {
         t.validate().unwrap();
         assert_eq!(t.num_rows(), 2);
         assert_eq!(t.value("id", 0).unwrap(), SqlValue::Int(1));
-        assert_eq!(t.value("class", 1).unwrap(), SqlValue::Str("primary".into()));
+        assert_eq!(
+            t.value("class", 1).unwrap(),
+            SqlValue::Str("primary".into())
+        );
         assert!(matches!(t.value("geom", 0).unwrap(), SqlValue::Geom(_)));
         assert!(t.value("nope", 0).is_err());
         assert!(t.value("id", 5).is_err());

@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use lidardb_core::soa::ColumnArrays;
 use lidardb_core::{
-    Aggregate, CancelToken, ColumnSet, Explain, GovernCtx, PointCloud, PointTable,
-    RefineStrategy, Run, SpatialPredicate,
+    Aggregate, CancelToken, ColumnSet, Explain, GovernCtx, PointCloud, PointTable, RefineStrategy,
+    Run, SpatialPredicate,
 };
 use lidardb_storage::scan::AggState;
 use lidardb_storage::{for_each_variant, Native, PhysicalType, Value};
@@ -258,39 +258,37 @@ pub fn eval(e: &Expr, ctx: &dyn Ctx) -> Result<SqlValue, SqlError> {
                 _ => Ok(SqlValue::Null),
             }
         }
-        Expr::Binary { op, left, right } => {
-            match op {
-                BinOp::And => {
-                    let l = eval(left, ctx)?;
-                    if l == SqlValue::Bool(false) {
-                        return Ok(SqlValue::Bool(false));
-                    }
-                    let r = eval(right, ctx)?;
-                    if r == SqlValue::Bool(false) {
-                        return Ok(SqlValue::Bool(false));
-                    }
-                    if l.is_null() || r.is_null() {
-                        return Ok(SqlValue::Null);
-                    }
-                    Ok(SqlValue::Bool(l.as_bool()? && r.as_bool()?))
+        Expr::Binary { op, left, right } => match op {
+            BinOp::And => {
+                let l = eval(left, ctx)?;
+                if l == SqlValue::Bool(false) {
+                    return Ok(SqlValue::Bool(false));
                 }
-                BinOp::Or => {
-                    let l = eval(left, ctx)?;
-                    if l == SqlValue::Bool(true) {
-                        return Ok(SqlValue::Bool(true));
-                    }
-                    let r = eval(right, ctx)?;
-                    if r == SqlValue::Bool(true) {
-                        return Ok(SqlValue::Bool(true));
-                    }
-                    if l.is_null() || r.is_null() {
-                        return Ok(SqlValue::Null);
-                    }
-                    Ok(SqlValue::Bool(l.as_bool()? || r.as_bool()?))
+                let r = eval(right, ctx)?;
+                if r == SqlValue::Bool(false) {
+                    return Ok(SqlValue::Bool(false));
                 }
-                _ => apply_binop(*op, eval(left, ctx)?, eval(right, ctx)?),
+                if l.is_null() || r.is_null() {
+                    return Ok(SqlValue::Null);
+                }
+                Ok(SqlValue::Bool(l.as_bool()? && r.as_bool()?))
             }
-        }
+            BinOp::Or => {
+                let l = eval(left, ctx)?;
+                if l == SqlValue::Bool(true) {
+                    return Ok(SqlValue::Bool(true));
+                }
+                let r = eval(right, ctx)?;
+                if r == SqlValue::Bool(true) {
+                    return Ok(SqlValue::Bool(true));
+                }
+                if l.is_null() || r.is_null() {
+                    return Ok(SqlValue::Null);
+                }
+                Ok(SqlValue::Bool(l.as_bool()? || r.as_bool()?))
+            }
+            _ => apply_binop(*op, eval(left, ctx)?, eval(right, ctx)?),
+        },
     }
 }
 
@@ -423,7 +421,15 @@ fn show_slow_queries() -> ResultSet {
             ]
         })
         .collect();
-    let columns = ["trace_id", "seconds", "queue_wait", "result_rows", "cancelled", "spans", "tree"];
+    let columns = [
+        "trace_id",
+        "seconds",
+        "queue_wait",
+        "result_rows",
+        "cancelled",
+        "spans",
+        "tree",
+    ];
     untraced(&columns, rows)
 }
 
@@ -441,7 +447,10 @@ fn show_queries() -> ResultSet {
             ]
         })
         .collect();
-    untraced(&["query_id", "elapsed_seconds", "detail", "cancelled"], rows)
+    untraced(
+        &["query_id", "elapsed_seconds", "detail", "cancelled"],
+        rows,
+    )
 }
 
 /// `INSERT INTO t (cols) VALUES ...` against a streaming point-cloud
@@ -499,7 +508,8 @@ fn exec_insert(catalog: &Catalog, ins: &crate::ast::InsertStmt) -> Result<Result
         rs.rows[0].pop();
     }
     let op = format!("insert {}", ins.table);
-    rs.trace.push(TraceEntry::new(op, rows, t0.elapsed().as_secs_f64()));
+    rs.trace
+        .push(TraceEntry::new(op, rows, t0.elapsed().as_secs_f64()));
     Ok(rs)
 }
 
@@ -546,7 +556,11 @@ fn show_recovery(catalog: &Catalog) -> ResultSet {
                 "truncated_bytes",
                 SqlValue::Int(rep.truncated_bytes as i64),
             ));
-            rows.push(kv(name, "torn_tail", SqlValue::Int(i64::from(rep.torn_tail))));
+            rows.push(kv(
+                name,
+                "torn_tail",
+                SqlValue::Int(i64::from(rep.torn_tail)),
+            ));
             rows.push(kv(name, "recovery_seconds", SqlValue::Float(rep.seconds)));
         }
         if let Some(d) = pc.ingest_durability() {
@@ -572,7 +586,11 @@ fn show_recovery(catalog: &Catalog) -> ResultSet {
 /// A result without operator trace.
 fn untraced(columns: &[&str], rows: Vec<Vec<SqlValue>>) -> ResultSet {
     let columns = columns.iter().map(|c| c.to_string()).collect();
-    ResultSet { columns, rows, trace: Vec::new() }
+    ResultSet {
+        columns,
+        rows,
+        trace: Vec::new(),
+    }
 }
 
 /// One-row acknowledgement result (session knobs, KILL).
@@ -646,7 +664,10 @@ fn run(
         Statement::Select(sel) => return explain_or_select(catalog, sel, batch_rows, sink, trace),
         Statement::SetTrace(on) => {
             catalog.set_trace(*on);
-            ack("trace", SqlValue::Str(if *on { "ON" } else { "OFF" }.to_string()))
+            ack(
+                "trace",
+                SqlValue::Str(if *on { "ON" } else { "OFF" }.to_string()),
+            )
         }
         Statement::SetStatementTimeout(ms) => {
             catalog.set_statement_timeout_ms(*ms);
@@ -780,7 +801,10 @@ fn shape<'a>(
             "plain columns mixed with aggregates need GROUP BY".into(),
         ));
     }
-    let order = sel.order_by.iter().map(|(e, asc)| Ok((resolve_output_column(e, &items)?, *asc)));
+    let order = sel
+        .order_by
+        .iter()
+        .map(|(e, asc)| Ok((resolve_output_column(e, &items)?, *asc)));
     let residuals: Vec<&Expr> = match plan {
         Plan::PcScan(scan) => scan.residual.iter().collect(),
         Plan::SpatialJoin {
@@ -982,7 +1006,11 @@ fn join_probes<'a>(
         }
     }
     let op = format!("feature filter {}", vec_scan.table.alias);
-    trace.push(TraceEntry::new(op, features.len(), t0.elapsed().as_secs_f64()));
+    trace.push(TraceEntry::new(
+        op,
+        features.len(),
+        t0.elapsed().as_secs_f64(),
+    ));
 
     let t0 = Instant::now();
     let geom_col = match join {
@@ -1199,7 +1227,11 @@ fn row_aggregate(e: &Expr, group: &[&RowEnv]) -> Result<SqlValue, SqlError> {
                         let ord = v.compare(b).ok_or_else(|| {
                             SqlError::Exec("incomparable values in MIN/MAX".into())
                         })?;
-                        if name == "MIN" { ord.is_lt() } else { ord.is_gt() }
+                        if name == "MIN" {
+                            ord.is_lt()
+                        } else {
+                            ord.is_gt()
+                        }
                     }
                 };
                 if better {
@@ -1285,7 +1317,11 @@ fn project(
         });
     }
     trace.push(TraceEntry::new(
-        if q.grouped { "aggregate + project" } else { "project" },
+        if q.grouped {
+            "aggregate + project"
+        } else {
+            "project"
+        },
         rows.len(),
         t0.elapsed().as_secs_f64(),
     ));
@@ -1294,9 +1330,7 @@ fn project(
         let t0 = Instant::now();
         rows.sort_by(|a, b| {
             for &(idx, asc) in &q.order {
-                let ord = a[idx]
-                    .compare(&b[idx])
-                    .unwrap_or(std::cmp::Ordering::Equal);
+                let ord = a[idx].compare(&b[idx]).unwrap_or(std::cmp::Ordering::Equal);
                 let ord = if asc { ord } else { ord.reverse() };
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
@@ -1304,7 +1338,11 @@ fn project(
             }
             std::cmp::Ordering::Equal
         });
-        trace.push(TraceEntry::new("sort", rows.len(), t0.elapsed().as_secs_f64()));
+        trace.push(TraceEntry::new(
+            "sort",
+            rows.len(),
+            t0.elapsed().as_secs_f64(),
+        ));
     }
     if let Some(limit) = sel.limit {
         rows.truncate(limit as usize);
@@ -1340,7 +1378,9 @@ fn typed_fold(q: &Shaped) -> Option<Vec<Call>> {
     }
     let mut calls = Vec::new();
     let mut exprs = q.items.iter().map(|(_, e)| e).chain(&q.sel.having);
-    exprs.all(|e| collect_calls(e, alias, &mut calls)).then_some(calls)
+    exprs
+        .all(|e| collect_calls(e, alias, &mut calls))
+        .then_some(calls)
 }
 
 /// Collect the aggregate calls of `e` into `calls`, each once; false when
@@ -1368,7 +1408,10 @@ fn collect_calls(e: &Expr, alias: &str, calls: &mut Vec<Call>) -> bool {
                 "MAX" => Aggregate::Max,
                 _ => Aggregate::Count,
             };
-            let typed = (lidardb_las::COLUMN_NAMES[i], lidardb_las::schema::COLUMN_TYPES[i]);
+            let typed = (
+                lidardb_las::COLUMN_NAMES[i],
+                lidardb_las::schema::COLUMN_TYPES[i],
+            );
             (agg, (agg != Aggregate::Count).then_some(typed))
         }
         Expr::Binary { left, right, .. } => {
@@ -1379,7 +1422,11 @@ fn collect_calls(e: &Expr, alias: &str, calls: &mut Vec<Call>) -> bool {
         _ => return false,
     };
     if !calls.iter().any(|c| c.expr == *e) {
-        calls.push(Call { expr: e.clone(), agg, column });
+        calls.push(Call {
+            expr: e.clone(),
+            agg,
+            column,
+        });
     }
     true
 }
@@ -1426,7 +1473,9 @@ fn fold(
             if !scan.residual.is_empty() {
                 let t0 = Instant::now();
                 let all = std::mem::take(&mut ids);
-                retain_ids(q, pc, &all, &scan.table.alias, &mut ids, |c| passes(&scan.residual, &c))?;
+                retain_ids(q, pc, &all, &scan.table.alias, &mut ids, |c| {
+                    passes(&scan.residual, &c)
+                })?;
                 let elapsed = t0.elapsed().as_secs_f64();
                 trace.push(TraceEntry::new("thematic filter", ids.len(), elapsed));
             }
@@ -1490,33 +1539,35 @@ fn fold_call(
         return Ok(SqlValue::Int(ids.len() as i64));
     };
     let float = matches!(call.agg, Aggregate::Sum | Aggregate::Avg) || phys.is_float();
-    Ok(match pc.aggregate(ids, column, call.agg, q.catalog.parallelism(), ctx)? {
-        None => SqlValue::Null,
-        Some(v) if float => SqlValue::Float(v),
-        Some(v) if v.abs() < (1u64 << 53) as f64 => SqlValue::Int(v as i64),
-        // Past 2^53 the f64 fold may have rounded: re-read the exact value.
-        Some(_) => {
-            let mut ids = ids.to_vec();
-            ids.sort_unstable(); // segment runs need ascending ids
-            let mut vals = Vec::new();
-            for run in pc.runs(&ids, q.columns) {
-                let (seg, base, rows) = run?;
-                let col = seg.column(column)?;
-                vals.extend(rows.iter().filter_map(|&r| match col.get(r - base)? {
-                    Value::I64(v) => Some(i128::from(v)),
-                    Value::U64(v) => Some(i128::from(v)),
-                    Value::F64(_) => None,
-                }));
+    Ok(
+        match pc.aggregate(ids, column, call.agg, q.catalog.parallelism(), ctx)? {
+            None => SqlValue::Null,
+            Some(v) if float => SqlValue::Float(v),
+            Some(v) if v.abs() < (1u64 << 53) as f64 => SqlValue::Int(v as i64),
+            // Past 2^53 the f64 fold may have rounded: re-read the exact value.
+            Some(_) => {
+                let mut ids = ids.to_vec();
+                ids.sort_unstable(); // segment runs need ascending ids
+                let mut vals = Vec::new();
+                for run in pc.runs(&ids, q.columns) {
+                    let (seg, base, rows) = run?;
+                    let col = seg.column(column)?;
+                    vals.extend(rows.iter().filter_map(|&r| match col.get(r - base)? {
+                        Value::I64(v) => Some(i128::from(v)),
+                        Value::U64(v) => Some(i128::from(v)),
+                        Value::F64(_) => None,
+                    }));
+                }
+                let best = match call.agg {
+                    Aggregate::Max => vals.into_iter().max(),
+                    _ => vals.into_iter().min(),
+                };
+                best.map_or(SqlValue::Null, |b| {
+                    i64::try_from(b).map_or(SqlValue::Float(b as f64), SqlValue::Int)
+                })
             }
-            let best = match call.agg {
-                Aggregate::Max => vals.into_iter().max(),
-                _ => vals.into_iter().min(),
-            };
-            best.map_or(SqlValue::Null, |b| {
-                i64::try_from(b).map_or(SqlValue::Float(b as f64), SqlValue::Int)
-            })
-        }
-    })
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1725,7 +1776,11 @@ fn stream_scan(
     while emitted < limit {
         let Some(run) = runs.next() else { break };
         let (seg, base, mut rest) = run?;
-        let ctx_of = |r: usize| PcCtx { pc: &seg, alias, row: r - base };
+        let ctx_of = |r: usize| PcCtx {
+            pc: &seg,
+            alias,
+            row: r - base,
+        };
         while !rest.is_empty() && emitted < limit {
             // The ids of this step: as many as fill the batch (or reach
             // the limit), after the residual.
@@ -1799,7 +1854,11 @@ fn resolve_output_column(e: &Expr, items: &[(String, Expr)]) -> Result<usize, Sq
         if *name == rendered || expr.render() == rendered {
             return Ok(i);
         }
-        if let Expr::Column { table: None, name: n } = e {
+        if let Expr::Column {
+            table: None,
+            name: n,
+        } = e
+        {
             if name == n {
                 return Ok(i);
             }

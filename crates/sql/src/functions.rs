@@ -95,9 +95,7 @@ pub fn call(name: &str, args: &[SqlValue]) -> Result<SqlValue, SqlError> {
                     Ok(SqlValue::Bool(dwithin_point(g, p, d)))
                 }
                 (a, b) => {
-                    let within = a
-                        .vertices()
-                        .any(|p| dwithin_point(b, &p, d))
+                    let within = a.vertices().any(|p| dwithin_point(b, &p, d))
                         || b.vertices().any(|p| dwithin_point(a, &p, d))
                         || intersects(a, b);
                     Ok(SqlValue::Bool(within))
@@ -222,10 +220,7 @@ mod tests {
     #[test]
     fn constructors() {
         let p = call("ST_POINT", &[SqlValue::Float(1.0), SqlValue::Int(2)]).unwrap();
-        assert_eq!(
-            p,
-            SqlValue::Geom(Geometry::Point(Point::new(1.0, 2.0)))
-        );
+        assert_eq!(p, SqlValue::Geom(Geometry::Point(Point::new(1.0, 2.0))));
         let env = call(
             "ST_MAKEENVELOPE",
             &[
@@ -290,7 +285,10 @@ mod tests {
     #[test]
     fn accessors_and_metrics() {
         let p = call("ST_POINT", &[SqlValue::Float(3.0), SqlValue::Float(4.0)]).unwrap();
-        assert_eq!(call("ST_X", std::slice::from_ref(&p)).unwrap(), SqlValue::Float(3.0));
+        assert_eq!(
+            call("ST_X", std::slice::from_ref(&p)).unwrap(),
+            SqlValue::Float(3.0)
+        );
         assert_eq!(call("ST_Y", &[p]).unwrap(), SqlValue::Float(4.0));
         let sq = geom("POLYGON ((0 0, 4 0, 4 3, 0 3, 0 0))");
         assert_eq!(call("ST_AREA", &[sq]).unwrap(), SqlValue::Float(12.0));

@@ -196,9 +196,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                         offset: start,
                     });
                 } else {
-                    while i < b.len()
-                        && (b[i].is_ascii_alphanumeric() || b[i] == b'_')
-                    {
+                    while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                         i += 1;
                     }
                     out.push(Token {
@@ -252,7 +250,11 @@ mod tests {
         for sql in [format!("SELECT 1 -- {bulk}"), format!("SELECT '{bulk}'")] {
             let toks = tokenize(&sql).unwrap();
             assert!(toks.len() <= 3, "{} tokens", toks.len());
-            assert!(toks.capacity() <= MAX_RESERVED_TOKENS, "{}", toks.capacity());
+            assert!(
+                toks.capacity() <= MAX_RESERVED_TOKENS,
+                "{}",
+                toks.capacity()
+            );
         }
     }
 
@@ -331,6 +333,9 @@ mod tests {
 
     #[test]
     fn bad_character() {
-        assert!(matches!(tokenize("a ; b").unwrap_err(), SqlError::Lex { .. }));
+        assert!(matches!(
+            tokenize("a ; b").unwrap_err(),
+            SqlError::Lex { .. }
+        ));
     }
 }

@@ -123,9 +123,7 @@ impl Parser {
     fn integer(&mut self) -> Result<u64, SqlError> {
         match self.bump() {
             TokenKind::Number(v) if v >= 0.0 && v.fract() == 0.0 => Ok(v as u64),
-            other => Err(self.err(format!(
-                "expected a non-negative integer, found {other:?}"
-            ))),
+            other => Err(self.err(format!("expected a non-negative integer, found {other:?}"))),
         }
     }
 
@@ -584,7 +582,10 @@ mod tests {
         assert!(!s.analyze);
         // ANALYZE is only a keyword right after EXPLAIN.
         assert!(parse("ANALYZE SELECT * FROM points").is_err());
-        assert!(parse("SELECT ANALYZE FROM points").is_ok(), "still an identifier elsewhere");
+        assert!(
+            parse("SELECT ANALYZE FROM points").is_ok(),
+            "still an identifier elsewhere"
+        );
     }
 
     #[test]
@@ -679,13 +680,19 @@ mod tests {
         };
         assert_eq!(ins.table, "pts");
         assert_eq!(ins.columns, vec!["x", "y", "z"]);
-        assert_eq!(ins.values, vec![vec![1.0, 4.0], vec![2.0, -5.0], vec![3.0, 6.5]]);
+        assert_eq!(
+            ins.values,
+            vec![vec![1.0, 4.0], vec![2.0, -5.0], vec![3.0, 6.5]]
+        );
         // Arity mismatches and malformed forms are parse errors.
         assert!(parse("INSERT INTO pts (x, y) VALUES (1)").is_err());
         assert!(parse("INSERT INTO pts () VALUES (1)").is_err());
         assert!(parse("INSERT pts (x) VALUES (1)").is_err());
         assert!(parse("INSERT INTO pts (x) VALUES (1),").is_err());
-        assert!(parse("insert into pts (x) values (7)").is_ok(), "case-insensitive");
+        assert!(
+            parse("insert into pts (x) values (7)").is_ok(),
+            "case-insensitive"
+        );
     }
 
     #[test]
@@ -716,7 +723,10 @@ mod tests {
     fn show_recovery_statement() {
         assert_eq!(parse("SHOW RECOVERY").unwrap(), Statement::ShowRecovery);
         assert_eq!(parse("show recovery").unwrap(), Statement::ShowRecovery);
-        assert!(parse("SHOW RECOVERY now").is_err(), "trailing input rejected");
+        assert!(
+            parse("SHOW RECOVERY now").is_err(),
+            "trailing input rejected"
+        );
     }
 
     #[test]

@@ -100,7 +100,10 @@ impl Plan {
     pub fn describe(&self) -> String {
         match self {
             Plan::PcScan(p) => {
-                let mut s = format!("PointCloudScan {} [two-step imprint engine]\n", p.table.alias);
+                let mut s = format!(
+                    "PointCloudScan {} [two-step imprint engine]\n",
+                    p.table.alias
+                );
                 match &p.spatial {
                     Some(SpatialPredicate::Within(g)) => {
                         s += &format!("  spatial pushdown: WITHIN {}\n", g.type_name())
@@ -141,10 +144,16 @@ impl Plan {
                 );
                 s += &match join {
                     JoinPred::DWithin { geom_col, dist } => {
-                        format!("  join: ST_DWithin(point, {}.{geom_col}, {dist})\n", vec.table.alias)
+                        format!(
+                            "  join: ST_DWithin(point, {}.{geom_col}, {dist})\n",
+                            vec.table.alias
+                        )
                     }
                     JoinPred::ContainsPoint { geom_col } => {
-                        format!("  join: ST_Contains({}.{geom_col}, point)\n", vec.table.alias)
+                        format!(
+                            "  join: ST_Contains({}.{geom_col}, point)\n",
+                            vec.table.alias
+                        )
                     }
                 };
                 for r in &vec.residual {
@@ -363,15 +372,11 @@ fn extract_join(
         ("ST_DWITHIN", 3) => {
             let dist = const_num(&args[2])?;
             if is_pc_point(&args[0], pc_alias) {
-                vec_geom_col(&args[1], vec, catalog).map(|geom_col| JoinPred::DWithin {
-                    geom_col,
-                    dist,
-                })
+                vec_geom_col(&args[1], vec, catalog)
+                    .map(|geom_col| JoinPred::DWithin { geom_col, dist })
             } else if is_pc_point(&args[1], pc_alias) {
-                vec_geom_col(&args[0], vec, catalog).map(|geom_col| JoinPred::DWithin {
-                    geom_col,
-                    dist,
-                })
+                vec_geom_col(&args[0], vec, catalog)
+                    .map(|geom_col| JoinPred::DWithin { geom_col, dist })
             } else {
                 None
             }
@@ -716,7 +721,10 @@ mod tests {
         let p = plan("SELECT * FROM points WHERE 10 >= z");
         match p {
             Plan::PcScan(scan) => {
-                assert_eq!(scan.attr_ranges[0], AttrRange::new("z", f64::NEG_INFINITY, 10.0));
+                assert_eq!(
+                    scan.attr_ranges[0],
+                    AttrRange::new("z", f64::NEG_INFINITY, 10.0)
+                );
                 assert!(scan.residual.is_empty());
             }
             other => panic!("wrong plan {other:?}"),

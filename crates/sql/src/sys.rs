@@ -21,9 +21,7 @@
 //! consistent build of the table; two scans may differ, like any
 //! monitoring view.
 
-use lidardb_core::{
-    recorder, MetricsRegistry, QueryRegistry, Recorder, SessionRegistry, Stage,
-};
+use lidardb_core::{recorder, MetricsRegistry, QueryRegistry, Recorder, SessionRegistry, Stage};
 
 use crate::ast::SelectStmt;
 use crate::catalog::{Catalog, PcRead, Table, VColumn, VectorTable};
@@ -183,7 +181,11 @@ fn sys_sessions() -> VectorTable {
             VColumn::Str(
                 list.iter()
                     .map(|_| {
-                        if lidardb_core::MetricsRegistry::global().server_draining.get() != 0 {
+                        if lidardb_core::MetricsRegistry::global()
+                            .server_draining
+                            .get()
+                            != 0
+                        {
                             "draining".to_string()
                         } else {
                             "active".to_string()
@@ -338,7 +340,10 @@ mod tests {
         let c = Catalog::new();
         let err = build_sys_table(&c, "sys.nope").unwrap_err();
         assert!(err.to_string().contains("sys.nope"), "{err}");
-        assert!(err.to_string().contains("sys.metrics"), "lists options: {err}");
+        assert!(
+            err.to_string().contains("sys.metrics"),
+            "lists options: {err}"
+        );
     }
 
     #[test]
@@ -363,9 +368,18 @@ mod tests {
             t.value("table_name", 0).unwrap(),
             crate::value::SqlValue::Str("pts".into())
         );
-        assert_eq!(t.value("total_rows", 0).unwrap(), crate::value::SqlValue::Int(32));
-        assert_eq!(t.value("durable_rows", 0).unwrap(), crate::value::SqlValue::Int(32));
-        assert_eq!(t.value("backlog_rows", 0).unwrap(), crate::value::SqlValue::Int(0));
+        assert_eq!(
+            t.value("total_rows", 0).unwrap(),
+            crate::value::SqlValue::Int(32)
+        );
+        assert_eq!(
+            t.value("durable_rows", 0).unwrap(),
+            crate::value::SqlValue::Int(32)
+        );
+        assert_eq!(
+            t.value("backlog_rows", 0).unwrap(),
+            crate::value::SqlValue::Int(0)
+        );
         assert_eq!(
             t.value("durability", 0).unwrap(),
             crate::value::SqlValue::Str("always".into())

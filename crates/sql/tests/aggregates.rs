@@ -164,7 +164,10 @@ fn assert_matches(agg: Aggregate, got: &SqlValue, want: &SqlValue, what: &str) {
         (SqlValue::Float(a), SqlValue::Float(b))
             if matches!(agg, Aggregate::Sum | Aggregate::Avg) =>
         {
-            assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{what}: {a} vs {b}")
+            assert!(
+                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
+                "{what}: {a} vs {b}"
+            )
         }
         _ => assert_eq!(got, want, "{what}: value and type"),
     }
@@ -257,10 +260,14 @@ fn point_table_aggregates_match_brute_force_on_every_shape() {
         let rs = query(&c, &sql).unwrap();
         let text: Vec<String> = rs.rows.iter().map(|r| r[0].render()).collect();
         assert!(
-            text.iter().any(|l| l.contains("aggregate (typed fold: COUNT(*), AVG(z))")),
+            text.iter()
+                .any(|l| l.contains("aggregate (typed fold: COUNT(*), AVG(z))")),
             "{table}: {text:#?}"
         );
-        assert!(!text.iter().any(|l| l.contains("aggregate + project")), "{text:#?}");
+        assert!(
+            !text.iter().any(|l| l.contains("aggregate + project")),
+            "{text:#?}"
+        );
     }
 }
 
@@ -271,7 +278,9 @@ fn join_aggregates_count_every_pair() {
     let cases: [(&str, KeepPair); 3] = [
         ("", |_, _| true),
         ("AND p.x * 2 > p.y", |r, _| r.x * 2.0 > r.y),
-        ("AND f.id < 3 AND p.intensity > 110", |r, id| id < 3 && r.intensity > 110),
+        ("AND f.id < 3 AND p.intensity > 110", |r, id| {
+            id < 3 && r.intensity > 110
+        }),
     ];
     for table in ["flat", "stream", "tiles"] {
         for (filter, keep) in &cases {
@@ -295,7 +304,11 @@ fn join_aggregates_count_every_pair() {
                  ST_DWithin(ST_Point(p.x, p.y), f.geom, 1.5) AND p.y = 10 AND p.x = 11"
             ),
         );
-        assert_eq!(rows[0], [SqlValue::Int(2), SqlValue::Float(22.0)], "{table}");
+        assert_eq!(
+            rows[0],
+            [SqlValue::Int(2), SqlValue::Float(22.0)],
+            "{table}"
+        );
     }
 }
 
@@ -304,23 +317,38 @@ fn having_limit_and_empty_inputs_behave_as_on_the_row_path() {
     let (c, _model, _dirs) = setup("edges");
     for table in ["flat", "stream", "tiles"] {
         let n = (SIDE * SIDE) as i64;
-        let rows = run(&c, &format!("SELECT COUNT(*) AS n FROM {table} HAVING COUNT(*) = {n}"));
+        let rows = run(
+            &c,
+            &format!("SELECT COUNT(*) AS n FROM {table} HAVING COUNT(*) = {n}"),
+        );
         assert_eq!(rows, [[SqlValue::Int(n)]]);
         // A HAVING call that is not an output item is folded too.
-        let rows = run(&c, &format!("SELECT COUNT(*) FROM {table} HAVING MAX(z) > 1000"));
+        let rows = run(
+            &c,
+            &format!("SELECT COUNT(*) FROM {table} HAVING MAX(z) > 1000"),
+        );
         assert!(rows.is_empty(), "{table}: {rows:?}");
         let rows = run(&c, &format!("SELECT COUNT(*), MIN(z) FROM {table} LIMIT 0"));
         assert!(rows.is_empty(), "{table}: {rows:?}");
         // Over no rows: COUNT is 0, the rest NULL, and HAVING still runs.
         let sql = format!("SELECT COUNT(*), SUM(z), MIN(wave_offset) FROM {table} WHERE x > 1000");
-        assert_eq!(run(&c, &sql), [[SqlValue::Int(0), SqlValue::Null, SqlValue::Null]]);
+        assert_eq!(
+            run(&c, &sql),
+            [[SqlValue::Int(0), SqlValue::Null, SqlValue::Null]]
+        );
         let sql = format!("SELECT COUNT(*) FROM {table} WHERE x > 1000 HAVING COUNT(*) > 0");
         let rows = run(&c, &sql);
         assert!(rows.is_empty(), "{table}: {rows:?}");
         // Arithmetic over folded calls; with ORDER BY the row path answers.
-        let rows = run(&c, &format!("SELECT MAX(x) - MIN(x) + 1 AS w FROM {table} ORDER BY w"));
+        let rows = run(
+            &c,
+            &format!("SELECT MAX(x) - MIN(x) + 1 AS w FROM {table} ORDER BY w"),
+        );
         assert_eq!(rows, [[SqlValue::Float(SIDE as f64)]]);
-        let rows = run(&c, &format!("SELECT COUNT(*) / 2, -MIN(intensity) FROM {table}"));
+        let rows = run(
+            &c,
+            &format!("SELECT COUNT(*) / 2, -MIN(intensity) FROM {table}"),
+        );
         assert_eq!(rows, [[SqlValue::Float(n as f64 / 2.0), SqlValue::Int(0)]]);
     }
 }

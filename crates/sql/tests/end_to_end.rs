@@ -207,11 +207,19 @@ fn explain_analyze_join_shows_the_refine_layer() {
     )
     .unwrap();
     let ops: Vec<&str> = rs.trace.iter().map(|t| t.operator.as_str()).collect();
-    let join = ops.iter().position(|op| op.starts_with("spatial join (1 probes)"));
+    let join = ops
+        .iter()
+        .position(|op| op.starts_with("spatial join (1 probes)"));
     let join = join.unwrap_or_else(|| panic!("no join line in {ops:?}"));
     let under = &rs.trace[join + 1..];
-    assert!(under.iter().any(|t| t.operator == "  imprint filter"), "{ops:?}");
-    assert!(under.iter().any(|t| t.operator == "  exact bbox scan"), "{ops:?}");
+    assert!(
+        under.iter().any(|t| t.operator == "  imprint filter"),
+        "{ops:?}"
+    );
+    assert!(
+        under.iter().any(|t| t.operator == "  exact bbox scan"),
+        "{ops:?}"
+    );
     let refine = under
         .iter()
         .find(|t| t.operator.starts_with("  grid refinement"))
@@ -255,16 +263,24 @@ fn explain_analyze_names_the_band_table_and_grid() {
     c.register_vector("chevron", zones);
     let sql = "SELECT COUNT(*) FROM points p, chevron u WHERE \
                ST_DWithin(ST_Point(p.x, p.y), u.geom, 2.5) AND u.code = 12210";
-    assert_eq!(query(&c, sql).unwrap().rows[0][0], SqlValue::Int(expect as i64));
+    assert_eq!(
+        query(&c, sql).unwrap().rows[0][0],
+        SqlValue::Int(expect as i64)
+    );
     let rs = query(&c, &format!("EXPLAIN ANALYZE {sql}")).unwrap();
     let ops: Vec<&str> = rs.trace.iter().map(|t| t.operator.as_str()).collect();
     let scan = ops.iter().find(|op| op.starts_with("  exact bbox scan"));
     let scan = scan.unwrap_or_else(|| panic!("no filter line in {ops:?}"));
-    assert!(scan.starts_with("  exact bbox scan (band table: "), "{scan}");
+    assert!(
+        scan.starts_with("  exact bbox scan (band table: "),
+        "{scan}"
+    );
     assert!(scan.ends_with(" x-bands)"), "{scan}");
     let grid = ops.iter().find(|op| op.starts_with("  grid refinement ("));
     let grid = grid.unwrap_or_else(|| panic!("no refine line in {ops:?}"));
-    let dims = grid["  grid refinement (".len()..].split_once(" grid, ").map(|(d, _)| d);
+    let dims = grid["  grid refinement (".len()..]
+        .split_once(" grid, ")
+        .map(|(d, _)| d);
     let (nx, ny) = dims.and_then(|d| d.split_once('x')).expect("an nx×ny grid");
     let (nx, ny): (usize, usize) = (nx.parse().unwrap(), ny.parse().unwrap());
     assert!(nx > 2 * ny, "cells are square over a wide envelope: {grid}");
@@ -274,7 +290,11 @@ fn explain_analyze_names_the_band_table_and_grid() {
     let rs = query(&c, viewport).unwrap();
     let ops: Vec<&str> = rs.trace.iter().map(|t| t.operator.as_str()).collect();
     assert!(ops.contains(&"exact bbox scan"), "{ops:?}");
-    assert!(!ops.iter().any(|op| op.contains("band table") || op.contains(" grid, ")), "{ops:?}");
+    assert!(
+        !ops.iter()
+            .any(|op| op.contains("band table") || op.contains(" grid, ")),
+        "{ops:?}"
+    );
 }
 
 #[test]
@@ -435,11 +455,7 @@ fn between_and_arithmetic() {
 #[test]
 fn empty_results() {
     let c = setup();
-    let rs = query(
-        &c,
-        "SELECT COUNT(*), AVG(z) FROM points WHERE x > 1000",
-    )
-    .unwrap();
+    let rs = query(&c, "SELECT COUNT(*), AVG(z) FROM points WHERE x > 1000").unwrap();
     assert_eq!(rs.rows[0][0], SqlValue::Int(0));
     assert_eq!(rs.rows[0][1], SqlValue::Null);
     let rs = query(&c, "SELECT x FROM points WHERE x > 1000").unwrap();
@@ -570,7 +586,11 @@ fn st_buffer_envelope_numpoints() {
          FROM roads LIMIT 1",
     )
     .unwrap();
-    assert_eq!(rs.rows[0][0], SqlValue::Int(4), "corridor of a 2-vertex line");
+    assert_eq!(
+        rs.rows[0][0],
+        SqlValue::Int(4),
+        "corridor of a 2-vertex line"
+    );
     let rs = query(
         &c,
         "SELECT ST_AsText(ST_Envelope(ST_GeomFromText('LINESTRING (1 2, 5 9)'))) AS e \
@@ -622,14 +642,21 @@ fn set_trace_session_records_spans_and_shows_slow_queries() {
     let slow = lidardb_core::SlowQueryLog::global().worst();
     assert!(!slow.is_empty(), "traced query entered the slow log");
     let q = &slow[0];
-    assert!(q.spans.iter().all(|s| s.trace_id == q.trace_id), "spans belong to the entry");
+    assert!(
+        q.spans.iter().all(|s| s.trace_id == q.trace_id),
+        "spans belong to the entry"
+    );
     let names: Vec<&str> = q.spans.iter().map(|s| s.kind.name()).collect();
     assert!(names.contains(&"query"), "{names:?}");
     assert!(names.contains(&"bbox_scan"), "{names:?}");
 
     let rs = query(&c, "SHOW SLOW QUERIES").unwrap();
     assert!(!rs.rows.is_empty());
-    assert_eq!(rs.rows[0][col(&rs, "cancelled")], SqlValue::Int(0), "not cancelled");
+    assert_eq!(
+        rs.rows[0][col(&rs, "cancelled")],
+        SqlValue::Int(0),
+        "not cancelled"
+    );
     assert!(
         rs.rows[0][col(&rs, "tree")].render().contains("query"),
         "span tree rendered"
@@ -764,10 +791,18 @@ fn insert_is_wal_logged_and_queryable() {
     )
     .unwrap();
     assert_eq!(rs.rows[0][0], SqlValue::Int(3), "inserted count");
-    assert_eq!(rs.rows[0][1], SqlValue::Int(1), "Always fsyncs: durable ack");
+    assert_eq!(
+        rs.rows[0][1],
+        SqlValue::Int(1),
+        "Always fsyncs: durable ack"
+    );
 
     let rs = query(&c, "SELECT COUNT(*) FROM pts WHERE classification = 6").unwrap();
-    assert_eq!(rs.rows[0][0], SqlValue::Int(2), "inserted rows are queryable");
+    assert_eq!(
+        rs.rows[0][0],
+        SqlValue::Int(2),
+        "inserted rows are queryable"
+    );
 
     // The batch survives a crash: reopen the directory cold.
     drop(c);
@@ -788,7 +823,11 @@ fn insert_token_replay_is_deduped() {
     // applied zero rows.
     let rs = query(&c, stmt).unwrap();
     assert_eq!(rs.rows[0][0], SqlValue::Int(0), "replay inserts nothing");
-    assert_eq!(rs.rows[0][1], SqlValue::Int(1), "original append is durable");
+    assert_eq!(
+        rs.rows[0][1],
+        SqlValue::Int(1),
+        "original append is durable"
+    );
     assert_eq!(rs.rows[0][2], SqlValue::Int(1), "flagged as deduped");
     let rs = query(&c, "SELECT COUNT(*) FROM pts").unwrap();
     assert_eq!(rs.rows[0][0], SqlValue::Int(2), "no double insert");
@@ -810,7 +849,11 @@ fn group_commit_inserts_stay_invisible_until_flushed() {
         },
     );
     let rs = query(&c, "INSERT INTO pts (x, y, z) VALUES (1, 1, 5)").unwrap();
-    assert_eq!(rs.rows[0][1], SqlValue::Int(0), "group commit: not yet durable");
+    assert_eq!(
+        rs.rows[0][1],
+        SqlValue::Int(0),
+        "group commit: not yet durable"
+    );
     let rs = query(&c, "SELECT COUNT(*) FROM pts").unwrap();
     assert_eq!(
         rs.rows[0][0],
@@ -880,7 +923,16 @@ fn insert_cells_are_signed_literals_and_nothing_else() {
     // The bad cell sits in the second tuple, ahead of a good one, so the
     // first tuple has been read when the cell is rejected.
     let prefix = "INSERT INTO pts (x, y) VALUES (3, 4), (";
-    for cell in ["x + 1", "1 + 1", "ST_Point(1, 2)", "'a'", "NULL", "(1", "- -", ""] {
+    for cell in [
+        "x + 1",
+        "1 + 1",
+        "ST_Point(1, 2)",
+        "'a'",
+        "NULL",
+        "(1",
+        "- -",
+        "",
+    ] {
         let sql = format!("{prefix}{cell}, 6) TOKEN 77");
         match query(&c, &sql) {
             Err(SqlError::Parse { offset, .. }) => {
@@ -892,7 +944,11 @@ fn insert_cells_are_signed_literals_and_nothing_else() {
     let pc = c.write_stream("pts").unwrap();
     assert_eq!(pc.num_points(), 1, "a rejected statement applies nothing");
     drop(pc);
-    assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_len, "nor logs anything");
+    assert_eq!(
+        std::fs::metadata(&wal).unwrap().len(),
+        wal_len,
+        "nor logs anything"
+    );
 
     // Signs and parentheses around one literal keep the value the literal
     // spells, negated once per `-`.
@@ -921,17 +977,27 @@ fn sys_metrics_readable_with_predicates_and_projection() {
     let c = setup();
     // Run a real query first so the counters are warm.
     query(&c, "SELECT COUNT(*) FROM points WHERE x < 10").unwrap();
-    let rs = query(&c, "SELECT name, value FROM sys.metrics WHERE kind = 'counter'").unwrap();
+    let rs = query(
+        &c,
+        "SELECT name, value FROM sys.metrics WHERE kind = 'counter'",
+    )
+    .unwrap();
     assert_eq!(rs.columns, vec!["name", "value"]);
     let queries = rs
         .rows
         .iter()
         .find(|r| r[0] == SqlValue::Str("queries".into()))
         .expect("queries counter row");
-    assert!(matches!(queries[1], SqlValue::Int(n) if n >= 1), "{queries:?}");
+    assert!(
+        matches!(queries[1], SqlValue::Int(n) if n >= 1),
+        "{queries:?}"
+    );
     // Predicates narrow: only counter rows came back.
     let all = query(&c, "SELECT kind FROM sys.metrics").unwrap();
-    assert!(all.rows.len() > rs.rows.len(), "kinds beyond counters exist");
+    assert!(
+        all.rows.len() > rs.rows.len(),
+        "kinds beyond counters exist"
+    );
     // ORDER BY + LIMIT work like on any table.
     let top = query(
         &c,
@@ -951,7 +1017,10 @@ fn sys_metrics_counters_match_snapshot_json_names() {
         let SqlValue::Str(name) = &row[0] else {
             panic!("name not a string: {row:?}")
         };
-        assert!(json.contains(&format!("\"{name}\"")), "{name} not in snapshot_json");
+        assert!(
+            json.contains(&format!("\"{name}\"")),
+            "{name} not in snapshot_json"
+        );
     }
 }
 
@@ -974,7 +1043,13 @@ fn sys_queries_and_sessions_have_stable_schemas() {
     let rs = query(&c, "SELECT * FROM sys.sessions").unwrap();
     assert_eq!(
         rs.columns,
-        vec!["session_id", "peer", "elapsed_seconds", "statements", "state"]
+        vec![
+            "session_id",
+            "peer",
+            "elapsed_seconds",
+            "statements",
+            "state"
+        ]
     );
     let rs = query(&c, "SELECT * FROM sys.wal").unwrap();
     assert_eq!(
@@ -1027,17 +1102,30 @@ fn sys_tiles_reports_residency() {
         })
         .collect();
     pc.append_records(&recs).unwrap();
-    pc.save_tiled(&dir, &lidardb_core::TileOptions { target_rows: 512, ..Default::default() })
-        .unwrap();
+    pc.save_tiled(
+        &dir,
+        &lidardb_core::TileOptions {
+            target_rows: 512,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     let tc = Arc::new(lidardb_core::TiledCloud::open(&dir).unwrap());
     let mut c = Catalog::new();
     c.register_tiled("tiled_pts", Arc::clone(&tc));
-    let rs = query(&c, "SELECT COUNT(*) FROM sys.tiles WHERE table_name = 'tiled_pts'").unwrap();
+    let rs = query(
+        &c,
+        "SELECT COUNT(*) FROM sys.tiles WHERE table_name = 'tiled_pts'",
+    )
+    .unwrap();
     assert_eq!(rs.rows[0][0], SqlValue::Int(tc.num_tiles() as i64));
     // Touch one tile, then its residency flips to 1.
     query(&c, "SELECT COUNT(*) FROM tiled_pts WHERE x < 4 AND y < 4").unwrap();
     let rs = query(&c, "SELECT COUNT(*) FROM sys.tiles WHERE resident = 1").unwrap();
-    assert!(matches!(rs.rows[0][0], SqlValue::Int(n) if n >= 1), "{rs:?}");
+    assert!(
+        matches!(rs.rows[0][0], SqlValue::Int(n) if n >= 1),
+        "{rs:?}"
+    );
 }
 
 #[test]

@@ -60,7 +60,10 @@ struct Lcg(u64);
 
 impl Lcg {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
     fn below(&mut self, n: usize) -> usize {
@@ -125,7 +128,9 @@ fn truncations_never_panic() {
 fn mutated_statements_never_panic() {
     let (c, _dir) = setup();
     let mut rng = Lcg(0x5eed_1da8_db01);
-    let garbage = ['\0', '(', ')', '\'', '"', ',', '.', ';', '%', 'Ω', '\u{7f}', ' '];
+    let garbage = [
+        '\0', '(', ')', '\'', '"', ',', '.', ';', '%', 'Ω', '\u{7f}', ' ',
+    ];
     for round in 0..2000 {
         let seed = SEEDS[round % SEEDS.len()];
         let mut bytes: Vec<char> = seed.chars().collect();
@@ -160,7 +165,9 @@ fn garbage_bytes_never_panic() {
         .collect();
     for _ in 0..2000 {
         let len = rng.below(80);
-        let s: String = (0..len).map(|_| alphabet[rng.below(alphabet.len())]).collect();
+        let s: String = (0..len)
+            .map(|_| alphabet[rng.below(alphabet.len())])
+            .collect();
         must_not_panic(&c, &s);
         // The same bytes as the cells of an INSERT.
         must_not_panic(&c, &format!("INSERT INTO pts (x, y) VALUES ({s}"));

@@ -40,7 +40,11 @@ fn catalog(fault: Option<Arc<FaultInjector>>) -> Catalog {
         .with_column("id", VColumn::Int((1..=10).collect()))
         .with_column(
             "geom",
-            VColumn::Geom((0..10).map(|k| Geometry::Point(Point::new(at(k).0, at(k).1))).collect()),
+            VColumn::Geom(
+                (0..10)
+                    .map(|k| Geometry::Point(Point::new(at(k).0, at(k).1)))
+                    .collect(),
+            ),
         );
     let mut c = Catalog::new();
     c.set_parallelism(Parallelism::Serial);
@@ -54,7 +58,13 @@ fn statement_timeout_bounds_a_whole_join() {
     // Count the join's checkpoints with zero-length stalls first.
     let fi = Arc::new(FaultInjector::new());
     let c = catalog(Some(Arc::clone(&fi)));
-    fi.inject_n(FaultStage::QueryCheckpoint, None, FaultKind::Stall(0), 0, 1000);
+    fi.inject_n(
+        FaultStage::QueryCheckpoint,
+        None,
+        FaultKind::Stall(0),
+        0,
+        1000,
+    );
     assert_eq!(query(&c, JOIN).unwrap().rows[0][0], SqlValue::Int(90));
     let full = fi.fired().len();
     assert!(full >= 10, "every probe checkpoints: {full}");
@@ -62,12 +72,21 @@ fn statement_timeout_bounds_a_whole_join() {
     // With 30 ms stalls every probe alone fits the 200 ms deadline; the
     // whole join does not.
     fi.clear();
-    fi.inject_n(FaultStage::QueryCheckpoint, None, FaultKind::Stall(30), 0, 1000);
+    fi.inject_n(
+        FaultStage::QueryCheckpoint,
+        None,
+        FaultKind::Stall(30),
+        0,
+        1000,
+    );
     query(&c, "SET STATEMENT_TIMEOUT = 200").unwrap();
     let err = query(&c, JOIN).unwrap_err().to_string();
     assert!(err.contains("cancelled (deadline)"), "{err}");
     let stalled = fi.fired().len() - full;
-    assert!(stalled < full, "the join stopped early: {stalled} of {full} checkpoints");
+    assert!(
+        stalled < full,
+        "the join stopped early: {stalled} of {full} checkpoints"
+    );
 }
 
 /// Keeps the token the statement hands its sink.
@@ -115,11 +134,20 @@ fn folded_aggregates_run_under_their_statement() {
         format!("SELECT MIN(z), MAX(z) FROM points WHERE {window}"),
         format!("SELECT AVG(p.z) FROM points p, feats f WHERE {near}"),
     ];
-    assert_eq!(query(&c, &folds[0]).unwrap().rows[0][0], SqlValue::Float(799.5));
+    assert_eq!(
+        query(&c, &folds[0]).unwrap().rows[0][0],
+        SqlValue::Float(799.5)
+    );
 
     // A Cancel armed at the aggregate kernel's checkpoint reaches each
     // fold through the statement's context.
-    fi.inject_n(FaultStage::QueryCheckpoint, Some("aggregate"), FaultKind::Cancel, 0, 1000);
+    fi.inject_n(
+        FaultStage::QueryCheckpoint,
+        Some("aggregate"),
+        FaultKind::Cancel,
+        0,
+        1000,
+    );
     for sql in &folds {
         let before = fi.fired().len();
         let err = match query(&c, sql) {

@@ -25,11 +25,24 @@ fn expr_text() -> impl Strategy<Value = String> {
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone(), prop_oneof![
-                Just("+"), Just("-"), Just("*"), Just("/"),
-                Just("="), Just("<>"), Just("<"), Just("<="), Just(">"), Just(">="),
-                Just("AND"), Just("OR"),
-            ])
+            (
+                inner.clone(),
+                inner.clone(),
+                prop_oneof![
+                    Just("+"),
+                    Just("-"),
+                    Just("*"),
+                    Just("/"),
+                    Just("="),
+                    Just("<>"),
+                    Just("<"),
+                    Just("<="),
+                    Just(">"),
+                    Just(">="),
+                    Just("AND"),
+                    Just("OR"),
+                ]
+            )
                 .prop_map(|(a, b, op)| format!("({a} {op} {b})")),
             inner.clone().prop_map(|a| format!("(NOT {a})")),
             inner.clone().prop_map(|a| format!("ABS({a})")),
@@ -90,8 +103,16 @@ proptest! {
 /// that narrow (past `u8`, `u16`, `u32`, `u64`).
 fn literal_text() -> impl Strategy<Value = String> {
     const EDGES: [&str; 10] = [
-        "127", "128", "255", "256", "65535", "65536", "4294967296",
-        "18446744073709551615", "18446744073709551616", "1e20",
+        "127",
+        "128",
+        "255",
+        "256",
+        "65535",
+        "65536",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "1e20",
     ];
     prop_oneof![
         (0u64..70_000).prop_map(|v| v.to_string()),

@@ -94,10 +94,7 @@ fn tiled_answers_match_flat_answers() {
              ST_Contains(ST_MakeEnvelope(0, 0, 50, 50), ST_Point(x, y))",
         ),
         // Full scan, no pushdown at all.
-        (
-            "SELECT COUNT(*) FROM points",
-            "SELECT COUNT(*) FROM tiles",
-        ),
+        ("SELECT COUNT(*) FROM points", "SELECT COUNT(*) FROM tiles"),
         // Spatial join with a point-side residual: the probes cross tile
         // boundaries and the matched rows resolve to their tiles.
         (
@@ -111,7 +108,10 @@ fn tiled_answers_match_flat_answers() {
         let tiled = one_value(&c, tiled_sql);
         match (&flat, &tiled) {
             (SqlValue::Float(a), SqlValue::Float(b)) => {
-                assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{flat_sql}: {a} vs {b}")
+                assert!(
+                    (a - b).abs() <= 1e-9 * a.abs().max(1.0),
+                    "{flat_sql}: {a} vs {b}"
+                )
             }
             _ => assert_eq!(flat, tiled, "{flat_sql}"),
         }
@@ -133,7 +133,10 @@ fn projected_rows_read_the_right_tile_values() {
             panic!("x/z should be floats: {row:?}");
         };
         assert!((7.0..=9.0).contains(x));
-        assert!((z - x / 10.0).abs() < 1e-12, "z column must come from the same point as x");
+        assert!(
+            (z - x / 10.0).abs() < 1e-12,
+            "z column must come from the same point as x"
+        );
     }
 }
 
@@ -155,12 +158,17 @@ fn explain_analyze_shows_tile_pruning() {
         })
         .collect::<Vec<_>>()
         .join("\n");
-    assert!(text.contains("tile prune"), "no tile prune operator in:\n{text}");
+    assert!(
+        text.contains("tile prune"),
+        "no tile prune operator in:\n{text}"
+    );
     assert!(text.contains("pruned"), "prune counts missing in:\n{text}");
     // The tiny window must actually skip tiles.
-    let pruned_somewhere = (1..tc.num_tiles())
-        .any(|k| text.contains(&format!("{k} pruned")));
-    assert!(pruned_somewhere, "expected a non-zero pruned count in:\n{text}");
+    let pruned_somewhere = (1..tc.num_tiles()).any(|k| text.contains(&format!("{k} pruned")));
+    assert!(
+        pruned_somewhere,
+        "expected a non-zero pruned count in:\n{text}"
+    );
 }
 
 #[test]
@@ -215,8 +223,13 @@ fn tiled_scans_stream_natively_in_bounded_batches() {
     assert!(flat.rows.len() > 1000, "window spans several tiles");
 
     let mut sink = Collect::default();
-    let sum = query_streamed(&c, &format!("SELECT x, y, z FROM native_tiles {filter}"), 64, &mut sink)
-        .unwrap();
+    let sum = query_streamed(
+        &c,
+        &format!("SELECT x, y, z FROM native_tiles {filter}"),
+        64,
+        &mut sink,
+    )
+    .unwrap();
     assert_eq!(sink.rows, flat.rows, "streamed rows, in order");
     assert_eq!(sum.rows, flat.rows.len());
     assert_eq!(sum.batches, flat.rows.len().div_ceil(64));
@@ -256,7 +269,10 @@ fn tiled_scans_stream_natively_in_bounded_batches() {
     )
     .unwrap();
     let full = tc.tile_loads() - loads;
-    assert!(limited < full, "LIMIT loaded {limited} tiles, the full stream {full}");
+    assert!(
+        limited < full,
+        "LIMIT loaded {limited} tiles, the full stream {full}"
+    );
 }
 
 #[test]
@@ -313,7 +329,11 @@ fn streamed_rows_equal_materialised_rows_on_every_storage_shape() {
             assert_eq!(sum.rows, want.len(), "{sql}");
             assert_eq!(sum.batches, want.len().div_ceil(64), "{sql}");
             let (last, full) = sink.sizes.split_last().unwrap_or((&0, &[]));
-            assert!(full.iter().all(|&n| n == 64) && *last <= 64, "{sql}: {:?}", sink.sizes);
+            assert!(
+                full.iter().all(|&n| n == 64) && *last <= 64,
+                "{sql}: {:?}",
+                sink.sizes
+            );
             if table == "stream" {
                 assert_eq!(want, flat, "{sql}: rows past the watermark stay invisible");
             }

@@ -148,10 +148,7 @@ impl Column {
     /// Typed view of the data. Errors when `T` does not match the column.
     pub fn as_slice<T: Native>(&self) -> Result<&[T], StorageError> {
         fn cast<A: 'static, B: 'static>(v: &[A]) -> &[B] {
-            debug_assert_eq!(
-                std::any::TypeId::of::<A>(),
-                std::any::TypeId::of::<B>()
-            );
+            debug_assert_eq!(std::any::TypeId::of::<A>(), std::any::TypeId::of::<B>());
             // SAFETY: caller (below) only reaches this when A == B, verified
             // by the PhysicalType check; the debug_assert documents it.
             unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<B>(), v.len()) }

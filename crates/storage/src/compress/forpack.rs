@@ -170,7 +170,9 @@ impl ForPacked {
         let fits = |pos: usize, n: usize| n.min(bytes.len().saturating_sub(pos) / 8);
         let mut refs = Vec::with_capacity(fits(pos, nblocks));
         for _ in 0..nblocks {
-            refs.push(i64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().unwrap()));
+            refs.push(i64::from_le_bytes(
+                take(bytes, &mut pos, 8)?.try_into().unwrap(),
+            ));
         }
         let widths = take(bytes, &mut pos, nblocks)?.to_vec();
         if widths.iter().any(|&w| w > 64) {
@@ -179,7 +181,9 @@ impl ForPacked {
         let nwords = u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().unwrap()) as usize;
         let mut words = Vec::with_capacity(fits(pos, nwords));
         for _ in 0..nwords {
-            words.push(u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().unwrap()));
+            words.push(u64::from_le_bytes(
+                take(bytes, &mut pos, 8)?.try_into().unwrap(),
+            ));
         }
         // Recompute offsets and validate the payload covers every block.
         let mut offsets = Vec::with_capacity(nblocks);

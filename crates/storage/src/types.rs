@@ -332,10 +332,7 @@ mod tests {
         v.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(&v[..3], &[-1.0, 2.0, 3.0]);
         assert!(v[3].is_nan());
-        assert_eq!(
-            Native::total_cmp(&f64::NAN, &f64::NAN),
-            Ordering::Equal
-        );
+        assert_eq!(Native::total_cmp(&f64::NAN, &f64::NAN), Ordering::Equal);
     }
 
     /// `order_key` sorts every edge value exactly as `total_cmp` does.
@@ -354,10 +351,32 @@ mod tests {
         }
         let neg_nan = f64::from_bits(f64::NAN.to_bits() | 1 << 63 | 5);
         check(&[
-            f64::NEG_INFINITY, f64::MIN, -1.5, -f64::MIN_POSITIVE, -5e-324, -0.0, 0.0,
-            5e-324, f64::MIN_POSITIVE, 1.5, f64::MAX, f64::INFINITY, f64::NAN, neg_nan,
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            neg_nan,
         ]);
-        check(&[f32::NEG_INFINITY, -1.5f32, -1e-45, -0.0, 0.0, 1e-45, 2.5, f32::INFINITY, f32::NAN]);
+        check(&[
+            f32::NEG_INFINITY,
+            -1.5f32,
+            -1e-45,
+            -0.0,
+            0.0,
+            1e-45,
+            2.5,
+            f32::INFINITY,
+            f32::NAN,
+        ]);
         check(&[i64::MIN, -1, 0, 1, i64::MAX]);
         check(&[i8::MIN, -1, 0, 1, i8::MAX]);
         check(&[0u64, 1, u64::MAX - 1, u64::MAX]);

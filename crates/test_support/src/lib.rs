@@ -130,22 +130,31 @@ impl Model {
 
     /// Move the watermark (a commit advances it).
     pub fn set_visible(&mut self, visible: usize) {
-        assert!(visible <= self.records.len(), "watermark past the last record");
+        assert!(
+            visible <= self.records.len(),
+            "watermark past the last record"
+        );
         self.visible = visible;
     }
 
     /// The visible record with row id `id`; panics on a row past the
     /// watermark, which no engine answer may contain.
     pub fn record(&self, id: usize) -> &PointRecord {
-        assert!(id < self.visible, "row {id} is past the watermark {}", self.visible);
+        assert!(
+            id < self.visible,
+            "row {id} is past the watermark {}",
+            self.visible
+        );
         &self.records[id]
     }
 
     /// Ids of the visible records inside `pred` (the exact per-point test)
     /// and every inclusive range of `attrs`, ascending.
     pub fn select(&self, pred: Option<&SpatialPredicate>, attrs: &[AttrRange]) -> Vec<usize> {
-        let ranges: Vec<(usize, f64, f64)> =
-            attrs.iter().map(|a| (column_index(&a.column), a.lo, a.hi)).collect();
+        let ranges: Vec<(usize, f64, f64)> = attrs
+            .iter()
+            .map(|a| (column_index(&a.column), a.lo, a.hi))
+            .collect();
         let keep = |r: &PointRecord| {
             pred.is_none_or(|p| p.matches(&Point::new(r.x, r.y)))
                 && ranges.iter().all(|&(c, lo, hi)| {
@@ -153,7 +162,9 @@ impl Model {
                     lo <= v && v <= hi
                 })
         };
-        (0..self.visible).filter(|&id| keep(&self.records[id])).collect()
+        (0..self.visible)
+            .filter(|&id| keep(&self.records[id]))
+            .collect()
     }
 
     /// How many visible records [`Model::select`] keeps.
@@ -184,7 +195,10 @@ impl Model {
 
 /// Schema position of a column name; panics on an unknown one.
 fn column_index(name: &str) -> usize {
-    COLUMN_NAMES.iter().position(|&n| n == name).unwrap_or_else(|| panic!("no column {name:?}"))
+    COLUMN_NAMES
+        .iter()
+        .position(|&n| n == name)
+        .unwrap_or_else(|| panic!("no column {name:?}"))
 }
 
 /// A record's value of column `c`: exact for integer columns, `f64` for
@@ -194,7 +208,10 @@ fn exact_value(r: &PointRecord, c: usize) -> Value {
         PhysicalType::F64 | PhysicalType::F32 => Value::Float(column_value_f64(r, c)),
         // The one 64-bit integer column: read it straight, not widened.
         PhysicalType::U64 => {
-            assert_eq!(COLUMN_NAMES[c], "wave_offset", "the schema's only u64 column");
+            assert_eq!(
+                COLUMN_NAMES[c], "wave_offset",
+                "the schema's only u64 column"
+            );
             Value::Int(i128::from(r.wave_offset))
         }
         _ => Value::Int(column_value_f64(r, c) as i128),
@@ -206,7 +223,11 @@ fn neumaier(values: impl Iterator<Item = f64>) -> f64 {
     let (mut s, mut comp) = (0.0f64, 0.0f64);
     for v in values {
         let t = s + v;
-        comp += if s.abs() >= v.abs() { (s - t) + v } else { (v - t) + s };
+        comp += if s.abs() >= v.abs() {
+            (s - t) + v
+        } else {
+            (v - t) + s
+        };
         s = t;
     }
     s + comp
@@ -238,7 +259,10 @@ mod tests {
         std::fs::write(&wal, b"log").unwrap();
         let path = dir.to_path_buf();
         let vacant = ScratchDir::vacant("support_self_test");
-        assert!(vacant.path() != path && !vacant.exists(), "its own, and not made");
+        assert!(
+            vacant.path() != path && !vacant.exists(),
+            "its own, and not made"
+        );
         drop(dir);
         assert!(!path.exists() && !wal.exists());
     }
@@ -264,7 +288,11 @@ mod tests {
         assert_eq!(agg("z", Aggregate::Sum), Some(Value::Float(2.5)));
         assert_eq!(agg("intensity", Aggregate::Max), Some(Value::Int(3)));
         let min = Value::Int(i128::from(u64::MAX - 3));
-        assert_eq!(agg("wave_offset", Aggregate::Min), Some(min), "exact past 2^53");
+        assert_eq!(
+            agg("wave_offset", Aggregate::Min),
+            Some(min),
+            "exact past 2^53"
+        );
         assert_eq!(model.aggregate(&[], "z", Aggregate::Avg), None);
     }
 }

@@ -34,11 +34,11 @@ pub fn elevation_color(z: f64, z_min: f64, z_max: f64) -> Rgb {
 /// Conventional colours for ASPRS classification codes.
 pub fn classification_color(class: u8) -> Rgb {
     match class {
-        2 => (168, 132, 80),  // ground: brown
+        2 => (168, 132, 80),    // ground: brown
         3..=5 => (40, 140, 40), // vegetation: green
-        6 => (200, 60, 50),   // building: red
-        9 => (40, 90, 200),   // water: blue
-        _ => (128, 128, 128), // everything else: grey
+        6 => (200, 60, 50),     // building: red
+        9 => (40, 90, 200),     // water: blue
+        _ => (128, 128, 128),   // everything else: grey
     }
 }
 

@@ -110,14 +110,21 @@ impl Raster {
     /// Fill a polygon (even-odd, per pixel-row scanline).
     pub fn fill_polygon(&mut self, poly: &Polygon, c: Rgb) {
         let env = poly.envelope();
-        let Some((px0, py0)) = self.to_pixel(env.min_x.max(self.world.min_x), env.max_y.min(self.world.max_y)) else {
+        let Some((px0, py0)) = self.to_pixel(
+            env.min_x.max(self.world.min_x),
+            env.max_y.min(self.world.max_y),
+        ) else {
             return;
         };
-        let Some((px1, py1)) = self.to_pixel(env.max_x.min(self.world.max_x), env.min_y.max(self.world.min_y)) else {
+        let Some((px1, py1)) = self.to_pixel(
+            env.max_x.min(self.world.max_x),
+            env.min_y.max(self.world.min_y),
+        ) else {
             return;
         };
         for py in py0..=py1.min(self.height - 1) {
-            let wy = self.world.max_y - (py as f64 + 0.5) / self.height as f64 * self.world.height();
+            let wy =
+                self.world.max_y - (py as f64 + 0.5) / self.height as f64 * self.world.height();
             for px in px0..=px1.min(self.width - 1) {
                 let wx =
                     self.world.min_x + (px as f64 + 0.5) / self.width as f64 * self.world.width();
@@ -159,7 +166,11 @@ mod tests {
     #[test]
     fn pixel_mapping_flips_y() {
         let r = Raster::new(100, 100, world(), (0, 0, 0));
-        assert_eq!(r.to_pixel(0.0, 100.0), Some((0, 0)), "NW corner is top-left");
+        assert_eq!(
+            r.to_pixel(0.0, 100.0),
+            Some((0, 0)),
+            "NW corner is top-left"
+        );
         assert_eq!(r.to_pixel(100.0, 0.0), Some((99, 99)), "SE is bottom-right");
         assert_eq!(r.to_pixel(150.0, 50.0), None);
     }
@@ -177,7 +188,12 @@ mod tests {
     #[test]
     fn line_touches_both_endpoints() {
         let mut r = Raster::new(50, 50, world(), (0, 0, 0));
-        r.line(Point::new(10.0, 10.0), Point::new(90.0, 80.0), (0, 255, 0), 1);
+        r.line(
+            Point::new(10.0, 10.0),
+            Point::new(90.0, 80.0),
+            (0, 255, 0),
+            1,
+        );
         let a = r.to_pixel(10.0, 10.0).unwrap();
         let b = r.to_pixel(90.0, 80.0).unwrap();
         assert_eq!(r.get(a.0, a.1), (0, 255, 0));
@@ -214,7 +230,9 @@ mod tests {
     fn write_ppm_to_disk() {
         let dir = lidardb_test_support::ScratchDir::new("viz_test");
         let path = dir.join("t.ppm");
-        Raster::new(2, 2, world(), (0, 0, 0)).write_ppm(&path).unwrap();
+        Raster::new(2, 2, world(), (0, 0, 0))
+            .write_ppm(&path)
+            .unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() > 10);
     }
 

@@ -122,11 +122,7 @@ mod tests {
     use super::*;
 
     fn map() -> SvgMap {
-        SvgMap::new(
-            200,
-            100,
-            Envelope::new(0.0, 0.0, 200.0, 100.0).unwrap(),
-        )
+        SvgMap::new(200, 100, Envelope::new(0.0, 0.0, 200.0, 100.0).unwrap())
     }
 
     #[test]

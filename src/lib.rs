@@ -64,9 +64,10 @@ pub use lidardb_viz as viz;
 pub mod prelude {
     pub use lidardb_baselines::{BlockStore, FileStore};
     pub use lidardb_core::{
-        Aggregate, ColumnSet, CoreError, Durability, FaultInjector, FaultKind, FaultStage, FileOutcome,
-        FileReport, LoadMethod, LoadPolicy, LoadReport, LoadStats, Loader, Parallelism,
-        PointCloud, PointTable, RefineStrategy, SpatialPredicate, TileOptions, TiledCloud,
+        Aggregate, ColumnSet, CoreError, Durability, FaultInjector, FaultKind, FaultStage,
+        FileOutcome, FileReport, LoadMethod, LoadPolicy, LoadReport, LoadStats, Loader,
+        Parallelism, PointCloud, PointTable, RefineStrategy, SpatialPredicate, TileOptions,
+        TiledCloud,
     };
     pub use lidardb_datagen::{Scene, SceneConfig, Tile, TileSet};
     pub use lidardb_geom::{Envelope, Geometry, LineString, Point, Polygon};
@@ -174,7 +175,13 @@ pub fn scene_catalog(pc: Arc<lidardb_core::PointCloud>, scene: &Scene) -> Catalo
         )
         .with_column(
             "code",
-            VColumn::Int(scene.zones().iter().map(|z| z.class.code() as i64).collect()),
+            VColumn::Int(
+                scene
+                    .zones()
+                    .iter()
+                    .map(|z| z.class.code() as i64)
+                    .collect(),
+            ),
         )
         .with_column(
             "label",
@@ -251,11 +258,8 @@ mod tests {
         );
         let rs = lidardb_sql::query(&catalog, "SELECT COUNT(*) FROM roads").unwrap();
         assert!(matches!(rs.rows[0][0], lidardb_sql::SqlValue::Int(n) if n > 3));
-        let rs = lidardb_sql::query(
-            &catalog,
-            "SELECT label FROM ua WHERE code = 12210 LIMIT 1",
-        )
-        .unwrap();
+        let rs = lidardb_sql::query(&catalog, "SELECT label FROM ua WHERE code = 12210 LIMIT 1")
+            .unwrap();
         assert!(rs.rows[0][0].render().contains("Fast transit"));
     }
 
@@ -267,9 +271,14 @@ mod tests {
             extent_m: 200.0,
         });
         let dir = lidardb_test_support::ScratchDir::new("root_tiles");
-        let paths =
-            write_scene_tiles(&scene, dir.path(), 2, 0.3, lidardb_las::Compression::LazLite)
-                .unwrap();
+        let paths = write_scene_tiles(
+            &scene,
+            dir.path(),
+            2,
+            0.3,
+            lidardb_las::Compression::LazLite,
+        )
+        .unwrap();
         assert_eq!(paths.len(), 4);
         let (_, recs) = lidardb_las::read_las_file(&paths[0]).unwrap();
         assert!(!recs.is_empty());

@@ -37,14 +37,22 @@ fn both_file_formats_load_identically() {
     // laz-lite quantises to 1 cm; values agree within that.
     let (xa, xb) = (a.f64_column("x").unwrap(), b.f64_column("x").unwrap());
     for i in (0..a.num_points()).step_by(9973) {
-        assert!((xa[i] - xb[i]).abs() < 0.011, "row {i}: {} vs {}", xa[i], xb[i]);
+        assert!(
+            (xa[i] - xb[i]).abs() < 0.011,
+            "row {i}: {} vs {}",
+            xa[i],
+            xb[i]
+        );
     }
     // Attribute columns are exactly equal.
     assert_eq!(
         a.column("classification").unwrap(),
         b.column("classification").unwrap()
     );
-    assert_eq!(a.column("intensity").unwrap(), b.column("intensity").unwrap());
+    assert_eq!(
+        a.column("intensity").unwrap(),
+        b.column("intensity").unwrap()
+    );
 }
 
 #[test]
@@ -55,7 +63,13 @@ fn two_step_engine_matches_bruteforce_oracle() {
     for t in tiles.tiles() {
         pc.append_records(&t.records).unwrap();
     }
-    let model = Model::new(tiles.tiles().iter().flat_map(|t| t.records.clone()).collect());
+    let model = Model::new(
+        tiles
+            .tiles()
+            .iter()
+            .flat_map(|t| t.records.clone())
+            .collect(),
+    );
     let env = scene.envelope();
 
     // A concave polygon with a hole, positioned mid-scene.
@@ -86,13 +100,14 @@ fn two_step_engine_matches_bruteforce_oracle() {
         RefineStrategy::Grid { cells: 5 },
         RefineStrategy::Exhaustive,
     ] {
-        let sel = pc.select_query_with(
-            Some(&pred),
-            &[],
-            strat,
-            lidardb_core::Parallelism::default(),
-        )
-        .unwrap();
+        let sel = pc
+            .select_query_with(
+                Some(&pred),
+                &[],
+                strat,
+                lidardb_core::Parallelism::default(),
+            )
+            .unwrap();
         let mut rows = sel.rows.clone();
         rows.sort_unstable();
         assert_eq!(rows, oracle, "strategy {strat:?}");
@@ -154,7 +169,12 @@ fn sql_agrees_with_direct_engine_calls() {
     let pred = SpatialPredicate::Within(Geometry::Polygon(Polygon::rectangle(&window)));
     let theme = [lidardb::core::AttrRange::new("classification", 2.0, 2.0)];
     let sel = pc
-        .select_query_with(Some(&pred), &theme, RefineStrategy::default(), Default::default())
+        .select_query_with(
+            Some(&pred),
+            &theme,
+            RefineStrategy::default(),
+            Default::default(),
+        )
         .unwrap();
     let direct_count = sel.rows.len();
     let direct_avg = pc
@@ -170,7 +190,10 @@ fn sql_agrees_with_direct_engine_calls() {
         window.min_x, window.min_y, window.max_x, window.max_y
     );
     let rs = lidardb::sql::query(&catalog, &sql).unwrap();
-    assert_eq!(rs.rows[0][0], lidardb::sql::SqlValue::Int(direct_count as i64));
+    assert_eq!(
+        rs.rows[0][0],
+        lidardb::sql::SqlValue::Int(direct_count as i64)
+    );
     match rs.rows[0][1] {
         lidardb::sql::SqlValue::Float(v) => assert!((v - direct_avg).abs() < 1e-9),
         ref other => panic!("wrong type {other:?}"),

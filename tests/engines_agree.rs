@@ -77,12 +77,22 @@ impl Setup {
     /// The model's answer to `pred` and ours, as sorted keys; they must
     /// agree.
     fn expect(&self, pred: &SpatialPredicate) -> Vec<(i64, i64)> {
-        let (xs, ys) = (self.pc.f64_column("x").unwrap(), self.pc.f64_column("y").unwrap());
+        let (xs, ys) = (
+            self.pc.f64_column("x").unwrap(),
+            self.pc.f64_column("y").unwrap(),
+        );
         let ours = self.pc.select(pred).unwrap();
         let ours = sorted_keys(ours.rows.iter().map(|&i| (xs[i], ys[i])));
-        let model = self.model.select(Some(pred), &[]).into_iter().map(|i| self.model.record(i));
+        let model = self
+            .model
+            .select(Some(pred), &[])
+            .into_iter()
+            .map(|i| self.model.record(i));
         let model = sorted_keys(model.map(|r| (r.x, r.y)));
-        assert_eq!(ours, model, "imprints + refinement vs the model for {pred:?}");
+        assert_eq!(
+            ours, model,
+            "imprints + refinement vs the model for {pred:?}"
+        );
         model
     }
 }
@@ -92,10 +102,10 @@ fn all_engines_agree_on_windows() {
     let s = setup("windows");
     let windows = [
         (0.1, 0.1, 0.3, 0.25),
-        (0.0, 0.0, 1.0, 1.0),   // everything
+        (0.0, 0.0, 1.0, 1.0),     // everything
         (0.45, 0.45, 0.55, 0.55), // small center window
         (0.9, 0.9, 0.99, 0.99),
-        (2.0, 2.0, 3.0, 3.0),   // empty (outside)
+        (2.0, 2.0, 3.0, 3.0), // empty (outside)
     ];
     for (fx0, fy0, fx1, fy1) in windows {
         let w = Envelope::new(
@@ -105,7 +115,9 @@ fn all_engines_agree_on_windows() {
             s.env.min_y + s.env.height() * fy1,
         )
         .unwrap();
-        let expect = s.expect(&SpatialPredicate::Within(Geometry::Polygon(Polygon::rectangle(&w))));
+        let expect = s.expect(&SpatialPredicate::Within(Geometry::Polygon(
+            Polygon::rectangle(&w),
+        )));
 
         let (plain, _) = s.filestore_plain.query_bbox(&w).unwrap();
         assert_eq!(
