@@ -668,7 +668,7 @@ fn write_file(
 }
 
 /// The one dump writer: the column files of `rows`, each serialised from
-/// that row range only, then the v2 manifest over their CRCs, then the
+/// that row range only (across a streaming cloud's base and tail), then the v2 manifest over their CRCs, then the
 /// directory entry — all fsynced.
 fn write_tile(
     dir: &Path,
@@ -682,7 +682,7 @@ fn write_tile(
     let schema = point_schema();
     let mut checksums = Vec::with_capacity(schema.width());
     for field in schema.fields() {
-        let bytes = pc.column(&field.name)?.range_to_le_bytes(rows.clone());
+        let bytes = pc.column_dump(&field.name, rows.clone())?;
         checksums.push((field.name.clone(), crc32(&bytes)));
         let path = dir.join(format!("{}.bin", field.name));
         write_file(&path, bytes, fi, WriteColumn, &field.name, durability)?;

@@ -1,5 +1,5 @@
 //! The flat point-cloud table with its lazy imprint cache and the
-//! streaming-ingest state (WAL + visibility watermark).
+//! streaming-ingest state (WAL + visibility watermark + append-only tail).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -27,7 +27,17 @@ use crate::wal::{self, Durability, RecoveryReport, WalWriter};
 /// several threads. It is read through [`crate::PointTable::Flat`], the
 /// view shared with [`crate::TiledCloud`]; `select`, `select_query_with`
 /// and `aggregate` are the shorthands.
+///
+/// A plain cloud is one segment. A streaming cloud ([`Self::open_ingest`])
+/// is two: its own table, the *base* — the dump it was opened on, never
+/// written again — and an append-only *tail* that WAL replay and every
+/// ingest append to. Tail row `i` is row `base rows + i` of the cloud.
+/// The column and imprint accessors (`table`, `column`, `f64_column`,
+/// `imprints_for`) read the cloud's own segment, the base of a streaming
+/// one; the row-level ones (`num_points`, `record`, the queries of
+/// [`crate::PointTable`]) read every row.
 pub struct PointCloud {
+    /// The whole table of a plain cloud; the base of a streaming one.
     table: FlatTable,
     imprints: RwLock<HashMap<String, Arc<ColumnImprints>>>,
     fault: Option<Arc<crate::fault::FaultInjector>>,
@@ -70,6 +80,9 @@ struct IngestState {
     dir: PathBuf,
     /// What recovery found when this cloud was opened.
     recovery: RecoveryReport,
+    /// The append-only tail: a plain cloud of the rows after the base.
+    /// Its imprints are laid out on the base imprints' bins.
+    tail: Box<PointCloud>,
 }
 
 impl std::fmt::Debug for PointCloud {
@@ -184,25 +197,70 @@ impl PointCloud {
     /// Attach fault-injection hooks for the imprint-build path (tests
     /// only; see [`crate::fault`]).
     pub fn set_fault_injector(&mut self, fi: Arc<crate::fault::FaultInjector>) {
+        if let Some(ing) = &mut self.ingest {
+            ing.tail.fault = Some(Arc::clone(&fi));
+        }
         self.fault = Some(fi);
     }
 
-    /// Number of points (rows).
+    /// Number of points (rows), the tail's included.
     pub fn num_points(&self) -> usize {
-        self.table.num_rows()
+        self.table.num_rows() + self.tail().map_or(0, PointCloud::num_points)
     }
 
     /// Raw column payload bytes (storage accounting, E2).
     pub fn data_bytes(&self) -> usize {
-        self.table.byte_len()
+        self.table.byte_len() + self.tail().map_or(0, PointCloud::data_bytes)
     }
 
     /// Total bytes of all imprint indexes built so far (E2).
     pub fn index_bytes(&self) -> usize {
-        self.imprints.read().values().map(|i| i.byte_size()).sum()
+        let own: usize = self.imprints.read().values().map(|i| i.byte_size()).sum();
+        own + self.tail().map_or(0, PointCloud::index_bytes)
     }
 
-    /// The underlying flat table.
+    /// A streaming cloud's append-only tail.
+    fn tail(&self) -> Option<&PointCloud> {
+        self.ingest.as_ref().map(|i| &*i.tail)
+    }
+
+    /// The cloud's segments in row order, each with the global id of its
+    /// first row: the cloud's own table, then a streaming cloud's tail.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (&PointCloud, usize)> {
+        let base = self.table.num_rows();
+        std::iter::once((self, 0)).chain(self.tail().map(|t| (t, base)))
+    }
+
+    /// Rows of this segment alone: a streaming cloud's base.
+    pub(crate) fn segment_rows(&self) -> usize {
+        self.table.num_rows()
+    }
+
+    /// The little-endian dump of column `name` over the global rows
+    /// `rows`, read across the segments: a streaming cloud's whole column,
+    /// where [`Self::column`] is its base's.
+    pub fn column_dump(
+        &self,
+        name: &str,
+        rows: std::ops::Range<usize>,
+    ) -> Result<Vec<u8>, CoreError> {
+        let mut out = Vec::new();
+        for (seg, start) in self.segments() {
+            let end = start + seg.segment_rows();
+            let (lo, hi) = (rows.start.clamp(start, end), rows.end.clamp(start, end));
+            if lo < hi {
+                let bytes = seg.column(name)?.range_to_le_bytes(lo - start..hi - start);
+                if out.is_empty() {
+                    out = bytes;
+                } else {
+                    out.extend_from_slice(&bytes);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The underlying flat table: a streaming cloud's base.
     pub fn table(&self) -> &FlatTable {
         &self.table
     }
@@ -320,7 +378,7 @@ impl PointCloud {
             return self.append_dumps_ingest_tagged(dumps, 0).map(|(n, _)| n);
         }
         let n = self.apply_dumps(dumps)?;
-        self.publish_visible(self.table.num_rows());
+        self.publish_visible(self.num_points());
         Ok(n)
     }
 
@@ -338,6 +396,8 @@ impl PointCloud {
         if rows == 0 {
             return Ok((0, true));
         }
+        // `WalAppend` times the frame write and any group-commit fsync
+        // only; applying the batch to the tail is not WAL time.
         let t0 = std::time::Instant::now();
         let append = self
             .ingest
@@ -345,15 +405,16 @@ impl PointCloud {
             .expect("ingest state checked by caller")
             .wal
             .append_batch(dumps, rows, token);
+        let logged = t0.elapsed();
         let durable = self.note_storage(append)?;
         let n = self.apply_dumps(dumps)?;
         let ing = self.ingest.as_ref().expect("ingest state");
         if durable || ing.wal.durability() == Durability::None {
-            self.publish_visible(self.table.num_rows());
+            self.publish_visible(self.num_points());
         }
         let m = crate::metrics::MetricsRegistry::global();
         m.wal_batches.inc();
-        m.record_stage(crate::metrics::Stage::WalAppend, rows, t0.elapsed());
+        m.record_stage(crate::metrics::Stage::WalAppend, rows, logged);
         self.publish_wal_backlog();
         Ok((n, durable))
     }
@@ -364,8 +425,7 @@ impl PointCloud {
     fn publish_wal_backlog(&self) {
         if let Some(ing) = &self.ingest {
             let backlog = self
-                .table
-                .num_rows()
+                .num_points()
                 .saturating_sub(ing.wal.durable_rows() as usize);
             crate::metrics::MetricsRegistry::global()
                 .wal_backlog_rows
@@ -373,10 +433,31 @@ impl PointCloud {
         }
     }
 
-    /// Apply dumps to the table and refresh every cached imprint with the
-    /// appended tail — incremental `push_line` surgery on the index, not a
-    /// wholesale invalidation, so append-while-query keeps its indexes.
+    /// Apply dumps to the table: a plain cloud's own, a streaming cloud's
+    /// tail (the base is never written again), whose imprints then cover
+    /// every column the base has indexed, on the base's bins.
     fn apply_dumps(&mut self, dumps: &[Vec<u8>]) -> Result<usize, CoreError> {
+        let n = match &mut self.ingest {
+            Some(ing) => {
+                let n = ing.tail.extend(dumps)?;
+                for (name, imp) in self.imprints.get_mut().iter() {
+                    ing.tail.index_like(name, imp);
+                }
+                n
+            }
+            None => self.extend(dumps)?,
+        };
+        let m = crate::metrics::MetricsRegistry::global();
+        m.table_rows.set(self.num_points() as u64);
+        m.indexed_columns.set(self.imprints.get_mut().len() as u64);
+        Ok(n)
+    }
+
+    /// Append dumps to this segment's own table and refresh every cached
+    /// imprint with the appended rows — incremental `push_line` surgery on
+    /// the index, not a wholesale invalidation, so append-while-query keeps
+    /// its indexes.
+    fn extend(&mut self, dumps: &[Vec<u8>]) -> Result<usize, CoreError> {
         let refs: Vec<&[u8]> = dumps.iter().map(Vec::as_slice).collect();
         let n = self.table.copy_binary(&refs)?;
         let cache = self.imprints.get_mut();
@@ -392,10 +473,41 @@ impl PointCloud {
         for name in dead {
             cache.remove(&name);
         }
-        let m = crate::metrics::MetricsRegistry::global();
-        m.table_rows.set(self.table.num_rows() as u64);
-        m.indexed_columns.set(cache.len() as u64);
         Ok(n)
+    }
+
+    /// Index column `name` of this segment (a tail) on the bins of `like`,
+    /// the base's index of it, unless it is indexed already. An empty base
+    /// has no bins worth sharing: the tail then builds its own on first
+    /// use.
+    fn index_like(&self, name: &str, like: &ColumnImprints) {
+        if like.is_empty() || self.has_imprints(name) {
+            return;
+        }
+        let built = self
+            .table
+            .column_by_name(name)
+            .map(|col| like.build_like(col));
+        if let Ok(Ok(imp)) = built {
+            let mut cache = self.imprints.write();
+            cache
+                .entry(name.to_string())
+                .or_insert_with(|| Arc::new(imp));
+        }
+    }
+
+    /// Fold a streaming cloud's tail into its base: a tiled seal permutes
+    /// the rows of the whole table.
+    pub(crate) fn fold_tail(&mut self) -> Result<(), CoreError> {
+        let Some(ing) = &mut self.ingest else {
+            return Ok(());
+        };
+        let tail = std::mem::replace(&mut ing.tail.table, FlatTable::new(point_schema()));
+        ing.tail.imprints.get_mut().clear();
+        let dumps: Vec<Vec<u8>> = (0..tail.schema().width())
+            .map(|i| tail.column(i).to_le_bytes())
+            .collect();
+        self.extend(&dumps).map(drop)
     }
 
     /// Append one row the slow way (CSV path; plain clouds only).
@@ -403,7 +515,7 @@ impl PointCloud {
         debug_assert!(self.ingest.is_none(), "CSV path bypasses the WAL");
         self.table.push_row(row);
         self.imprints.get_mut().clear();
-        self.publish_visible(self.table.num_rows());
+        self.publish_visible(self.num_points());
     }
 
     /// Rows currently visible to queries. Equals [`Self::num_points`] on
@@ -417,7 +529,7 @@ impl PointCloud {
         self.visible_rows.store(rows, Ordering::Release);
     }
 
-    /// Borrow a column by name.
+    /// Borrow a column by name: this segment's (a streaming cloud's base).
     pub fn column(&self, name: &str) -> Result<&Column, CoreError> {
         Ok(self.table.column_by_name(name)?)
     }
@@ -458,6 +570,10 @@ impl PointCloud {
             }
         }
         let imp = Arc::new(ColumnImprints::build(col)?);
+        // A streaming cloud's tail is indexed on the same bins.
+        if let Some(tail) = self.tail() {
+            tail.index_like(name, &imp);
+        }
         let built = t0.elapsed();
         bspan.set_rows(imp.len() as u64, imp.len() as u64);
         drop(bspan);
@@ -491,8 +607,12 @@ impl PointCloud {
     }
 
     /// Materialise one record back from the table (cold path: result
-    /// sets, tests, rendering). Needs every column resident.
+    /// sets, tests, rendering), a tail row from the tail. Needs every
+    /// column resident.
     pub fn record(&self, row: usize) -> Option<PointRecord> {
+        if let (Some(tail), Some(r)) = (self.tail(), row.checked_sub(self.table.num_rows())) {
+            return tail.record(r);
+        }
         debug_assert_eq!(
             self.table.schema().width(),
             NUM_COLUMNS,
@@ -580,37 +700,39 @@ impl PointCloud {
             torn_tail: scan.tail_bytes > 0,
             ..Default::default()
         };
+        // The dump just read is the base and is never written again: the
+        // replayed frames, and every later append, go to the tail.
+        let mut tail = PointCloud::new();
+        tail.fault = fault.clone();
         for frame in &scan.frames {
             if frame.end_rows <= base as u64 {
                 report.skipped_frames += 1;
                 continue;
             }
-            let before = pc.num_points();
-            pc.apply_dumps(&frame.dumps)?;
+            report.replayed_rows += tail.extend(&frame.dumps)?;
             report.replayed_frames += 1;
-            report.replayed_rows += pc.num_points() - before;
-            if pc.num_points() as u64 != frame.end_rows {
+            let total = base + tail.num_points();
+            if total as u64 != frame.end_rows {
                 return Err(CoreError::Corrupt(format!(
-                    "wal replay: frame {} claims {} cumulative rows, table has {}",
-                    frame.seq,
-                    frame.end_rows,
-                    pc.num_points()
+                    "wal replay: frame {} claims {} cumulative rows, table has {total}",
+                    frame.seq, frame.end_rows,
                 )));
             }
         }
-        let mut wal =
-            wal::open_writer(&wal_path, pc.num_points() as u64, durability, fault.clone())?;
+        let total = base + tail.num_points();
+        let mut wal = wal::open_writer(&wal_path, total as u64, durability, fault.clone())?;
         if report.replayed_frames == 0 {
             // Every logged frame (if any) is already inside the dump — a
             // seal crashed between the dump rename and the log truncate.
             // Finish that truncate so the frame chain restarts at the
             // dump's base.
-            wal.reset(pc.num_points() as u64)?;
+            wal.reset(total as u64)?;
         }
-        report.total_rows = pc.num_points();
+        report.total_rows = total;
         report.seconds = t0.elapsed().as_secs_f64();
-        pc.publish_visible(pc.num_points());
+        pc.publish_visible(total);
         let m = crate::metrics::MetricsRegistry::global();
+        m.table_rows.set(total as u64);
         m.wal_recoveries.inc();
         m.record_stage(
             crate::metrics::Stage::Recover,
@@ -621,6 +743,7 @@ impl PointCloud {
             wal,
             dir: dir.to_path_buf(),
             recovery: report,
+            tail: Box::new(tail),
         });
         Ok(pc)
     }
@@ -647,25 +770,27 @@ impl PointCloud {
         if let Some(ing) = self.ingest.as_mut() {
             let r = ing.wal.sync();
             self.note_storage(r)?;
-            self.publish_visible(self.table.num_rows());
+            self.publish_visible(self.num_points());
             self.publish_wal_backlog();
         }
         Ok(())
     }
 
-    /// Checkpoint: flush the WAL, fold the whole table into a fresh
-    /// atomic + durable flat dump (staged rename), then truncate the WAL
-    /// to a new base. A crash anywhere inside leaves a recoverable state —
-    /// in the window between the dump commit and the WAL truncate, replay
-    /// skips the frames the dump already contains.
+    /// Checkpoint: flush the WAL, fold the whole table — base and tail, in
+    /// row order — into a fresh atomic + durable flat dump (staged rename),
+    /// then truncate the WAL to a new base. The rows stay where they are in
+    /// memory; a reopen reads the new dump as its base. A crash anywhere
+    /// inside leaves a recoverable state — in the window between the dump
+    /// commit and the WAL truncate, replay skips the frames the dump
+    /// already contains.
     pub fn seal(&mut self) -> Result<(), CoreError> {
         self.checkpoint(None).map(drop)
     }
 
     /// [`Self::seal`], but folding the table into a **tiled** (v3) dump:
-    /// rows are SFC-sorted in place, cut into tiles with per-column zone
-    /// maps, and written as one v2 dump per tile under the ingest
-    /// directory — the same checkpoint, fault sites and crash windows as
+    /// the tail is folded into the base in memory, rows are SFC-sorted in
+    /// place, cut into tiles with per-column zone maps, and written as one
+    /// v2 dump per tile under the ingest directory — the same checkpoint, fault sites and crash windows as
     /// `seal`, only the layout differs. Returns the tile count. The
     /// directory then opens either eagerly ([`Self::open_dir`] /
     /// [`Self::open_ingest`]) or lazily and out-of-core
@@ -709,7 +834,7 @@ impl PointCloud {
                 )));
             }
         }
-        let n = self.table.num_rows() as u64;
+        let n = self.num_points() as u64;
         self.ingest
             .as_mut()
             .expect("ingest state checked above")
@@ -896,6 +1021,42 @@ mod tests {
         let pc = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
         assert_eq!(pc.num_points(), 40);
         assert_eq!(pc.recovery_report().unwrap().base_rows, 40);
+    }
+
+    /// Appends after a reopen go to the tail: the base columns the open
+    /// read stay where they are however far the table grows past them.
+    #[test]
+    fn appends_after_a_reopen_leave_the_base_in_place() {
+        let dir = tdir("base_in_place");
+        let mut pc = PointCloud::open_ingest(&dir, Durability::None).unwrap();
+        pc.ingest_records(&sample_records(1000)).unwrap();
+        pc.seal().unwrap();
+        drop(pc);
+        let mut pc = PointCloud::open_ingest(&dir, Durability::None).unwrap();
+        pc.imprints_for("x").unwrap();
+        let base_x = pc.f64_column("x").unwrap().as_ptr();
+        for _ in 0..5 {
+            pc.ingest_records(&sample_records(1000)).unwrap();
+        }
+        assert_eq!(pc.num_points(), 6000);
+        let xs = pc.f64_column("x").unwrap();
+        assert_eq!(
+            (xs.as_ptr(), xs.len()),
+            (base_x, 1000),
+            "the base never moves"
+        );
+        assert_eq!(pc.record(999).unwrap().x, 999.0, "last base row");
+        assert_eq!(pc.record(1007).unwrap().x, 7.0, "a tail row");
+        assert!(pc.record(6000).is_none());
+        let tail = pc.tail().unwrap();
+        assert_eq!(tail.num_points(), 5000);
+        assert_eq!(
+            tail.imprints_for("x").unwrap().len(),
+            5000,
+            "indexed as it grew"
+        );
+        let all = pc.select_query_with(None, &[], Default::default(), crate::Parallelism::Serial);
+        assert_eq!(all.unwrap().rows, (0..6000).collect::<Vec<_>>());
     }
 
     #[test]

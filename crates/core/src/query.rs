@@ -430,11 +430,12 @@ impl PointCloud {
         PointTable::Flat(self).select_governed(pred, attrs, strategy, parallelism)
     }
 
-    /// The two-step pipeline proper: probes, exact scans, refinement.
-    /// Returns the matching rows; `explain` is filled in as far as
-    /// execution got (on cancellation it describes the completed prefix).
-    /// `prepared` holds the predicate's [`PreparedShape`]: the first
-    /// segment that filters builds it, later ones reuse it.
+    /// The two-step pipeline proper over this segment's first `visible`
+    /// rows: probes, exact scans, refinement. Returns the matching rows,
+    /// segment-local; `explain` is filled in as far as execution got (on
+    /// cancellation it describes the completed prefix). `prepared` holds
+    /// the predicate's [`PreparedShape`]: the first segment that filters
+    /// builds it, later ones reuse it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn query_stages(
         &self,
@@ -444,6 +445,7 @@ impl PointCloud {
         strategy: RefineStrategy,
         parallelism: Parallelism,
         ctx: &GovernCtx,
+        visible: usize,
         root: &mut trace::SpanGuard,
         explain: &mut Explain,
     ) -> Result<Vec<usize>, CoreError> {
@@ -455,12 +457,11 @@ impl PointCloud {
         // split off, which is what lets the differential suite demand
         // byte-identical `Cancelled` errors at every worker count.
         ctx.checkpoint("query")?;
-        // Snapshot isolation: the visibility watermark is captured ONCE,
-        // before any probe. Batches a concurrent ingester applies (and
-        // whose incrementally refreshed imprints may already cover) while
-        // this query runs stay invisible — every stage below clamps its
-        // candidates to this row count.
-        let visible = self.visible_rows();
+        // Snapshot isolation: `visible` is this segment's share of the
+        // watermark the query captured once, before any segment ran. Rows
+        // past it are applied but unacknowledged (their incrementally
+        // refreshed imprints may already cover them) — every stage below
+        // clamps its candidates to this row count.
         let env = match pred {
             Some(p) => match p.filter_envelope() {
                 Some(e) => Some(e),
@@ -545,7 +546,7 @@ impl PointCloud {
         );
         metrics.degraded_probes.add(degraded as u64);
         if probe_span.is_recording() {
-            probe_span.set_rows(self.num_points() as u64, explain.after_imprints as u64);
+            probe_span.set_rows(self.segment_rows() as u64, explain.after_imprints as u64);
             probe_span.set_aux(lidardb_imprints::probe_count() - probes_before);
             if degraded > 0 {
                 probe_span.add_flags(trace::FLAG_DEGRADED);

@@ -98,6 +98,9 @@ pub(crate) fn sort_and_plan(pc: &mut PointCloud, opts: &TileOptions) -> Result<L
             "tile options: bits must be in 1..=32".into(),
         ));
     }
+    // The reorder permutes the whole table: a streaming cloud's tail is
+    // folded into its base first.
+    pc.fold_tail()?;
     let n = pc.num_points();
     // Quantisation window: the finite bbox of the data, widened when
     // degenerate (empty table, all-NaN column, single distinct value) so

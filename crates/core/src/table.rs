@@ -1,7 +1,8 @@
-//! The one read view of a point table. A flat cloud — plain, or streaming
-//! and read at its committed snapshot — is a table with one always-resident
-//! segment and no zone maps; a tiled cloud has one segment per tile, pruned
-//! by zone map and loaded on demand. [`PointTable`] owns the only bodies of
+//! The one read view of a point table. A plain flat cloud is a table with
+//! one always-resident segment and no zone maps; a streaming one, read at
+//! its committed snapshot, has two — the sealed base and the append-only
+//! tail; a tiled cloud has one segment per tile, pruned by zone map and
+//! loaded on demand. [`PointTable`] owns the only bodies of
 //! the read path: governance, selection, the aggregate fold and the
 //! resolution of row ids to the segments holding them.
 
@@ -94,10 +95,11 @@ pub enum PointTable<'a> {
     Tiled(&'a TiledCloud),
 }
 
-/// One storage segment of a point table: the whole flat cloud, or one
-/// tile, pinned resident for as long as the value lives.
+/// One storage segment of a point table: a flat cloud, a streaming
+/// cloud's base or tail, or one tile, pinned resident for as long as the
+/// value lives.
 pub enum Segment<'r> {
-    /// A flat or streaming table is a single segment.
+    /// An always-resident segment of a flat or streaming table.
     Whole(&'r PointCloud),
     /// A loaded tile of a tiled table.
     Tile(Arc<PointCloud>),
@@ -175,11 +177,13 @@ impl<'a> PointTable<'a> {
     /// The two-step selection under `ctx`: zone-map prune → per-segment
     /// imprint probe / exact scan / refine → row-offset merge, all inside
     /// one query — one `queries` tick, one root span with every tile's
-    /// load and stage spans under it, one slow-log entry. Segments are
-    /// visited in row order and morsels never straddle one, so the rows
-    /// are global ids, ascending and identical at every worker count. A
-    /// tile faults in the predicate columns only: `x` and `y` under a
-    /// spatial predicate, and each attribute column.
+    /// load and stage spans under it, one slow-log entry. Segments — a flat
+    /// cloud's one, a streaming cloud's base and tail, a tiled cloud's
+    /// tiles — are visited in row order and morsels never straddle one, so
+    /// the rows are global ids, ascending and identical at every worker
+    /// count. The visibility watermark is read once, before any segment
+    /// runs. A tile faults in the predicate columns only: `x` and `y` under
+    /// a spatial predicate, and each attribute column.
     pub fn select(
         &self,
         pred: Option<&SpatialPredicate>,
@@ -189,72 +193,87 @@ impl<'a> PointTable<'a> {
         ctx: &GovernCtx,
     ) -> Result<Selection, CoreError> {
         run_query(ctx, |root, explain| {
+            let visible = self.visible_rows();
             // The predicate's edge index and band table, shared by every
             // segment and built by the first one that filters.
             let prepared = OnceCell::new();
-            let stages = |pc: &PointCloud, root: &mut _, explain: &mut _| {
-                pc.query_stages(
-                    pred,
-                    &prepared,
-                    attrs,
-                    strategy,
-                    parallelism,
-                    ctx,
-                    root,
-                    explain,
-                )
-            };
-            // The band table is the select's, not each segment's.
-            let note_bands = |explain: &mut Explain| {
-                if let Some(Some(shape)) = prepared.get() {
-                    shape.note_bands(explain);
-                }
-            };
-            let tc = match *self {
-                // One always-resident segment, nothing to prune: its stages
-                // write the explain and the rows directly.
-                PointTable::Flat(pc) => {
-                    let rows = stages(pc, root, explain);
-                    note_bands(explain);
-                    return rows;
-                }
-                PointTable::Tiled(tc) => tc,
-            };
-            let tiles = tc.tiles();
-            let mut preds: Vec<(&str, f64, f64)> = Vec::new();
-            if let Some(env) = pred.and_then(|p| p.filter_envelope()) {
-                preds.push(("x", env.min_x, env.max_x));
-                preds.push(("y", env.min_y, env.max_y));
-            }
-            for a in attrs {
-                preds.push((a.column.as_str(), a.lo, a.hi));
-            }
-            let survivors = tiles.prune(&preds);
-            let columns = ColumnSet::of(preds.iter().map(|p| p.0));
-            let (loads0, evictions0) = (tc.tile_loads(), tc.tile_evictions());
             let mut rows = Vec::new();
-            for &t in &survivors {
-                ctx.checkpoint("tile")?;
-                let pc = tc.load_tile(t, columns, ctx)?;
-                let mut sub = Explain::default();
-                let local = stages(&pc, root, &mut sub)?;
-                let base = tiles.tiles[t].row_start;
-                rows.extend(local.iter().map(|&r| r + base));
-                explain.merge(&sub);
+            // Run the stages on the first `seen` rows of segment `pc`,
+            // whose first row is global row `start`.
+            let mut stages =
+                |pc: &PointCloud, start: usize, seen: usize, root: &mut trace::SpanGuard| {
+                    let mut sub = Explain::default();
+                    let local = pc.query_stages(
+                        pred,
+                        &prepared,
+                        attrs,
+                        strategy,
+                        parallelism,
+                        ctx,
+                        seen,
+                        root,
+                        &mut sub,
+                    );
+                    explain.merge(&sub);
+                    let mut local = local?;
+                    if start > 0 {
+                        local.iter_mut().for_each(|r| *r += start);
+                    }
+                    if rows.is_empty() {
+                        rows = local;
+                    } else {
+                        rows.extend(local);
+                    }
+                    Ok::<_, CoreError>(())
+                };
+            match *self {
+                // Always-resident segments, nothing to prune. The first one
+                // always runs (it holds the query's first checkpoint); a
+                // later one only when the snapshot reaches into it.
+                PointTable::Flat(pc) => {
+                    for (seg, start) in pc.segments() {
+                        let seen = visible.saturating_sub(start).min(seg.segment_rows());
+                        if start == 0 || seen > 0 {
+                            stages(seg, start, seen, root)?;
+                        }
+                    }
+                }
+                PointTable::Tiled(tc) => {
+                    let tiles = tc.tiles();
+                    let mut preds: Vec<(&str, f64, f64)> = Vec::new();
+                    if let Some(env) = pred.and_then(|p| p.filter_envelope()) {
+                        preds.push(("x", env.min_x, env.max_x));
+                        preds.push(("y", env.min_y, env.max_y));
+                    }
+                    for a in attrs {
+                        preds.push((a.column.as_str(), a.lo, a.hi));
+                    }
+                    let survivors = tiles.prune(&preds);
+                    let columns = ColumnSet::of(preds.iter().map(|p| p.0));
+                    let (loads0, evictions0) = (tc.tile_loads(), tc.tile_evictions());
+                    for &t in &survivors {
+                        ctx.checkpoint("tile")?;
+                        let pc = tc.load_tile(t, columns, ctx)?;
+                        stages(&pc, tiles.tiles[t].row_start, pc.num_points(), root)?;
+                    }
+                    explain.tiles_total = tiles.len();
+                    explain.tiles_pruned = tiles.len() - survivors.len();
+                    explain.tiles_probed = survivors.len();
+                    // Cache-delta attribution is exact for single-threaded
+                    // use and approximate when queries run concurrently (the
+                    // counters are shared); the process-wide metrics stay
+                    // exact either way.
+                    explain.tiles_loaded = (tc.tile_loads() - loads0) as usize;
+                    explain.tiles_evicted = (tc.tile_evictions() - evictions0) as usize;
+                    let metrics = MetricsRegistry::global();
+                    metrics.tiles_pruned.add(explain.tiles_pruned as u64);
+                    metrics.tiles_probed.add(explain.tiles_probed as u64);
+                }
             }
-            note_bands(explain);
-            explain.result_rows = rows.len();
-            explain.tiles_total = tiles.len();
-            explain.tiles_pruned = tiles.len() - survivors.len();
-            explain.tiles_probed = survivors.len();
-            // Cache-delta attribution is exact for single-threaded use and
-            // approximate when queries run concurrently (the counters are
-            // shared); the process-wide metrics stay exact either way.
-            explain.tiles_loaded = (tc.tile_loads() - loads0) as usize;
-            explain.tiles_evicted = (tc.tile_evictions() - evictions0) as usize;
-            let metrics = MetricsRegistry::global();
-            metrics.tiles_pruned.add(explain.tiles_pruned as u64);
-            metrics.tiles_probed.add(explain.tiles_probed as u64);
+            // The band table is the select's, not each segment's.
+            if let Some(Some(shape)) = prepared.get() {
+                shape.note_bands(explain);
+            }
             Ok(rows)
         })
     }
@@ -262,10 +281,10 @@ impl<'a> PointTable<'a> {
     /// Fold `column` over global row ids (any order; a repeated id counts
     /// each time) under `ctx`: each run goes through the engine's
     /// compensated aggregate kernel ([`crate::exec`]) and the per-run
-    /// states merge in run order. A flat table folds the ids in the order
-    /// given, as one run; a tiled table sorts ids that are not ascending
-    /// first, and faults in `column` only. `None` for an empty input,
-    /// except `Count`.
+    /// states merge in run order. A one-segment flat table folds the ids
+    /// in the order given, as one run; a streaming or tiled table sorts ids
+    /// that are not ascending first, and a tiled one faults in `column`
+    /// only. `None` for an empty input, except `Count`.
     pub fn aggregate(
         &self,
         rows: &[usize],
@@ -281,7 +300,11 @@ impl<'a> PointTable<'a> {
             return Ok(None);
         }
         let mut sorted = Vec::new();
-        if matches!(self, PointTable::Tiled(_)) && !rows.is_sorted() {
+        let segmented = match self {
+            PointTable::Flat(pc) => pc.segments().count() > 1,
+            PointTable::Tiled(_) => true,
+        };
+        if segmented && !rows.is_sorted() {
             sorted = rows.to_vec();
             sorted.sort_unstable();
         }
@@ -319,10 +342,11 @@ impl<'a> PointTable<'a> {
     }
 
     /// Resolve global row ids to the segments holding them: one run
-    /// covering every id, in the order given, on a flat table; on a tiled
-    /// one (ids ascending) one run per tile, holding at least `columns`
-    /// (faulted in when the iterator reaches it) and pinned resident —
-    /// even across LRU evictions — until the run is dropped. A run's
+    /// covering every id, in the order given, on a one-segment flat table;
+    /// otherwise (ids ascending) one run per segment: a streaming table's
+    /// base and tail, or a tiled one's tiles, each tile holding at least
+    /// `columns` (faulted in when the iterator reaches it) and pinned
+    /// resident — even across LRU evictions — until the run is dropped. A run's
     /// segment may hold no other column. Tile loads here are ungoverned.
     /// An id past the last row of a tiled table ends the iteration with
     /// an error.
@@ -335,7 +359,14 @@ impl<'a> PointTable<'a> {
             let first = *rows.first()?;
             let tc = match *self {
                 PointTable::Flat(pc) => {
-                    return Some(Ok((Segment::Whole(pc), 0, std::mem::take(&mut rows))))
+                    // The last segment starting at or before `first`; the
+                    // last one of all takes every id left.
+                    let (seg, start) = pc.segments().take_while(|&(_, s)| s <= first).last()?;
+                    let end = pc.segments().map(|(_, s)| s).find(|&s| s > first);
+                    let split = end.map_or(rows.len(), |end| rows.partition_point(|&r| r < end));
+                    let (head, tail) = rows.split_at(split);
+                    rows = tail;
+                    return Some(Ok((Segment::Whole(seg), start, head)));
                 }
                 PointTable::Tiled(tc) => tc,
             };

@@ -8,7 +8,9 @@
 //! injected imprint-build faults.
 //!
 //! Every storage shape goes through the same checks: the flat cloud, a
-//! streaming cloud mid-ingest, and the shared workload sealed into tiles
+//! streaming cloud mid-ingest — a sealed base plus a tail of committed and
+//! uncommitted rows, so every query crosses the seam between the two —
+//! and the shared workload sealed into tiles
 //! and read out of core through [`PointTable::Tiled`] with a resident
 //! budget below one tile (every query loads and evicts). A tiled table's
 //! model holds the records in the sealed row order, read back from the
@@ -182,10 +184,12 @@ impl TiledShape {
     }
 }
 
-/// Run `check` on every shape of the shared workload: the flat cloud,
-/// then its tiled copy. The tiled copy must have loaded and evicted tiles.
+/// Run `check` on every shape: the shared workload's flat cloud, a
+/// streaming cloud, then the shared workload's tiled copy. The tiled copy
+/// must have loaded and evicted tiles.
 fn for_each_shape(check: impl Fn(Shape)) {
     check(Shape::shared());
+    check(StreamingShape::new(STREAMING_ROWS).shape());
     let tiled = TiledShape::new();
     check(tiled.shape());
     assert!(tiled.tc.tile_loads() > 0, "tiles load on demand");
@@ -288,8 +292,8 @@ fn assert_differential(
 ) -> Vec<usize> {
     let serial = shape.select(pred, attrs, strategy, Parallelism::Serial);
     assert_model_rows(&serial.rows, shape.model, pred, attrs, strategy);
-    assert_morsels_partition_candidates(&serial.explain);
-    let segments = segments_probed(&serial.explain);
+    assert_morsels_partition_candidates(&shape, &serial.explain);
+    let segments = segments_probed(&shape, &serial.explain);
     assert_eq!(
         serial.explain.workers,
         segments.min(1),
@@ -330,12 +334,12 @@ fn assert_differential(
             par.explain.counters(),
             "Explain counters differ at {w} workers"
         );
-        assert_morsels_partition_candidates(b);
+        assert_morsels_partition_candidates(&shape, b);
         let tiles = |e: &lidardb_core::Explain| (e.tiles_total, e.tiles_pruned, e.tiles_probed);
         assert_eq!(tiles(a), tiles(b), "tile pruning differs at {w} workers");
-        if tiled {
-            // Morsels split per tile: only a tile with enough candidates
-            // of its own fans out.
+        if segments > 1 || tiled {
+            // Morsels split per segment: only a segment with enough
+            // candidates of its own fans out.
             assert!(b.workers <= w, "{w} workers");
             if b.after_imprints < 2 * MORSEL_MIN_ROWS {
                 let inline = segments.min(1);
@@ -357,7 +361,7 @@ fn assert_differential(
 /// The filter step's morsels cover the candidates exactly once and their
 /// survivors are the bbox survivors; a single morsel reports one worker,
 /// and a tiled query whose every tile was pruned ran none.
-fn assert_morsels_partition_candidates(e: &lidardb_core::Explain) {
+fn assert_morsels_partition_candidates(shape: &Shape, e: &lidardb_core::Explain) {
     let rows_in: usize = e.morsel_times.iter().map(|m| m.rows_in).sum();
     let rows_out: usize = e.morsel_times.iter().map(|m| m.rows_out).sum();
     assert_eq!(rows_in, e.after_imprints, "morsels partition candidates");
@@ -366,20 +370,23 @@ fn assert_morsels_partition_candidates(e: &lidardb_core::Explain) {
         e.morsel_times.iter().all(|m| m.rows_in > 0),
         "no empty morsels"
     );
-    if segments_probed(e) == 0 {
+    if segments_probed(shape, e) == 0 {
         assert_eq!(e.workers, 0, "no segment ran");
     } else if e.morsel_times.len() <= 1 {
         assert_eq!(e.workers, 1, "one morsel runs on one worker");
     }
 }
 
-/// Segments the query ran its stages on: the flat table is one, a tiled
-/// one runs every tile that survived pruning.
-fn segments_probed(e: &lidardb_core::Explain) -> usize {
-    if e.tiles_total == 0 {
-        1
-    } else {
-        e.tiles_probed
+/// Segments the query ran its stages on: a flat table's first one, a
+/// streaming table's tail as well once the snapshot reaches past the base,
+/// and every tile of a tiled one that survived pruning.
+fn segments_probed(shape: &Shape, e: &lidardb_core::Explain) -> usize {
+    match shape.table {
+        PointTable::Flat(pc) => {
+            let streaming = pc.recovery_report().is_some();
+            1 + usize::from(streaming && pc.visible_rows() > pc.table().num_rows())
+        }
+        PointTable::Tiled(_) => e.tiles_probed,
     }
 }
 
@@ -502,14 +509,18 @@ fn holed_c() -> SpatialPredicate {
 }
 
 /// A workload of `rows` points ingested through the WAL of a scratch
-/// directory of this test's own, with the last sixth applied but not yet
-/// committed: queries see the committed snapshot only, and so does the
+/// directory of this test's own: the first third sealed and reopened as
+/// the base, the rest appended to the tail, its last sixth applied but not
+/// yet committed. Queries see the committed snapshot only, and so does the
 /// model.
 struct StreamingShape {
     _dir: ScratchDir,
     pc: PointCloud,
     model: Model,
 }
+
+/// Rows of the streaming shape [`for_each_shape`] checks.
+const STREAMING_ROWS: usize = 36_000;
 
 impl StreamingShape {
     fn new(rows: usize) -> StreamingShape {
@@ -518,20 +529,40 @@ impl StreamingShape {
             max_batches: 1_000,
             max_delay: std::time::Duration::from_secs(3_600),
         };
-        let mut pc = PointCloud::open_ingest(&dir, durability).unwrap();
         let recs = workload(rows, SHARED_SEED);
-        let committed = rows / 6 * 5;
-        for chunk in recs[..committed].chunks(10_000) {
+        let (sealed, committed) = (rows / 3, rows / 6 * 5);
+        let mut pc = PointCloud::open_ingest(&dir, durability).unwrap();
+        for chunk in recs[..sealed].chunks(10_000) {
+            pc.ingest_records(chunk).unwrap();
+        }
+        pc.seal().unwrap();
+        drop(pc);
+        let mut pc = PointCloud::open_ingest(&dir, durability).unwrap();
+        assert_eq!(
+            pc.table().num_rows(),
+            sealed,
+            "the sealed rows are the base"
+        );
+        for chunk in recs[sealed..committed].chunks(10_000) {
             pc.ingest_records(chunk).unwrap();
         }
         pc.flush_wal().unwrap();
         pc.ingest_records(&recs[committed..]).unwrap();
-        assert_eq!(pc.visible_rows(), committed, "the tail is not yet visible");
+        assert_eq!(
+            pc.visible_rows(),
+            committed,
+            "the last rows are not yet visible"
+        );
+        assert_eq!(pc.num_points(), rows);
         StreamingShape {
             _dir: dir,
             pc,
             model: Model::new(recs).with_visible(committed),
         }
+    }
+
+    fn shape(&self) -> Shape<'_> {
+        Shape::flat(&self.pc, &self.model)
     }
 }
 
@@ -567,8 +598,7 @@ fn differential_corridor_and_holed_polygon_tiled() {
 
 #[test]
 fn differential_corridor_and_holed_polygon_streaming() {
-    let streaming = StreamingShape::new(36_000);
-    check_corridor_and_holed_polygon(Shape::flat(&streaming.pc, &streaming.model));
+    check_corridor_and_holed_polygon(StreamingShape::new(STREAMING_ROWS).shape());
 }
 
 /// The east–west chevron corridor of the scene's motorway zone, through
@@ -625,8 +655,7 @@ fn differential_banded_filters_tiled() {
 
 #[test]
 fn differential_banded_filters_streaming() {
-    let streaming = StreamingShape::new(36_000);
-    check_banded_filters(Shape::flat(&streaming.pc, &streaming.model));
+    check_banded_filters(StreamingShape::new(STREAMING_ROWS).shape());
 }
 
 #[test]

@@ -260,6 +260,81 @@ fn aggregates_cover_only_visible_rows() {
     }
 }
 
+/// The watermark inside the tail of a sealed base: the base is visible
+/// whole, the tail up to the watermark, and every path stops there at
+/// every worker count.
+#[test]
+fn the_watermark_clamps_inside_the_tail_of_a_sealed_base() {
+    const BASE: usize = 20_000;
+    let scratch = ScratchDir::vacant("watermark_tail");
+    let durability = Durability::GroupCommit {
+        max_batches: usize::MAX,
+        max_delay: Duration::from_secs(3600),
+    };
+    let mut pc = PointCloud::open_ingest(&scratch, durability).unwrap();
+    pc.ingest_records(&records(BASE, 3, 1.0)).unwrap();
+    pc.seal().unwrap();
+    drop(pc);
+    let mut pc = PointCloud::open_ingest(&scratch, durability).unwrap();
+    // Warm the base's imprints: the tail is indexed on their bins as it
+    // grows, ghost rows included.
+    for col in ["x", "y", "classification", "gps_time"] {
+        pc.imprints_for(col).unwrap();
+    }
+    pc.ingest_records(&records(VISIBLE - BASE, 1, 1.0)).unwrap();
+    pc.flush_wal().unwrap();
+    assert!(!pc.ingest_records(&records(GHOST, 2, 1.0)).unwrap());
+    assert_eq!(
+        pc.table().num_rows(),
+        BASE,
+        "the base holds the sealed rows"
+    );
+    assert_eq!(pc.num_points(), VISIBLE + GHOST);
+    assert_eq!(
+        pc.visible_rows(),
+        VISIBLE,
+        "the watermark is inside the tail"
+    );
+    let ungoverned = GovernCtx::ungoverned();
+    for w in WORKER_COUNTS {
+        let par = Parallelism::Threads(w);
+        let all = pc.select_query_with(None, &[], RefineStrategy::default(), par);
+        assert_eq!(
+            all.unwrap().rows,
+            (0..VISIBLE).collect::<Vec<_>>(),
+            "full scan at {w}"
+        );
+        for (path, pred, strategy) in [
+            ("wide rect", wide_rect(), RefineStrategy::default()),
+            ("bbox only", wide_rect(), RefineStrategy::BboxOnly),
+            ("exhaustive", triangle(), RefineStrategy::Exhaustive),
+            ("grid", triangle(), RefineStrategy::default()),
+        ] {
+            let rows = pc
+                .select_query_with(Some(&pred), &[], strategy, par)
+                .unwrap()
+                .rows;
+            assert_clamped(&rows, path, w);
+            assert!(
+                rows.iter().any(|&r| r >= BASE),
+                "{path} reads the tail at {w}"
+            );
+        }
+        let attr = lidardb_core::AttrRange::new("classification", 0.0, 11.0);
+        let rows = pc.select_query_with(None, &[attr], RefineStrategy::default(), par);
+        let rows = rows.unwrap().rows;
+        assert_eq!(rows.len(), VISIBLE, "attr-only at {w} workers");
+        let sum = PointTable::Flat(&pc)
+            .aggregate(&rows, "gps_time", Aggregate::Sum, par, &ungoverned)
+            .unwrap();
+        assert_eq!(
+            sum,
+            Some(VISIBLE as f64),
+            "SUM leaked ghost rows at {w} workers"
+        );
+    }
+}
+
 /// A governed reader races a writer streaming batches through the WAL.
 /// The workload's x IS the row index, so under the read lock the expected
 /// hit count of `x < cut` is exactly `min(visible, cut)`: an extra,

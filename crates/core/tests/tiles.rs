@@ -580,3 +580,61 @@ fn tiles_hold_exactly_the_columns_their_reads_touched() {
         PointTable::Tiled(&fresh).aggregate(&all.rows, "z", Aggregate::Count, par, &ungoverned);
     assert_eq!(count.unwrap(), Some(n as f64));
 }
+
+/// A streaming cloud with rows in both its sealed base and its tail folds
+/// the two into one dump: a flat seal keeps the row order, a tiled one
+/// takes the SFC order the same rows get as one table, and either reopens
+/// to exactly the rows sealed.
+#[test]
+fn seal_and_seal_to_tiles_fold_base_and_tail_into_one_dump() {
+    let recs = records(12_000);
+    let rows_of = |pc: &PointCloud| -> Vec<PointRecord> {
+        (0..pc.num_points())
+            .map(|r| pc.record(r).unwrap())
+            .collect()
+    };
+    // A base of the first 5,000 rows, a tail of the rest.
+    let base_and_tail = |dir: &ScratchDir| {
+        let mut pc = PointCloud::open_ingest(dir, Durability::Always).unwrap();
+        pc.append_records(&recs[..5_000]).unwrap();
+        pc.seal().unwrap();
+        drop(pc);
+        let mut pc = PointCloud::open_ingest(dir, Durability::Always).unwrap();
+        pc.append_records(&recs[5_000..]).unwrap();
+        assert_eq!(pc.table().num_rows(), 5_000, "the tail holds the rest");
+        pc
+    };
+
+    let dir = ScratchDir::vacant("tiles_fold_flat");
+    let mut pc = base_and_tail(&dir);
+    pc.seal().unwrap();
+    assert_eq!(rows_of(&pc), recs);
+    drop(pc);
+    let back = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
+    let report = back.recovery_report().unwrap();
+    assert_eq!(
+        (report.base_rows, report.replayed_rows),
+        (12_000, 0),
+        "one dump"
+    );
+    assert_eq!(rows_of(&back), recs);
+
+    let dir = ScratchDir::vacant("tiles_fold_tiled");
+    let mut pc = base_and_tail(&dir);
+    let tiles = pc.seal_to_tiles(&opts(4096)).unwrap();
+    let sealed = rows_of(&pc);
+    let reference = ScratchDir::vacant("tiles_fold_reference");
+    let mut one = cloud(12_000);
+    assert_eq!(one.save_tiled(&reference, &opts(4096)).unwrap(), tiles);
+    assert_eq!(sealed, rows_of(&one), "the SFC order of one table");
+    drop(pc);
+    let back = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
+    assert_eq!(back.recovery_report().unwrap().base_rows, 12_000);
+    assert_eq!(rows_of(&back), sealed);
+    let tc = TiledCloud::open(&dir).unwrap();
+    let table = PointTable::Tiled(&tc);
+    assert_eq!(tc.num_points(), 12_000);
+    for r in (0..12_000).step_by(997) {
+        assert_eq!(table.record(r).unwrap(), Some(sealed[r]), "row {r}");
+    }
+}

@@ -127,6 +127,32 @@ impl ColumnImprints {
         })
     }
 
+    /// An index over `column` laid out on this index's bins, so that one
+    /// probe range maps to the same bin masks on both: a table's
+    /// append-only tail indexed the way its base is.
+    pub fn build_like(&self, column: &Column) -> Result<Self, StorageError> {
+        macro_rules! like {
+            ($variant:ident, $imp:expr) => {
+                ColumnImprints::$variant(Imprints::build_with_bins(
+                    column.as_slice()?,
+                    $imp.bins().clone(),
+                ))
+            };
+        }
+        Ok(match self {
+            ColumnImprints::I8(i) => like!(I8, i),
+            ColumnImprints::I16(i) => like!(I16, i),
+            ColumnImprints::I32(i) => like!(I32, i),
+            ColumnImprints::I64(i) => like!(I64, i),
+            ColumnImprints::U8(i) => like!(U8, i),
+            ColumnImprints::U16(i) => like!(U16, i),
+            ColumnImprints::U32(i) => like!(U32, i),
+            ColumnImprints::U64(i) => like!(U64, i),
+            ColumnImprints::F32(i) => like!(F32, i),
+            ColumnImprints::F64(i) => like!(F64, i),
+        })
+    }
+
     /// Probe with an inclusive `f64` range, rounding inward on integer
     /// columns.
     pub fn probe_f64(&self, lo: f64, hi: f64) -> CandidateList {
@@ -277,6 +303,26 @@ mod tests {
         let wrong: Column = (0..300i64).collect();
         assert!(imp.append_column(&wrong).is_err());
         assert_eq!(imp.len(), 250, "failed append leaves the index unchanged");
+    }
+
+    #[test]
+    fn build_like_keeps_the_bins_and_covers_every_match() {
+        let base: Column = (0..1000).map(f64::from).collect();
+        let tail: Column = (0..300).map(|v| f64::from(v) * 5.0).collect();
+        let imp = ColumnImprints::build(&base).unwrap();
+        let like = imp.build_like(&tail).unwrap();
+        let (ColumnImprints::F64(b), ColumnImprints::F64(t)) = (&imp, &like) else {
+            panic!("f64 columns index as f64");
+        };
+        assert_eq!(t.bins(), b.bins());
+        let fresh = Imprints::build_with_bins(tail.as_slice::<f64>().unwrap(), b.bins().clone());
+        assert_eq!(t, &fresh);
+        let cand = like.probe_f64(100.0, 200.0);
+        for row in 20..=40 {
+            assert!(cand.contains(row), "tail row {row} matches");
+        }
+        let wrong: Column = (0..10i64).collect();
+        assert!(imp.build_like(&wrong).is_err(), "types must match");
     }
 
     #[test]

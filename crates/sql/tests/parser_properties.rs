@@ -236,7 +236,8 @@ proptest! {
         // Bit-identical rows: every column's bytes are the reference dump.
         let dumps = ColumnArrays::from_records(&records).to_dumps();
         for (name, dump) in COLUMN_NAMES.iter().zip(&dumps) {
-            prop_assert_eq!(&pc.column(name).unwrap().to_le_bytes(), dump, "{} in {}", name, sql);
+            let bytes = pc.column_dump(name, 0..pc.num_points()).unwrap();
+            prop_assert_eq!(&bytes, dump, "{} in {}", name, sql);
         }
         // Byte-identical WAL: same frame, same payload, same token.
         let wal = |d: &ScratchDir| std::fs::read(wal_path_for(d.path())).unwrap();

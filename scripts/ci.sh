@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build, every suite of the workspace in
-# debug and release under the default parallel runner, strict lints.
+# The full local CI gate: rustfmt, release build, every suite of the
+# workspace in debug and release under the default parallel runner, strict
+# lints.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "==> cargo build --release"
 cargo build --release
