@@ -918,7 +918,6 @@ fn e11_wire_burst() {
         )
     });
 
-    lidardb_core::Recorder::global().start_sampler(Duration::from_millis(50));
     let mut catalog = lidardb_sql::Catalog::new();
     catalog.register_pointcloud("points", Arc::clone(&pc));
     let server = Server::bind("127.0.0.1:0", catalog)
@@ -973,8 +972,8 @@ fn e11_wire_burst() {
     };
 
     println!(
-        "\nburst: {CLIENTS} concurrent connections x {PER_CLIENT} statements; recorder sampling \
-         every 50 ms, /metrics scraped every {} ms\n",
+        "\nburst: {CLIENTS} concurrent connections x {PER_CLIENT} statements; /metrics scraped \
+         every {} ms\n",
         SCRAPE_EVERY.as_millis()
     );
     println!(
@@ -997,8 +996,4 @@ fn e11_wire_burst() {
     pc.set_default_deadline(Some(DEADLINE));
     run("governed");
     server.shutdown();
-    println!(
-        "\nflight recorder: {} samples in the ring\n",
-        lidardb_core::Recorder::global().snapshot().len()
-    );
 }

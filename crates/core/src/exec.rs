@@ -31,7 +31,6 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::time::Instant;
 
 use lidardb_geom::{Bands, Envelope, Point, PreparedGeometry, RectClass, Relation};
 use lidardb_imprints::CandidateList;
@@ -256,12 +255,10 @@ pub(crate) fn filter(
     explain.workers = if morsels.len() > 1 { workers } else { 1 };
     let results = run_indexed(workers, morsels.len(), |i| {
         let m = &morsels[i];
-        // `_parent` is declared before the span so the span closes (and
+        // `_parent` is declared before the stage so its span closes (and
         // records) while the adopted context is still in place.
         let _parent = job.trace_ctx.map(|(t, s)| crate::trace::adopt_parent(t, s));
-        let mut mspan =
-            crate::trace::span(crate::trace::SpanKind::Stage(crate::metrics::Stage::Morsel));
-        let t0 = Instant::now();
+        let mut morsel = crate::trace::stage(crate::metrics::Stage::Morsel);
         let mut rows: Vec<usize> = Vec::new();
         // Kernel work is tallied per run, outside the kernel (accumulators
         // inside it perturb its codegen; per-call atomics cost ~10% and
@@ -300,7 +297,7 @@ pub(crate) fn filter(
                 if since >= CHECKPOINT_STRIDE {
                     since = 0;
                     if let Err(err) = job.govern.checkpoint("bbox_scan") {
-                        mspan.add_flags(crate::trace::FLAG_CANCELLED);
+                        morsel.add_flags(crate::trace::FLAG_CANCELLED);
                         return Err(err);
                     }
                 }
@@ -314,18 +311,15 @@ pub(crate) fn filter(
             .govern
             .charge((rows.len() * std::mem::size_of::<usize>()) as u64)
         {
-            mspan.add_flags(crate::trace::FLAG_CANCELLED);
+            morsel.add_flags(crate::trace::FLAG_CANCELLED);
             return Err(err);
         }
         job.govern.add_rows(rows.len());
         scan::note_scans(scan_calls, scan_rows);
-        let took = t0.elapsed();
-        let metrics = crate::metrics::MetricsRegistry::global();
-        metrics.record_stage(crate::metrics::Stage::Morsel, rows.len(), took);
-        metrics.morsels.inc();
-        mspan.set_rows(m.num_rows() as u64, rows.len() as u64);
-        mspan.set_aux(scan_rows);
-        drop(mspan);
+        morsel.set_rows(m.num_rows() as u64, rows.len() as u64);
+        morsel.set_aux(scan_rows);
+        let took = morsel.finish(rows.len());
+        crate::metrics::MetricsRegistry::global().morsels.inc();
         let timing = MorselTiming {
             rows_in: m.num_rows(),
             rows_out: rows.len(),

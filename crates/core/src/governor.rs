@@ -358,7 +358,7 @@ impl Drop for AdmissionPermit<'_> {
 }
 
 /// Mirror the admission state into the metrics gauges (last-writer-wins,
-/// same convention as `table_rows`): the recorder and `/metrics` read
+/// same convention as `table_rows`): `/metrics` and `/healthz` read
 /// queue depth without taking the admission lock.
 fn publish_admission_gauges(st: &AdmState) {
     let m = MetricsRegistry::global();

@@ -47,7 +47,6 @@ pub mod metrics;
 pub mod persist;
 pub mod pointcloud;
 pub mod query;
-pub mod recorder;
 pub mod segment;
 pub mod soa;
 pub mod table;
@@ -65,7 +64,6 @@ pub use loader::{FileOutcome, FileReport, LoadMethod, LoadPolicy, LoadReport, Lo
 pub use metrics::{MetricsRegistry, Stage};
 pub use pointcloud::{IngestAck, PointCloud};
 pub use query::{Aggregate, AttrRange, Explain, RefineStrategy, Selection, SpatialPredicate};
-pub use recorder::{Recorder, RecorderSample, DEFAULT_INTERVAL_MS, RECORDER_SLOTS};
 pub use segment::{TileOptions, TileResidency, TiledCloud};
 pub use table::{ColumnSet, PointTable, Run, Segment};
 pub use trace::{SlowQuery, SlowQueryLog, SpanKind, SpanRecord, TraceSink, Tracer};

@@ -237,40 +237,27 @@ impl Loader {
         pc: &mut PointCloud,
         paths: &[PathBuf],
     ) -> Result<LoadReport, CoreError> {
-        let mut lspan = crate::trace::span(crate::trace::SpanKind::Stage(
-            crate::metrics::Stage::PersistLoad,
-        ));
-        let wall = Instant::now();
+        // Bulk ingestion is bytes → table, the same stage taxonomy slot as
+        // `open_dir` (see DESIGN.md "Observability").
+        let mut stage = crate::trace::stage(crate::metrics::Stage::PersistLoad);
         let mut report = match self.method {
             LoadMethod::Binary => self.load_binary(pc, paths)?,
             LoadMethod::Csv => self.load_csv_path(pc, paths)?,
         };
-        report.stats.wall_seconds = wall.elapsed().as_secs_f64();
-        lspan.set_rows(paths.len() as u64, report.stats.points as u64);
-        if report
+        let quarantined = report
             .files
             .iter()
-            .any(|f| matches!(f.outcome, FileOutcome::Quarantined(_)))
-        {
-            lspan.add_flags(crate::trace::FLAG_FAULT);
+            .filter(|f| matches!(f.outcome, FileOutcome::Quarantined(_)))
+            .count();
+        stage.set_rows(paths.len() as u64, report.stats.points as u64);
+        if quarantined > 0 {
+            stage.add_flags(crate::trace::FLAG_FAULT);
         }
-        // Bulk ingestion is bytes → table, the same stage taxonomy slot as
-        // `open_dir` (see DESIGN.md "Observability").
+        report.stats.wall_seconds = stage.finish(report.stats.points).as_secs_f64();
         let m = crate::metrics::MetricsRegistry::global();
-        m.record_stage(
-            crate::metrics::Stage::PersistLoad,
-            report.stats.points,
-            wall.elapsed(),
-        );
         m.files_loaded.add(report.stats.files as u64);
         m.points_loaded.add(report.stats.points as u64);
-        m.files_quarantined.add(
-            report
-                .files
-                .iter()
-                .filter(|f| matches!(f.outcome, FileOutcome::Quarantined(_)))
-                .count() as u64,
-        );
+        m.files_quarantined.add(quarantined as u64);
         Ok(report)
     }
 

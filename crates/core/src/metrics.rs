@@ -4,29 +4,38 @@
 //! every query (§4.2); [`crate::query::Explain`] is that table, carried by
 //! every [`crate::query::Selection`]. It describes one query; this module
 //! accumulates across queries and covers what `Explain` cannot see — the
-//! loader, persister, imprint cache and morsel workers — in the tree's
-//! "simple, fast, lean" style: no tracing framework, no external crates,
-//! just `std` atomics.
+//! loader, persister, imprint cache, morsel workers, WAL, governor and
+//! server — in the tree's "simple, fast, lean" style: no tracing
+//! framework, no external crates, just `std` atomics.
 //!
 //! * [`MetricsRegistry`] — a process-wide, fixed-shape registry of atomic
 //!   [`Counter`]s, [`Gauge`]s and log-scaled latency [`Histogram`]s. The
 //!   hot path is lock-free and `O(1)`: recording a stage is a handful of
-//!   relaxed `fetch_add`s. [`MetricsRegistry::snapshot_json`] renders a
-//!   stable JSON document (fixed key order, no floats beyond fixed-point
-//!   seconds) with the same counters as `sys.metrics` and `/metrics`.
+//!   relaxed `fetch_add`s. Its scalars are listed once, in
+//!   [`MetricsRegistry::SERIES`]; `sys.metrics`, `/metrics` and
+//!   [`MetricsRegistry::reset`] all walk that list, so a series added
+//!   there shows on every surface at once. Keeping history is the
+//!   scraper's job: the registry holds only the live values.
 //! * [`Stage`] — the stage taxonomy every layer records against:
 //!   `imprint_probe`, `bbox_scan`, `grid_refine`, `aggregate`,
-//!   `imprint_build`, `persist_save`, `persist_load`, `morsel`.
+//!   `imprint_build`, `persist_save`, `persist_load`, `morsel`,
+//!   `governor`, `wal_append`, `recover`, `server_recv`, `server_send`.
+//!   A stage that carries a span is timed by one
+//!   [`crate::trace::stage`] guard, whose one clock reading feeds the
+//!   registry, the span and `Explain`.
 //!
 //! Cross-crate counters that cannot live here without inverting the
 //! dependency graph (the imprints and storage crates sit *below* core)
-//! are pulled into the snapshot from their owning crates:
-//! `lidardb_imprints::probe_count()` and
+//! are series whose instrument is their owning crate's reader:
+//! `lidardb_imprints::{probe_count, probe_rows}()` and
 //! `lidardb_storage::scan::{scan_calls, rows_examined}()`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+use lidardb_imprints as imprints;
+use lidardb_storage::scan;
 
 /// Named stage scopes the engine records. The set is fixed so the registry
 /// needs no allocation or locking on the record path.
@@ -107,11 +116,9 @@ impl Stage {
         }
     }
 
-    fn index(self) -> usize {
-        Stage::ALL
-            .iter()
-            .position(|s| *s == self)
-            .expect("stage in ALL")
+    /// Position in [`Stage::ALL`], which is declaration order.
+    pub(crate) fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -173,10 +180,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.set(0);
     }
 }
 
@@ -350,19 +353,131 @@ pub struct MetricsRegistry {
     /// not accepting, in-flight statements running out their deadline),
     /// else 0. `/healthz` reports 503 while set.
     pub server_draining: Gauge,
-    /// Monotonic snapshot sequence: bumped by every
-    /// [`snapshot_json`](Self::snapshot_json) so two scrapes of the same
-    /// registry are totally ordered even at equal wall-clock resolution.
-    snapshot_seq: AtomicU64,
     /// Lazily pinned epoch `uptime_ns` is measured from (first observation
     /// of this registry). `Instant` has no `Default`, hence the `OnceLock`.
     epoch: OnceLock<Instant>,
+}
+
+/// Whether a series only grows between resets or is set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeriesKind {
+    /// Monotone between resets; `/metrics` suffixes it `_total`.
+    Counter,
+    /// Last write wins.
+    Gauge,
+}
+
+impl SeriesKind {
+    /// The kind's name in `sys.metrics` and in the exposition's `# TYPE`.
+    pub fn name(self) -> &'static str {
+        match self {
+            SeriesKind::Counter => "counter",
+            SeriesKind::Gauge => "gauge",
+        }
+    }
+}
+
+/// Where a series' value lives.
+#[derive(Debug, Clone, Copy)]
+enum Instrument {
+    /// A [`Counter`] or [`Gauge`] field of the registry.
+    Field(fn(&MetricsRegistry) -> &AtomicU64),
+    /// A process-wide counter of a crate below core: its reader and its
+    /// reset.
+    Extern(fn() -> u64, fn()),
+}
+
+/// One scalar series of the registry: its name on every surface, its
+/// kind, and its instrument.
+#[derive(Debug, Clone, Copy)]
+pub struct Series {
+    /// The series name (`/metrics` prefixes it, and suffixes counters).
+    pub name: &'static str,
+    /// Counter or gauge.
+    pub kind: SeriesKind,
+    instrument: Instrument,
+}
+
+impl Series {
+    /// The series' current value in `registry`.
+    pub fn value(&self, registry: &MetricsRegistry) -> u64 {
+        match self.instrument {
+            Instrument::Field(field) => field(registry).load(Ordering::Relaxed),
+            Instrument::Extern(read, _) => read(),
+        }
+    }
+
+    fn reset(&self, registry: &MetricsRegistry) {
+        match self.instrument {
+            Instrument::Field(field) => field(registry).store(0, Ordering::Relaxed),
+            Instrument::Extern(_, reset) => reset(),
+        }
+    }
+}
+
+/// A series: the registry field of the same name, or a process-wide
+/// counter of another crate, given by its reader and its reset.
+macro_rules! series {
+    ($kind:ident $name:ident) => {
+        Series {
+            name: stringify!($name),
+            kind: SeriesKind::$kind,
+            instrument: Instrument::Field(|r| &r.$name.0),
+        }
+    };
+    ($kind:ident $name:ident = $read:path, $reset:path) => {
+        Series {
+            name: stringify!($name),
+            kind: SeriesKind::$kind,
+            instrument: Instrument::Extern($read, $reset),
+        }
+    };
 }
 
 /// The singleton behind [`MetricsRegistry::global`].
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
 impl MetricsRegistry {
+    /// Every scalar series, counters first, in the order every surface
+    /// renders them. Stages are not here: each has its own
+    /// [`StageStats`].
+    pub const SERIES: &'static [Series] = &[
+        series!(Counter queries),
+        series!(Counter imprint_cache_hits),
+        series!(Counter imprint_cache_misses),
+        series!(Counter degraded_probes),
+        series!(Counter morsels),
+        series!(Counter files_loaded),
+        series!(Counter files_quarantined),
+        series!(Counter points_loaded),
+        series!(Counter queries_shed),
+        series!(Counter queries_timed_out),
+        series!(Counter queries_killed),
+        series!(Counter budget_trips),
+        series!(Counter wal_batches),
+        series!(Counter wal_syncs),
+        series!(Counter wal_recoveries),
+        series!(Counter tiles_pruned),
+        series!(Counter tiles_probed),
+        series!(Counter tiles_loaded),
+        series!(Counter tiles_evicted),
+        series!(Counter wal_dedup_hits),
+        series!(Counter imprint_probes = imprints::probe_count, imprints::reset_probe_count),
+        series!(Counter imprint_candidate_rows = imprints::probe_rows, imprints::reset_probe_count),
+        series!(Counter scan_rows_examined = scan::rows_examined, scan::reset_scan_counters),
+        series!(Gauge table_rows),
+        series!(Gauge indexed_columns),
+        series!(Gauge resident_tile_bytes),
+        series!(Gauge open_connections),
+        series!(Gauge admission_in_flight),
+        series!(Gauge admission_queued),
+        series!(Gauge inflight_queries),
+        series!(Gauge wal_backlog_rows),
+        series!(Gauge degraded_tables),
+        series!(Gauge server_draining),
+        series!(Gauge scan_calls = scan::scan_calls, scan::reset_scan_counters),
+    ];
+
     /// The process-wide registry every layer records into.
     pub fn global() -> &'static MetricsRegistry {
         GLOBAL.get_or_init(MetricsRegistry::default)
@@ -385,178 +500,40 @@ impl MetricsRegistry {
     }
 
     /// Nanoseconds since this registry was first observed. The epoch pins
-    /// itself on first call, so deltas between two snapshots are always
-    /// measured on the same clock.
+    /// itself on first call and survives [`reset`](Self::reset), so rates
+    /// between two scrapes are always measured on the same clock.
     pub fn uptime_ns(&self) -> u64 {
         self.epoch.get_or_init(Instant::now).elapsed().as_nanos() as u64
     }
 
-    /// Take the next snapshot sequence number (strictly monotonic across
-    /// threads; the first snapshot observes 1).
-    pub fn next_snapshot_seq(&self) -> u64 {
-        self.snapshot_seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Zero every instrument, including the cross-crate scan/probe
-    /// counters. For benchmarks and tests; not linearisable against
-    /// concurrent recorders.
+    /// Zero every stage and every series, including the cross-crate
+    /// scan/probe counters. For benchmarks and tests; not linearisable
+    /// against concurrent writers.
     pub fn reset(&self) {
         for s in &self.stages {
             s.reset();
         }
-        self.queries.reset();
-        self.imprint_cache_hits.reset();
-        self.imprint_cache_misses.reset();
-        self.degraded_probes.reset();
-        self.morsels.reset();
-        self.files_loaded.reset();
-        self.files_quarantined.reset();
-        self.points_loaded.reset();
-        self.queries_shed.reset();
-        self.queries_timed_out.reset();
-        self.queries_killed.reset();
-        self.budget_trips.reset();
-        self.wal_batches.reset();
-        self.wal_syncs.reset();
-        self.wal_recoveries.reset();
-        self.tiles_pruned.reset();
-        self.tiles_probed.reset();
-        self.tiles_loaded.reset();
-        self.tiles_evicted.reset();
-        self.table_rows.reset();
-        self.indexed_columns.reset();
-        self.resident_tile_bytes.reset();
-        self.open_connections.reset();
-        self.admission_in_flight.reset();
-        self.admission_queued.reset();
-        self.inflight_queries.reset();
-        self.wal_backlog_rows.reset();
-        self.wal_dedup_hits.reset();
-        self.degraded_tables.reset();
-        self.server_draining.reset();
-        // `snapshot_seq` and the epoch survive a reset on purpose: they
-        // order *snapshots*, not workload, and rate conversion between two
-        // scrapes must stay valid across a benchmark's reset.
-        lidardb_imprints::reset_probe_count();
-        lidardb_storage::scan::reset_scan_counters();
+        for s in Self::SERIES {
+            s.reset(self);
+        }
     }
 
-    /// Every process counter as `(name, value)`, in the stable order the
-    /// snapshot renders them. The single source of truth shared by
-    /// [`snapshot_json`](Self::snapshot_json), the `sys.metrics` virtual
-    /// table, the flight recorder and the Prometheus exposition — so a
-    /// counter added here is visible on every surface at once. The last
-    /// three are the cross-crate counters pulled from the imprint and
-    /// storage layers.
+    /// Every counter series as `(name, value)`, in [`Self::SERIES`] order.
     pub fn counter_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("queries", self.queries.get()),
-            ("imprint_cache_hits", self.imprint_cache_hits.get()),
-            ("imprint_cache_misses", self.imprint_cache_misses.get()),
-            ("degraded_probes", self.degraded_probes.get()),
-            ("morsels", self.morsels.get()),
-            ("files_loaded", self.files_loaded.get()),
-            ("files_quarantined", self.files_quarantined.get()),
-            ("points_loaded", self.points_loaded.get()),
-            ("queries_shed", self.queries_shed.get()),
-            ("queries_timed_out", self.queries_timed_out.get()),
-            ("queries_killed", self.queries_killed.get()),
-            ("budget_trips", self.budget_trips.get()),
-            ("wal_batches", self.wal_batches.get()),
-            ("wal_syncs", self.wal_syncs.get()),
-            ("wal_recoveries", self.wal_recoveries.get()),
-            ("tiles_pruned", self.tiles_pruned.get()),
-            ("tiles_probed", self.tiles_probed.get()),
-            ("tiles_loaded", self.tiles_loaded.get()),
-            ("tiles_evicted", self.tiles_evicted.get()),
-            ("wal_dedup_hits", self.wal_dedup_hits.get()),
-            ("imprint_probes", lidardb_imprints::probe_count()),
-            ("imprint_candidate_rows", lidardb_imprints::probe_rows()),
-            ("scan_rows_examined", lidardb_storage::scan::rows_examined()),
-        ]
+        self.values(SeriesKind::Counter)
     }
 
-    /// Every process gauge as `(name, value)`, in snapshot order.
+    /// Every gauge series as `(name, value)`, in [`Self::SERIES`] order.
     pub fn gauge_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("table_rows", self.table_rows.get()),
-            ("indexed_columns", self.indexed_columns.get()),
-            ("resident_tile_bytes", self.resident_tile_bytes.get()),
-            ("open_connections", self.open_connections.get()),
-            ("admission_in_flight", self.admission_in_flight.get()),
-            ("admission_queued", self.admission_queued.get()),
-            ("inflight_queries", self.inflight_queries.get()),
-            ("wal_backlog_rows", self.wal_backlog_rows.get()),
-            ("degraded_tables", self.degraded_tables.get()),
-            ("server_draining", self.server_draining.get()),
-            ("scan_calls", lidardb_storage::scan::scan_calls()),
-        ]
+        self.values(SeriesKind::Gauge)
     }
 
-    /// Render a stable JSON snapshot: fixed key order, counters as
-    /// integers, stage seconds with fixed six-digit precision, histogram
-    /// buckets as a dense array (index = log₂ nanoseconds). Hand-rolled —
-    /// the tree deliberately has no serde.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        // `seq` + `uptime_ns` first: every snapshot is totally ordered and
-        // rate-convertible (delta(counter) / delta(uptime_ns)) — two
-        // scrapes without them are wall-clock-ambiguous.
-        out.push_str(&format!(
-            "{{\n  \"seq\": {},\n  \"uptime_ns\": {},\n  \"counters\": {{\n",
-            self.next_snapshot_seq(),
-            self.uptime_ns(),
-        ));
-        let counters = self.counter_values();
-        for (i, (name, v)) in counters.iter().enumerate() {
-            let sep = if i + 1 < counters.len() { "," } else { "" };
-            out.push_str(&format!("    \"{name}\": {v}{sep}\n"));
-        }
-        out.push_str("  },\n  \"gauges\": {\n");
-        let gauges = self.gauge_values();
-        for (i, (name, v)) in gauges.iter().enumerate() {
-            let sep = if i + 1 < gauges.len() { "," } else { "" };
-            out.push_str(&format!("    \"{name}\": {v}{sep}\n"));
-        }
-        out.push_str("  },\n  \"stages\": [\n");
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            let s = self.stage(*stage);
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"calls\": {}, \"rows\": {}, \"seconds\": {:.6}, \
-                 \"latency_log2ns\": [",
-                stage.name(),
-                s.calls.get(),
-                s.rows.get(),
-                s.seconds(),
-            ));
-            // Trailing zero buckets are elided so the document stays small;
-            // index *is* the log₂-nanosecond bucket either way.
-            let counts = s.latency.counts();
-            let used = counts.iter().rposition(|&c| c > 0).map_or(0, |p| p + 1);
-            for (j, c) in counts[..used].iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&c.to_string());
-            }
-            // Exclusive upper bound of each emitted bucket (`2^(b+1)` ns;
-            // bucket b counts durations in `[2^b, 2^(b+1))`, the last one
-            // open-ended), so external tooling can reconstruct the latency
-            // distribution without reading the source.
-            out.push_str("], \"latency_le_ns\": [");
-            for j in 0..used {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&(1u64 << (j as u32 + 1).min(63)).to_string());
-            }
-            out.push_str(&format!(
-                "]}}{}\n",
-                if i + 1 < Stage::ALL.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    fn values(&self, kind: SeriesKind) -> Vec<(&'static str, u64)> {
+        Self::SERIES
+            .iter()
+            .filter(|s| s.kind == kind)
+            .map(|s| (s.name, s.value(self)))
+            .collect()
     }
 }
 
@@ -621,71 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_seq_is_monotonic_under_concurrent_recording() {
-        fn field(json: &str, key: &str) -> u64 {
-            let tag = format!("\"{key}\": ");
-            let at = json.find(&tag).unwrap_or_else(|| panic!("{key} missing")) + tag.len();
-            json[at..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .unwrap()
-        }
-        let r = std::sync::Arc::new(MetricsRegistry::default());
-        // Writers hammer record_stage while snapshotters scrape; every
-        // snapshot must carry a distinct seq and a non-decreasing uptime.
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writers: Vec<_> = (0..2)
-            .map(|_| {
-                let r = std::sync::Arc::clone(&r);
-                let stop = std::sync::Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        r.record_stage(Stage::BboxScan, 7, Duration::from_nanos(900));
-                    }
-                })
-            })
-            .collect();
-        let snappers: Vec<_> = (0..4)
-            .map(|_| {
-                let r = std::sync::Arc::clone(&r);
-                std::thread::spawn(move || {
-                    (0..50)
-                        .map(|_| {
-                            let json = r.snapshot_json();
-                            (field(&json, "seq"), field(&json, "uptime_ns"))
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut all = Vec::new();
-        for s in snappers {
-            let per_thread = s.join().unwrap();
-            // Within one thread the sequence and uptime strictly advance.
-            for w in per_thread.windows(2) {
-                assert!(w[1].0 > w[0].0, "seq not monotonic within thread");
-                assert!(w[1].1 >= w[0].1, "uptime went backwards");
-            }
-            all.extend(per_thread);
-        }
-        stop.store(true, Ordering::Relaxed);
-        for w in writers {
-            w.join().unwrap();
-        }
-        // Across all threads every snapshot got a distinct seq.
-        let mut seqs: Vec<u64> = all.iter().map(|(s, _)| *s).collect();
-        seqs.sort_unstable();
-        seqs.dedup();
-        assert_eq!(seqs.len(), all.len(), "snapshot seq collided");
-        // reset() keeps ordering alive: the next snapshot still advances.
-        let before = field(&r.snapshot_json(), "seq");
-        r.reset();
-        assert!(field(&r.snapshot_json(), "seq") > before);
-    }
-
-    #[test]
     fn histogram_percentiles_are_log2_bounds() {
         let h = Histogram::default();
         assert_eq!(h.percentile_ns(0.99), 0, "empty histogram");
@@ -698,44 +610,43 @@ mod tests {
         assert_eq!(h.percentile_ns(1.0), 65536);
     }
 
+    /// `reset` walks the series list, so every series of a registry —
+    /// and every stage — reads 0 after it. The cross-crate counters are
+    /// process-wide, and other tests of this binary move them
+    /// concurrently; `tests/stage_timing.rs` checks them in a process of
+    /// their own.
     #[test]
-    fn snapshot_json_has_stable_shape() {
+    fn reset_zeroes_every_series() {
         let r = MetricsRegistry::default();
-        r.queries.add(3);
-        r.record_stage(Stage::PersistSave, 42, Duration::from_micros(10));
-        let json = r.snapshot_json();
-        assert!(json.contains("\"queries\": 3"));
-        assert!(json.contains("\"name\": \"persist_save\", \"calls\": 1, \"rows\": 42"));
-        // The governor's shed/timeout/kill/budget decisions are part of
-        // the stable snapshot shape.
-        r.queries_shed.add(2);
-        r.queries_timed_out.inc();
-        r.queries_killed.inc();
-        r.budget_trips.inc();
-        let json = r.snapshot_json();
-        assert!(json.contains("\"queries_shed\": 2"));
-        assert!(json.contains("\"queries_timed_out\": 1"));
-        assert!(json.contains("\"queries_killed\": 1"));
-        assert!(json.contains("\"budget_trips\": 1"));
-        assert!(json.contains("\"name\": \"governor\""));
-        // The tiled-storage counters and cache gauge are part of the shape.
-        r.tiles_pruned.add(4);
-        r.tiles_probed.add(2);
-        r.tiles_loaded.inc();
-        r.tiles_evicted.inc();
-        r.resident_tile_bytes.set(4096);
-        let json = r.snapshot_json();
-        assert!(json.contains("\"tiles_pruned\": 4"));
-        assert!(json.contains("\"tiles_probed\": 2"));
-        assert!(json.contains("\"tiles_loaded\": 1"));
-        assert!(json.contains("\"tiles_evicted\": 1"));
-        assert!(json.contains("\"resident_tile_bytes\": 4096"));
-        // Every stage appears exactly once, in declaration order.
-        let mut last = 0;
-        for s in Stage::ALL {
-            let pos = json.find(&format!("\"name\": \"{}\"", s.name())).unwrap();
-            assert!(pos > last, "{} out of order", s.name());
-            last = pos;
+        let mut names: Vec<&str> = MetricsRegistry::SERIES.iter().map(|s| s.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), MetricsRegistry::SERIES.len(), "names unique");
+        let own = |s: &Series| matches!(s.instrument, Instrument::Field(_));
+        for (i, s) in MetricsRegistry::SERIES.iter().enumerate() {
+            if let Instrument::Field(field) = s.instrument {
+                field(&r).store(i as u64 + 1, Ordering::Relaxed);
+            }
+        }
+        for stage in Stage::ALL {
+            r.record_stage(stage, 7, Duration::from_micros(3));
+        }
+        for s in MetricsRegistry::SERIES.iter().filter(|s| own(s)) {
+            assert_ne!(s.value(&r), 0, "{} not set", s.name);
+        }
+        r.reset();
+        for s in MetricsRegistry::SERIES.iter().filter(|s| own(s)) {
+            assert_eq!(s.value(&r), 0, "{} survived reset", s.name);
+        }
+        for stage in Stage::ALL {
+            let st = r.stage(stage);
+            assert_eq!(
+                (st.calls.get(), st.rows.get(), st.nanos.get()),
+                (0, 0, 0),
+                "{}",
+                stage.name()
+            );
+            assert_eq!(st.latency.counts(), [0; HIST_BUCKETS]);
         }
     }
 }

@@ -50,7 +50,6 @@ use crate::fault::{FaultInjector, FaultKind, FaultStage};
 use crate::metrics::{MetricsRegistry, Stage};
 use crate::pointcloud::PointCloud;
 use crate::table::ColumnSet;
-use crate::trace::SpanKind;
 use crate::wal::Durability;
 
 /// Manifest file name.
@@ -520,14 +519,13 @@ fn timed_load<T>(
     fi: Option<&FaultInjector>,
     load: impl FnOnce() -> Result<(T, usize), CoreError>,
 ) -> Result<T, CoreError> {
-    let mut pspan = crate::trace::span(SpanKind::Stage(Stage::PersistLoad));
+    let mut stage = crate::trace::stage(Stage::PersistLoad);
     if fi.is_some() {
-        pspan.add_flags(crate::trace::FLAG_FAULT);
+        stage.add_flags(crate::trace::FLAG_FAULT);
     }
-    let t0 = std::time::Instant::now();
     let (value, n) = load()?;
-    MetricsRegistry::global().record_stage(Stage::PersistLoad, n, t0.elapsed());
-    pspan.set_rows(n as u64, n as u64);
+    stage.set_rows(n as u64, n as u64);
+    stage.finish(n);
     Ok(value)
 }
 
@@ -704,12 +702,11 @@ fn save_staged(
     durability: Durability,
     write: impl FnOnce(&Path) -> Result<(), CoreError>,
 ) -> Result<(), CoreError> {
-    let mut pspan = crate::trace::span(SpanKind::Stage(Stage::PersistSave));
-    pspan.set_rows(rows as u64, rows as u64);
+    let mut stage = crate::trace::stage(Stage::PersistSave);
+    stage.set_rows(rows as u64, rows as u64);
     if fi.is_some() {
-        pspan.add_flags(crate::trace::FLAG_FAULT);
+        stage.add_flags(crate::trace::FLAG_FAULT);
     }
-    let t0 = std::time::Instant::now();
     let parent = target.parent().filter(|p| !p.as_os_str().is_empty());
     if let Some(parent) = parent {
         std::fs::create_dir_all(parent).map_err(io_err)?;
@@ -737,7 +734,7 @@ fn save_staged(
     if let Some(parent) = parent {
         sync_dir(parent, durability)?;
     }
-    MetricsRegistry::global().record_stage(Stage::PersistSave, rows, t0.elapsed());
+    stage.finish(rows);
     Ok(())
 }
 

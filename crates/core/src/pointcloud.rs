@@ -420,7 +420,7 @@ impl PointCloud {
     }
 
     /// Mirror the applied-but-not-yet-durable row count into the
-    /// `wal_backlog_rows` gauge (last-writer-wins) so the recorder and
+    /// `wal_backlog_rows` gauge (last-writer-wins) so `/metrics` and
     /// `/healthz` can watch flush lag without touching the WAL lock.
     fn publish_wal_backlog(&self) {
         if let Some(ing) = &self.ingest {
@@ -541,29 +541,36 @@ impl PointCloud {
 
     /// The imprint index of a column, building it on first use.
     pub fn imprints_for(&self, name: &str) -> Result<Arc<ColumnImprints>, CoreError> {
-        self.imprints_for_timed(name).map(|(imp, _)| imp)
+        self.imprints_built(name).map(|(imp, _)| imp)
     }
 
-    /// [`imprints_for`](Self::imprints_for), also reporting the wall-clock
-    /// spent building the index — zero on a cache hit. The query engine
-    /// uses this to keep `Explain.t_imprints` probe-only.
+    /// [`imprints_for`](Self::imprints_for), also reporting the seconds
+    /// spent building the index — zero on a cache hit.
     pub fn imprints_for_timed(&self, name: &str) -> Result<(Arc<ColumnImprints>, f64), CoreError> {
+        self.imprints_built(name)
+            .map(|(imp, built)| (imp, built.as_secs_f64()))
+    }
+
+    /// [`imprints_for`](Self::imprints_for), also returning the build's
+    /// `ImprintBuild` stage time — zero on a cache hit. The query engine
+    /// subtracts it to keep `Explain.t_imprints` probe-only.
+    pub(crate) fn imprints_built(
+        &self,
+        name: &str,
+    ) -> Result<(Arc<ColumnImprints>, std::time::Duration), CoreError> {
         let metrics = crate::metrics::MetricsRegistry::global();
         if let Some(imp) = self.imprints.read().get(name) {
             metrics.imprint_cache_hits.inc();
-            return Ok((Arc::clone(imp), 0.0));
+            return Ok((Arc::clone(imp), std::time::Duration::ZERO));
         }
         metrics.imprint_cache_misses.inc();
         // Build outside any lock (cheap to race: both builds are identical
         // and the second insert wins harmlessly).
-        let mut bspan = crate::trace::span(crate::trace::SpanKind::Stage(
-            crate::metrics::Stage::ImprintBuild,
-        ));
-        let t0 = std::time::Instant::now();
+        let mut build = crate::trace::stage(crate::metrics::Stage::ImprintBuild);
         let col = self.table.column_by_name(name)?;
         if let Some(fi) = &self.fault {
             if let Some(kind) = fi.fire(crate::fault::FaultStage::ImprintBuild, name) {
-                bspan.add_flags(crate::trace::FLAG_FAULT);
+                build.add_flags(crate::trace::FLAG_FAULT);
                 return Err(crate::error::CoreError::Corrupt(format!(
                     "injected imprint-build failure on column {name}: {kind:?}"
                 )));
@@ -574,18 +581,16 @@ impl PointCloud {
         if let Some(tail) = self.tail() {
             tail.index_like(name, &imp);
         }
-        let built = t0.elapsed();
-        bspan.set_rows(imp.len() as u64, imp.len() as u64);
-        drop(bspan);
+        build.set_rows(imp.len() as u64, imp.len() as u64);
         // The authoritative imprint_build recording site: every lazy build
         // lands here, whether triggered by a query or a direct call.
-        metrics.record_stage(crate::metrics::Stage::ImprintBuild, imp.len(), built);
+        let built = build.finish(imp.len());
         let mut cache = self.imprints.write();
         cache
             .entry(name.to_string())
             .or_insert_with(|| Arc::clone(&imp));
         metrics.indexed_columns.set(cache.len() as u64);
-        Ok((imp, built.as_secs_f64()))
+        Ok((imp, built))
     }
 
     /// Whether a column already has an imprint index (observability for
@@ -728,17 +733,14 @@ impl PointCloud {
             // dump's base.
             wal.reset(total as u64)?;
         }
+        let took = t0.elapsed();
         report.total_rows = total;
-        report.seconds = t0.elapsed().as_secs_f64();
+        report.seconds = took.as_secs_f64();
         pc.publish_visible(total);
         let m = crate::metrics::MetricsRegistry::global();
         m.table_rows.set(total as u64);
         m.wal_recoveries.inc();
-        m.record_stage(
-            crate::metrics::Stage::Recover,
-            report.replayed_rows,
-            t0.elapsed(),
-        );
+        m.record_stage(crate::metrics::Stage::Recover, report.replayed_rows, took);
         pc.ingest = Some(IngestState {
             wal,
             dir: dir.to_path_buf(),

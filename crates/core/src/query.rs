@@ -28,7 +28,7 @@
 
 use std::cell::OnceCell;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lidardb_geom::{
     contains_point, dwithin_point, Axis, Bands, Envelope, Geometry, Point, PreparedGeometry,
@@ -43,7 +43,7 @@ use crate::governor::GovernCtx;
 use crate::metrics::{MetricsRegistry, Stage};
 use crate::pointcloud::PointCloud;
 use crate::table::PointTable;
-use crate::trace::{self, SpanKind};
+use crate::trace;
 
 /// Default refinement grid resolution (cells per axis).
 pub const DEFAULT_GRID: usize = 64;
@@ -474,19 +474,18 @@ impl PointCloud {
         // A probe whose imprint fails to build (corrupt input, injected
         // fault) degrades gracefully: that predicate contributes no
         // pruning and is enforced by the exact scans below instead.
-        let mut probe_span = trace::span(SpanKind::Stage(Stage::ImprintProbe));
-        let probes_before = if probe_span.is_recording() {
+        let mut probe = trace::stage(Stage::ImprintProbe);
+        let probes_before = if probe.is_recording() {
             lidardb_imprints::probe_count()
         } else {
             0
         };
-        let t0 = Instant::now();
         let mut probes = Vec::with_capacity(2 + attrs.len());
         let mut degraded = 0usize;
-        let mut build_secs = 0.0f64;
+        let mut built = Duration::ZERO;
         let mut index = |name: &str, lo: f64, hi: f64| -> Result<bool, CoreError> {
             let (imp, b) = self.probe_index(name)?;
-            build_secs += b;
+            built += b;
             let found = imp.is_some();
             match imp {
                 Some(imp) => probes.push((imp.estimate_f64(lo, hi), imp, lo, hi)),
@@ -536,36 +535,31 @@ impl PointCloud {
         cand.clamp(visible);
         explain.after_imprints = cand.num_rows();
         explain.sure_rows = cand.num_sure_rows();
-        explain.t_imprint_build = build_secs;
-        // Probe-only: the lazy index builds above are reported separately.
-        explain.t_imprints = (t0.elapsed().as_secs_f64() - build_secs).max(0.0);
-        metrics.record_stage(
-            Stage::ImprintProbe,
-            explain.after_imprints,
-            Duration::from_secs_f64(explain.t_imprints),
-        );
+        explain.t_imprint_build = built.as_secs_f64();
         metrics.degraded_probes.add(degraded as u64);
-        if probe_span.is_recording() {
-            probe_span.set_rows(self.segment_rows() as u64, explain.after_imprints as u64);
-            probe_span.set_aux(lidardb_imprints::probe_count() - probes_before);
+        if probe.is_recording() {
+            probe.set_rows(self.segment_rows() as u64, explain.after_imprints as u64);
+            probe.set_aux(lidardb_imprints::probe_count() - probes_before);
             if degraded > 0 {
-                probe_span.add_flags(trace::FLAG_DEGRADED);
+                probe.add_flags(trace::FLAG_DEGRADED);
                 root.add_flags(trace::FLAG_DEGRADED);
             }
         }
-        drop(probe_span);
+        // Probe-only: the lazy index builds above are reported separately.
+        explain.t_imprints = probe
+            .finish_excluding(explain.after_imprints, built)
+            .as_secs_f64();
         // Stage-boundary checkpoint: a deadline burnt entirely by lazy
         // imprint builds cancels here instead of starting the scans.
         ctx.checkpoint("imprint_probe")?;
 
         // ---- Step 1b: exact checks over candidate runs. --------------------
-        let mut bbox_span = trace::span(SpanKind::Stage(Stage::BboxScan));
-        let scan_rows_before = if bbox_span.is_recording() {
+        let mut bbox = trace::stage(Stage::BboxScan);
+        let scan_rows_before = if bbox.is_recording() {
             scan::totals().1
         } else {
             0
         };
-        let t0 = Instant::now();
         let shape = match (pred, &env) {
             (Some(p), Some(e)) => match prepared.get() {
                 Some(shape) => shape.as_ref(),
@@ -595,30 +589,19 @@ impl PointCloud {
             bands: shape.and_then(|s| s.bands.as_ref()),
             xs,
             ys,
-            trace_ctx: bbox_span.ctx(),
+            trace_ctx: bbox.ctx(),
             govern: ctx,
         };
         let mut rows = exec::filter(&job, &cand, workers, explain)?;
         explain.after_bbox = rows.len();
-        explain.t_bbox = t0.elapsed().as_secs_f64();
-        metrics.record_stage(
-            Stage::BboxScan,
-            explain.after_bbox,
-            Duration::from_secs_f64(explain.t_bbox),
-        );
-        if bbox_span.is_recording() {
-            bbox_span.set_rows(explain.after_imprints as u64, explain.after_bbox as u64);
-            bbox_span.set_aux(scan::totals().1 - scan_rows_before);
+        if bbox.is_recording() {
+            bbox.set_rows(explain.after_imprints as u64, explain.after_bbox as u64);
+            bbox.set_aux(scan::totals().1 - scan_rows_before);
         }
-        drop(bbox_span);
+        explain.t_bbox = bbox.finish(explain.after_bbox).as_secs_f64();
 
         // ---- Step 2: spatial refinement. ------------------------------------
-        let mut refine_span = if pred.is_some() {
-            trace::span(SpanKind::Stage(Stage::GridRefine))
-        } else {
-            trace::inert()
-        };
-        let t0 = Instant::now();
+        let refine = pred.map(|_| trace::stage(Stage::GridRefine));
         // A pure-bbox or `BboxOnly` select has no shape: its envelope
         // check was all there is to do.
         if let (Some(shape), Some(env)) = (shape, &env) {
@@ -642,17 +625,11 @@ impl PointCloud {
                 }
             }
         }
-        explain.t_refine = t0.elapsed().as_secs_f64();
         explain.result_rows = rows.len();
-        if pred.is_some() {
-            metrics.record_stage(
-                Stage::GridRefine,
-                explain.result_rows,
-                Duration::from_secs_f64(explain.t_refine),
-            );
+        if let Some(mut refine) = refine {
+            refine.set_rows(explain.after_bbox as u64, explain.result_rows as u64);
+            explain.t_refine = refine.finish(explain.result_rows).as_secs_f64();
         }
-        refine_span.set_rows(explain.after_bbox as u64, explain.result_rows as u64);
-        drop(refine_span);
 
         Ok(rows)
     }
@@ -660,16 +637,16 @@ impl PointCloud {
     /// A column's imprint for probing, degrading to `None` (no pruning —
     /// the caller falls back to exact scans) when the imprint cannot be
     /// built. A nonexistent column is still a hard error. The second
-    /// element is the wall-clock spent lazily building the index (zero on
-    /// cache hits or failed builds).
+    /// element is the time spent lazily building the index (zero on cache
+    /// hits or failed builds).
     fn probe_index(
         &self,
         name: &str,
-    ) -> Result<(Option<Arc<lidardb_imprints::ColumnImprints>>, f64), CoreError> {
+    ) -> Result<(Option<Arc<lidardb_imprints::ColumnImprints>>, Duration), CoreError> {
         self.column(name)?;
-        Ok(match self.imprints_for_timed(name) {
+        Ok(match self.imprints_built(name) {
             Ok((imp, build)) => (Some(imp), build),
-            Err(_) => (None, 0.0),
+            Err(_) => (None, Duration::ZERO),
         })
     }
 

@@ -9,7 +9,7 @@
 use std::cell::OnceCell;
 use std::ops::Deref;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lidardb_las::{COLUMN_NAMES, NUM_COLUMNS};
 use lidardb_storage::for_each_variant;
@@ -312,9 +312,8 @@ impl<'a> PointTable<'a> {
         let workers = parallelism.workers();
         // Roots its own trace when called standalone; nests under the
         // caller's span when one is live on this thread.
-        let mut agg_span = trace::span(SpanKind::Stage(Stage::Aggregate));
-        agg_span.set_rows(rows.len() as u64, 1);
-        let t0 = Instant::now();
+        let mut stage = trace::stage(Stage::Aggregate);
+        stage.set_rows(rows.len() as u64, 1);
         let mut state: Option<AggState> = None;
         for run in self.runs(ids, ColumnSet::of([column])) {
             let (seg, base, ids) = run?;
@@ -330,7 +329,7 @@ impl<'a> PointTable<'a> {
                 None => state = Some(st),
             }
         }
-        MetricsRegistry::global().record_stage(Stage::Aggregate, rows.len(), t0.elapsed());
+        stage.finish(rows.len());
         let state = state.expect("non-empty input has a run");
         Ok(Some(match agg {
             Aggregate::Count => unreachable!("handled above"),

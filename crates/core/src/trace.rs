@@ -30,6 +30,12 @@
 //! (`--no-default-features`) pins [`enabled`] to `false` so every guard
 //! constant-folds to a no-op.
 //!
+//! A taxonomy stage is timed by a [`StageGuard`] ([`stage`]) rather than
+//! a bare span: its two clock readings give one duration, which the
+//! registry sample, the span and the caller's `Explain` all receive, so
+//! the three never disagree. With tracing off it reads the clock exactly
+//! as often as a bare `Instant` would.
+//!
 //! Tracing turns on two ways, either of which activates a query root:
 //! * process-wide: [`set_enabled`] (`benchmark/` does this for `--trace 1`);
 //! * per thread/session: [`force_thread`] — the SQL layer holds this
@@ -53,9 +59,9 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crate::metrics::Stage;
+use crate::metrics::{MetricsRegistry, Stage};
 use crate::query::Explain;
 
 /// Span flag: at least one imprint probe degraded to an exact scan.
@@ -99,10 +105,7 @@ impl SpanKind {
     fn code(self) -> u64 {
         match self {
             SpanKind::Query => u8::MAX as u64,
-            SpanKind::Stage(s) => Stage::ALL
-                .iter()
-                .position(|x| *x == s)
-                .expect("stage in ALL") as u64,
+            SpanKind::Stage(s) => s.index() as u64,
         }
     }
 
@@ -201,11 +204,6 @@ impl Tracer {
     /// The process-wide ring every [`SpanGuard`] records into.
     pub fn global() -> &'static Tracer {
         GLOBAL_TRACER.get_or_init(|| Tracer::with_capacity(DEFAULT_CAPACITY))
-    }
-
-    /// Ring capacity in spans.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Spans recorded since process start (or the last [`Tracer::clear`]),
@@ -408,6 +406,7 @@ fn epoch() -> Instant {
 // Span guards
 // ---------------------------------------------------------------------------
 
+#[derive(Debug)]
 struct ActiveSpan {
     trace_id: u64,
     span_id: u64,
@@ -425,23 +424,20 @@ struct ActiveSpan {
 /// RAII span handle: finishing (drop) computes the duration and records
 /// into the global ring. Inert — a handful of no-op method calls — when
 /// tracing is not active.
-#[derive(Default)]
+#[derive(Debug)]
 pub struct SpanGuard(Option<ActiveSpan>);
-
-impl std::fmt::Debug for SpanGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Some(a) => write!(f, "SpanGuard({} #{})", a.kind.name(), a.span_id),
-            None => write!(f, "SpanGuard(inert)"),
-        }
-    }
-}
 
 /// Open a span. Records only if tracing is active on this thread (process
 /// flag, thread guard, or an enclosing live span).
 pub fn span(kind: SpanKind) -> SpanGuard {
+    open(kind).0
+}
+
+/// Open a span if tracing is active, then read the clock: the instant
+/// returned is the span's start, so its own bookkeeping is not timed.
+fn open(kind: SpanKind) -> (SpanGuard, Instant) {
     if !cfg!(feature = "trace") || !is_active() {
-        return SpanGuard(None);
+        return (SpanGuard(None), Instant::now());
     }
     let prev = CURRENT.with(Cell::get);
     let trace_id = if prev.0 != 0 {
@@ -451,25 +447,22 @@ pub fn span(kind: SpanKind) -> SpanGuard {
     };
     let span_id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     CURRENT.with(|c| c.set((trace_id, span_id)));
-    let e = epoch();
-    SpanGuard(Some(ActiveSpan {
+    let epoch = epoch();
+    let start = Instant::now();
+    let span = ActiveSpan {
         trace_id,
         span_id,
         parent_id: prev.1,
         kind,
-        start: Instant::now(),
-        start_ns: e.elapsed().as_nanos() as u64,
+        start,
+        start_ns: start.duration_since(epoch).as_nanos() as u64,
         rows_in: 0,
         rows_out: 0,
         flags: 0,
         aux: 0,
         prev,
-    }))
-}
-
-/// An always-inert guard, for sites that only sometimes have a span.
-pub fn inert() -> SpanGuard {
-    SpanGuard(None)
+    };
+    (SpanGuard(Some(span)), start)
 }
 
 impl SpanGuard {
@@ -510,10 +503,10 @@ impl SpanGuard {
             a.flags |= flags;
         }
     }
-}
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
+    /// Record the span into the global ring, lasting `dur` — or, when
+    /// `None`, until now.
+    fn close(&mut self, dur: Option<Duration>) {
         if let Some(a) = self.0.take() {
             CURRENT.with(|c| c.set(a.prev));
             Tracer::global().push(&SpanRecord {
@@ -524,13 +517,85 @@ impl Drop for SpanGuard {
                 kind: a.kind,
                 thread: thread_tag(),
                 start_ns: a.start_ns,
-                dur_ns: a.start.elapsed().as_nanos() as u64,
+                dur_ns: dur.unwrap_or_else(|| a.start.elapsed()).as_nanos() as u64,
                 rows_in: a.rows_in,
                 rows_out: a.rows_out,
                 flags: a.flags,
                 aux: a.aux,
             });
         }
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        self.close(None);
+    }
+}
+
+/// One timed execution of a taxonomy stage, from [`stage`]: a single
+/// clock reading at open and one at [`finish`](Self::finish) feed the
+/// registry sample, the span (when tracing is active) and, through the
+/// returned duration, the caller's `Explain` or report. Dropped without
+/// `finish` — an early `?` — it still records its span, but no registry
+/// sample.
+#[derive(Debug)]
+#[must_use = "a stage reaches the registry only through `finish`"]
+pub struct StageGuard {
+    stage: Stage,
+    start: Instant,
+    span: SpanGuard,
+}
+
+/// Start timing `stage`, opening its span if tracing is active.
+pub fn stage(stage: Stage) -> StageGuard {
+    let (span, start) = open(SpanKind::Stage(stage));
+    StageGuard { stage, start, span }
+}
+
+impl StageGuard {
+    /// Whether the span will record.
+    pub fn is_recording(&self) -> bool {
+        self.span.is_recording()
+    }
+
+    /// See [`SpanGuard::ctx`].
+    pub fn ctx(&self) -> Option<(u64, u64)> {
+        self.span.ctx()
+    }
+
+    /// See [`SpanGuard::set_rows`].
+    pub fn set_rows(&mut self, rows_in: u64, rows_out: u64) {
+        self.span.set_rows(rows_in, rows_out);
+    }
+
+    /// See [`SpanGuard::set_aux`].
+    pub fn set_aux(&mut self, aux: u64) {
+        self.span.set_aux(aux);
+    }
+
+    /// See [`SpanGuard::add_flags`].
+    pub fn add_flags(&mut self, flags: u64) {
+        self.span.add_flags(flags);
+    }
+
+    /// End the stage: `rows` and the elapsed time go to the registry, the
+    /// span closes with the same duration, which is returned.
+    pub fn finish(self, rows: usize) -> Duration {
+        self.finish_excluding(rows, Duration::ZERO)
+    }
+
+    /// [`finish`](Self::finish) for a stage that contains other stages
+    /// recording their own samples (lazy imprint builds inside a probe):
+    /// the registry gets, and the caller is returned, the elapsed time
+    /// minus `nested`; the span keeps the whole of it, so the trace tree
+    /// still nests.
+    pub fn finish_excluding(mut self, rows: usize, nested: Duration) -> Duration {
+        let wall = self.start.elapsed();
+        let own = wall.saturating_sub(nested);
+        MetricsRegistry::global().record_stage(self.stage, rows, own);
+        self.span.close(Some(wall));
+        own
     }
 }
 

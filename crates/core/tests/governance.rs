@@ -148,22 +148,19 @@ fn queued_query_times_out_when_permit_never_frees() {
 
 #[test]
 fn metrics_snapshot_exposes_governor_counters() {
-    let json = MetricsRegistry::global().snapshot_json();
+    let names: Vec<&str> = MetricsRegistry::global()
+        .counter_values()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
     for key in [
         "queries_shed",
         "queries_timed_out",
         "queries_killed",
         "budget_trips",
     ] {
-        assert!(
-            json.contains(&format!("\"{key}\"")),
-            "missing {key}: {json}"
-        );
+        assert!(names.contains(&key), "missing {key}: {names:?}");
     }
-    assert!(
-        json.contains("\"governor\""),
-        "governor stage block: {json}"
-    );
 }
 
 #[test]

@@ -1,6 +1,8 @@
-//! Smoke tests for the metrics registry: the JSON snapshot is well-formed,
-//! stage timers stay within a generous tolerance of wall-clock, and the
-//! process-wide counters move when queries run.
+//! Smoke tests for the metrics registry: stage timers stay within a
+//! generous tolerance of wall-clock, and the process-wide counters and
+//! stage samples move when queries run — with the `trace` feature compiled
+//! out too (`scripts/ci.sh` runs this file under `--no-default-features`),
+//! where every stage guard's span is inert but its registry sample is not.
 //!
 //! The registry is process-global and test threads share it, so every
 //! cross-operation assertion here is monotone (`>=` deltas) rather than
@@ -16,135 +18,6 @@ use lidardb_core::{
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
-
-// ------------------------------------------------- a tiny JSON validator
-//
-// The tree deliberately has no serde; this minimal recursive-descent
-// checker is enough to prove the snapshot is parseable JSON (balanced
-// structure, legal scalars, no trailing commas).
-
-struct Json<'a> {
-    s: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Json<'a> {
-    fn new(s: &'a str) -> Self {
-        Json {
-            s: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn fail(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.pos)
-    }
-
-    fn ws(&mut self) {
-        while self.pos < self.s.len() && self.s[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.s.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.fail(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.eat(b'"')?;
-        while let Some(&b) = self.s.get(self.pos) {
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(()),
-                b'\\' => self.pos += 1, // skip the escaped byte
-                _ => {}
-            }
-        }
-        Err(self.fail("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        if self.s.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .s
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || *b == b'.')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.fail("expected number"));
-        }
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.eat(b'{')?;
-                if self.peek() == Some(b'}') {
-                    return self.eat(b'}');
-                }
-                loop {
-                    self.ws();
-                    self.string()?;
-                    self.eat(b':')?;
-                    self.value()?;
-                    match self.peek() {
-                        Some(b',') => self.eat(b',')?,
-                        _ => return self.eat(b'}'),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.eat(b'[')?;
-                if self.peek() == Some(b']') {
-                    return self.eat(b']');
-                }
-                loop {
-                    self.value()?;
-                    match self.peek() {
-                        Some(b',') => self.eat(b',')?,
-                        _ => return self.eat(b']'),
-                    }
-                }
-            }
-            Some(b'"') => {
-                self.ws();
-                self.string()
-            }
-            Some(_) => {
-                self.ws();
-                self.number()
-            }
-            None => Err(self.fail("unexpected end of input")),
-        }
-    }
-}
-
-/// Validate that `s` is one complete JSON value with nothing after it.
-fn validate_json(s: &str) -> Result<(), String> {
-    let mut p = Json::new(s);
-    p.value()?;
-    p.ws();
-    if p.pos != p.s.len() {
-        return Err(p.fail("trailing bytes after document"));
-    }
-    Ok(())
-}
 
 // -------------------------------------------------------------- fixtures
 
@@ -180,16 +53,6 @@ fn rect(min_x: f64, min_y: f64, max_x: f64, max_y: f64) -> SpatialPredicate {
 // ----------------------------------------------------------------- tests
 
 #[test]
-fn json_validator_accepts_and_rejects() {
-    validate_json("{\"a\": [1, 2.5, \"x\"], \"b\": {}}").unwrap();
-    validate_json("{}").unwrap();
-    assert!(validate_json("{\"a\": }").is_err());
-    assert!(validate_json("{\"a\": 1,}").is_err(), "trailing comma");
-    assert!(validate_json("[1, 2").is_err(), "unbalanced");
-    assert!(validate_json("{} x").is_err(), "trailing bytes");
-}
-
-#[test]
 fn metrics_smoke() {
     let metrics = MetricsRegistry::global();
     let pc = Arc::new(cloud(20_000));
@@ -198,6 +61,8 @@ fn metrics_smoke() {
     // --- per-query Explain: stage timers bounded by wall-clock -----------
     let queries_before = metrics.queries.get();
     let probe_calls_before = metrics.stage(Stage::ImprintProbe).calls.get();
+    let bbox_calls_before = metrics.stage(Stage::BboxScan).calls.get();
+    let refine_calls_before = metrics.stage(Stage::GridRefine).calls.get();
     let probe_rows_before = metrics.stage(Stage::ImprintProbe).rows.get();
     let wall = Instant::now();
     let sel = pc
@@ -216,7 +81,7 @@ fn metrics_smoke() {
     }
     // The stage timings are disjoint sub-spans of the query, so their sum
     // cannot meaningfully exceed the enclosing wall-clock. Generous
-    // tolerance: the clock sources differ and CI machines are noisy.
+    // tolerance: CI machines are noisy.
     assert!(
         e.total_seconds() <= wall * 1.5 + 0.05,
         "stage sum {} vs wall {}",
@@ -237,6 +102,16 @@ fn metrics_smoke() {
         metrics.stage(Stage::ImprintProbe).calls.get() > probe_calls_before,
         "probe stage recorded"
     );
+    for (stage, before) in [
+        (Stage::BboxScan, bbox_calls_before),
+        (Stage::GridRefine, refine_calls_before),
+    ] {
+        assert!(
+            metrics.stage(stage).calls.get() > before,
+            "{} stage recorded",
+            stage.name()
+        );
+    }
     let s = metrics.stage(Stage::ImprintProbe);
     let hist_total: u64 = s.latency.counts().iter().sum();
     assert!(
@@ -257,30 +132,6 @@ fn metrics_smoke() {
         )
         .unwrap();
     assert!(metrics.stage(Stage::Aggregate).calls.get() > agg_calls);
-
-    // --- snapshot: parseable JSON with the expected keys -------------------
-    let json = metrics.snapshot_json();
-    validate_json(&json).unwrap_or_else(|e| panic!("snapshot not valid JSON: {e}\n{json}"));
-    for key in [
-        "\"counters\"",
-        "\"gauges\"",
-        "\"stages\"",
-        "\"queries\"",
-        "\"imprint_probes\"",
-        "\"scan_rows_examined\"",
-        "\"table_rows\"",
-        "\"latency_log2ns\"",
-        "\"latency_le_ns\"",
-    ] {
-        assert!(json.contains(key), "missing {key} in snapshot:\n{json}");
-    }
-    for stage in Stage::ALL {
-        assert!(
-            json.contains(stage.name()),
-            "missing stage {}",
-            stage.name()
-        );
-    }
 
     // Registry stage seconds stay sane: the probe stage's accumulated time
     // is positive only if calls happened, and within tolerance of the sum

@@ -3,7 +3,6 @@
 //! ```text
 //! lidardb-server [--listen ADDR]            bind address (default 127.0.0.1:5433)
 //!                [--metrics ADDR]           Prometheus /metrics + /healthz listener (default 127.0.0.1:9433; "off" disables)
-//!                [--sample-ms MS]           flight-recorder sampling interval (default 300)
 //!                [--synthetic N]            in-memory grid cloud with N points as table `points`
 //!                [--open DIR]               open a saved cloud directory as table `points`
 //!                [--ingest DIR]             open DIR for streaming ingest (GroupCommit) as table `stream`
@@ -26,7 +25,7 @@ use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::Duration;
 
-use lidardb_core::{AdmissionController, Durability, PointCloud, Recorder};
+use lidardb_core::{AdmissionController, Durability, PointCloud};
 use lidardb_server::Server;
 use lidardb_sql::Catalog;
 
@@ -95,7 +94,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut listen = "127.0.0.1:5433".to_string();
     let mut metrics = "127.0.0.1:9433".to_string();
-    let mut sample_ms: u64 = lidardb_core::DEFAULT_INTERVAL_MS;
     let mut n_synth: Option<usize> = None;
     let mut open_dir: Option<String> = None;
     let mut ingest_dir: Option<String> = None;
@@ -114,7 +112,6 @@ fn main() {
         match a.as_str() {
             "--listen" => listen = val(),
             "--metrics" => metrics = val(),
-            "--sample-ms" => sample_ms = val().parse().unwrap_or_else(|_| die("bad --sample-ms")),
             "--synthetic" => {
                 n_synth = Some(val().parse().unwrap_or_else(|_| die("bad --synthetic")))
             }
@@ -139,7 +136,7 @@ fn main() {
             "--drain-ms" => drain_ms = val().parse().unwrap_or_else(|_| die("bad --drain-ms")),
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: lidardb-server [--listen ADDR] [--metrics ADDR|off] [--sample-ms MS] \
+                    "usage: lidardb-server [--listen ADDR] [--metrics ADDR|off] \
                      [--synthetic N] [--open DIR] [--ingest DIR] [--admit IN_FLIGHT,QUEUE] \
                      [--deadline MS] [--batch-rows N] [--drain-ms MS]"
                 );
@@ -188,11 +185,6 @@ fn main() {
     if catalog.table_names().is_empty() {
         die("no tables: pass --synthetic, --open, or --ingest");
     }
-
-    // The flight recorder is always on: the sampler costs one registry
-    // read per interval and gives /metrics, sys.recorder, and post-hoc
-    // incident forensics a shared ~10-minute history.
-    Recorder::global().start_sampler(Duration::from_millis(sample_ms.max(1)));
 
     let mut server = Server::bind(&listen, catalog)
         .unwrap_or_else(|e| die(&e.to_string()))

@@ -23,8 +23,8 @@
 //! `server_recv` / `server_send` stages, and the server carries the
 //! **observability plane** ([`promtext`]): an optional second listener
 //! ([`Server::with_metrics_addr`]) answering `GET /metrics` with the
-//! Prometheus text exposition (scalars from the flight recorder's latest
-//! sample, per-stage log₂ latency histograms live) and `GET /healthz`
+//! Prometheus text exposition (every registry series and the per-stage
+//! log₂ latency histograms, read live) and `GET /healthz`
 //! with a 200/503 saturation verdict (503 also while draining or while
 //! any table is storage-degraded). Every connection is also visible in
 //! `SELECT * FROM sys.sessions` via the core `SessionRegistry`.

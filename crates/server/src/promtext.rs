@@ -7,11 +7,9 @@
 //! client library — the format is five line shapes and an escaping rule,
 //! and owning the encoder keeps the server dependency-free.
 //!
-//! Scrape consistency: scalar values come from the flight recorder's
-//! latest sample when one exists ([`Recorder::latest`]), so a scrape and
-//! `sys.recorder` agree on what "now" means; histograms are read live
-//! from the registry (the recorder captures scalars only — distributions
-//! are cheap to read lock-free and expensive to ring-buffer).
+//! Every value is read live from the registry: the scalars by walking
+//! [`MetricsRegistry::SERIES`], the list `sys.metrics` walks too, and the
+//! stage histograms lock-free. Keeping history is the scraper's job.
 //!
 //! Exposition rules honoured here (and checked by the validator in
 //! `tests/exposition.rs`):
@@ -24,7 +22,8 @@
 
 use std::fmt::Write as _;
 
-use lidardb_core::{MetricsRegistry, Recorder, RecorderSample, Stage};
+use lidardb_core::metrics::SeriesKind;
+use lidardb_core::{MetricsRegistry, Stage};
 
 /// Content-Type for the scrape response.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -65,44 +64,26 @@ pub fn sanitize_metric_name(name: &str) -> String {
     out
 }
 
-/// Render the full exposition from the global registry and the global
-/// recorder's latest sample.
-pub fn render() -> String {
-    render_from(
-        MetricsRegistry::global(),
-        Recorder::global().latest().as_ref(),
-    )
-}
-
-/// Render the exposition from an explicit registry and (optionally) a
-/// recorder sample supplying scalar values. With `sample == None` the
-/// scalars are read live — the endpoint works before the first sample
-/// lands — and `recorder_last_seq` is left out.
-pub fn render_from(registry: &MetricsRegistry, sample: Option<&RecorderSample>) -> String {
+/// Render the exposition of `registry`.
+pub fn render(registry: &MetricsRegistry) -> String {
     let mut out = String::with_capacity(16 * 1024);
 
-    // Scalars: counters then gauges, recorder-sampled when possible.
-    for (name, live) in registry.counter_values() {
-        let v = sample.and_then(|s| s.value(name)).unwrap_or(live);
-        let m = format!("{PREFIX}_{}_total", sanitize_metric_name(name));
-        let _ = writeln!(out, "# TYPE {m} counter\n{m} {v}");
+    // Scalars, in series order: counters get the `_total` suffix.
+    for series in MetricsRegistry::SERIES {
+        let name = sanitize_metric_name(series.name);
+        let m = match series.kind {
+            SeriesKind::Counter => format!("{PREFIX}_{name}_total"),
+            SeriesKind::Gauge => format!("{PREFIX}_{name}"),
+        };
+        let (kind, v) = (series.kind.name(), series.value(registry));
+        let _ = writeln!(out, "# TYPE {m} {kind}\n{m} {v}");
     }
-    for (name, live) in registry.gauge_values() {
-        let v = sample.and_then(|s| s.value(name)).unwrap_or(live);
-        let m = format!("{PREFIX}_{}", sanitize_metric_name(name));
-        let _ = writeln!(out, "# TYPE {m} gauge\n{m} {v}");
-    }
-
-    // Process / recorder meta.
-    let uptime_ns = sample.map_or_else(|| registry.uptime_ns(), |s| s.uptime_ns);
     let m = format!("{PREFIX}_uptime_seconds");
-    let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", uptime_ns as f64 * 1e-9);
-    // The first sample's `seq` is 0, so the series exists only once a
-    // sample does: "no sample yet" and "first sample" read differently.
-    if let Some(s) = sample {
-        let m = format!("{PREFIX}_recorder_last_seq");
-        let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", s.seq);
-    }
+    let _ = writeln!(
+        out,
+        "# TYPE {m} gauge\n{m} {}",
+        registry.uptime_ns() as f64 * 1e-9
+    );
 
     // Per-stage latency histograms, one family with a `stage` label.
     // Bucket b of the log₂ histogram holds calls with ⌊log₂ ns⌋ = b,
@@ -190,20 +171,18 @@ pub fn health_status(
     }
 }
 
-/// Health verdict from the live gauges (recorder sample preferred, same
-/// source the scrape uses) and the answering server's own drain flag. The
-/// drain and degradation flags are read live — a drain must flip
-/// `/healthz` immediately, not a sampling interval later — and the drain
-/// flag is the server's, not the process-wide `server_draining` gauge, so
-/// one server's drain never takes another out of rotation.
+/// Health verdict from the live gauges and the answering server's own
+/// drain flag. The drain flag is the server's, not the process-wide
+/// `server_draining` gauge, so one server's drain never takes another out
+/// of rotation.
 pub fn health_now(draining: bool) -> (bool, String) {
     let registry = MetricsRegistry::global();
-    let sample = Recorder::global().latest();
-    let get = |name: &str, live: u64| sample.as_ref().and_then(|s| s.value(name)).unwrap_or(live);
-    let queued = get("admission_queued", registry.admission_queued.get());
-    let backlog = get("wal_backlog_rows", registry.wal_backlog_rows.get());
-    let degraded = registry.degraded_tables.get();
-    health_status(queued, backlog, draining, degraded)
+    health_status(
+        registry.admission_queued.get(),
+        registry.wal_backlog_rows.get(),
+        draining,
+        registry.degraded_tables.get(),
+    )
 }
 
 #[cfg(test)]
@@ -228,7 +207,7 @@ mod tests {
 
     #[test]
     fn renders_every_counter_and_gauge() {
-        let text = render_from(MetricsRegistry::global(), None);
+        let text = render(MetricsRegistry::global());
         for (name, _) in MetricsRegistry::global().counter_values() {
             let m = format!("{PREFIX}_{name}_total");
             assert!(text.contains(&format!("# TYPE {m} counter")), "missing {m}");

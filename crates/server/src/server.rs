@@ -131,6 +131,9 @@ impl Server {
     /// working while the query plane is saturated.
     pub fn with_metrics_addr(mut self, addr: impl ToSocketAddrs) -> std::io::Result<Server> {
         self.metrics_listener = Some(TcpListener::bind(addr)?);
+        // Pins the registry's epoch: `lidardb_uptime_seconds` counts from
+        // the listener's bind at the latest, not from the first scrape.
+        MetricsRegistry::global().uptime_ns();
         Ok(self)
     }
 
@@ -441,7 +444,11 @@ fn serve_metrics_conn(stream: TcpStream, draining: bool) -> std::io::Result<()> 
         ("400 Bad Request", "text/plain", "bad request\n".to_string())
     } else {
         match path {
-            "/metrics" => ("200 OK", promtext::CONTENT_TYPE, promtext::render()),
+            "/metrics" => (
+                "200 OK",
+                promtext::CONTENT_TYPE,
+                promtext::render(MetricsRegistry::global()),
+            ),
             "/healthz" => {
                 let (healthy, body) = promtext::health_now(draining);
                 let status = if healthy {

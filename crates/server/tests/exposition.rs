@@ -2,15 +2,15 @@
 //! over real HTTP, the exposition checked by an in-repo validator
 //! (golden-file discipline without a vendored Prometheus), property
 //! tests over the escaping rules, and the acceptance loopback —
-//! `SELECT * FROM sys.metrics` over the wire agrees with the registry
-//! the exposition and `snapshot_json` render.
+//! `SELECT * FROM sys.metrics` over the wire agrees with the exposition:
+//! both render one registry's series list.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-use lidardb_core::{MetricsRegistry, PointCloud, Recorder};
+use lidardb_core::{MetricsRegistry, PointCloud};
 use lidardb_las::PointRecord;
 use lidardb_server::promtext;
 use lidardb_server::{Client, Server, ServerHandle};
@@ -203,9 +203,8 @@ fn rendered_exposition_validates() {
         "SELECT COUNT(*) FROM points WHERE x < 30 AND y < 30",
     )
     .unwrap();
-    Recorder::global().sample_now();
 
-    let text = promtext::render();
+    let text = promtext::render(MetricsRegistry::global());
     let samples = validate_exposition(&text);
     assert!(
         samples.iter().any(|s| s.name == "lidardb_queries_total"),
@@ -216,19 +215,6 @@ fn rendered_exposition_validates() {
             .iter()
             .any(|s| s.name == "lidardb_stage_duration_nanoseconds_bucket"),
         "stage histogram missing"
-    );
-    // Scalars come from the recorder sample just taken — the first one
-    // too, whose seq is 0 — and only a scrape without a sample lacks the
-    // series.
-    let seq = samples
-        .iter()
-        .find(|s| s.name == "lidardb_recorder_last_seq")
-        .expect("scrape not served from a recorder sample");
-    assert!(seq.value >= 0.0);
-    let unsampled = promtext::render_from(MetricsRegistry::global(), None);
-    assert!(
-        !unsampled.contains("lidardb_recorder_last_seq"),
-        "no sample, no seq"
     );
 }
 
@@ -307,7 +293,6 @@ fn metrics_endpoint_serves_valid_exposition() {
     client
         .query_collect("SELECT COUNT(*) FROM points WHERE x < 40")
         .unwrap();
-    Recorder::global().sample_now();
 
     let (status, body) = http_get(metrics, "/metrics");
     assert!(status.contains("200"), "bad status {status:?}");
@@ -323,7 +308,7 @@ fn metrics_endpoint_serves_valid_exposition() {
 #[test]
 fn healthz_reports_ok_and_unknown_paths_404() {
     let (server, metrics) = serve_with_metrics(points_catalog(grid_cloud(1_000)));
-    // An idle server is healthy (gauges read live, no sampler needed).
+    // An idle server is healthy.
     let (status, body) = http_get(metrics, "/healthz");
     assert!(status.contains("200"), "bad status {status:?}");
     assert_eq!(body, "ok\n");
@@ -340,13 +325,13 @@ fn healthz_reports_ok_and_unknown_paths_404() {
 
 // ------------------------------------------- acceptance: sys over wire
 
-/// The ISSUE's acceptance loopback: `SELECT * FROM sys.metrics` over the
-/// wire returns the same counters as `snapshot_json` — same name set,
-/// and every (monotone) counter value bracketed by registry reads taken
-/// before and after the wire query.
+/// `SELECT * FROM sys.metrics` over the wire and a `/metrics` scrape
+/// render one registry: their counter, gauge and stage name sets are
+/// equal in both directions, and every (monotone) counter value seen over
+/// the wire is bracketed by registry reads taken before and after it.
 #[test]
-fn sys_metrics_over_the_wire_matches_snapshot_json() {
-    let (server, _metrics) = serve_with_metrics(points_catalog(grid_cloud(5_000)));
+fn sys_metrics_over_the_wire_matches_the_exposition() {
+    let (server, metrics) = serve_with_metrics(points_catalog(grid_cloud(5_000)));
     let mut client = Client::connect(server.addr()).unwrap();
     client
         .query_collect("SELECT COUNT(*) FROM points WHERE x < 40")
@@ -363,44 +348,60 @@ fn sys_metrics_over_the_wire_matches_snapshot_json() {
         .counter_values()
         .into_iter()
         .collect();
-    let snapshot = MetricsRegistry::global().snapshot_json();
+    let (status, text) = http_get(metrics, "/metrics");
+    assert!(status.contains("200"), "bad status {status:?}");
+    let samples = validate_exposition(&text);
 
     assert_eq!(columns, ["kind", "name", "value"]);
-    let wire_counters: BTreeMap<String, i64> = rows
-        .iter()
-        .filter(|r| matches!(&r[0], SqlValue::Str(k) if k == "counter"))
-        .map(|r| {
-            let name = match &r[1] {
-                SqlValue::Str(s) => s.clone(),
-                other => panic!("bad name value {other:?}"),
-            };
-            let value = match &r[2] {
-                SqlValue::Int(v) => *v,
-                other => panic!("bad counter value {other:?}"),
-            };
-            (name, value)
-        })
-        .collect();
-
-    // Same counter set as the registry (and therefore snapshot_json).
-    let expected: Vec<&str> = before.keys().copied().collect();
-    let got: Vec<&str> = wire_counters.keys().map(String::as_str).collect();
-    assert_eq!(got, expected, "wire counter set != registry counter set");
-    for (name, value) in &wire_counters {
-        // Counters are monotone: the value seen over the wire must sit
-        // between the registry reads bracketing the statement.
-        let lo = before[name.as_str()];
-        let hi = after[name.as_str()];
-        let v = *value as u64;
-        assert!(
-            v >= lo && v <= hi,
-            "counter {name}: wire value {v} outside [{lo}, {hi}]"
-        );
-        // And every counter sys.metrics serves is in snapshot_json.
-        assert!(
-            snapshot.contains(&format!("\"{name}\"")),
-            "counter {name} missing from snapshot_json"
-        );
+    let mut wire: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for r in &rows {
+        let (SqlValue::Str(kind), SqlValue::Str(name), SqlValue::Int(value)) =
+            (&r[0], &r[1], &r[2])
+        else {
+            panic!("bad sys.metrics row {r:?}");
+        };
+        let class = match kind.as_str() {
+            "counter" => {
+                // Counters are monotone: the value seen over the wire must
+                // sit between the registry reads bracketing the statement.
+                let (lo, hi, v) = (before[name.as_str()], after[name.as_str()], *value as u64);
+                assert!(
+                    v >= lo && v <= hi,
+                    "counter {name}: wire value {v} outside [{lo}, {hi}]"
+                );
+                "counter"
+            }
+            "gauge" => "gauge",
+            k if k.starts_with("stage_") => "stage",
+            other => panic!("unknown sys.metrics kind {other}"),
+        };
+        wire.entry(class).or_default().insert(name.clone());
     }
+
+    let mut scraped: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for line in text.lines() {
+        let Some(rest) = line.strip_prefix("# TYPE lidardb_") else {
+            continue;
+        };
+        let (family, kind) = rest.split_once(' ').unwrap();
+        let name = match kind {
+            "counter" if family != "stage_rows_total" => family.strip_suffix("_total").unwrap(),
+            "gauge" if family != "uptime_seconds" => family,
+            _ => continue,
+        };
+        scraped.entry(kind).or_default().insert(name.to_string());
+    }
+    scraped.insert(
+        "stage",
+        samples
+            .iter()
+            .filter(|s| s.name == "lidardb_stage_duration_nanoseconds_count")
+            .map(|s| s.labels["stage"].clone())
+            .collect(),
+    );
+    assert_eq!(
+        wire, scraped,
+        "sys.metrics and /metrics name different series"
+    );
     server.shutdown();
 }

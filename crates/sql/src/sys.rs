@@ -10,28 +10,26 @@
 //!
 //! | table          | one row per                                     |
 //! |----------------|-------------------------------------------------|
-//! | `sys.metrics`  | process counter / gauge / stage percentile      |
+//! | `sys.metrics`  | registry series / stage statistic               |
 //! | `sys.queries`  | in-flight query (subsumes `SHOW QUERIES`)       |
 //! | `sys.sessions` | open network session                            |
 //! | `sys.tiles`    | tile of every registered tiled table            |
 //! | `sys.wal`      | streaming (ingest) table                        |
-//! | `sys.recorder` | (sample, series) point of the flight recorder   |
 //!
 //! The snapshot semantics are per-statement: one `SELECT` sees one
 //! consistent build of the table; two scans may differ, like any
 //! monitoring view.
 
-use lidardb_core::{recorder, MetricsRegistry, QueryRegistry, Recorder, SessionRegistry, Stage};
+use lidardb_core::{MetricsRegistry, QueryRegistry, SessionRegistry, Stage};
 
 use crate::ast::SelectStmt;
 use crate::catalog::{Catalog, PcRead, Table, VColumn, VectorTable};
 use crate::error::SqlError;
 
-/// The six virtual tables, in catalog order.
-pub const SYS_TABLES: [&str; 6] = [
+/// The five virtual tables, in catalog order.
+pub const SYS_TABLES: [&str; 5] = [
     "sys.metrics",
     "sys.queries",
-    "sys.recorder",
     "sys.sessions",
     "sys.tiles",
     "sys.wal",
@@ -59,7 +57,7 @@ pub fn scoped_catalog(catalog: &Catalog, sel: &SelectStmt) -> Result<Option<Cata
 }
 
 /// Materialise one `sys.` table. The build reads only lock-free state
-/// (atomics, seqlock rings) or short registry locks — never a table lock,
+/// (atomics) or short registry locks — never a table lock,
 /// so monitoring cannot stall the write path.
 pub fn build_sys_table(catalog: &Catalog, name: &str) -> Result<VectorTable, SqlError> {
     match name {
@@ -68,7 +66,6 @@ pub fn build_sys_table(catalog: &Catalog, name: &str) -> Result<VectorTable, Sql
         "sys.sessions" => Ok(sys_sessions()),
         "sys.tiles" => Ok(sys_tiles(catalog)),
         "sys.wal" => Ok(sys_wal(catalog)),
-        "sys.recorder" => Ok(sys_recorder()),
         other => Err(SqlError::Plan(format!(
             "unknown sys table {other} (expected one of: {})",
             SYS_TABLES.join(", ")
@@ -76,30 +73,26 @@ pub fn build_sys_table(catalog: &Catalog, name: &str) -> Result<VectorTable, Sql
     }
 }
 
-/// `sys.metrics`: one row per process counter, gauge, and per-stage
-/// latency percentile. Counter and gauge names (and values) are exactly
-/// the ones `MetricsRegistry::snapshot_json` emits — both surfaces read
-/// [`MetricsRegistry::counter_values`] / `gauge_values`.
+/// `sys.metrics`: one row per registry series (`kind` counter or gauge),
+/// then five per stage: calls, rows, total nanoseconds and the p50/p99
+/// latency bounds. The series rows walk [`MetricsRegistry::SERIES`], the
+/// list `/metrics` renders too.
 fn sys_metrics() -> VectorTable {
     let m = MetricsRegistry::global();
     let mut kinds = Vec::new();
     let mut names = Vec::new();
     let mut values: Vec<i64> = Vec::new();
-    for (n, v) in m.counter_values() {
-        kinds.push("counter".to_string());
-        names.push(n.to_string());
-        values.push(v as i64);
-    }
-    for (n, v) in m.gauge_values() {
-        kinds.push("gauge".to_string());
-        names.push(n.to_string());
-        values.push(v as i64);
+    for series in MetricsRegistry::SERIES {
+        kinds.push(series.kind.name().to_string());
+        names.push(series.name.to_string());
+        values.push(series.value(m) as i64);
     }
     for stage in Stage::ALL {
         let s = m.stage(stage);
         for (kind, v) in [
             ("stage_calls", s.calls.get()),
             ("stage_rows", s.rows.get()),
+            ("stage_nanos", s.nanos.get()),
             ("stage_p50_ns", s.latency.percentile_ns(0.50)),
             ("stage_p99_ns", s.latency.percentile_ns(0.99)),
         ] {
@@ -156,6 +149,14 @@ fn sys_queries() -> VectorTable {
 /// `sys.sessions`: open network sessions (embedded use registers none).
 fn sys_sessions() -> VectorTable {
     let list = SessionRegistry::global().list();
+    // Drain is server-wide, mirrored through the gauge so the embedded
+    // catalog needs no handle to the server: every open session is
+    // `draining` once shutdown begins, `active` before.
+    let state = if MetricsRegistry::global().server_draining.get() != 0 {
+        "draining"
+    } else {
+        "active"
+    };
     VectorTable::new()
         .with_column(
             "session_id",
@@ -175,24 +176,7 @@ fn sys_sessions() -> VectorTable {
         )
         .with_column(
             "state",
-            // Drain is server-wide, mirrored through the gauge so the
-            // embedded catalog needs no handle to the server: every open
-            // session is `draining` once shutdown begins, `active` before.
-            VColumn::Str(
-                list.iter()
-                    .map(|_| {
-                        if lidardb_core::MetricsRegistry::global()
-                            .server_draining
-                            .get()
-                            != 0
-                        {
-                            "draining".to_string()
-                        } else {
-                            "active".to_string()
-                        }
-                    })
-                    .collect(),
-            ),
+            VColumn::Str(list.iter().map(|_| state.to_string()).collect()),
         )
 }
 
@@ -277,62 +261,33 @@ fn sys_wal(catalog: &Catalog) -> VectorTable {
         .with_column("degraded", VColumn::Int(degraded))
 }
 
-/// `sys.recorder`: the flight recorder's retained history in long format
-/// — one row per (sample, series) pair, so `WHERE series = 'queries'`
-/// pulls one time series and `WHERE seq = N` pulls one full sample.
-fn sys_recorder() -> VectorTable {
-    let names = recorder::series_names();
-    let samples = Recorder::global().snapshot();
-    let points = samples.len() * names.len();
-    let mut seq = Vec::with_capacity(points);
-    let mut uptime = Vec::with_capacity(points);
-    let mut series = Vec::with_capacity(points);
-    let mut value = Vec::with_capacity(points);
-    for s in &samples {
-        for (n, v) in names.iter().zip(&s.values) {
-            seq.push(s.seq as i64);
-            uptime.push(s.uptime_ns as i64);
-            series.push(n.to_string());
-            value.push(*v as i64);
-        }
-    }
-    VectorTable::new()
-        .with_column("seq", VColumn::Int(seq))
-        .with_column("uptime_ns", VColumn::Int(uptime))
-        .with_column("series", VColumn::Str(series))
-        .with_column("value", VColumn::Int(value))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn sys_metrics_matches_snapshot_json_counters() {
-        let m = MetricsRegistry::global();
-        m.queries.add(5);
+    fn sys_metrics_has_a_row_per_series_and_stage_statistic() {
+        use crate::value::SqlValue;
         let t = sys_metrics();
         t.validate().unwrap();
-        // Every snapshot_json counter appears as a counter row with the
-        // same name; values can drift between the two reads, so compare
-        // the name sets, not the numbers.
-        let json = m.snapshot_json();
-        for (name, _) in m.counter_values() {
-            assert!(
-                (0..t.num_rows()).any(|r| t.value("name", r).unwrap()
-                    == crate::value::SqlValue::Str(name.to_string())),
-                "{name} missing from sys.metrics"
-            );
-            assert!(json.contains(&format!("\"{name}\"")), "{name} not in JSON");
+        let has = |kind: &str, name: &str| {
+            (0..t.num_rows()).any(|r| {
+                t.value("kind", r).unwrap() == SqlValue::Str(kind.into())
+                    && t.value("name", r).unwrap() == SqlValue::Str(name.into())
+            })
+        };
+        for series in MetricsRegistry::SERIES {
+            assert!(has(series.kind.name(), series.name), "{}", series.name);
         }
-        // Stage percentiles present for every stage.
         for stage in Stage::ALL {
-            assert!((0..t.num_rows()).any(|r| {
-                t.value("kind", r).unwrap() == crate::value::SqlValue::Str("stage_p99_ns".into())
-                    && t.value("name", r).unwrap()
-                        == crate::value::SqlValue::Str(stage.name().to_string())
-            }));
+            for kind in ["stage_calls", "stage_rows", "stage_nanos", "stage_p99_ns"] {
+                assert!(has(kind, stage.name()), "{kind} {}", stage.name());
+            }
         }
+        assert_eq!(
+            t.num_rows(),
+            MetricsRegistry::SERIES.len() + 5 * Stage::ALL.len()
+        );
     }
 
     #[test]
@@ -384,19 +339,5 @@ mod tests {
             t.value("durability", 0).unwrap(),
             crate::value::SqlValue::Str("always".into())
         );
-    }
-
-    #[test]
-    fn sys_recorder_long_format_round_trips() {
-        let r = Recorder::global();
-        MetricsRegistry::global().queries.inc();
-        r.sample_now();
-        let t = sys_recorder();
-        t.validate().unwrap();
-        assert!(t.num_rows() >= recorder::series_names().len());
-        assert!(t.num_rows().is_multiple_of(recorder::series_names().len()));
-        assert!((0..t.num_rows()).any(|row| {
-            t.value("series", row).unwrap() == crate::value::SqlValue::Str("queries".into())
-        }));
     }
 }

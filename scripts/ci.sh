@@ -26,8 +26,8 @@ LIDARDB_WORKERS=8 cargo test -q -p lidardb-core --test differential
 echo "==> harness e4: every refinement strategy returns the exhaustive strategy's rows"
 cargo run -q --release -p lidardb-bench --bin harness -- e4
 
-echo "==> core builds with tracing compiled out"
-cargo check -q -p lidardb-core --no-default-features
+echo "==> core with tracing compiled out: stage guards still feed the registry"
+cargo test -q -p lidardb-core --no-default-features --test metrics_smoke
 
 echo "==> benchmark smoke (the four BENCHMARK.json workloads, oracle-checked, 1 s each, untraced and traced)"
 for w in nav_flat nav_tiled adhoc_refine ingest_mixed; do for t in 0 1; do
