@@ -1,7 +1,8 @@
 //! The paper reproducer: prints a paper-vs-measured table for every claim
 //! of the demo paper that has no equivalent over the wire (E1, E2, E4, E5,
-//! E7 + E7b, E8), the worker sweep of the query engine (E9) and the
-//! many-client behaviours one benchmark session cannot show (E10, E11).
+//! E7 + E7b, E8), the SQL pipeline on statements no benchmark workload runs
+//! (E6), the worker sweep of the query engine (E9) and the many-client
+//! behaviours one benchmark session cannot show (E10, E11).
 //! Timings print as `median [min–max] n=…`; nothing is gated and nothing
 //! is written outside per-run scratch directories. Everything measured
 //! over the wire lives in `benchmark/` (EXPERIMENTS.md has the map).
@@ -20,8 +21,8 @@ use lidardb_bench::{
     burst, lcg, median_seconds, synthetic_cloud, timed, BurstSummary, Fixture, Outcome, Timing,
 };
 use lidardb_core::{
-    AdmissionController, CoreError, FaultInjector, FaultKind, FaultStage, LoadMethod, LoadPolicy,
-    Loader, Parallelism, PointCloud, PointTable, RefineStrategy, SpatialPredicate,
+    AdmissionController, CancelToken, CoreError, FaultInjector, FaultKind, FaultStage, LoadMethod,
+    LoadPolicy, Loader, Parallelism, PointCloud, PointTable, RefineStrategy, SpatialPredicate,
 };
 use lidardb_geom::{
     contains_point, dwithin_point, Envelope, Geometry, Point, Polygon, PreparedGeometry, Relation,
@@ -40,11 +41,12 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
     println!("lidardb experiment harness — reproduction of VLDB'15 demo claims");
     println!("(shapes, not absolute numbers: substrate is synthetic AHN2-like data)\n");
-    let experiments: [(&str, fn()); 9] = [
+    let experiments: [(&str, fn()); 10] = [
         ("e1", e1_loading),
         ("e2", e2_storage),
         ("e4", e4_refinement),
         ("e5", e5_scenario1),
+        ("e6", e6_sql_pipeline),
         ("e7", e7_robustness),
         ("e8", e8_sfc),
         ("e9", e9_parallel),
@@ -465,6 +467,78 @@ fn e5_scenario1() {
         std::hint::black_box(lidardb_sql::query(&catalog, sql).expect("sql").rows.len());
     });
     println!("  DBMS: {roads} roads in {} ms\n", t.ms());
+}
+
+// ---------------------------------------------------------------------------
+// E6 — the SQL pipeline on statements no benchmark workload runs
+// ---------------------------------------------------------------------------
+
+/// Drops every batch: the timings are the statement's, not a collector's.
+struct Discard;
+
+impl lidardb_sql::RowSink for Discard {
+    fn start(&mut self, _: &[String], _: &CancelToken) -> Result<(), lidardb_sql::SqlError> {
+        Ok(())
+    }
+
+    fn batch(&mut self, _: Vec<Vec<lidardb_sql::SqlValue>>) -> Result<(), lidardb_sql::SqlError> {
+        Ok(())
+    }
+
+    fn columns(&mut self, _: lidardb_sql::ColumnBatch) -> Result<(), lidardb_sql::SqlError> {
+        Ok(())
+    }
+}
+
+fn e6_sql_pipeline() {
+    header(
+        "E6 (scenario 2 scene, §4.2)",
+        "one SQL pipeline: fold, GROUP BY, residuals and projections over one window",
+    );
+    let scene = lidardb::datagen::Scene::generate(lidardb::datagen::SceneConfig {
+        seed: 42,
+        origin: (0.0, 0.0),
+        extent_m: 1000.0,
+    });
+    let mut pc = PointCloud::new();
+    for tile in lidardb::datagen::TileSet::generate(&scene, 3, 1.0).tiles() {
+        pc.append_records(&tile.records).expect("append");
+    }
+    println!("scene: {} points", pc.num_points());
+    let catalog = lidardb::scene_catalog(Arc::new(pc), &scene);
+    let window = "ST_Contains(ST_MakeEnvelope(200, 200, 500, 500), ST_Point(x, y))";
+    let statements = [
+        format!("SELECT COUNT(*), AVG(z) FROM points WHERE {window}"),
+        format!("SELECT COUNT(*), AVG(z) FROM points WHERE {window} GROUP BY classification"),
+        format!("SELECT COUNT(*) FROM points WHERE {window}"),
+        format!("SELECT COUNT(*) FROM points WHERE {window} AND z + 0 > -1000"),
+        format!("SELECT x, y, z FROM points WHERE {window}"),
+        format!("SELECT x, y, z + 0 FROM points WHERE {window}"),
+        format!("SELECT x, y, z FROM points WHERE {window} ORDER BY z LIMIT 10"),
+    ];
+    for sql in &statements {
+        let stmt = lidardb_sql::parser::parse(sql).expect("parse");
+        let run = || {
+            let summary = lidardb_sql::execute_streamed(
+                &catalog,
+                &stmt,
+                lidardb_sql::STREAM_BATCH_ROWS,
+                &mut Discard,
+            );
+            summary.expect("statement").rows
+        };
+        let rows = run();
+        let t = median_seconds(7, || {
+            std::hint::black_box(run());
+        });
+        println!("\n> {sql}");
+        println!("  {rows} rows; best {:.3} ms; {} ms", t.min * 1e3, t.ms());
+        let plan = lidardb_sql::query(&catalog, &format!("EXPLAIN ANALYZE {sql}")).expect("plan");
+        let lines: Vec<String> = plan.rows.iter().map(|r| r[0].render()).collect();
+        let actual = lines.iter().skip_while(|l| *l != "actual:").skip(1);
+        actual.for_each(|l| println!("  {l}"));
+    }
+    println!();
 }
 
 // ---------------------------------------------------------------------------

@@ -679,7 +679,6 @@ impl PointCloud {
         durability: Durability,
         fault: Option<Arc<crate::fault::FaultInjector>>,
     ) -> Result<Self, CoreError> {
-        let t0 = std::time::Instant::now();
         let dir = dir.as_ref();
         crate::persist::recover_stale_dirs(dir)?;
         let saved = match std::fs::read_dir(dir) {
@@ -692,6 +691,9 @@ impl PointCloud {
         } else {
             Self::new()
         };
+        // `Recover` times the WAL scan and replay only: the dump read
+        // above is `PersistLoad`'s.
+        let t0 = std::time::Instant::now();
         if let Some(fi) = &fault {
             pc.set_fault_injector(Arc::clone(fi));
         }

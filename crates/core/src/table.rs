@@ -278,13 +278,10 @@ impl<'a> PointTable<'a> {
         })
     }
 
-    /// Fold `column` over global row ids (any order; a repeated id counts
-    /// each time) under `ctx`: each run goes through the engine's
-    /// compensated aggregate kernel ([`crate::exec`]) and the per-run
-    /// states merge in run order. A one-segment flat table folds the ids
-    /// in the order given, as one run; a streaming or tiled table sorts ids
-    /// that are not ascending first, and a tiled one faults in `column`
-    /// only. `None` for an empty input, except `Count`.
+    /// `agg` of `column` over global row ids under `ctx`: [`Self::fold`]'s
+    /// state read out — `Count` is the number of ids and folds nothing,
+    /// `Avg` is the compensated sum over that number. `None` for an empty
+    /// input, except `Count`.
     pub fn aggregate(
         &self,
         rows: &[usize],
@@ -296,6 +293,31 @@ impl<'a> PointTable<'a> {
         if agg == Aggregate::Count {
             return Ok(Some(rows.len() as f64));
         }
+        let state = self.fold(rows, column, parallelism, ctx)?;
+        Ok(state.map(|state| match agg {
+            Aggregate::Count => unreachable!("answered above"),
+            Aggregate::Sum => state.sum(),
+            Aggregate::Avg => state.sum() / rows.len() as f64,
+            Aggregate::Min => state.min,
+            Aggregate::Max => state.max,
+        }))
+    }
+
+    /// Fold `column` over global row ids (any order; a repeated id counts
+    /// each time) under `ctx` into one compensated [`AggState`], from
+    /// which every aggregate of the column reads: each run goes through
+    /// the engine's aggregate kernel ([`crate::exec`]) and the per-run
+    /// states merge in run order. A one-segment flat table folds the ids
+    /// in the order given, as one run; a streaming or tiled table sorts ids
+    /// that are not ascending first, and a tiled one faults in `column`
+    /// only. `None` for an empty input.
+    pub fn fold(
+        &self,
+        rows: &[usize],
+        column: &str,
+        parallelism: Parallelism,
+        ctx: &GovernCtx,
+    ) -> Result<Option<AggState>, CoreError> {
         if rows.is_empty() {
             return Ok(None);
         }
@@ -330,14 +352,7 @@ impl<'a> PointTable<'a> {
             }
         }
         stage.finish(rows.len());
-        let state = state.expect("non-empty input has a run");
-        Ok(Some(match agg {
-            Aggregate::Count => unreachable!("handled above"),
-            Aggregate::Sum => state.sum(),
-            Aggregate::Avg => state.sum() / rows.len() as f64,
-            Aggregate::Min => state.min,
-            Aggregate::Max => state.max,
-        }))
+        Ok(state)
     }
 
     /// Resolve global row ids to the segments holding them: one run

@@ -169,7 +169,9 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
     /// Whether the scan stopped at a damaged tail (vs. clean EOF).
     pub torn_tail: bool,
-    /// Wall-clock seconds the recovery took.
+    /// Wall-clock seconds of the WAL scan and replay (the `Recover`
+    /// stage). The dump read before them is `PersistLoad`'s and is not
+    /// counted here.
     pub seconds: f64,
 }
 

@@ -106,17 +106,27 @@ fn each_stage_is_measured_once() {
     assert_eq!(ns(e.t_imprint_build), delta(Stage::ImprintBuild));
     assert_eq!(ns(e.t_refine), delta(Stage::GridRefine));
 
-    // A reopen's report carries its `Recover` sample.
+    // A reopen's report carries its `Recover` sample, and the sealed
+    // dump it reads first is timed once, as `PersistLoad`: the two
+    // stages fit inside the reopen's wall time.
     let dir = ScratchDir::vacant("stage_timing_ingest");
-    PointCloud::open_ingest(&dir, Durability::Always)
-        .unwrap()
-        .append_records(&records(2_000))
-        .unwrap();
-    let recover = nanos(Stage::Recover);
+    let mut sealed = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
+    sealed.append_records(&records(40_000)).unwrap();
+    sealed.seal().unwrap();
+    sealed.append_records(&records(2_000)).unwrap();
+    drop(sealed);
+    let (recover, load) = (nanos(Stage::Recover), nanos(Stage::PersistLoad));
+    let t0 = std::time::Instant::now();
     let reopened = PointCloud::open_ingest(&dir, Durability::Always).unwrap();
+    let wall = t0.elapsed().as_nanos() as u64;
     let report = reopened.recovery_report().unwrap();
-    assert_eq!(report.replayed_rows, 2_000);
+    assert_eq!((report.base_rows, report.replayed_rows), (40_000, 2_000));
     assert_eq!(ns(report.seconds), nanos(Stage::Recover) - recover);
+    let stages = (nanos(Stage::Recover) - recover) + (nanos(Stage::PersistLoad) - load);
+    assert!(
+        nanos(Stage::PersistLoad) > load && stages <= wall,
+        "persist_load + recover = {stages} ns over a {wall} ns reopen"
+    );
     drop(reopened);
 
     // A bulk load's report carries the loader's `PersistLoad` sample.

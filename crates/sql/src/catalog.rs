@@ -32,7 +32,7 @@ impl VColumn {
         }
     }
 
-    fn get(&self, row: usize) -> SqlValue {
+    pub(crate) fn get(&self, row: usize) -> SqlValue {
         match self {
             VColumn::Float(v) => SqlValue::Float(v[row]),
             VColumn::Int(v) => SqlValue::Int(v[row]),
@@ -89,14 +89,22 @@ impl VectorTable {
     /// Value of `column` at `row`.
     pub fn value(&self, column: &str, row: usize) -> Result<SqlValue, SqlError> {
         let idx = self
-            .names
-            .iter()
-            .position(|n| n == column)
+            .column_index(column)
             .ok_or_else(|| SqlError::Exec(format!("unknown column {column}")))?;
         if row >= self.num_rows() {
             return Err(SqlError::Exec(format!("row {row} out of range")));
         }
         Ok(self.columns[idx].get(row))
+    }
+
+    /// Position of `column`, if the table has it.
+    pub(crate) fn column_index(&self, column: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == column)
+    }
+
+    /// The column at position `i`.
+    pub(crate) fn column_at(&self, i: usize) -> &VColumn {
+        &self.columns[i]
     }
 
     /// Whether the table has a column.

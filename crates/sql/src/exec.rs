@@ -1,29 +1,46 @@
 //! Expression evaluation and plan execution: one statement pipeline
 //! ([`execute_streamed`], batches into a [`RowSink`]) that [`execute`]
-//! collects into a [`ResultSet`]. A SELECT is planned, shaped and governed
-//! once, then runs one arm: the typed fold, the native column stream or
-//! the row path.
+//! collects into a [`ResultSet`].
 //!
-//! An aggregate statement without `GROUP BY` over a point table or a
-//! spatial join, whose aggregates are `COUNT(*)` or `COUNT`/`SUM`/`AVG`/
-//! `MIN`/`MAX` of a plain point-side column, is a *typed fold*
-//! (`typed_fold`): the select's row ids, after the residual, go straight
-//! into the engine's aggregate kernel (`core::exec`) and no row is built
-//! per point. Every other aggregate runs on the row path (`project`),
-//! whose `SUM`/`AVG` accumulate in the same compensated `AggState`.
+//! A SELECT is planned, shaped and compiled once, governed once, and runs
+//! one columnar pipeline whatever it reads — a point table, a spatial
+//! join, a vector or `sys.*` table:
+//!
+//! 1. **select** row ids: the two-step engine's for a point scan, one
+//!    probe's per join feature, every row of a vector table;
+//! 2. **filter** them in chunks of at most `batch_rows` per segment run:
+//!    the residual is a keep-mask over each chunk, term by term;
+//! 3. **group and fold** them — a call over a plain point column folds
+//!    each group's ids through the engine's kernel
+//!    ([`PointTable::fold`]), any other call accumulates its evaluated
+//!    chunk — or **project** them into column-major [`ColumnBatch`]es,
+//!    plain point columns gathered from typed storage;
+//! 4. **sort, dedupe and limit** only when the statement asks.
+//!
+//! Expressions compile once per statement into trees over column slots
+//! (a point column, a vector-table column, an aggregate call's or a
+//! group's first-row value). Evaluation returns one column of values per
+//! node: numeric arithmetic, comparisons, logic, `BETWEEN` and negation run
+//! as typed loops, everything else row by row through [`apply_binop`] and
+//! [`functions::call`], where SQL's NULL rules live.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use lidardb_core::soa::ColumnArrays;
 use lidardb_core::{
-    Aggregate, CancelToken, ColumnSet, Explain, GovernCtx, PointCloud, PointTable, RefineStrategy,
-    Run, SpatialPredicate,
+    Aggregate, CancelToken, ColumnSet, Explain, GovernCtx, Parallelism, PointCloud, PointTable,
+    RefineStrategy, SpatialPredicate,
 };
+use lidardb_las::schema::COLUMN_TYPES;
+use lidardb_las::COLUMN_NAMES;
 use lidardb_storage::scan::AggState;
 use lidardb_storage::{for_each_variant, Native, PhysicalType, Value};
 
 use crate::ast::{BinOp, Expr, SelectItem, SelectStmt, Statement};
-use crate::catalog::{Catalog, PcRead, Table, VectorTable};
+use crate::catalog::{Catalog, PcRead, Table, VColumn, VectorTable};
 use crate::error::SqlError;
 use crate::functions;
 use crate::plan::{plan_select, JoinPred, Plan};
@@ -111,31 +128,6 @@ impl ResultSet {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Row contexts
-// ---------------------------------------------------------------------------
-
-/// Column resolution context for one logical row.
-pub trait Ctx {
-    /// Resolve a (possibly qualified) column to a value.
-    fn col(&self, table: Option<&str>, name: &str) -> Result<SqlValue, SqlError>;
-}
-
-struct ConstCtx;
-
-impl Ctx for ConstCtx {
-    fn col(&self, _table: Option<&str>, name: &str) -> Result<SqlValue, SqlError> {
-        Err(SqlError::Exec(format!(
-            "column {name} referenced in a constant context"
-        )))
-    }
-}
-
-/// Evaluate a constant expression (no column references).
-pub fn eval_const(e: &Expr) -> Result<SqlValue, SqlError> {
-    eval(e, &ConstCtx)
-}
-
 fn from_storage(v: Value) -> SqlValue {
     match v {
         Value::I64(x) => SqlValue::Int(x),
@@ -146,161 +138,463 @@ fn from_storage(v: Value) -> SqlValue {
     }
 }
 
-#[derive(Clone, Copy)]
-struct PcCtx<'a> {
-    pc: &'a PointCloud,
-    alias: &'a str,
-    row: usize,
-}
-
-impl Ctx for PcCtx<'_> {
-    fn col(&self, table: Option<&str>, name: &str) -> Result<SqlValue, SqlError> {
-        if let Some(t) = table {
-            if t != self.alias {
-                return Err(SqlError::Exec(format!("unknown table alias {t}")));
-            }
-        }
-        let col = self.pc.column(name)?;
-        Ok(from_storage(col.get(self.row).ok_or_else(|| {
-            SqlError::Exec(format!("row {} out of range", self.row))
-        })?))
-    }
-}
-
-#[derive(Clone, Copy)]
-struct VecCtx<'a> {
-    vt: &'a VectorTable,
-    alias: &'a str,
-    row: usize,
-}
-
-impl Ctx for VecCtx<'_> {
-    fn col(&self, table: Option<&str>, name: &str) -> Result<SqlValue, SqlError> {
-        if let Some(t) = table {
-            if t != self.alias {
-                return Err(SqlError::Exec(format!("unknown table alias {t}")));
-            }
-        }
-        self.vt.value(name, self.row)
-    }
-}
-
-struct PairCtx<'a> {
-    pc: PcCtx<'a>,
-    vec: VecCtx<'a>,
-}
-
-impl Ctx for PairCtx<'_> {
-    fn col(&self, table: Option<&str>, name: &str) -> Result<SqlValue, SqlError> {
-        match table {
-            Some(t) if t == self.pc.alias => self.pc.col(table, name),
-            Some(t) if t == self.vec.alias => self.vec.col(table, name),
-            Some(t) => Err(SqlError::Exec(format!("unknown table alias {t}"))),
-            None => self
-                .pc
-                .col(None, name)
-                .or_else(|_| self.vec.col(None, name)),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Expression evaluation
+// Compiled expressions
 // ---------------------------------------------------------------------------
 
-/// Evaluate an expression in a row context (SQL three-valued logic: NULL
-/// propagates through comparisons and arithmetic; a NULL filter result is
-/// treated as not-matching).
-pub fn eval(e: &Expr, ctx: &dyn Ctx) -> Result<SqlValue, SqlError> {
-    match e {
-        Expr::Number(v) => Ok(if v.fract() == 0.0 && v.abs() < 9e15 {
-            SqlValue::Int(*v as i64)
-        } else {
-            SqlValue::Float(*v)
-        }),
-        Expr::Str(s) => Ok(SqlValue::Str(s.clone())),
-        Expr::Column { table, name } => ctx.col(table.as_deref(), name),
-        Expr::CountStar => Err(SqlError::Exec(
-            "COUNT(*) outside an aggregate context".into(),
-        )),
-        Expr::Func { name, args } => {
-            if is_aggregate(name) {
-                return Err(SqlError::Exec(format!(
-                    "{name} outside an aggregate context"
-                )));
-            }
-            let vals: Vec<SqlValue> = args
+/// An expression compiled once per statement, its column references slots
+/// resolved against the statement's tables.
+#[derive(Debug, Clone)]
+enum Node {
+    Const(SqlValue),
+    /// A point column.
+    Point(&'static str),
+    /// Column `i` of the vector table: a value per row of a vector scan,
+    /// the probe's feature value in a join.
+    Feature(usize),
+    /// Over finished groups: aggregate call `i`, first-row part `i`.
+    Agg(usize),
+    First(usize),
+    Call(String, Vec<Node>),
+    Not(Box<Node>),
+    Neg(Box<Node>),
+    Between(Box<[Node; 3]>),
+    Binary(BinOp, Box<[Node; 2]>),
+}
+
+/// The tables column references resolve against: the point table's alias,
+/// and the vector table's alias and table.
+#[derive(Clone, Copy, Default)]
+struct Scope<'a> {
+    points: Option<&'a str>,
+    features: Option<(&'a str, &'a VectorTable)>,
+}
+
+impl Scope<'_> {
+    /// A qualified column in its table, an unqualified one in the point
+    /// table first.
+    fn column(&self, table: Option<&str>, name: &str) -> Result<Node, SqlError> {
+        let point = |_| {
+            COLUMN_NAMES
                 .iter()
-                .map(|a| eval(a, ctx))
-                .collect::<Result<_, _>>()?;
-            functions::call(name, &vals)
+                .find(|c| **c == name)
+                .map(|c| Node::Point(c))
+        };
+        let feature = |(_, vt): (&str, &VectorTable)| vt.column_index(name).map(Node::Feature);
+        let found = match table {
+            Some(t) if self.points == Some(t) => self.points.and_then(point),
+            Some(t) if self.features.is_some_and(|f| f.0 == t) => self.features.and_then(feature),
+            Some(t) => return Err(SqlError::Exec(format!("unknown table alias {t}"))),
+            None => (self.points.and_then(point)).or_else(|| self.features.and_then(feature)),
+        };
+        found.ok_or_else(|| match (self.points, self.features) {
+            (None, None) => {
+                SqlError::Exec(format!("column {name} referenced in a constant context"))
+            }
+            _ => SqlError::Exec(format!("unknown column {name}")),
+        })
+    }
+}
+
+/// An aggregate call of a grouped statement.
+struct Call {
+    expr: Expr,
+    agg: Aggregate,
+    arg: Arg,
+}
+
+enum Arg {
+    /// `COUNT(*)` or `COUNT` of a point column (which holds no NULLs): the
+    /// group's row count.
+    Rows,
+    /// A plain point column, folded through the engine's kernel.
+    Column(&'static str, PhysicalType),
+    /// Anything else, evaluated per chunk and accumulated row by row.
+    Expr(Node),
+}
+
+/// What compiling a grouped statement's items and `HAVING` collects: each
+/// distinct aggregate call, and each distinct non-aggregate part that reads
+/// a column.
+#[derive(Default)]
+struct AggSlots {
+    calls: Vec<Call>,
+    firsts: Vec<(Expr, Node)>,
+}
+
+fn is_aggregate(name: &str) -> bool {
+    matches!(name, "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
+}
+
+/// Compile `e` in `scope`. With `slots`, `e` is evaluated over finished
+/// groups: an aggregate call becomes [`Node::Agg`], a non-aggregate part
+/// that reads a column [`Node::First`]. Without, an aggregate is an error.
+fn compile(e: &Expr, scope: Scope, mut slots: Option<&mut AggSlots>) -> Result<Node, SqlError> {
+    if let Some(slots) = slots.as_deref_mut() {
+        if !e.has_aggregate() && !e.is_constant() {
+            if let Some(j) = slots.firsts.iter().position(|(f, _)| f == e) {
+                return Ok(Node::First(j));
+            }
+            slots.firsts.push((e.clone(), compile(e, scope, None)?));
+            return Ok(Node::First(slots.firsts.len() - 1));
         }
-        Expr::Not(inner) => match eval(inner, ctx)? {
-            SqlValue::Null => Ok(SqlValue::Null),
-            v => Ok(SqlValue::Bool(!v.as_bool()?)),
+        let call = match e {
+            Expr::CountStar => Some((Aggregate::Count, None)),
+            Expr::Func { name, args } if is_aggregate(name) => {
+                let [arg] = args.as_slice() else {
+                    return Err(SqlError::Exec(format!("{name} expects one argument")));
+                };
+                let agg = match name.as_str() {
+                    "SUM" => Aggregate::Sum,
+                    "AVG" => Aggregate::Avg,
+                    "MIN" => Aggregate::Min,
+                    "MAX" => Aggregate::Max,
+                    _ => Aggregate::Count,
+                };
+                Some((agg, Some(compile(arg, scope, None)?)))
+            }
+            _ => None,
+        };
+        if let Some((agg, arg)) = call {
+            if let Some(k) = slots.calls.iter().position(|c| c.expr == *e) {
+                return Ok(Node::Agg(k));
+            }
+            let arg = match arg {
+                None | Some(Node::Point(_)) if agg == Aggregate::Count => Arg::Rows,
+                Some(Node::Point(c)) => {
+                    let i = COLUMN_NAMES.iter().position(|n| *n == c);
+                    Arg::Column(c, COLUMN_TYPES[i.expect("a point column")])
+                }
+                arg => Arg::Expr(arg.expect("only COUNT(*) has no argument")),
+            };
+            let expr = e.clone();
+            slots.calls.push(Call { expr, agg, arg });
+            return Ok(Node::Agg(slots.calls.len() - 1));
+        }
+    }
+    let mut sub = |e: &Expr| compile(e, scope, slots.as_deref_mut());
+    Ok(match e {
+        Expr::Number(v) if v.fract() == 0.0 && v.abs() < 9e15 => {
+            Node::Const(SqlValue::Int(*v as i64))
+        }
+        Expr::Number(v) => Node::Const(SqlValue::Float(*v)),
+        Expr::Str(s) => Node::Const(SqlValue::Str(s.clone())),
+        Expr::Column { table, name } => scope.column(table.as_deref(), name)?,
+        Expr::CountStar => {
+            return Err(SqlError::Exec(
+                "COUNT(*) outside an aggregate context".into(),
+            ))
+        }
+        Expr::Func { name, .. } if is_aggregate(name) => {
+            return Err(SqlError::Exec(format!(
+                "{name} outside an aggregate context"
+            )))
+        }
+        Expr::Func { name, args } => Node::Call(
+            name.clone(),
+            args.iter().map(sub).collect::<Result<_, _>>()?,
+        ),
+        Expr::Not(inner) => Node::Not(Box::new(sub(inner)?)),
+        Expr::Neg(inner) => Node::Neg(Box::new(sub(inner)?)),
+        Expr::Between { expr, lo, hi } => Node::Between(Box::new([sub(expr)?, sub(lo)?, sub(hi)?])),
+        Expr::Binary { op, left, right } => Node::Binary(*op, Box::new([sub(left)?, sub(right)?])),
+    })
+}
+
+/// Evaluate a constant expression (no column references).
+pub fn eval_const(e: &Expr) -> Result<SqlValue, SqlError> {
+    let node = compile(e, Scope::default(), None)?;
+    Ok(eval(&node, Input::Ids, &[0])?.get(0))
+}
+
+// ---------------------------------------------------------------------------
+// Evaluation
+// ---------------------------------------------------------------------------
+
+/// What the row ids handed to [`eval`] index: bare ids, whose values
+/// nothing reads (also the one row of a constant); global row ids of a
+/// point segment whose first row is global row `base`, in a join with the
+/// probe's feature row; rows of a vector table; finished groups.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    Ids,
+    Points {
+        seg: &'a PointCloud,
+        base: usize,
+        feature: Option<(&'a VectorTable, usize)>,
+    },
+    Features(&'a VectorTable),
+    Groups(&'a [Group]),
+}
+
+/// One evaluated node over a chunk of rows: one value for every row,
+/// booleans that are never NULL, or a value per row.
+#[derive(Debug)]
+enum Vals {
+    Const(SqlValue),
+    Bool(Vec<bool>),
+    Chunk(ColumnChunk),
+}
+
+impl Vals {
+    fn get(&self, i: usize) -> SqlValue {
+        match self {
+            Vals::Const(v) => v.clone(),
+            Vals::Bool(v) => SqlValue::Bool(v[i]),
+            Vals::Chunk(c) => c.get(i),
+        }
+    }
+
+    /// The values of `n` rows as an output column.
+    fn into_chunk(self, n: usize) -> ColumnChunk {
+        match self {
+            Vals::Const(SqlValue::Float(v)) => ColumnChunk::Float(vec![v; n]),
+            Vals::Const(SqlValue::Int(v)) => ColumnChunk::Int(vec![v; n]),
+            Vals::Chunk(c) => c,
+            v => ColumnChunk::Values((0..n).map(|i| v.get(i)).collect()),
+        }
+    }
+
+    /// The rows as `f64`s, when they are all numbers (`SqlValue::compare`
+    /// compares every number so).
+    fn floats(&self) -> Option<Operand<'_, f64>> {
+        Some(match self {
+            Vals::Chunk(ColumnChunk::Float(v)) => Operand::Many(Cow::Borrowed(v)),
+            Vals::Chunk(ColumnChunk::Int(v)) => {
+                Operand::Many(v.iter().map(|&x| x as f64).collect())
+            }
+            Vals::Const(v @ (SqlValue::Float(_) | SqlValue::Int(_))) => {
+                Operand::One(v.as_f64().ok()?)
+            }
+            _ => return None,
+        })
+    }
+
+    /// The rows as integers, when they all are.
+    fn ints(&self) -> Option<Operand<'_, i64>> {
+        match self {
+            Vals::Chunk(ColumnChunk::Int(v)) => Some(Operand::Many(Cow::Borrowed(v))),
+            Vals::Const(SqlValue::Int(v)) => Some(Operand::One(*v)),
+            _ => None,
+        }
+    }
+}
+
+/// One side of a typed loop: a value per row, or one for every row.
+enum Operand<'v, T: Clone> {
+    Many(Cow<'v, [T]>),
+    One(T),
+}
+
+/// `f` over `n` rows of `a` and `b`: one monomorphic loop per `f`.
+fn zip<A: Copy, B: Copy, T: Clone>(
+    n: usize,
+    a: &Operand<A>,
+    b: &Operand<B>,
+    f: impl Fn(A, B) -> T,
+) -> Vec<T> {
+    use Operand::{Many, One};
+    match (a, b) {
+        (Many(a), Many(b)) => a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)).collect(),
+        (Many(a), One(y)) => a.iter().map(|&x| f(x, *y)).collect(),
+        (One(x), Many(b)) => b.iter().map(|&y| f(*x, y)).collect(),
+        (One(x), One(y)) => vec![f(*x, *y); n],
+    }
+}
+
+/// `f` over the rows of `args`, one row at a time — SQL's NULL and type
+/// rules live in [`apply_binop`] and [`functions::call`] — and once when
+/// every argument is a constant.
+fn per_row(
+    n: usize,
+    args: &[Vals],
+    f: impl Fn(&[SqlValue]) -> Result<SqlValue, SqlError>,
+) -> Result<Vals, SqlError> {
+    let at = |i| f(&args.iter().map(|a| a.get(i)).collect::<Vec<_>>());
+    if args.iter().all(|a| matches!(a, Vals::Const(_))) {
+        return Ok(Vals::Const(at(0)?));
+    }
+    Ok(Vals::Chunk(ColumnChunk::Values(
+        (0..n).map(at).collect::<Result<_, _>>()?,
+    )))
+}
+
+/// Evaluate `node` over the rows `ids` of `input`: numeric arithmetic,
+/// comparisons, connectives and negation as typed loops, everything else
+/// row by row (SQL three-valued logic: NULL propagates through comparisons
+/// and arithmetic; a NULL filter result is treated as not matching).
+fn eval(node: &Node, input: Input, ids: &[usize]) -> Result<Vals, SqlError> {
+    let n = ids.len();
+    let each = |args: &[Node]| {
+        args.iter()
+            .map(|a| eval(a, input, ids))
+            .collect::<Result<Vec<_>, _>>()
+    };
+    Ok(match (node, input) {
+        (Node::Const(v), _) => Vals::Const(v.clone()),
+        (Node::Point(name), Input::Points { seg, base, .. }) => {
+            let mut chunk = ColumnChunk::Values(Vec::new());
+            for_each_variant!(seg.column(name)?, v => gather(v, base, ids, &mut chunk));
+            Vals::Chunk(chunk)
+        }
+        (
+            Node::Feature(i),
+            Input::Points {
+                feature: Some((vt, row)),
+                ..
+            },
+        ) => Vals::Const(vt.column_at(*i).get(row)),
+        (Node::Feature(i), Input::Features(vt)) => Vals::Chunk(match vt.column_at(*i) {
+            VColumn::Float(v) => ColumnChunk::Float(ids.iter().map(|&r| v[r]).collect()),
+            VColumn::Int(v) => ColumnChunk::Int(ids.iter().map(|&r| v[r]).collect()),
+            col => ColumnChunk::Values(ids.iter().map(|&r| col.get(r)).collect()),
+        }),
+        (Node::Agg(i) | Node::First(i), Input::Groups(groups)) => {
+            let part = |g: &Group| match node {
+                Node::Agg(_) => g.values.get(*i).cloned(),
+                _ => g.firsts.get(*i).cloned(),
+            };
+            let vals = ids.iter().map(|&g| part(&groups[g])).collect::<Option<_>>();
+            let empty = || SqlError::Exec("a column is read over a group of no rows".into());
+            Vals::Chunk(ColumnChunk::Values(vals.ok_or_else(empty)?))
+        }
+        (Node::Point(_) | Node::Feature(_) | Node::Agg(_) | Node::First(_), _) => {
+            return Err(SqlError::Exec("a column is read outside its table".into()))
+        }
+        (Node::Call(name, args), _) => per_row(n, &each(args)?, |v| functions::call(name, v))?,
+        (Node::Not(inner), _) => match eval(inner, input, ids)? {
+            Vals::Bool(v) => Vals::Bool(v.into_iter().map(|b| !b).collect()),
+            v => per_row(n, &[v], |v| match &v[0] {
+                SqlValue::Null => Ok(SqlValue::Null),
+                v => Ok(SqlValue::Bool(!v.as_bool()?)),
+            })?,
         },
-        Expr::Neg(inner) => match eval(inner, ctx)? {
-            SqlValue::Null => Ok(SqlValue::Null),
-            SqlValue::Int(v) => Ok(SqlValue::Int(-v)),
-            v => Ok(SqlValue::Float(-v.as_f64()?)),
+        (Node::Neg(inner), _) => match eval(inner, input, ids)? {
+            Vals::Chunk(ColumnChunk::Float(v)) => {
+                Vals::Chunk(ColumnChunk::Float(v.iter().map(|x| -x).collect()))
+            }
+            Vals::Chunk(ColumnChunk::Int(v)) => Vals::Chunk(ColumnChunk::Int(
+                v.iter().map(|x| x.wrapping_neg()).collect(),
+            )),
+            v => per_row(n, &[v], |v| match &v[0] {
+                SqlValue::Null => Ok(SqlValue::Null),
+                SqlValue::Int(v) => Ok(SqlValue::Int(v.wrapping_neg())),
+                v => Ok(SqlValue::Float(-v.as_f64()?)),
+            })?,
         },
-        Expr::Between { expr, lo, hi } => {
-            let v = eval(expr, ctx)?;
-            let lo = eval(lo, ctx)?;
-            let hi = eval(hi, ctx)?;
-            if v.is_null() || lo.is_null() || hi.is_null() {
+        (Node::Between(parts), _) => per_row(n, &each(&parts[..])?, |v| {
+            if v.iter().any(SqlValue::is_null) {
                 return Ok(SqlValue::Null);
             }
-            let ge = v.compare(&lo).map(|o| o.is_ge());
-            let le = v.compare(&hi).map(|o| o.is_le());
-            match (ge, le) {
-                (Some(a), Some(b)) => Ok(SqlValue::Bool(a && b)),
-                _ => Ok(SqlValue::Null),
+            let ge = v[0].compare(&v[1]).map(|o| o.is_ge());
+            let le = v[0].compare(&v[2]).map(|o| o.is_le());
+            Ok(ge
+                .zip(le)
+                .map_or(SqlValue::Null, |(a, b)| SqlValue::Bool(a && b)))
+        })?,
+        (Node::Binary(op @ (BinOp::And | BinOp::Or), sides), _) => {
+            connective(*op == BinOp::Or, &sides[..], input, ids)?
+        }
+        (Node::Binary(op, sides), _) => {
+            let [l, r]: [Vals; 2] = each(&sides[..])?.try_into().expect("two sides");
+            binary(*op, l, r, n)?
+        }
+    })
+}
+
+/// `AND` (`or` false) or `OR` (`or` true) of `sides`: the right side is
+/// evaluated only on the rows the left one leaves open — not FALSE under
+/// `AND`, not TRUE under `OR`.
+fn connective(or: bool, sides: &[Node], input: Input, ids: &[usize]) -> Result<Vals, SqlError> {
+    let decided = SqlValue::Bool(or);
+    let l = eval(&sides[0], input, ids)?;
+    let open: Vec<usize> = (0..ids.len()).filter(|&i| l.get(i) != decided).collect();
+    if open.is_empty() {
+        return Ok(l);
+    }
+    let r = eval(
+        &sides[1],
+        input,
+        &open.iter().map(|&i| ids[i]).collect::<Vec<_>>(),
+    )?;
+    if let (Vals::Bool(l), Vals::Bool(r)) = (&l, &r) {
+        let mut out = l.clone();
+        open.iter().zip(r).for_each(|(&i, &b)| out[i] = b);
+        return Ok(Vals::Bool(out));
+    }
+    let mut vals = vec![decided.clone(); ids.len()];
+    for (j, &i) in open.iter().enumerate() {
+        let (l, r) = (l.get(i), r.get(j));
+        vals[i] = match (&l, &r) {
+            _ if r == decided => decided.clone(),
+            (SqlValue::Null, _) | (_, SqlValue::Null) => SqlValue::Null,
+            _ if or => SqlValue::Bool(l.as_bool()? || r.as_bool()?),
+            _ => SqlValue::Bool(l.as_bool()? && r.as_bool()?),
+        };
+    }
+    Ok(Vals::Chunk(ColumnChunk::Values(vals)))
+}
+
+/// An arithmetic or comparison operator: typed loops over numbers,
+/// [`apply_binop`] row by row otherwise.
+fn binary(op: BinOp, l: Vals, r: Vals, n: usize) -> Result<Vals, SqlError> {
+    use BinOp::*;
+    let float = |v| Some(Vals::Chunk(ColumnChunk::Float(v)));
+    if !matches!((&l, &r), (Vals::Const(_), Vals::Const(_))) {
+        if let (Some(a), Some(b), Add | Sub | Mul) = (l.ints(), r.ints(), op) {
+            return Ok(Vals::Chunk(ColumnChunk::Int(match op {
+                Add => zip(n, &a, &b, i64::wrapping_add),
+                Sub => zip(n, &a, &b, i64::wrapping_sub),
+                _ => zip(n, &a, &b, i64::wrapping_mul),
+            })));
+        }
+        if let (Some(a), Some(b)) = (l.floats(), r.floats()) {
+            let typed = match op {
+                Add => float(zip(n, &a, &b, |a, b| a + b)),
+                Sub => float(zip(n, &a, &b, |a, b| a - b)),
+                Mul => float(zip(n, &a, &b, |a, b| a * b)),
+                Div => float(zip(n, &a, &b, |a, b| a / b)),
+                Eq => compare(n, &a, &b, |a, b| a == b),
+                Ne => compare(n, &a, &b, |a, b| a != b),
+                Lt => compare(n, &a, &b, |a, b| a < b),
+                Le => compare(n, &a, &b, |a, b| a <= b),
+                Gt => compare(n, &a, &b, |a, b| a > b),
+                Ge => compare(n, &a, &b, |a, b| a >= b),
+                And | Or => unreachable!("connectives short-circuit"),
+            };
+            if let Some(v) = typed {
+                return Ok(v);
             }
         }
-        Expr::Binary { op, left, right } => match op {
-            BinOp::And => {
-                let l = eval(left, ctx)?;
-                if l == SqlValue::Bool(false) {
-                    return Ok(SqlValue::Bool(false));
-                }
-                let r = eval(right, ctx)?;
-                if r == SqlValue::Bool(false) {
-                    return Ok(SqlValue::Bool(false));
-                }
-                if l.is_null() || r.is_null() {
-                    return Ok(SqlValue::Null);
-                }
-                Ok(SqlValue::Bool(l.as_bool()? && r.as_bool()?))
-            }
-            BinOp::Or => {
-                let l = eval(left, ctx)?;
-                if l == SqlValue::Bool(true) {
-                    return Ok(SqlValue::Bool(true));
-                }
-                let r = eval(right, ctx)?;
-                if r == SqlValue::Bool(true) {
-                    return Ok(SqlValue::Bool(true));
-                }
-                if l.is_null() || r.is_null() {
-                    return Ok(SqlValue::Null);
-                }
-                Ok(SqlValue::Bool(l.as_bool()? || r.as_bool()?))
-            }
-            _ => apply_binop(*op, eval(left, ctx)?, eval(right, ctx)?),
-        },
     }
+    per_row(n, &[l, r], |v| apply_binop(op, &v[0], &v[1]))
+}
+
+/// A typed comparison, `None` when a row holds a NaN: comparing one is an
+/// error, which the row rule raises.
+fn compare(
+    n: usize,
+    a: &Operand<f64>,
+    b: &Operand<f64>,
+    f: impl Fn(f64, f64) -> bool,
+) -> Option<Vals> {
+    let nan = std::cell::Cell::new(false);
+    let mask = zip(n, a, b, |a, b| {
+        nan.set(nan.get() | a.is_nan() | b.is_nan());
+        f(a, b)
+    });
+    (!nan.get()).then_some(Vals::Bool(mask))
 }
 
 /// Apply an arithmetic or comparison operator to two computed values
-/// (shared by row evaluation and aggregate arithmetic).
-fn apply_binop(op: BinOp, l: SqlValue, r: SqlValue) -> Result<SqlValue, SqlError> {
+/// (`AND`/`OR` are [`connective`]'s).
+fn apply_binop(op: BinOp, l: &SqlValue, r: &SqlValue) -> Result<SqlValue, SqlError> {
     if l.is_null() || r.is_null() {
         return Ok(SqlValue::Null);
     }
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-            if let (SqlValue::Int(a), SqlValue::Int(b)) = (&l, &r) {
+            if let (SqlValue::Int(a), SqlValue::Int(b)) = (l, r) {
                 if op != BinOp::Div {
                     let v = match op {
                         BinOp::Add => a.wrapping_add(*b),
@@ -321,7 +615,7 @@ fn apply_binop(op: BinOp, l: SqlValue, r: SqlValue) -> Result<SqlValue, SqlError
             }))
         }
         BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            match l.compare(&r) {
+            match l.compare(r) {
                 Some(ord) => Ok(SqlValue::Bool(match op {
                     BinOp::Eq => ord.is_eq(),
                     BinOp::Ne => ord.is_ne(),
@@ -338,15 +632,8 @@ fn apply_binop(op: BinOp, l: SqlValue, r: SqlValue) -> Result<SqlValue, SqlError
                 ))),
             }
         }
-        BinOp::And | BinOp::Or => Ok(SqlValue::Bool(match op {
-            BinOp::And => l.as_bool()? && r.as_bool()?,
-            _ => l.as_bool()? || r.as_bool()?,
-        })),
+        BinOp::And | BinOp::Or => unreachable!("connectives short-circuit"),
     }
-}
-
-fn is_aggregate(name: &str) -> bool {
-    matches!(name, "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
 }
 
 /// A filter result: NULL counts as not matching.
@@ -354,47 +641,9 @@ fn truthy(v: &SqlValue) -> bool {
     *v == SqlValue::Bool(true)
 }
 
-/// The residual filter: whether the row satisfies every term.
-fn passes(terms: &[Expr], ctx: &dyn Ctx) -> Result<bool, SqlError> {
-    for term in terms {
-        if !truthy(&eval(term, ctx)?) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// The row contexts of one run: global row id `r` is row `r - base` of
-/// the run's segment.
-fn run_ctxs<'a>(run: &'a Run<'_>, alias: &'a str) -> impl Iterator<Item = PcCtx<'a>> {
-    let (pc, base, rows) = run;
-    rows.iter().map(move |&r| PcCtx {
-        pc,
-        alias,
-        row: r - base,
-    })
-}
-
 // ---------------------------------------------------------------------------
-// Execution
+// Statements
 // ---------------------------------------------------------------------------
-
-/// One logical input row of the projection stage.
-enum RowEnv<'a> {
-    Pc(PcCtx<'a>),
-    Vec(VecCtx<'a>),
-    Pair(PairCtx<'a>),
-}
-
-impl Ctx for RowEnv<'_> {
-    fn col(&self, table: Option<&str>, name: &str) -> Result<SqlValue, SqlError> {
-        match self {
-            RowEnv::Pc(c) => c.col(table, name),
-            RowEnv::Vec(c) => c.col(table, name),
-            RowEnv::Pair(c) => c.col(table, name),
-        }
-    }
-}
 
 /// `SHOW SLOW QUERIES`: the K worst traced queries by wall time, worst
 /// first, with a compact rendering of each span tree. Queries that were
@@ -741,56 +990,71 @@ fn emit(
     let token = CancelToken::new();
     sink.start(&rs.columns, &token)?;
     trace.extend(rs.trace);
-    deliver(rs.rows, batch_rows, sink, &token)
-}
-
-/// Hand finished rows to `sink` in batches of `batch_rows`, checking
-/// `token` between batches so a deadline or a hang-up stops delivery.
-fn deliver(
-    rows: Vec<Vec<SqlValue>>,
-    batch_rows: usize,
-    sink: &mut dyn RowSink,
-    token: &CancelToken,
-) -> Result<StreamSummary, SqlError> {
-    let summary = StreamSummary {
-        rows: rows.len(),
-        batches: rows.len().div_ceil(batch_rows),
+    let column = |c: usize| ColumnChunk::Values(rs.rows.iter().map(|r| r[c].clone()).collect());
+    let whole = ColumnBatch {
+        rows: rs.rows.len(),
+        columns: (0..rs.columns.len()).map(column).collect(),
     };
-    let mut rows = rows.into_iter();
-    for sent in 0..summary.batches {
-        if sent > 0 {
-            token.check(sent * batch_rows)?;
-        }
-        sink.batch(rows.by_ref().take(batch_rows).collect())?;
-    }
-    Ok(summary)
+    let rows: Vec<usize> = (0..whole.rows).collect();
+    deliver(&whole, &rows, batch_rows, sink, &token)
 }
 
-/// A planned SELECT whose shape has been checked: what every arm reads.
-struct Shaped<'a> {
+// ---------------------------------------------------------------------------
+// The SELECT pipeline
+// ---------------------------------------------------------------------------
+
+/// A planned SELECT, shaped and compiled once: what every step reads.
+struct Query<'a> {
     catalog: &'a Catalog,
     sel: &'a SelectStmt,
     plan: &'a Plan,
-    /// The output items, `*` expanded against the plan's tables.
-    items: Vec<(String, Expr)>,
-    /// Whether the statement aggregates (`GROUP BY`, `HAVING` or an
-    /// aggregate call among the items).
-    grouped: bool,
-    /// `ORDER BY` as (output column, ascending).
+    /// The vector table of a vector scan or a join.
+    features: Option<&'a VectorTable>,
+    /// Output column names, and `ORDER BY` as (output column, ascending).
+    names: Vec<String>,
     order: Vec<(usize, bool)>,
     /// The point columns the statement reads beyond its pushed-down
     /// predicates: those of the items, residuals, `GROUP BY`, `ORDER BY`
     /// and `HAVING`. Every [`PointTable::runs`] call faults in this set.
     columns: ColumnSet,
+    /// The residual over the rows the statement scans — a point scan's, a
+    /// vector scan's, or a join's point-side and pair terms — and a join's
+    /// feature-side residual. A row passes when every term is TRUE.
+    residual: Vec<Node>,
+    feature_filter: Vec<Node>,
+    /// Whether step 3 reads the rows' values (for a residual, an item, a
+    /// key, a first-row part or an expression call), so their segments are
+    /// resolved; otherwise it takes bare ids.
+    reads_rows: bool,
+    output: Output,
 }
 
-/// Expand the output items and check the statement's shape. Every error
-/// raised here comes before any frame is sent.
+/// Step 3: one output row per surviving row (the compiled items), or per
+/// group.
+enum Output {
+    Rows(Vec<Node>),
+    Groups(Grouped),
+}
+
+/// A grouped statement (`GROUP BY`, `HAVING` or an aggregate call): its
+/// keys (none: one group holds every row), its distinct aggregate calls,
+/// the parts read on a group's first row, and `HAVING` and the items over
+/// the finished groups.
+struct Grouped {
+    keys: Vec<Node>,
+    calls: Vec<Call>,
+    firsts: Vec<Node>,
+    having: Option<Node>,
+    items: Vec<Node>,
+}
+
+/// Expand the output items, check the statement's shape and compile it.
+/// Every error raised here comes before any frame is sent.
 fn shape<'a>(
     catalog: &'a Catalog,
     sel: &'a SelectStmt,
     plan: &'a Plan,
-) -> Result<Shaped<'a>, SqlError> {
+) -> Result<Query<'a>, SqlError> {
     let items = output_items(catalog, sel, plan)?;
     let grouped = !sel.group_by.is_empty()
         || sel.having.is_some()
@@ -801,49 +1065,107 @@ fn shape<'a>(
             "plain columns mixed with aggregates need GROUP BY".into(),
         ));
     }
-    let order = sel
-        .order_by
-        .iter()
-        .map(|(e, asc)| Ok((resolve_output_column(e, &items)?, *asc)));
-    let residuals: Vec<&Expr> = match plan {
-        Plan::PcScan(scan) => scan.residual.iter().collect(),
+    let (points, vec, residual): (_, _, Vec<&Expr>) = match plan {
+        Plan::PcScan(pc) => (Some(pc), None, pc.residual.iter().collect()),
+        Plan::VecScan(vec) => (None, Some(vec), vec.residual.iter().collect()),
         Plan::SpatialJoin {
-            pc, pair_residual, ..
-        } => pc.residual.iter().chain(pair_residual).collect(),
-        Plan::VecScan(_) => Vec::new(),
+            pc,
+            vec,
+            pair_residual,
+            ..
+        } => (
+            Some(pc),
+            Some(vec),
+            pc.residual.iter().chain(pair_residual).collect(),
+        ),
     };
-    let exprs = items.iter().map(|(_, e)| e).chain(residuals);
+    let features = vec.map(|vec| vector_table(catalog, vec)).transpose()?;
+    let scope = Scope {
+        points: points.map(|pc| pc.table.alias.as_str()),
+        features: vec
+            .zip(features)
+            .map(|(vec, vt)| (vec.table.alias.as_str(), vt)),
+    };
     let order_by = sel.order_by.iter().map(|(e, _)| e);
     let clauses = sel.group_by.iter().chain(order_by).chain(&sel.having);
     let mut columns = ColumnSet::EMPTY;
-    for e in exprs.chain(clauses) {
+    for e in items
+        .iter()
+        .map(|(_, e)| e)
+        .chain(residual.iter().copied())
+        .chain(clauses)
+    {
         e.visit_columns(&mut |_, name| columns.insert(name));
     }
-    Ok(Shaped {
-        order: order.collect::<Result<_, SqlError>>()?,
-        columns,
+    let compile_all = |exprs: &mut dyn Iterator<Item = &Expr>, scope| {
+        exprs
+            .map(|e| compile(e, scope, None))
+            .collect::<Result<Vec<_>, _>>()
+    };
+    let feature_filter = match plan {
+        Plan::SpatialJoin { vec, .. } => compile_all(
+            &mut vec.residual.iter(),
+            Scope {
+                points: None,
+                ..scope
+            },
+        )?,
+        _ => Vec::new(),
+    };
+    let output = if grouped {
+        let mut slots = AggSlots::default();
+        let mut compile_agg = |e: &Expr| compile(e, scope, Some(&mut slots));
+        let items = items
+            .iter()
+            .map(|(_, e)| compile_agg(e))
+            .collect::<Result<_, _>>()?;
+        let having = sel.having.as_ref().map(compile_agg).transpose()?;
+        Output::Groups(Grouped {
+            keys: compile_all(&mut sel.group_by.iter(), scope)?,
+            calls: slots.calls,
+            firsts: slots.firsts.into_iter().map(|(_, node)| node).collect(),
+            having,
+            items,
+        })
+    } else {
+        Output::Rows(compile_all(&mut items.iter().map(|(_, e)| e), scope)?)
+    };
+    let reads_rows = !residual.is_empty()
+        || match &output {
+            Output::Rows(_) => true,
+            Output::Groups(g) => {
+                let expr_call = g.calls.iter().any(|c| matches!(c.arg, Arg::Expr(_)));
+                !g.keys.is_empty() || !g.firsts.is_empty() || expr_call
+            }
+        };
+    Ok(Query {
+        order: (sel.order_by.iter())
+            .map(|(e, asc)| Ok((resolve_output_column(e, &items)?, *asc)))
+            .collect::<Result<_, SqlError>>()?,
+        residual: compile_all(&mut residual.into_iter(), scope)?,
+        names: items.into_iter().map(|(name, _)| name).collect(),
         catalog,
         sel,
         plan,
-        items,
-        grouped,
+        features,
+        columns,
+        feature_filter,
+        reads_rows,
+        output,
     })
 }
 
-/// One SELECT, once: check its shape, govern it once when it reads a point
-/// table or is a join (join probes share the statement's context: one
-/// registry entry, one permit, one deadline and memory budget), hand the
-/// sink its columns and the statement's own token — so a disconnect or
-/// `KILL` cancels it at the next checkpoint — then run exactly one arm:
+/// One SELECT, once: shape and compile it, govern it once when it reads a
+/// point table or is a join (join probes share the statement's context:
+/// one registry entry, one permit, one deadline and memory budget), hand
+/// the sink its columns and the statement's own token — so a disconnect
+/// or `KILL` cancels it at the next checkpoint — then run the pipeline.
 ///
-/// * the **typed fold** of a foldable aggregate ([`typed_fold`]);
-/// * the **native column stream** of a plain point-table scan
-///   ([`stream_scan`]);
-/// * the **row path** ([`row_path`]): `GROUP BY`, `ORDER BY`, `DISTINCT`,
-///   other aggregates, joins that do not fold, vector and `sys.*` scans.
-///   Its rows are whole before delivery, so the table — read guard,
-///   pinned segments, permit, registry ticket — is released first and a
-///   slow client never holds up an `INSERT`.
+/// A result that is whole before its first batch (any aggregate, `ORDER
+/// BY`, `DISTINCT`) releases the table — read guard, pinned segments,
+/// permit, registry ticket — before delivery, so a slow client never holds
+/// up an `INSERT`. Any other result streams as it is projected and holds
+/// them through delivery.
 fn select(
     catalog: &Catalog,
     sel: &SelectStmt,
@@ -853,10 +1175,9 @@ fn select(
     trace: &mut Vec<TraceEntry>,
 ) -> Result<StreamSummary, SqlError> {
     let q = shape(catalog, sel, plan)?;
-    let calls = typed_fold(&q);
-    let plain = !q.grouped && !sel.distinct && q.order.is_empty();
+    let streamed = matches!(q.output, Output::Rows(_)) && !sel.distinct && q.order.is_empty();
     let (table, verb) = match plan {
-        Plan::PcScan(scan) if plain => (Some(&scan.table.name), "stream select"),
+        Plan::PcScan(scan) if streamed => (Some(&scan.table.name), "stream select"),
         Plan::PcScan(scan) => (Some(&scan.table.name), "select"),
         Plan::SpatialJoin { pc, .. } => (Some(&pc.table.name), "join"),
         Plan::VecScan(_) => (None, ""),
@@ -870,103 +1191,192 @@ fn select(
     let token = governed
         .as_ref()
         .map_or_else(CancelToken::new, |g| g.ctx.token().clone());
-    let columns: Vec<String> = q.items.iter().map(|(n, _)| n.clone()).collect();
-    sink.start(&columns, &token)?;
+    sink.start(&q.names, &token)?;
     let input = view.as_ref().zip(governed.as_ref().map(|g| &g.ctx));
-    match (plan, input, &calls) {
-        (_, Some((pc, ctx)), Some(calls)) => {
-            let rows = fold(&q, pc, ctx, calls, trace)?;
-            return deliver(rows, batch_rows, sink, &token);
+    let whole = match &q.output {
+        Output::Rows(items) => {
+            let limit = sel.limit.map_or(usize::MAX, |l| l as usize);
+            let mut out = match streamed {
+                true => Project::new(items, batch_rows, limit, Some((&mut *sink, &token))),
+                false => Project::new(items, usize::MAX, usize::MAX, None),
+            };
+            let mut seconds = scan(&q, input, batch_rows, &mut out, trace)?;
+            let t0 = Instant::now();
+            let (batch, summary) = out.finish()?;
+            seconds += t0.elapsed().as_secs_f64();
+            trace.push(TraceEntry::new("project", summary.rows, seconds));
+            if streamed {
+                return Ok(summary);
+            }
+            batch
         }
-        (Plan::PcScan(scan), Some((pc, ctx)), None) if plain => {
-            return stream_scan(&q, scan, pc, ctx, batch_rows, sink, trace)
-        }
-        _ => {}
-    }
-    let rows = row_path(&q, input, trace)?;
+        Output::Groups(g) => aggregate(&q, g, input, batch_rows, trace)?,
+    };
     drop(governed);
     drop(pc);
-    deliver(rows, batch_rows, sink, &token)
+    finish(&q, whole, batch_rows, sink, &token, trace)
 }
 
-/// The row path's input rows, then [`project`]. `input` is the governed
-/// point table of a scan or join. The rows a point scan or join selects
-/// are resolved to their segments, which stay pinned until the projection
-/// is done (`GROUP BY` and `ORDER BY` read rows lazily).
-fn row_path(
-    q: &Shaped,
+/// Step 3: what a statement makes of each chunk of surviving rows.
+trait Take {
+    /// Take the surviving rows `ids` of `input`; false stops the scan (a
+    /// `LIMIT` reached).
+    fn take(&mut self, input: Input, ids: &[usize]) -> Result<bool, SqlError>;
+
+    /// Take a select's ids whole, when nothing reads their rows' values.
+    fn take_ids(&mut self, ids: Vec<usize>) -> Result<bool, SqlError> {
+        self.take(Input::Ids, &ids)
+    }
+}
+
+/// Steps 1 and 2 into `out`: the statement's row ids — the two-step
+/// engine's for a point scan, each probe's for a join (feature by
+/// feature), every row of a vector table — resolved to their segments and
+/// handed over in chunks of at most `batch_rows` per segment run after the
+/// residual. A statement that reads no value of its rows hands over bare
+/// ids and resolves no segment. Returns the seconds `out` took.
+fn scan(
+    q: &Query,
     input: Option<(&PointTable, &GovernCtx)>,
+    batch_rows: usize,
+    out: &mut dyn Take,
     trace: &mut Vec<TraceEntry>,
-) -> Result<Vec<Vec<SqlValue>>, SqlError> {
-    let t0 = Instant::now();
-    match (q.plan, input) {
-        (Plan::PcScan(scan), Some((pc, ctx))) => {
-            let rows = scan_rows(pc, scan, q.catalog, ctx, trace)?;
-            let runs: Vec<Run> = pc.runs(&rows, q.columns).collect::<Result<_, _>>()?;
-            let t0 = Instant::now();
-            let mut envs = Vec::new();
-            for ctx in runs.iter().flat_map(|run| run_ctxs(run, &scan.table.alias)) {
-                if passes(&scan.residual, &ctx)? {
-                    envs.push(RowEnv::Pc(ctx));
-                }
-            }
-            if !scan.residual.is_empty() {
-                let elapsed = t0.elapsed().as_secs_f64();
-                trace.push(TraceEntry::new("thematic filter", envs.len(), elapsed));
-            }
-            project(q, envs, trace)
-        }
+) -> Result<f64, SqlError> {
+    let mut s = Scan {
+        q,
+        out,
+        rows: 0,
+        filter_seconds: 0.0,
+        take_seconds: 0.0,
+    };
+    let (pc, ctx, probes) = match (q.plan, input) {
         (Plan::VecScan(scan), _) => {
-            let vt = vector_table(q.catalog, scan)?;
-            let mut envs = Vec::new();
-            for row in 0..vt.num_rows() {
-                let ctx = VecCtx {
-                    vt,
-                    alias: &scan.table.alias,
-                    row,
-                };
-                if passes(&scan.residual, &ctx)? {
-                    envs.push(RowEnv::Vec(ctx));
+            let vt = q.features.expect("a vector scan reads a vector table");
+            let all: Vec<usize> = (0..vt.num_rows()).collect();
+            for chunk in all.chunks(batch_rows) {
+                if !s.chunk(Input::Features(vt), chunk)? {
+                    break;
                 }
             }
             let op = format!("vector scan {}", scan.table.alias);
-            trace.push(TraceEntry::new(op, envs.len(), t0.elapsed().as_secs_f64()));
-            project(q, envs, trace)
+            trace.push(TraceEntry::new(op, s.rows, s.filter_seconds));
+            return Ok(s.take_seconds);
         }
+        (Plan::PcScan(scan), Some((pc, ctx))) => (
+            pc,
+            ctx,
+            vec![(None, scan_rows(pc, scan, q.catalog, ctx, trace)?)],
+        ),
         (
             Plan::SpatialJoin {
                 pc: pc_scan,
-                vec: vec_scan,
+                vec,
                 join,
-                pair_residual,
+                ..
             },
             Some((pc, ctx)),
         ) => {
-            let probes = join_probes(q.catalog, pc, ctx, pc_scan, vec_scan, join, trace)?;
-            // Point-side + pair residuals, over the segments the matched
-            // rows live in.
-            let t0 = Instant::now();
-            let mut runs: Vec<(VecCtx, Run)> = Vec::new();
-            for (feature, rows) in &probes {
-                for run in pc.runs(rows, q.columns) {
-                    runs.push((*feature, run?));
-                }
-            }
-            let mut envs = Vec::new();
-            for (vec, run) in &runs {
-                for pc in run_ctxs(run, &pc_scan.table.alias) {
-                    let ctx = PairCtx { pc, vec: *vec };
-                    if passes(&pc_scan.residual, &ctx)? && passes(pair_residual, &ctx)? {
-                        envs.push(RowEnv::Pair(ctx));
-                    }
-                }
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            trace.push(TraceEntry::new("pair filter", envs.len(), elapsed));
-            project(q, envs, trace)
+            let vt = q.features.expect("a join reads a vector table");
+            let probes = join_probes(q, vt, pc, ctx, pc_scan, vec, join, trace)?;
+            (
+                pc,
+                ctx,
+                probes
+                    .into_iter()
+                    .map(|(row, ids)| (Some((vt, row)), ids))
+                    .collect(),
+            )
         }
         _ => unreachable!("point tables are governed"),
+    };
+    'probes: for (feature, ids) in probes {
+        if !q.reads_rows {
+            let t0 = Instant::now();
+            s.rows += ids.len();
+            s.out.take_ids(ids)?;
+            s.take_seconds += t0.elapsed().as_secs_f64();
+            continue;
+        }
+        for run in pc.runs(&ids, q.columns) {
+            let (seg, base, ids) = run?;
+            let input = Input::Points {
+                seg: &seg,
+                base,
+                feature,
+            };
+            for chunk in ids.chunks(batch_rows) {
+                // KILL and the deadline reach every statement once a chunk.
+                ctx.token().check(ctx.partial_rows())?;
+                if !s.chunk(input, chunk)? {
+                    break 'probes;
+                }
+            }
+        }
     }
+    if !q.residual.is_empty() {
+        trace.push(TraceEntry::new("residual filter", s.rows, s.filter_seconds));
+    }
+    Ok(s.take_seconds)
+}
+
+/// Steps 2 and 3, chunk by chunk: the rows that passed the residual, and
+/// the seconds each step took.
+struct Scan<'q, 'o> {
+    q: &'q Query<'q>,
+    out: &'o mut dyn Take,
+    rows: usize,
+    filter_seconds: f64,
+    take_seconds: f64,
+}
+
+impl Scan<'_, '_> {
+    /// The residual over one chunk, then step 3; false once `out` stops.
+    fn chunk(&mut self, input: Input, ids: &[usize]) -> Result<bool, SqlError> {
+        let t0 = Instant::now();
+        let ids = filter(&self.q.residual, input, ids)?;
+        self.rows += ids.len();
+        let t1 = Instant::now();
+        let more = self.out.take(input, &ids)?;
+        self.filter_seconds += (t1 - t0).as_secs_f64();
+        self.take_seconds += t1.elapsed().as_secs_f64();
+        Ok(more)
+    }
+}
+
+/// Step 2: the ids of `ids` whose row passes every term — one a row is
+/// TRUE on ([`truthy`]), each term evaluated only on the rows every
+/// earlier term kept.
+fn filter<'i>(
+    terms: &[Node],
+    input: Input,
+    ids: &'i [usize],
+) -> Result<Cow<'i, [usize]>, SqlError> {
+    let mut rows = Cow::Borrowed(ids);
+    for term in terms {
+        if rows.is_empty() {
+            break;
+        }
+        let (v, mut kept) = (eval(term, input, &rows)?, vec![0; rows.len()]);
+        let mut n = 0;
+        let mut keep = |id: usize, pass: bool| {
+            // Written always, kept by moving on: no branch per row.
+            kept[n] = id;
+            n += usize::from(pass);
+        };
+        match &v {
+            Vals::Bool(mask) => rows.iter().zip(mask).for_each(|(&id, &m)| keep(id, m)),
+            Vals::Chunk(ColumnChunk::Values(vals)) => rows
+                .iter()
+                .zip(vals)
+                .for_each(|(&id, v)| keep(id, truthy(v))),
+            Vals::Const(c) => rows.iter().for_each(|&id| keep(id, truthy(c))),
+            // Numbers are never TRUE.
+            Vals::Chunk(_) => {}
+        }
+        kept.truncate(n);
+        rows = Cow::Owned(kept);
+    }
+    Ok(rows)
 }
 
 /// A vector table the plan bound.
@@ -981,30 +1391,23 @@ fn vector_table<'c>(
 }
 
 /// The probes of a spatial join, all under the statement's `ctx`: every
-/// feature that passes the feature-side residual, with the ascending ids
-/// of the points one two-step select finds for its predicate.
-fn join_probes<'a>(
-    catalog: &'a Catalog,
+/// feature row of `vt` that passes the feature-side residual, with the
+/// ascending ids of the points one two-step select finds for its
+/// predicate.
+#[allow(clippy::too_many_arguments)]
+fn join_probes(
+    q: &Query,
+    vt: &VectorTable,
     pc: &PointTable,
     ctx: &GovernCtx,
     pc_scan: &crate::plan::PcScan,
-    vec_scan: &'a crate::plan::VecScan,
+    vec_scan: &crate::plan::VecScan,
     join: &JoinPred,
     trace: &mut Vec<TraceEntry>,
-) -> Result<Vec<(VecCtx<'a>, Vec<usize>)>, SqlError> {
-    let vt = vector_table(catalog, vec_scan)?;
+) -> Result<Vec<(usize, Vec<usize>)>, SqlError> {
     let t0 = Instant::now();
-    let mut features = Vec::new();
-    for row in 0..vt.num_rows() {
-        let feature = VecCtx {
-            vt,
-            alias: &vec_scan.table.alias,
-            row,
-        };
-        if passes(&vec_scan.residual, &feature)? {
-            features.push(feature);
-        }
-    }
+    let all: Vec<usize> = (0..vt.num_rows()).collect();
+    let features = filter(&q.feature_filter, Input::Features(vt), &all)?.into_owned();
     let op = format!("feature filter {}", vec_scan.table.alias);
     trace.push(TraceEntry::new(
         op,
@@ -1021,7 +1424,7 @@ fn join_probes<'a>(
     // The probes' stages, summed, for the lines under the join's own.
     let mut stages = Explain::default();
     for feature in features {
-        let g = match vt.value(geom_col, feature.row)? {
+        let g = match vt.value(geom_col, feature)? {
             SqlValue::Geom(g) => g,
             other => {
                 return Err(SqlError::Exec(format!(
@@ -1034,7 +1437,7 @@ fn join_probes<'a>(
             JoinPred::DWithin { dist, .. } => SpatialPredicate::DWithin(g, *dist),
             JoinPred::ContainsPoint { .. } => SpatialPredicate::Within(g),
         };
-        let (attrs, par) = (&pc_scan.attr_ranges, catalog.parallelism());
+        let (attrs, par) = (&pc_scan.attr_ranges, q.catalog.parallelism());
         let sel = pc.select(Some(&pred), attrs, RefineStrategy::default(), par, ctx)?;
         stages.merge(&sel.explain);
         probes.push((feature, sel.rows));
@@ -1162,412 +1565,538 @@ fn output_items(
     Ok(out)
 }
 
-/// Aggregate-aware evaluation of one select item over a group: `call`
-/// computes each aggregate call, `first` is the group's first row (for a
-/// non-aggregate part; constants evaluate without one).
-fn eval_agg(
-    e: &Expr,
-    first: Option<&dyn Ctx>,
-    call: &dyn Fn(&Expr) -> Result<SqlValue, SqlError>,
-) -> Result<SqlValue, SqlError> {
-    if !e.has_aggregate() {
-        return match first {
-            Some(ctx) => eval(e, ctx),
-            None => eval_const(e),
-        };
+/// Step 3 of a statement without aggregates: the items over each chunk of
+/// surviving rows, appended to one column-major batch. A streamed result
+/// sends it every `batch_rows` rows — the same boundaries across segment
+/// runs and tiles — and stops at `LIMIT`; a whole one keeps one batch.
+struct Project<'q, 's> {
+    items: &'q [Node],
+    batch: ColumnBatch,
+    batch_rows: usize,
+    limit: usize,
+    summary: StreamSummary,
+    /// The sink full batches go to, and the statement's token.
+    sink: Option<(&'s mut dyn RowSink, &'s CancelToken)>,
+}
+
+impl<'q, 's> Project<'q, 's> {
+    fn new(
+        items: &'q [Node],
+        batch_rows: usize,
+        limit: usize,
+        sink: Option<(&'s mut dyn RowSink, &'s CancelToken)>,
+    ) -> Self {
+        let (batch, summary) = (
+            ColumnBatch::empty(items.len()),
+            StreamSummary {
+                rows: 0,
+                batches: 0,
+            },
+        );
+        Project {
+            items,
+            batch,
+            batch_rows,
+            limit,
+            summary,
+            sink,
+        }
     }
-    match e {
-        Expr::CountStar => call(e),
-        Expr::Func { name, .. } if is_aggregate(name) => call(e),
-        Expr::Binary { op, left, right } => {
-            let l = eval_agg(left, first, call)?;
-            let r = eval_agg(right, first, call)?;
-            apply_binop(*op, l, r)
+
+    /// Send the batch when it is full — or, when `last`, not empty.
+    fn send(&mut self, last: bool) -> Result<(), SqlError> {
+        let Some((sink, token)) = &mut self.sink else {
+            return Ok(());
+        };
+        if self.batch.rows == self.batch_rows || (last && self.batch.rows > 0) {
+            let full = std::mem::replace(&mut self.batch, ColumnBatch::empty(self.items.len()));
+            sink.columns(full)?;
+            self.summary.batches += 1;
+            if !last {
+                // Deadline / KILL / disconnect-trip land between batches,
+                // so a cancelled stream stops within one batch of the signal.
+                token.check(self.summary.rows)?;
+            }
         }
-        Expr::Neg(inner) => match eval_agg(inner, first, call)? {
-            SqlValue::Null => Ok(SqlValue::Null),
-            SqlValue::Int(v) => Ok(SqlValue::Int(-v)),
-            v => Ok(SqlValue::Float(-v.as_f64()?)),
-        },
-        Expr::Func { name, args } => {
-            let vals: Vec<SqlValue> = args
-                .iter()
-                .map(|a| eval_agg(a, first, call))
-                .collect::<Result<_, _>>()?;
-            functions::call(name, &vals)
-        }
-        other => Err(SqlError::Exec(format!(
-            "unsupported aggregate expression {}",
-            other.render()
-        ))),
+        Ok(())
+    }
+
+    /// The batch a whole result keeps; a streamed one sends its last.
+    fn finish(mut self) -> Result<(ColumnBatch, StreamSummary), SqlError> {
+        self.send(true)?;
+        Ok((self.batch, self.summary))
     }
 }
 
-/// One aggregate call over the rows of a group on the row path. NULL
-/// inputs are skipped; `SUM`/`AVG` accumulate in the engine's compensated
-/// [`AggState`]; over no input `COUNT` is 0 and the others are NULL.
-fn row_aggregate(e: &Expr, group: &[&RowEnv]) -> Result<SqlValue, SqlError> {
-    let Expr::Func { name, args } = e else {
-        return Ok(SqlValue::Int(group.len() as i64)); // COUNT(*)
-    };
-    let [arg] = args.as_slice() else {
-        return Err(SqlError::Exec(format!("{name} expects one argument")));
-    };
-    let (mut acc, mut best) = (AggState::default(), None::<SqlValue>);
-    for env in group {
-        let v = eval(arg, *env)?;
-        match name.as_str() {
+impl Take for Project<'_, '_> {
+    fn take(&mut self, input: Input, ids: &[usize]) -> Result<bool, SqlError> {
+        let mut ids = &ids[..ids.len().min(self.limit - self.summary.rows)];
+        while !ids.is_empty() {
+            let (now, rest) = ids.split_at(ids.len().min(self.batch_rows - self.batch.rows));
+            ids = rest;
+            for (node, chunk) in self.items.iter().zip(&mut self.batch.columns) {
+                match (node, input) {
+                    // A plain point column straight from typed storage.
+                    (Node::Point(name), Input::Points { seg, base, .. }) => {
+                        for_each_variant!(seg.column(name)?, v => gather(v, base, now, chunk))
+                    }
+                    _ => append(chunk, eval(node, input, now)?, now.len()),
+                }
+            }
+            self.batch.rows += now.len();
+            self.summary.rows += now.len();
+            self.send(false)?;
+        }
+        Ok(self.summary.rows < self.limit)
+    }
+}
+
+/// Append the `n` rows of `vals` to an output column, which stays typed
+/// while the values fit it.
+fn append(chunk: &mut ColumnChunk, vals: Vals, n: usize) {
+    match (chunk, vals) {
+        (chunk, vals) if chunk.is_empty() => *chunk = vals.into_chunk(n),
+        (ColumnChunk::Float(out), Vals::Chunk(ColumnChunk::Float(v))) => out.extend(v),
+        (ColumnChunk::Int(out), Vals::Chunk(ColumnChunk::Int(v))) => out.extend(v),
+        (chunk, vals) => (0..n).for_each(|i| chunk.push(vals.get(i))),
+    }
+}
+
+/// A `GROUP BY` or `DISTINCT` key part: a value as its type and bits (text
+/// as itself, a geometry as its WKT), so `1` and `1.0` stay apart.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Key {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Str(String),
+    Geom(String),
+}
+
+impl Key {
+    /// Row `i` of `vals`, typed chunks read in place.
+    fn row(vals: &Vals, i: usize) -> Key {
+        match vals {
+            Vals::Chunk(ColumnChunk::Float(v)) => Key::Float(v[i].to_bits()),
+            Vals::Chunk(ColumnChunk::Int(v)) => Key::Int(v[i]),
+            vals => Key::of(&vals.get(i)),
+        }
+    }
+
+    fn of(v: &SqlValue) -> Key {
+        match v {
+            SqlValue::Null => Key::Null,
+            SqlValue::Bool(b) => Key::Bool(*b),
+            SqlValue::Int(v) => Key::Int(*v),
+            SqlValue::Float(v) => Key::Float(v.to_bits()),
+            SqlValue::Str(s) => Key::Str(s.clone()),
+            SqlValue::Geom(g) => Key::Geom(lidardb_geom::wkt::to_wkt(g)),
+        }
+    }
+}
+
+/// An expression call's accumulator in one group: NULLs are skipped,
+/// `SUM`/`AVG` accumulate in the engine's compensated [`AggState`], and
+/// `MIN`/`MAX` keep the best value by SQL comparison.
+#[derive(Clone, Default)]
+struct Acc {
+    state: AggState,
+    best: Option<SqlValue>,
+}
+
+impl Acc {
+    fn push(&mut self, agg: Aggregate, v: SqlValue) -> Result<(), SqlError> {
+        match agg {
             _ if v.is_null() => {}
-            "SUM" | "AVG" => acc.push(v.as_f64()?),
-            "MIN" | "MAX" => {
-                acc.count += 1;
-                let better = match &best {
+            Aggregate::Sum | Aggregate::Avg => self.state.push(v.as_f64()?),
+            Aggregate::Count => self.state.count += 1,
+            Aggregate::Min | Aggregate::Max => {
+                self.state.count += 1;
+                let better = match &self.best {
                     None => true,
                     Some(b) => {
                         let ord = v.compare(b).ok_or_else(|| {
                             SqlError::Exec("incomparable values in MIN/MAX".into())
                         })?;
-                        if name == "MIN" {
-                            ord.is_lt()
+                        ord == if agg == Aggregate::Min {
+                            Ordering::Less
                         } else {
-                            ord.is_gt()
+                            Ordering::Greater
                         }
                     }
                 };
                 if better {
-                    best = Some(v);
+                    self.best = Some(v);
                 }
             }
-            _ => acc.count += 1,
+        }
+        Ok(())
+    }
+
+    /// Over no input `COUNT` is 0 and the others are NULL.
+    fn finish(&self, agg: Aggregate) -> SqlValue {
+        let count = self.state.count;
+        match agg {
+            Aggregate::Count => SqlValue::Int(count as i64),
+            _ if count == 0 => SqlValue::Null,
+            Aggregate::Sum => SqlValue::Float(self.state.sum()),
+            Aggregate::Avg => SqlValue::Float(self.state.sum() / count as f64),
+            Aggregate::Min | Aggregate::Max => self.best.clone().unwrap_or(SqlValue::Null),
         }
     }
-    Ok(match name.as_str() {
-        "COUNT" => SqlValue::Int(acc.count as i64),
-        _ if acc.count == 0 => SqlValue::Null,
-        "SUM" => SqlValue::Float(acc.sum()),
-        "AVG" => SqlValue::Float(acc.sum() / acc.count as f64),
-        _ => best.unwrap_or(SqlValue::Null),
+}
+
+/// One group: its rows, its ids (kept when a call folds a point column),
+/// its expression calls' accumulators, its first-row parts' values (read
+/// on the row that opens it) and, once finished, its calls' values.
+#[derive(Default)]
+struct Group {
+    rows: usize,
+    ids: Vec<usize>,
+    accs: Vec<Acc>,
+    firsts: Vec<SqlValue>,
+    values: Vec<SqlValue>,
+}
+
+/// Step 3 of a grouped statement: each chunk's surviving rows join the
+/// group of their key; groups are numbered in order of first appearance.
+struct Groups<'q> {
+    g: &'q Grouped,
+    index: HashMap<Vec<Key>, usize>,
+    groups: Vec<Group>,
+    keep_ids: bool,
+}
+
+impl<'q> Groups<'q> {
+    fn new(g: &'q Grouped) -> Self {
+        let keep_ids = g.calls.iter().any(|c| matches!(c.arg, Arg::Column(..)));
+        let mut groups = Groups {
+            g,
+            index: HashMap::default(),
+            groups: Vec::new(),
+            keep_ids,
+        };
+        if g.keys.is_empty() {
+            // One global group, also over an empty input: COUNT(*) = 0,
+            // other aggregates are NULL, and HAVING still applies.
+            groups.open();
+        }
+        groups
+    }
+
+    fn open(&mut self) -> usize {
+        let accs = vec![Acc::default(); self.g.calls.len()];
+        self.groups.push(Group {
+            accs,
+            ..Group::default()
+        });
+        self.groups.len() - 1
+    }
+
+    /// Every call's value per group, with one fold of each (group, point
+    /// column) through the engine's kernel.
+    fn finish(
+        mut self,
+        table: Option<(&PointTable, &GovernCtx)>,
+        par: Parallelism,
+    ) -> Result<Vec<Group>, SqlError> {
+        for group in &mut self.groups {
+            let mut folds: Vec<(&str, Option<AggState>)> = Vec::new();
+            for (call, acc) in self.g.calls.iter().zip(&group.accs) {
+                let value = match call.arg {
+                    Arg::Rows => SqlValue::Int(group.rows as i64),
+                    Arg::Expr(_) => acc.finish(call.agg),
+                    Arg::Column(column, phys) => {
+                        let (pc, ctx) = table.expect("point columns fold on a point table");
+                        let state = match folds.iter().find(|f| f.0 == column) {
+                            Some(&(_, state)) => state,
+                            None => {
+                                let state = pc.fold(&group.ids, column, par, ctx)?;
+                                folds.push((column, state));
+                                state
+                            }
+                        };
+                        folded(pc, &group.ids, (column, phys), call.agg, state)?
+                    }
+                };
+                group.values.push(value);
+            }
+        }
+        Ok(self.groups)
+    }
+}
+
+impl Take for Groups<'_> {
+    fn take_ids(&mut self, ids: Vec<usize>) -> Result<bool, SqlError> {
+        // Only the one global group takes bare ids: moved in, not copied.
+        let group = &mut self.groups[0];
+        group.rows += ids.len();
+        match self.keep_ids {
+            true if group.ids.is_empty() => group.ids = ids,
+            true => group.ids.extend(ids),
+            false => {}
+        }
+        Ok(true)
+    }
+
+    fn take(&mut self, input: Input, ids: &[usize]) -> Result<bool, SqlError> {
+        let each = |nodes: &[Node], ids: &[usize]| {
+            (nodes.iter().map(|n| eval(n, input, ids))).collect::<Result<Vec<_>, _>>()
+        };
+        let keys = each(&self.g.keys, ids)?;
+        let args = (self.g.calls.iter())
+            .map(|c| match &c.arg {
+                Arg::Expr(node) => eval(node, input, ids).map(Some),
+                _ => Ok(None),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // Each row's group when an expression call needs it, and the rows
+        // that open a group.
+        let needs_of = args.iter().any(Option::is_some);
+        let (mut of, mut opened) = (Vec::new(), Vec::new());
+        if keys.is_empty() {
+            if self.groups[0].rows == 0 && !ids.is_empty() {
+                opened.push((0, 0));
+            }
+            let group = &mut self.groups[0];
+            group.rows += ids.len();
+            if self.keep_ids {
+                group.ids.extend_from_slice(ids);
+            }
+            of.resize(if needs_of { ids.len() } else { 0 }, 0);
+        } else {
+            // A key the chunk repeats is looked up once: constant keys (a
+            // join's feature columns) for the whole chunk, one integer key
+            // over a short range once per value.
+            let (lo, span) = match keys.as_slice() {
+                k if k.iter().all(|k| matches!(k, Vals::Const(_))) => (0, 1),
+                [Vals::Chunk(ColumnChunk::Int(v))] => {
+                    let (lo, hi) = (v.iter().min(), v.iter().max());
+                    let span = lo.zip(hi).map_or(0, |(lo, hi)| hi.abs_diff(*lo) + 1);
+                    let span = if span <= 4096 { span as usize } else { 0 };
+                    (lo.copied().unwrap_or(0), span)
+                }
+                _ => (0, 0),
+            };
+            let slot = |i: usize| match &keys[..] {
+                [Vals::Chunk(ColumnChunk::Int(v))] => v[i].abs_diff(lo) as usize,
+                _ => 0,
+            };
+            let (mut memo, mut key) = (vec![usize::MAX; span], Vec::new());
+            for (i, &id) in ids.iter().enumerate() {
+                let known = memo.get(slot(i)).copied().filter(|&g| g != usize::MAX);
+                let group = match known {
+                    Some(group) => group,
+                    None => {
+                        key.clear();
+                        key.extend(keys.iter().map(|k| Key::row(k, i)));
+                        let group = match self.index.get(key.as_slice()) {
+                            Some(&group) => group,
+                            None => {
+                                opened.push((i, self.groups.len()));
+                                self.index.insert(key.clone(), self.groups.len());
+                                self.open()
+                            }
+                        };
+                        if let Some(m) = memo.get_mut(slot(i)) {
+                            *m = group;
+                        }
+                        group
+                    }
+                };
+                let g = &mut self.groups[group];
+                g.rows += 1;
+                if self.keep_ids {
+                    g.ids.push(id);
+                }
+                if needs_of {
+                    of.push(group);
+                }
+            }
+        }
+        let rows: Vec<usize> = opened.iter().map(|&(i, _)| ids[i]).collect();
+        let firsts = each(&self.g.firsts, &rows)?;
+        for (k, &(_, group)) in opened.iter().enumerate() {
+            self.groups[group].firsts = firsts.iter().map(|v| v.get(k)).collect();
+        }
+        for ((c, call), v) in self.g.calls.iter().enumerate().zip(&args) {
+            let Some(v) = v else { continue };
+            for (i, &group) in of.iter().enumerate() {
+                self.groups[group].accs[c].push(call.agg, v.get(i))?;
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// A folded call's value, typed as SQL types it: `MIN`/`MAX` of an
+/// integer column is its exact value, an `Int` (past `i64::MAX` a float).
+fn folded(
+    pc: &PointTable,
+    ids: &[usize],
+    (column, phys): (&str, PhysicalType),
+    agg: Aggregate,
+    state: Option<AggState>,
+) -> Result<SqlValue, SqlError> {
+    let Some(state) = state else {
+        return Ok(SqlValue::Null);
+    };
+    let v = match agg {
+        Aggregate::Sum => state.sum(),
+        Aggregate::Avg => state.sum() / ids.len() as f64,
+        Aggregate::Min => state.min,
+        Aggregate::Max => state.max,
+        Aggregate::Count => unreachable!("a count folds no column"),
+    };
+    if matches!(agg, Aggregate::Sum | Aggregate::Avg) || phys.is_float() {
+        return Ok(SqlValue::Float(v));
+    }
+    if v.abs() < (1u64 << 53) as f64 {
+        return Ok(SqlValue::Int(v as i64));
+    }
+    // Past 2^53 the f64 fold may have rounded: re-read the exact value.
+    let mut ids = ids.to_vec();
+    ids.sort_unstable(); // segment runs need ascending ids
+    let mut vals = Vec::new();
+    for run in pc.runs(&ids, ColumnSet::of([column])) {
+        let (seg, base, rows) = run?;
+        let col = seg.column(column)?;
+        vals.extend(rows.iter().filter_map(|&r| match col.get(r - base)? {
+            Value::I64(v) => Some(i128::from(v)),
+            Value::U64(v) => Some(i128::from(v)),
+            Value::F64(_) => None,
+        }));
+    }
+    let best = match agg {
+        Aggregate::Max => vals.into_iter().max(),
+        _ => vals.into_iter().min(),
+    };
+    Ok(best.map_or(SqlValue::Null, |b| {
+        i64::try_from(b).map_or(SqlValue::Float(b as f64), SqlValue::Int)
+    }))
+}
+
+/// Step 3 of a grouped statement, whole: the groups of every surviving
+/// row, their calls, then `HAVING` and the items over the finished groups.
+fn aggregate(
+    q: &Query,
+    g: &Grouped,
+    input: Option<(&PointTable, &GovernCtx)>,
+    batch_rows: usize,
+    trace: &mut Vec<TraceEntry>,
+) -> Result<ColumnBatch, SqlError> {
+    let mut groups = Groups::new(g);
+    let mut seconds = scan(q, input, batch_rows, &mut groups, trace)?;
+    let t0 = Instant::now();
+    let groups = groups.finish(input, q.catalog.parallelism())?;
+    let all: Vec<usize> = (0..groups.len()).collect();
+    let kept = filter(g.having.as_slice(), Input::Groups(&groups), &all)?;
+    let columns = (g.items.iter())
+        .map(|e| Ok(eval(e, Input::Groups(&groups), &kept)?.into_chunk(kept.len())))
+        .collect::<Result<_, SqlError>>()?;
+    seconds += t0.elapsed().as_secs_f64();
+    let calls: Vec<String> = g.calls.iter().map(|c| c.expr.render()).collect();
+    let keyed = match g.keys.len() {
+        0 => String::new(),
+        _ => format!("; {} groups", groups.len()),
+    };
+    let op = format!("aggregate ({}{keyed})", calls.join(", "));
+    trace.push(TraceEntry::new(
+        op,
+        groups.iter().map(|g| g.rows).sum(),
+        seconds,
+    ));
+    Ok(ColumnBatch {
+        rows: kept.len(),
+        columns,
     })
 }
 
-/// Projection, aggregation, ordering, limiting: the row path.
-fn project(
-    q: &Shaped,
-    envs: Vec<RowEnv>,
+/// Step 4 of a whole result, then its delivery: `DISTINCT` keeps each
+/// row's first occurrence, `ORDER BY` stably sorts a permutation of the
+/// rows, `LIMIT` cuts it, and only the rows left are gathered into the
+/// batches sent.
+fn finish(
+    q: &Query,
+    whole: ColumnBatch,
+    batch_rows: usize,
+    sink: &mut dyn RowSink,
+    token: &CancelToken,
     trace: &mut Vec<TraceEntry>,
-) -> Result<Vec<Vec<SqlValue>>, SqlError> {
-    let (sel, items) = (q.sel, &q.items);
-    let t0 = Instant::now();
-    let mut rows: Vec<Vec<SqlValue>> = Vec::new();
-    if q.grouped {
-        let groups: Vec<Vec<&RowEnv>> = if sel.group_by.is_empty() {
-            // One global group, also over an empty input: COUNT(*) = 0,
-            // other aggregates are NULL, and HAVING still applies.
-            vec![envs.iter().collect()]
-        } else {
-            let mut groups: Vec<Vec<&RowEnv>> = Vec::new();
-            let mut index = std::collections::HashMap::new();
-            for env in &envs {
-                let mut key = String::new();
-                for g in &sel.group_by {
-                    key.push_str(&eval(g, env)?.group_key());
-                    key.push('\u{1}');
-                }
-                let next = groups.len();
-                let i = *index.entry(key).or_insert(next);
-                if i == next {
-                    groups.push(Vec::new());
-                }
-                groups[i].push(env);
-            }
-            groups
-        };
-        for group in &groups {
-            let call = |e: &Expr| row_aggregate(e, group);
-            let first = group.first().map(|env| *env as &dyn Ctx);
-            if let Some(h) = &sel.having {
-                if !truthy(&eval_agg(h, first, &call)?) {
-                    continue;
-                }
-            }
-            let mut row = Vec::new();
-            for (_, e) in items {
-                row.push(eval_agg(e, first, &call)?);
-            }
-            rows.push(row);
-        }
-    } else {
-        for env in &envs {
-            let mut row = Vec::with_capacity(items.len());
-            for (_, e) in items {
-                row.push(eval(e, env)?);
-            }
-            rows.push(row);
-        }
-    }
-    if sel.distinct {
-        let mut seen = std::collections::HashSet::new();
-        rows.retain(|row| {
-            let key: String = row
-                .iter()
-                .map(|v| v.group_key())
-                .collect::<Vec<_>>()
-                .join("\u{1}");
-            seen.insert(key)
+) -> Result<StreamSummary, SqlError> {
+    let mut rows: Vec<usize> = (0..whole.rows).collect();
+    if q.sel.distinct {
+        let t0 = Instant::now();
+        let (mut seen, mut key) = (HashSet::new(), Vec::new());
+        rows.retain(|&r| {
+            key.clear();
+            key.extend(whole.columns.iter().map(|c| Key::of(&c.get(r))));
+            !seen.contains(key.as_slice()) && seen.insert(key.clone())
         });
+        trace.push(TraceEntry::new(
+            "distinct",
+            rows.len(),
+            t0.elapsed().as_secs_f64(),
+        ));
     }
-    trace.push(TraceEntry::new(
-        if q.grouped {
-            "aggregate + project"
-        } else {
-            "project"
-        },
-        rows.len(),
-        t0.elapsed().as_secs_f64(),
-    ));
-
+    let limit = q.sel.limit.map_or(usize::MAX, |l| l as usize);
     if !q.order.is_empty() {
         let t0 = Instant::now();
-        rows.sort_by(|a, b| {
-            for &(idx, asc) in &q.order {
-                let ord = a[idx].compare(&b[idx]).unwrap_or(std::cmp::Ordering::Equal);
-                let ord = if asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
+        // Ties go to the earlier row, as a stable sort leaves them, so the
+        // first `limit` rows can be selected before they are sorted.
+        let order = |&a: &usize, &b: &usize| {
+            let mut ords = q.order.iter().map(|&(c, asc)| {
+                let ord = whole.columns[c].compare(a, b).unwrap_or(Ordering::Equal);
+                if asc {
+                    ord
+                } else {
+                    ord.reverse()
                 }
-            }
-            std::cmp::Ordering::Equal
-        });
+            });
+            ords.find(|o| o.is_ne()).unwrap_or(a.cmp(&b))
+        };
+        if limit < rows.len() {
+            rows.select_nth_unstable_by(limit, order);
+            rows.truncate(limit);
+        }
+        rows.sort_unstable_by(order);
         trace.push(TraceEntry::new(
             "sort",
             rows.len(),
             t0.elapsed().as_secs_f64(),
         ));
     }
-    if let Some(limit) = sel.limit {
-        rows.truncate(limit as usize);
-    }
-    Ok(rows)
+    rows.truncate(limit);
+    deliver(&whole, &rows, batch_rows, sink, token)
 }
 
-// ---------------------------------------------------------------------------
-// Typed fold
-// ---------------------------------------------------------------------------
-
-/// An aggregate call of a folded statement; `column` is the point column
-/// it reads, `None` for a `COUNT` (point columns hold no NULLs).
-struct Call {
-    expr: Expr,
-    agg: Aggregate,
-    column: Option<(&'static str, PhysicalType)>,
-}
-
-/// The aggregate calls of `q` when it is a typed fold: no `GROUP BY`,
-/// `ORDER BY` or `DISTINCT`, a point table or a spatial join, every
-/// aggregate call `COUNT(*)` or one over a plain point-side column, and
-/// nothing else but constants; each distinct call once. `None` keeps the
-/// statement on the row path.
-fn typed_fold(q: &Shaped) -> Option<Vec<Call>> {
-    let alias = match q.plan {
-        Plan::PcScan(scan) => &scan.table.alias,
-        Plan::SpatialJoin { pc, .. } => &pc.table.alias,
-        Plan::VecScan(_) => return None,
-    };
-    if !q.grouped || !q.sel.group_by.is_empty() || !q.order.is_empty() || q.sel.distinct {
-        return None;
-    }
-    let mut calls = Vec::new();
-    let mut exprs = q.items.iter().map(|(_, e)| e).chain(&q.sel.having);
-    exprs
-        .all(|e| collect_calls(e, alias, &mut calls))
-        .then_some(calls)
-}
-
-/// Collect the aggregate calls of `e` into `calls`, each once; false when
-/// `e` needs the row path. Accepts exactly the shapes [`eval_agg`] takes.
-fn collect_calls(e: &Expr, alias: &str, calls: &mut Vec<Call>) -> bool {
-    if !e.has_aggregate() {
-        return e.is_constant();
-    }
-    let (agg, column) = match e {
-        Expr::CountStar => (Aggregate::Count, None),
-        Expr::Func { name, args } if is_aggregate(name) => {
-            let [Expr::Column { table, name: col }] = args.as_slice() else {
-                return false;
-            };
-            let Some(i) = lidardb_las::COLUMN_NAMES.iter().position(|c| c == col) else {
-                return false;
-            };
-            if table.as_deref().is_some_and(|t| t != alias) {
-                return false;
-            }
-            let agg = match name.as_str() {
-                "SUM" => Aggregate::Sum,
-                "AVG" => Aggregate::Avg,
-                "MIN" => Aggregate::Min,
-                "MAX" => Aggregate::Max,
-                _ => Aggregate::Count,
-            };
-            let typed = (
-                lidardb_las::COLUMN_NAMES[i],
-                lidardb_las::schema::COLUMN_TYPES[i],
-            );
-            (agg, (agg != Aggregate::Count).then_some(typed))
+/// Send rows `rows` of `whole` to `sink` in batches of `batch_rows`,
+/// checking `token` between batches so a deadline or a hang-up stops
+/// delivery.
+fn deliver(
+    whole: &ColumnBatch,
+    rows: &[usize],
+    batch_rows: usize,
+    sink: &mut dyn RowSink,
+    token: &CancelToken,
+) -> Result<StreamSummary, SqlError> {
+    for (sent, rows) in rows.chunks(batch_rows).enumerate() {
+        if sent > 0 {
+            token.check(sent * batch_rows)?;
         }
-        Expr::Binary { left, right, .. } => {
-            return collect_calls(left, alias, calls) && collect_calls(right, alias, calls)
-        }
-        Expr::Neg(inner) => return collect_calls(inner, alias, calls),
-        Expr::Func { args, .. } => return args.iter().all(|a| collect_calls(a, alias, calls)),
-        _ => return false,
-    };
-    if !calls.iter().any(|c| c.expr == *e) {
-        calls.push(Call {
-            expr: e.clone(),
-            agg,
-            column,
-        });
+        let column =
+            |c: &ColumnChunk| ColumnChunk::Values(rows.iter().map(|&r| c.get(r)).collect());
+        let columns = whole.columns.iter().map(column).collect();
+        sink.columns(ColumnBatch {
+            rows: rows.len(),
+            columns,
+        })?;
     }
-    true
-}
-
-/// Append to `out` the ids of `ids` (ascending, global) whose row passes
-/// `keep`, resolving them to their segments (holding the statement's
-/// columns) one run at a time.
-fn retain_ids(
-    q: &Shaped,
-    pc: &PointTable,
-    ids: &[usize],
-    alias: &str,
-    out: &mut Vec<usize>,
-    keep: impl Fn(PcCtx) -> Result<bool, SqlError>,
-) -> Result<(), SqlError> {
-    for run in pc.runs(ids, q.columns) {
-        let run = run?;
-        for ctx in run_ctxs(&run, alias) {
-            if keep(ctx)? {
-                out.push(ctx.row + run.1);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The typed-fold arm: the ids the statement aggregates — the select and
-/// its residual, or every (feature, point) pair of a join that passes the
-/// point-side and pair residuals, a point near two features counted twice
-/// — folded for every call through [`PointTable::aggregate`] under the
-/// statement's `ctx`; then `HAVING` and the items over the one global
-/// group.
-fn fold(
-    q: &Shaped,
-    pc: &PointTable,
-    ctx: &GovernCtx,
-    calls: &[Call],
-    trace: &mut Vec<TraceEntry>,
-) -> Result<Vec<Vec<SqlValue>>, SqlError> {
-    let mut ids = Vec::new();
-    match q.plan {
-        Plan::PcScan(scan) => {
-            ids = scan_rows(pc, scan, q.catalog, ctx, trace)?;
-            if !scan.residual.is_empty() {
-                let t0 = Instant::now();
-                let all = std::mem::take(&mut ids);
-                retain_ids(q, pc, &all, &scan.table.alias, &mut ids, |c| {
-                    passes(&scan.residual, &c)
-                })?;
-                let elapsed = t0.elapsed().as_secs_f64();
-                trace.push(TraceEntry::new("thematic filter", ids.len(), elapsed));
-            }
-        }
-        Plan::SpatialJoin {
-            pc: pc_scan,
-            vec: vec_scan,
-            join,
-            pair_residual,
-        } => {
-            let probes = join_probes(q.catalog, pc, ctx, pc_scan, vec_scan, join, trace)?;
-            let t0 = Instant::now();
-            for (vec, rows) in &probes {
-                if pc_scan.residual.is_empty() && pair_residual.is_empty() {
-                    ids.extend_from_slice(rows);
-                    continue;
-                }
-                retain_ids(q, pc, rows, &pc_scan.table.alias, &mut ids, |pc| {
-                    let ctx = PairCtx { pc, vec: *vec };
-                    Ok(passes(&pc_scan.residual, &ctx)? && passes(pair_residual, &ctx)?)
-                })?;
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            trace.push(TraceEntry::new("pair filter", ids.len(), elapsed));
-        }
-        Plan::VecScan(_) => unreachable!("vector scans do not fold"),
-    }
-    let t0 = Instant::now();
-    let vals = calls.iter().map(|c| fold_call(q, pc, &ids, c, ctx));
-    let vals: Vec<SqlValue> = vals.collect::<Result<_, _>>()?;
-    let call = |e: &Expr| {
-        let i = calls.iter().position(|c| c.expr == *e);
-        Ok(vals[i.expect("every aggregate call was collected")].clone())
-    };
-    let mut rows = Vec::new();
-    let kept = match &q.sel.having {
-        Some(h) => truthy(&eval_agg(h, None, &call)?),
-        None => true,
-    };
-    if kept {
-        let row = q.items.iter().map(|(_, e)| eval_agg(e, None, &call));
-        rows.push(row.collect::<Result<_, _>>()?);
-    }
-    rows.truncate(q.sel.limit.map_or(usize::MAX, |l| l as usize));
-    let names: Vec<String> = calls.iter().map(|c| c.expr.render()).collect();
-    let op = format!("aggregate (typed fold: {})", names.join(", "));
-    trace.push(TraceEntry::new(op, ids.len(), t0.elapsed().as_secs_f64()));
-    Ok(rows)
-}
-
-/// One call's value, typed as the row path types it: `MIN`/`MAX` of an
-/// integer column is its exact value, an `Int` (past `i64::MAX` a float).
-fn fold_call(
-    q: &Shaped,
-    pc: &PointTable,
-    ids: &[usize],
-    call: &Call,
-    ctx: &GovernCtx,
-) -> Result<SqlValue, SqlError> {
-    let Some((column, phys)) = call.column else {
-        return Ok(SqlValue::Int(ids.len() as i64));
-    };
-    let float = matches!(call.agg, Aggregate::Sum | Aggregate::Avg) || phys.is_float();
-    Ok(
-        match pc.aggregate(ids, column, call.agg, q.catalog.parallelism(), ctx)? {
-            None => SqlValue::Null,
-            Some(v) if float => SqlValue::Float(v),
-            Some(v) if v.abs() < (1u64 << 53) as f64 => SqlValue::Int(v as i64),
-            // Past 2^53 the f64 fold may have rounded: re-read the exact value.
-            Some(_) => {
-                let mut ids = ids.to_vec();
-                ids.sort_unstable(); // segment runs need ascending ids
-                let mut vals = Vec::new();
-                for run in pc.runs(&ids, q.columns) {
-                    let (seg, base, rows) = run?;
-                    let col = seg.column(column)?;
-                    vals.extend(rows.iter().filter_map(|&r| match col.get(r - base)? {
-                        Value::I64(v) => Some(i128::from(v)),
-                        Value::U64(v) => Some(i128::from(v)),
-                        Value::F64(_) => None,
-                    }));
-                }
-                let best = match call.agg {
-                    Aggregate::Max => vals.into_iter().max(),
-                    _ => vals.into_iter().min(),
-                };
-                best.map_or(SqlValue::Null, |b| {
-                    i64::try_from(b).map_or(SqlValue::Float(b as f64), SqlValue::Int)
-                })
-            }
-        },
-    )
+    Ok(StreamSummary {
+        rows: rows.len(),
+        batches: rows.len().div_ceil(batch_rows),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1615,6 +2144,15 @@ impl ColumnChunk {
         }
     }
 
+    /// Value `a` against value `b` as [`SqlValue::compare`] orders them.
+    fn compare(&self, a: usize, b: usize) -> Option<Ordering> {
+        match self {
+            ColumnChunk::Float(v) => v[a].partial_cmp(&v[b]),
+            ColumnChunk::Int(v) => (v[a] as f64).partial_cmp(&(v[b] as f64)),
+            ColumnChunk::Values(v) => v[a].compare(&v[b]),
+        }
+    }
+
     /// Append one value, turning a typed chunk into `Values` when `v` does
     /// not fit it.
     fn push(&mut self, v: SqlValue) {
@@ -1641,6 +2179,14 @@ pub struct ColumnBatch {
 }
 
 impl ColumnBatch {
+    /// A batch of no rows and `columns` empty columns.
+    fn empty(columns: usize) -> Self {
+        ColumnBatch {
+            rows: 0,
+            columns: vec![ColumnChunk::Values(Vec::new()); columns],
+        }
+    }
+
     /// The same values row-major.
     pub fn to_rows(&self) -> Vec<Vec<SqlValue>> {
         (0..self.rows)
@@ -1650,11 +2196,10 @@ impl ColumnBatch {
 }
 
 /// Where [`execute_streamed`] delivers its output: a header once, then
-/// zero or more batches — column-major [`ColumnBatch`]es from a native
-/// point-table scan, row batches from every other statement. A sink that
-/// blocks in [`RowSink::batch`] or [`RowSink::columns`] (e.g. a socket
-/// write against a slow client) backpressures the whole statement — no
-/// more rows are produced until the batch is taken.
+/// zero or more column-major [`ColumnBatch`]es. A sink that blocks in
+/// [`RowSink::columns`] (e.g. a socket write against a slow client)
+/// backpressures the whole statement — no more rows are produced until the
+/// batch is taken.
 ///
 /// Any method may fail (a network sink fails when the peer hangs up);
 /// the statement aborts and its governance state (admission permit, query
@@ -1715,28 +2260,15 @@ fn gather<T: Native>(v: &[T], base: usize, ids: &[usize], chunk: &mut ColumnChun
 /// most `batch_rows` instead of materialising a [`ResultSet`]. This is the
 /// one statement pipeline; [`execute`] is a collecting sink over it.
 ///
-/// A SELECT is planned once and, when it reads a point table or is a
+/// A SELECT is planned, compiled and, when it reads a point table or is a
 /// spatial join, governed once: one admission permit, one registry entry,
-/// one deadline and memory budget for the whole statement, join probes
-/// included. [`RowSink::start`] gets the statement's own token before any
-/// work, so a disconnect or `KILL` cancels it at its next checkpoint;
-/// shape errors (plain columns mixed with aggregates, an unknown `ORDER
-/// BY` column) come before it.
-///
-/// A plain point-table scan — flat, streaming or tiled — streams natively
-/// into [`RowSink::columns`] and never builds a row: the two-step engine
-/// produces row *ids*; per batch the residual filters them, plain column
-/// items are gathered from typed storage and other items evaluated per
-/// row. Batches hold exactly `batch_rows` rows across tile boundaries (the
-/// last may be shorter), so a tiled table keeps one tile pinned at a time,
-/// and the permit and ticket are held across the scan *and* the
-/// backpressured delivery. A typed fold delivers its one row. The row path
-/// (`GROUP BY`, `ORDER BY`, `DISTINCT`, other aggregates, unfolded joins,
-/// vector tables) releases the table before its rows go to
-/// [`RowSink::batch`]; the token is checked between batches on every path.
-///
-/// `SET`, `SHOW`, `KILL`, `INSERT` and `EXPLAIN` run to completion, then
-/// emit.
+/// one deadline and memory budget, join probes included. Shape errors come
+/// before [`RowSink::start`], which gets the statement's own token, so a
+/// disconnect or `KILL` cancels it at its next checkpoint. A streamed
+/// result's batches hold exactly `batch_rows` rows across tile boundaries
+/// (the last may be shorter), so a tiled table keeps one tile pinned at a
+/// time; the token is checked between batches on every path. `SET`,
+/// `SHOW`, `KILL`, `INSERT` and `EXPLAIN` run to completion, then emit.
 pub fn execute_streamed(
     catalog: &Catalog,
     stmt: &Statement,
@@ -1744,99 +2276,6 @@ pub fn execute_streamed(
     sink: &mut dyn RowSink,
 ) -> Result<StreamSummary, SqlError> {
     run(catalog, stmt, batch_rows.max(1), sink, &mut Vec::new())
-}
-
-/// The native column stream of a plain point-table scan (see
-/// [`execute_streamed`]): row ids from the select, then per batch the
-/// residual, gathered columns and evaluated items.
-fn stream_scan(
-    q: &Shaped,
-    scan: &crate::plan::PcScan,
-    pc: &PointTable,
-    ctx: &GovernCtx,
-    batch_rows: usize,
-    sink: &mut dyn RowSink,
-    trace: &mut Vec<TraceEntry>,
-) -> Result<StreamSummary, SqlError> {
-    let items = &q.items;
-    let alias = scan.table.alias.as_str();
-    let empty_batch = || ColumnBatch {
-        rows: 0,
-        columns: vec![ColumnChunk::Values(Vec::new()); items.len()],
-    };
-    // Row ids via the two-step engine (pushdown only); segments are
-    // resolved, residuals applied and columns gathered per batch below.
-    let row_ids = scan_rows(pc, scan, q.catalog, ctx, trace)?;
-    let t0 = Instant::now();
-    let limit = q.sel.limit.map(|l| l as usize).unwrap_or(usize::MAX);
-    let (mut emitted, mut batches) = (0usize, 0usize);
-    let mut out = empty_batch();
-    let mut kept = Vec::new();
-    let mut runs = pc.runs(&row_ids, q.columns);
-    while emitted < limit {
-        let Some(run) = runs.next() else { break };
-        let (seg, base, mut rest) = run?;
-        let ctx_of = |r: usize| PcCtx {
-            pc: &seg,
-            alias,
-            row: r - base,
-        };
-        while !rest.is_empty() && emitted < limit {
-            // The ids of this step: as many as fill the batch (or reach
-            // the limit), after the residual.
-            let want = (batch_rows - out.rows).min(limit - emitted);
-            let ids: &[usize] = if scan.residual.is_empty() {
-                let (now, later) = rest.split_at(want.min(rest.len()));
-                rest = later;
-                now
-            } else {
-                kept.clear();
-                while let Some((&r, later)) = rest.split_first().filter(|_| kept.len() < want) {
-                    rest = later;
-                    if passes(&scan.residual, &ctx_of(r))? {
-                        kept.push(r);
-                    }
-                }
-                &kept
-            };
-            if ids.is_empty() {
-                continue;
-            }
-            // Plain columns are gathered from typed storage, anything else
-            // is evaluated per row.
-            for ((_, e), chunk) in items.iter().zip(&mut out.columns) {
-                match e {
-                    Expr::Column { table, name } if table.as_deref().is_none_or(|t| t == alias) => {
-                        for_each_variant!(seg.column(name)?, v => gather(v, base, ids, chunk))
-                    }
-                    _ => {
-                        for &r in ids {
-                            chunk.push(eval(e, &ctx_of(r))?);
-                        }
-                    }
-                }
-            }
-            out.rows += ids.len();
-            emitted += ids.len();
-            if out.rows == batch_rows {
-                sink.columns(std::mem::replace(&mut out, empty_batch()))?;
-                batches += 1;
-                // Deadline / KILL / disconnect-trip land between batches, so
-                // a cancelled stream stops within one batch of the signal.
-                ctx.token().check(emitted)?;
-            }
-        }
-    }
-    if out.rows > 0 {
-        sink.columns(out)?;
-        batches += 1;
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    trace.push(TraceEntry::new("project (column stream)", emitted, elapsed));
-    Ok(StreamSummary {
-        rows: emitted,
-        batches,
-    })
 }
 
 /// Find the output column an ORDER BY expression refers to: by alias, by

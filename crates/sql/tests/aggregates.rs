@@ -261,13 +261,10 @@ fn point_table_aggregates_match_brute_force_on_every_shape() {
         let text: Vec<String> = rs.rows.iter().map(|r| r[0].render()).collect();
         assert!(
             text.iter()
-                .any(|l| l.contains("aggregate (typed fold: COUNT(*), AVG(z))")),
+                .any(|l| l.contains("aggregate (COUNT(*), AVG(z))")),
             "{table}: {text:#?}"
         );
-        assert!(
-            !text.iter().any(|l| l.contains("aggregate + project")),
-            "{text:#?}"
-        );
+        assert!(!text.iter().any(|l| l.contains("project")), "{text:#?}");
     }
 }
 
@@ -350,5 +347,196 @@ fn having_limit_and_empty_inputs_behave_as_on_the_row_path() {
             &format!("SELECT COUNT(*) / 2, -MIN(intensity) FROM {table}"),
         );
         assert_eq!(rows, [[SqlValue::Float(n as f64 / 2.0), SqlValue::Int(0)]]);
+    }
+}
+
+/// The grouped items: (aggregate, column; `None` = `*`).
+const GROUPED: [(Aggregate, Option<&str>); 9] = [
+    (Aggregate::Count, None),
+    (Aggregate::Sum, Some("z")),
+    (Aggregate::Avg, Some("z")),
+    (Aggregate::Min, Some("z")),
+    (Aggregate::Max, Some("z")),
+    (Aggregate::Sum, Some("intensity")),
+    (Aggregate::Avg, Some("intensity")),
+    (Aggregate::Min, Some("intensity")),
+    (Aggregate::Max, Some("intensity")),
+];
+
+/// Each key's expected row, keys ascending: the key, then every grouped
+/// item of the model over `ids`.
+fn model_groups(model: &Model, ids: &[usize]) -> Vec<(i128, Vec<SqlValue>)> {
+    let column = |(agg, col): &(Aggregate, Option<&str>)| {
+        model.group_by(ids, "classification", col.unwrap_or("x"), *agg)
+    };
+    let columns: Vec<_> = GROUPED.iter().map(column).collect();
+    let keys = columns[0].keys().copied();
+    (keys.map(|k| {
+        let row = columns.iter().map(|c| sql_value(c[&k]));
+        (
+            k,
+            [sql_value(Some(Value::Int(k)))]
+                .into_iter()
+                .chain(row)
+                .collect(),
+        )
+    }))
+    .collect()
+}
+
+/// `got` row by row against `want`: the key equal, every item as
+/// [`assert_matches`] has it.
+fn assert_rows(got: &[Vec<SqlValue>], want: &[&Vec<SqlValue>], sql: &str) {
+    assert_eq!(got.len(), want.len(), "{sql}: {got:?}");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g[0], w[0], "{sql}: key");
+        let aggs = GROUPED.iter().map(|(agg, _)| agg);
+        for ((agg, g), w) in aggs.zip(&g[1..]).zip(&w[1..]) {
+            assert_matches(*agg, g, w, sql);
+        }
+    }
+}
+
+/// Random windows grouped by `classification` with a residual no index
+/// answers, optional `HAVING`, `ORDER BY`, `LIMIT` and `DISTINCT`, on
+/// every storage shape, against the model grouped by the same key.
+#[test]
+fn grouped_statements_match_the_model_on_every_shape() {
+    let (c, model, _dirs) = setup("grouped");
+    let config = proptest::test_runner::ProptestConfig::with_cases(24);
+    proptest::test_runner::run("grouped_statements", &config, |rng| {
+        let (x0, y0) = (rng.below(30) as f64, rng.below(30) as f64);
+        let (x1, y1) = (
+            x0 + 1.0 + rng.below(20) as f64,
+            y0 + 1.0 + rng.below(20) as f64,
+        );
+        let bound = rng.below(64) as f64 / 8.0 - 2.0;
+        let having = rng.next_bool().then(|| rng.below(40));
+        let order = ["", " ORDER BY classification", " ORDER BY 1 DESC"][rng.below(3) as usize];
+        let limit = rng.next_bool().then(|| rng.below(6));
+        let distinct = if rng.next_bool() { "DISTINCT " } else { "" };
+
+        let window = Envelope::new(x0, y0, x1, y1).unwrap();
+        let within = SpatialPredicate::Within(Geometry::Polygon(Polygon::rectangle(&window)));
+        let ids = model_rows(&model, Some(&within), |r| r.z + 0.0 > bound);
+        let mut want = model_groups(&model, &ids);
+        want.retain(|(_, row)| {
+            having.is_none_or(|k| {
+                row[1]
+                    .compare(&SqlValue::Int(k as i64))
+                    .is_some_and(|o| o.is_gt())
+            })
+        });
+        if order.ends_with("DESC") {
+            want.reverse();
+        }
+        let items: Vec<String> = (GROUPED.iter())
+            .map(|(agg, col)| {
+                format!(
+                    "{}({})",
+                    format!("{agg:?}").to_uppercase(),
+                    col.unwrap_or("*")
+                )
+            })
+            .collect();
+        for table in ["flat", "stream", "tiles"] {
+            let mut sql = format!(
+                "SELECT {distinct}classification, {} FROM {table} WHERE \
+                 ST_Within(ST_Point(x, y), ST_MakeEnvelope({x0}, {y0}, {x1}, {y1})) \
+                 AND z + 0 > {bound} GROUP BY classification",
+                items.join(", ")
+            );
+            if let Some(k) = having {
+                sql += &format!(" HAVING COUNT(*) > {k}");
+            }
+            sql += order;
+            if let Some(l) = limit {
+                sql += &format!(" LIMIT {l}");
+            }
+            let mut got = run(&c, &sql);
+            let keep = limit.map_or(want.len(), |l| want.len().min(l as usize));
+            if order.is_empty() {
+                // Groups come in order of first appearance, which a tiled
+                // table's order changes: compare each group with its key's.
+                got.sort_by(|a, b| a[0].compare(&b[0]).unwrap());
+                let by_key = |row: &Vec<SqlValue>| want.iter().find(|(_, w)| w[0] == row[0]);
+                let expected: Vec<_> = got
+                    .iter()
+                    .filter_map(|r| by_key(r).map(|(_, w)| w))
+                    .collect();
+                assert_eq!(got.len(), keep, "{sql}");
+                assert_rows(&got, &expected, &sql);
+            } else {
+                let expected: Vec<_> = want.iter().take(keep).map(|(_, w)| w).collect();
+                assert_rows(&got, &expected, &sql);
+            }
+        }
+        Ok(())
+    });
+}
+
+/// `GROUP BY` a feature column over `ST_Contains`: zones share a label and
+/// overlap, so a point counts once per zone that holds it, and zones of
+/// one label form one group.
+#[test]
+fn join_groups_by_a_feature_column_count_every_pair() {
+    let (mut c, model, _dirs) = setup("join_grouped");
+    let zones = [
+        ("wet", (2.0, 3.0, 14.0, 9.0)),
+        ("dry", (10.0, 5.0, 25.0, 20.0)),
+        ("wet", (20.0, 18.0, 36.0, 30.0)),
+    ];
+    let rect = |&(x0, y0, x1, y1): &(f64, f64, f64, f64)| {
+        Geometry::Polygon(Polygon::rectangle(&Envelope::new(x0, y0, x1, y1).unwrap()))
+    };
+    c.register_vector(
+        "zones",
+        VectorTable::new()
+            .with_column(
+                "label",
+                VColumn::Str(zones.map(|z| z.0.to_string()).to_vec()),
+            )
+            .with_column(
+                "geom",
+                VColumn::Geom(zones.iter().map(|z| rect(&z.1)).collect()),
+            ),
+    );
+    // The brute-force pairing: every (zone, point) the exact predicate holds.
+    let mut pairs: Vec<(&str, usize)> = Vec::new();
+    for (label, bounds) in &zones {
+        let within = SpatialPredicate::Within(rect(bounds));
+        pairs.extend(
+            model
+                .select(Some(&within), &[])
+                .into_iter()
+                .map(|id| (*label, id)),
+        );
+    }
+    for table in ["flat", "stream", "tiles"] {
+        let sql = format!(
+            "SELECT z.label, COUNT(*), SUM(p.z), AVG(p.z), MIN(p.z), MAX(p.z) \
+             FROM {table} p, zones z WHERE ST_Contains(z.geom, ST_Point(p.x, p.y)) \
+             GROUP BY z.label ORDER BY z.label"
+        );
+        let got = run(&c, &sql);
+        assert_eq!(got.len(), 2, "{sql}");
+        for (row, label) in got.iter().zip(["dry", "wet"]) {
+            assert_eq!(row[0], SqlValue::Str(label.into()), "{sql}");
+            let ids: Vec<usize> = (pairs.iter())
+                .filter(|(l, _)| *l == label)
+                .map(|&(_, id)| id)
+                .collect();
+            let aggs = [
+                Aggregate::Count,
+                Aggregate::Sum,
+                Aggregate::Avg,
+                Aggregate::Min,
+                Aggregate::Max,
+            ];
+            for (agg, got) in aggs.iter().zip(&row[1..]) {
+                let want = sql_value(model.aggregate(&ids, "z", *agg));
+                assert_matches(*agg, got, &want, &sql);
+            }
+        }
     }
 }

@@ -411,7 +411,7 @@ fn explain_analyze_executes_and_annotates() {
         .filter(|t| t.operator.starts_with("aggregate"))
         .collect();
     assert_eq!(aggs.len(), 1, "{:?}", rs.trace);
-    assert_eq!(aggs[0].operator, "aggregate (typed fold: COUNT(*), AVG(z))");
+    assert_eq!(aggs[0].operator, "aggregate (COUNT(*), AVG(z))");
     assert_eq!(aggs[0].rows, 11 * 11);
     assert_eq!(stage_rows, 11 * 11);
 }

@@ -17,6 +17,7 @@
 //! [`ScratchDir`] in its own unit tests: through the dev-dependency cycle
 //! they see a second copy of that crate, whose types are not theirs.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -191,6 +192,29 @@ impl Model {
             Aggregate::Max => values.reduce(|a, b| if b > a { b } else { a }),
         }
     }
+
+    /// `agg` of `column` over the rows `ids`, grouped by the integer column
+    /// `key_column`: each key the rows hold, ascending, with
+    /// [`Model::aggregate`] over its rows.
+    pub fn group_by(
+        &self,
+        ids: &[usize],
+        key_column: &str,
+        column: &str,
+        agg: Aggregate,
+    ) -> BTreeMap<i128, Option<Value>> {
+        let k = column_index(key_column);
+        let mut groups: BTreeMap<i128, Vec<usize>> = BTreeMap::new();
+        for &id in ids {
+            let Value::Int(key) = exact_value(self.record(id), k) else {
+                panic!("group key {key_column} is not an integer column");
+            };
+            groups.entry(key).or_default().push(id);
+        }
+        (groups.into_iter())
+            .map(|(key, ids)| (key, self.aggregate(&ids, column, agg)))
+            .collect()
+    }
 }
 
 /// Schema position of a column name; panics on an unknown one.
@@ -294,5 +318,20 @@ mod tests {
             "exact past 2^53"
         );
         assert_eq!(model.aggregate(&[], "z", Aggregate::Avg), None);
+    }
+
+    #[test]
+    fn model_groups_by_an_integer_key() {
+        let mut records = grid();
+        records
+            .iter_mut()
+            .for_each(|r| r.classification = (r.intensity % 3) as u8);
+        let model = Model::new(records);
+        let groups = model.group_by(&[0, 1, 2, 3, 4, 3], "classification", "z", Aggregate::Count);
+        let counts: Vec<(i128, Option<Value>)> = groups.into_iter().collect();
+        let count = |n| Some(Value::Int(n));
+        assert_eq!(counts, [(0, count(3)), (1, count(2)), (2, count(1))]);
+        let max = model.group_by(&[1, 4], "classification", "z", Aggregate::Max);
+        assert_eq!(max.get(&1), Some(&Some(Value::Float(2.0))));
     }
 }

@@ -14,13 +14,12 @@ fn run(catalog: &Catalog, sql: &str) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n> {sql}");
     let rs = lidardb::sql::query(catalog, sql)?;
     print!("{}", rs.render());
-    // The trace view: the select's (or the join's) operators, then the one
-    // arm the statement ran — `aggregate (typed fold: ...)` when the
-    // aggregates fold straight over the matched row ids, `project (column
-    // stream)` for a plain scan, or `aggregate + project` / `project` on
-    // the row path (GROUP BY, ORDER BY, expression arguments). `execute`
-    // collects what the server streams, so these are the operators a wire
-    // client's statement runs too.
+    // The trace view: the select's (or the join's) operators, then the
+    // steps of the one SQL pipeline the statement ran — `residual filter`
+    // when a term is left after pushdown, `aggregate (...)` (with its group
+    // count under GROUP BY) or `project`, then `distinct` and `sort` when
+    // asked. `execute` collects what the server streams, so these are the
+    // operators a wire client's statement runs too.
     print!("{}", rs.render_trace());
     Ok(())
 }

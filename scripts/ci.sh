@@ -26,6 +26,9 @@ LIDARDB_WORKERS=8 cargo test -q -p lidardb-core --test differential
 echo "==> harness e4: every refinement strategy returns the exhaustive strategy's rows"
 cargo run -q --release -p lidardb-bench --bin harness -- e4
 
+echo "==> scenario 2 on the full scene: a join GROUP BY ... ORDER BY, a multi-aggregate fold, EXPLAIN ANALYZE"
+cargo run -q --release --example scenario2_adhoc_queries
+
 echo "==> core with tracing compiled out: stage guards still feed the registry"
 cargo test -q -p lidardb-core --no-default-features --test metrics_smoke
 
