@@ -10,9 +10,8 @@
 //! Points are sorted along a space-filling curve (Oracle uses Hilbert,
 //! §2.3), grouped into fixed-capacity blocks, and each block stores its
 //! bbox plus a compressed payload. Queries scan the (small) block table by
-//! bbox and decode + refine only matching blocks. Ingestion also offers
-//! the CSV text path so E1 can reproduce the "almost a week" loading cost
-//! of the PostgreSQL route.
+//! bbox and decode + refine only matching blocks. The CSV text route that
+//! gives the PostgreSQL load its "almost a week" is [`crate::csv`].
 
 use lidardb_geom::{Envelope, Geometry, Point};
 use lidardb_las::{lazlite, Compression, LasHeader, PointRecord};

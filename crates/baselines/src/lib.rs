@@ -1,9 +1,10 @@
 //! # lidardb-baselines — the comparison systems
 //!
 //! The paper evaluates its flat-table-plus-imprints design against two
-//! other physical designs (§2.2/§2.3); both are reimplemented here from
-//! their published algorithmic descriptions so every experiment can run
-//! without proprietary software:
+//! other physical designs (§2.2/§2.3) and its binary loader against the
+//! CSV text route (§3.2); all three are reimplemented here from their
+//! published descriptions so every experiment can run without
+//! proprietary software:
 //!
 //! * [`filestore`] — the **file-based solution** (Rapidlasso LAStools):
 //!   a directory of LAS/laz-lite files queried directly, with the three
@@ -18,18 +19,23 @@
 //!   pointcloud / Oracle SDO_PC): points grouped into fixed-capacity
 //!   blocks along a Morton or Hilbert curve, each block carrying its bbox
 //!   and a compressed payload; queries scan the block table by bbox and
-//!   refine per point inside matching blocks.
+//!   refine per point inside matching blocks;
+//! * [`csv`] — the **CSV text route** most systems load through: decode
+//!   LAS, format every record to text, parse it back and append row at a
+//!   time ([`load_via_csv`]), the cost E1 sets against the binary loader.
 //!
-//! Both engines return plain [`lidardb_las::PointRecord`] result sets, so
-//! the integration tests can assert that every engine in the repository
-//! produces identical answers.
+//! Both query engines return plain [`lidardb_las::PointRecord`] result
+//! sets, so the integration tests can assert that every engine in the
+//! repository produces identical answers.
 
 pub mod blockstore;
+pub mod csv;
 pub mod error;
 pub mod filestore;
 pub mod quadtree;
 
 pub use blockstore::{BlockQueryStats, BlockStore};
+pub use csv::load_via_csv;
 pub use error::BaselineError;
 pub use filestore::{FileQueryStats, FileStore};
 pub use quadtree::QuadTree;

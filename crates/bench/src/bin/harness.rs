@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lidardb_baselines::{BlockStore, FileStore};
+use lidardb_baselines::{load_via_csv, BlockStore, FileStore};
 use lidardb_bench::{
     burst, lcg, median_seconds, synthetic_cloud, timed, BurstSummary, Fixture, Outcome, Timing,
 };
@@ -138,10 +138,11 @@ fn e1_loading() {
         "binary loader (1 thread)",
         load(Loader::new(LoadMethod::Binary).with_threads(1)),
     );
-    row(
-        "CSV route (decode+format+parse)",
-        load(Loader::new(LoadMethod::Csv)),
-    );
+    let csv = median_seconds(3, || {
+        let table = load_via_csv(&fx.las_paths).expect("csv route");
+        std::hint::black_box(table.num_rows());
+    });
+    row("CSV route (decode+format+parse)", csv);
 
     // Block-store ingest: decode + curve sort + block compression — the
     // pgpointcloud-style physical reorganisation.

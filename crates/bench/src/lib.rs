@@ -287,6 +287,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lidardb_test_support::area;
 
     #[test]
     fn fixture_builds_windows_scale_and_scratch_is_removed() {
@@ -294,7 +295,7 @@ mod tests {
         assert!(f.pc.num_points() > 5_000);
         assert_eq!(f.las_paths.len(), 4);
         assert_eq!(f.lazl_paths.len(), 4);
-        assert!(f.window(0.001).area() < f.window(0.1).area());
+        assert!(area(&f.window(0.001)) < area(&f.window(0.1)));
         assert!(f.scene.envelope().contains_envelope(&f.window(0.1)));
         let dir = f.scratch.to_path_buf();
         assert!(f.las_paths[0].starts_with(&dir) && dir.is_dir());

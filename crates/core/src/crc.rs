@@ -4,7 +4,7 @@
 //! any single-bit error is detected, as are all burst errors up to 32 bits.
 //!
 //! Two kernels, one value. On x86-64 hosts with `pclmulqdq` and `sse4.1`
-//! (detected at runtime) inputs of [`FOLD_MIN`] bytes or more take a
+//! (detected at runtime) inputs of `FOLD_MIN` bytes or more take a
 //! carry-less-multiply fold: four 128-bit lanes fold 64 bytes per step by
 //! multiplying with `x^k mod P` constants, then reduce to 32 bits with a
 //! Barrett step. Everything else, on every host, runs the portable

@@ -37,13 +37,6 @@ pub enum CoreError {
     Las(LasError),
     /// Geometry failure.
     Geom(GeomError),
-    /// CSV text could not be parsed.
-    CsvParse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        reason: String,
-    },
     /// A query referenced something that does not exist.
     InvalidQuery(String),
     /// On-disk state failed an integrity check (bad checksum, malformed
@@ -116,9 +109,6 @@ impl fmt::Display for CoreError {
             CoreError::Storage(e) => write!(f, "storage: {e}"),
             CoreError::Las(e) => write!(f, "las: {e}"),
             CoreError::Geom(e) => write!(f, "geometry: {e}"),
-            CoreError::CsvParse { line, reason } => {
-                write!(f, "CSV parse error at line {line}: {reason}")
-            }
             CoreError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             CoreError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
             CoreError::WorkerPanic(msg) => write!(f, "loader worker panicked: {msg}"),
@@ -180,11 +170,6 @@ mod tests {
         let e: CoreError = StorageError::UnknownColumn("q".into()).into();
         assert!(e.to_string().contains("storage"));
         assert!(std::error::Error::source(&e).is_some());
-        let e = CoreError::CsvParse {
-            line: 3,
-            reason: "bad float".into(),
-        };
-        assert!(e.to_string().contains("line 3"));
         let e = CoreError::InvalidQuery("no such column".into());
         assert!(e.to_string().contains("no such column"));
         let e = CoreError::Corrupt("checksum mismatch".into());

@@ -47,13 +47,6 @@ pub enum FaultStage {
     /// Replaying the WAL during `open_ingest` recovery (target =
     /// `"frame:<seq>"`).
     Recover,
-    /// Bytes flowing server→client through the chaos proxy (target =
-    /// `"conn:<index>"`). Pairs with `IoError` (sever the connection) and
-    /// `Stall` (delay delivery).
-    NetRead,
-    /// Bytes flowing client→server through the chaos proxy (target =
-    /// `"conn:<index>"`).
-    NetWrite,
 }
 
 /// What kind of fault fires. Seeds make the corruption deterministic.

@@ -231,11 +231,6 @@ impl MemBudget {
     pub fn used(&self) -> u64 {
         self.token.inner.charged.load(Ordering::Relaxed)
     }
-
-    /// The configured limit (0 = unlimited).
-    pub fn limit(&self) -> u64 {
-        self.token.inner.budget.load(Ordering::Relaxed)
-    }
 }
 
 // -------------------------------------------------------------- GovernCtx
@@ -378,7 +373,7 @@ struct AdmState {
 /// wait queue.
 ///
 /// * `max_in_flight` queries run; the rest wait in ticket order.
-/// * At most `max_queue` queries wait; beyond that, [`admit`] sheds
+/// * At most `max_queue` queries wait; beyond that, [`Self::admit`] sheds
 ///   immediately with [`CoreError::Overloaded`].
 /// * A queued entry whose `queue_deadline` expires is shed the same way
 ///   (it never starts, so it cannot return a partial result).
@@ -450,15 +445,6 @@ impl AdmissionController {
     /// Queries currently waiting in the queue.
     pub fn queued(&self) -> usize {
         self.state.lock().unwrap().queue.len()
-    }
-
-    /// The configured `(max_in_flight, max_queue)` caps. `usize::MAX`
-    /// in-flight means admission control is disabled.
-    pub fn limits(&self) -> (usize, usize) {
-        (
-            self.max_in_flight.load(Ordering::Relaxed),
-            self.max_queue.load(Ordering::Relaxed),
-        )
     }
 
     /// Acquire an execution slot, waiting in FIFO order for at most
@@ -584,13 +570,6 @@ pub struct QueryTicket {
     id: u64,
 }
 
-impl QueryTicket {
-    /// The registered query's id.
-    pub fn id(&self) -> QueryId {
-        QueryId(self.id)
-    }
-}
-
 impl Drop for QueryTicket {
     fn drop(&mut self) {
         let mut entries = self.registry.entries.lock().unwrap();
@@ -661,13 +640,22 @@ impl QueryRegistry {
 
 /// One governed statement: its [`GovernCtx`] plus the RAII registry
 /// ticket and admission permit, released (in that order) on drop. Hold it
-/// for as long as the statement occupies the engine — a session layer
-/// keeps it across result delivery, not just the scan.
+/// for as long as the statement occupies the engine. A statement whose
+/// result is whole before delivery gives the permit back early and keeps
+/// only the ticket ([`Governed::into_ticket`]) until its last batch is
+/// sent, so `SHOW QUERIES` lists it and `KILL` reaches it throughout.
 pub struct Governed<'a> {
     /// The statement's governance context.
     pub ctx: GovernCtx,
-    _ticket: QueryTicket,
+    ticket: QueryTicket,
     _permit: AdmissionPermit<'a>,
+}
+
+impl Governed<'_> {
+    /// Release the admission permit and keep the registry ticket.
+    pub fn into_ticket(self) -> QueryTicket {
+        self.ticket
+    }
 }
 
 /// The governance prologue every governed statement runs, in this order:
@@ -694,7 +682,7 @@ pub fn govern<'a>(
     let ticket = QueryRegistry::global().register(detail, &ctx);
     Ok(Governed {
         ctx,
-        _ticket: ticket,
+        ticket,
         _permit: permit,
     })
 }
@@ -739,11 +727,6 @@ pub struct SessionTicket {
 }
 
 impl SessionTicket {
-    /// The registered session's id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Count one executed statement against this session.
     pub fn bump_statements(&self) {
         self.statements.fetch_add(1, Ordering::Relaxed);
@@ -818,7 +801,7 @@ mod tests {
         let me = reg
             .list()
             .into_iter()
-            .find(|s| s.id == t.id())
+            .find(|s| s.id == t.id)
             .expect("registered");
         assert_eq!(me.peer, "127.0.0.1:9999");
         assert_eq!(me.statements, 2);
@@ -873,7 +856,7 @@ mod tests {
             ),
             "{err:?}"
         );
-        assert_eq!(b.limit(), 100);
+        assert_eq!(b.token.inner.budget.load(Ordering::Relaxed), 100);
         assert!(b.used() >= 100);
     }
 
@@ -987,7 +970,6 @@ mod tests {
         let c: &'static AdmissionController = Box::leak(Box::new(AdmissionController::new(1, 4)));
         let p1 = c.admit(None).unwrap();
         assert_eq!(p1.queue_wait(), Duration::ZERO, "fast path never waits");
-        assert_eq!(c.limits(), (1, 4));
         let waiter = std::thread::spawn(move || c.admit(Some(Duration::from_secs(5))).unwrap());
         while c.queued() == 0 {
             std::thread::yield_now();
@@ -1006,7 +988,7 @@ mod tests {
     fn unlimited_permit_has_zero_wait() {
         let c = AdmissionController::unlimited();
         assert_eq!(c.admit(None).unwrap().queue_wait(), Duration::ZERO);
-        assert_eq!(c.limits().0, usize::MAX);
+        assert_eq!(c.max_in_flight.load(Ordering::Relaxed), usize::MAX);
     }
 
     #[test]
@@ -1017,7 +999,7 @@ mod tests {
         ctx.add_rows(17);
         ctx.charge(4096).unwrap();
         let ticket = reg.register("sys test", &ctx);
-        let id = ticket.id();
+        let id = QueryId(ticket.id);
         let me = reg
             .list()
             .into_iter()
@@ -1039,7 +1021,7 @@ mod tests {
         let reg = QueryRegistry::global();
         let token = CancelToken::new();
         let ticket = reg.register("SELECT test", &GovernCtx::new(token.clone(), None));
-        let id = ticket.id();
+        let id = QueryId(ticket.id);
         let listed = reg.list();
         let me = listed.iter().find(|q| q.id == id).expect("registered");
         assert_eq!(me.detail, "SELECT test");

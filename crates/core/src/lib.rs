@@ -11,8 +11,9 @@
 //! * a **binary bulk loader** (§3.2) — LAS/laz-lite files are decoded to
 //!   per-column binary dumps which are appended to the column tails
 //!   `COPY BINARY`-style, with file decode parallelised across threads
-//!   (the reason the paper loads all of AHN2 "in less than one day"), plus
-//!   the CSV text path other systems pay for comparison;
+//!   (the reason the paper loads all of AHN2 "in less than one day"); the
+//!   CSV text route other systems pay is E1's comparator and lives in
+//!   `lidardb-baselines` (`lidardb_baselines::csv`);
 //! * the **two-step query model** (§3.3) — imprint filtering on the X and
 //!   Y columns down to candidate cacheline runs, an exact bbox check that
 //!   skips runs the imprints prove fully qualifying, and a **regular-grid
@@ -37,7 +38,6 @@
 //! exercised by a deterministic fault-injection harness ([`fault`]).
 
 pub mod crc;
-pub mod csv;
 pub mod error;
 pub mod exec;
 pub mod fault;

@@ -7,8 +7,8 @@
 //! worker threads; the appends are serialised in file order to keep loads
 //! deterministic.
 //!
-//! The CSV path formats the same records to text and parses them back —
-//! the cost "most of the systems" pay that the paper's loader avoids.
+//! The CSV text route "most of the systems" pay, which this loader avoids,
+//! is E1's comparator: `lidardb_baselines::csv`.
 //!
 //! # Fault isolation
 //!
@@ -22,9 +22,8 @@
 //!   **quarantined** — the other files load, and the [`LoadReport`] names
 //!   every quarantined file with its error;
 //! * under [`LoadPolicy::FailFast`] (the default) the first failing file
-//!   in deterministic file order aborts the load with a typed error; the
-//!   binary path appends nothing in that case (the CSV comparison path is
-//!   row-at-a-time by design, so files before the bad one stay loaded).
+//!   in deterministic file order aborts the load with a typed error and
+//!   appends nothing.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -32,19 +31,17 @@ use std::time::Instant;
 
 use lidardb_las::read_las_file;
 
-use crate::csv;
 use crate::error::CoreError;
 use crate::fault::{FaultInjector, FaultKind, FaultStage};
 use crate::pointcloud::PointCloud;
 use crate::soa::ColumnArrays;
 
-/// Which ingestion path to use.
+/// Which ingestion path to use. The loader has one; the CSV text route
+/// it is compared with is `lidardb_baselines::csv`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadMethod {
     /// Decode → binary column dumps → `COPY BINARY` (the paper's loader).
     Binary,
-    /// Decode → CSV text → parse → row-at-a-time append (the comparison).
-    Csv,
 }
 
 /// How the loader reacts to a file that fails to decode.
@@ -73,7 +70,7 @@ pub struct LoadStats {
     pub points: usize,
     /// Seconds spent decoding files (includes laz-lite decompression).
     pub decode_seconds: f64,
-    /// Seconds spent converting (transpose / CSV format+parse).
+    /// Seconds spent transposing records into column dumps.
     pub convert_seconds: f64,
     /// Seconds spent appending into the table.
     pub append_seconds: f64,
@@ -90,13 +87,6 @@ impl LoadStats {
         } else {
             0.0
         }
-    }
-
-    /// Extrapolated wall-clock days to load `n` points at this rate — the
-    /// number E1 compares with the paper's "less than one day" for the
-    /// 640-billion-point AHN2.
-    pub fn projected_days(&self, n: u64) -> f64 {
-        n as f64 / self.points_per_second() / 86_400.0
     }
 }
 
@@ -143,37 +133,6 @@ impl LoadReport {
             .map(|f| f.path.as_path())
             .collect()
     }
-
-    /// Number of files that loaded.
-    pub fn loaded(&self) -> usize {
-        self.files
-            .iter()
-            .filter(|f| f.outcome == FileOutcome::Loaded)
-            .count()
-    }
-
-    /// Total retries consumed across all files.
-    pub fn total_retries(&self) -> u32 {
-        self.files.iter().map(|f| f.retries).sum()
-    }
-
-    /// Total input bytes decoded (loaded files only).
-    pub fn bytes_loaded(&self) -> u64 {
-        self.files
-            .iter()
-            .filter(|f| f.outcome == FileOutcome::Loaded)
-            .map(|f| f.bytes)
-            .sum()
-    }
-
-    /// Input megabytes per second of wall clock (loaded files only).
-    pub fn mb_per_second(&self) -> f64 {
-        if self.stats.wall_seconds > 0.0 {
-            self.bytes_loaded() as f64 / 1e6 / self.stats.wall_seconds
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Bulk loader configuration.
@@ -201,8 +160,7 @@ impl Loader {
         }
     }
 
-    /// Override the worker count (the CSV path is single-threaded by
-    /// design — it models row-at-a-time text ingestion).
+    /// Override the worker count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -242,7 +200,6 @@ impl Loader {
         let mut stage = crate::trace::stage(crate::metrics::Stage::PersistLoad);
         let mut report = match self.method {
             LoadMethod::Binary => self.load_binary(pc, paths)?,
-            LoadMethod::Csv => self.load_csv_path(pc, paths)?,
         };
         let quarantined = report
             .files
@@ -259,23 +216,6 @@ impl Loader {
         m.points_loaded.add(report.stats.points as u64);
         m.files_quarantined.add(quarantined as u64);
         Ok(report)
-    }
-
-    /// Convenience: load every `.las`/`.lazl` file of a directory in
-    /// lexicographic order.
-    pub fn load_dir(&self, pc: &mut PointCloud, dir: &Path) -> Result<LoadStats, CoreError> {
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-            .map_err(lidardb_las::LasError::Io)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                matches!(
-                    p.extension().and_then(|e| e.to_str()),
-                    Some("las" | "laz" | "lazl")
-                )
-            })
-            .collect();
-        paths.sort();
-        self.load_files(pc, &paths)
     }
 
     /// Decode one file with fault hooks, panic containment, and bounded
@@ -404,97 +344,6 @@ impl Loader {
         }
         Ok(LoadReport { stats, files })
     }
-
-    fn load_csv_path(
-        &self,
-        pc: &mut PointCloud,
-        paths: &[PathBuf],
-    ) -> Result<LoadReport, CoreError> {
-        let mut stats = LoadStats {
-            files: 0,
-            points: 0,
-            decode_seconds: 0.0,
-            convert_seconds: 0.0,
-            append_seconds: 0.0,
-            wall_seconds: 0.0,
-        };
-        let mut files = Vec::with_capacity(paths.len());
-        for path in paths {
-            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            let (result, retries) = self.decode_csv_one(pc, path, &mut stats);
-            match result {
-                Ok(points) => {
-                    stats.files += 1;
-                    stats.points += points;
-                    files.push(FileReport {
-                        path: path.clone(),
-                        outcome: FileOutcome::Loaded,
-                        retries,
-                        points,
-                        bytes,
-                    });
-                }
-                Err(e) if self.policy == LoadPolicy::FailFast => {
-                    return Err(CoreError::FileLoad {
-                        path: path.clone(),
-                        source: Box::new(e),
-                    })
-                }
-                Err(e) => files.push(FileReport {
-                    path: path.clone(),
-                    outcome: FileOutcome::Quarantined(e.to_string()),
-                    retries,
-                    points: 0,
-                    bytes,
-                }),
-            }
-        }
-        Ok(LoadReport { stats, files })
-    }
-
-    /// One file through the CSV path, with the same retry policy as the
-    /// binary path.
-    fn decode_csv_one(
-        &self,
-        pc: &mut PointCloud,
-        path: &Path,
-        stats: &mut LoadStats,
-    ) -> (Result<usize, CoreError>, u32) {
-        let max_retries = match self.policy {
-            LoadPolicy::FailFast => 0,
-            LoadPolicy::SkipCorrupt { max_retries } => max_retries,
-        };
-        let name = path.to_string_lossy();
-        let mut retries = 0;
-        loop {
-            let result: Result<usize, CoreError> = (|| {
-                if let Some(kind) = self
-                    .fault
-                    .as_deref()
-                    .and_then(|fi| fi.fire(FaultStage::LoadDecode, &name))
-                {
-                    return Err(match kind {
-                        FaultKind::IoError => lidardb_las::LasError::Io(kind.to_io_error()).into(),
-                        _ => CoreError::Corrupt(format!("injected decode corruption in {name}")),
-                    });
-                }
-                let t0 = Instant::now();
-                let (_, records) = read_las_file(path)?;
-                stats.decode_seconds += t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                let text = csv::records_to_csv(&records);
-                stats.convert_seconds += t1.elapsed().as_secs_f64();
-                let t2 = Instant::now();
-                let n = csv::load_csv(pc, &text)?;
-                stats.append_seconds += t2.elapsed().as_secs_f64();
-                Ok(n)
-            })();
-            match result {
-                Err(e) if e.is_transient() && retries < max_retries => retries += 1,
-                other => return (other, retries),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -529,30 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_and_csv_paths_load_identical_tables() {
-        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_a");
-        let paths = make_files(&dir, 4, 500);
-        let mut a = PointCloud::new();
-        let sa = Loader::new(LoadMethod::Binary)
-            .load_files(&mut a, &paths)
-            .unwrap();
-        let mut b = PointCloud::new();
-        let sb = Loader::new(LoadMethod::Csv)
-            .load_files(&mut b, &paths)
-            .unwrap();
-        assert_eq!(sa.points, 2000);
-        assert_eq!(sb.points, 2000);
-        assert_eq!(a.num_points(), b.num_points());
-        // Spot-check equality (CSV roundtrips exactly for these values).
-        for row in [0usize, 999, 1999] {
-            assert_eq!(a.record(row), b.record(row), "row {row}");
-        }
-        // Deterministic file order: gps_time monotone across files.
-        let gps = a.f64_column("gps_time").unwrap();
-        assert!(gps.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
     fn parallel_matches_single_threaded() {
         let dir = lidardb_test_support::ScratchDir::vacant("loader_test_b");
         let paths = make_files(&dir, 8, 300);
@@ -573,19 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn load_dir_filters_and_sorts() {
-        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_c");
-        make_files(&dir, 3, 100);
-        std::fs::write(dir.join("README.txt"), "not a las file").unwrap();
-        let mut pc = PointCloud::new();
-        let stats = Loader::new(LoadMethod::Binary)
-            .load_dir(&mut pc, &dir)
-            .unwrap();
-        assert_eq!(stats.files, 3);
-        assert_eq!(pc.num_points(), 300);
-    }
-
-    #[test]
     fn stats_are_plausible() {
         let dir = lidardb_test_support::ScratchDir::vacant("loader_test_d");
         let paths = make_files(&dir, 2, 2000);
@@ -595,8 +407,6 @@ mod tests {
             .unwrap();
         assert!(s.points_per_second() > 0.0);
         assert!(s.wall_seconds > 0.0);
-        let days = s.projected_days(640_000_000_000);
-        assert!(days.is_finite() && days > 0.0);
     }
 
     #[test]
@@ -636,16 +446,6 @@ mod tests {
             0,
             "binary FailFast appends nothing on error"
         );
-        // The CSV comparison path also fails fast (it appends
-        // row-at-a-time, so files before the bad one stay loaded).
-        let mut pc_csv = PointCloud::new();
-        let err = Loader::new(LoadMethod::Csv)
-            .load_files(&mut pc_csv, &paths)
-            .unwrap_err();
-        match &err {
-            CoreError::FileLoad { path, .. } => assert_eq!(path, &paths[1]),
-            other => panic!("expected FileLoad, got {other}"),
-        }
         // Drop the corrupt files and confirm the batch loads clean.
         paths.remove(3);
         paths.remove(1);
@@ -666,11 +466,10 @@ mod tests {
             .load_files_report(&mut pc, &paths)
             .unwrap();
         assert_eq!(pc.num_points(), 5 * 80);
-        assert_eq!(report.loaded(), 5);
         assert_eq!(report.quarantined(), vec![paths[2].as_path()]);
         assert_eq!(report.stats.files, 5);
         assert_eq!(report.stats.points, 400);
-        assert!(report.bytes_loaded() > 0);
+        assert!(report.files.iter().all(|f| f.bytes > 0));
         let q = &report.files[2];
         assert!(matches!(&q.outcome, FileOutcome::Quarantined(msg) if !msg.is_empty()));
         assert_eq!(q.retries, 0, "structural corruption is not retried");

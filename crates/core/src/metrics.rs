@@ -264,11 +264,6 @@ pub struct StageStats {
 }
 
 impl StageStats {
-    /// Total seconds spent in the stage.
-    pub fn seconds(&self) -> f64 {
-        self.nanos.get() as f64 * 1e-9
-    }
-
     fn reset(&self) {
         self.calls.reset();
         self.rows.reset();
@@ -523,11 +518,6 @@ impl MetricsRegistry {
         self.values(SeriesKind::Counter)
     }
 
-    /// Every gauge series as `(name, value)`, in [`Self::SERIES`] order.
-    pub fn gauge_values(&self) -> Vec<(&'static str, u64)> {
-        self.values(SeriesKind::Gauge)
-    }
-
     fn values(&self, kind: SeriesKind) -> Vec<(&'static str, u64)> {
         Self::SERIES
             .iter()
@@ -593,7 +583,7 @@ mod tests {
         let s = r.stage(Stage::BboxScan);
         assert_eq!(s.calls.get(), 2);
         assert_eq!(s.rows.get(), 150);
-        assert!((s.seconds() - 0.003).abs() < 1e-9);
+        assert_eq!(s.nanos.get(), 3_000_000);
         assert_eq!(r.stage(Stage::GridRefine).calls.get(), 0);
     }
 

@@ -16,8 +16,8 @@
 //! layout (a flat one is one tile at the root), `read_manifest` verifies
 //! one dump's manifest and row count, and `read_columns` reads a set of its
 //! columns, each file checked for size and CRC as it lands in the column's
-//! own buffer (one copy): [`PointCloud::open_dir`] and [`validate_dir`] ask
-//! for every column, a lazy tile fault of [`crate::segment::TiledCloud`]
+//! own buffer (one copy): [`PointCloud::open_dir`] asks for every
+//! column, a lazy tile fault of [`crate::segment::TiledCloud`]
 //! for the columns the tile lacks, reading the tile's manifest on its first
 //! fault only. Those are these three calls, so they accept and reject the
 //! same directories, and a tiled query checks each column file on first
@@ -813,7 +813,7 @@ impl PointCloud {
     }
 }
 
-/// Clean up the debris a crash inside [`Staging::commit`] can leave next
+/// Clean up the debris a crash inside `Staging::commit` can leave next
 /// to `target`, returning a description of each action taken.
 ///
 /// Two leftover shapes exist:
@@ -861,14 +861,6 @@ pub fn recover_stale_dirs(target: impl AsRef<Path>) -> Result<Vec<String>, CoreE
         }
     }
     Ok(actions)
-}
-
-/// Validate a table directory without building the in-memory table
-/// (catalog-style check): the same read as [`PointCloud::open_dir`] —
-/// layout, every tile's manifest and row count, every column's size and
-/// (for v2) checksum — with the dumps dropped. Returns the row count.
-pub fn validate_dir(dir: impl AsRef<Path>) -> Result<usize, CoreError> {
-    read_all(dir.as_ref(), None, |_| Ok(())).map(|layout| layout.rows)
 }
 
 #[cfg(test)]
@@ -928,7 +920,6 @@ mod tests {
         let dir = tdir("roundtrip");
         let pc = cloud(5000);
         pc.save_dir(&dir).unwrap();
-        assert_eq!(validate_dir(&dir).unwrap(), 5000);
         let back = PointCloud::open_dir(&dir).unwrap();
         assert_eq!(back.num_points(), 5000);
         for name in lidardb_las::COLUMN_NAMES {
@@ -976,7 +967,6 @@ mod tests {
         let victim = dir.join("z.bin");
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() - 8]).unwrap();
-        assert!(validate_dir(&dir).is_err());
         assert!(PointCloud::open_dir(&dir).is_err());
     }
 
@@ -993,7 +983,6 @@ mod tests {
             matches!(&err, CoreError::Corrupt(m) if m.contains("checksum")),
             "{err}"
         );
-        assert!(validate_dir(&dir).is_err(), "validate_dir catches it too");
     }
 
     #[test]
@@ -1028,7 +1017,6 @@ mod tests {
             COLUMN_NAMES.join(",")
         );
         std::fs::write(dir.join(MANIFEST), v1).unwrap();
-        assert_eq!(validate_dir(&dir).unwrap(), 50);
         let back = PointCloud::open_dir(&dir).unwrap();
         assert_eq!(back.num_points(), 50);
         assert_eq!(
@@ -1057,7 +1045,6 @@ mod tests {
             PointCloud::open_dir(&dir).unwrap_err(),
             CoreError::Corrupt(_)
         ));
-        assert!(validate_dir(&dir).is_err());
     }
 
     /// Flat and tiled saves pass the same fault sites: a crash at any of

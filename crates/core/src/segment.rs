@@ -329,25 +329,9 @@ impl TiledCloud {
         self.layout.rows
     }
 
-    /// Number of tiles.
-    pub fn num_tiles(&self) -> usize {
-        self.layout.tiles.len()
-    }
-
     /// The tile layout (row ranges, key ranges, zone maps).
     pub fn tiles(&self) -> &TileSet {
         &self.layout.tiles
-    }
-
-    /// The curve the rows are clustered by (`hilbert`, `morton`, or
-    /// `none` for a flat directory).
-    pub fn curve(&self) -> &str {
-        &self.layout.curve
-    }
-
-    /// Quantiser bits per axis (0 for a flat directory).
-    pub fn bits(&self) -> u32 {
-        self.layout.bits
     }
 
     /// The directory the cloud was opened from.
@@ -361,21 +345,6 @@ impl TiledCloud {
     /// queries make progress even when a single tile exceeds the budget.
     pub fn set_resident_budget(&self, bytes: u64) {
         self.budget_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// The configured resident budget (0 = unlimited).
-    pub fn resident_budget(&self) -> u64 {
-        self.budget_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes of the resident columns of every resident tile.
-    pub fn resident_bytes(&self) -> u64 {
-        self.cache.lock().resident
-    }
-
-    /// Tile segments currently resident.
-    pub fn resident_tiles(&self) -> usize {
-        self.cache.lock().map.len()
     }
 
     /// High-water mark of resident bytes over the cloud's lifetime.
@@ -488,17 +457,6 @@ impl TiledCloud {
         Ok(pc)
     }
 
-    /// Two-step spatial query with the default strategy and worker policy,
-    /// governed like [`Self::select_query_with`].
-    pub fn select(&self, pred: &SpatialPredicate) -> Result<Selection, CoreError> {
-        self.select_query_with(
-            Some(pred),
-            &[],
-            RefineStrategy::default(),
-            Parallelism::default(),
-        )
-    }
-
     /// Spatial + attribute query under the process-wide admission
     /// controller, with no deadline or memory budget (see
     /// [`PointTable::select`]).
@@ -548,7 +506,7 @@ mod tests {
         }
         let reads = |stage| fi.fired().iter().filter(|f| f.0 == stage).count();
         let tc = TiledCloud::open_with_faults(&dir, Some(Arc::clone(&fi))).unwrap();
-        assert!(tc.num_tiles() >= 2);
+        assert!(tc.tiles().len() >= 2);
         assert_eq!(reads(FaultStage::ReadManifest), 1, "the root layout");
         let ctx = GovernCtx::ungoverned();
         tc.load_tile(0, ColumnSet::of(["x"]), &ctx).unwrap();
@@ -565,7 +523,7 @@ mod tests {
         // next fault re-reads column files only.
         tc.set_resident_budget(1);
         tc.load_tile(1, ColumnSet::of(["x"]), &ctx).unwrap();
-        assert_eq!(tc.resident_tiles(), 1);
+        assert_eq!(tc.cache.lock().map.len(), 1);
         tc.load_tile(0, ColumnSet::of(["z"]), &ctx).unwrap();
         assert_eq!(
             reads(FaultStage::ReadManifest),

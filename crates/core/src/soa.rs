@@ -132,11 +132,6 @@ impl ColumnArrays {
         Ok(ColumnArrays { columns })
     }
 
-    /// The typed columns in schema order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
     /// Serialise each column as its little-endian binary dump — the files
     /// the paper's loader feeds to `COPY BINARY`.
     pub fn to_dumps(&self) -> Vec<Vec<u8>> {
@@ -175,8 +170,8 @@ mod tests {
         let recs = records();
         let soa = ColumnArrays::from_records(&recs);
         assert_eq!(soa.num_rows(), 100);
-        assert_eq!(soa.columns().len(), 26);
-        for (ci, col) in soa.columns().iter().enumerate() {
+        assert_eq!(soa.columns.len(), 26);
+        for (ci, col) in soa.columns.iter().enumerate() {
             for (ri, rec) in recs.iter().enumerate() {
                 assert_eq!(
                     col.get(ri).unwrap().as_f64(),

@@ -27,8 +27,8 @@
 //! relaxed atomic load plus two thread-local reads per *stage* (never per
 //! row — the scan kernels stay untouched, same discipline as the batched
 //! `note_scans` counter flushes). Compiling the `trace` feature out
-//! (`--no-default-features`) pins [`enabled`] to `false` so every guard
-//! constant-folds to a no-op.
+//! (`--no-default-features`) pins the activity check to `false` so every
+//! guard constant-folds to a no-op.
 //!
 //! A taxonomy stage is timed by a [`StageGuard`] ([`stage`]) rather than
 //! a bare span: its two clock readings give one duration, which the
@@ -48,11 +48,8 @@
 //!
 //! ## Consumers
 //!
-//! * [`TraceSink::to_chrome_json`] — Chrome trace-event JSON (an array of
-//!   `ph:"X"` duration events), loadable in `ui.perfetto.dev`; a
-//!   `benchmark … --trace 1` run writes one per workload.
 //! * [`SlowQueryLog`] — a bounded ring of the K worst queries by wall
-//!   time, each with its [`Explain`](crate::Explain) and span tree;
+//!   time, each with its [`Explain`] and span tree;
 //!   surfaced via `SlowQueryLog::global().worst()` and SQL
 //!   `SHOW SLOW QUERIES`.
 
@@ -206,12 +203,6 @@ impl Tracer {
         GLOBAL_TRACER.get_or_init(|| Tracer::with_capacity(DEFAULT_CAPACITY))
     }
 
-    /// Spans recorded since process start (or the last [`Tracer::clear`]),
-    /// including evicted ones.
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
     /// Push one finished span: one `fetch_add` claims a slot, and the
     /// record is written and published there unless a newer claim on the
     /// same slot got there first.
@@ -349,13 +340,6 @@ thread_local! {
 /// Turn process-wide tracing on or off at runtime.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether process-wide tracing is on. Constant `false` when the `trace`
-/// feature is compiled out.
-#[inline]
-pub fn enabled() -> bool {
-    cfg!(feature = "trace") && ENABLED.load(Ordering::Relaxed)
 }
 
 /// RAII guard from [`force_thread`]: tracing stays active on this thread
@@ -653,41 +637,6 @@ impl TraceSink {
         }
     }
 
-    /// Render as Chrome trace-event JSON: an array of `ph:"X"` complete
-    /// duration events with `pid`/`tid`/`ts`/`dur` (microseconds) and the
-    /// span attributes under `args`. Loadable in `ui.perfetto.dev` or
-    /// `chrome://tracing`. Hand-rolled — the tree deliberately has no
-    /// serde.
-    pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(128 * self.spans.len() + 8);
-        out.push_str("[\n");
-        for (i, s) in self.spans.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"cat\": \"lidardb\", \"ph\": \"X\", \"pid\": 1, \
-                 \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{\
-                 \"trace_id\": {}, \"span_id\": {}, \"parent_id\": {}, \
-                 \"rows_in\": {}, \"rows_out\": {}, \"degraded\": {}, \
-                 \"fault\": {}, \"cancelled\": {}, \"aux\": {}}}}}{}\n",
-                s.kind.name(),
-                s.thread,
-                s.start_ns as f64 / 1e3,
-                s.dur_ns as f64 / 1e3,
-                s.trace_id,
-                s.span_id,
-                s.parent_id,
-                s.rows_in,
-                s.rows_out,
-                u64::from(s.flags & FLAG_DEGRADED != 0),
-                u64::from(s.flags & FLAG_FAULT != 0),
-                u64::from(s.flags & FLAG_CANCELLED != 0),
-                s.aux,
-                if i + 1 < self.spans.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("]\n");
-        out
-    }
-
     /// Compact single-line tree rendering: spans in record order, each
     /// prefixed with one `>` per ancestor *present in the sink*, as
     /// `name:rows_out r:milliseconds` (cancelled spans carry a trailing
@@ -859,7 +808,7 @@ mod tests {
         for i in 1..=20u64 {
             t.push(&rec(0, 7, i, i - 1)); // span i's parent is span i-1
         }
-        assert_eq!(t.recorded(), 20);
+        assert_eq!(t.head.load(Ordering::Relaxed), 20);
         let sink = t.snapshot();
         assert_eq!(sink.len(), 8, "bounded at capacity");
         let ids: Vec<u64> = sink.spans.iter().map(|s| s.span_id).collect();
@@ -897,7 +846,7 @@ mod tests {
         }
         t.clear();
         assert_eq!(t.snapshot().len(), 0);
-        assert_eq!(t.recorded(), 0);
+        assert_eq!(t.head.load(Ordering::Relaxed), 0);
         t.push(&rec(0, 1, 42, 0));
         let sink = t.snapshot();
         assert_eq!(sink.len(), 1);
@@ -956,7 +905,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(t.recorded(), 8000);
+        assert_eq!(t.head.load(Ordering::Relaxed), 8000);
         let sink = t.snapshot();
         assert_eq!(sink.len(), 64);
         let claims: Vec<u64> = sink.spans.iter().map(|s| s.seq).collect();
@@ -984,7 +933,7 @@ mod tests {
     #[test]
     fn span_guards_nest_and_record() {
         let _g = force_thread();
-        let before = Tracer::global().recorded();
+        let before = Tracer::global().head.load(Ordering::Relaxed);
         let trace_id;
         {
             let mut root = span(SpanKind::Query);
@@ -997,7 +946,7 @@ mod tests {
                 child.add_flags(FLAG_DEGRADED);
             }
         }
-        assert!(Tracer::global().recorded() >= before + 2);
+        assert!(Tracer::global().head.load(Ordering::Relaxed) >= before + 2);
         let sink = Tracer::global().snapshot().for_trace(trace_id);
         assert_eq!(sink.len(), 2);
         let child = &sink.spans[0]; // children close first
@@ -1051,31 +1000,10 @@ mod tests {
     }
 
     #[test]
-    fn chrome_json_shape() {
-        let sink = TraceSink {
-            spans: vec![rec(3, 9, 2, 1)],
-        };
-        let json = sink.to_chrome_json();
-        assert!(json.trim_start().starts_with('['), "{json}");
-        assert!(json.contains("\"name\": \"bbox_scan\""), "{json}");
-        assert!(json.contains("\"ph\": \"X\""), "{json}");
-        assert!(json.contains("\"pid\": 1"), "{json}");
-        assert!(json.contains("\"tid\": 1"), "{json}");
-        assert!(json.contains("\"ts\": 0.200"), "{json}");
-        assert!(json.contains("\"dur\": 0.050"), "{json}");
-        assert!(json.contains("\"rows_out\": 5"), "{json}");
-        assert!(json.contains("\"cancelled\": 0"), "{json}");
-    }
-
-    #[test]
-    fn cancelled_flag_renders_in_json_and_tree() {
+    fn cancelled_flag_renders_in_tree() {
         let mut r = rec(0, 9, 2, 0);
         r.flags = FLAG_CANCELLED | FLAG_FAULT;
         let sink = TraceSink { spans: vec![r] };
-        let json = sink.to_chrome_json();
-        assert!(json.contains("\"cancelled\": 1"), "{json}");
-        assert!(json.contains("\"fault\": 1"), "{json}");
-        assert!(json.contains("\"degraded\": 0"), "{json}");
         let tree = sink.render_tree();
         assert!(tree.contains("[cancelled]"), "{tree}");
     }

@@ -175,26 +175,6 @@ pub struct RecoveryReport {
     pub seconds: f64,
 }
 
-impl RecoveryReport {
-    /// Render as aligned `name value` lines (the SQL `SHOW RECOVERY`
-    /// payload).
-    pub fn render(&self) -> String {
-        format!(
-            "base_rows {}\nwal_frames {}\nreplayed_frames {}\nskipped_frames {}\n\
-             replayed_rows {}\ntotal_rows {}\ntruncated_bytes {}\ntorn_tail {}\nseconds {:.6}",
-            self.base_rows,
-            self.wal_frames,
-            self.replayed_frames,
-            self.skipped_frames,
-            self.replayed_rows,
-            self.total_rows,
-            self.truncated_bytes,
-            self.torn_tail,
-            self.seconds,
-        )
-    }
-}
-
 /// One decoded WAL frame.
 #[derive(Debug, Clone)]
 pub(crate) struct Frame {
@@ -282,7 +262,6 @@ fn decode_payload(payload: &[u8]) -> Option<(u32, Vec<Vec<u8>>)> {
 #[derive(Debug)]
 pub struct WalWriter {
     file: std::fs::File,
-    path: PathBuf,
     durability: Durability,
     /// Next frame sequence number.
     seq: u64,
@@ -341,7 +320,6 @@ impl WalWriter {
         file.seek(std::io::SeekFrom::End(0)).map_err(io_err)?;
         let mut w = WalWriter {
             file,
-            path: path.to_path_buf(),
             durability,
             seq,
             rows: rows.max(base_rows),
@@ -355,19 +333,9 @@ impl WalWriter {
         Ok(w)
     }
 
-    /// The log's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Rows covered by fsynced frames (the visibility watermark source).
     pub fn durable_rows(&self) -> u64 {
         self.durable_rows
-    }
-
-    /// Rows covered by all appended frames, synced or not.
-    pub fn appended_rows(&self) -> u64 {
-        self.rows
     }
 
     /// The sync policy.
@@ -386,11 +354,6 @@ impl WalWriter {
             .rev()
             .find(|&&(t, _)| t == token)
             .map(|&(_, end)| end)
-    }
-
-    /// Current ledger size (tests and `sys.wal`).
-    pub fn ledger_len(&self) -> usize {
-        self.ledger.len()
     }
 
     /// Evict oldest ledger entries past [`LEDGER_CAP`] — but only those
@@ -1042,7 +1005,7 @@ mod tests {
         assert_eq!(w.token_seen(72), Some(9));
         assert_eq!(w.token_seen(0), None, "0 is the no-token sentinel");
         assert_eq!(w.token_seen(99), None);
-        assert_eq!(w.ledger_len(), 2, "untagged frames take no ledger slot");
+        assert_eq!(w.ledger.len(), 2, "untagged frames take no ledger slot");
         drop(w);
         let scan = scan_file(&p, None).unwrap();
         assert_eq!(scan.frames[0].token, 71);
@@ -1094,13 +1057,13 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(
-            w.ledger_len(),
+            w.ledger.len(),
             LEDGER_CAP + 10,
             "undurable tokens are never evicted"
         );
         // Once durable, the overflow is trimmed back to the cap…
         w.sync().unwrap();
-        assert_eq!(w.ledger_len(), LEDGER_CAP);
+        assert_eq!(w.ledger.len(), LEDGER_CAP);
         // …dropping the oldest tokens, keeping the newest.
         assert_eq!(w.token_seen(10_000), None, "oldest evicted");
         assert!(w.token_seen(10_000 + (LEDGER_CAP as u64 + 9)).is_some());

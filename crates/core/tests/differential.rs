@@ -28,7 +28,7 @@ use lidardb_core::{
 };
 use lidardb_geom::{buffer_polyline, Geometry, LineString, Point, Polygon, Ring};
 use lidardb_las::PointRecord;
-use lidardb_test_support::{Model, ScratchDir};
+use lidardb_test_support::{resident_tiles, Model, ScratchDir};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- fixtures
@@ -184,6 +184,28 @@ impl TiledShape {
     }
 }
 
+/// Every deterministic `Explain` counter as `(name, value)` pairs —
+/// cardinalities and probe counts, no timings: what serial and parallel
+/// runs of one query must agree on.
+fn counters(e: &lidardb_core::Explain) -> Vec<(&'static str, usize)> {
+    vec![
+        ("after_imprints", e.after_imprints),
+        ("sure_rows", e.sure_rows),
+        ("after_bbox", e.after_bbox),
+        ("cells_inside", e.cells_inside),
+        ("cells_outside", e.cells_outside),
+        ("cells_boundary", e.cells_boundary),
+        ("exact_tests", e.exact_tests),
+        ("attr_probes", e.attr_probes),
+        ("degraded_probes", e.degraded_probes),
+        ("result_rows", e.result_rows),
+        ("bands_x", e.bands_x),
+        ("bands_y", e.bands_y),
+        ("grid_nx", e.grid_nx),
+        ("grid_ny", e.grid_ny),
+    ]
+}
+
 /// Run `check` on every shape: the shared workload's flat cloud, a
 /// streaming cloud, then the shared workload's tiled copy. The tiled copy
 /// must have loaded and evicted tiles.
@@ -195,7 +217,7 @@ fn for_each_shape(check: impl Fn(Shape)) {
     assert!(tiled.tc.tile_loads() > 0, "tiles load on demand");
     assert!(tiled.tc.tile_evictions() > 0, "the budget evicts");
     assert!(
-        tiled.tc.resident_tiles() <= 1,
+        resident_tiles(&tiled.tc) <= 1,
         "the budget keeps one tile resident"
     );
 }
@@ -330,8 +352,8 @@ fn assert_differential(
         // The whole named-counter view must agree, not just the fields
         // spelled out above — new counters are covered automatically.
         assert_eq!(
-            serial.explain.counters(),
-            par.explain.counters(),
+            counters(&serial.explain),
+            counters(&par.explain),
             "Explain counters differ at {w} workers"
         );
         assert_morsels_partition_candidates(&shape, b);
@@ -384,7 +406,7 @@ fn segments_probed(shape: &Shape, e: &lidardb_core::Explain) -> usize {
     match shape.table {
         PointTable::Flat(pc) => {
             let streaming = pc.recovery_report().is_some();
-            1 + usize::from(streaming && pc.visible_rows() > pc.table().num_rows())
+            1 + usize::from(streaming && pc.visible_rows() > pc.column("x").unwrap().len())
         }
         PointTable::Tiled(_) => e.tiles_probed,
     }
@@ -539,7 +561,7 @@ impl StreamingShape {
         drop(pc);
         let mut pc = PointCloud::open_ingest(&dir, durability).unwrap();
         assert_eq!(
-            pc.table().num_rows(),
+            pc.column("x").unwrap().len(),
             sealed,
             "the sealed rows are the base"
         );
@@ -802,8 +824,8 @@ fn differential_with_injected_imprint_faults() {
             assert_eq!(serial.explain.degraded_probes, par.explain.degraded_probes);
             assert_eq!(serial.explain.result_rows, par.explain.result_rows);
             assert_eq!(
-                serial.explain.counters(),
-                par.explain.counters(),
+                counters(&serial.explain),
+                counters(&par.explain),
                 "degraded Explain counters differ at {w} workers"
             );
         }

@@ -7,18 +7,17 @@
 //! Because every byte of every column dump is covered by a CRC32 and every
 //! manifest checks itself, in practice every flip lands in case (a); the
 //! property is stated in its weaker, safe form so it stays true even if
-//! slack bytes ever appear in the format. The readers — `open_dir`,
-//! `validate_dir`, and a lazy `TiledCloud` loading every tile — must agree.
+//! slack bytes ever appear in the format. The readers — `open_dir` and a
+//! lazy `TiledCloud` loading every tile — must agree.
 
 use proptest::prelude::*;
 
 use lidardb_core::{
-    persist::validate_dir, ColumnSet, CoreError, PointCloud, PointTable, SpatialPredicate,
-    TileOptions, TiledCloud,
+    ColumnSet, CoreError, PointCloud, PointTable, SpatialPredicate, TileOptions, TiledCloud,
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::{point_schema, PointRecord};
-use lidardb_test_support::ScratchDir;
+use lidardb_test_support::{select, ScratchDir};
 
 fn sample_cloud(n: usize) -> PointCloud {
     let recs: Vec<PointRecord> = (0..n)
@@ -92,22 +91,20 @@ proptest! {
         bytes[pos] ^= 1 << bit;
         std::fs::write(victim, &bytes).unwrap();
 
-        let validated = validate_dir(&dir);
         let lazy = lazy_load_all(&dir);
         match PointCloud::open_dir(&dir) {
             Err(_) => {
-                // Detected. The other readers must agree.
+                // Detected. The lazy reader must agree.
                 prop_assert!(
-                    validated.is_err() && lazy.is_err(),
-                    "open_dir rejected {} but validate_dir ({:?}) or the lazy load ({:?}) accepted it",
+                    lazy.is_err(),
+                    "open_dir rejected {} but the lazy load ({:?}) accepted it",
                     victim.display(),
-                    validated,
                     lazy
                 );
             }
             Ok(reopened) => {
                 // Harmless: the table must be byte-identical per column.
-                prop_assert!(validated.is_ok() && lazy.is_ok());
+                prop_assert!(lazy.is_ok());
                 prop_assert_eq!(reopened.num_points(), original.num_points());
                 for field in point_schema().fields() {
                     prop_assert_eq!(
@@ -150,7 +147,7 @@ fn a_column_is_checked_on_first_touch() {
     let ring = corners.iter().map(|&(x, y)| Point::new(x, y)).collect();
     let everything =
         SpatialPredicate::Within(Geometry::Polygon(Polygon::from_exterior(ring).unwrap()));
-    let sel = tc.select(&everything).unwrap();
+    let sel = select(&tc, &everything).unwrap();
     assert_eq!(sel.rows, parent.select(&everything).unwrap().rows);
     assert_eq!(sel.rows.len(), 3_000);
     let xyz = ColumnSet::of(["x", "y", "z"]);
@@ -180,6 +177,5 @@ fn a_column_is_checked_on_first_touch() {
     assert!(table
         .runs(&[t1], ColumnSet::of(["intensity"]))
         .all(|r| r.is_ok()));
-    assert!(validate_dir(&dir).is_err(), "validate_dir");
     assert!(PointCloud::open_dir(&dir).is_err(), "open_dir");
 }

@@ -132,11 +132,6 @@ fn metrics_smoke() {
         )
         .unwrap();
     assert!(metrics.stage(Stage::Aggregate).calls.get() > agg_calls);
-
-    // Registry stage seconds stay sane: the probe stage's accumulated time
-    // is positive only if calls happened, and within tolerance of the sum
-    // of what this test observed (other tests may add, never subtract).
-    assert!(metrics.stage(Stage::ImprintProbe).seconds() >= 0.0);
 }
 
 /// N threads hammering `record_stage` concurrently must lose nothing:

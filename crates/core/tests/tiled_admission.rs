@@ -46,7 +46,6 @@ fn governed_tiled_select_takes_an_admission_permit() {
     let select = || tc.select_query_with(None, &[], RefineStrategy::default(), Parallelism::Serial);
 
     let adm = AdmissionController::global();
-    let before = adm.limits();
     adm.set_limits(1, 0);
     let metrics = MetricsRegistry::global();
     let shed = metrics.queries_shed.get();
@@ -65,7 +64,8 @@ fn governed_tiled_select_takes_an_admission_permit() {
     assert_eq!(metrics.queries.get(), queries + 1);
     assert_eq!(adm.in_flight(), 0, "the query's permit was released");
 
-    adm.set_limits(before.0, before.1);
+    // Back to the process default: unlimited.
+    adm.set_limits(usize::MAX, 0);
 }
 
 /// `select_query_with` on a tiled table is governed, not a bypass: it
@@ -80,7 +80,6 @@ fn tiled_select_query_with_is_governed() {
     let select = || tc.select_query_with(None, &[], RefineStrategy::default(), Parallelism::Serial);
 
     let adm = AdmissionController::global();
-    let before = adm.limits();
     adm.set_limits(1, 1);
     let permit = adm.admit(None).unwrap();
     std::thread::scope(|s| {
@@ -98,7 +97,8 @@ fn tiled_select_query_with_is_governed() {
         assert_eq!(sel.rows.len(), tc.num_points());
         assert!(tc.tile_loads() > 0);
     });
-    adm.set_limits(before.0, before.1);
+    // Back to the process default: unlimited.
+    adm.set_limits(usize::MAX, 0);
 
     // While a query runs, `SHOW QUERIES` lists it.
     let stop = AtomicBool::new(false);

@@ -8,7 +8,7 @@ use lidardb_core::{
 };
 use lidardb_geom::{Geometry, Point, Polygon};
 use lidardb_las::PointRecord;
-use lidardb_test_support::ScratchDir;
+use lidardb_test_support::{select, ScratchDir};
 
 /// An ungoverned aggregate over a tiled cloud's global row ids.
 fn aggregate(
@@ -76,7 +76,6 @@ fn tiled_queries_match_the_eager_flat_open_bit_for_bit() {
     let mut pc = cloud(n);
     let tiles = pc.save_tiled(&dir, &opts(8192)).unwrap();
     assert!(tiles > 4, "expected several tiles, got {tiles}");
-    assert_eq!(lidardb_core::persist::validate_dir(&dir).unwrap(), n);
 
     // `open_dir` on a v3 directory eager-loads the tiles in order, so its
     // global row ids are the tiled cloud's global row ids.
@@ -84,7 +83,7 @@ fn tiled_queries_match_the_eager_flat_open_bit_for_bit() {
     assert_eq!(flat.num_points(), n);
     let tc = TiledCloud::open(&dir).unwrap();
     assert_eq!(tc.num_points(), n);
-    assert_eq!(tc.num_tiles(), tiles);
+    assert_eq!(tc.tiles().len(), tiles);
 
     let window = rect(200.0, 300.0, 420.0, 560.0);
     let tri = SpatialPredicate::Within(Geometry::Polygon(
@@ -134,7 +133,7 @@ fn zone_maps_prune_tiles_without_changing_results() {
     // A small window: SFC clustering makes most tiles' x/y zones disjoint
     // from it, so pruning must fire.
     let window = rect(10.0, 10.0, 80.0, 80.0);
-    let sel = tc.select(&window).unwrap();
+    let sel = select(&tc, &window).unwrap();
     assert!(
         sel.explain.tiles_pruned > 0,
         "small window should prune some of the {tiles} tiles: {:?}",
@@ -169,7 +168,7 @@ fn zone_maps_prune_tiles_without_changing_results() {
     );
     // A disjoint window prunes everything and returns nothing.
     let far = rect(5000.0, 5000.0, 6000.0, 6000.0);
-    let sel = tc.select(&far).unwrap();
+    let sel = select(&tc, &far).unwrap();
     assert!(sel.rows.is_empty());
     assert_eq!(sel.explain.tiles_pruned, tiles);
     assert_eq!(sel.explain.tiles_probed, 0);
@@ -197,7 +196,7 @@ fn out_of_core_budget_below_dataset_stays_exact() {
         let y0 = strip as f64 * 100.0;
         let window = rect(0.0, y0, 1000.0, y0 + 100.0);
         let a = flat.select(&window).unwrap();
-        let b = tc.select(&window).unwrap();
+        let b = select(&tc, &window).unwrap();
         assert_eq!(a.rows, b.rows, "strip {strip}");
         total += b.rows.len();
     }
@@ -211,7 +210,10 @@ fn out_of_core_budget_below_dataset_stays_exact() {
         tc.tile_evictions() > 0,
         "sweeping {tiles} tiles through a quarter-size cache must evict"
     );
-    assert!(tc.resident_tiles() >= 1);
+    assert!(tc
+        .tile_residency()
+        .iter()
+        .any(|t| t.resident_bytes.is_some()));
     assert!(
         tc.tile_loads() as usize > tiles,
         "tiles reload after eviction"
@@ -225,10 +227,9 @@ fn flat_v2_directory_opens_as_single_unpruned_tile() {
     pc.save_dir(&dir).unwrap();
     let tc = TiledCloud::open(&dir).unwrap();
     assert_eq!(tc.num_points(), 5_000);
-    assert_eq!(tc.num_tiles(), 1);
-    assert_eq!(tc.curve(), "none");
+    assert_eq!(tc.tiles().len(), 1);
     let window = rect(100.0, 100.0, 400.0, 400.0);
-    let sel = tc.select(&window).unwrap();
+    let sel = select(&tc, &window).unwrap();
     assert_eq!(sel.rows, pc.select(&window).unwrap().rows);
     assert_eq!(sel.explain.tiles_total, 1);
     assert_eq!(sel.explain.tiles_pruned, 0, "no zones, never pruned");
@@ -249,10 +250,6 @@ fn readers_agree_on_tile_row_counts() {
     cloud(rows0 + 1).save_dir(dir.join("tile_00000")).unwrap();
     cloud(rows1 - 1).save_dir(dir.join("tile_00001")).unwrap();
     assert!(PointCloud::open_dir(&dir).is_err(), "open_dir");
-    assert!(
-        lidardb_core::persist::validate_dir(&dir).is_err(),
-        "validate_dir"
-    );
     assert!(
         TiledCloud::open(&dir)
             .and_then(|tc| PointTable::Tiled(&tc).record(0))
@@ -283,7 +280,7 @@ fn seal_to_tiles_checkpoints_the_ingest_wal() {
     // of the sealed tile dump).
     let tc = TiledCloud::open(&dir).unwrap();
     assert_eq!(tc.num_points(), 20_000);
-    assert_eq!(tc.select(&window).unwrap().rows.len(), expect);
+    assert_eq!(select(&tc, &window).unwrap().rows.len(), expect);
 }
 
 #[test]
@@ -294,7 +291,7 @@ fn tiled_aggregates_match_flat_aggregates() {
     let flat = PointCloud::open_dir(&dir).unwrap();
     let tc = TiledCloud::open(&dir).unwrap();
     let window = rect(100.0, 100.0, 700.0, 700.0);
-    let rows = tc.select(&window).unwrap().rows;
+    let rows = select(&tc, &window).unwrap().rows;
     assert!(!rows.is_empty());
     for agg in [
         Aggregate::Count,
@@ -375,7 +372,7 @@ fn governed_tiled_query_charges_tile_bytes_to_the_budget() {
     );
     // A generous budget succeeds and matches the ungoverned result.
     let governed = select_budgeted(1 << 30).unwrap();
-    let plain = tc.select(&window).unwrap();
+    let plain = select(&tc, &window).unwrap();
     assert_eq!(governed.rows, plain.rows);
 }
 
@@ -390,7 +387,7 @@ fn one_tiled_statement_is_one_traced_query() {
     pc.save_tiled(&dir, &opts(4096)).unwrap();
     let tc = TiledCloud::open(&dir).unwrap();
     let traced = lidardb_core::trace::force_thread();
-    let sel = tc.select(&rect(100.0, 100.0, 900.0, 900.0)).unwrap();
+    let sel = select(&tc, &rect(100.0, 100.0, 900.0, 900.0)).unwrap();
     drop(traced);
     let tiles = sel.explain.tiles_probed;
     assert!(
@@ -499,7 +496,7 @@ fn tiles_hold_exactly_the_columns_their_reads_touched() {
     };
 
     let window = rect(100.0, 100.0, 400.0, 400.0);
-    let sel = tc.select(&window).unwrap();
+    let sel = select(&tc, &window).unwrap();
     assert_eq!(sel.rows, flat.select(&window).unwrap().rows);
     let touched = resident(&tc);
     assert_eq!(touched.len(), sel.explain.tiles_probed);
@@ -555,8 +552,10 @@ fn tiles_hold_exactly_the_columns_their_reads_touched() {
         assert_eq!(columns, "x,y,z,classification", "tile {id}");
         assert_eq!(bytes, Some(rows as u64 * 25), "tile {id}");
     }
+    // The cache's own counter — what a load weighs against the budget —
+    // is the tiles' sum; columns were only added, so its peak is it.
     assert_eq!(
-        tc.resident_bytes(),
+        tc.peak_resident_bytes(),
         resident(&tc).iter().map(|t| t.2.unwrap()).sum::<u64>()
     );
 
@@ -601,7 +600,11 @@ fn seal_and_seal_to_tiles_fold_base_and_tail_into_one_dump() {
         drop(pc);
         let mut pc = PointCloud::open_ingest(dir, Durability::Always).unwrap();
         pc.append_records(&recs[5_000..]).unwrap();
-        assert_eq!(pc.table().num_rows(), 5_000, "the tail holds the rest");
+        assert_eq!(
+            pc.column("x").unwrap().len(),
+            5_000,
+            "the tail holds the rest"
+        );
         pc
     };
 

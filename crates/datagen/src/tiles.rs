@@ -172,6 +172,7 @@ fn generate_tile_points(
 mod tests {
     use super::*;
     use crate::scene::SceneConfig;
+    use lidardb_test_support::area;
 
     fn small_scene() -> Scene {
         Scene::generate(SceneConfig {
@@ -187,8 +188,8 @@ mod tests {
         let ts = TileSet::generate(&s, 4, 0.5);
         assert_eq!(ts.tiles().len(), 16);
         // Tiles partition the envelope.
-        let total_area: f64 = ts.tiles().iter().map(|t| t.envelope.area()).sum();
-        assert!((total_area - s.envelope().area()).abs() < 1e-6);
+        let total_area: f64 = ts.tiles().iter().map(|t| area(&t.envelope)).sum();
+        assert!((total_area - area(s.envelope())).abs() < 1e-6);
         // Every point inside its tile (with jitter margin).
         for t in ts.tiles() {
             for p in &t.records {
@@ -207,7 +208,7 @@ mod tests {
     fn density_is_respected() {
         let s = small_scene();
         let ts = TileSet::generate(&s, 2, 2.0);
-        let expected = s.envelope().area() * 2.0;
+        let expected = area(s.envelope()) * 2.0;
         let got = ts
             .tiles()
             .iter()

@@ -7,7 +7,6 @@
 //! corridor-expanding their exterior ring's bbox-side outwards is *not*
 //! attempted — `ST_DWithin` covers the distance-query use case exactly.
 
-use crate::envelope::Envelope;
 use crate::error::GeomError;
 use crate::geometry::{Geometry, LineString};
 use crate::polygon::Polygon;
@@ -74,11 +73,6 @@ pub fn buffer_geometry(g: &Geometry, distance: f64) -> Result<Geometry, GeomErro
     }
 }
 
-/// Convenience: the buffered envelope of a geometry (always defined).
-pub fn buffered_envelope(g: &Geometry, distance: f64) -> Option<Envelope> {
-    g.envelope().map(|e| e.buffered(distance))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,12 +125,5 @@ mod tests {
         assert!(buffer_geometry(&poly, 1.0).is_err());
         assert!(buffer_polyline(&line(&[(0.0, 0.0), (1.0, 0.0)]), 0.0).is_err());
         assert!(buffer_point(&Point::new(0.0, 0.0), f64::NAN, 8).is_err());
-    }
-
-    #[test]
-    fn buffered_envelope_grows() {
-        let g = Geometry::Point(Point::new(5.0, 5.0));
-        let e = buffered_envelope(&g, 2.0).unwrap();
-        assert_eq!((e.min_x, e.max_x), (3.0, 7.0));
     }
 }

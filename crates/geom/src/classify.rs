@@ -52,25 +52,12 @@ pub fn classify_rect_polygon(rect: &Envelope, poly: &Polygon) -> RectClass {
     }
 }
 
-/// Classify a rectangle against a multi-polygon containment predicate.
-pub fn classify_rect_multipolygon(rect: &Envelope, polys: &[Polygon]) -> RectClass {
-    let mut out = RectClass::Outside;
-    for p in polys {
-        match classify_rect_polygon(rect, p) {
-            RectClass::Boundary => return RectClass::Boundary,
-            RectClass::Inside => out = RectClass::Inside,
-            RectClass::Outside => {}
-        }
-    }
-    out
-}
-
 /// Classify a rectangle against `dist(p, g) <= d`.
 ///
 /// Conservative (triangle-inequality bound around the cell center): may
 /// report `Boundary` for cells that are actually uniform, never the
 /// reverse. A centre inside a polygon is decided by its distance `D` to
-/// the boundary instead: see [`inside_dwithin_label`].
+/// the boundary instead: see `inside_dwithin_label`.
 pub fn classify_rect_dwithin(rect: &Envelope, g: &Geometry, d: f64) -> RectClass {
     let (c, r) = (rect.center(), rect.half_diagonal());
     let polygonal = matches!(g, Geometry::Polygon(_) | Geometry::MultiPolygon(_));
@@ -217,26 +204,6 @@ mod tests {
         let tiny = Polygon::rectangle(&env(40.0, 40.0, 42.0, 42.0));
         assert_eq!(
             classify_rect_polygon(&env(0.0, 0.0, 100.0, 100.0), &tiny),
-            RectClass::Boundary
-        );
-    }
-
-    #[test]
-    fn multipolygon_classification() {
-        let polys = vec![
-            Polygon::rectangle(&env(0.0, 0.0, 10.0, 10.0)),
-            Polygon::rectangle(&env(50.0, 50.0, 60.0, 60.0)),
-        ];
-        assert_eq!(
-            classify_rect_multipolygon(&env(2.0, 2.0, 3.0, 3.0), &polys),
-            RectClass::Inside
-        );
-        assert_eq!(
-            classify_rect_multipolygon(&env(20.0, 20.0, 30.0, 30.0), &polys),
-            RectClass::Outside
-        );
-        assert_eq!(
-            classify_rect_multipolygon(&env(55.0, 55.0, 65.0, 55.5), &polys),
             RectClass::Boundary
         );
     }

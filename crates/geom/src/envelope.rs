@@ -114,11 +114,6 @@ impl Envelope {
         self.max_y - self.min_y
     }
 
-    /// Area.
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Center point.
     pub fn center(&self) -> Point {
         Point::new(
@@ -218,7 +213,7 @@ mod tests {
         let e = env(0.0, 0.0, 3.0, 4.0);
         assert_eq!(e.width(), 3.0);
         assert_eq!(e.height(), 4.0);
-        assert_eq!(e.area(), 12.0);
+        assert_eq!(e.width() * e.height(), 12.0);
         assert_eq!(e.center(), Point::new(1.5, 2.0));
         assert_eq!(e.half_diagonal(), 2.5);
     }

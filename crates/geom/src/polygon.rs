@@ -61,11 +61,6 @@ impl Ring {
         self.signed_area().abs()
     }
 
-    /// Whether the ring winds counter-clockwise.
-    pub fn is_ccw(&self) -> bool {
-        self.signed_area() > 0.0
-    }
-
     /// Bounding envelope.
     pub fn envelope(&self) -> Envelope {
         Envelope::of_points(&self.vertices).expect("ring has >= 3 vertices")
@@ -203,12 +198,6 @@ impl Polygon {
             .map(|e| e.distance_point(p))
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Total number of vertices across all rings.
-    pub fn num_vertices(&self) -> usize {
-        self.exterior.vertices().len()
-            + self.holes.iter().map(|h| h.vertices().len()).sum::<usize>()
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +262,6 @@ mod tests {
             Point::new(0.0, 3.0),
         ])
         .unwrap();
-        assert!(ccw.is_ccw());
         assert_eq!(ccw.area(), 12.0);
         assert_eq!(ccw.signed_area(), 12.0);
         let cw = Ring::new(vec![
@@ -283,7 +271,6 @@ mod tests {
             Point::new(0.0, 0.0),
         ])
         .unwrap();
-        assert!(!cw.is_ccw());
         assert_eq!(cw.signed_area(), -12.0);
     }
 
@@ -344,7 +331,6 @@ mod tests {
         let d = donut();
         let e = d.envelope();
         assert_eq!((e.min_x, e.max_x, e.min_y, e.max_y), (0.0, 10.0, 0.0, 10.0));
-        assert_eq!(d.num_vertices(), 8);
         assert_eq!(d.all_edges().count(), 8);
     }
 
@@ -352,7 +338,7 @@ mod tests {
     fn rectangle_constructor() {
         let env = Envelope::new(1.0, 2.0, 3.0, 4.0).unwrap();
         let r = Polygon::rectangle(&env);
-        assert_eq!(r.area(), env.area());
+        assert_eq!(r.area(), env.width() * env.height());
         assert!(r.contains_point(&Point::new(2.0, 3.0)));
     }
 

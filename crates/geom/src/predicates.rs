@@ -5,9 +5,7 @@
 //! (point within distance of geometry). Boundary points count as contained,
 //! mirroring the coverage semantics the refinement grid assumes.
 
-use crate::envelope::Envelope;
 use crate::geometry::Geometry;
-use crate::polygon::Polygon;
 use crate::Point;
 
 /// Whether the geometry contains the point (boundary inclusive).
@@ -110,16 +108,12 @@ pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
     false
 }
 
-/// Whether the geometry intersects an axis-aligned envelope — the predicate
-/// behind "select all roads that intersect a given region" (§4.1).
-pub fn intersects_envelope(g: &Geometry, env: &Envelope) -> bool {
-    intersects(g, &Geometry::Polygon(Polygon::rectangle(env)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::Envelope;
     use crate::geometry::{LineString, MultiPoint, MultiPolygon};
+    use crate::polygon::Polygon;
 
     fn square(x0: f64, y0: f64, x1: f64, y1: f64) -> Polygon {
         Polygon::rectangle(&Envelope::new(x0, y0, x1, y1).unwrap())
@@ -204,19 +198,6 @@ mod tests {
         let region: Geometry = square(0.0, 0.0, 10.0, 10.0).into();
         assert!(!intersects(&empty, &region));
         assert!(!intersects(&region, &empty));
-    }
-
-    #[test]
-    fn intersects_envelope_roads_query() {
-        let env = Envelope::new(0.0, 0.0, 10.0, 10.0).unwrap();
-        assert!(intersects_envelope(
-            &ls(&[(-5.0, 5.0), (15.0, 5.0)]).into(),
-            &env
-        ));
-        assert!(!intersects_envelope(
-            &ls(&[(-5.0, 20.0), (15.0, 20.0)]).into(),
-            &env
-        ));
     }
 
     #[test]

@@ -88,17 +88,6 @@ impl Segment {
         proj.distance(p)
     }
 
-    /// Euclidean distance between two segments (0 when they intersect).
-    pub fn distance_segment(&self, other: &Segment) -> f64 {
-        if self.intersects(other) {
-            return 0.0;
-        }
-        self.distance_point(&other.a)
-            .min(self.distance_point(&other.b))
-            .min(other.distance_point(&self.a))
-            .min(other.distance_point(&self.b))
-    }
-
     /// Whether the segment has a point inside (or on the boundary of) the
     /// closed rectangle.
     pub fn intersects_envelope(&self, env: &Envelope) -> bool {
@@ -172,14 +161,6 @@ mod tests {
                                                                   // Degenerate segment behaves like a point.
         let d = seg(1.0, 1.0, 1.0, 1.0);
         assert_eq!(d.distance_point(&Point::new(4.0, 5.0)), 5.0);
-    }
-
-    #[test]
-    fn distance_segment_cases() {
-        let a = seg(0.0, 0.0, 10.0, 0.0);
-        assert_eq!(a.distance_segment(&seg(0.0, 3.0, 10.0, 3.0)), 3.0);
-        assert_eq!(a.distance_segment(&seg(5.0, -1.0, 5.0, 1.0)), 0.0);
-        assert_eq!(a.distance_segment(&seg(13.0, 4.0, 13.0, 10.0)), 5.0);
     }
 
     #[test]

@@ -66,17 +66,6 @@ impl<T: Native> BinMap<T> {
         BinMap { borders }
     }
 
-    /// Construct from explicit borders (test helper). Borders must be
-    /// strictly increasing and at most `MAX_BINS - 1` long.
-    pub fn from_borders(borders: Vec<T>) -> Self {
-        assert!(borders.len() < MAX_BINS, "too many borders");
-        assert!(
-            borders.windows(2).all(|w| w[0].total_cmp(&w[1]).is_lt()),
-            "borders must be strictly increasing"
-        );
-        BinMap { borders }
-    }
-
     /// Number of bins (`borders.len() + 1`, at least 1).
     pub fn num_bins(&self) -> usize {
         self.borders.len() + 1
@@ -88,9 +77,9 @@ impl<T: Native> BinMap<T> {
     }
 
     /// The bin index of a value: the number of borders `<=` the value.
-    /// The same six-step search as [`BinKeys::bin_of`], keying each probed
+    /// The same six-step search as `BinKeys::bin_of`, keying each probed
     /// border on the fly; loops over many values build the keys once with
-    /// [`Self::keys`].
+    /// `Self::keys`.
     #[inline]
     pub fn bin_of(&self, v: T) -> u32 {
         let key_at = |i: usize| self.borders.get(i).map_or(u64::MAX, |b| b.order_key());
@@ -108,12 +97,6 @@ impl<T: Native> BinMap<T> {
             borders: self.borders.len() as u32,
             _value: PhantomData,
         }
-    }
-
-    /// Bit mask with exactly the bit `bin_of(v)` set.
-    #[inline]
-    pub fn bit_of(&self, v: T) -> u64 {
-        1u64 << self.bin_of(v)
     }
 
     /// Translate an inclusive value range into imprint probe masks.
@@ -221,10 +204,37 @@ fn span_mask(lo: usize, hi: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl<T: Native> BinMap<T> {
+        /// A map over explicit, strictly increasing borders.
+        pub(crate) fn with_borders(borders: Vec<T>) -> Self {
+            assert!(borders.len() < MAX_BINS, "too many borders");
+            assert!(
+                borders.windows(2).all(|w| w[0].total_cmp(&w[1]).is_lt()),
+                "borders must be strictly increasing"
+            );
+            BinMap { borders }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn bin_of_respects_borders(
+            borders in prop::collection::btree_set(-1000i64..1000, 1..63),
+            v in -1100i64..1100,
+        ) {
+            let borders: Vec<i64> = borders.into_iter().collect();
+            let m = BinMap::with_borders(borders.clone());
+            // bin counts the borders <= v.
+            let expect = borders.iter().filter(|&&b| b <= v).count();
+            prop_assert_eq!(m.bin_of(v) as usize, expect);
+        }
+    }
 
     fn map_0_10_20() -> BinMap<i64> {
         // bins: (-inf,10) [10,20) [20,+inf)
-        BinMap::from_borders(vec![10, 20])
+        BinMap::with_borders(vec![10, 20])
     }
 
     #[test]
@@ -237,7 +247,6 @@ mod tests {
         assert_eq!(m.bin_of(19), 1);
         assert_eq!(m.bin_of(20), 2);
         assert_eq!(m.bin_of(1000), 2);
-        assert_eq!(m.bit_of(10), 0b010);
     }
 
     #[test]
@@ -270,7 +279,7 @@ mod tests {
 
     #[test]
     fn infinite_bounds_cover_open_bins() {
-        let m = BinMap::from_borders(vec![10.0f64, 20.0]);
+        let m = BinMap::with_borders(vec![10.0f64, 20.0]);
         let (mask, inner) = m.range_masks(f64::NEG_INFINITY, f64::INFINITY);
         assert_eq!(mask, 0b111);
         assert_eq!(inner, 0b111);
@@ -283,7 +292,7 @@ mod tests {
     #[test]
     fn single_bin_range_masks() {
         // Single-bin map (empty borders): everything is bin 0.
-        let m = BinMap::<i32>::from_borders(vec![]);
+        let m = BinMap::<i32>::with_borders(vec![]);
         assert_eq!(m.num_bins(), 1);
         assert_eq!(m.bin_of(i32::MIN), 0);
         let (mask, inner) = m.range_masks(1, 5);
@@ -330,13 +339,7 @@ mod tests {
 
     #[test]
     fn nan_goes_to_last_bin() {
-        let m = BinMap::from_borders(vec![0.0f64]);
+        let m = BinMap::with_borders(vec![0.0f64]);
         assert_eq!(m.bin_of(f64::NAN), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_borders_rejected() {
-        BinMap::from_borders(vec![5i32, 5]);
     }
 }

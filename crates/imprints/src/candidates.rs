@@ -85,21 +85,6 @@ impl CandidateList {
         self.ranges.is_empty()
     }
 
-    /// Whether `row` is inside some candidate run.
-    pub fn contains(&self, row: usize) -> bool {
-        self.ranges
-            .binary_search_by(|r| {
-                if row < r.start {
-                    std::cmp::Ordering::Greater
-                } else if row >= r.end {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
-    }
-
     /// Partition the list into morsels of at most `max_rows` candidate rows
     /// each, preserving row order and `all_qualify` flags.
     ///
@@ -147,34 +132,18 @@ impl CandidateList {
             }
         }
     }
-
-    /// Intersect two candidate lists (used to AND the X- and Y-imprint
-    /// results in the spatial filter). A row qualifies-for-sure only when
-    /// both sides say so.
-    pub fn intersect(&self, other: &CandidateList) -> CandidateList {
-        let mut out = CandidateList::empty();
-        let (mut i, mut j) = (0, 0);
-        while i < self.ranges.len() && j < other.ranges.len() {
-            let a = self.ranges[i];
-            let b = other.ranges[j];
-            let start = a.start.max(b.start);
-            let end = a.end.min(b.end);
-            if start < end {
-                out.push(start, end, a.all_qualify && b.all_qualify);
-            }
-            if a.end <= b.end {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CandidateList {
+        /// Whether `row` is inside some candidate run.
+        pub(crate) fn contains(&self, row: usize) -> bool {
+            self.ranges.iter().any(|r| r.start <= row && row < r.end)
+        }
+    }
 
     #[test]
     fn push_merges_compatible_runs() {
@@ -197,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn contains_uses_binary_search() {
+    fn contains_finds_rows_in_runs() {
         let mut c = CandidateList::empty();
         c.push(10, 20, false);
         c.push(30, 31, true);
@@ -207,54 +176,6 @@ mod tests {
         assert!(!c.contains(20));
         assert!(c.contains(30));
         assert!(!c.contains(31));
-    }
-
-    #[test]
-    fn intersect_basic() {
-        let mut a = CandidateList::empty();
-        a.push(0, 10, true);
-        a.push(20, 30, false);
-        let mut b = CandidateList::empty();
-        b.push(5, 25, true);
-        let c = a.intersect(&b);
-        assert_eq!(
-            c.ranges(),
-            &[
-                CandidateRange {
-                    start: 5,
-                    end: 10,
-                    all_qualify: true
-                },
-                CandidateRange {
-                    start: 20,
-                    end: 25,
-                    all_qualify: false
-                }
-            ]
-        );
-    }
-
-    #[test]
-    fn intersect_with_empty_is_empty() {
-        let mut a = CandidateList::empty();
-        a.push(0, 100, true);
-        assert!(a.intersect(&CandidateList::empty()).is_empty());
-        assert!(CandidateList::empty().intersect(&a).is_empty());
-    }
-
-    #[test]
-    fn intersect_is_commutative() {
-        let mut a = CandidateList::empty();
-        a.push(0, 4, false);
-        a.push(6, 12, true);
-        a.push(14, 20, false);
-        let mut b = CandidateList::empty();
-        b.push(2, 8, true);
-        b.push(10, 16, true);
-        let ab = a.intersect(&b);
-        let ba = b.intersect(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.num_rows(), 2 + 2 + 2 + 2);
     }
 
     #[test]

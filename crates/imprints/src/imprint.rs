@@ -9,7 +9,7 @@
 //! vectors follow".
 //!
 //! A *summary level* sits beside the dictionary: one entry per group of
-//! [`GROUP`] consecutive dictionary entries, holding the OR of the group's
+//! `GROUP` consecutive dictionary entries, holding the OR of the group's
 //! vectors and the line and vector index where the group starts. A probe
 //! decodes only the groups whose OR meets its mask — and, when restricted
 //! to an earlier probe's candidates, only the groups whose rows those
@@ -245,11 +245,6 @@ impl<T: Native> Imprints<T> {
         self.len == 0
     }
 
-    /// Number of values summarised per imprint vector.
-    pub fn values_per_line(&self) -> usize {
-        self.values_per_line
-    }
-
     /// Number of cachelines covered.
     pub fn num_lines(&self) -> usize {
         self.len.div_ceil(self.values_per_line)
@@ -294,9 +289,9 @@ impl<T: Native> Imprints<T> {
         self.walk(mask, inner, &[all])
     }
 
-    /// Probe `[lo, hi]` restricted to the rows of `within`: exactly
-    /// `self.probe(lo, hi).intersect(within)`, flags ANDed, but groups whose
-    /// rows `within` does not reach are never decoded.
+    /// Probe `[lo, hi]` restricted to the rows of `within`: exactly the
+    /// rows of `self.probe(lo, hi)` that `within` also holds, flags ANDed,
+    /// but groups whose rows `within` does not reach are never decoded.
     pub fn probe_within(&self, lo: T, hi: T, within: &CandidateList) -> CandidateList {
         match self.masks(lo, hi) {
             Some((mask, inner)) => self.walk(mask, inner, within.ranges()),
@@ -404,24 +399,6 @@ impl<T: Native> Imprints<T> {
             out.push(start.max(r.start), end.min(r.end), all && r.all_qualify);
         }
     }
-
-    /// Expand the compressed representation back into one vector per
-    /// cacheline (tests and stats only — queries never need this).
-    pub fn expand_vectors(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.num_lines());
-        let mut vi = 0usize;
-        for &e in &self.dict {
-            let count = e.count() as usize;
-            if e.repeat() {
-                out.extend(std::iter::repeat_n(self.vectors[vi], count));
-                vi += 1;
-            } else {
-                out.extend_from_slice(&self.vectors[vi..vi + count]);
-                vi += count;
-            }
-        }
-        out
-    }
 }
 
 /// The imprint vector of one cacheline of values: the OR of their bins.
@@ -433,6 +410,184 @@ fn line_vector<T: Native>(keys: &BinKeys<T>, values: &[T]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The compressed representation expanded back into one vector per
+    /// cacheline.
+    fn expand_vectors<T: Native>(imp: &Imprints<T>) -> Vec<u64> {
+        let mut out = Vec::with_capacity(imp.num_lines());
+        let mut vi = 0usize;
+        for &e in &imp.dict {
+            let count = e.count() as usize;
+            if e.repeat() {
+                out.extend(std::iter::repeat_n(imp.vectors[vi], count));
+                vi += 1;
+            } else {
+                out.extend_from_slice(&imp.vectors[vi..vi + count]);
+                vi += count;
+            }
+        }
+        out
+    }
+
+    /// Two candidate lists ANDed by a merge walk; a row is sure only when
+    /// both sides say so. The reference for `probe_within`.
+    fn intersect(a: &CandidateList, b: &CandidateList) -> CandidateList {
+        let (a, b) = (a.ranges(), b.ranges());
+        let mut out = CandidateList::empty();
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            let (start, end) = (x.start.max(y.start), x.end.min(y.end));
+            if start < end {
+                out.push(start, end, x.all_qualify && y.all_qualify);
+            }
+            if x.end <= y.end {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn intersect_reference_ands_ranges_and_flags() {
+        let list = |runs: &[(usize, usize, bool)]| {
+            let mut l = CandidateList::empty();
+            runs.iter().for_each(|&(s, e, f)| l.push(s, e, f));
+            l
+        };
+        let triples = |l: &CandidateList| {
+            let r = l.ranges().iter();
+            r.map(|r| (r.start, r.end, r.all_qualify))
+                .collect::<Vec<_>>()
+        };
+        let a = list(&[(0, 10, true), (20, 30, false)]);
+        let b = list(&[(5, 25, true)]);
+        assert_eq!(
+            triples(&intersect(&a, &b)),
+            [(5, 10, true), (20, 25, false)]
+        );
+        assert_eq!(intersect(&a, &b), intersect(&b, &a));
+        assert!(intersect(&a, &CandidateList::empty()).is_empty());
+        assert!(intersect(&CandidateList::empty(), &a).is_empty());
+    }
+
+    /// Segments of `(value, length, noisy)`: a constant segment gives
+    /// repeat runs, a noisy one long stretches of distinct vectors.
+    fn segment_data(segments: &[(i64, usize, bool)]) -> Vec<i64> {
+        segments
+            .iter()
+            .flat_map(|&(v, n, noisy)| {
+                (0..n as i64).map(move |k| if noisy { v + k * 7 % 13 } else { v })
+            })
+            .collect()
+    }
+
+    /// Sorted, disjoint runs from `(gap, length, flag)` triples.
+    fn restricting_list(runs: &[(usize, usize, bool)]) -> CandidateList {
+        let mut list = CandidateList::empty();
+        let mut at = 0;
+        for &(gap, len, flag) in runs {
+            list.push(at + gap, at + gap + len, flag);
+            at += gap + len;
+        }
+        list
+    }
+
+    /// The probe as a walk of every line's vector, without the dictionary
+    /// or the summary level: the reference the summary-skipping walks must
+    /// equal.
+    fn full_walk(imp: &Imprints<i64>, lo: i64, hi: i64) -> CandidateList {
+        let mut out = CandidateList::empty();
+        if lo > hi {
+            return out;
+        }
+        let (mask, inner) = imp.bins().range_masks(lo, hi);
+        let vpl = imp.values_per_line;
+        for (line, d) in expand_vectors(imp).into_iter().enumerate() {
+            if d & mask != 0 {
+                out.push(
+                    line * vpl,
+                    ((line + 1) * vpl).min(imp.len()),
+                    d & !inner == 0,
+                );
+            }
+        }
+        out
+    }
+
+    fn check_probes_equal_full_walk(
+        imp: &Imprints<i64>,
+        lo: i64,
+        hi: i64,
+        within: &CandidateList,
+    ) -> Result<(), TestCaseError> {
+        let reference = full_walk(imp, lo, hi);
+        let probed = imp.probe(lo, hi);
+        prop_assert_eq!(&probed, &reference);
+        prop_assert!(imp.estimate(lo, hi) >= probed.num_rows());
+        prop_assert_eq!(
+            imp.probe_within(lo, hi, within),
+            intersect(&reference, within)
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn summary_skipping_probes_equal_full_walk(
+            segments in prop::collection::vec((0i64..40, 1usize..80, prop::bool::ANY), 0..150),
+            borders in prop::collection::btree_set(0i64..45, 1..12),
+            a in -2i64..47,
+            b in -2i64..47,
+            runs in prop::collection::vec((0usize..300, 1usize..300, prop::bool::ANY), 0..30),
+        ) {
+            let data = segment_data(&segments);
+            let bins = BinMap::with_borders(borders.into_iter().collect());
+            let imp = Imprints::build_with_bins(&data, bins);
+            check_probes_equal_full_walk(&imp, a, b, &restricting_list(&runs))?;
+        }
+
+        #[test]
+        fn summary_skipping_probes_equal_full_walk_after_appends(
+            segments in prop::collection::vec((0i64..40, 1usize..80, prop::bool::ANY), 0..150),
+            borders in prop::collection::btree_set(0i64..45, 1..12),
+            split in 0usize..4000,
+            batches in prop::collection::vec(1usize..50, 1..8),
+            a in -2i64..47,
+            b in -2i64..47,
+            runs in prop::collection::vec((0usize..300, 1usize..300, prop::bool::ANY), 0..30),
+        ) {
+            let data = segment_data(&segments);
+            let bins = BinMap::with_borders(borders.into_iter().collect());
+            let split = split.min(data.len());
+            let mut imp = Imprints::build_with_bins(&data[..split], bins.clone());
+            // Batches of 1..50 values land mid-line, so partial last lines
+            // get popped and re-pushed, splitting and merging repeat runs.
+            let mut at = split;
+            for &n in batches.iter().cycle() {
+                if at == data.len() {
+                    break;
+                }
+                let end = (at + n).min(data.len());
+                imp.append(&data[at..end]);
+                at = end;
+            }
+            prop_assert_eq!(&imp, &Imprints::build_with_bins(&data, bins));
+            check_probes_equal_full_walk(&imp, a, b, &restricting_list(&runs))?;
+        }
+
+        #[test]
+        fn compression_roundtrip_vector_count(
+            data in prop::collection::vec(0i64..50, 0..2000),
+        ) {
+            let imp = Imprints::build(&data);
+            prop_assert_eq!(expand_vectors(&imp).len(), imp.num_lines());
+            prop_assert!(imp.num_vectors() <= imp.num_lines());
+        }
+    }
 
     fn brute_force(data: &[i64], lo: i64, hi: i64) -> Vec<usize> {
         data.iter()
@@ -507,7 +662,7 @@ mod tests {
             lines.extend([62, t % 60, t % 60]);
         }
         let data = lines.iter().flat_map(|&v| [v; 8]).collect();
-        (data, BinMap::from_borders((1..63).collect()))
+        (data, BinMap::with_borders((1..63).collect()))
     }
 
     /// The protocol `append` relies on: popping line `l` restores the
@@ -565,7 +720,7 @@ mod tests {
             "sorted data should compress: {} vectors",
             imp.num_vectors()
         );
-        assert_eq!(imp.expand_vectors().len(), 1000);
+        assert_eq!(expand_vectors(&imp).len(), 1000);
         assert_sound(&data, &imp, 3, 7);
         assert_sound(&data, &imp, 0, 0);
     }
@@ -643,8 +798,8 @@ mod tests {
         }
         // 5 more cachelines repeating the 4th vector.
         data.extend(std::iter::repeat_n(3000, 5 * 8));
-        let imp = Imprints::build_with_bins(&data, BinMap::from_borders(vec![500, 1500, 2500]));
-        assert_eq!(imp.expand_vectors().len(), imp.num_lines());
+        let imp = Imprints::build_with_bins(&data, BinMap::with_borders(vec![500, 1500, 2500]));
+        assert_eq!(expand_vectors(&imp).len(), imp.num_lines());
         // Vector storage: 4 distinct vectors only.
         assert_eq!(imp.num_vectors(), 4);
         assert_sound(&data, &imp, 3000, 3000);
@@ -658,7 +813,7 @@ mod tests {
         // expanded vectors a full build over the concatenation (with the
         // same bins) would produce — including partial-cacheline tails and
         // repeat-run surgery.
-        let bins = BinMap::from_borders(vec![100i64, 200, 300, 400]);
+        let bins = BinMap::with_borders(vec![100i64, 200, 300, 400]);
         let full: Vec<i64> = (0..1000).map(|i| (i * 37) % 500).collect();
         for split in [0usize, 1, 7, 8, 13, 64, 999, 1000] {
             let mut imp = Imprints::build_with_bins(&full[..split], bins.clone());
@@ -675,8 +830,8 @@ mod tests {
             let rebuilt = Imprints::build_with_bins(&full, bins.clone());
             assert_eq!(imp.len(), rebuilt.len(), "split={split}");
             assert_eq!(
-                imp.expand_vectors(),
-                rebuilt.expand_vectors(),
+                expand_vectors(&imp),
+                expand_vectors(&rebuilt),
                 "split={split}"
             );
             assert_summary_exact(&imp);
@@ -717,11 +872,11 @@ mod tests {
     #[test]
     fn append_to_empty_equals_build() {
         let data: Vec<i64> = (0..500).map(|i| i % 60).collect();
-        let bins = BinMap::from_borders(vec![10i64, 20, 30, 40, 50]);
+        let bins = BinMap::with_borders(vec![10i64, 20, 30, 40, 50]);
         let mut imp = Imprints::build_with_bins(&[], bins.clone());
         imp.append(&data);
         let rebuilt = Imprints::build_with_bins(&data, bins);
-        assert_eq!(imp.expand_vectors(), rebuilt.expand_vectors());
+        assert_eq!(expand_vectors(&imp), expand_vectors(&rebuilt));
         assert_eq!(imp.len(), rebuilt.len());
     }
 
@@ -729,7 +884,7 @@ mod tests {
     fn u8_column_uses_64_values_per_line() {
         let data: Vec<u8> = (0..=255).cycle().take(1024).collect();
         let imp = Imprints::build(&data);
-        assert_eq!(imp.values_per_line(), 64);
+        assert_eq!(imp.values_per_line, 64);
         assert_eq!(imp.num_lines(), 16);
         let cand = imp.probe(0, 255);
         assert_eq!(cand.num_rows(), 1024);
@@ -888,7 +1043,7 @@ mod lookup_equivalence {
                 .map(|k| borders[k * (n - 1) / (max_borders - 1).max(1)])
                 .collect();
         }
-        for bins in [BinMap::from_borders(borders), BinMap::from_data(&data)] {
+        for bins in [BinMap::with_borders(borders), BinMap::from_data(&data)] {
             let keys = bins.keys();
             let probes = data.iter().chain(bins.borders()).chain(T::EDGES);
             for &v in probes {

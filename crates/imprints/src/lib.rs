@@ -27,8 +27,9 @@
 //!   A *summary level* beside the dictionary holds, per group of 64
 //!   dictionary entries, the OR of the group's vectors and where the group
 //!   starts; a probe decodes only the groups whose OR meets its mask;
-//! * restricted probes — [`Imprints::probe_within`] returns exactly
-//!   `probe(lo, hi).intersect(&list)` but also skips the groups whose rows
+//! * restricted probes — [`Imprints::probe_within`] returns exactly the
+//!   rows of `probe(lo, hi)` that `list` also holds, each flagged when
+//!   both sides flag it, but also skips the groups whose rows
 //!   the restricting list does not reach. A query orders its probes by
 //!   [`Imprints::estimate`] (the candidate rows of a summary-only walk),
 //!   cheapest first, and restricts each later probe to the running list,
@@ -40,8 +41,8 @@
 //! * [`ColumnImprints`] — a type-erased wrapper that builds over any
 //!   [`lidardb_storage::Column`] and answers `f64` range probes with
 //!   correct inward rounding on integer columns;
-//! * [`ImprintStats`] — storage-overhead and precision accounting used by
-//!   experiments E2 and E7 (the paper reports 5–12 % overhead).
+//! * [`ImprintStats`] — storage-overhead accounting used by experiment E2
+//!   (the paper reports 5–12 % overhead).
 //!
 //! ## Guarantees
 //!
@@ -50,8 +51,9 @@
 //! * **Sound all-qualify flags**: a range flagged `all_qualify` contains
 //!   only qualifying values (property-tested).
 //! * **Skipping changes nothing**: summary-skipping and restricted probes
-//!   equal a walk of every line's vector (plus `intersect`), flags
-//!   included, after any sequence of appends (property-tested).
+//!   equal a walk of every line's vector (intersected with the restricting
+//!   list), flags included, after any sequence of appends
+//!   (property-tested).
 
 pub mod bins;
 pub mod candidates;

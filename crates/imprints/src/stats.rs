@@ -1,9 +1,7 @@
-//! Storage-overhead and precision accounting for imprints.
+//! Storage-overhead accounting for imprints.
 //!
 //! §3.2 of the paper: *"Imprints storage comes with a 5-12% storage
-//! overhead."* Experiment E2 reproduces this number on AHN2-like columns;
-//! experiment E7 uses [`candidate_stats`] to contrast the imprint candidate
-//! rate against zonemaps on unclustered data.
+//! overhead."* Experiment E2 reproduces this number on AHN2-like columns.
 
 use lidardb_storage::Native;
 
@@ -59,62 +57,6 @@ impl ImprintStats {
     }
 }
 
-/// Precision of one probe: how tight the candidate superset is.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeStats {
-    /// Rows in the candidate list.
-    pub candidate_rows: usize,
-    /// Rows flagged all-qualify (no per-value check needed).
-    pub sure_rows: usize,
-    /// Rows that actually satisfy the predicate.
-    pub matching_rows: usize,
-    /// Total rows in the column.
-    pub total_rows: usize,
-}
-
-impl ProbeStats {
-    /// Fraction of the column that survived filtering.
-    pub fn candidate_rate(&self) -> f64 {
-        if self.total_rows == 0 {
-            0.0
-        } else {
-            self.candidate_rows as f64 / self.total_rows as f64
-        }
-    }
-
-    /// True selectivity of the predicate.
-    pub fn selectivity(&self) -> f64 {
-        if self.total_rows == 0 {
-            0.0
-        } else {
-            self.matching_rows as f64 / self.total_rows as f64
-        }
-    }
-
-    /// Candidate rows that do not match, relative to the column size — the
-    /// false-positive burden the refinement step must absorb.
-    pub fn false_positive_rate(&self) -> f64 {
-        if self.total_rows == 0 {
-            0.0
-        } else {
-            (self.candidate_rows - self.matching_rows) as f64 / self.total_rows as f64
-        }
-    }
-}
-
-/// Probe `imp` for `[lo, hi]` and measure the filter precision against the
-/// ground truth computed from `data`.
-pub fn candidate_stats<T: Native>(imp: &Imprints<T>, data: &[T], lo: T, hi: T) -> ProbeStats {
-    let cand = imp.probe(lo, hi);
-    let matching = data.iter().filter(|&&v| v >= lo && v <= hi).count();
-    ProbeStats {
-        candidate_rows: cand.num_rows(),
-        sure_rows: cand.num_sure_rows(),
-        matching_rows: matching,
-        total_rows: data.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,34 +76,9 @@ mod tests {
     }
 
     #[test]
-    fn probe_stats_consistency() {
-        let data: Vec<i64> = (0..10_000).map(|i| i % 97).collect();
-        let imp = Imprints::build(&data);
-        let s = candidate_stats(&imp, &data, 10, 20);
-        assert!(s.candidate_rows >= s.matching_rows, "superset property");
-        assert!(s.sure_rows <= s.candidate_rows);
-        assert!(s.candidate_rate() >= s.selectivity());
-        assert!((s.candidate_rate() - s.selectivity() - s.false_positive_rate()).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_column_stats() {
         let imp = Imprints::<f64>::build(&[]);
         let s = ImprintStats::of(&imp);
         assert_eq!(s.overhead(), 0.0);
-        let p = candidate_stats(&imp, &[], 0.0, 1.0);
-        assert_eq!(p.candidate_rate(), 0.0);
-        assert_eq!(p.false_positive_rate(), 0.0);
-    }
-
-    #[test]
-    fn sure_rows_all_match() {
-        let data: Vec<i64> = (0..50_000).collect();
-        let imp = Imprints::build(&data);
-        let borders = imp.bins().borders().to_vec();
-        let (lo, hi) = (borders[2], borders[40] - 1);
-        let s = candidate_stats(&imp, &data, lo, hi);
-        assert!(s.sure_rows > 0);
-        assert!(s.sure_rows <= s.matching_rows);
     }
 }

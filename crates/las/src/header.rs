@@ -206,22 +206,6 @@ impl LasHeaderBuilder {
         self
     }
 
-    /// Set the world bbox.
-    #[allow(clippy::too_many_arguments)]
-    pub fn bounds(
-        mut self,
-        min_x: f64,
-        min_y: f64,
-        min_z: f64,
-        max_x: f64,
-        max_y: f64,
-        max_z: f64,
-    ) -> Self {
-        self.min = [min_x, min_y, min_z];
-        self.max = [max_x, max_y, max_z];
-        self
-    }
-
     /// Set payload compression.
     pub fn compression(mut self, c: Compression) -> Self {
         self.compression = c;
@@ -250,9 +234,10 @@ mod tests {
         let mut h = LasHeader::builder()
             .scale(0.01, 0.01, 0.001)
             .offset(100.0, 200.0, 0.0)
-            .bounds(100.0, 200.0, -5.0, 300.0, 400.0, 50.0)
             .compression(Compression::LazLite)
             .build();
+        h.min = [100.0, 200.0, -5.0];
+        h.max = [300.0, 400.0, 50.0];
         h.num_points = 123_456_789_012;
         h
     }

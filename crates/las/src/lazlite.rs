@@ -249,12 +249,14 @@ mod tests {
     use crate::header::Compression;
 
     fn header() -> LasHeader {
-        LasHeader::builder()
+        let mut h = LasHeader::builder()
             .scale(0.01, 0.01, 0.01)
             .offset(0.0, 0.0, 0.0)
-            .bounds(0.0, 0.0, 0.0, 1000.0, 1000.0, 100.0)
             .compression(Compression::LazLite)
-            .build()
+            .build();
+        h.min = [0.0, 0.0, 0.0];
+        h.max = [1000.0, 1000.0, 100.0];
+        h
     }
 
     fn flight_line(n: usize) -> Vec<PointRecord> {

@@ -37,4 +37,4 @@ pub use header::{Compression, LasHeader};
 pub use reader::{read_las_file, LasReader};
 pub use record::PointRecord;
 pub use schema::{point_schema, COLUMN_NAMES, NUM_COLUMNS};
-pub use writer::{write_las_file, LasWriter};
+pub use writer::write_las_file;

@@ -143,11 +143,6 @@ impl LasReader {
             }
         }
     }
-
-    /// Size of the on-disk payload in bytes (storage accounting for E2).
-    pub fn payload_bytes(&self) -> usize {
-        self.payload.len()
-    }
 }
 
 /// Convenience: open + decode in one call.

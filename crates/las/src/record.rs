@@ -158,12 +158,14 @@ mod tests {
     use crate::header::{Compression, LasHeader};
 
     fn header() -> LasHeader {
-        LasHeader::builder()
+        let mut h = LasHeader::builder()
             .scale(0.01, 0.01, 0.01)
             .offset(100_000.0, 400_000.0, 0.0)
-            .bounds(100_000.0, 400_000.0, -10.0, 101_000.0, 401_000.0, 300.0)
             .compression(Compression::None)
-            .build()
+            .build();
+        h.min = [100_000.0, 400_000.0, -10.0];
+        h.max = [101_000.0, 401_000.0, 300.0];
+        h
     }
 
     fn sample() -> PointRecord {

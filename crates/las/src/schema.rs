@@ -131,7 +131,7 @@ mod tests {
         assert_eq!(s.fields()[0].name, "x");
         assert_eq!(s.fields()[0].ptype, PhysicalType::F64);
         assert_eq!(s.index_of("classification").unwrap(), 8);
-        assert_eq!(s.field("gps_time").unwrap().ptype, PhysicalType::F64);
+        assert_eq!(s.fields()[15].ptype, PhysicalType::F64);
         // 3 coordinates + the 23 properties the paper counts.
         assert_eq!(NUM_COLUMNS - 3, 23);
     }

@@ -9,44 +9,6 @@ use crate::header::{Compression, LasHeader};
 use crate::lazlite;
 use crate::record::PointRecord;
 
-/// A buffered point-cloud file writer.
-///
-/// Records are accumulated and flushed on [`LasWriter::finish`], which also
-/// computes the true bbox and point count for the header — mirroring how
-/// LAS tooling finalises headers after the pass over the data.
-pub struct LasWriter {
-    path: std::path::PathBuf,
-    template: LasHeader,
-    records: Vec<PointRecord>,
-}
-
-impl LasWriter {
-    /// Start a writer for `path` with `template` supplying scale/offset and
-    /// compression (bbox and count are recomputed at finish).
-    pub fn create(path: impl AsRef<Path>, template: LasHeader) -> Self {
-        LasWriter {
-            path: path.as_ref().to_path_buf(),
-            template,
-            records: Vec::new(),
-        }
-    }
-
-    /// Queue one record.
-    pub fn write_point(&mut self, rec: PointRecord) {
-        self.records.push(rec);
-    }
-
-    /// Queue many records.
-    pub fn write_points(&mut self, recs: &[PointRecord]) {
-        self.records.extend_from_slice(recs);
-    }
-
-    /// Write the file and return the final header.
-    pub fn finish(self) -> Result<LasHeader, LasError> {
-        write_las_file(&self.path, self.template, &self.records)
-    }
-}
-
 /// One-shot write of a complete file. Returns the final header (with the
 /// computed bbox and count).
 pub fn write_las_file(
@@ -136,23 +98,6 @@ mod tests {
         let (h2, pts2) = read_las_file(&path).unwrap();
         assert_eq!(h2, h);
         assert_eq!(pts2.len(), 100);
-    }
-
-    #[test]
-    fn streaming_writer_matches_oneshot() {
-        let dir = lidardb_test_support::ScratchDir::new("writer_test");
-        let a = dir.join("stream.laz");
-        let b = dir.join("oneshot.laz");
-        let pts = some_points(500);
-        let mut w = LasWriter::create(&a, template(Compression::LazLite));
-        for p in &pts[..200] {
-            w.write_point(*p);
-        }
-        w.write_points(&pts[200..]);
-        let ha = w.finish().unwrap();
-        let hb = write_las_file(&b, template(Compression::LazLite), &pts).unwrap();
-        assert_eq!(ha, hb);
-        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
     }
 
     #[test]

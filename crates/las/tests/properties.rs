@@ -58,12 +58,14 @@ fn record() -> impl Strategy<Value = PointRecord> {
 }
 
 fn header(c: Compression) -> LasHeader {
-    LasHeader::builder()
+    let mut h = LasHeader::builder()
         .scale(0.001, 0.001, 0.001)
         .offset(0.0, 0.0, 0.0)
-        .bounds(-1000.0, -1000.0, -50.0, 1000.0, 1000.0, 500.0)
         .compression(c)
-        .build()
+        .build();
+    h.min = [-1000.0, -1000.0, -50.0];
+    h.max = [1000.0, 1000.0, 500.0];
+    h
 }
 
 fn assert_attrs_exact(a: &PointRecord, b: &PointRecord) {
@@ -159,9 +161,10 @@ proptest! {
         let mut h = LasHeader::builder()
             .scale(scale, scale * 2.0, scale / 2.0)
             .offset(off, -off, 0.0)
-            .bounds(-1.0, -2.0, -3.0, 4.0, 5.0, 6.0)
             .compression(Compression::LazLite)
             .build();
+        h.min = [-1.0, -2.0, -3.0];
+        h.max = [4.0, 5.0, 6.0];
         h.num_points = np;
         let back = LasHeader::decode(&h.encode()).unwrap();
         prop_assert_eq!(back, h);

@@ -229,15 +229,6 @@ impl Client {
         }
     }
 
-    /// Bound every socket read and write by `timeout` (`None` restores
-    /// blocking I/O). The retrying client sets this so a blackholed
-    /// connection surfaces as a transient `TimedOut` instead of hanging
-    /// the caller past its retry deadline.
-    pub fn set_io_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.r.get_ref().set_read_timeout(timeout)?;
-        self.w.get_ref().set_write_timeout(timeout)
-    }
-
     /// Execute `sql` and materialise the whole result (tests, the CLI).
     #[allow(clippy::type_complexity)]
     pub fn query_collect(
@@ -320,7 +311,6 @@ pub struct RetryingClient {
     prev_delay: Duration,
     rng: u64,
     token_seq: u64,
-    retries: u64,
 }
 
 impl RetryingClient {
@@ -334,13 +324,7 @@ impl RetryingClient {
             prev_delay: Duration::ZERO,
             rng: mix(policy.seed ^ 0x00C1_EA11).wrapping_add(1),
             token_seq: 0,
-            retries: 0,
         }
-    }
-
-    /// Transient errors absorbed so far (observability for soak asserts).
-    pub fn retries(&self) -> u64 {
-        self.retries
     }
 
     /// Next decorrelated-jitter delay.
@@ -383,7 +367,6 @@ impl RetryingClient {
             if !err.is_transient() {
                 return Err(err);
             }
-            self.retries += 1;
             // Transport-level failures (and typed goodbyes) poison the
             // connection; a transient *statement* rejection (overload
             // shed) leaves the session usable.

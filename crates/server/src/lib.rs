@@ -13,8 +13,8 @@
 //!   ([`lidardb_sql::Catalog::session`]) with private `SET` knobs over
 //!   the shared tables. Statements run through the same admission
 //!   control, statement timeouts, `KILL`, and `SHOW QUERIES` as embedded
-//!   queries — the admission permit is held across result delivery, and a
-//!   client disconnect trips the statement's `CancelToken`.
+//!   queries — a statement stays listed and killable until its last batch
+//!   is sent, and a client disconnect trips the statement's `CancelToken`.
 //! * **Streaming**: results leave as bounded row batches with
 //!   write-flush backpressure; neither side ever materialises a large
 //!   selection.
@@ -34,17 +34,16 @@
 //! in-flight statements get the drain deadline, WAL groups are
 //! force-fsynced); [`client::RetryingClient`] reconnects through drains
 //! and restarts with seeded backoff and replays `INSERT`s under
-//! idempotency tokens; and [`chaos::ChaosProxy`] is the deterministic
-//! network-fault harness that proves the two ends compose into
-//! exactly-once ingestion.
+//! idempotency tokens. The deterministic network-fault proxy that proves
+//! the two ends compose into exactly-once ingestion is a test instrument,
+//! not part of the library: `tests/support/chaos.rs`, included by the
+//! `chaos_soak` and `drain` suites.
 
-pub mod chaos;
 pub mod client;
 pub mod promtext;
 pub mod protocol;
 pub mod server;
 
-pub use chaos::{ChaosProxy, ChaosScript};
 pub use client::{Client, ClientError, InsertOutcome, QueryStats, RetryPolicy, RetryingClient};
 pub use protocol::{Message, ProtoError, MAGIC, MAX_FRAME};
 pub use server::{Server, ServerHandle, DEFAULT_DRAIN_DEADLINE};

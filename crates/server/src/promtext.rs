@@ -212,8 +212,11 @@ mod tests {
             let m = format!("{PREFIX}_{name}_total");
             assert!(text.contains(&format!("# TYPE {m} counter")), "missing {m}");
         }
-        for (name, _) in MetricsRegistry::global().gauge_values() {
-            let m = format!("{PREFIX}_{name}");
+        let gauges = MetricsRegistry::SERIES
+            .iter()
+            .filter(|s| s.kind == lidardb_core::metrics::SeriesKind::Gauge);
+        for s in gauges {
+            let m = format!("{PREFIX}_{}", s.name);
             assert!(text.contains(&format!("# TYPE {m} gauge")), "missing {m}");
         }
         assert!(text.contains("# TYPE lidardb_stage_duration_nanoseconds histogram"));

@@ -283,7 +283,7 @@ impl ServerHandle {
     ///    connections are refused with the same typed frame;
     /// 2. wait for in-flight sessions to finish, up to `deadline`;
     /// 3. deadline passed: trip the [`CancelToken`] of every statement
-    ///    this server's sessions are running, wait [`CANCEL_GRACE`]
+    ///    this server's sessions are running, wait `CANCEL_GRACE`
     ///    for the typed `Error` farewells to flush, then force-close
     ///    whatever sockets remain;
     /// 4. stop the accept loop and join every session thread;

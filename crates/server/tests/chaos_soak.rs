@@ -11,9 +11,13 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use lidardb_core::{Durability, FaultInjector, FaultKind, FaultStage, PointCloud};
-use lidardb_server::{ChaosProxy, Client, RetryPolicy, RetryingClient, Server};
+use lidardb_server::{Client, RetryPolicy, RetryingClient, Server};
 use lidardb_sql::{Catalog, SqlValue};
 use lidardb_test_support::ScratchDir;
+
+#[path = "support/chaos.rs"]
+mod chaos;
+use chaos::ChaosProxy;
 
 const CLIENTS: usize = 2;
 const BATCHES: usize = 12;

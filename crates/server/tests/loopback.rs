@@ -139,58 +139,88 @@ fn session_knobs_are_per_connection() {
 }
 
 #[test]
-fn kill_from_another_connection_aborts_a_stream() {
-    // A table name of its own: tests run in parallel, and SHOW QUERIES
+fn kill_from_another_connection_aborts_delivery() {
+    // Table names of their own: tests run in parallel, and SHOW QUERIES
     // lists every connection's statements.
+    let pc = Arc::new(grid_cloud(500_000));
     let mut catalog = Catalog::new();
-    catalog.register_pointcloud("kill_points", Arc::new(grid_cloud(500_000)));
+    catalog.register_pointcloud("kill_points", Arc::clone(&pc));
+    catalog.register_pointcloud("kill_sorted", pc);
     let server = serve(catalog, 1024);
+    // A stream, delivered as it is projected, and an ORDER BY, whose
+    // result is whole before its first batch: both stay listed, and
+    // killable, until their last batch is sent.
+    for (sql, detail) in [
+        (
+            "SELECT x, y, z FROM kill_points",
+            "stream select kill_points",
+        ),
+        (
+            "SELECT x, y, z FROM kill_sorted ORDER BY z",
+            "select kill_sorted",
+        ),
+    ] {
+        assert_kill_lands_during_delivery(&server, sql, detail);
+    }
+    server.shutdown();
+}
 
-    // Session A starts a big stream but reads nothing yet: the server
-    // fills the socket buffers and blocks mid-stream, holding its
-    // admission slot and registry ticket.
+/// Session A runs `sql` and reads its batches slowly; once the first batch
+/// has arrived, session B looks the statement up by `detail` in SHOW
+/// QUERIES and KILLs it. A must see the cancellation.
+fn assert_kill_lands_during_delivery(server: &ServerHandle, sql: &str, detail: &str) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let delivering = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(AtomicBool::new(false));
     let mut a = Client::connect(server.addr()).unwrap();
-    let addr = server.addr();
-    let killer = std::thread::spawn(move || {
-        let mut b = Client::connect(addr).unwrap();
-        // Wait for A's statement to appear in the registry.
-        let id = loop {
-            let (_, rows, _) = b.query_collect("SHOW QUERIES").unwrap();
-            let hit = rows.iter().find(
-                |r| matches!(&r[2], SqlValue::Str(d) if d.contains("stream select kill_points")),
-            );
-            if let Some(row) = hit {
-                let SqlValue::Int(id) = row[0] else {
-                    panic!("id column")
-                };
-                break id;
+    let killer = {
+        let (addr, detail) = (server.addr(), detail.to_string());
+        let (delivering, done) = (Arc::clone(&delivering), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut b = Client::connect(addr).unwrap();
+            while !delivering.load(Ordering::Acquire) && !done.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
             }
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        let (_, rows, _) = b.query_collect(&format!("KILL {id}")).unwrap();
-        assert_eq!(rows[0][0], SqlValue::Str("OK".into()));
-    });
+            // Find A's statement in the registry while it is delivered.
+            while !done.load(Ordering::Acquire) {
+                let (_, rows, _) = b.query_collect("SHOW QUERIES").unwrap();
+                let hit = rows
+                    .iter()
+                    .find(|r| matches!(&r[2], SqlValue::Str(d) if d.contains(&detail)));
+                if let Some(row) = hit {
+                    let SqlValue::Int(id) = row[0] else {
+                        panic!("id column")
+                    };
+                    let (_, rows, _) = b.query_collect(&format!("KILL {id}")).unwrap();
+                    assert_eq!(rows[0][0], SqlValue::Str("OK".into()));
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        })
+    };
 
     let res = a.query_streamed(
-        "SELECT x, y, z FROM kill_points",
+        sql,
         |_| {},
         |_batch| {
-            // Read slowly so the statement is still running when the KILL
-            // lands.
+            delivering.store(true, Ordering::Release);
+            // Read slowly so the statement is still delivering when the
+            // KILL lands.
             std::thread::sleep(Duration::from_millis(1));
         },
     );
+    done.store(true, Ordering::Release);
     killer.join().unwrap();
     match res {
         Err(ClientError::Server(msg)) => {
             assert!(
                 msg.contains("cancelled"),
-                "kill surfaces as cancellation: {msg}"
+                "{sql}: kill surfaces as cancellation: {msg}"
             )
         }
-        other => panic!("expected killed stream, got {other:?}"),
+        other => panic!("{sql}: expected a killed delivery, got {other:?}"),
     }
-    server.shutdown();
 }
 
 /// Send `sql` to a server over `catalog`, whose point table stalls at

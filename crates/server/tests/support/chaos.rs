@@ -1,24 +1,21 @@
-//! Deterministic in-process TCP fault proxy for chaos testing.
+//! Deterministic in-process TCP fault proxy for the chaos suites.
 //!
-//! [`ChaosProxy`] sits between a client and the real server, forwarding
+//! `ChaosProxy` sits between a client and the real server, forwarding
 //! bytes through two pump threads per connection and injecting network
-//! faults at precise, reproducible points. Faults come from two sources,
-//! both seeded:
-//!
-//! * a **per-connection plan** — either derived from `mix(seed ^ index)`
-//!   (soak mode: mostly healthy, occasionally severed or delayed) or
-//!   scripted explicitly ([`ChaosProxy::spawn_scripted`]) for
-//!   surgically-timed scenarios like "sever the server→client leg after
-//!   9 bytes", which is exactly an INSERT whose execution succeeded but
-//!   whose ack was lost;
-//! * the shared [`FaultInjector`] vocabulary from `lidardb_core::fault`
-//!   ([`FaultStage::NetRead`] / [`FaultStage::NetWrite`], target
-//!   `"conn:<index>"`), so the same rule engine that drives WAL torture
-//!   drives network torture.
+//! faults at precise, reproducible points. Each connection follows a
+//! plan that is either derived from `mix(seed ^ index)` (soak mode:
+//! mostly healthy, occasionally severed or delayed) or scripted
+//! explicitly (`ChaosProxy::spawn_scripted`) for surgically-timed
+//! scenarios like "sever the server→client leg after 9 bytes", which is
+//! exactly an INSERT whose execution succeeded but whose ack was lost.
 //!
 //! The proxy is a test instrument: panics are confined to its own
 //! threads, every socket read is timeout-bounded, and `retarget` lets a
 //! soak point the same client-facing address at a restarted server.
+//! `chaos_soak.rs` and `drain.rs` each include it and use a different
+//! part of it, hence the `dead_code` allowance.
+
+#![allow(dead_code)]
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -27,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use lidardb_core::fault::{mix, FaultInjector, FaultKind, FaultStage};
+use lidardb_core::fault::mix;
 
 /// What one proxied connection does to its traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +90,7 @@ pub struct ChaosProxy {
 impl ChaosProxy {
     /// Soak mode: per-connection fault plans derived from `seed`.
     pub fn spawn(upstream: SocketAddr, seed: u64) -> std::io::Result<ChaosProxy> {
-        ChaosProxy::spawn_with(upstream, Plan::Seeded(seed), None)
+        ChaosProxy::spawn_with(upstream, Plan::Seeded(seed))
     }
 
     /// Script mode: connection `i` gets `scripts[i]`, later connections
@@ -102,25 +99,10 @@ impl ChaosProxy {
         upstream: SocketAddr,
         scripts: Vec<ChaosScript>,
     ) -> std::io::Result<ChaosProxy> {
-        ChaosProxy::spawn_with(upstream, Plan::Scripted(scripts), None)
+        ChaosProxy::spawn_with(upstream, Plan::Scripted(scripts))
     }
 
-    /// Script mode with a shared [`FaultInjector`]: `NetRead`/`NetWrite`
-    /// rules (target `"conn:<index>"`) fire on top of the per-connection
-    /// scripts.
-    pub fn spawn_scripted_with_fault(
-        upstream: SocketAddr,
-        scripts: Vec<ChaosScript>,
-        fault: Arc<FaultInjector>,
-    ) -> std::io::Result<ChaosProxy> {
-        ChaosProxy::spawn_with(upstream, Plan::Scripted(scripts), Some(fault))
-    }
-
-    fn spawn_with(
-        upstream: SocketAddr,
-        plan: Plan,
-        fault: Option<Arc<FaultInjector>>,
-    ) -> std::io::Result<ChaosProxy> {
+    fn spawn_with(upstream: SocketAddr, plan: Plan) -> std::io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let upstream = Arc::new(Mutex::new(upstream));
@@ -128,13 +110,7 @@ impl ChaosProxy {
         let accept_upstream = Arc::clone(&upstream);
         let accept_stop = Arc::clone(&stop);
         let join = thread::spawn(move || {
-            accept_loop(
-                &listener,
-                &accept_upstream,
-                &accept_stop,
-                &plan,
-                fault.as_ref(),
-            );
+            accept_loop(&listener, &accept_upstream, &accept_stop, &plan);
         });
         Ok(ChaosProxy {
             addr,
@@ -185,7 +161,6 @@ fn accept_loop(
     upstream: &Arc<Mutex<SocketAddr>>,
     stop: &Arc<AtomicBool>,
     plan: &Plan,
-    fault: Option<&Arc<FaultInjector>>,
 ) {
     let mut index: u64 = 0;
     for conn in listener.incoming() {
@@ -204,7 +179,7 @@ fn accept_loop(
             continue;
         };
         let script = plan.for_conn(index);
-        spawn_pumps(client, server, index, script, stop, fault);
+        spawn_pumps(client, server, script, stop);
         index += 1;
     }
 }
@@ -219,59 +194,27 @@ fn byte_budget(script: ChaosScript, server_to_client: bool) -> Option<u64> {
     }
 }
 
-fn spawn_pumps(
-    client: TcpStream,
-    server: TcpStream,
-    index: u64,
-    script: ChaosScript,
-    stop: &Arc<AtomicBool>,
-    fault: Option<&Arc<FaultInjector>>,
-) {
+fn spawn_pumps(client: TcpStream, server: TcpStream, script: ChaosScript, stop: &Arc<AtomicBool>) {
     let (Ok(c2), Ok(s2)) = (client.try_clone(), server.try_clone()) else {
         let _ = client.shutdown(Shutdown::Both);
         let _ = server.shutdown(Shutdown::Both);
         return;
     };
-    // server→client carries `NetRead` (bytes the client reads);
-    // client→server carries `NetWrite`.
     let stop_a = Arc::clone(stop);
     let stop_b = Arc::clone(stop);
-    let fault_a = fault.map(Arc::clone);
-    let fault_b = fault.map(Arc::clone);
-    thread::spawn(move || {
-        pump(
-            server,
-            client,
-            index,
-            script,
-            true,
-            &stop_a,
-            fault_a.as_deref(),
-        );
-    });
-    thread::spawn(move || {
-        pump(c2, s2, index, script, false, &stop_b, fault_b.as_deref());
-    });
+    thread::spawn(move || pump(server, client, script, true, &stop_a));
+    thread::spawn(move || pump(c2, s2, script, false, &stop_b));
 }
 
-/// Forward bytes `from` → `to` under the connection's script and any
-/// armed injector rules. Returning severs both directions (the `to`
-/// shutdown wakes the opposite pump).
+/// Forward bytes `from` → `to` under the connection's script. Returning
+/// severs both directions (the `to` shutdown wakes the opposite pump).
 fn pump(
     from: TcpStream,
     to: TcpStream,
-    index: u64,
     script: ChaosScript,
     server_to_client: bool,
     stop: &AtomicBool,
-    fault: Option<&FaultInjector>,
 ) {
-    let stage = if server_to_client {
-        FaultStage::NetRead
-    } else {
-        FaultStage::NetWrite
-    };
-    let target = format!("conn:{index}");
     let mut budget = byte_budget(script, server_to_client);
     let _ = from.set_read_timeout(Some(Duration::from_millis(100)));
     let mut from = from;
@@ -302,13 +245,6 @@ fn pump(
             }
             Err(_) => break,
         };
-        if let Some(fi) = fault {
-            match fi.fire(stage, &target) {
-                Some(FaultKind::IoError) => break,
-                Some(FaultKind::Stall(ms)) => thread::sleep(Duration::from_millis(ms)),
-                _ => {}
-            }
-        }
         match script {
             ChaosScript::Blackhole => continue, // consume, never forward
             ChaosScript::DelayMs(ms) => thread::sleep(Duration::from_millis(ms)),

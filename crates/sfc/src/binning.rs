@@ -63,34 +63,22 @@ impl TileBinning {
     pub fn start(&self, i: usize) -> u64 {
         self.starts[i]
     }
-
-    /// Inclusive last key of tile `i` (`u64::MAX` for the final tile).
-    pub fn end_inclusive(&self, i: usize) -> u64 {
-        match self.starts.get(i + 1) {
-            Some(&next) => next - 1,
-            None => u64::MAX,
-        }
-    }
-
-    /// The tile a key bins into. Total: every `u64` maps to exactly one
-    /// tile.
-    pub fn tile_of(&self, key: u64) -> usize {
-        // partition_point returns the count of starts <= key; starts[0]=0
-        // guarantees at least one.
-        self.starts.partition_point(|&s| s <= key) - 1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn tile_of(b: &TileBinning, key: u64) -> usize {
+        b.starts.partition_point(|&s| s <= key) - 1
+    }
+
     #[test]
     fn trivial_and_empty_inputs_yield_one_tile() {
         let b = TileBinning::from_sorted_keys(&[], 10);
         assert_eq!(b.len(), 1);
-        assert_eq!(b.tile_of(0), 0);
-        assert_eq!(b.tile_of(u64::MAX), 0);
+        assert_eq!(tile_of(&b, 0), 0);
+        assert_eq!(tile_of(&b, u64::MAX), 0);
         let b = TileBinning::from_sorted_keys(&[5, 6, 7], 10);
         assert_eq!(b.len(), 1, "under target: single tile");
     }
@@ -101,13 +89,12 @@ mod tests {
         let b = TileBinning::from_sorted_keys(&keys, 25);
         assert_eq!(b.len(), 4);
         for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(b.tile_of(k), i / 25, "key {k}");
+            assert_eq!(tile_of(&b, k), i / 25, "key {k}");
         }
         // Boundaries are exact: last key of tile 0 / first key of tile 1.
-        assert_eq!(b.end_inclusive(0), 24);
         assert_eq!(b.start(1), 25);
-        assert_eq!(b.tile_of(24), 0);
-        assert_eq!(b.tile_of(25), 1);
+        assert_eq!(tile_of(&b, 24), 0);
+        assert_eq!(tile_of(&b, 25), 1);
     }
 
     #[test]
@@ -117,7 +104,7 @@ mod tests {
         let mut keys = vec![7u64; 50];
         keys.extend([9, 10, 11]);
         let b = TileBinning::from_sorted_keys(&keys, 10);
-        assert_eq!(b.tile_of(7), 0);
+        assert_eq!(tile_of(&b, 7), 0);
         assert!(b.start(1) > 7, "cut placed after the equal-key run");
     }
 

@@ -46,16 +46,6 @@ impl Curve {
     }
 }
 
-/// Produce the permutation that sorts `(x, y)` pairs along `curve`.
-///
-/// Returns row indexes in curve order; apply with `Column::gather`.
-pub fn sort_permutation(curve: Curve, xs: &[u32], ys: &[u32]) -> Vec<usize> {
-    assert_eq!(xs.len(), ys.len(), "coordinate arrays must align");
-    let mut perm: Vec<usize> = (0..xs.len()).collect();
-    perm.sort_by_key(|&i| curve.encode(xs[i], ys[i]));
-    perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,21 +57,5 @@ mod tests {
                 assert_eq!(curve.decode(curve.encode(x, y)), (x, y), "{curve:?}");
             }
         }
-    }
-
-    #[test]
-    fn sort_permutation_orders_by_key() {
-        let xs = [3u32, 0, 2, 1];
-        let ys = [3u32, 0, 2, 1];
-        let perm = sort_permutation(Curve::Morton, &xs, &ys);
-        let keys: Vec<u64> = perm.iter().map(|&i| morton_encode(xs[i], ys[i])).collect();
-        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(perm.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "align")]
-    fn mismatched_coords_panic() {
-        sort_permutation(Curve::Hilbert, &[1], &[]);
     }
 }

@@ -61,11 +61,6 @@ impl Quantizer {
             c as u32
         }
     }
-
-    /// Highest lattice coordinate per axis (`2^bits - 1`).
-    pub fn max_cell(&self) -> u32 {
-        self.max_cell
-    }
 }
 
 #[cfg(test)]
@@ -78,7 +73,7 @@ mod tests {
         assert_eq!(q.cell(0.0, 0.0), (0, 0));
         assert_eq!(q.cell(100.0, 200.0), (255, 255));
         assert_eq!(q.cell(50.0, 100.0), (128, 128));
-        assert_eq!(q.max_cell(), 255);
+        assert_eq!(q.max_cell, 255);
     }
 
     #[test]

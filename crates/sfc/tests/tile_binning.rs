@@ -12,6 +12,24 @@ use proptest::prelude::*;
 
 const WIN: f64 = 1000.0;
 
+/// The tile a key bins into: the last tile whose start is at most the
+/// key. The reference every property below is stated against.
+fn tile_of(b: &TileBinning, key: u64) -> usize {
+    (0..b.len())
+        .rev()
+        .find(|&t| b.start(t) <= key)
+        .expect("start(0) is 0")
+}
+
+/// Inclusive last key of tile `t` (`u64::MAX` for the final tile).
+fn end_inclusive(b: &TileBinning, t: usize) -> u64 {
+    if t + 1 < b.len() {
+        b.start(t + 1) - 1
+    } else {
+        u64::MAX
+    }
+}
+
 fn keys_of(pts: &[(f64, f64)], q: &Quantizer, curve: Curve) -> Vec<u64> {
     pts.iter()
         .map(|&(x, y)| {
@@ -42,7 +60,7 @@ proptest! {
         let mut bbox: Vec<Option<(f64, f64, f64, f64)>> = vec![None; b.len()];
         for &(x, y) in &pts {
             let (cx, cy) = q.cell(x, y);
-            let t = b.tile_of(curve.encode(cx, cy));
+            let t = tile_of(&b, curve.encode(cx, cy));
             let e = bbox[t].get_or_insert((x, y, x, y));
             e.0 = e.0.min(x);
             e.1 = e.1.min(y);
@@ -53,9 +71,9 @@ proptest! {
         for &(x, y) in &pts {
             let (cx, cy) = q.cell(x, y);
             let key = curve.encode(cx, cy);
-            let t = b.tile_of(key);
+            let t = tile_of(&b, key);
             // Round-trip: the key lies inside its tile's key range.
-            prop_assert!(b.start(t) <= key && key <= b.end_inclusive(t));
+            prop_assert!(b.start(t) <= key && key <= end_inclusive(&b, t));
             // Zone-map consistency: the tile a point binned into can never
             // be pruned by a query box that contains the point.
             let (mnx, mny, mxx, mxy) = bbox[t].unwrap();
@@ -80,13 +98,13 @@ proptest! {
         let cell_w = 2.0 * WIN / (1u64 << bits) as f64;
         for &(x, y) in &pts {
             let (cx, cy) = q.cell(x, y);
-            let t = b.tile_of(curve.encode(cx, cy));
+            let t = tile_of(&b, curve.encode(cx, cy));
             // Nudge by strictly less than one cell, then keep the nudge
             // only if it stays in the same lattice cell — the premise of
             // "epsilon inside the tile's bbox".
             let (nx, ny) = (x + eps_frac * cell_w, y - eps_frac * cell_w);
             if q.cell(nx, ny) == (cx, cy) {
-                let nt = b.tile_of(curve.encode(cx, cy));
+                let nt = tile_of(&b, curve.encode(cx, cy));
                 prop_assert_eq!(nt, t, "same cell must bin to the same tile");
             }
         }
@@ -109,21 +127,21 @@ proptest! {
             // A boundary key, decoded to its lattice cell, re-quantised
             // from the cell's world-space centre, must come back as the
             // same key — i.e. bin into tile t, not a neighbour.
-            for key in [b.start(t), b.end_inclusive(t).min(b.start(t))] {
+            for key in [b.start(t), end_inclusive(&b, t).min(b.start(t))] {
                 let (cx, cy) = curve.decode(key);
-                if cx > q.max_cell() || cy > q.max_cell() {
+                if u64::from(cx.max(cy)) >= 1u64 << bits {
                     continue; // key beyond the lattice (open-ended last tile)
                 }
                 let wx = -WIN + (cx as f64 + 0.5) * cell_w;
                 let wy = -WIN + (cy as f64 + 0.5) * cell_w;
                 let (rcx, rcy) = q.cell(wx, wy);
                 prop_assert_eq!((rcx, rcy), (cx, cy), "cell centre re-quantises");
-                prop_assert_eq!(b.tile_of(curve.encode(rcx, rcy)), t);
+                prop_assert_eq!(tile_of(&b, curve.encode(rcx, rcy)), t);
             }
             // The key just below a tile's start belongs to the previous
             // tile — the boundary is exact, not fuzzy.
             if t > 0 {
-                prop_assert_eq!(b.tile_of(b.start(t) - 1), t - 1);
+                prop_assert_eq!(tile_of(&b, b.start(t) - 1), t - 1);
             }
         }
     }

@@ -72,20 +72,6 @@ impl VectorTable {
         self.columns.first().map_or(0, VColumn::len)
     }
 
-    /// Validate equal column lengths.
-    pub fn validate(&self) -> Result<(), SqlError> {
-        let n = self.num_rows();
-        for (name, c) in self.names.iter().zip(&self.columns) {
-            if c.len() != n {
-                return Err(SqlError::Plan(format!(
-                    "vector table column {name} has {} rows, expected {n}",
-                    c.len()
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Value of `column` at `row`.
     pub fn value(&self, column: &str, row: usize) -> Result<SqlValue, SqlError> {
         let idx = self
@@ -344,6 +330,15 @@ mod tests {
     use super::*;
     use lidardb_geom::Point;
 
+    impl VectorTable {
+        /// Every column holds `num_rows` values.
+        pub(crate) fn assert_rectangular(&self) {
+            for (name, c) in self.names.iter().zip(&self.columns) {
+                assert_eq!(c.len(), self.num_rows(), "column {name}");
+            }
+        }
+    }
+
     fn roads() -> VectorTable {
         VectorTable::new()
             .with_column("id", VColumn::Int(vec![1, 2]))
@@ -363,7 +358,7 @@ mod tests {
     #[test]
     fn vector_table_access() {
         let t = roads();
-        t.validate().unwrap();
+        t.assert_rectangular();
         assert_eq!(t.num_rows(), 2);
         assert_eq!(t.value("id", 0).unwrap(), SqlValue::Int(1));
         assert_eq!(
@@ -374,14 +369,6 @@ mod tests {
         assert!(t.value("nope", 0).is_err());
         assert!(t.value("id", 5).is_err());
         assert!(t.has_column("class") && !t.has_column("speed"));
-    }
-
-    #[test]
-    fn invalid_lengths_detected() {
-        let t = VectorTable::new()
-            .with_column("a", VColumn::Int(vec![1, 2]))
-            .with_column("b", VColumn::Int(vec![1]));
-        assert!(t.validate().is_err());
     }
 
     #[test]

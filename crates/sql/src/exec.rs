@@ -21,7 +21,7 @@
 //! (a point column, a vector-table column, an aggregate call's or a
 //! group's first-row value). Evaluation returns one column of values per
 //! node: numeric arithmetic, comparisons, logic, `BETWEEN` and negation run
-//! as typed loops, everything else row by row through [`apply_binop`] and
+//! as typed loops, everything else row by row through `apply_binop` and
 //! [`functions::call`], where SQL's NULL rules live.
 
 use std::borrow::Cow;
@@ -29,6 +29,7 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
+use lidardb_core::governor::Governed;
 use lidardb_core::soa::ColumnArrays;
 use lidardb_core::{
     Aggregate, CancelToken, ColumnSet, Explain, GovernCtx, Parallelism, PointCloud, PointTable,
@@ -1163,9 +1164,10 @@ fn shape<'a>(
 ///
 /// A result that is whole before its first batch (any aggregate, `ORDER
 /// BY`, `DISTINCT`) releases the table — read guard, pinned segments,
-/// permit, registry ticket — before delivery, so a slow client never holds
-/// up an `INSERT`. Any other result streams as it is projected and holds
-/// them through delivery.
+/// permit — before delivery, so a slow client never holds up an `INSERT`;
+/// it keeps its registry ticket until delivery ends, so `KILL` still
+/// reaches it. Any other result streams as it is projected and holds them
+/// all through delivery.
 fn select(
     catalog: &Catalog,
     sel: &SelectStmt,
@@ -1212,9 +1214,11 @@ fn select(
         }
         Output::Groups(g) => aggregate(&q, g, input, batch_rows, trace)?,
     };
-    drop(governed);
+    let ticket = governed.map(Governed::into_ticket);
     drop(pc);
-    finish(&q, whole, batch_rows, sink, &token, trace)
+    let summary = finish(&q, whole, batch_rows, sink, &token, trace);
+    drop(ticket);
+    summary
 }
 
 /// Step 3: what a statement makes of each chunk of surviving rows.

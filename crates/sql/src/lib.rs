@@ -45,8 +45,6 @@ pub use exec::{
 };
 pub use value::SqlValue;
 
-use std::sync::Arc;
-
 /// Parse and execute one SQL statement against a catalog.
 pub fn query(catalog: &Catalog, sql: &str) -> Result<ResultSet, SqlError> {
     let stmt = parser::parse(sql)?;
@@ -66,12 +64,4 @@ pub fn query_streamed(
 ) -> Result<StreamSummary, SqlError> {
     let stmt = parser::parse(sql)?;
     exec::execute_streamed(catalog, &stmt, batch_rows, sink)
-}
-
-/// Convenience: build a catalog holding one point cloud as table
-/// `"points"`.
-pub fn catalog_with_points(pc: Arc<lidardb_core::PointCloud>) -> Catalog {
-    let mut c = Catalog::new();
-    c.register_pointcloud("points", pc);
-    c
 }

@@ -269,7 +269,7 @@ mod tests {
     fn sys_metrics_has_a_row_per_series_and_stage_statistic() {
         use crate::value::SqlValue;
         let t = sys_metrics();
-        t.validate().unwrap();
+        t.assert_rectangular();
         let has = |kind: &str, name: &str| {
             (0..t.num_rows()).any(|r| {
                 t.value("kind", r).unwrap() == SqlValue::Str(kind.into())
@@ -317,7 +317,7 @@ mod tests {
         let mut c = Catalog::new();
         c.register_stream("pts", std::sync::Arc::new(std::sync::RwLock::new(pc)));
         let t = sys_wal(&c);
-        t.validate().unwrap();
+        t.assert_rectangular();
         assert_eq!(t.num_rows(), 1);
         assert_eq!(
             t.value("table_name", 0).unwrap(),

@@ -90,18 +90,6 @@ impl SqlValue {
         }
     }
 
-    /// Stable key for GROUP BY hashing (floats by bit pattern).
-    pub fn group_key(&self) -> String {
-        match self {
-            SqlValue::Null => "n".to_string(),
-            SqlValue::Bool(b) => format!("b{b}"),
-            SqlValue::Int(v) => format!("i{v}"),
-            SqlValue::Float(v) => format!("f{:x}", v.to_bits()),
-            SqlValue::Str(s) => format!("s{s}"),
-            SqlValue::Geom(g) => format!("g{}", lidardb_geom::wkt::to_wkt(g)),
-        }
-    }
-
     /// Render for result-set display.
     pub fn render(&self) -> String {
         match self {
@@ -170,18 +158,6 @@ mod tests {
             SqlValue::Str("a".into()).compare(&SqlValue::Int(1)),
             None,
             "incomparable types"
-        );
-    }
-
-    #[test]
-    fn group_keys_distinguish() {
-        assert_ne!(
-            SqlValue::Int(1).group_key(),
-            SqlValue::Float(1.0).group_key()
-        );
-        assert_eq!(
-            SqlValue::Float(1.5).group_key(),
-            SqlValue::Float(1.5).group_key()
         );
     }
 

@@ -1099,7 +1099,7 @@ fn sys_tiles_reports_residency() {
         "SELECT COUNT(*) FROM sys.tiles WHERE table_name = 'tiled_pts'",
     )
     .unwrap();
-    assert_eq!(rs.rows[0][0], SqlValue::Int(tc.num_tiles() as i64));
+    assert_eq!(rs.rows[0][0], SqlValue::Int(tc.tiles().len() as i64));
     // Touch one tile, then its residency flips to 1.
     query(&c, "SELECT COUNT(*) FROM tiled_pts WHERE x < 4 AND y < 4").unwrap();
     let rs = query(&c, "SELECT COUNT(*) FROM sys.tiles WHERE resident = 1").unwrap();

@@ -12,7 +12,7 @@ use lidardb_core::{
 };
 use lidardb_geom::{Envelope, Geometry, Polygon};
 use lidardb_las::PointRecord;
-use lidardb_sql::{catalog_with_points, query, SqlValue};
+use lidardb_sql::{query, Catalog, SqlValue};
 
 #[test]
 fn one_column_is_folded_once_for_all_its_calls() {
@@ -27,7 +27,8 @@ fn one_column_is_folded_once_for_all_its_calls() {
     let mut pc = PointCloud::new();
     pc.append_records(&records).unwrap();
     let pc = Arc::new(pc);
-    let catalog = catalog_with_points(Arc::clone(&pc));
+    let mut catalog = Catalog::new();
+    catalog.register_pointcloud("points", Arc::clone(&pc));
 
     // The statement's rows, and each call as the engine answers it alone.
     let window = Envelope::new(20.0, 30.0, 150.0, 170.0).unwrap();

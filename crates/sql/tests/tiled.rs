@@ -6,7 +6,7 @@ use std::sync::{Arc, RwLock};
 use lidardb_core::{CancelToken, Durability, PointCloud, QueryRegistry, TileOptions, TiledCloud};
 use lidardb_las::PointRecord;
 use lidardb_sql::{query, query_streamed, Catalog, RowSink, SqlError, SqlValue};
-use lidardb_test_support::ScratchDir;
+use lidardb_test_support::{resident_tiles, ScratchDir};
 
 /// 100x100 integer grid; classification 6 for x > 50, else 2; z = x/10;
 /// the `u64` column `wave_offset` is past `i64::MAX` on the diagonal.
@@ -164,7 +164,7 @@ fn explain_analyze_shows_tile_pruning() {
     );
     assert!(text.contains("pruned"), "prune counts missing in:\n{text}");
     // The tiny window must actually skip tiles.
-    let pruned_somewhere = (1..tc.num_tiles()).any(|k| text.contains(&format!("{k} pruned")));
+    let pruned_somewhere = (1..tc.tiles().len()).any(|k| text.contains(&format!("{k} pruned")));
     assert!(
         pruned_somewhere,
         "expected a non-zero pruned count in:\n{text}"
@@ -418,7 +418,7 @@ fn cold_tiles_fault_in_every_column_a_statement_reads() {
         let tiled = query(&c, &template.replace(" T", " tiles")).unwrap();
         assert!(!flat.rows.is_empty(), "{template}");
         assert_same_rows(&flat.rows, &tiled.rows, &template);
-        assert!(tc.resident_tiles() <= 1, "the 1-byte budget keeps one tile");
+        assert!(resident_tiles(&tc) <= 1, "the 1-byte budget keeps one tile");
     }
     assert_eq!(
         one_value(&c, "SELECT COUNT(*) FROM tiles"),
@@ -440,7 +440,7 @@ fn sys_tiles_lists_resident_columns() {
         "SELECT resident_columns, resident_bytes, rows FROM sys.tiles WHERE resident = 1",
     )
     .unwrap();
-    assert_eq!(rs.rows.len(), tc.resident_tiles());
+    assert_eq!(rs.rows.len(), resident_tiles(&tc));
     assert!(!rs.rows.is_empty());
     for row in &rs.rows {
         let (SqlValue::Int(bytes), SqlValue::Int(rows)) = (&row[1], &row[2]) else {

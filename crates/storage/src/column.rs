@@ -109,12 +109,6 @@ impl Column {
         self.len() * self.ptype().size()
     }
 
-    /// Number of (possibly partial) 64-byte cachelines the column occupies.
-    pub fn cacheline_count(&self) -> usize {
-        let vpc = self.ptype().values_per_cacheline();
-        self.len().div_ceil(vpc)
-    }
-
     /// Fetch the value at `row`, lifted into a [`Value`].
     ///
     /// Returns `None` when `row` is out of bounds.
@@ -252,26 +246,6 @@ impl Column {
         out
     }
 
-    /// Minimum and maximum value (by total order), `None` when empty.
-    pub fn min_max(&self) -> Option<(Value, Value)> {
-        for_each_variant!(self, v => {
-            if v.is_empty() {
-                return None;
-            }
-            let mut lo = v[0];
-            let mut hi = v[0];
-            for &x in &v[1..] {
-                if Native::total_cmp(&x, &lo).is_lt() {
-                    lo = x;
-                }
-                if Native::total_cmp(&x, &hi).is_gt() {
-                    hi = x;
-                }
-            }
-            Some((lo.to_value(), hi.to_value()))
-        })
-    }
-
     /// Gather rows listed in `sel` into a new column of the same type.
     ///
     /// # Panics
@@ -362,23 +336,6 @@ mod tests {
         assert_eq!(col.get(0), Some(Value::U64(42)));
         assert_eq!(col.get(1), Some(Value::U64(255)));
         assert_eq!(col.get(2), None);
-    }
-
-    #[test]
-    fn min_max() {
-        let col: Column = vec![3i32, -5, 7, 0].into_iter().collect();
-        assert_eq!(col.min_max(), Some((Value::I64(-5), Value::I64(7))));
-        assert_eq!(Column::new(PhysicalType::I32).min_max(), None);
-    }
-
-    #[test]
-    fn cacheline_count_rounds_up() {
-        let col: Column = (0..17i32).collect();
-        // 16 i32 per cacheline -> 17 values span 2 cachelines.
-        assert_eq!(col.cacheline_count(), 2);
-        let col: Column = (0..16i32).collect();
-        assert_eq!(col.cacheline_count(), 1);
-        assert_eq!(Column::new(PhysicalType::I32).cacheline_count(), 0);
     }
 
     #[test]

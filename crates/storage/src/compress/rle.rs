@@ -56,11 +56,6 @@ impl<T: Native> Rle<T> {
         self.len() == 0
     }
 
-    /// Number of runs.
-    pub fn num_runs(&self) -> usize {
-        self.values.len()
-    }
-
     /// Random access to the value at `row`; `None` out of bounds.
     pub fn get(&self, row: usize) -> Option<T> {
         if row >= self.len() {
@@ -111,7 +106,7 @@ mod tests {
     fn roundtrip_simple() {
         let data = vec![2u8, 2, 2, 6, 6, 9, 2, 2];
         let rle = Rle::encode(&data);
-        assert_eq!(rle.num_runs(), 4);
+        assert_eq!(rle.values.len(), 4);
         assert_eq!(rle.decode(), data);
         assert_eq!(rle.len(), 8);
     }
@@ -141,7 +136,7 @@ mod tests {
     fn nan_runs_compress() {
         let data = vec![f64::NAN, f64::NAN, 1.0, f64::NAN];
         let rle = Rle::encode(&data);
-        assert_eq!(rle.num_runs(), 3);
+        assert_eq!(rle.values.len(), 3);
         let dec = rle.decode();
         assert!(dec[0].is_nan() && dec[1].is_nan() && dec[3].is_nan());
         assert_eq!(dec[2], 1.0);

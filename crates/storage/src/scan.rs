@@ -227,24 +227,6 @@ pub enum CmpOp {
     Ge,
 }
 
-impl CmpOp {
-    /// Apply the operator to a pair of partially ordered values.
-    ///
-    /// Incomparable pairs (NaN) satisfy only `Ne`, matching SQL-ish
-    /// semantics for floating NaN under `<>`.
-    #[inline]
-    pub fn eval<T: PartialOrd>(self, v: T, rhs: T) -> bool {
-        match self {
-            CmpOp::Eq => v == rhs,
-            CmpOp::Ne => v != rhs,
-            CmpOp::Lt => v < rhs,
-            CmpOp::Le => v <= rhs,
-            CmpOp::Gt => v > rhs,
-            CmpOp::Ge => v >= rhs,
-        }
-    }
-}
-
 /// `2^63` as `f64` (exactly representable).
 const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
 /// `2^64` as `f64` (exactly representable).
@@ -353,24 +335,6 @@ pub fn int_bounds<T: Native>(lo: f64, hi: f64) -> Option<(T, T)> {
         return None; // saturated above hi: nothing in range
     }
     Some((ln, hn))
-}
-
-/// Refine a selection with `v <op> rhs` where `rhs` is an `f64` query
-/// constant, comparing in the column's native domain (see
-/// [`cmp_native_f64`]). Incomparable pairs (NaN) satisfy only `Ne`.
-pub fn refine_cmp_f64<T: Native>(data: &[T], sel: &mut Vec<usize>, op: CmpOp, rhs: f64) -> usize {
-    sel.retain(|&i| match cmp_native_f64(data[i], rhs) {
-        Some(o) => match op {
-            CmpOp::Eq => o.is_eq(),
-            CmpOp::Ne => o.is_ne(),
-            CmpOp::Lt => o.is_lt(),
-            CmpOp::Le => o.is_le(),
-            CmpOp::Gt => o.is_gt(),
-            CmpOp::Ge => o.is_ge(),
-        },
-        None => op == CmpOp::Ne,
-    });
-    sel.len()
 }
 
 /// Mergeable aggregate accumulator over one numeric column.
@@ -608,18 +572,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cmp_ops() {
-        assert!(CmpOp::Eq.eval(3, 3));
-        assert!(CmpOp::Ne.eval(3, 4));
-        assert!(CmpOp::Lt.eval(3, 4));
-        assert!(CmpOp::Le.eval(4, 4));
-        assert!(CmpOp::Gt.eval(5, 4));
-        assert!(CmpOp::Ge.eval(4, 4));
-        assert!(!CmpOp::Eq.eval(f64::NAN, f64::NAN));
-        assert!(CmpOp::Ne.eval(f64::NAN, f64::NAN));
-    }
-
     /// Regression (native-domain attribute comparison): predicates with
     /// bounds above 2^53 must not be evaluated by widening `i64` values to
     /// `f64`. `i64::MAX` widens to 2^63 (rounds *up*), and values just below
@@ -643,15 +595,11 @@ mod tests {
         );
 
         // i64::MAX as f64 == 2^63, so the old comparison excluded i64::MAX
-        // from `v < 2^63` even though every i64 satisfies it.
-        let mut sel = vec![0, 1, 2, 3];
-        refine_cmp_f64(&data, &mut sel, CmpOp::Lt, TWO_POW_63);
-        assert_eq!(sel, vec![0, 1, 2, 3]);
-
-        // And `v >= 2^63` is unsatisfiable for i64 — including for i64::MAX.
-        let mut sel = vec![0, 1, 2, 3];
-        refine_cmp_f64(&data, &mut sel, CmpOp::Ge, TWO_POW_63);
-        assert!(sel.is_empty());
+        // from `v < 2^63` even though every i64 satisfies it — and no i64,
+        // i64::MAX included, satisfies `v >= 2^63`.
+        assert!(data
+            .iter()
+            .all(|&v| cmp_native_f64(v, TWO_POW_63) == Some(Ordering::Less)));
     }
 
     /// Regression: the u64 analogue — `u64::MAX` widens to 2^64.
@@ -668,9 +616,9 @@ mod tests {
         assert_eq!(attr_rows(&data, lo, f64::INFINITY), vec![0, 1]);
 
         // Eq against 2^64: no u64 equals it (old code matched u64::MAX).
-        let mut sel = vec![0, 1, 2, 3];
-        refine_cmp_f64(&data, &mut sel, CmpOp::Eq, TWO_POW_64);
-        assert!(sel.is_empty());
+        assert!(data
+            .iter()
+            .all(|&v| cmp_native_f64(v, TWO_POW_64) == Some(Ordering::Less)));
     }
 
     #[test]
@@ -706,17 +654,6 @@ mod tests {
             Some((0u64, u64::MAX))
         );
         assert_eq!(int_bounds::<i64>(f64::NAN, 10.0), None);
-    }
-
-    #[test]
-    fn refine_cmp_f64_nan_values_satisfy_only_ne() {
-        let data = [1.0f64, f64::NAN, 3.0];
-        let mut sel = vec![0, 1, 2];
-        refine_cmp_f64(&data, &mut sel, CmpOp::Ne, 1.0);
-        assert_eq!(sel, vec![1, 2]);
-        let mut sel = vec![0, 1, 2];
-        refine_cmp_f64(&data, &mut sel, CmpOp::Le, f64::INFINITY);
-        assert_eq!(sel, vec![0, 2]);
     }
 
     /// Regression (compensated summation): a naive `f64` accumulator loses

@@ -69,11 +69,6 @@ impl Schema {
             .position(|f| f.name == name)
             .ok_or_else(|| StorageError::UnknownColumn(name.to_string()))
     }
-
-    /// The field named `name`.
-    pub fn field(&self, name: &str) -> Result<&Field, StorageError> {
-        self.index_of(name).map(|i| &self.fields[i])
-    }
 }
 
 /// A flat table: one [`Column`] per schema field, all of equal length.
@@ -93,20 +88,6 @@ impl FlatTable {
             .fields()
             .iter()
             .map(|f| Arc::new(Column::new(f.ptype)))
-            .collect();
-        FlatTable {
-            schema,
-            columns,
-            rows: 0,
-        }
-    }
-
-    /// Create an empty table reserving capacity for `rows` rows.
-    pub fn with_capacity(schema: Schema, rows: usize) -> Self {
-        let columns = schema
-            .fields()
-            .iter()
-            .map(|f| Arc::new(Column::with_capacity(f.ptype, rows)))
             .collect();
         FlatTable {
             schema,
@@ -237,22 +218,6 @@ impl FlatTable {
         Ok(rows)
     }
 
-    /// Check the internal invariant that every column holds the table's
-    /// row count.
-    pub fn validate(&self) -> Result<(), StorageError> {
-        let rows = self.num_rows();
-        for (f, c) in self.schema.fields().iter().zip(&self.columns) {
-            if c.len() != rows {
-                return Err(StorageError::LengthMismatch {
-                    column: f.name.clone(),
-                    expected: rows,
-                    found: c.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Materialise the row at `row` in schema order, `None` out of bounds.
     pub fn row(&self, row: usize) -> Option<Vec<Value>> {
         if row >= self.num_rows() {
@@ -307,7 +272,7 @@ mod tests {
             Value::U64(6),
         ]);
         assert_eq!(t.num_rows(), 2);
-        t.validate().unwrap();
+        assert!((0..t.schema().width()).all(|i| t.column(i).len() == t.num_rows()));
         assert_eq!(
             t.row(1).unwrap(),
             vec![
@@ -345,7 +310,7 @@ mod tests {
         // Appending again doubles the table.
         assert_eq!(t.copy_binary(&refs).unwrap(), 2);
         assert_eq!(t.num_rows(), 4);
-        t.validate().unwrap();
+        assert!((0..t.schema().width()).all(|i| t.column(i).len() == t.num_rows()));
     }
 
     #[test]
@@ -376,7 +341,7 @@ mod tests {
             StorageError::UnknownColumn(_)
         ));
         assert_eq!(t.schema().index_of("z").unwrap(), 2);
-        assert_eq!(t.schema().field("z").unwrap().ptype, PhysicalType::F64);
+        assert_eq!(t.schema().fields()[2].ptype, PhysicalType::F64);
     }
 
     #[test]
@@ -412,7 +377,7 @@ mod tests {
 
     #[test]
     fn byte_len_sums_columns() {
-        let mut t = FlatTable::with_capacity(xyz_schema(), 10);
+        let mut t = FlatTable::new(xyz_schema());
         t.push_row(&[
             Value::F64(0.0),
             Value::F64(0.0),

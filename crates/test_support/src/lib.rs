@@ -1,7 +1,8 @@
 //! # lidardb-test-support — the substrate every suite stands on
 //!
 //! Two things, shared by the workspace's tests, its examples and the
-//! paper harness:
+//! paper harness, and a few short readings of engine state that several
+//! suites make:
 //!
 //! * [`ScratchDir`] — the one temp directory. Named by a label, the
 //!   process id and a per-process counter, so parallel tests and
@@ -12,6 +13,8 @@
 //!   by sending every visible record through the exact predicate. No
 //!   imprints, no grid, no scan kernels — the paper's claim (§3.3) is that
 //!   the engine returns exactly these rows.
+//! * [`select`], [`resident_tiles`], [`area`] — a tiled select with the
+//!   default policies, the resident tile count, an envelope's area.
 //!
 //! A crate this one depends on (core, las, geom, storage) may use only
 //! [`ScratchDir`] in its own unit tests: through the dev-dependency cycle
@@ -22,8 +25,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lidardb_core::wal::wal_path_for;
-use lidardb_core::{Aggregate, AttrRange, SpatialPredicate};
-use lidardb_geom::Point;
+use lidardb_core::{
+    Aggregate, AttrRange, CoreError, Parallelism, RefineStrategy, Selection, SpatialPredicate,
+    TiledCloud,
+};
+use lidardb_geom::{Envelope, Point};
 use lidardb_las::schema::{column_value_f64, COLUMN_NAMES, COLUMN_TYPES};
 use lidardb_las::PointRecord;
 use lidardb_storage::PhysicalType;
@@ -84,6 +90,30 @@ impl AsRef<Path> for ScratchDir {
     fn as_ref(&self) -> &Path {
         &self.0
     }
+}
+
+/// A spatial select on a tiled cloud with the default strategy and
+/// worker policy.
+pub fn select(tc: &TiledCloud, pred: &SpatialPredicate) -> Result<Selection, CoreError> {
+    tc.select_query_with(
+        Some(pred),
+        &[],
+        RefineStrategy::default(),
+        Parallelism::default(),
+    )
+}
+
+/// Tiles with resident columns, read from the `sys.tiles` snapshot.
+pub fn resident_tiles(tc: &TiledCloud) -> usize {
+    tc.tile_residency()
+        .iter()
+        .filter(|t| t.resident_bytes.is_some())
+        .count()
+}
+
+/// An envelope's area.
+pub fn area(e: &Envelope) -> f64 {
+    e.width() * e.height()
 }
 
 /// An aggregate as the model computes it: `COUNT` and the `MIN`/`MAX` of

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local CI gate: rustfmt, release build, every suite of the
 # workspace in debug and release under the default parallel runner, strict
-# lints.
+# rustdoc links, strict lints.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +23,9 @@ echo "==> differential suite at 2 and 8 workers (every storage shape vs the brut
 LIDARDB_WORKERS=2 cargo test -q -p lidardb-core --test differential
 LIDARDB_WORKERS=8 cargo test -q -p lidardb-core --test differential
 
+echo "==> harness e1: binary loader vs the CSV route, block store and file-based ETL"
+cargo run -q --release -p lidardb-bench --bin harness -- e1
+
 echo "==> harness e4: every refinement strategy returns the exhaustive strategy's rows"
 cargo run -q --release -p lidardb-bench --bin harness -- e4
 
@@ -37,6 +40,9 @@ for w in nav_flat nav_tiled adhoc_refine ingest_mixed; do for t in 0 1; do
     cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 1 --smoke --trace "$t"
 done; done
+
+echo "==> rustdoc with warnings denied: no dangling or private doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -18,7 +18,7 @@
 //! | [`las`] | LAS subset + `laz-lite` compressed point-cloud files |
 //! | [`datagen`] | seeded synthetic AHN2 / OSM / Urban Atlas stand-ins |
 //! | [`core`] | the paper's system: flat table + lazy imprints + binary loader + two-step queries |
-//! | [`baselines`] | LAStools-like file store and pgpointcloud-like block store |
+//! | [`baselines`] | LAStools-like file store, pgpointcloud-like block store, and the CSV load route E1 compares the binary loader with |
 //! | [`sql`] | SQL subset with OGC functions, spatial pushdown and spatial joins |
 //! | [`viz`] | PPM/SVG renderer standing in for QGIS |
 //!
