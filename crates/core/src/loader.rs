@@ -313,6 +313,17 @@ impl Loader {
                 });
             }
         }
+        // Size every column once for the decoded rows (§3.2: whole dumps
+        // appended into columns sized from the input), so no append below
+        // grows a column by doubling. The counts are of bytes already
+        // decoded, not of a file's header; a quarantined file adds none.
+        let rows = slots
+            .iter()
+            .flatten()
+            .filter_map(|(decoded, _)| decoded.as_ref().ok())
+            .map(|(_, n, ..)| n)
+            .sum();
+        pc.reserve_rows(rows);
         for (i, slot) in slots.into_iter().enumerate() {
             let (result, retries) = slot.expect("worker scope filled every slot");
             let bytes = std::fs::metadata(&paths[i]).map(|m| m.len()).unwrap_or(0);
@@ -476,6 +487,25 @@ mod tests {
         // File order of the loaded remainder is preserved.
         let gps = pc.f64_column("gps_time").unwrap();
         assert!(gps.windows(2).all(|w| w[0] < w[1]));
+        // The columns were sized for the five decoded files, not six, and
+        // not grown by doubling: the `table_spare_bytes` gauge reads 0.
+        assert_eq!(pc.spare_bytes(), 0);
+    }
+
+    /// On a streaming cloud the reservation goes to the tail, the segment
+    /// the loaded rows are appended to.
+    #[test]
+    fn a_load_into_a_streaming_cloud_sizes_its_tail_once() {
+        let dir = lidardb_test_support::ScratchDir::vacant("loader_test_tail");
+        let store = lidardb_test_support::ScratchDir::vacant("loader_test_tail_store");
+        let paths = make_files(&dir, 3, 70);
+        let mut pc = PointCloud::open_ingest(&store, crate::Durability::None).unwrap();
+        Loader::new(LoadMethod::Binary)
+            .load_files(&mut pc, &paths)
+            .unwrap();
+        assert_eq!(pc.num_points(), 210);
+        assert_eq!(pc.segment_rows(), 0, "the base is never written");
+        assert_eq!(pc.spare_bytes(), 0);
     }
 
     #[test]

@@ -320,6 +320,11 @@ pub struct MetricsRegistry {
     pub tiles_evicted: Counter,
     /// Rows in the most recently appended-to table.
     pub table_rows: Gauge,
+    /// Bytes of column values that table holds (set with `table_rows`).
+    pub table_bytes: Gauge,
+    /// Bytes of column capacity that table holds beyond its values: what
+    /// growth by doubling left unused (set with `table_rows`).
+    pub table_spare_bytes: Gauge,
     /// Imprint indexes currently cached on the most recently probed table.
     pub indexed_columns: Gauge,
     /// Bytes of the resident columns in the most recently touched tiled
@@ -461,6 +466,8 @@ impl MetricsRegistry {
         series!(Counter imprint_candidate_rows = imprints::probe_rows, imprints::reset_probe_count),
         series!(Counter scan_rows_examined = scan::rows_examined, scan::reset_scan_counters),
         series!(Gauge table_rows),
+        series!(Gauge table_bytes),
+        series!(Gauge table_spare_bytes),
         series!(Gauge indexed_columns),
         series!(Gauge resident_tile_bytes),
         series!(Gauge open_connections),
@@ -612,6 +619,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), MetricsRegistry::SERIES.len(), "names unique");
+        for name in ["table_rows", "table_bytes", "table_spare_bytes"] {
+            let s = MetricsRegistry::SERIES.iter().find(|s| s.name == name);
+            assert_eq!(s.map(|s| s.kind), Some(SeriesKind::Gauge), "{name}");
+        }
         let own = |s: &Series| matches!(s.instrument, Instrument::Field(_));
         for (i, s) in MetricsRegistry::SERIES.iter().enumerate() {
             if let Instrument::Field(field) = s.instrument {

@@ -47,7 +47,7 @@ use lidardb_storage::{Column, Field, TileMeta, TileSet, ZoneEntry};
 use crate::crc::crc32;
 use crate::error::CoreError;
 use crate::fault::{FaultInjector, FaultKind, FaultStage};
-use crate::metrics::{MetricsRegistry, Stage};
+use crate::metrics::Stage;
 use crate::pointcloud::PointCloud;
 use crate::table::ColumnSet;
 use crate::wal::Durability;
@@ -494,21 +494,41 @@ fn read_column(
     })
 }
 
-/// Read and verify every tile of the table at `dir`, handing each tile's
-/// columns (all of them, in schema order) to `each` in row order. Returns
-/// the layout.
+/// Read and verify every tile of the table at `dir` and join their
+/// columns (all of them, in schema order) in row order. Each column is
+/// sized once for the decoded rows of all tiles, so none grows by
+/// doubling; a tile's column is dropped once copied, and a lone tile is
+/// taken as it is. Returns the layout and the columns.
 fn read_all(
     dir: &Path,
     fi: Option<&FaultInjector>,
-    mut each: impl FnMut(Vec<(Field, Column)>) -> Result<(), CoreError>,
-) -> Result<Layout, CoreError> {
+) -> Result<(Layout, Vec<(Field, Column)>), CoreError> {
     let layout = read_layout(dir, fi)?;
+    let mut tiles = Vec::with_capacity(layout.tiles.tiles.len());
     for t in &layout.tiles.tiles {
         let tile_dir = layout.tile_dir(dir, t.id);
         let manifest = read_manifest(&tile_dir, t.rows(), fi)?;
-        each(read_columns(&tile_dir, &manifest, ColumnSet::ALL, fi)?)?;
+        tiles.push(read_columns(&tile_dir, &manifest, ColumnSet::ALL, fi)?.into_iter());
     }
-    Ok(layout)
+    let rows: usize = tiles
+        .iter()
+        .filter_map(|t| t.as_slice().first())
+        .map(|(_, c)| c.len())
+        .sum();
+    let Some((first, rest)) = tiles.split_first_mut() else {
+        return Ok((layout, Vec::new()));
+    };
+    let columns = first
+        .map(|(field, mut col)| {
+            col.reserve_exact(rows.saturating_sub(col.len()));
+            for tile in rest.iter_mut() {
+                let (_, more) = tile.next().expect("every tile holds every column");
+                lidardb_storage::for_each_variant!(&more, v => col.extend_typed(v))?;
+            }
+            Ok((field, col))
+        })
+        .collect::<Result<_, CoreError>>()?;
+    Ok((layout, columns))
 }
 
 /// One disk read under a `PersistLoad` span and stage sample — once per
@@ -795,19 +815,9 @@ impl PointCloud {
         let dir = dir.as_ref();
         timed_load(fi, || {
             recover_stale_dirs(dir)?;
-            let mut columns: Vec<(Field, Column)> = Vec::new();
-            let layout = read_all(dir, fi, |tile| {
-                if columns.is_empty() {
-                    columns = tile;
-                    return Ok(());
-                }
-                for ((_, col), (_, more)) in columns.iter_mut().zip(tile) {
-                    lidardb_storage::for_each_variant!(&more, v => col.extend_typed(v))?;
-                }
-                Ok(())
-            })?;
+            let (layout, columns) = read_all(dir, fi)?;
             let pc = PointCloud::tile(layout.rows, None, columns)?;
-            MetricsRegistry::global().table_rows.set(layout.rows as u64);
+            pc.publish_size();
             Ok((pc, layout.rows))
         })
     }

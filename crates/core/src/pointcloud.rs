@@ -213,6 +213,32 @@ impl PointCloud {
         self.table.byte_len() + self.tail().map_or(0, PointCloud::data_bytes)
     }
 
+    /// Bytes of column capacity held beyond the values, in every segment:
+    /// what growing a column by doubling leaves unused.
+    pub(crate) fn spare_bytes(&self) -> usize {
+        let own = self.table.capacity_bytes() - self.table.byte_len();
+        own + self.tail().map_or(0, PointCloud::spare_bytes)
+    }
+
+    /// Set the size gauges of the most recently written table — rows,
+    /// bytes of column values, bytes of spare capacity — last writer wins.
+    pub(crate) fn publish_size(&self) {
+        let m = crate::metrics::MetricsRegistry::global();
+        m.table_rows.set(self.num_points() as u64);
+        m.table_bytes.set(self.data_bytes() as u64);
+        m.table_spare_bytes.set(self.spare_bytes() as u64);
+    }
+
+    /// Size the segment appends go to — a plain cloud's table, a
+    /// streaming cloud's tail — for exactly `rows` more rows, once, so
+    /// the appends that follow grow no column by doubling.
+    pub(crate) fn reserve_rows(&mut self, rows: usize) {
+        match &mut self.ingest {
+            Some(ing) => ing.tail.table.reserve_exact(rows),
+            None => self.table.reserve_exact(rows),
+        }
+    }
+
     /// Total bytes of all imprint indexes built so far (E2).
     pub fn index_bytes(&self) -> usize {
         let own: usize = self.imprints.read().values().map(|i| i.byte_size()).sum();
@@ -442,8 +468,8 @@ impl PointCloud {
             }
             None => self.extend(dumps)?,
         };
+        self.publish_size();
         let m = crate::metrics::MetricsRegistry::global();
-        m.table_rows.set(self.num_points() as u64);
         m.indexed_columns.set(self.imprints.get_mut().len() as u64);
         Ok(n)
     }
@@ -502,6 +528,10 @@ impl PointCloud {
         let dumps: Vec<Vec<u8>> = (0..tail.schema().width())
             .map(|i| tail.column(i).to_le_bytes())
             .collect();
+        // The base is exact-size: grow it once by the tail's rows, not by
+        // doubling.
+        self.table.reserve_exact(tail.num_rows());
+        drop(tail);
         self.extend(&dumps).map(drop)
     }
 
@@ -698,6 +728,10 @@ impl PointCloud {
         // replayed frames, and every later append, go to the tail.
         let mut tail = PointCloud::new();
         tail.fault = fault.clone();
+        // The frames to replay are checked and in memory: size the tail
+        // for their rows once. Later appends grow it by doubling.
+        let replay = scan.frames.iter().filter(|f| f.end_rows > base as u64);
+        tail.table.reserve_exact(replay.map(|f| f.rows).sum());
         for frame in &scan.frames {
             if frame.end_rows <= base as u64 {
                 report.skipped_frames += 1;
@@ -727,7 +761,6 @@ impl PointCloud {
         report.seconds = took.as_secs_f64();
         pc.publish_visible(total);
         let m = crate::metrics::MetricsRegistry::global();
-        m.table_rows.set(total as u64);
         m.wal_recoveries.inc();
         m.record_stage(crate::metrics::Stage::Recover, report.replayed_rows, took);
         pc.ingest = Some(IngestState {
@@ -736,6 +769,7 @@ impl PointCloud {
             recovery: report,
             tail: Box::new(tail),
         });
+        pc.publish_size();
         Ok(pc)
     }
 

@@ -184,6 +184,8 @@ pub(crate) struct Frame {
     pub end_rows: u64,
     /// Idempotency token the batch was stamped with (0 = none).
     pub token: u64,
+    /// Rows of the batch, as its decoded dumps hold them.
+    pub rows: usize,
     /// Per-column little-endian dumps in schema order.
     pub dumps: Vec<Vec<u8>>,
 }
@@ -663,6 +665,7 @@ pub(crate) fn scan_frames(bytes: &[u8], fi: Option<&FaultInjector>) -> Result<Wa
             seq,
             end_rows,
             token,
+            rows: rows as usize,
             dumps,
         });
         let flen = FRAME_HEADER_LEN + payload_len as u64;

@@ -403,5 +403,9 @@ fn sys_metrics_over_the_wire_matches_the_exposition() {
         wire, scraped,
         "sys.metrics and /metrics name different series"
     );
+    // The table's size gauges: rows, value bytes and spare capacity.
+    for name in ["table_rows", "table_bytes", "table_spare_bytes"] {
+        assert!(wire["gauge"].contains(name), "gauge {name} missing");
+    }
     server.shutdown();
 }

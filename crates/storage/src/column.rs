@@ -109,6 +109,18 @@ impl Column {
         self.len() * self.ptype().size()
     }
 
+    /// Bytes the column's buffer holds: its values plus the spare
+    /// capacity growth left behind.
+    pub fn capacity_bytes(&self) -> usize {
+        for_each_variant!(self, v => v.capacity()) * self.ptype().size()
+    }
+
+    /// Make room for exactly `n` more values (`Vec::reserve_exact`): an
+    /// append of up to `n` values then copies no value already held.
+    pub fn reserve_exact(&mut self, n: usize) {
+        for_each_variant!(self, v => v.reserve_exact(n))
+    }
+
     /// Fetch the value at `row`, lifted into a [`Value`].
     ///
     /// Returns `None` when `row` is out of bounds.

@@ -146,6 +146,25 @@ impl FlatTable {
         self.columns.iter().map(|c| c.byte_len()).sum()
     }
 
+    /// Bytes the columns' buffers hold, spare capacity included;
+    /// `capacity_bytes() - byte_len()` is what growth left unused.
+    pub fn capacity_bytes(&self) -> usize {
+        self.columns.iter().map(|c| c.capacity_bytes()).sum()
+    }
+
+    /// Size every column for exactly `rows` more rows, once: a bulk load
+    /// that knows its row count appends without growing a column by
+    /// doubling. Rows and values are unchanged. A column shared with
+    /// another table is copied first, as by every mutation.
+    pub fn reserve_exact(&mut self, rows: usize) {
+        if rows == 0 {
+            return;
+        }
+        for col in &mut self.columns {
+            Arc::make_mut(col).reserve_exact(rows);
+        }
+    }
+
     /// Borrow a column by position.
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
@@ -373,6 +392,66 @@ mod tests {
             .unwrap()[0] = 9.0;
         assert_eq!(sub.column(0).get(0), Some(Value::F64(3.0)));
         assert_eq!(t.column_by_name("z").unwrap().get(0), Some(Value::F64(9.0)));
+    }
+
+    fn xyz_dumps(rows: usize) -> Vec<Vec<u8>> {
+        let f: Column = (0..rows).map(|i| i as f64).collect();
+        let c: Column = (0..rows).map(|i| i as u8).collect();
+        vec![
+            f.to_le_bytes(),
+            f.to_le_bytes(),
+            f.to_le_bytes(),
+            c.to_le_bytes(),
+        ]
+    }
+
+    fn copy(t: &mut FlatTable, dumps: &[Vec<u8>]) -> usize {
+        let refs: Vec<&[u8]> = dumps.iter().map(Vec::as_slice).collect();
+        t.copy_binary(&refs).unwrap()
+    }
+
+    #[test]
+    fn reserve_exact_keeps_rows_and_values() {
+        let mut t = FlatTable::new(xyz_schema());
+        copy(&mut t, &xyz_dumps(3));
+        let before: Vec<_> = (0..3).map(|r| t.row(r).unwrap()).collect();
+        t.reserve_exact(1000);
+        assert_eq!(t.num_rows(), 3);
+        assert_eq!(t.byte_len(), 3 * 25);
+        assert_eq!(
+            (0..3).map(|r| t.row(r).unwrap()).collect::<Vec<_>>(),
+            before
+        );
+        assert!(t.capacity_bytes() >= 1003 * 25);
+    }
+
+    /// Two dumps appended into exactly the rows reserved for them leave
+    /// no column with spare capacity: the columns hold their values only.
+    #[test]
+    fn copy_binary_into_reserved_rows_leaves_no_spare_capacity() {
+        let mut t = FlatTable::new(xyz_schema());
+        t.reserve_exact(7 + 5);
+        copy(&mut t, &xyz_dumps(7));
+        copy(&mut t, &xyz_dumps(5));
+        assert_eq!(t.num_rows(), 12);
+        for i in 0..t.schema().width() {
+            let c = t.column(i);
+            assert_eq!(
+                c.capacity_bytes(),
+                c.byte_len(),
+                "{}",
+                t.schema().fields()[i].name
+            );
+        }
+        assert_eq!(t.capacity_bytes(), t.byte_len());
+    }
+
+    #[test]
+    fn reserve_exact_of_nothing_allocates_nothing() {
+        let mut t = FlatTable::new(xyz_schema());
+        t.reserve_exact(0);
+        assert_eq!(t.capacity_bytes(), 0);
+        assert_eq!(t.num_rows(), 0);
     }
 
     #[test]

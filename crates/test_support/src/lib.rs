@@ -15,14 +15,17 @@
 //!   the engine returns exactly these rows.
 //! * [`select`], [`resident_tiles`], [`area`] — a tiled select with the
 //!   default policies, the resident tile count, an envelope's area.
+//! * [`CountingAlloc`] — the system allocator with a count of the bytes
+//!   in use, for a test binary that weighs what a table holds.
 //!
 //! A crate this one depends on (core, las, geom, storage) may use only
 //! [`ScratchDir`] in its own unit tests: through the dev-dependency cycle
 //! they see a second copy of that crate, whose types are not theirs.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 use lidardb_core::wal::wal_path_for;
 use lidardb_core::{
@@ -33,6 +36,63 @@ use lidardb_geom::{Envelope, Point};
 use lidardb_las::schema::{column_value_f64, COLUMN_NAMES, COLUMN_TYPES};
 use lidardb_las::PointRecord;
 use lidardb_storage::PhysicalType;
+
+/// The system allocator, counting the bytes it hands out net of those
+/// returned. A test binary declares it `#[global_allocator]`; it should
+/// hold one `#[test]`, so that no test running beside it moves the count.
+pub struct CountingAlloc;
+
+static IN_USE: AtomicIsize = AtomicIsize::new(0);
+
+impl CountingAlloc {
+    /// Start counting from zero.
+    pub fn reset(&self) {
+        IN_USE.store(0, Ordering::SeqCst);
+    }
+
+    /// Bytes allocated since the last [`Self::reset`] and not yet freed:
+    /// negative when more was freed than allocated since.
+    pub fn in_use(&self) -> isize {
+        IN_USE.load(Ordering::SeqCst)
+    }
+}
+
+fn count(delta: isize) {
+    IN_USE.fetch_add(delta, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter never touches the memory handed out.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            count(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            count(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        count(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            count(new_size as isize - layout.size() as isize);
+        }
+        q
+    }
+}
 
 /// A fresh directory under the system temp dir, `lidardb_<label>_<pid>_<n>`,
 /// removed with its contents and its sibling WAL (`<dir>.wal`) on drop.
